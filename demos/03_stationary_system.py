@@ -6,22 +6,15 @@ sign-exclusion spiral that pens every feasible common root into a tiny
 rectangle, and cross-checks with a plain nested-bisection root.
 """
 
-from typsat import ModelParams, build_tables, derive_point, eq1, eq2
+from typsat import EqSystem, ModelParams, build_tables
 from typsat.pipeline import emit_curves
 from typsat.rootbox import solve_reference, spiral_localize, verify_exclusion
 
 params = ModelParams.certification()
 _, _, consts = build_tables(params)
 box = params.a_priori
-
-
-def eq1f(phi, b1):
-    return eq1(derive_point(phi, b1, box), consts, params)
-
-
-def eq2f(phi, b1):
-    return eq2(derive_point(phi, b1, box), consts, params)
-
+system = EqSystem.build(params, consts)
+eq1f, eq2f = system.eq1, system.eq2
 
 print("-- the two zero loci, phi as a function of beta1 " + "-" * 20)
 rows, _ = emit_curves(params, 9)
@@ -37,11 +30,14 @@ print(f"   witness sequences: K = {trace.K}, L = {trace.L}")
 print(f"   confining rectangle: [{rect[0]:.8f}, {rect[1]:.8f}] x [{rect[2]:.8f}, {rect[3]:.8f}]")
 report = verify_exclusion(trace, eq1f, eq2f, box)
 print(f"   independent re-verification: {report.checks} sign checks, ok = {report.ok}")
+system_iv = EqSystem.build(params, consts, mode="interval")
+report_iv = verify_exclusion(trace, system_iv.eq1, system_iv.eq2, box)
+print(f"   the same checks outward-rounded: {report_iv.checks} sign checks, ok = {report_iv.ok}")
 
 print()
 print("-- reference root (sanity oracle, never feeds the certificate) " + "-" * 6)
 ref = solve_reference(eq1f, eq2f, rect)
-pt = derive_point(ref["phi"], ref["beta1"], box)
+pt = system.point(ref["phi"], ref["beta1"])
 print(f"   root = ({ref['phi']:.10f}, {ref['beta1']:.10f})")
 print(f"   residuals = ({ref['residual_eq1']:.2e}, {ref['residual_eq2']:.2e})")
 print(f"   U = {pt.U:.8f}, V = {pt.V:.8f}")

@@ -2,8 +2,8 @@
 
 Runs the certification at the headline density 4.506 in float mode, then
 re-verifies the ledger, every trace sign, and the rectangle rate with
-outward-rounded interval arithmetic, and finally replays the emitted
-certificate from its JSON form.
+outward-rounded interval arithmetic, and finally replays both emitted
+certificates from their JSON form, each in its own mode.
 """
 
 import json
@@ -32,9 +32,10 @@ print(f"   verdict: {cert_iv.verdict}")
 print()
 print("-- certificate replay " + "-" * 47)
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "certificate.json"
-    cert.dump(path)
-    data = json.loads(path.read_text())
-    outcome = replay(data)
-    print(f"   stored -> reloaded -> re-verified: trace ok = {outcome['trace_ok']}, "
-          f"rate agrees = {outcome['rate_agrees']}, verdict agrees = {outcome['verdict_agrees']}")
+    for c in (cert, cert_iv):
+        path = Path(tmp) / "certificate.json"
+        c.dump(path)
+        outcome = replay(json.loads(path.read_text()))
+        print(f"   {c.mode:8s} stored -> reloaded -> re-verified: trace ok = "
+              f"{outcome['trace_ok']}, rate agrees = {outcome['rate_agrees']}, "
+              f"verdict agrees = {outcome['verdict_agrees']}")

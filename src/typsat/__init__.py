@@ -19,14 +19,14 @@ from .intervals import Interval
 from .ledger import ErrorBudget, FeasibleBox, build_budget, widen_intervals
 from .params import CERTIFICATION_BOX, DELTA_NUM, ModelParams
 from .rootbox import ExclusionTrace, solve_reference, spiral_localize, verify_exclusion
-from .stationarity import (MuTable, PhiBetaPoint, derive_point, eq1, eq2, g2,
+from .stationarity import (EqSystem, MuTable, PhiBetaPoint, derive_point, eq1, eq2, g2,
                            gradient_f1, mu_closed_form, objective_f1, rate_bound)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "CERTIFICATION_BOX", "Certificate", "DELTA_NUM",
-    "DerivedConstants", "ErrorBudget", "ExclusionTrace", "FeasibleBox",
+    "DerivedConstants", "EqSystem", "ErrorBudget", "ExclusionTrace", "FeasibleBox",
     "Formula", "Interval", "ModelParams", "MuTable", "OccurrenceTable",
     "PhiBetaPoint", "binomial_large_deviation", "build_budget", "build_tables",
     "certify", "count_unbalanced", "counting_oracle", "derive_point",

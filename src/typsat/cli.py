@@ -1,13 +1,14 @@
 """Command-line front end: certify, curves, empirical, oracle.
 
 Every run writes its outputs under a single directory with a manifest
-recording arguments, seed, and versions.  Exit codes: 0 when the requested
-verdict holds, 2 when it fails, 3 on a configuration error.
+recording arguments, versions, and the time of the run.  Exit codes: 0 when
+the requested verdict holds, 2 when it fails, 3 on a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import platform
 import sys
 from pathlib import Path
@@ -21,9 +22,11 @@ from .params import ModelParams
 
 
 def _write_manifest(out: Path, args: argparse.Namespace) -> None:
+    """Run metadata; the run's outputs themselves carry no timestamp."""
     lines = [
         f"command: {args.command}",
-        f"args: {vars(args)}",
+        f"args: { {k: v for k, v in vars(args).items() if k != 'func'} }",
+        f"timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"typsat: {VERSION}",
         f"python: {platform.python_version()}",
         f"numpy: {np.__version__}",
@@ -39,7 +42,7 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     cert = certify(c=args.c, x_max=args.xmax, eps=args.eps, mode=args.mode,
-                      seed=args.seed, width_target=args.width_target)
+                   width_target=args.width_target)
     for s in cert.stages:
         print(f"[{'ok' if s['ok'] else 'FAIL'}] {s['name']}: {s['detail']}")
     print(f"verdict: {cert.verdict}" + (f" (rate {cert.rate:.9f})" if cert.rate else ""))
@@ -108,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=int, default=56)
     p.add_argument("--eps", type=float, default=1e-15)
     p.add_argument("--mode", choices=("float", "interval"), default="float")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width-target", type=float, default=4e-7)
     p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_certify)

@@ -303,9 +303,6 @@ def kappa_tilde_intervals(x_max: int, c_text: str) -> dict:
     return {
         "c": c_iv,
         "lam": lam_iv,
-        "xs": xs,
-        "ps": ps,
-        "w": xs - 2 * ps,
         "kt": kt_iv,
         "K_tilde": k_tilde_iv,
         "log_pfact": Interval(np.array(logpf_lo), np.array(logpf_hi)),

@@ -136,10 +136,6 @@ def enumerate_pps(formula: Formula) -> int:
     return int(np.count_nonzero(pps_bitmap(formula)))
 
 
-def pps_assignments(formula: Formula) -> list[int]:
-    return [int(k) for k in np.flatnonzero(pps_bitmap(formula))]
-
-
 @dataclass(frozen=True)
 class MeasuredOmega:
     """Exact per-(x, p) variable counts of one formula, capped at x_cap."""

@@ -94,10 +94,10 @@ class Interval:
         return self.hi - self.lo
 
     def lower(self) -> float:
-        return float(np.min(self.lo))
+        return float(self.lo if self.lo.ndim == 0 else self.lo.min())
 
     def upper(self) -> float:
-        return float(np.max(self.hi))
+        return float(self.hi if self.hi.ndim == 0 else self.hi.max())
 
     def contains(self, x) -> bool:
         return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
@@ -219,12 +219,6 @@ def xlog(z):
     return np.log(z)
 
 
-def xsqrt(z):
-    if isinstance(z, Interval):
-        return z.sqrt()
-    return np.sqrt(z)
-
-
 def xsum(z):
     """Compensated sum: math.fsum for float arrays, rigorous sum for intervals."""
     if isinstance(z, Interval):
@@ -234,14 +228,15 @@ def xsum(z):
     return math.fsum(np.asarray(z, dtype=np.float64).tolist())
 
 
-def xpow(base, expo):
-    """base**expo through exp(expo*log(base)); base must be positive."""
-    return xexp(expo * xlog(base))
-
-
 def upper(z) -> float:
-    return z.upper() if isinstance(z, Interval) else float(z)
+    """Largest value of z: an Interval's upper end, an array's maximum, or z itself."""
+    if isinstance(z, Interval):
+        return z.upper()
+    return float(np.max(z)) if isinstance(z, np.ndarray) else float(z)
 
 
 def lower(z) -> float:
-    return z.lower() if isinstance(z, Interval) else float(z)
+    """Smallest value of z: an Interval's lower end, an array's minimum, or z itself."""
+    if isinstance(z, Interval):
+        return z.lower()
+    return float(np.min(z)) if isinstance(z, np.ndarray) else float(z)

@@ -13,11 +13,22 @@ rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distribution import big_d, p2, p3, rho_tail_interval
 from .errors import ConfigurationError, DomainError
-from .intervals import Interval, upper, xexp, xlog
+from .intervals import Interval, lower, upper, xexp, xlog
+
+
+def point_fields(phi, beta1):
+    """(beta2, beta3, Y) at (phi, beta1): 3(1-phi) - 2 b1, b1 - 2 + 3 phi, 3 phi - b1.
+
+    Generic over floats, ndarrays and Intervals.
+    """
+    beta2 = 3.0 * (1.0 - phi) - 2.0 * beta1
+    beta3 = beta1 - 2.0 + 3.0 * phi
+    Y = 3.0 * phi - beta1
+    return beta2, beta3, Y
 
 
 @dataclass(frozen=True)
@@ -33,18 +44,13 @@ class FeasibleBox:
     phi_min: float
     phi_max: float
 
-    def contains(self, phi: float, beta1: float) -> bool:
-        beta2 = 3.0 * (1.0 - phi) - 2.0 * beta1
-        beta3 = beta1 - 2.0 + 3.0 * phi
-        return (
-            self.phi_min <= phi <= self.phi_max
-            and self.beta1_min <= beta1 <= self.beta1_max
-            and self.beta2_min <= beta2 <= self.beta2_max
-            and self.beta3_min <= beta3 <= self.beta3_max
-        )
-
-    def in_rectangle(self, phi: float, beta1: float) -> bool:
-        return self.phi_min <= phi <= self.phi_max and self.beta1_min <= beta1 <= self.beta1_max
+    def contains(self, phi, beta1) -> bool:
+        """Whether (phi, beta1) lies in the box; an Interval point must lie in it whole."""
+        beta2, beta3, _ = point_fields(phi, beta1)
+        return (self.phi_min <= lower(phi) and upper(phi) <= self.phi_max
+                and self.beta1_min <= lower(beta1) and upper(beta1) <= self.beta1_max
+                and self.beta2_min <= lower(beta2) and upper(beta2) <= self.beta2_max
+                and self.beta3_min <= lower(beta3) and upper(beta3) <= self.beta3_max)
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
@@ -62,14 +68,11 @@ def L(eta):
     return xexp(-(two_eta) * xlog(two_eta))
 
 
-def _L_or_limit(eta, record: list | None = None):
+def _L_or_limit(eta):
     """L(eta) with the eta -> 0+ limit value 1 (used only for eps = 0 probes)."""
     if upper(eta) == 0.0:
         return 1.0
-    val = L(eta)
-    if record is not None:
-        record.append((eta, val))
-    return val
+    return L(eta)
 
 
 def _log_factorial(n: int, as_interval: bool):
@@ -135,7 +138,7 @@ class GFactors:
     g2: object
 
 
-def g_factors(eps, x_max: int, lam_min, lam_max, c_max, record: list | None = None) -> GFactors:
+def g_factors(eps, x_max: int, lam_min, lam_max, c_max) -> GFactors:
     """The five multiplicative slack factors, each >= 1, in the log domain.
 
     Raises ConfigurationError when an R argument falls outside L's domain
@@ -145,29 +148,28 @@ def g_factors(eps, x_max: int, lam_min, lam_max, c_max, record: list | None = No
     R2 = r2(eps, x_max, lam_max)
     R3 = r3(eps, x_max, lam_min, lam_max)
     try:
-        return _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3, record)
+        return _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3)
     except DomainError as exc:
         raise ConfigurationError(f"slack-factor domain violated: {exc}") from exc
 
 
-def _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3,
-                     record: list | None) -> GFactors:
+def _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3) -> GFactors:
     as_iv = isinstance(R3, Interval)
     ln2 = _ln_int(2, as_iv)
     g1 = (
         xexp(R1 * ln2)
-        * _L_or_limit(R1, record)
-        * _L_or_limit(R2, record)
+        * _L_or_limit(R1)
+        * _L_or_limit(R2)
         * xexp(R2 * (_ln_int(18, as_iv) + 1.0 - xlog(lam_min)))
-        * xpow6(_L_or_limit(R2 / 6.0, record))
+        * xpow6(_L_or_limit(R2 / 6.0))
         * xpow_c(
-            _L_or_limit(3.0 * eps * p3(x_max) / lam_min, record)
-            * _L_or_limit(6.0 * eps * p3(x_max) / lam_min, record),
+            _L_or_limit(3.0 * eps * p3(x_max) / lam_min)
+            * _L_or_limit(6.0 * eps * p3(x_max) / lam_min),
             c_max,
         )
         * xpow_c(
-            _L_or_limit(3.0 * R3, record) * _L_or_limit(3.0 * R3, record)
-            * _L_or_limit(9.0 * R3, record) * _L_or_limit(6.0 * R3, record)
+            _L_or_limit(3.0 * R3) * _L_or_limit(3.0 * R3)
+            * _L_or_limit(9.0 * R3) * _L_or_limit(6.0 * R3)
             * xexp(R3 * _ln_int(3, as_iv)),
             c_max,
         )
@@ -176,7 +178,7 @@ def _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3,
     ga = (
         xexp(eps * _ln_int(12, as_iv))
         * xexp((x_max / 8.0) * (x_max**2 + 2 * x_max - 1) * eps * ln2)
-        * xpow_c(_L_or_limit(eps, record), (x_max / 4.0) * (x_max + 3))
+        * xpow_c(_L_or_limit(eps), (x_max / 4.0) * (x_max + 3))
     )
     gb = xexp((x_max / 4.0) * (x_max + 1) * xlog1p_generic(eps))
 
@@ -275,7 +277,6 @@ class ErrorBudget:
     unbalancing_excess: object  # upper bound on 2^(rho + eps*Delta) - 1
     interval_bounds: FeasibleBox
     mode: str = "float"
-    L_log: list = field(default_factory=list)
     direction: str = "upper"
 
     def as_dict(self) -> dict:
@@ -311,7 +312,7 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
     true factors.
     """
     if mode == "interval":
-        eps = Interval(params.epsilon)
+        eps = Interval.from_decimal(repr(params.epsilon))
         lam_min = 3.0 * Interval.from_decimal(repr(params.c_min))
         lam_max = 3.0 * Interval.from_decimal(repr(params.c_max))
         rho = rho_tail_interval(params.x_max, 3.0 * Interval.from_decimal(repr(params.c)))
@@ -321,8 +322,7 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
         rho = consts.rho
 
     as_iv = mode == "interval"
-    record: list = []
-    gf = g_factors(eps, params.x_max, lam_min, lam_max, params.c_max, record)
+    gf = g_factors(eps, params.x_max, lam_min, lam_max, params.c_max)
     d = big_d(params.x_max)
     prefactor = gf.g1 * gf.g2 * xexp(2.0 * eps * d / _euler(as_iv))
     unbalancing_log = (rho + eps * consts.delta) * _ln_int(2, as_iv)
@@ -345,5 +345,4 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
         unbalancing_excess=_excess_upper(unbalancing_log),
         interval_bounds=params.a_priori,
         mode=mode,
-        L_log=record,
     )

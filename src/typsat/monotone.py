@@ -18,7 +18,7 @@ import numpy as np
 
 from .distribution import DerivedConstants
 from .errors import ConfigurationError, DomainError, SingularPointError
-from .ledger import FeasibleBox
+from .ledger import FeasibleBox, point_fields
 from .params import DELTA_NUM
 from . import stationarity as st
 
@@ -204,8 +204,7 @@ def polygon_vertices(box: FeasibleBox) -> list[tuple[float, float]]:
                 continue
             phi = (d1 * b2 - d2 * b1) / det
             beta1 = (a1 * d2 - a2 * d1) / det
-            beta2 = 3.0 * (1.0 - phi) - 2.0 * beta1
-            beta3 = beta1 - 2.0 + 3.0 * phi
+            beta2, beta3, _ = point_fields(phi, beta1)
             if (box.phi_min - tol <= phi <= box.phi_max + tol
                     and box.beta1_min - tol <= beta1 <= box.beta1_max + tol
                     and box.beta2_min - tol <= beta2 <= box.beta2_max + tol
@@ -213,15 +212,6 @@ def polygon_vertices(box: FeasibleBox) -> list[tuple[float, float]]:
                 if not any(abs(phi - f) < 1e-10 and abs(beta1 - b) < 1e-10 for f, b in out):
                     out.append((phi, beta1))
     return out
-
-
-def _uv_on(phi: np.ndarray, beta1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    beta2 = 3.0 * (1.0 - phi) - 2.0 * beta1
-    beta3 = beta1 - 2.0 + 3.0 * phi
-    y = 3.0 * phi - beta1
-    u = 9.0 * (1.0 - phi) * beta3 / (y * beta2)
-    v = 1.0 + beta2 * beta2 / (3.0 * y * beta3)
-    return u, v
 
 
 def polygon_extremize(target: str, box: FeasibleBox,
@@ -251,7 +241,7 @@ def polygon_extremize(target: str, box: FeasibleBox,
         pts_b.append(b1 + (b2 - b1) * t)
     phi = np.concatenate([np.array([f for f, _ in verts])] + pts_phi)
     beta1 = np.concatenate([np.array([b for _, b in verts])] + pts_b)
-    u, v = _uv_on(phi, beta1)
+    u, v = st.uv(phi, beta1)
     if target == "V_min":
         k = int(np.argmin(v))
         sampled = float(v[k])
@@ -298,20 +288,20 @@ def uv_star(beta1: float) -> tuple[float, float]:
     return uv * v, v
 
 
-def eq1_partial(variant: str, pt: st.PhiBetaPoint, consts: DerivedConstants, params) -> float:
+def eq1_partial(variant: str, pt: st.PhiBetaPoint, system: st.EqSystem) -> float:
     """Eq1 with the non-monotone index families removed; always >= eq1.
 
     "star" drops x = 2p+1; "star_star" drops 2p+1 <= x <= 2p+2.
     """
+    kt, w, p = system.cells_eq1
     if variant == "star":
-        keep = consts.w != 1
+        keep = w != 1
     elif variant == "star_star":
-        keep = (consts.w < 1) | (consts.w > 2)
+        keep = w > 2
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    keep &= (consts.ps >= 1) & (consts.w > 0)
-    kt, w, p = consts.kt[keep], consts.w[keep], consts.ps[keep]
-    return float(st._eq1_core(pt.phi, pt.U, pt.V, params.lam, consts.K_tilde, kt, w, p))
+    return float(st._eq1_core(pt.phi, pt.U, pt.V, system.lam, system.K_tilde,
+                              kt[keep], w[keep], p[keep]))
 
 
 def eq1_star_majorant(consts: DerivedConstants, params, box: FeasibleBox | None = None) -> float:
@@ -351,7 +341,7 @@ M_BANDS = ((0.33, 0.39), (0.39, 0.428), (0.428, 0.468), (0.468, 0.529))
 
 # -- grid certifications ------------------------------------------------------------
 
-def monotone_grid_report(consts: DerivedConstants, params, n: int = 40,
+def monotone_grid_report(system: st.EqSystem, n: int = 40,
                          box: FeasibleBox | None = None) -> dict:
     """Finite-difference monotonicity certification on an n x n feasible grid.
 
@@ -359,7 +349,7 @@ def monotone_grid_report(consts: DerivedConstants, params, n: int = 40,
     variable; eq1 decreasing wherever positive; U increasing and V decreasing
     in each variable.  Returns the booleans plus the worst margins.
     """
-    box = params.a_priori if box is None else box
+    box = system.box if box is None else box
     phis = np.linspace(box.phi_min, box.phi_max, n)
     b1s = np.linspace(box.beta1_min, box.beta1_max, n)
     e1 = np.full((n, n), np.nan)
@@ -372,12 +362,12 @@ def monotone_grid_report(consts: DerivedConstants, params, n: int = 40,
             if not box.contains(f, b):
                 continue
             try:
-                pt = st.derive_point(f, b, box)
+                pt = system.point(f, b)
             except SingularPointError:
                 continue
             feas[i, j] = True
-            e1[i, j] = st.eq1(pt, consts, params)
-            e2[i, j] = st.eq2(pt, consts, params)
+            e1[i, j] = st.eq1(pt, system)
+            e2[i, j] = st.eq2(pt, system)
             uu[i, j] = pt.U
             vv[i, j] = pt.V
 

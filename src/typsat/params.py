@@ -86,14 +86,6 @@ class ModelParams:
     def lam_max(self) -> float:
         return 3.0 * self.c_max
 
-    @property
-    def is_certification(self) -> bool:
-        return (
-            self.c_min == self.c_max == CERTIFICATION_C
-            and self.x_max == CERTIFICATION_X_MAX
-            and self.epsilon == CERTIFICATION_EPS
-        )
-
     @classmethod
     def certification(cls) -> "ModelParams":
         return cls(c=CERTIFICATION_C, x_max=CERTIFICATION_X_MAX, epsilon=CERTIFICATION_EPS)

@@ -14,7 +14,6 @@ every larger density but is not itself computed here.
 
 from __future__ import annotations
 
-import datetime as _dt
 import itertools
 import json
 import math
@@ -33,11 +32,11 @@ from .errors import GuardError, SingularPointError, SpiralSeedError
 from .formulas import (Assignment, Formula, clause_count, deviation_budget,
                        generate, is_pps, measure_omega, pps_bitmap,
                        run_omega_campaign, solution_bitmap, variable_type)
-from .intervals import Interval, upper
+from .intervals import lower, upper
 from .params import DELTA_NUM, ModelParams
 
 VERSION = "0.1.0"
-SCHEMA = "typsat-certificate/1"
+SCHEMA = "typsat-certificate/2"
 
 #: Headline targets the certificate's constants table is compared against.
 TARGETS = {
@@ -77,7 +76,6 @@ def _dec_entry(entry: dict) -> dict:
 class Certificate:
     params: dict
     mode: str
-    seed: int
     stages: list = field(default_factory=list)   # (name, ok, detail)
     ledger: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
@@ -102,9 +100,7 @@ class Certificate:
         return {
             "schema": SCHEMA,
             "version": VERSION,
-            "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "mode": self.mode,
-            "seed": self.seed,
             "params": self.params,
             "stages": self.stages,
             "ledger": {k: (_dec_entry(v) if isinstance(v, dict) and "value" in v else v)
@@ -130,62 +126,13 @@ class Certificate:
         Path(path).write_text(self.dumps())
 
 
-def _equation_closures(consts, params):
-    box = params.a_priori
-
-    def eq1f(phi, beta1):
-        return st.eq1(st.derive_point(phi, beta1, box), consts, params)
-
-    def eq2f(phi, beta1):
-        return st.eq2(st.derive_point(phi, beta1, box), consts, params)
-
-    return eq1f, eq2f
-
-
-def _interval_closures(ivt, params):
-    """Outward-rounded Eq1/Eq2 evaluators over exact float points."""
-    lam, c = ivt["lam"], ivt["c"]
-    strict = (ivt["ps"] >= 1) & (ivt["w"] > 0)
-    pmask = ivt["ps"] >= 1
-    kt1, w1, p1 = ivt["kt"][strict], ivt["w"][strict], ivt["ps"][strict]
-    kt2, w2, p2 = ivt["kt"][pmask], ivt["w"][pmask], ivt["ps"][pmask]
-
-    def quantities(phi: float, beta1: float):
-        phi_iv, b1_iv = Interval(phi), Interval(beta1)
-        beta2 = 3.0 * (1.0 - phi_iv) - 2.0 * b1_iv
-        beta3 = b1_iv - 2.0 + 3.0 * phi_iv
-        y = 3.0 * phi_iv - b1_iv
-        u = 9.0 * (1.0 - phi_iv) * beta3 / (y * beta2)
-        v = 1.0 + beta2 * beta2 / (3.0 * y * beta3)
-        return u, v
-
-    def eq1f(phi, beta1):
-        u, v = quantities(phi, beta1)
-        return st._eq1_core(phi, u, v, lam, ivt["K_tilde"], kt1, w1, p1)
-
-    def eq2f(phi, beta1):
-        u, v = quantities(phi, beta1)
-        return st._eq2_core_mod2(phi, beta1, u, v, lam, c, kt2, w2, p2)
-
-    return eq1f, eq2f, quantities
-
-
-def _log_base_constant_intervals(ivt) -> Interval:
-    lam, c = ivt["lam"], ivt["c"]
-    kt, w = ivt["kt"], ivt["w"]
-    log2, log3, log6 = (Interval.log_of_int(k) for k in (2, 3, 6))
-    sum_strict = kt[w > 0].sum()
-    denom = (kt * (ivt["log_pfact"] + kt.log())).sum()
-    return c * log3 + lam * (lam.log() - log6 - 1.0) + sum_strict * log2 - denom
-
-
 def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
-            mode: str = "float", seed: int = 0, width_target: float = 4e-7) -> Certificate:
+            mode: str = "float", width_target: float = 4e-7) -> Certificate:
     """Run the full pipeline; raises ConfigurationError for invalid parameters."""
     if mode not in ("float", "interval"):
         raise ValueError(f"mode must be 'float' or 'interval', got {mode!r}")
     params = ModelParams(c=c, x_max=x_max, epsilon=eps)
-    cert = Certificate(params=params.as_dict(), mode=mode, seed=seed)
+    cert = Certificate(params=params.as_dict(), mode=mode)
     cert.assumptions.append(
         "the satisfiability probability is nonincreasing in the clause density c; "
         "recorded as an external assumption, not computed")
@@ -245,11 +192,11 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
         "targets": {k: (list(v) if isinstance(v, tuple) else v) for k, v in TARGETS.items()},
     }
 
-    eq1f, eq2f = _equation_closures(consts, params)
+    system = st.EqSystem.build(params, consts)
     trace = None
     if monotone_ok:
         try:
-            trace = rb.spiral_localize(eq1f, eq2f, params.a_priori, width_target)
+            trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, width_target)
             cert.trace = trace.to_jsonable()
             rect = trace.rectangle
             tight = (rect[1] - rect[0] <= width_target and rect[3] - rect[2] <= width_target)
@@ -263,7 +210,7 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
 
     if trace is not None:
         try:
-            report = rb.verify_exclusion(trace, eq1f, eq2f, params.a_priori)
+            report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
             cert.trace_verified = report.ok
             cert.stage("verify_exclusion", report.ok,
                        f"{report.checks} sign checks, {len(report.failures)} failures")
@@ -274,7 +221,7 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
 
     if trace is not None and cert.trace_verified:
         cert.rectangle = trace.rectangle
-        ref = rb.solve_reference(eq1f, eq2f, trace.rectangle)
+        ref = rb.solve_reference(system.eq1, system.eq2, trace.rectangle)
         cert.reference_root = {
             k: (_dec(v) if isinstance(v, float) else v) for k, v in ref.items()}
         cert.stage("reference_root", bool(ref.get("found") and ref.get("inside_rectangle")),
@@ -282,12 +229,9 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
 
         rect = trace.rectangle
         try:
-            rate = st.rate_bound_rectangle(rect[0], rect[1], rect[2], rect[3],
-                                           consts, params, budget)
-            cert.rate = float(rate)
-            center = st.derive_point(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]),
-                                     params.a_priori)
-            cert.point_rate = st.rate_bound_point(center, consts, params, budget)
+            cert.rate = float(st.rate_bound_rectangle(*rect, system, budget))
+            center = system.point(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
+            cert.point_rate = st.rate_bound_point(center, system, budget)
             rate_ok = cert.rate + DELTA_NUM < 1.0
             cert.stage("rate", rate_ok, f"rectangle rate={cert.rate:.9f}")
         except Exception as exc:
@@ -298,79 +242,57 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     cert.verdict = all(s["ok"] for s in cert.stages)
 
     if mode == "interval":
-        cert.interval_report = _interval_pass(cert, params, trace)
+        cert.interval_report = _interval_pass(cert, params, consts, trace)
         cert.stage("interval_reverify", cert.interval_report.get("ok", False),
                    cert.interval_report.get("detail", ""))
         cert.verdict = cert.verdict and cert.interval_report.get("ok", False)
     return cert
 
 
-def _interval_pass(cert: Certificate, params: ModelParams, trace) -> dict:
+def _interval_pass(cert: Certificate, params: ModelParams, consts, trace) -> dict:
     """Outward-rounded re-verification of ledger, trace signs, and the rate."""
     out: dict = {"ok": False, "detail": ""}
-    _, _, consts = dist.build_tables(params)
     budget_iv = lg.build_budget(params, consts, mode="interval")
     out["prefactor_upper"] = upper(budget_iv.prefactor)
     out["unbalancing_upper"] = upper(budget_iv.unbalancing)
     out["unbalancing_excess_upper"] = upper(budget_iv.unbalancing_excess)
 
-    if trace is None:
-        out["detail"] = "no trace to re-verify"
+    if not cert.trace_verified:  # the float pass also checked the trace structure
+        out["detail"] = "no verified trace to re-verify"
         return out
-    ivt = dist.kappa_tilde_intervals(params.x_max, repr(params.c))
-    eq1_iv, eq2_iv, _ = _interval_closures(ivt, params)
-    failures = 0
-    checks = 0
-    pm, bp, pp, bm = (trace.phi_minus, trace.beta_plus, trace.phi_plus, trace.beta_minus)
-    for i, (f, b) in enumerate(zip(pm, bp)):
-        checks += 1
-        if not eq1_iv(f, b).surely_gt(DELTA_NUM):
-            failures += 1
-    for i in range(len(pm) - 1):
-        checks += 1
-        if not eq2_iv(pm[i], bp[i + 1]).surely_lt(-DELTA_NUM):
-            failures += 1
-    for j, (f, b) in enumerate(zip(pp, bm)):
-        checks += 1
-        if not eq1_iv(f, b).surely_lt(-DELTA_NUM):
-            failures += 1
-    for j in range(len(pp) - 1):
-        checks += 1
-        if not eq2_iv(pp[j], bm[j + 1]).surely_gt(DELTA_NUM):
-            failures += 1
-    out["sign_checks"] = checks
-    out["sign_failures"] = failures
+    system = st.EqSystem.build(params, consts, mode="interval")
+    report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
+    out["sign_checks"] = report.checks
+    out["sign_failures"] = len(report.failures)
 
-    rect = trace.rectangle
-    rate_iv = st.rate_bound_rectangle(
-        rect[0], rect[1], rect[2], rect[3], consts, params, budget_iv,
-        kt=ivt["kt"], w=ivt["w"], ps=ivt["ps"], xs=ivt["xs"],
-        k_tilde=ivt["K_tilde"], lam=ivt["lam"], c=ivt["c"],
-        log_base=_log_base_constant_intervals(ivt))
+    rate_iv = st.rate_bound_rectangle(*trace.rectangle, system, budget_iv)
     out["rate_upper"] = upper(rate_iv)
-    out["rate_lower"] = rate_iv.lower()
-    ok = failures == 0 and upper(rate_iv) + DELTA_NUM < 1.0
+    out["rate_lower"] = lower(rate_iv)
     if cert.rate is not None:
         out["float_vs_interval_gap"] = abs(cert.rate - upper(rate_iv))
-    out["ok"] = ok
-    out["detail"] = (f"{checks} interval sign checks ({failures} failures), "
+    out["ok"] = report.ok and upper(rate_iv) + DELTA_NUM < 1.0
+    out["detail"] = (f"{report.checks} interval sign checks ({len(report.failures)} failures), "
                      f"rate upper={out['rate_upper']:.9f}")
     return out
 
 
 def replay(cert_data: dict) -> dict:
-    """Re-run the stored trace and rectangle of a certificate and compare."""
+    """Re-run the stored trace and rectangle of a certificate in its own mode.
+
+    Interval certificates are compared on the interval rate upper bound.
+    """
     p = cert_data["params"]
+    mode = cert_data["mode"]
     params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
     _, _, consts = dist.build_tables(params)
-    budget = lg.build_budget(params, consts)
-    eq1f, eq2f = _equation_closures(consts, params)
+    budget = lg.build_budget(params, consts, mode=mode)
+    system = st.EqSystem.build(params, consts, mode=mode)
     trace = rb.ExclusionTrace.from_jsonable(cert_data["trace"])
-    report = rb.verify_exclusion(trace, eq1f, eq2f, params.a_priori)
+    report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
     rect = tuple(float(v["v"]) for v in cert_data["rectangle"])
-    rate = st.rate_bound_rectangle(rect[0], rect[1], rect[2], rect[3],
-                                   consts, params, budget)
-    stored_rate = float(cert_data["rate"]["v"])
+    rate = upper(st.rate_bound_rectangle(*rect, system, budget))
+    stored_rate = (cert_data["interval_report"]["rate_upper"] if mode == "interval"
+                   else float(cert_data["rate"]["v"]))
     verdict = report.ok and rate + DELTA_NUM < 1.0
     return {
         "trace_ok": report.ok,
@@ -378,7 +300,7 @@ def replay(cert_data: dict) -> dict:
         "stored_rate": stored_rate,
         "rate_agrees": abs(rate - stored_rate) < 1e-12,
         "verdict": verdict,
-        "verdict_agrees": verdict == cert_data["verdict"] or cert_data["mode"] == "interval",
+        "verdict_agrees": verdict == cert_data["verdict"],
     }
 
 
@@ -387,12 +309,12 @@ def replay(cert_data: dict) -> dict:
 def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str]:
     """Sample the loci eq1 = 0 and eq2 = 0 as phi(beta1) by per-column bisection."""
     _, _, consts = dist.build_tables(params)
-    eq1f, eq2f = _equation_closures(consts, params)
+    system = st.EqSystem.build(params, consts)
     box = params.a_priori
     rows = []
     for b1 in np.linspace(box.beta1_min, box.beta1_max, grid_density):
         row = {"beta1": float(b1)}
-        for name, fn in (("phi_eq1", eq1f), ("phi_eq2", eq2f)):
+        for name, fn in (("phi_eq1", system.eq1), ("phi_eq2", system.eq2)):
             lo = max(box.phi_min, (2.0 - b1) / 3.0 + 1e-9)
             hi = box.phi_max
             try:

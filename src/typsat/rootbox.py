@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SingularPointError, SpiralSeedError, TraceStructureError
+from .intervals import lower
 from .ledger import FeasibleBox
 from .params import DELTA_NUM
 
@@ -92,7 +93,9 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox,
                      delta: float = DELTA_NUM) -> VerificationReport:
     """Re-evaluate all four sign-check families with margin > delta.
 
-    Structural defects (anchoring, monotonicity, rectangle orientation) raise
+    eq1f and eq2f may return floats or enclosing Intervals; a check passes
+    when the lowest value of sign * Eq exceeds delta.  Structural defects
+    (anchoring, monotonicity, rectangle orientation) raise
     TraceStructureError; sign failures are reported, not raised.
     """
     pm, bp, pp, bm = trace.phi_minus, trace.beta_plus, trace.phi_plus, trace.beta_minus
@@ -122,7 +125,7 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox,
             failures.append({"family": family, "index": i, "phi": phi, "beta1": beta1,
                              "value": None, "error": str(exc)})
             return
-        if not (val * sign > delta):
+        if not lower(sign * val) > delta:
             failures.append({"family": family, "index": i, "phi": phi, "beta1": beta1,
                              "value": val, "needed_sign": sign, "margin": delta})
 

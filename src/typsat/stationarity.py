@@ -26,53 +26,53 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import distribution as dist
 from .distribution import DerivedConstants, log_comb, log_factorial
 from .errors import DomainError, SingularPointError
 from .intervals import Interval, lower, upper, xexp, xlog, xsum
-from .ledger import ErrorBudget, FeasibleBox
-
-LOG2 = math.log(2.0)
+from .ledger import ErrorBudget, FeasibleBox, point_fields
 
 
 # -- the (phi, beta1) point ----------------------------------------------------
 
 @dataclass(frozen=True)
 class PhiBetaPoint:
+    """Derived fields at one point: floats, or Intervals in interval mode."""
+
     phi: float
     beta1: float
     beta2: float
     beta3: float
-    X: float
     Y: float
-    Z: float
     U: float
     V: float
     feasible: bool
 
 
-def point_fields(phi, beta1):
-    """Derived fields shared by the float and interval paths."""
-    beta2 = 3.0 * (1.0 - phi) - 2.0 * beta1
-    beta3 = beta1 - 2.0 + 3.0 * phi
-    Y = 3.0 * phi - beta1
-    return beta2, beta3, Y
-
-
-def derive_point(phi: float, beta1: float, box: FeasibleBox) -> PhiBetaPoint:
-    """Compute all derived fields; raises SingularPointError where U/V is undefined."""
-    beta2, beta3, Y = point_fields(phi, beta1)
-    if Y <= 0.0 or beta2 <= 0.0 or beta3 <= 0.0:
+def _uv(phi, beta2, beta3, Y):
+    if lower(Y) <= 0.0 or lower(beta2) <= 0.0 or lower(beta3) <= 0.0:
         raise SingularPointError(
-            f"U/V undefined at (phi={phi}, beta1={beta1}): "
-            f"Y={Y:.6g}, beta2={beta2:.6g}, beta3={beta3:.6g}"
-        )
-    U = 9.0 * (1.0 - phi) * beta3 / (Y * beta2)
-    V = 1.0 + beta2 * beta2 / (3.0 * Y * beta3)
-    feasible = box.contains(phi, beta1)
-    return PhiBetaPoint(
-        phi=phi, beta1=beta1, beta2=beta2, beta3=beta3,
-        X=3.0 * phi - 1.0, Y=Y, Z=1.0 - beta1, U=U, V=V, feasible=feasible,
-    )
+            f"U/V undefined at phi={phi}: Y={lower(Y):.6g}, "
+            f"beta2={lower(beta2):.6g}, beta3={lower(beta3):.6g}")
+    return 9.0 * (1.0 - phi) * beta3 / (Y * beta2), 1.0 + beta2 * beta2 / (3.0 * Y * beta3)
+
+
+def uv(phi, beta1):
+    """(U, V) at (phi, beta1) for floats, ndarrays or Intervals.
+
+    Raises SingularPointError unless Y, beta2 and beta3 are positive
+    throughout, which is where U and V are defined.
+    """
+    return _uv(phi, *point_fields(phi, beta1))
+
+
+def derive_point(phi, beta1, box: FeasibleBox) -> PhiBetaPoint:
+    """Compute all derived fields (outward-rounded for Interval coordinates);
+    raises SingularPointError where U/V is undefined."""
+    beta2, beta3, Y = point_fields(phi, beta1)
+    U, V = _uv(phi, beta2, beta3, Y)
+    return PhiBetaPoint(phi=phi, beta1=beta1, beta2=beta2, beta3=beta3, Y=Y, U=U, V=V,
+                        feasible=box.contains(phi, beta1))
 
 
 def v_alternate_form(pt: PhiBetaPoint) -> float:
@@ -83,12 +83,72 @@ def v_alternate_form(pt: PhiBetaPoint) -> float:
 
 # -- the two stationarity equations ---------------------------------------------
 
-def _strict_arrays(consts: DerivedConstants, include_diagonal: bool):
-    if include_diagonal:
-        mask = consts.ps >= 1
-    else:
-        mask = (consts.ps >= 1) & (consts.w > 0)
-    return consts.kt[mask], consts.w[mask], consts.ps[mask]
+@dataclass(frozen=True)
+class EqSystem:
+    """The stationarity system of one configuration, in float or interval mode.
+
+    Holds lambda, c, K_tilde, the triangle cell arrays (x, p, w = x - 2p,
+    kt), their Eq1 and Eq2 subsets, and the log of the n-free base constant
+    3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt.  Float mode
+    takes the tables from build_tables; interval mode encloses them from the
+    exact decimal density, so eq1, eq2 and the rectangle rate bound run the
+    same code outward-rounded.  Evaluation points are exact floats in both
+    modes.
+    """
+
+    mode: str
+    box: FeasibleBox
+    lam: object
+    c: object
+    K_tilde: object
+    xs: np.ndarray
+    ps: np.ndarray
+    w: np.ndarray
+    kt: object          # ndarray, or an Interval of arrays
+    cells_eq1: tuple    # (kt, w, p) over p >= 1, x > 2p
+    cells_eq2: tuple    # (kt, w, p) over p >= 1
+    log_base: object
+
+    @classmethod
+    def build(cls, params, consts: DerivedConstants, mode: str = "float") -> "EqSystem":
+        xs, ps, w = consts.xs, consts.ps, consts.w
+        if mode == "float":
+            lam, c, k_tilde, kt = params.lam, params.c, consts.K_tilde, consts.kt
+            log_pfact = np.array([log_factorial(int(p)) + log_factorial(int(x - p))
+                                  for x, p in zip(xs, ps)])
+            log_int = math.log
+        elif mode == "interval":
+            ivt = dist.kappa_tilde_intervals(params.x_max, repr(params.c))
+            lam, c, k_tilde, kt, log_pfact = (
+                ivt[k] for k in ("lam", "c", "K_tilde", "kt", "log_pfact"))
+            log_int = Interval.log_of_int
+        else:
+            raise ValueError(f"mode must be 'float' or 'interval', got {mode!r}")
+        pos = consts.kt > 0.0  # kt^kt = 1 where a mass underflows to 0
+        log_base = (c * log_int(3) + lam * (xlog(lam) - log_int(6) - 1.0)
+                    + xsum(kt[w > 0]) * log_int(2)
+                    - xsum(kt[pos] * (log_pfact[pos] + xlog(kt[pos]))))
+        p1 = ps >= 1
+        strict = p1 & (w > 0)
+        return cls(mode=mode, box=params.a_priori, lam=lam, c=c, K_tilde=k_tilde,
+                   xs=xs, ps=ps, w=w, kt=kt,
+                   cells_eq1=(kt[strict], w[strict], ps[strict]),
+                   cells_eq2=(kt[p1], w[p1], ps[p1]), log_base=log_base)
+
+    def point(self, phi: float, beta1: float) -> PhiBetaPoint:
+        """The derived point at (phi, beta1), enclosed in interval mode."""
+        if self.mode == "interval":
+            phi, beta1 = Interval(phi), Interval(beta1)
+        return derive_point(phi, beta1, self.box)
+
+    # the bodies call the module-level eq1/eq2, the one entry point per equation
+    def eq1(self, phi: float, beta1: float):
+        """Eq1 at (phi, beta1): a float, or an enclosing Interval."""
+        return eq1(self.point(phi, beta1), self)
+
+    def eq2(self, phi: float, beta1: float):
+        """Eq2 at (phi, beta1): a float, or an enclosing Interval."""
+        return eq2(self.point(phi, beta1), self)
 
 
 def _eq1_core(phi, U, V, lam, k_tilde, kt, w, p):
@@ -99,10 +159,11 @@ def _eq1_core(phi, U, V, lam, k_tilde, kt, w, p):
     return k_tilde - lam * phi - s
 
 
-def eq1(pt: PhiBetaPoint, consts: DerivedConstants, params, *, include_diagonal: bool = False) -> float:
+def eq1(pt: PhiBetaPoint, system: EqSystem, *, include_diagonal: bool = False):
     """Residual of the first stationarity equation (diagonal terms vanish identically)."""
-    kt, w, p = _strict_arrays(consts, include_diagonal)
-    return float(_eq1_core(pt.phi, pt.U, pt.V, params.lam, consts.K_tilde, kt, w, p))
+    # the diagonal x = 2p adds the w = 0 cells of p >= 1: Eq2's cells
+    kt, w, p = system.cells_eq2 if include_diagonal else system.cells_eq1
+    return _eq1_core(pt.phi, pt.U, pt.V, system.lam, system.K_tilde, kt, w, p)
 
 
 def _eq2_core_mod2(phi, beta1, U, V, lam, c, kt, w, p):
@@ -124,22 +185,21 @@ def _eq2_core_eqb1(phi, beta1, U, V, lam, c, kt, w, p):
     return -beta1 * c + ((V - 1.0) / V) * s
 
 
-def eq2(pt: PhiBetaPoint, consts: DerivedConstants, params, *, form: str = "mod2") -> float:
+def eq2(pt: PhiBetaPoint, system: EqSystem, *, form: str = "mod2"):
     """Residual of the second stationarity equation.
 
     form "mod2" is the production expression (p >= 1 terms only); form "eqb1"
     is the raw elimination output over the full triangle, equivalent whenever
     eq1 vanishes.
     """
-    if pt.V <= 1.0:
+    if lower(pt.V) <= 1.0:
         raise SingularPointError(f"eq2 needs V > 1, got V = {pt.V}")
     if form == "mod2":
-        mask = consts.ps >= 1
-        kt, w, p = consts.kt[mask], consts.w[mask], consts.ps[mask]
-        return float(_eq2_core_mod2(pt.phi, pt.beta1, pt.U, pt.V, params.lam, params.c, kt, w, p))
+        return _eq2_core_mod2(pt.phi, pt.beta1, pt.U, pt.V, system.lam, system.c,
+                              *system.cells_eq2)
     if form == "eqb1":
-        return float(_eq2_core_eqb1(
-            pt.phi, pt.beta1, pt.U, pt.V, params.lam, params.c, consts.kt, consts.w, consts.ps))
+        return _eq2_core_eqb1(pt.phi, pt.beta1, pt.U, pt.V, system.lam, system.c,
+                              system.kt, system.w, system.ps)
     raise ValueError(f"unknown eq2 form {form!r}")
 
 
@@ -254,53 +314,36 @@ def mu_table(pt: PhiBetaPoint, consts: DerivedConstants) -> MuTable:
     return MuTable(x_max=consts.x_max, mu=mu, alpha=alpha, log_h=idx["log_h"])
 
 
-def _log_g2_core(phi, beta1, U, V, lam, c, k_tilde, kt, w, p, xmp):
-    logU, logV = xlog(U), xlog(V)
-    d = 1.0 + xexp(w * (logU - logV)) * (1.0 - xexp(-(p * logV)))
-    log_den = xmp * logV + xlog(d)
-    return xsum(kt * log_den) - (k_tilde - lam * phi) * logU - beta1 * c * xlog(V - 1.0)
-
-
-def log_g2(pt: PhiBetaPoint, consts: DerivedConstants, params) -> float:
+def log_g2(pt: PhiBetaPoint, system: EqSystem) -> float:
     """log of the normalizing product prod Den^kt / (U^(K-lam phi) (V-1)^(b1 c))."""
     if pt.V <= 1.0:
         raise DomainError(f"g2 needs V > 1, got V = {pt.V}")
-    return float(_log_g2_core(
-        pt.phi, pt.beta1, pt.U, pt.V, params.lam, params.c, consts.K_tilde,
-        consts.kt, consts.w, consts.ps, consts.xs - consts.ps))
+    logU, logV = np.log(pt.U), np.log(pt.V)
+    d = 1.0 + np.exp(system.w * (logU - logV)) * (1.0 - np.exp(-(system.ps * logV)))
+    log_den = (system.xs - system.ps) * logV + np.log(d)
+    return float(xsum(system.kt * log_den) - (system.K_tilde - system.lam * pt.phi) * logU
+                 - pt.beta1 * system.c * np.log(pt.V - 1.0))
 
 
-def g2(pt: PhiBetaPoint, consts: DerivedConstants, params) -> float:
-    return math.exp(log_g2(pt, consts, params))
+def g2(pt: PhiBetaPoint, system: EqSystem) -> float:
+    return math.exp(log_g2(pt, system))
 
 
 # -- expectation-rate bound ------------------------------------------------------
 
-def log_base_constant(consts: DerivedConstants, params) -> float:
-    """n-free constant: 3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt."""
-    lam, c = params.lam, params.c
-    kt, xs, ps, w = consts.kt, consts.xs, consts.ps, consts.w
-    sum_strict = math.fsum(kt[w > 0].tolist())
-    log_fact = np.array([log_factorial(int(p)) + log_factorial(int(x - p))
-                         for x, p in zip(xs, ps)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_kt = np.where(kt > 0.0, np.log(np.maximum(kt, 1e-300)), 0.0)
-    denom = math.fsum((kt * (log_fact + log_kt)).tolist())
-    return c * math.log(3.0) + lam * (math.log(lam) - math.log(6.0) - 1.0) \
-        + sum_strict * LOG2 - denom
+def _entropy_f(phi, beta2, beta3, y) -> float:
+    """F = Y log Y + 3(1-phi) log 3(1-phi) - beta2 log beta2 - beta3 log 3 beta3."""
+    return (y * math.log(y) + 3.0 * (1.0 - phi) * math.log(3.0 * (1.0 - phi))
+            - beta2 * math.log(beta2) - beta3 * math.log(3.0 * beta3))
 
 
-def rate_bound_point(pt: PhiBetaPoint, consts: DerivedConstants, params,
-                     budget: ErrorBudget) -> float:
+def rate_bound_point(pt: PhiBetaPoint, system: EqSystem, budget: ErrorBudget) -> float:
     """Point-mode expectation rate: the n-independent factor, prefactors included,
-    unbalancing factor excluded.  Exploratory only."""
+    unbalancing factor excluded.  Exploratory only (float mode)."""
     if not pt.feasible:
         raise DomainError("rate bound requires a feasible point")
-    y, phi_c = pt.Y, pt.phi
-    f = (y * math.log(y) + 3.0 * (1.0 - phi_c) * math.log(3.0 * (1.0 - phi_c))
-         - pt.beta2 * math.log(pt.beta2) - pt.beta3 * math.log(3.0 * pt.beta3))
-    log_rate = (log_base_constant(consts, params) + math.log(upper(budget.prefactor))
-                + log_g2(pt, consts, params) + params.c * f)
+    log_rate = (system.log_base + math.log(upper(budget.prefactor)) + log_g2(pt, system)
+                + system.c * _entropy_f(pt.phi, pt.beta2, pt.beta3, pt.Y))
     return math.exp(log_rate)
 
 
@@ -333,38 +376,23 @@ def _pow_box_max_log(alo, ahi, blo, bhi):
 
 
 def rate_bound_rectangle(phi_lo: float, phi_hi: float, b1_lo: float, b1_hi: float,
-                         consts: DerivedConstants, params, budget: ErrorBudget,
-                         *, kt=None, w=None, ps=None, xs=None, k_tilde=None,
-                         lam=None, c=None, log_base=None) -> float:
+                         system: EqSystem, budget: ErrorBudget):
     """Uniform upper bound of the point rate over a feasibility rectangle.
 
     Corner monotonicity: the triangle product grows in U and V, so it is
     evaluated at (U_max, V_max); the U- and (V-1)-powers and the four
     x^x-style factors are majorized over their induced ranges corner by
-    corner.  The unbalancing factor 2^(rho + eps*Delta) is included.
-    Passing interval-table keywords reruns the whole bound outward-rounded.
+    corner.  The unbalancing factor 2^(rho + eps*Delta) is included.  An
+    interval-mode system and ledger make the table sums, exponents and
+    constants outward-rounded; the corner values themselves are floats.
     """
-    box = params.a_priori
     for corner in ((phi_lo, b1_lo), (phi_lo, b1_hi), (phi_hi, b1_lo), (phi_hi, b1_hi)):
-        if not box.contains(*corner):
+        if not system.box.contains(*corner):
             raise DomainError(f"rectangle corner {corner} is outside the feasible box")
-
-    kt = consts.kt if kt is None else kt
-    w = consts.w if w is None else w
-    ps = consts.ps if ps is None else ps
-    xs = consts.xs if xs is None else xs
-    k_tilde = consts.K_tilde if k_tilde is None else k_tilde
-    lam = params.lam if lam is None else lam
-    c = params.c if c is None else c
-    log_base = log_base_constant(consts, params) if log_base is None else log_base
+    lam, c, k_tilde = system.lam, system.c, system.K_tilde
+    kt, w, ps, xs = system.kt, system.w, system.ps, system.xs
 
     # U increases, V decreases in each variable
-    def uv(phi, beta1):
-        beta2, beta3, y = point_fields(phi, beta1)
-        u = 9.0 * (1.0 - phi) * beta3 / (y * beta2)
-        v = 1.0 + beta2 * beta2 / (3.0 * y * beta3)
-        return u, v
-
     u_max, v_min = uv(phi_hi, b1_hi)
     u_min, v_max = uv(phi_lo, b1_lo)
 
@@ -375,25 +403,24 @@ def rate_bound_rectangle(phi_lo: float, phi_hi: float, b1_lo: float, b1_hi: floa
     e_upow = _pow_box_max_log(u_min, u_max, lam * phi_lo - k_tilde, lam * phi_hi - k_tilde)
     e_vpow = _pow_box_max_log(v_min - 1.0, v_max - 1.0, -(c * b1_hi), -(c * b1_lo))
 
-    y_lo, y_hi = 3.0 * phi_lo - b1_hi, 3.0 * phi_hi - b1_lo
-    t_y = _max_xlogx(y_lo, y_hi)
+    # beta2 falls and beta3 rises in each variable; Y rises in phi, falls in beta1
+    b2_lo, b3_hi, _ = point_fields(phi_hi, b1_hi)
+    b2_hi, b3_lo, _ = point_fields(phi_lo, b1_lo)
+    t_y = _max_xlogx(point_fields(phi_lo, b1_hi)[2], point_fields(phi_hi, b1_lo)[2])
     t_m = _max_xlogx(3.0 * (1.0 - phi_hi), 3.0 * (1.0 - phi_lo))
-    b2_lo, b2_hi = 3.0 * (1.0 - phi_hi) - 2.0 * b1_hi, 3.0 * (1.0 - phi_lo) - 2.0 * b1_lo
     t_b2 = _max_neg_xlogsx(b2_lo, b2_hi, 1.0)
-    b3_lo, b3_hi = b1_lo - 2.0 + 3.0 * phi_lo, b1_hi - 2.0 + 3.0 * phi_hi
     t_b3 = _max_neg_xlogsx(b3_lo, b3_hi, 3.0)
 
-    log_rate = (log_base + xlog(budget.prefactor) + log_big + e_upow + e_vpow
+    log_rate = (system.log_base + xlog(budget.prefactor) + log_big + e_upow + e_vpow
                 + c * (t_y + t_m + t_b2 + t_b3) + xlog(budget.unbalancing))
     return xexp(log_rate)
 
 
-def rate_bound(target, consts: DerivedConstants, params, budget: ErrorBudget):
+def rate_bound(target, system: EqSystem, budget: ErrorBudget):
     """Point mode for a PhiBetaPoint, rectangle mode for a 4-tuple of bounds."""
     if isinstance(target, PhiBetaPoint):
-        return rate_bound_point(target, consts, params, budget)
-    phi_lo, phi_hi, b1_lo, b1_hi = target
-    return rate_bound_rectangle(phi_lo, phi_hi, b1_lo, b1_hi, consts, params, budget)
+        return rate_bound_point(target, system, budget)
+    return rate_bound_rectangle(*target, system, budget)
 
 
 # -- objective and gradient -------------------------------------------------------
@@ -424,9 +451,7 @@ def objective_f1(mu: np.ndarray, consts: DerivedConstants, params) -> float:
     beta2, beta3, y = point_fields(phi, beta1)
     if min(y, beta2, beta3, 1.0 - phi) <= 0.0:
         raise DomainError(f"derived point infeasible: phi={phi}, beta1={beta1}")
-    f = (y * math.log(y) + 3.0 * (1.0 - phi) * math.log(3.0 * (1.0 - phi))
-         - beta2 * math.log(beta2) - beta3 * math.log(3.0 * beta3))
-    return ent + params.c * f
+    return ent + params.c * _entropy_f(phi, beta2, beta3, y)
 
 
 def gradient_f1(mu: np.ndarray, consts: DerivedConstants, params) -> np.ndarray:
@@ -437,14 +462,12 @@ def gradient_f1(mu: np.ndarray, consts: DerivedConstants, params) -> np.ndarray:
     idx = mu_index(consts.x_max)
     kt_tri = consts.kt[idx["row"]]
     phi, beta1 = phi_of_mu(mu, consts), beta1_of_mu(mu, consts)
-    beta2, beta3, y = point_fields(phi, beta1)
-    if min(y, beta2, beta3, 1.0 - phi) <= 0.0:
+    if phi >= 1.0:
         raise DomainError(f"derived point infeasible: phi={phi}, beta1={beta1}")
-    u = 9.0 * (1.0 - phi) * beta3 / (y * beta2)
-    v1 = beta2 * beta2 / (3.0 * y * beta3)  # V - 1 > 0
+    u, v = uv(phi, beta1)
     return kt_tri * (idx["log_h"] - np.log(mu) - 1.0
                      + np.where(idx["lt"], idx["w"] * math.log(u), 0.0)
-                     + idx["pmj"] * math.log(v1))
+                     + idx["pmj"] * math.log(v - 1.0))
 
 
 def projected_gradient(mu: np.ndarray, consts: DerivedConstants, params) -> np.ndarray:

@@ -35,26 +35,20 @@ def box(params):
 
 
 @pytest.fixture(scope="session")
-def eqfs(params, consts, box):
-    def eq1f(phi, beta1):
-        return st.eq1(st.derive_point(phi, beta1, box), consts, params)
-
-    def eq2f(phi, beta1):
-        return st.eq2(st.derive_point(phi, beta1, box), consts, params)
-
-    return eq1f, eq2f
+def system(params, consts):
+    return st.EqSystem.build(params, consts)
 
 
 @pytest.fixture(scope="session")
-def trace(eqfs, box):
+def trace(system, box):
     from typsat.rootbox import spiral_localize
-    return spiral_localize(*eqfs, box, width_target=4e-7)
+    return spiral_localize(system.eq1, system.eq2, box, width_target=4e-7)
 
 
 @pytest.fixture(scope="session")
-def root(eqfs, trace):
+def root(system, trace):
     from typsat.rootbox import solve_reference
-    ref = solve_reference(*eqfs, trace.rectangle)
+    ref = solve_reference(system.eq1, system.eq2, trace.rectangle)
     assert ref["found"]
     return ref
 

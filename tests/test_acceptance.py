@@ -103,14 +103,14 @@ def test_criterion_3_constants_table(params, consts):
                    f"runtime={elapsed:.2f}s")
 
 
-def test_criterion_4_root_box(params, consts, eqfs):
+def test_criterion_4_root_box(params, consts, system):
     t0 = time.perf_counter()
-    trace = rb.spiral_localize(*eqfs, params.a_priori, width_target=4e-7)
-    report = rb.verify_exclusion(trace, *eqfs, params.a_priori)
+    trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, width_target=4e-7)
+    report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
     rect = trace.rectangle
     contained = (0.5638320 <= rect[0] and rect[1] <= 0.5638326
                  and 0.4465139 <= rect[2] and rect[3] <= 0.4465149)
-    ref = rb.solve_reference(*eqfs, rect)
+    ref = rb.solve_reference(system.eq1, system.eq2, rect)
     elapsed = time.perf_counter() - t0
     ok = (report.ok and contained and ref["found"] and ref["inside_rectangle"]
           and max(abs(ref["residual_eq1"]), abs(ref["residual_eq2"])) < 1e-10
@@ -153,9 +153,9 @@ def test_criterion_5_stationarity_self_consistency(params, consts, box, root, rn
                    f"(20 points), row sums {worst_row:.2e} < 1e-10 ({count} grid points)")
 
 
-def test_criterion_6_monotonicity_suites(params, consts):
+def test_criterion_6_monotonicity_suites(system):
     t0 = time.perf_counter()
-    report = mo.monotone_grid_report(consts, params, n=40)
+    report = mo.monotone_grid_report(system, n=40)
     elapsed = time.perf_counter() - t0
     ok = (report["eq2"] and report["eq1_where_positive"] and report["U"]
           and report["V"] and elapsed < 20.0)

@@ -40,6 +40,7 @@ def test_certify_determinism():
     assert a.rate == b.rate
     assert a.rectangle == b.rectangle
     assert a.trace["phi_minus"] == b.trace["phi_minus"]
+    assert a.dumps() == b.dumps()
 
 
 def test_certify_records_assumption(cert):
@@ -94,6 +95,19 @@ def test_certificate_replays(cert):
     assert result["trace_ok"]
     assert result["rate_agrees"]
     assert result["verdict_agrees"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_replay_in_own_mode_detects_tampered_verdict(cert, cert_iv, mode):
+    c = cert if mode == "float" else cert_iv
+    data = json.loads(c.dumps())
+    honest = cf.replay(data)
+    json.dumps(honest)  # plain Python values only
+    assert honest["trace_ok"] and honest["rate_agrees"] and honest["verdict_agrees"]
+    if mode == "interval":
+        assert honest["stored_rate"] == c.interval_report["rate_upper"]
+    data["verdict"] = False
+    assert cf.replay(data)["verdict_agrees"] is False
 
 
 # -- curves ------------------------------------------------------------------------
@@ -248,6 +262,18 @@ def test_cli_certify_interval_mode(tmp_path, capsys):
     data = json.loads((tmp_path / "r" / "certificate.json").read_text())
     assert data["mode"] == "interval"
     assert data["interval_report"]["sign_failures"] == 0
+
+
+def test_cli_certificate_bytes_reproducible(tmp_path):
+    from typsat.cli import main
+    for run in ("a", "b"):
+        assert main(["certify", "--out", str(tmp_path / run)]) == 0
+    first = (tmp_path / "a" / "certificate.json").read_bytes()
+    assert first == (tmp_path / "b" / "certificate.json").read_bytes()
+    assert b"timestamp" not in first
+    manifest = (tmp_path / "a" / "manifest.txt").read_text()
+    assert "timestamp:" in manifest
+    assert "0x" not in manifest
 
 
 def test_cli_manifest_contents(tmp_path):

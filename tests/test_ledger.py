@@ -3,7 +3,7 @@ import math
 import pytest
 
 from typsat import ledger as lg
-from typsat.distribution import build_tables
+from typsat.distribution import big_d, build_tables, p2, p3
 from typsat.errors import DomainError
 from typsat.intervals import Interval, upper
 from typsat.params import CERTIFICATION_BOX, GENERIC_GAMMA_PSI, ModelParams
@@ -133,6 +133,22 @@ def test_interval_budget_is_pessimistic_but_close(params, consts, budget):
     assert biv.unbalancing_excess.contains(float(excess))
     assert upper(biv.unbalancing_excess) < float(excess) * (1.0 + 1e-12)
     assert math.isclose(upper(budget.unbalancing_excess), float(excess), rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("eps_text", ["1e-15", "3e-15", "1e-14"])
+def test_interval_budget_encloses_decimal_eps(consts, eps_text):
+    # the double nearest 3e-15 or 1e-14 lies below the decimal; the interval
+    # ledger must enclose R1 and R3 at the decimal the user asked for
+    mp = pytest.importorskip("mpmath")
+    params = ModelParams(c=4.506, x_max=56, epsilon=float(eps_text))
+    biv = lg.build_budget(params, consts, mode="interval")
+    x = params.x_max
+    with mp.workdps(50):
+        eps, lam = mp.mpf(eps_text), 3 * mp.mpf("4.506")
+        r1 = lam ** (x + 1) / mp.factorial(x + 1) + eps * big_d(x)
+        r3 = lam ** x / mp.factorial(x) + eps / lam * (mp.mpf(p2(x)) + mp.mpf(p3(x)))
+        for iv, exact in ((biv.r1, r1), (biv.r3, r3)):
+            assert mp.mpf(float(iv.lo)) <= exact <= mp.mpf(float(iv.hi))
 
 
 def test_budget_as_dict_directions(budget):

@@ -228,16 +228,16 @@ def test_uv_star_consistent_with_direct_evaluation(box):
 
 # -- Eq1 exceptional families ---------------------------------------------------------------
 
-def test_eq1_partial_ordering(box, consts, params, rng):
+def test_eq1_partial_ordering(box, system, rng):
     for _ in range(60):
         phi = rng.uniform(box.phi_min, box.phi_max)
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
         if not box.contains(phi, b1):
             continue
         pt = st.derive_point(phi, b1, box)
-        e = st.eq1(pt, consts, params)
-        e_star = mo.eq1_partial("star", pt, consts, params)
-        e_star2 = mo.eq1_partial("star_star", pt, consts, params)
+        e = st.eq1(pt, system)
+        e_star = mo.eq1_partial("star", pt, system)
+        e_star2 = mo.eq1_partial("star_star", pt, system)
         assert e <= e_star + 1e-14
         assert e_star <= e_star2 + 1e-14
 
@@ -252,9 +252,10 @@ def test_eq1_partial_on_toy_table(box, params):
     toy = DerivedConstants(lam=lam, x_max=2, rho=0.0, delta=1.0, D=6, N=9,
                            K_tilde=float(((xs - ps) * kt).sum()),
                            xs=xs, ps=ps, w=xs - 2 * ps, kt=kt)
+    toy_system = st.EqSystem.build(params, toy)
     pt = st.derive_point(0.56, 0.44, box)
-    assert mo.eq1_partial("star", pt, toy, params) == pytest.approx(
-        st.eq1(pt, toy, params), abs=1e-15)
+    assert mo.eq1_partial("star", pt, toy_system) == pytest.approx(
+        st.eq1(pt, toy_system), abs=1e-15)
 
 
 def test_eq1_star_majorant(consts, params):
@@ -335,8 +336,8 @@ def test_E_factorization(box, rng):
             assert E(x, p) == pytest.approx(uv ** (x - 2 * p - 2) * e41 * geo, rel=1e-10)
 
 
-def test_monotone_grid_report(consts, params):
-    report = mo.monotone_grid_report(consts, params, n=25)
+def test_monotone_grid_report(system):
+    report = mo.monotone_grid_report(system, n=25)
     assert report["ok"]
     assert report["eq2"] and report["U"] and report["V"] and report["eq1_where_positive"]
     assert report["feasible_points"] > 200

@@ -75,22 +75,22 @@ def test_wrong_inequality_direction_reports_index():
     assert report.failures[0]["index"] == 0
 
 
-def test_spiral_determinism(eqfs, box):
-    t1 = rb.spiral_localize(*eqfs, box, width_target=1e-4)
-    t2 = rb.spiral_localize(*eqfs, box, width_target=1e-4)
+def test_spiral_determinism(system, box):
+    t1 = rb.spiral_localize(system.eq1, system.eq2, box, width_target=1e-4)
+    t2 = rb.spiral_localize(system.eq1, system.eq2, box, width_target=1e-4)
     assert t1.phi_minus == t2.phi_minus
     assert t1.beta_plus == t2.beta_plus
     assert t1.rectangle == t2.rectangle
 
 
-def test_coarse_trace_is_small_and_valid(eqfs, box):
-    trace = rb.spiral_localize(*eqfs, box, width_target=0.05)
+def test_coarse_trace_is_small_and_valid(system, box):
+    trace = rb.spiral_localize(system.eq1, system.eq2, box, width_target=0.05)
     assert trace.K <= 8 and trace.L <= 8
-    assert rb.verify_exclusion(trace, *eqfs, box).ok
+    assert rb.verify_exclusion(trace, system.eq1, system.eq2, box).ok
 
 
-def test_real_trace_verifies_and_localizes(eqfs, box, trace):
-    report = rb.verify_exclusion(trace, *eqfs, box)
+def test_real_trace_verifies_and_localizes(system, box, trace):
+    report = rb.verify_exclusion(trace, system.eq1, system.eq2, box)
     assert report.ok
     rect = trace.rectangle
     assert 0.5638320 <= rect[0] and rect[1] <= 0.5638326
@@ -105,10 +105,10 @@ def test_reference_root_inside_rectangle(root, trace):
     assert abs(root["residual_eq2"]) < 1e-10
 
 
-def test_sign_preservation_on_random_ordered_pairs(eqfs, box, rng):
+def test_sign_preservation_on_random_ordered_pairs(system, box, rng):
     """If Eq(A) > 0 and B <= A componentwise then Eq(B) > 0 (and the mirror),
     for Eq2 everywhere and Eq1 restricted to its monotone (positive) region."""
-    eq1f, eq2f = eqfs
+    eq1f, eq2f = system.eq1, system.eq2
     checked = 0
     for _ in range(10_000):
         fa, fb = sorted(rng.uniform(box.phi_min, box.phi_max, 2))
@@ -129,9 +129,9 @@ def test_sign_preservation_on_random_ordered_pairs(eqfs, box, rng):
     assert checked > 5000
 
 
-def test_band_exclusion_margins(eqfs, trace, rng):
+def test_band_exclusion_margins(system, trace, rng):
     """Inside every excluded band some equation stays bounded away from zero."""
-    eq1f, eq2f = eqfs
+    eq1f, eq2f = system.eq1, system.eq2
     pm, bp = trace.phi_minus, trace.beta_plus
     # horizontal bands excluded by the minus arm: beta1 in [bp[i+1], bp[i]]
     for i in range(0, len(pm) - 1, 6):
@@ -145,11 +145,11 @@ def test_band_exclusion_margins(eqfs, trace, rng):
             assert max(vals) > DELTA_NUM
 
 
-def test_trace_serialization_roundtrip(trace, eqfs, box):
+def test_trace_serialization_roundtrip(trace, system, box):
     data = trace.to_jsonable()
     back = rb.ExclusionTrace.from_jsonable(data)
     assert back.rectangle == trace.rectangle
-    assert rb.verify_exclusion(back, *eqfs, box).ok
+    assert rb.verify_exclusion(back, system.eq1, system.eq2, box).ok
     import json
     again = rb.ExclusionTrace.from_jsonable(json.loads(trace.dumps()))
     assert again.phi_minus == trace.phi_minus

@@ -5,6 +5,7 @@ import pytest
 
 from typsat import stationarity as st
 from typsat.errors import DomainError, SingularPointError
+from typsat.intervals import Interval
 from typsat.params import DELTA_NUM
 
 LAM = 3 * 4.506
@@ -27,6 +28,20 @@ def test_singular_point_raises(box):
         st.derive_point(0.12, 0.36, box)  # beta1 = 3 phi: Y = 0
     with pytest.raises(SingularPointError):
         st.derive_point(box.phi_min, box.beta1_min, box)  # beta3 < 0 corner
+
+
+def test_uv_is_generic_over_number_types():
+    phis, b1s = np.array([0.56, 0.57, 0.60]), np.array([0.44, 0.45, 0.40])
+    u, v = st.uv(phis, b1s)
+    for k in range(3):
+        uk, vk = st.uv(float(phis[k]), float(b1s[k]))
+        iu, iv = st.uv(Interval(phis[k]), Interval(b1s[k]))
+        assert (u[k], v[k]) == (uk, vk)
+        assert iu.contains(uk) and iv.contains(vk)
+    with pytest.raises(SingularPointError):
+        st.uv(np.array([0.56, 0.12]), np.array([0.44, 0.36]))
+    with pytest.raises(SingularPointError):
+        st.uv(Interval(0.12), Interval(0.36))
 
 
 def test_v_at_polygon_vertex(box):
@@ -130,15 +145,15 @@ def test_alpha_zero_at_p0(root_point, consts):
 
 # -- the two equations ---------------------------------------------------------------
 
-def test_eq1_diagonal_terms_vanish(root_point, consts, params):
-    with_diag = st.eq1(root_point, consts, params, include_diagonal=True)
-    without = st.eq1(root_point, consts, params)
+def test_eq1_diagonal_terms_vanish(root_point, system):
+    with_diag = st.eq1(root_point, system, include_diagonal=True)
+    without = st.eq1(root_point, system)
     assert with_diag == pytest.approx(without, abs=1e-15)
 
 
-def test_eq1_sign_change_across_rectangle(eqfs, trace):
+def test_eq1_sign_change_across_rectangle(system, trace):
     # bisection oracle at fixed beta1 = 0.44651440
-    eq1f, _ = eqfs
+    eq1f = system.eq1
     b1 = 0.44651440
     lo, hi = trace.rectangle[0] - 1e-5, trace.rectangle[1] + 1e-5
     flo, fhi = eq1f(lo, b1), eq1f(hi, b1)
@@ -152,32 +167,47 @@ def test_eq1_sign_change_across_rectangle(eqfs, trace):
     assert trace.rectangle[0] - 1e-5 <= lo <= trace.rectangle[1] + 1e-5
 
 
-def test_corner_sign_seeds(eqfs, box):
-    eq1f, eq2f = eqfs
+def test_corner_sign_seeds(system, box):
+    eq1f, eq2f = system.eq1, system.eq2
     assert eq1f(box.phi_min, box.beta1_max) > 0.0
     assert eq1f(box.phi_max, box.beta1_min) < 0.0
     assert eq2f(box.phi_min, box.beta1_min + 0.095) > 0.0  # feasible stand-in corner
     assert eq2f(box.phi_max, box.beta1_max) < 0.0
 
 
-def test_eq2_seed_signs_spec_corners(eqfs, box):
+def test_eq2_seed_signs_spec_corners(system, box):
     # the exact spec corners: (phi_min, beta1_min) is singular (beta3 < 0), so
     # the nearest feasible boundary point carries the sign
-    _, eq2f = eqfs
+    eq2f = system.eq2
     b_floor = (2.0 - 3.0 * box.phi_min) + 1e-6
     assert eq2f(box.phi_min, b_floor) > 0.0
     assert eq2f(box.phi_max, box.beta1_max) < 0.0
 
 
-def test_eq2_form_equivalence_at_root(root, box, consts, params):
+def test_interval_system_encloses_float_system(params, consts, system, trace):
+    system_iv = st.EqSystem.build(params, consts, mode="interval")
+    base = system_iv.log_base
+    assert base.lower() - 1e-12 <= system.log_base <= base.upper() + 1e-12
+    points = (list(zip(trace.phi_minus, trace.beta_plus))
+              + list(zip(trace.phi_plus, trace.beta_minus)))
+    for phi, b1 in points:
+        for f, f_iv in ((system.eq1, system_iv.eq1), (system.eq2, system_iv.eq2)):
+            val, enc = f(phi, b1), f_iv(phi, b1)
+            assert enc.upper() - enc.lower() < 1e-9
+            assert enc.lower() - 1e-12 <= val <= enc.upper() + 1e-12
+    with pytest.raises(ValueError):
+        st.EqSystem.build(params, consts, mode="decimal")
+
+
+def test_eq2_form_equivalence_at_root(root, box, system):
     pt = st.derive_point(root["phi"], root["beta1"], box)
-    assert abs(st.eq1(pt, consts, params)) < 1e-10
-    mod2 = st.eq2(pt, consts, params, form="mod2")
-    eqb1 = st.eq2(pt, consts, params, form="eqb1")
+    assert abs(st.eq1(pt, system)) < 1e-10
+    mod2 = st.eq2(pt, system, form="mod2")
+    eqb1 = st.eq2(pt, system, form="eqb1")
     assert abs(mod2 - eqb1) < 1e-8
 
 
-def test_eq2_form_equivalence_across_grid(box, consts, params, rng):
+def test_eq2_form_equivalence_across_grid(box, system, rng):
     for _ in range(150):
         phi = rng.uniform(box.phi_min, box.phi_max)
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
@@ -185,18 +215,18 @@ def test_eq2_form_equivalence_across_grid(box, consts, params, rng):
             pt = st.derive_point(phi, b1, box)
         except SingularPointError:
             continue
-        e1 = st.eq1(pt, consts, params)
-        gap = abs(st.eq2(pt, consts, params, form="eqb1")
-                  - st.eq2(pt, consts, params, form="mod2"))
+        e1 = st.eq1(pt, system)
+        gap = abs(st.eq2(pt, system, form="eqb1")
+                  - st.eq2(pt, system, form="mod2"))
         assert gap <= 1e-6 + 10.0 * abs(e1)
 
 
 # -- g2 ---------------------------------------------------------------------------
 
-def test_g2_finite_and_positive(root_point, consts, params):
-    val = st.log_g2(root_point, consts, params)
+def test_g2_finite_and_positive(root_point, system):
+    val = st.log_g2(root_point, system)
     assert math.isfinite(val)
-    assert st.g2(root_point, consts, params) > 0.0
+    assert st.g2(root_point, system) > 0.0
 
 
 def test_g2_origin_factor_is_one(root_point, consts):
@@ -204,13 +234,13 @@ def test_g2_origin_factor_is_one(root_point, consts):
     assert log_dens[0] == pytest.approx(0.0, abs=1e-15)  # (x, p) = (0, 0)
 
 
-def test_g2_consistency_with_mu_product(root, root_point, consts, params):
+def test_g2_consistency_with_mu_product(root, root_point, consts, system):
     # plug the closed-form mu into exp(sum kt sum_j mu log(mu/h)); must invert g2
     idx = st.mu_index(consts.x_max)
     table = st.mu_table(root_point, consts)
     kt_tri = consts.kt[idx["row"]]
     s = math.fsum((kt_tri * table.mu * (np.log(table.mu) - idx["log_h"])).tolist())
-    assert s == pytest.approx(-st.log_g2(root_point, consts, params), abs=1e-9)
+    assert s == pytest.approx(-st.log_g2(root_point, system), abs=1e-9)
 
 
 # -- objective and gradient ----------------------------------------------------------
@@ -351,7 +381,7 @@ def test_row_perturbation_directional_derivative(root_point, consts, params, rng
         assert df == pytest.approx(first_order, abs=50 * eps * eps)
 
 
-def test_objective_equals_log_g2_plus_cF_at_stationary_mu(root_point, consts, params):
+def test_objective_equals_log_g2_plus_cF_at_stationary_mu(root_point, consts, params, system):
     # three independently coded paths must agree at the stationary point:
     # the entropy objective at the closed-form mu, the normalizing product g2,
     # and the four-term F assembly
@@ -360,7 +390,7 @@ def test_objective_equals_log_g2_plus_cF_at_stationary_mu(root_point, consts, pa
     f1 = st.objective_f1(table.mu, consts, params)
     F = (pt.Y * math.log(pt.Y) + 3 * (1 - pt.phi) * math.log(3 * (1 - pt.phi))
          - pt.beta2 * math.log(pt.beta2) - pt.beta3 * math.log(3 * pt.beta3))
-    assert f1 == pytest.approx(st.log_g2(pt, consts, params) + params.c * F, abs=1e-12)
+    assert f1 == pytest.approx(st.log_g2(pt, system) + params.c * F, abs=1e-12)
 
 
 def test_stationary_mu_dominates_random_feasible(root_point, consts, params, rng):
@@ -418,15 +448,15 @@ def test_u_increasing_v_decreasing_50x50(box):
 
 # -- rate bound --------------------------------------------------------------------
 
-def test_rate_point_mode_continuous_and_dominated(trace, box, consts, params, budget, rng):
+def test_rate_point_mode_continuous_and_dominated(trace, box, consts, params, budget, rng, system):
     rect = trace.rectangle
-    rate_rect = st.rate_bound_rectangle(*rect, consts, params, budget)
+    rate_rect = st.rate_bound_rectangle(*rect, system, budget)
     samples = []
     for _ in range(25):
         phi = rng.uniform(rect[0], rect[1])
         b1 = rng.uniform(rect[2], rect[3])
         pt = st.derive_point(phi, b1, box)
-        samples.append(st.rate_bound_point(pt, consts, params, budget))
+        samples.append(st.rate_bound_point(pt, system, budget))
     samples = np.array(samples)
     # rectangle mode dominates every interior sample (after adding the
     # unbalancing factor the point mode deliberately omits)
@@ -435,30 +465,30 @@ def test_rate_point_mode_continuous_and_dominated(trace, box, consts, params, bu
     assert samples.max() - samples.min() < 1e-4  # continuity at rectangle scale
 
 
-def test_rate_bound_dispatch(root_point, trace, consts, params, budget):
-    r1 = st.rate_bound(root_point, consts, params, budget)
-    r2 = st.rate_bound(trace.rectangle, consts, params, budget)
+def test_rate_bound_dispatch(root_point, trace, system, budget):
+    r1 = st.rate_bound(root_point, system, budget)
+    r2 = st.rate_bound(trace.rectangle, system, budget)
     assert 0.99 < r1 < 1.0
     assert 0.99 < r2 < 1.0
 
 
-def test_rate_on_target_rectangle(consts, params, budget):
+def test_rate_on_target_rectangle(system, budget):
     # the headline constant: the corner bound over the target rectangle lands
     # just below 0.9999885 (computed: 0.99998840690...)
     from typsat.pipeline import TARGETS
     r = TARGETS["rectangle"]
-    rate = st.rate_bound_rectangle(r[0], r[1], r[2], r[3], consts, params, budget)
+    rate = st.rate_bound_rectangle(r[0], r[1], r[2], r[3], system, budget)
     assert 0.99998 < rate < TARGETS["rate"]
     assert rate == pytest.approx(0.9999884069006912, rel=1e-10)
 
 
-def test_rate_rejects_infeasible(box, consts, params, budget):
+def test_rate_rejects_infeasible(box, system, budget):
     # nonsingular but outside the polygon: beta2 below its floor
     pt = st.derive_point(box.phi_max - 1e-4, box.beta1_max - 1e-4, box)
     assert not pt.feasible
     with pytest.raises(DomainError):
-        st.rate_bound_point(pt, consts, params, budget)
+        st.rate_bound_point(pt, system, budget)
     with pytest.raises(DomainError):
         st.rate_bound_rectangle(box.phi_max - 2e-4, box.phi_max - 1e-4,
                                 box.beta1_max - 2e-4, box.beta1_max - 1e-4,
-                                consts, params, budget)
+                                system, budget)
