@@ -5,13 +5,14 @@ factor per replacement; this script prints the whole budget and the
 derivative-sum certificates that justify the sign-exclusion machinery.
 """
 
-from typsat import ModelParams, build_budget, build_tables
+from typsat import EqSystem, ModelParams, build_budget, build_tables
 from typsat import monotone as mo
 from typsat.intervals import upper
 from typsat.ledger import LEDGER_TARGETS
 
 params = ModelParams.certification()
 _, _, consts = build_tables(params)
+system = EqSystem.build(params, consts)
 
 print("-- accuracy and tail bounds " + "-" * 40)
 budget = build_budget(params, consts)
@@ -34,13 +35,13 @@ print()
 
 print("-- why the second equation decreases in each variable " + "-" * 14)
 for which in ("fixed_phi", "fixed_beta1"):
-    cert = mo.eq2_monotone_verdict(which, consts, params)
+    cert = mo.eq2_monotone_verdict(which, system)
     print(f"   {which:12s}: A = {cert.A_bound:.4f}, B = {cert.B_bound:.4f}, "
           f"extra = {cert.extra_bound:.4f}; total {cert.total():.4f} "
           f"< {cert.threshold:.4f} -> {cert.verdict}")
 print()
 print("-- why the first equation cannot vanish past its turning curves " + "-" * 4)
-print(f"   Eq1* majorant along beta1*(phi): {mo.eq1_star_majorant(consts, params):.4f} < 0")
+print(f"   Eq1* majorant along beta1*(phi): {mo.eq1_star_majorant(system):.4f} < 0")
 for lo, hi in mo.M_BANDS:
     print(f"   Eq1** majorant on beta1 in [{lo}, {hi}]: "
-          f"{mo.m_bound(lo, hi, consts, params):.4f} < 0")
+          f"{mo.m_bound(lo, hi, system):.4f} < 0")

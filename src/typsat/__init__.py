@@ -20,7 +20,7 @@ from .ledger import ErrorBudget, FeasibleBox, build_budget, widen_intervals
 from .params import CERTIFICATION_BOX, DELTA_NUM, ModelParams
 from .rootbox import ExclusionTrace, solve_reference, spiral_localize, verify_exclusion
 from .stationarity import (EqSystem, MuTable, PhiBetaPoint, derive_point, eq1, eq2, g2,
-                           gradient_f1, mu_closed_form, objective_f1, rate_bound)
+                           gradient_f1, mu_closed_form, objective_f1)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "certify", "count_unbalanced", "counting_oracle", "derive_point",
     "emit_curves", "empirical_report", "enumerate_pps", "eq1", "eq2", "g2",
     "generate", "gradient_f1", "is_pps", "kappa", "kappa_tilde",
-    "measure_omega", "mu_closed_form", "objective_f1", "obeys", "rate_bound",
+    "measure_omega", "mu_closed_form", "objective_f1", "obeys",
     "replay", "solve_reference", "spiral_localize",
     "totally_unbalanced_representative", "variable_type", "verify_exclusion",
     "widen_intervals",

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .intervals import Interval
+from .intervals import Interval, xsum
 
 LOG2 = math.log(2.0)
 
@@ -146,12 +146,10 @@ class OccurrenceTable:
         return float(self.entries[x, p])
 
     def row_sum(self, x: int) -> float:
-        return math.fsum(self.entries[x, : x + 1].tolist())
+        return xsum(self.entries[x, : x + 1])
 
     def triangle_sum(self) -> float:
-        return math.fsum(
-            self.entries[x, p] for x in range(self.x_max + 1) for p in range(x + 1)
-        )
+        return xsum(self.entries[np.tril_indices(self.x_max + 1)])
 
     def to_jsonable(self) -> dict:
         return {
@@ -189,14 +187,6 @@ class DerivedConstants:
 
     def h_tilde(self, x: int, p: int) -> float:
         return (x - 2 * p) * kappa_tilde(x, p, self.lam)
-
-    @staticmethod
-    def p2(xi: int) -> float:
-        return p2(xi)
-
-    @staticmethod
-    def p3(xi: int) -> float:
-        return p3(xi)
 
 
 def check_x_max(x_max: int, lam_min: float, lam_max: float) -> None:
@@ -250,7 +240,7 @@ def build_tables(params) -> tuple[OccurrenceTable, OccurrenceTable, DerivedConst
         delta=0.5 * (x_max / 2 + 1),
         D=big_d(x_max),
         N=big_n(x_max),
-        K_tilde=math.fsum(((xs - ps) * kt).tolist()),
+        K_tilde=xsum((xs - ps) * kt),
         xs=xs,
         ps=ps,
         w=w,

@@ -86,10 +86,6 @@ class Interval:
     # -- views -------------------------------------------------------------
 
     @property
-    def mid(self):
-        return 0.5 * (self.lo + self.hi)
-
-    @property
     def width(self):
         return self.hi - self.lo
 

@@ -85,7 +85,8 @@ def _ln_int(n: int, as_interval: bool):
     return Interval.log_of_int(n) if as_interval else math.log(n)
 
 
-def _euler(as_interval: bool):
+def euler(as_interval: bool):
+    """Euler's number e, as a two-ulp enclosure when as_interval."""
     if as_interval:
         import numpy as np
         return Interval(float(np.nextafter(math.e, 0.0)), float(np.nextafter(math.e, 4.0)))
@@ -324,7 +325,7 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
     as_iv = mode == "interval"
     gf = g_factors(eps, params.x_max, lam_min, lam_max, params.c_max)
     d = big_d(params.x_max)
-    prefactor = gf.g1 * gf.g2 * xexp(2.0 * eps * d / _euler(as_iv))
+    prefactor = gf.g1 * gf.g2 * xexp(2.0 * eps * d / euler(as_iv))
     unbalancing_log = (rho + eps * consts.delta) * _ln_int(2, as_iv)
     return ErrorBudget(
         eps=params.epsilon,

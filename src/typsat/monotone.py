@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import DerivedConstants
 from .errors import ConfigurationError, DomainError, SingularPointError
+from .intervals import xsum
 from .ledger import FeasibleBox, point_fields
 from .params import DELTA_NUM
 from . import stationarity as st
@@ -85,10 +85,10 @@ def tangent_fixed_beta(V0: float) -> tuple[float, float]:
     return a1, S_fixed_beta(V0) - a1 * V0
 
 
-def vfrac(V: float, p: int) -> float:
-    """[p V^(p+1) - (p+1) V^p + 1] / (V^p - 1)^2; decreasing in V > 1,
-    -> (1 + 1/p)/2 as V -> 1+."""
-    if p < 1:
+def vfrac(V: float, p):
+    """[p V^(p+1) - (p+1) V^p + 1] / (V^p - 1)^2 for an integer or an integer
+    array p; decreasing in V > 1, -> (1 + 1/p)/2 as V -> 1+."""
+    if np.any(np.asarray(p) < 1):
         raise DomainError("vfrac needs p >= 1")
     if V <= 1.0:
         raise DomainError("vfrac needs V > 1")
@@ -98,28 +98,25 @@ def vfrac(V: float, p: int) -> float:
 
 # -- the A and B derivative-sum bounds -------------------------------------------
 
-def a_sum(v_low: float, uv_high: float, consts: DerivedConstants) -> tuple[float, np.ndarray]:
+def a_sum(v_low: float, uv_high: float, system: st.EqSystem) -> tuple[float, np.ndarray]:
     """Bound on the A part of -dEq2: sum over p >= 1, x >= 2p of
     p * kt * vfrac(v_low, p) * [1 - 1/(1 + uv_high^(x-2p))]."""
-    mask = consts.ps >= 1
-    p, w, kt = consts.ps[mask], consts.w[mask], consts.kt[mask]
-    vf = np.array([vfrac(v_low, int(q)) for q in p])
-    terms = p * kt * vf * (1.0 - 1.0 / (1.0 + uv_high**w.astype(float)))
-    return math.fsum(terms.tolist()), terms
+    kt, w, p = system.cells_eq2
+    terms = p * kt * vfrac(v_low, p) * (1.0 - 1.0 / (1.0 + uv_high**w.astype(float)))
+    return xsum(terms), terms
 
 
-def b_sum(a1: float, b1: float, v_low: float, consts: DerivedConstants) -> tuple[float, np.ndarray]:
+def b_sum(a1: float, b1: float, v_low: float, system: st.EqSystem) -> tuple[float, np.ndarray]:
     """Bound on the B part of -dEq2 via the tangent a1*V + b1 >= R and
     r/(1+rs)^2 <= 1/(4s): sum over p >= 1, x >= 2p+1 of
     p (x-2p) kt (a1 v_low - |b1|) / (4 (v_low^p - 1))."""
     if not a1 > abs(b1):
         raise DomainError(
             f"homographic-monotonicity reduction needs a1 > |b1|, got ({a1}, {b1})")
-    mask = (consts.ps >= 1) & (consts.w >= 1)
-    p, w, kt = consts.ps[mask], consts.w[mask], consts.kt[mask]
+    kt, w, p = system.cells_eq1
     coeff = (a1 * v_low - abs(b1)) / 4.0
     terms = p * w * kt * coeff / (v_low**p.astype(float) - 1.0)
-    return math.fsum(terms.tolist()), terms
+    return xsum(terms), terms
 
 
 @dataclass
@@ -155,23 +152,22 @@ class MonotoneCertificate:
         }
 
 
-def eq2_monotone_verdict(which: str, consts: DerivedConstants, params,
-                         box: FeasibleBox | None = None) -> MonotoneCertificate:
+def eq2_monotone_verdict(which: str, system: st.EqSystem) -> MonotoneCertificate:
     """Certify that Eq2 strictly decreases in one variable over the feasible set."""
-    box = params.a_priori if box is None else box
+    box = system.box
     v_min2, _ = polygon_extremize("V_min", box)
     uv_max2, _ = polygon_extremize("UoverV_max", box)
-    a_bound, a_terms = a_sum(v_min2, uv_max2, consts)
+    a_bound, a_terms = a_sum(v_min2, uv_max2, system)
     if which == "fixed_phi":
         a1, b1 = tangent_fixed_phi(v_min2)
         extra = 0.0
     elif which == "fixed_beta1":
         a1, b1 = tangent_fixed_beta(v_min2)
-        extra = params.lam * (1.0 - box.beta1_min) / 16.0
+        extra = system.lam * (1.0 - box.beta1_min) / 16.0
     else:
         raise ValueError(f"unknown direction {which!r}")
-    b_bound, b_terms = b_sum(a1, b1, v_min2, consts)
-    threshold = params.lam * box.phi_min
+    b_bound, b_terms = b_sum(a1, b1, v_min2, system)
+    threshold = system.lam * box.phi_min
     verdict = a_bound + b_bound + extra + DELTA_NUM < threshold
     return MonotoneCertificate(
         direction=f"eq2_{which}",
@@ -288,11 +284,8 @@ def uv_star(beta1: float) -> tuple[float, float]:
     return uv * v, v
 
 
-def eq1_partial(variant: str, pt: st.PhiBetaPoint, system: st.EqSystem) -> float:
-    """Eq1 with the non-monotone index families removed; always >= eq1.
-
-    "star" drops x = 2p+1; "star_star" drops 2p+1 <= x <= 2p+2.
-    """
+def _partial_cells(variant: str, system: st.EqSystem) -> tuple:
+    """Eq1's cells without x = 2p+1 ("star") or 2p+1 <= x <= 2p+2 ("star_star")."""
     kt, w, p = system.cells_eq1
     if variant == "star":
         keep = w != 1
@@ -300,39 +293,39 @@ def eq1_partial(variant: str, pt: st.PhiBetaPoint, system: st.EqSystem) -> float
         keep = w > 2
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return float(st._eq1_core(pt.phi, pt.U, pt.V, system.lam, system.K_tilde,
-                              kt[keep], w[keep], p[keep]))
+    return kt[keep], w[keep], p[keep]
 
 
-def eq1_star_majorant(consts: DerivedConstants, params, box: FeasibleBox | None = None) -> float:
+def eq1_partial(variant: str, pt: st.PhiBetaPoint, system: st.EqSystem) -> float:
+    """Eq1 with the non-monotone index families removed; always >= eq1.
+
+    "star" drops x = 2p+1; "star_star" drops 2p+1 <= x <= 2p+2.
+    """
+    return float(st._eq1_core(pt.phi, *st._logs(pt.U, pt.V), system.lam, system.K_tilde,
+                              *_partial_cells(variant, system)))
+
+
+def eq1_star_majorant(system: st.EqSystem) -> float:
     """Upper bound of Eq1* along beta1 = beta1_star(phi), uniform in phi.
 
     There U = 3(1-phi)/(3phi-1) and V = 2/sqrt(3), so U/V decreases in phi and
     is bounded below by its value at phi_max; the negative sum is evaluated
     with that floor and lambda*phi with phi_min.
     """
-    box = params.a_priori if box is None else box
-    q = (3.0 * SQRT3 / 2.0) * (1.0 - box.phi_max) / (3.0 * box.phi_max - 1.0)
-    r = SQRT3 / 2.0  # 1/V at beta1_star
-    mask = (consts.ps >= 1) & (consts.w >= 2)
-    kt, w, p = consts.kt[mask], consts.w[mask], consts.ps[mask]
-    bracket = 1.0 - 1.0 / (1.0 + q**w.astype(float) * (1.0 - r**p.astype(float)))
-    s = math.fsum((kt * w * bracket).tolist())
-    return consts.K_tilde - params.lam * box.phi_min - s
+    box = system.box
+    uv_floor = (3.0 * SQRT3 / 2.0) * (1.0 - box.phi_max) / (3.0 * box.phi_max - 1.0)
+    return float(st._eq1_core(box.phi_min, math.log(uv_floor), math.log(2.0 / SQRT3),
+                              system.lam, system.K_tilde, *_partial_cells("star", system)))
 
 
-def m_bound(b1_low: float, b1_high: float, consts: DerivedConstants, params) -> float:
+def m_bound(b1_low: float, b1_high: float, system: st.EqSystem) -> float:
     """Upper bound of Eq1** on the band b1_low <= beta1 <= b1_high along phi_star:
     K - lambda phi*(b1_high) - sum_{p>=1, x>=2p+3} kt (x-2p)
     [1 - 1/(1 + (U*/V*)(b1_low)^(x-2p) (1 - V*(b1_high)^-p))]."""
     u_lo, v_lo = uv_star(b1_low)
     _, v_hi = uv_star(b1_high)
-    uv_floor = u_lo / v_lo
-    mask = (consts.ps >= 1) & (consts.w >= 3)
-    kt, w, p = consts.kt[mask], consts.w[mask], consts.ps[mask]
-    bracket = 1.0 - 1.0 / (1.0 + uv_floor**w.astype(float) * (1.0 - (1.0 / v_hi)**p.astype(float)))
-    s = math.fsum((kt * w * bracket).tolist())
-    return consts.K_tilde - params.lam * phi_star(b1_high) - s
+    return float(st._eq1_core(phi_star(b1_high), math.log(u_lo / v_lo), math.log(v_hi),
+                              system.lam, system.K_tilde, *_partial_cells("star_star", system)))
 
 
 #: Bands whose M-bounds certify Eq1** < 0 across the certification beta1 range.

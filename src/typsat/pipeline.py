@@ -153,21 +153,22 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     ledger_ok = upper(budget.prefactor) < 1.01 and math.isfinite(upper(budget.prefactor))
     cert.stage("ledger", ledger_ok, f"prefactor={upper(budget.prefactor):.12g}")
 
+    system = st.EqSystem.build(params, consts)
     monotone_ok = False
     mono_detail = ""
     star_majorant = math.nan
     m_values: list[float] = []
     verdict_phi = None
     try:
-        verdict_phi = mo.eq2_monotone_verdict("fixed_phi", consts, params)
-        verdict_beta = mo.eq2_monotone_verdict("fixed_beta1", consts, params)
+        verdict_phi = mo.eq2_monotone_verdict("fixed_phi", system)
+        verdict_beta = mo.eq2_monotone_verdict("fixed_beta1", system)
         cert.monotone = [verdict_phi.as_dict(), verdict_beta.as_dict()]
-        star_majorant = mo.eq1_star_majorant(consts, params)
-        box = params.a_priori
+        star_majorant = mo.eq1_star_majorant(system)
+        box = system.box
         bands_cover = (mo.M_BANDS[0][0] <= box.beta1_min
                        and mo.M_BANDS[-1][1] >= box.beta1_max
                        and all(a[1] >= b[0] for a, b in zip(mo.M_BANDS, mo.M_BANDS[1:])))
-        m_values = [mo.m_bound(lo, hi, consts, params) for lo, hi in mo.M_BANDS]
+        m_values = [mo.m_bound(lo, hi, system) for lo, hi in mo.M_BANDS]
         monotone_ok = (verdict_phi.verdict and verdict_beta.verdict
                        and star_majorant < -DELTA_NUM and bands_cover
                        and all(v < -DELTA_NUM for v in m_values))
@@ -192,7 +193,6 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
         "targets": {k: (list(v) if isinstance(v, tuple) else v) for k, v in TARGETS.items()},
     }
 
-    system = st.EqSystem.build(params, consts)
     trace = None
     if monotone_ok:
         try:
@@ -249,30 +249,34 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     return cert
 
 
+def _reverify(params: ModelParams, consts, mode: str, trace, rect):
+    """Rebuild the ledger and the system in `mode`, recheck the trace's sign
+    claims and recompute the rectangle rate: (budget, report, rate)."""
+    budget = lg.build_budget(params, consts, mode=mode)
+    system = st.EqSystem.build(params, consts, mode=mode)
+    report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
+    return budget, report, st.rate_bound_rectangle(*rect, system, budget)
+
+
 def _interval_pass(cert: Certificate, params: ModelParams, consts, trace) -> dict:
     """Outward-rounded re-verification of ledger, trace signs, and the rate."""
-    out: dict = {"ok": False, "detail": ""}
-    budget_iv = lg.build_budget(params, consts, mode="interval")
-    out["prefactor_upper"] = upper(budget_iv.prefactor)
-    out["unbalancing_upper"] = upper(budget_iv.unbalancing)
-    out["unbalancing_excess_upper"] = upper(budget_iv.unbalancing_excess)
-
     if not cert.trace_verified:  # the float pass also checked the trace structure
-        out["detail"] = "no verified trace to re-verify"
-        return out
-    system = st.EqSystem.build(params, consts, mode="interval")
-    report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
-    out["sign_checks"] = report.checks
-    out["sign_failures"] = len(report.failures)
-
-    rate_iv = st.rate_bound_rectangle(*trace.rectangle, system, budget_iv)
-    out["rate_upper"] = upper(rate_iv)
-    out["rate_lower"] = lower(rate_iv)
+        return {"ok": False, "detail": "no verified trace to re-verify"}
+    budget_iv, report, rate_iv = _reverify(params, consts, "interval", trace, trace.rectangle)
+    out: dict = {
+        "ok": report.ok and upper(rate_iv) + DELTA_NUM < 1.0,
+        "detail": (f"{report.checks} interval sign checks ({len(report.failures)} failures), "
+                   f"rate upper={upper(rate_iv):.9f}"),
+        "prefactor_upper": upper(budget_iv.prefactor),
+        "unbalancing_upper": upper(budget_iv.unbalancing),
+        "unbalancing_excess_upper": upper(budget_iv.unbalancing_excess),
+        "sign_checks": report.checks,
+        "sign_failures": len(report.failures),
+        "rate_upper": upper(rate_iv),
+        "rate_lower": lower(rate_iv),
+    }
     if cert.rate is not None:
         out["float_vs_interval_gap"] = abs(cert.rate - upper(rate_iv))
-    out["ok"] = report.ok and upper(rate_iv) + DELTA_NUM < 1.0
-    out["detail"] = (f"{report.checks} interval sign checks ({len(report.failures)} failures), "
-                     f"rate upper={out['rate_upper']:.9f}")
     return out
 
 
@@ -285,12 +289,10 @@ def replay(cert_data: dict) -> dict:
     mode = cert_data["mode"]
     params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
     _, _, consts = dist.build_tables(params)
-    budget = lg.build_budget(params, consts, mode=mode)
-    system = st.EqSystem.build(params, consts, mode=mode)
     trace = rb.ExclusionTrace.from_jsonable(cert_data["trace"])
-    report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
     rect = tuple(float(v["v"]) for v in cert_data["rectangle"])
-    rate = upper(st.rate_bound_rectangle(*rect, system, budget))
+    _, report, rate = _reverify(params, consts, mode, trace, rect)
+    rate = upper(rate)
     stored_rate = (cert_data["interval_report"]["rate_upper"] if mode == "interval"
                    else float(cert_data["rate"]["v"]))
     verdict = report.ok and rate + DELTA_NUM < 1.0
@@ -460,33 +462,55 @@ def _pair_bound(sig: tuple, n: int, m: int) -> int:
     return a_n * b_n * m1 * m2 * m3
 
 
+def _pps_counts_by_assignment(lits: np.ndarray, n: int) -> np.ndarray:
+    """Locally-maximal pairs per assignment over a stack of formulas, shape
+    (formulas, m, 3): one truth tensor per assignment, with the satisfaction
+    and single-flip tests done on every formula at once.  It does not call
+    is_pps, so it counts the pairs by a second route."""
+    abs_lits, negated = np.abs(lits), lits < 0
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for bits in range(1 << n):
+        values = Assignment.from_bits(bits, n).values
+        truth = values[abs_lits - 1] ^ negated
+        pps = truth.any(axis=2).all(axis=1)
+        for v in np.flatnonzero(values):
+            pps &= ~(truth ^ (abs_lits == v + 1)).any(axis=2).all(axis=1)
+        counts[bits] = np.count_nonzero(pps)
+    return counts
+
+
 def counting_oracle(n: int, c: float) -> dict:
     """Exhaust all formulas and assignments of a tiny instance and compare the
-    exact per-signature census of locally-maximal pairs to the counting bound."""
+    exact per-signature census of locally-maximal pairs to the counting bound.
+
+    The pairs are counted twice: formula by formula with is_pps, and
+    assignment by assignment over all formulas at once; the double-count
+    identity holds when both routes agree on every assignment.
+    """
     m = clause_count(n, c)
     if n > 3 or m > 2:
         raise GuardError(f"counting oracle limited to n <= 3 and m <= 2, got ({n}, {m})")
     literals = [l for v in range(1, n + 1) for l in (v, -v)]
+    all_lits = np.array(list(itertools.product(literals, repeat=3 * m)),
+                        dtype=np.int64).reshape(-1, m, 3)
     groups: Counter = Counter()
-    pps_by_formula = 0
-    pps_by_assignment = Counter()
+    pps_by_formula = np.zeros(1 << n, dtype=np.int64)
     untypable = 0
-    n_formulas = 0
-    for cells in itertools.product(literals, repeat=3 * m):
-        lits = np.array(cells, dtype=np.int64).reshape(m, 3)
+    for lits in all_lits:
         formula = Formula(n=n, lits=lits)
-        n_formulas += 1
         for bits in range(1 << n):
             assignment = Assignment.from_bits(bits, n)
             if not is_pps(formula, assignment):
                 continue
-            pps_by_formula += 1
-            pps_by_assignment[bits] += 1
+            pps_by_formula[bits] += 1
             sig, typable = _pair_signature(formula, assignment)
             if typable:
                 groups[sig] += 1
             else:
                 untypable += 1
+    pps_by_assignment = _pps_counts_by_assignment(all_lits, n)
+    identity = bool(np.array_equal(pps_by_formula, pps_by_assignment))
+    pairs = int(pps_by_formula.sum())
     records = []
     violations = 0
     for sig, count in sorted(groups.items()):
@@ -496,15 +520,15 @@ def counting_oracle(n: int, c: float) -> dict:
         records.append({"signature": repr(sig), "count": count, "bound": bound, "ok": ok})
     return {
         "n": n, "c": c, "m": m,
-        "formulas": n_formulas,
-        "pairs": pps_by_formula,
-        "typed_pairs": pps_by_formula - untypable,
+        "formulas": len(all_lits),
+        "pairs": pairs,
+        "typed_pairs": pairs - untypable,
         "untypable_pairs": untypable,
-        "pairs_by_assignment": sum(pps_by_assignment.values()),
-        "double_count_identity": pps_by_formula == sum(pps_by_assignment.values()),
+        "pairs_by_assignment": int(pps_by_assignment.sum()),
+        "double_count_identity": identity,
         "signatures": len(groups),
         "violations": violations,
-        "ok": violations == 0 and pps_by_formula == sum(pps_by_assignment.values()),
+        "ok": violations == 0 and identity,
         "records": records,
     }
 

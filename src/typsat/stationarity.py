@@ -13,9 +13,10 @@ equations, the closed-form mu and alpha, the normalizing product g2, the
 objective and its gradient, and the per-variable expectation-rate bound in
 point and rectangle (corner-majorized) modes.
 
-All triangle products are log-domain sums accumulated with exact (fsum)
-summation; the same code paths run on outward-rounded intervals for the
-certified pass.
+Every triangle quantity is built from one cell kernel, the excess
+E = (U/V)^(x-2p) (1 - V^-p) of `cell_excess`, and summed in the log domain
+by `intervals.xsum` (exact fsum on floats); the same code paths run on
+outward-rounded intervals for the certified pass.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import distribution as dist
 from .distribution import DerivedConstants, log_comb, log_factorial
 from .errors import DomainError, SingularPointError
 from .intervals import Interval, lower, upper, xexp, xlog, xsum
-from .ledger import ErrorBudget, FeasibleBox, point_fields
+from .ledger import ErrorBudget, FeasibleBox, euler, point_fields
 
 
 # -- the (phi, beta1) point ----------------------------------------------------
@@ -151,37 +152,49 @@ class EqSystem:
         return eq2(self.point(phi, beta1), self)
 
 
-def _eq1_core(phi, U, V, lam, k_tilde, kt, w, p):
-    logUV = xlog(U) - xlog(V)
-    logV = xlog(V)
-    E = xexp(w * logUV) * (1.0 - xexp(-(p * logV)))
-    s = xsum(kt * w * (1.0 - 1.0 / (1.0 + E)))
-    return k_tilde - lam * phi - s
+def cell_excess(log_uv, log_v, w, p):
+    """E = (U/V)^w (1 - V^-p) per cell, w = x - 2p, from log(U/V) and log V.
+
+    The one per-cell term of the reduction: the row denominator is
+    U^w (V^p - 1) + V^(x-p) = V^(x-p) (1 + E) and the single-flip bracket is
+    alpha = 1 - 1/(1 + E).  Generic over floats, ndarrays and Intervals.
+    """
+    return xexp(w * log_uv) * (1.0 - xexp(-(p * log_v)))
+
+
+def log_den(log_uv, log_v, w, p):
+    """log of the row denominator U^w (V^p - 1) + V^(x-p): (x-p) log V + log(1 + E)."""
+    return (w + p) * log_v + xlog(1.0 + cell_excess(log_uv, log_v, w, p))
+
+
+def _logs(U, V):
+    """(log(U/V), log V), the coordinates the cell kernel takes."""
+    log_v = xlog(V)
+    return xlog(U) - log_v, log_v
+
+
+def _eq1_core(phi, log_uv, log_v, lam, k_tilde, kt, w, p):
+    E = cell_excess(log_uv, log_v, w, p)
+    return k_tilde - lam * phi - xsum(kt * w * (1.0 - 1.0 / (1.0 + E)))
 
 
 def eq1(pt: PhiBetaPoint, system: EqSystem, *, include_diagonal: bool = False):
     """Residual of the first stationarity equation (diagonal terms vanish identically)."""
     # the diagonal x = 2p adds the w = 0 cells of p >= 1: Eq2's cells
     kt, w, p = system.cells_eq2 if include_diagonal else system.cells_eq1
-    return _eq1_core(pt.phi, pt.U, pt.V, system.lam, system.K_tilde, kt, w, p)
+    return _eq1_core(pt.phi, *_logs(pt.U, pt.V), system.lam, system.K_tilde, kt, w, p)
 
 
-def _eq2_core_mod2(phi, beta1, U, V, lam, c, kt, w, p):
-    logUV = xlog(U) - xlog(V)
-    logV = xlog(V)
-    vmp = xexp(-(p * logV))          # V^-p
-    E = xexp(w * logUV) * (1.0 - vmp)
-    vp_minus_1 = xexp(p * logV) - 1.0
+def _eq2_core_mod2(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
+    E = cell_excess(log_uv, log_v, w, p)
+    vp_minus_1 = xexp(p * log_v) - 1.0
     terms = p * kt * ((V - 1.0) / (V * vp_minus_1)) * (1.0 - 1.0 / (1.0 + E))
     return -beta1 * c + lam * phi * (1.0 - 1.0 / V) + xsum(terms)
 
 
-def _eq2_core_eqb1(phi, beta1, U, V, lam, c, kt, w, p):
-    logUV = xlog(U) - xlog(V)
-    logV = xlog(V)
-    uvw = xexp(w * logUV)
-    d = 1.0 + uvw * (1.0 - xexp(-(p * logV)))
-    s = xsum(kt * (p * uvw + (w + p)) / d)
+def _eq2_core_eqb1(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
+    d = 1.0 + cell_excess(log_uv, log_v, w, p)
+    s = xsum(kt * (p * xexp(w * log_uv) + (w + p)) / d)
     return -beta1 * c + ((V - 1.0) / V) * s
 
 
@@ -195,12 +208,12 @@ def eq2(pt: PhiBetaPoint, system: EqSystem, *, form: str = "mod2"):
     if lower(pt.V) <= 1.0:
         raise SingularPointError(f"eq2 needs V > 1, got V = {pt.V}")
     if form == "mod2":
-        return _eq2_core_mod2(pt.phi, pt.beta1, pt.U, pt.V, system.lam, system.c,
-                              *system.cells_eq2)
-    if form == "eqb1":
-        return _eq2_core_eqb1(pt.phi, pt.beta1, pt.U, pt.V, system.lam, system.c,
-                              system.kt, system.w, system.ps)
-    raise ValueError(f"unknown eq2 form {form!r}")
+        core, cells = _eq2_core_mod2, system.cells_eq2
+    elif form == "eqb1":
+        core, cells = _eq2_core_eqb1, (system.kt, system.w, system.ps)
+    else:
+        raise ValueError(f"unknown eq2 form {form!r}")
+    return core(pt.phi, pt.beta1, pt.V, *_logs(pt.U, pt.V), system.lam, system.c, *cells)
 
 
 # -- closed-form mu, alpha, g2 ---------------------------------------------------
@@ -242,42 +255,26 @@ def h_weight(x: int, p: int, j: int) -> int:
     return math.comb(p, j) if j < p else math.comb(x - p, j - p)
 
 
-def _log_den_rows(consts: DerivedConstants, U: float, V: float) -> np.ndarray:
-    """log(U^(x-2p) (V^p - 1) + V^(x-p)) per triangle row."""
-    logU, logV = math.log(U), math.log(V)
-    w, p, x = consts.w, consts.ps, consts.xs
-    with np.errstate(divide="ignore"):
-        a = w * logU + np.log(np.expm1(p * logV))  # -inf at p = 0
-    b = (x - p) * logV
-    return np.logaddexp(a, b)
-
-
 def mu_closed_form(x: int, p: int, j: int, pt: PhiBetaPoint) -> float:
     """Stationary proportion of type-(x, p, j) variables at the point pt."""
     if not (0 <= 2 * p <= x) or not (0 <= j <= x):
         raise DomainError(f"mu needs 0 <= 2p <= x and 0 <= j <= x, got {(x, p, j)}")
     if pt.V <= 1.0:
         raise DomainError(f"mu closed form needs V > 1, got V = {pt.V}")
-    logU, logV = math.log(pt.U), math.log(pt.V)
-    if p == 0:
-        log_den = x * logV
-    else:
-        log_den = np.logaddexp((x - 2 * p) * logU + math.log(math.expm1(p * logV)),
-                               (x - p) * logV)
+    den = log_den(*_logs(pt.U, pt.V), x - 2 * p, p)
     logv1 = math.log(pt.V - 1.0)
     if j < p:
-        return math.exp(log_comb(p, j) + (x - 2 * p) * logU + (p - j) * logv1 - log_den)
-    return math.exp(log_comb(x - p, j - p) + (j - p) * logv1 - log_den)
+        return math.exp(log_comb(p, j) + (x - 2 * p) * math.log(pt.U) + (p - j) * logv1 - den)
+    return math.exp(log_comb(x - p, j - p) + (j - p) * logv1 - den)
 
 
-def alpha_closed_form(x: int, p: int, pt: PhiBetaPoint) -> float:
-    """sum_{j<p} mu in closed form: U^(x-2p)(V^p-1) / (U^(x-2p)(V^p-1)+V^(x-p))."""
-    if p == 0:
-        return 0.0
-    logU, logV = math.log(pt.U), math.log(pt.V)
-    a = (x - 2 * p) * logU + math.log(math.expm1(p * logV))
-    b = (x - p) * logV
-    return math.exp(a - np.logaddexp(a, b))
+def alpha_closed_form(x, p, pt: PhiBetaPoint):
+    """sum_{j<p} mu in closed form: U^(x-2p)(V^p-1) / (U^(x-2p)(V^p-1)+V^(x-p)) = E/(1+E).
+
+    x and p may be integers or equal-shape integer arrays.
+    """
+    E = cell_excess(*_logs(pt.U, pt.V), x - 2 * p, p)
+    return E / (1.0 + E)
 
 
 @dataclass(frozen=True)
@@ -293,35 +290,23 @@ class MuTable:
         idx = mu_index(self.x_max)
         return np.add.reduceat(self.mu, idx["row_starts"])
 
-    def value(self, x: int, p: int, j: int) -> float:
-        idx = mu_index(self.x_max)
-        sel = (idx["x"] == x) & (idx["p"] == p) & (idx["j"] == j)
-        (k,) = np.flatnonzero(sel)
-        return float(self.mu[k])
-
 
 def mu_table(pt: PhiBetaPoint, consts: DerivedConstants) -> MuTable:
     idx = mu_index(consts.x_max)
-    logU, logV = math.log(pt.U), math.log(pt.V)
     logv1 = math.log(pt.V - 1.0)
-    log_den_rows = _log_den_rows(consts, pt.U, pt.V)
-    logmu = (idx["log_h"] + np.where(idx["lt"], idx["w"] * logU, 0.0)
+    log_den_rows = log_den(*_logs(pt.U, pt.V), consts.w, consts.ps)
+    logmu = (idx["log_h"] + np.where(idx["lt"], idx["w"] * math.log(pt.U), 0.0)
              + idx["pmj"] * logv1 - log_den_rows[idx["row"]])
-    mu = np.exp(logmu)
-    alpha = np.array([
-        alpha_closed_form(int(x), int(p), pt) for x, p in zip(consts.xs, consts.ps)
-    ])
-    return MuTable(x_max=consts.x_max, mu=mu, alpha=alpha, log_h=idx["log_h"])
+    return MuTable(x_max=consts.x_max, mu=np.exp(logmu),
+                   alpha=alpha_closed_form(consts.xs, consts.ps, pt), log_h=idx["log_h"])
 
 
 def log_g2(pt: PhiBetaPoint, system: EqSystem) -> float:
     """log of the normalizing product prod Den^kt / (U^(K-lam phi) (V-1)^(b1 c))."""
     if pt.V <= 1.0:
         raise DomainError(f"g2 needs V > 1, got V = {pt.V}")
-    logU, logV = np.log(pt.U), np.log(pt.V)
-    d = 1.0 + np.exp(system.w * (logU - logV)) * (1.0 - np.exp(-(system.ps * logV)))
-    log_den = (system.xs - system.ps) * logV + np.log(d)
-    return float(xsum(system.kt * log_den) - (system.K_tilde - system.lam * pt.phi) * logU
+    return float(xsum(system.kt * log_den(*_logs(pt.U, pt.V), system.w, system.ps))
+                 - (system.K_tilde - system.lam * pt.phi) * np.log(pt.U)
                  - pt.beta1 * system.c * np.log(pt.V - 1.0))
 
 
@@ -361,10 +346,10 @@ def _max_xlogx(lo, hi):
 
 
 def _max_neg_xlogsx(lo, hi, s: float):
-    """max of -t*log(s*t) over [lo, hi]; interior peak at t = 1/(s*e)."""
+    """max of -t*log(s*t) over [lo, hi]; interior peak value t* = 1/(s*e) at t = t*."""
     best = _xmax2(-(lo * xlog(s * lo)), -(hi * xlog(s * hi)))
-    t_star = 1.0 / (s * math.e)
-    if lower(lo) < t_star < upper(hi):
+    t_star = 1.0 / (s * euler(isinstance(lo, Interval)))
+    if lower(lo) < upper(t_star) and lower(t_star) < upper(hi):
         best = _xmax2(best, t_star)
     return best
 
@@ -382,23 +367,22 @@ def rate_bound_rectangle(phi_lo: float, phi_hi: float, b1_lo: float, b1_hi: floa
     Corner monotonicity: the triangle product grows in U and V, so it is
     evaluated at (U_max, V_max); the U- and (V-1)-powers and the four
     x^x-style factors are majorized over their induced ranges corner by
-    corner.  The unbalancing factor 2^(rho + eps*Delta) is included.  An
-    interval-mode system and ledger make the table sums, exponents and
-    constants outward-rounded; the corner values themselves are floats.
+    corner.  The unbalancing factor 2^(rho + eps*Delta) is included.  With an
+    interval-mode system and ledger every step is outward-rounded: the corner
+    coordinates are lifted to Intervals, so the corner U/V, beta2/beta3/Y and
+    the x log x majorants are enclosed along with the table sums and constants.
     """
     for corner in ((phi_lo, b1_lo), (phi_lo, b1_hi), (phi_hi, b1_lo), (phi_hi, b1_hi)):
         if not system.box.contains(*corner):
             raise DomainError(f"rectangle corner {corner} is outside the feasible box")
+    if system.mode == "interval":
+        phi_lo, phi_hi, b1_lo, b1_hi = map(Interval, (phi_lo, phi_hi, b1_lo, b1_hi))
     lam, c, k_tilde = system.lam, system.c, system.K_tilde
-    kt, w, ps, xs = system.kt, system.w, system.ps, system.xs
 
     # U increases, V decreases in each variable
     u_max, v_min = uv(phi_hi, b1_hi)
     u_min, v_max = uv(phi_lo, b1_lo)
-
-    logU, logV = xlog(u_max), xlog(v_max)
-    d = 1.0 + xexp(w * (logU - logV)) * (1.0 - xexp(-(ps * logV)))
-    log_big = xsum(kt * ((xs - ps) * logV + xlog(d)))
+    log_big = xsum(system.kt * log_den(*_logs(u_max, v_max), system.w, system.ps))
 
     e_upow = _pow_box_max_log(u_min, u_max, lam * phi_lo - k_tilde, lam * phi_hi - k_tilde)
     e_vpow = _pow_box_max_log(v_min - 1.0, v_max - 1.0, -(c * b1_hi), -(c * b1_lo))
@@ -416,19 +400,12 @@ def rate_bound_rectangle(phi_lo: float, phi_hi: float, b1_lo: float, b1_hi: floa
     return xexp(log_rate)
 
 
-def rate_bound(target, system: EqSystem, budget: ErrorBudget):
-    """Point mode for a PhiBetaPoint, rectangle mode for a 4-tuple of bounds."""
-    if isinstance(target, PhiBetaPoint):
-        return rate_bound_point(target, system, budget)
-    return rate_bound_rectangle(*target, system, budget)
-
-
 # -- objective and gradient -------------------------------------------------------
 
 def beta1_of_mu(mu: np.ndarray, consts: DerivedConstants) -> float:
     idx = mu_index(consts.x_max)
     kt_tri = consts.kt[idx["row"]]
-    return math.fsum((kt_tri * idx["pmj"] * mu).tolist()) / (consts.lam / 3.0)
+    return xsum(kt_tri * idx["pmj"] * mu) / (consts.lam / 3.0)
 
 
 def phi_of_mu(mu: np.ndarray, consts: DerivedConstants) -> float:
@@ -436,7 +413,7 @@ def phi_of_mu(mu: np.ndarray, consts: DerivedConstants) -> float:
     idx = mu_index(consts.x_max)
     alpha_terms = np.where(idx["lt"], mu, 0.0)
     alpha = np.add.reduceat(alpha_terms, idx["row_starts"])
-    s = math.fsum((consts.w * consts.kt * alpha).tolist())
+    s = xsum(consts.w * consts.kt * alpha)
     return (consts.K_tilde - s) / consts.lam
 
 
@@ -446,7 +423,7 @@ def objective_f1(mu: np.ndarray, consts: DerivedConstants, params) -> float:
         raise DomainError("objective is only evaluated at strictly positive mu")
     idx = mu_index(consts.x_max)
     kt_tri = consts.kt[idx["row"]]
-    ent = math.fsum((kt_tri * mu * (idx["log_h"] - np.log(mu))).tolist())
+    ent = xsum(kt_tri * mu * (idx["log_h"] - np.log(mu)))
     phi, beta1 = phi_of_mu(mu, consts), beta1_of_mu(mu, consts)
     beta2, beta3, y = point_fields(phi, beta1)
     if min(y, beta2, beta3, 1.0 - phi) <= 0.0:

@@ -67,7 +67,7 @@ def test_criterion_2b_unbalancing_both_modes(params, consts):
         f"eps*Delta*ln2 = {params.epsilon * consts.delta * math.log(2.0):.6e}")
 
 
-def test_criterion_3_constants_table(params, consts):
+def test_criterion_3_constants_table(params, system):
     t0 = time.perf_counter()
     box = params.a_priori
     checks = []
@@ -79,10 +79,10 @@ def test_criterion_3_constants_table(params, consts):
     a_beta, b_beta = mo.tangent_fixed_beta(v_min2)
     checks.append(("tangent_phi", abs(a_phi - 2.4427) <= 5e-4 and abs(b_phi + 1.8194) <= 5e-4))
     checks.append(("tangent_beta", abs(a_beta - 2.2377) <= 5e-4 and abs(b_beta + 1.7173) <= 5e-4))
-    a_val, _ = mo.a_sum(v_min2, uv_max2, consts)
+    a_val, _ = mo.a_sum(v_min2, uv_max2, system)
     checks.append(("A<=1.894", a_val <= 1.894))
-    b_val_phi, _ = mo.b_sum(a_phi, b_phi, v_min2, consts)
-    b_val_beta, _ = mo.b_sum(a_beta, b_beta, v_min2, consts)
+    b_val_phi, _ = mo.b_sum(a_phi, b_phi, v_min2, system)
+    b_val_beta, _ = mo.b_sum(a_beta, b_beta, v_min2, system)
     checks.append(("B_phi<=4.2269", b_val_phi <= 4.2269))
     checks.append(("B_beta<=3.643", b_val_beta <= 3.643))
     extra = params.lam * (1.0 - box.beta1_min) / 16.0
@@ -91,8 +91,8 @@ def test_criterion_3_constants_table(params, consts):
     checks.append(("totals", a_val + b_val_phi < 6.125
                    and a_val + b_val_beta + extra < 6.103 < lam_phi_min))
     checks.append(("lambda_phi_min>7.1", lam_phi_min > 7.1))
-    checks.append(("eq1_star<-0.157", mo.eq1_star_majorant(consts, params) < -0.157))
-    m_vals = [mo.m_bound(lo, hi, consts, params) for lo, hi in mo.M_BANDS]
+    checks.append(("eq1_star<-0.157", mo.eq1_star_majorant(system) < -0.157))
+    m_vals = [mo.m_bound(lo, hi, system) for lo, hi in mo.M_BANDS]
     m_targets = (-0.051, -0.051, -0.062, -0.055)
     checks.append(("M_table", all(v < t for v, t in zip(m_vals, m_targets))))
     elapsed = time.perf_counter() - t0

@@ -194,6 +194,19 @@ def test_counting_oracle_n2():
     assert csv.splitlines()[0] == "n,m,count,bound,ok,signature"
 
 
+def test_counting_oracle_double_count_detects_wrong_pair_test(monkeypatch):
+    # the by-assignment count does not go through is_pps, so a scan that
+    # counts every solution as a pair must break the identity
+    honest = cf.counting_oracle(2, 1.0)
+    assert honest["double_count_identity"] and honest["ok"]
+    assert honest["pairs_by_assignment"] == honest["pairs"] == 4704
+    monkeypatch.setattr(cf, "is_pps", fl.satisfies)
+    res = cf.counting_oracle(2, 1.0)
+    assert res["pairs"] > res["pairs_by_assignment"] == honest["pairs"]
+    assert res["double_count_identity"] is False
+    assert res["ok"] is False
+
+
 def test_counting_oracle_guard():
     with pytest.raises(GuardError):
         cf.counting_oracle(4, 1.0)

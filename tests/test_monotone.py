@@ -121,6 +121,13 @@ def test_vfrac_monotone_and_limits():
         assert mo.vfrac(1.0 + 1e-5, p) == pytest.approx((1.0 + 1.0 / p) / 2.0, abs=1e-4)
     for v in (1.1, 1.7, 4.0):
         assert mo.vfrac(v, 1) == pytest.approx(1.0, rel=1e-12)
+    # vectorised over p; numpy's array pow and the scalar pow may round V^p
+    # one ulp apart
+    p = np.arange(1, 12)
+    for v in (1.05, 1.127, 2.0):
+        assert mo.vfrac(v, p) == pytest.approx([mo.vfrac(v, int(q)) for q in p], rel=1e-14)
+    with pytest.raises(DomainError):
+        mo.vfrac(1.2, np.array([1, 0, 2]))
 
 
 def test_amgm_auxiliary_inequality(rng):
@@ -137,32 +144,32 @@ def _cert_box():
     return CERTIFICATION_BOX
 
 
-def test_a_sum_below_paper_value(consts):
+def test_a_sum_below_paper_value(system):
     box = _cert_box()
     v_min2, _ = mo.polygon_extremize("V_min", box)
     uv_max2, _ = mo.polygon_extremize("UoverV_max", box)
-    total, terms = mo.a_sum(v_min2, uv_max2, consts)
+    total, terms = mo.a_sum(v_min2, uv_max2, system)
     assert total < 1.894
     assert np.all(terms >= 0.0)
 
 
-def test_b_sum_values(consts):
+def test_b_sum_values(system):
     box = _cert_box()
     v_min2, _ = mo.polygon_extremize("V_min", box)
-    b_phi, _ = mo.b_sum(*mo.tangent_fixed_phi(v_min2), v_min2, consts)
-    b_beta, _ = mo.b_sum(*mo.tangent_fixed_beta(v_min2), v_min2, consts)
+    b_phi, _ = mo.b_sum(*mo.tangent_fixed_phi(v_min2), v_min2, system)
+    b_beta, _ = mo.b_sum(*mo.tangent_fixed_beta(v_min2), v_min2, system)
     assert b_phi < 4.2269
     assert b_beta < 3.643
 
 
-def test_b_sum_requires_dominant_slope(consts):
+def test_b_sum_requires_dominant_slope(system):
     with pytest.raises(DomainError):
-        mo.b_sum(1.0, -1.5, 1.2, consts)
+        mo.b_sum(1.0, -1.5, 1.2, system)
 
 
-def test_eq2_monotone_verdicts(consts, params):
-    phi_cert = mo.eq2_monotone_verdict("fixed_phi", consts, params)
-    beta_cert = mo.eq2_monotone_verdict("fixed_beta1", consts, params)
+def test_eq2_monotone_verdicts(system):
+    phi_cert = mo.eq2_monotone_verdict("fixed_phi", system)
+    beta_cert = mo.eq2_monotone_verdict("fixed_beta1", system)
     assert phi_cert.verdict and beta_cert.verdict
     assert phi_cert.total() < 6.125
     assert beta_cert.extra_bound < 0.566
@@ -258,19 +265,45 @@ def test_eq1_partial_on_toy_table(box, params):
         st.eq1(pt, toy_system), abs=1e-15)
 
 
-def test_eq1_star_majorant(consts, params):
-    val = mo.eq1_star_majorant(consts, params)
+def test_eq1_star_majorant(system):
+    val = mo.eq1_star_majorant(system)
     assert val < -0.157
 
 
-def test_m_table(consts, params):
-    values = [mo.m_bound(lo, hi, consts, params) for lo, hi in mo.M_BANDS]
+def test_m_table(system):
+    values = [mo.m_bound(lo, hi, system) for lo, hi in mo.M_BANDS]
     targets = (-0.051, -0.051, -0.062, -0.055)
     for v, t in zip(values, targets):
         assert v < t
     # bands cover the certification beta1 range
     box = _cert_box()
     assert mo.M_BANDS[0][0] <= box.beta1_min and mo.M_BANDS[-1][1] >= box.beta1_max
+
+
+def _bracket_sum_reference(consts, w_min, uv_floor, inv_v, k_minus_lam_phi):
+    """K - lambda phi - sum_{p>=1, x-2p>=w_min} kt (x-2p) [1 - 1/(1 + q^(x-2p) (1 - r^p))],
+    written out in pow form on the raw tables, independent of the cell kernel."""
+    mask = (consts.ps >= 1) & (consts.w >= w_min)
+    kt, w, p = consts.kt[mask], consts.w[mask], consts.ps[mask]
+    bracket = 1.0 - 1.0 / (1.0 + uv_floor**w.astype(float) * (1.0 - inv_v**p.astype(float)))
+    return k_minus_lam_phi - math.fsum((kt * w * bracket).tolist())
+
+
+def test_eq1_star_majorant_matches_pow_form(system, consts, params):
+    box = params.a_priori
+    q = (3.0 * math.sqrt(3.0) / 2.0) * (1.0 - box.phi_max) / (3.0 * box.phi_max - 1.0)
+    want = _bracket_sum_reference(consts, 2, q, math.sqrt(3.0) / 2.0,
+                                  consts.K_tilde - params.lam * box.phi_min)
+    assert mo.eq1_star_majorant(system) == pytest.approx(want, rel=1e-15)
+
+
+def test_m_bound_matches_pow_form(system, consts, params):
+    for lo, hi in mo.M_BANDS:
+        u_lo, v_lo = mo.uv_star(lo)
+        _, v_hi = mo.uv_star(hi)
+        want = _bracket_sum_reference(consts, 3, u_lo / v_lo, 1.0 / v_hi,
+                                      consts.K_tilde - params.lam * mo.phi_star(hi))
+        assert mo.m_bound(lo, hi, system) == pytest.approx(want, rel=1e-15)
 
 
 # -- polygon extremization -------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from typsat import ledger as lg
 from typsat import stationarity as st
 from typsat.errors import DomainError, SingularPointError
 from typsat.intervals import Interval
@@ -230,8 +231,27 @@ def test_g2_finite_and_positive(root_point, system):
 
 
 def test_g2_origin_factor_is_one(root_point, consts):
-    log_dens = st._log_den_rows(consts, root_point.U, root_point.V)
+    log_uv = math.log(root_point.U / root_point.V)
+    log_dens = st.log_den(log_uv, math.log(root_point.V), consts.w, consts.ps)
     assert log_dens[0] == pytest.approx(0.0, abs=1e-15)  # (x, p) = (0, 0)
+
+
+def _log_den_reference(consts, U, V):
+    """log(U^(x-2p) (V^p - 1) + V^(x-p)) per row, in logaddexp form."""
+    logU, logV = math.log(U), math.log(V)
+    w, p, x = consts.w, consts.ps, consts.xs
+    with np.errstate(divide="ignore"):
+        a = w * logU + np.log(np.expm1(p * logV))  # -inf at p = 0
+    return np.logaddexp(a, (x - p) * logV)
+
+
+def test_log_den_matches_logaddexp_form(root_point, consts, box):
+    for pt in (root_point, st.derive_point(0.57, 0.45, box), st.derive_point(0.6, 0.4, box)):
+        log_uv, log_v = math.log(pt.U) - math.log(pt.V), math.log(pt.V)
+        got = st.log_den(log_uv, log_v, consts.w, consts.ps)
+        want = _log_den_reference(consts, pt.U, pt.V)
+        assert got[0] == want[0] == 0.0
+        assert got[1:] == pytest.approx(want[1:], rel=1e-15)
 
 
 def test_g2_consistency_with_mu_product(root, root_point, consts, system):
@@ -448,9 +468,12 @@ def test_u_increasing_v_decreasing_50x50(box):
 
 # -- rate bound --------------------------------------------------------------------
 
-def test_rate_point_mode_continuous_and_dominated(trace, box, consts, params, budget, rng, system):
+def test_rate_point_mode_continuous_and_dominated(trace, box, consts, params, budget, rng, system,
+                                                  root_point):
     rect = trace.rectangle
     rate_rect = st.rate_bound_rectangle(*rect, system, budget)
+    assert 0.99 < st.rate_bound_point(root_point, system, budget) < 1.0
+    assert 0.99 < rate_rect < 1.0
     samples = []
     for _ in range(25):
         phi = rng.uniform(rect[0], rect[1])
@@ -465,13 +488,6 @@ def test_rate_point_mode_continuous_and_dominated(trace, box, consts, params, bu
     assert samples.max() - samples.min() < 1e-4  # continuity at rectangle scale
 
 
-def test_rate_bound_dispatch(root_point, trace, system, budget):
-    r1 = st.rate_bound(root_point, system, budget)
-    r2 = st.rate_bound(trace.rectangle, system, budget)
-    assert 0.99 < r1 < 1.0
-    assert 0.99 < r2 < 1.0
-
-
 def test_rate_on_target_rectangle(system, budget):
     # the headline constant: the corner bound over the target rectangle lands
     # just below 0.9999885 (computed: 0.99998840690...)
@@ -480,6 +496,30 @@ def test_rate_on_target_rectangle(system, budget):
     rate = st.rate_bound_rectangle(r[0], r[1], r[2], r[3], system, budget)
     assert 0.99998 < rate < TARGETS["rate"]
     assert rate == pytest.approx(0.9999884069006912, rel=1e-10)
+
+
+def test_interval_rectangle_rate_encloses_its_corners(monkeypatch, params, consts, trace, system,
+                                                      budget):
+    # interval mode lifts the corners: every U/V and beta2/beta3/Y it
+    # evaluates is an enclosure, not a nearest-rounded float
+    system_iv = st.EqSystem.build(params, consts, mode="interval")
+    budget_iv = lg.build_budget(params, consts, mode="interval")
+    calls = []
+
+    def recording(fn):
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(st, "uv", recording(st.uv))
+    monkeypatch.setattr(st, "point_fields", recording(st.point_fields))
+    rate_iv = st.rate_bound_rectangle(*trace.rectangle, system_iv, budget_iv)
+    monkeypatch.undo()
+    assert len(calls) >= 6
+    assert all(isinstance(a, Interval) for args in calls for a in args)
+    rate = st.rate_bound_rectangle(*trace.rectangle, system, budget)
+    assert rate_iv.lower() <= rate <= rate_iv.upper()
 
 
 def test_rate_rejects_infeasible(box, system, budget):
