@@ -13,7 +13,9 @@ kappa_tilde: doubled below the diagonal x = 2p, unchanged on it, zero above.
 Binomials and factorials are kept in exact integer arithmetic (56! needs
 ~250 bits); probabilities are then evaluated as log-domain reals, which makes
 the p <-> x-p symmetry bit-exact and keeps rounding out of the certificate's
-error ledger.
+error ledger.  One formula, `log_kappa`, serves float and interval lambda
+alike, so the certified pass encloses the same expression the float tables
+evaluate.
 """
 
 from __future__ import annotations
@@ -26,25 +28,40 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .intervals import Interval, xsum
+from .intervals import Interval, log_of_int, upper, xexp, xlog, xsum
 
 LOG2 = math.log(2.0)
 
 RHO_CUTOFF = 400  # explicit summation of the diagonal tail up to x = 2p = 400
 
 
-@lru_cache(maxsize=None)
-def log_factorial(n: int) -> float:
-    return math.log(math.factorial(n)) if n > 1 else 0.0
+_comb = np.frompyfunc(math.comb, 2, 1)
+_factorial = np.frompyfunc(math.factorial, 1, 1)
 
 
-@lru_cache(maxsize=None)
-def log_comb(x: int, p: int) -> float:
-    return math.log(math.comb(x, p)) if 0 < p < x else 0.0
+def poisson_log_pmf(x, lam):
+    """log of the Poisson(lam) mass at x: -lam + x log lam - log x!.
+
+    x is an integer or an integer array; lam is a float, or an Interval for
+    an enclosing Interval.
+    """
+    return -lam + x * xlog(lam) - log_of_int(_factorial(x), isinstance(lam, Interval))
 
 
-def poisson_log_pmf(x: int, lam: float) -> float:
-    return -lam + x * math.log(lam) - log_factorial(x)
+def log_kappa(x, p, lam):
+    """log kappa(x, p) = log C(x, p) - x log 2 + log Poisson(lam)(x), elementwise.
+
+    The one cell-mass formula behind kappa, the tables, their interval
+    enclosures and rho: x, p are integers or equal-shape integer arrays, lam
+    a float or an Interval.
+    """
+    as_iv = isinstance(lam, Interval)
+    return log_of_int(_comb(x, p), as_iv) - x * log_of_int(2, as_iv) + poisson_log_pmf(x, lam)
+
+
+def _unbalanced(w):
+    """Multiplicity of kappa in kappa_tilde by w = x - 2p: 2 below the diagonal, 1 on it, 0 above."""
+    return np.sign(w) + 1.0
 
 
 def kappa(x: int, p: int, lam: float) -> float:
@@ -53,18 +70,12 @@ def kappa(x: int, p: int, lam: float) -> float:
         raise DomainError(f"kappa needs 0 <= p <= x, got (x={x}, p={p})")
     if lam <= 0:
         raise DomainError("kappa needs lambda > 0")
-    return math.exp(log_comb(x, p) - x * LOG2 + poisson_log_pmf(x, lam))
+    return float(np.exp(log_kappa(x, p, lam)))
 
 
 def kappa_tilde(x: int, p: int, lam: float) -> float:
     """Totally unbalanced mass: 2*kappa below the diagonal, kappa on it, 0 above."""
-    if x > 2 * p:
-        return 2.0 * kappa(x, p, lam)
-    if x == 2 * p:
-        return kappa(x, p, lam)
-    if p > x or x < 0:
-        raise DomainError(f"kappa_tilde needs 0 <= p <= x, got (x={x}, p={p})")
-    return 0.0
+    return float(_unbalanced(x - 2 * p) * kappa(x, p, lam))
 
 
 # -- small exact combinatorial constants --------------------------------------
@@ -91,42 +102,43 @@ def p3(xi: int) -> float:
     return float(Fraction(xi * (xi + 2) * (2 * xi + 3), 8))
 
 
-def rho_tail(x_max: int, lam: float, cutoff: int = RHO_CUTOFF) -> float:
-    """Diagonal tail mass sum_{2p > x_max} kappa(2p, p).
+def rho_tail(x_max: int, lam, cutoff: int = RHO_CUTOFF):
+    """Diagonal tail mass sum_{2p > x_max} kappa(2p, p), enclosed for an Interval lam.
 
     Explicit terms up to 2p = cutoff, then a geometric remainder: the term
     ratio is (lambda / (2p+2))^2 <= (lambda / cutoff)^2 past the cutoff.
     """
-    if cutoff <= x_max or cutoff <= lam:
+    if cutoff <= x_max or cutoff <= upper(lam):
         raise DomainError("rho cutoff must exceed x_max and lambda")
-    total = 0.0
-    last = 0.0
-    for two_p in range(x_max + 2, cutoff + 1, 2):
-        last = kappa(two_p, two_p // 2, lam)
-        total += last
-    ratio = (lam / cutoff) ** 2
-    return total + last * ratio / (1.0 - ratio)
+    two_p = np.arange(x_max + 2, cutoff + 1, 2)
+    terms = xexp(log_kappa(two_p, two_p // 2, lam))
+    total = sum(terms[k] for k in range(two_p.size))  # running sum in the order of 2p
+    q = lam / float(cutoff)
+    ratio = q * q
+    return total + terms[-1] * ratio / (1.0 - ratio)
 
 
-def rho_tail_interval(x_max: int, lam_iv: Interval, cutoff: int = RHO_CUTOFF) -> Interval:
-    """Outward-rounded enclosure of rho (same summation scheme as rho_tail)."""
-    log_lam = lam_iv.log()
-    log2 = Interval.log_of_int(2)
-    total = Interval(0.0)
-    last = Interval(0.0)
-    for two_p in range(x_max + 2, cutoff + 1, 2):
-        p = two_p // 2
-        log_k = (
-            Interval.log_of_int(math.comb(two_p, p))
-            - two_p * log2
-            - lam_iv
-            + two_p * log_lam
-            - Interval.log_of_int(math.factorial(two_p))
-        )
-        last = log_k.exp()
-        total = total + last
-    ratio = (lam_iv / float(cutoff)) * (lam_iv / float(cutoff))
-    return total + last * ratio / (1.0 - ratio)
+@lru_cache(maxsize=None)
+def triangle(x_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xs, ps, w = x - 2p) over the cells 0 <= 2p <= x <= x_max in (x, p) order.
+
+    The one triangle index: the tables, their interval enclosures and the
+    stationarity mu index derive from it.  Shared, so read-only.
+    """
+    cells = [(x, p) for x in range(x_max + 1) for p in range(x // 2 + 1)]
+    xs, ps = (np.array(col, dtype=np.int64) for col in zip(*cells))
+    w = xs - 2 * ps
+    for arr in (xs, ps, w):
+        arr.flags.writeable = False
+    return xs, ps, w
+
+
+def _cells(x_max: int, lam):
+    """kappa and kappa_tilde over the triangle index, and K_tilde = sum (x-p) kappa_tilde."""
+    xs, ps, w = triangle(x_max)
+    kappas = xexp(log_kappa(xs, ps, lam))
+    kt = _unbalanced(w) * kappas
+    return kappas, kt, xsum((xs - ps) * kt)
 
 
 # -- tables --------------------------------------------------------------------
@@ -185,9 +197,6 @@ class DerivedConstants:
     w: np.ndarray
     kt: np.ndarray
 
-    def h_tilde(self, x: int, p: int) -> float:
-        return (x - 2 * p) * kappa_tilde(x, p, self.lam)
-
 
 def check_x_max(x_max: int, lam_min: float, lam_max: float) -> None:
     """Validate the truncation degree against its two structural lower bounds."""
@@ -212,26 +221,13 @@ def build_tables(params) -> tuple[OccurrenceTable, OccurrenceTable, DerivedConst
     check_x_max(params.x_max, params.lam_min, params.lam_max)
     x_max, lam = params.x_max, params.lam
 
+    xs, ps, w = triangle(x_max)
+    kappas, kt, k_tilde = _cells(x_max, lam)
     typ = np.zeros((x_max + 1, x_max + 1))
-    unb = np.zeros((x_max + 1, x_max + 1))
-    for x in range(x_max + 1):
-        for p in range(x + 1):
-            k = kappa(x, p, lam)
-            typ[x, p] = k
-            if x > 2 * p:
-                unb[x, p] = 2.0 * k
-            elif x == 2 * p:
-                unb[x, p] = k
-
-    xs, ps = [], []
-    for x in range(x_max + 1):
-        for p in range(x // 2 + 1):
-            xs.append(x)
-            ps.append(p)
-    xs = np.array(xs, dtype=np.int64)
-    ps = np.array(ps, dtype=np.int64)
-    kt = unb[xs, ps].copy()
-    w = xs - 2 * ps
+    typ[xs, ps] = kappas
+    typ[xs, xs - ps] = kappas  # kappa(x, p) = kappa(x, x - p) bit for bit
+    unb = np.zeros_like(typ)
+    unb[xs, ps] = kt
 
     consts = DerivedConstants(
         lam=lam,
@@ -240,7 +236,7 @@ def build_tables(params) -> tuple[OccurrenceTable, OccurrenceTable, DerivedConst
         delta=0.5 * (x_max / 2 + 1),
         D=big_d(x_max),
         N=big_n(x_max),
-        K_tilde=xsum((xs - ps) * kt),
+        K_tilde=k_tilde,
         xs=xs,
         ps=ps,
         w=w,
@@ -253,47 +249,11 @@ def build_tables(params) -> tuple[OccurrenceTable, OccurrenceTable, DerivedConst
 
 # -- interval-mode table -------------------------------------------------------
 
-def kappa_tilde_intervals(x_max: int, c_text: str) -> dict:
-    """Enclosures of lambda, the kt array, and K_tilde for the certified pass.
+def kappa_tilde_intervals(x_max: int, lam: Interval) -> tuple[Interval, Interval]:
+    """Enclosures of the kt array and K_tilde for the certified pass.
 
-    c_text is the exact decimal clause density (e.g. "4.506"); binomials and
-    factorials enter as exact integers through log enclosures.
+    lam encloses 3c from the exact decimal density (ModelParams.decimals);
+    binomials and factorials enter as exact integers through log enclosures.
     """
-    c_iv = Interval.from_decimal(c_text)
-    lam_iv = 3.0 * c_iv
-    log_lam = lam_iv.log()
-    log2 = Interval.log_of_int(2)
-
-    xs, ps, mult = [], [], []
-    logc_lo, logc_hi, logf_lo, logf_hi = [], [], [], []
-    logpf_lo, logpf_hi = [], []
-    for x in range(x_max + 1):
-        for p in range(x // 2 + 1):
-            xs.append(x)
-            ps.append(p)
-            mult.append(1.0 if x == 2 * p else 2.0)
-            lc = Interval.log_of_int(math.comb(x, p))
-            lf = Interval.log_of_int(math.factorial(x)) if x > 1 else Interval(0.0)
-            pf = math.factorial(p) * math.factorial(x - p)
-            lpf = Interval.log_of_int(pf) if pf > 1 else Interval(0.0)
-            logc_lo.append(float(lc.lo))
-            logc_hi.append(float(lc.hi))
-            logf_lo.append(float(lf.lo))
-            logf_hi.append(float(lf.hi))
-            logpf_lo.append(float(lpf.lo))
-            logpf_hi.append(float(lpf.hi))
-    xs = np.array(xs, dtype=np.int64)
-    ps = np.array(ps, dtype=np.int64)
-    log_comb_iv = Interval(np.array(logc_lo), np.array(logc_hi))
-    log_fact_iv = Interval(np.array(logf_lo), np.array(logf_hi))
-
-    log_kappa = log_comb_iv - xs * log2 - lam_iv + xs * log_lam - log_fact_iv
-    kt_iv = np.array(mult) * log_kappa.exp()
-    k_tilde_iv = ((xs - ps) * kt_iv).sum()
-    return {
-        "c": c_iv,
-        "lam": lam_iv,
-        "kt": kt_iv,
-        "K_tilde": k_tilde_iv,
-        "log_pfact": Interval(np.array(logpf_lo), np.array(logpf_hi)),
-    }
+    _, kt, k_tilde = _cells(x_max, lam)
+    return kt, k_tilde

@@ -75,14 +75,6 @@ class Interval:
             return cls(f, float(np.nextafter(f, _POS_INF)))
         return cls(float(np.nextafter(f, _NEG_INF)), f)
 
-    @classmethod
-    def log_of_int(cls, n: int) -> "Interval":
-        """Enclosure of log(n) for an exact (big) integer n >= 1."""
-        if n < 1:
-            raise ValueError("log_of_int needs n >= 1")
-        r = math.log(n)
-        return cls(float(_dn_k(r, LIBM_ULPS)), float(_up_k(r, LIBM_ULPS)))
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -213,6 +205,29 @@ def xlog(z):
     if isinstance(z, Interval):
         return z.log()
     return np.log(z)
+
+
+def xlog1p(z):
+    if isinstance(z, Interval):
+        return (1.0 + z).log()
+    return math.log1p(z)
+
+
+def log_of_int(n, as_interval: bool):
+    """log(n) for an exact (big) integer n >= 1, or elementwise over a sequence of them.
+
+    Returns floats, or Intervals widened LIBM_ULPS ulps per side when
+    as_interval; log(1) is an exact 0 in both.
+    """
+    ints = [int(v) for v in np.ravel(n)]
+    if any(v < 1 for v in ints):
+        raise ValueError("log_of_int needs n >= 1")
+    r = np.array([math.log(v) for v in ints]).reshape(np.shape(n))
+    if not as_interval:
+        return float(r) if r.ndim == 0 else r
+    exact = r == 0.0
+    return Interval(np.where(exact, 0.0, _dn_k(r, LIBM_ULPS)),
+                    np.where(exact, 0.0, _up_k(r, LIBM_ULPS)))
 
 
 def xsum(z):

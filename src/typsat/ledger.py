@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distribution import big_d, p2, p3, rho_tail_interval
+from .distribution import big_d, p2, p3, rho_tail
 from .errors import ConfigurationError, DomainError
-from .intervals import Interval, lower, upper, xexp, xlog
+from .intervals import Interval, log_of_int, lower, upper, xexp, xlog, xlog1p
 
 
 def point_fields(phi, beta1):
@@ -75,16 +75,6 @@ def _L_or_limit(eta):
     return L(eta)
 
 
-def _log_factorial(n: int, as_interval: bool):
-    if as_interval:
-        return Interval.log_of_int(math.factorial(n)) if n > 1 else Interval(0.0)
-    return math.log(math.factorial(n)) if n > 1 else 0.0
-
-
-def _ln_int(n: int, as_interval: bool):
-    return Interval.log_of_int(n) if as_interval else math.log(n)
-
-
 def euler(as_interval: bool):
     """Euler's number e, as a two-ulp enclosure when as_interval."""
     if as_interval:
@@ -96,21 +86,21 @@ def euler(as_interval: bool):
 def r1(eps, x_max: int, lam_max):
     """Tail bound on the heavy-variable proportion tau."""
     as_iv = isinstance(lam_max, Interval) or isinstance(eps, Interval)
-    tail = xexp((x_max + 1) * xlog(lam_max) - _log_factorial(x_max + 1, as_iv))
+    tail = xexp((x_max + 1) * xlog(lam_max) - log_of_int(math.factorial(x_max + 1), as_iv))
     return tail + eps * float(big_d(x_max))
 
 
 def r2(eps, x_max: int, lam_max):
     """Bound on the heavy-occurrence proportion sigma."""
     as_iv = isinstance(lam_max, Interval) or isinstance(eps, Interval)
-    tail = xexp((x_max + 1) * xlog(lam_max) - _log_factorial(x_max, as_iv))
+    tail = xexp((x_max + 1) * xlog(lam_max) - log_of_int(math.factorial(x_max), as_iv))
     return tail + eps * p2(x_max)
 
 
 def r3(eps, x_max: int, lam_min, lam_max):
     """Accuracy radius transferred to (phi, beta_j): |phi - psi| <= R3 etc."""
     as_iv = isinstance(lam_max, Interval) or isinstance(eps, Interval)
-    tail = xexp(x_max * xlog(lam_max) - _log_factorial(x_max, as_iv))
+    tail = xexp(x_max * xlog(lam_max) - log_of_int(math.factorial(x_max), as_iv))
     return tail + (eps / lam_min) * (p2(x_max) + p3(x_max))
 
 
@@ -156,12 +146,12 @@ def g_factors(eps, x_max: int, lam_min, lam_max, c_max) -> GFactors:
 
 def _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3) -> GFactors:
     as_iv = isinstance(R3, Interval)
-    ln2 = _ln_int(2, as_iv)
+    ln2 = log_of_int(2, as_iv)
     g1 = (
         xexp(R1 * ln2)
         * _L_or_limit(R1)
         * _L_or_limit(R2)
-        * xexp(R2 * (_ln_int(18, as_iv) + 1.0 - xlog(lam_min)))
+        * xexp(R2 * (log_of_int(18, as_iv) + 1.0 - xlog(lam_min)))
         * xpow6(_L_or_limit(R2 / 6.0))
         * xpow_c(
             _L_or_limit(3.0 * eps * p3(x_max) / lam_min)
@@ -171,23 +161,23 @@ def _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3) -> GFactor
         * xpow_c(
             _L_or_limit(3.0 * R3) * _L_or_limit(3.0 * R3)
             * _L_or_limit(9.0 * R3) * _L_or_limit(6.0 * R3)
-            * xexp(R3 * _ln_int(3, as_iv)),
+            * xexp(R3 * log_of_int(3, as_iv)),
             c_max,
         )
     )
 
     ga = (
-        xexp(eps * _ln_int(12, as_iv))
+        xexp(eps * log_of_int(12, as_iv))
         * xexp((x_max / 8.0) * (x_max**2 + 2 * x_max - 1) * eps * ln2)
         * xpow_c(_L_or_limit(eps), (x_max / 4.0) * (x_max + 3))
     )
-    gb = xexp((x_max / 4.0) * (x_max + 1) * xlog1p_generic(eps))
+    gb = xexp((x_max / 4.0) * (x_max + 1) * xlog1p(eps))
 
     # inner bracket of GC evaluated at lam_max: e^-lam (lam/2)^x_max grows in lam
     # as long as x_max > lam_max
     log_inner = -lam_max + x_max * (xlog(lam_max) - ln2)
     log_gc = eps * (
-        ((x_max + 2) / 2.0) * _ln_int(x_max + 1, as_iv)
+        ((x_max + 2) / 2.0) * log_of_int(x_max + 1, as_iv)
         + (x_max / 24.0) * (x_max + 1) * (x_max - 7) * ln2
         + ((x_max + 1) / 4.0) * ((x_max + 4) * ln2 + (x_max + 8) * log_inner)
     )
@@ -201,12 +191,6 @@ def xpow6(z):
 
 def xpow_c(z, c):
     return xexp(c * xlog(z))
-
-
-def xlog1p_generic(eps):
-    if isinstance(eps, Interval):
-        return (1.0 + eps).log()
-    return math.log1p(eps)
 
 
 #: Human-readable formula text per ledger symbol, emitted alongside values.
@@ -312,21 +296,13 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
     stored values are then Interval objects whose upper endpoints bound the
     true factors.
     """
-    if mode == "interval":
-        eps = Interval.from_decimal(repr(params.epsilon))
-        lam_min = 3.0 * Interval.from_decimal(repr(params.c_min))
-        lam_max = 3.0 * Interval.from_decimal(repr(params.c_max))
-        rho = rho_tail_interval(params.x_max, 3.0 * Interval.from_decimal(repr(params.c)))
-    else:
-        eps = params.epsilon
-        lam_min, lam_max = params.lam_min, params.lam_max
-        rho = consts.rho
-
+    _, lam, lam_min, lam_max, eps = params.decimals(mode)
+    rho = rho_tail(params.x_max, lam)
     as_iv = mode == "interval"
     gf = g_factors(eps, params.x_max, lam_min, lam_max, params.c_max)
     d = big_d(params.x_max)
     prefactor = gf.g1 * gf.g2 * xexp(2.0 * eps * d / euler(as_iv))
-    unbalancing_log = (rho + eps * consts.delta) * _ln_int(2, as_iv)
+    unbalancing_log = (rho + eps * consts.delta) * log_of_int(2, as_iv)
     return ErrorBudget(
         eps=params.epsilon,
         x_max=params.x_max,

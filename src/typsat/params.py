@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from . import ledger
 from .distribution import check_x_max
 from .errors import ConfigurationError
+from .intervals import Interval
 from .ledger import FeasibleBox
 
 #: Documented comparison slack, always applied in the pessimistic direction.
@@ -85,6 +86,17 @@ class ModelParams:
     @property
     def lam_max(self) -> float:
         return 3.0 * self.c_max
+
+    def decimals(self, mode: str) -> tuple:
+        """(c, lambda, lambda_min, lambda_max, eps) as floats, or in interval mode as
+        outward enclosures of the decimal text of c, c_min, c_max and eps."""
+        if mode == "float":
+            return self.c, self.lam, self.lam_min, self.lam_max, self.epsilon
+        if mode != "interval":
+            raise ValueError(f"mode must be 'float' or 'interval', got {mode!r}")
+        c, c_min, c_max, eps = (Interval.from_decimal(repr(v))
+                                for v in (self.c, self.c_min, self.c_max, self.epsilon))
+        return c, 3.0 * c, 3.0 * c_min, 3.0 * c_max, eps
 
     @classmethod
     def certification(cls) -> "ModelParams":

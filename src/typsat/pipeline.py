@@ -29,9 +29,8 @@ from . import monotone as mo
 from . import rootbox as rb
 from . import stationarity as st
 from .errors import GuardError, SingularPointError, SpiralSeedError
-from .formulas import (Assignment, Formula, clause_count, deviation_budget,
-                       generate, is_pps, measure_omega, pps_bitmap,
-                       run_omega_campaign, solution_bitmap, variable_type)
+from .formulas import (Assignment, Formula, clause_count, deviation_budget, generate,
+                       is_pps, pps_bitmap, run_omega_campaign, solution_bitmap, variable_type)
 from .intervals import lower, upper
 from .params import DELTA_NUM, ModelParams
 

@@ -13,7 +13,6 @@ every recorded sign with the required margin.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .errors import SingularPointError, SpiralSeedError, TraceStructureError

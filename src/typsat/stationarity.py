@@ -28,9 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import distribution as dist
-from .distribution import DerivedConstants, log_comb, log_factorial
+from .distribution import DerivedConstants
 from .errors import DomainError, SingularPointError
-from .intervals import Interval, lower, upper, xexp, xlog, xsum
+from .intervals import Interval, log_of_int, lower, upper, xexp, xlog, xsum
 from .ledger import ErrorBudget, FeasibleBox, euler, point_fields
 
 
@@ -113,21 +113,17 @@ class EqSystem:
     @classmethod
     def build(cls, params, consts: DerivedConstants, mode: str = "float") -> "EqSystem":
         xs, ps, w = consts.xs, consts.ps, consts.w
-        if mode == "float":
-            lam, c, k_tilde, kt = params.lam, params.c, consts.K_tilde, consts.kt
-            log_pfact = np.array([log_factorial(int(p)) + log_factorial(int(x - p))
-                                  for x, p in zip(xs, ps)])
-            log_int = math.log
-        elif mode == "interval":
-            ivt = dist.kappa_tilde_intervals(params.x_max, repr(params.c))
-            lam, c, k_tilde, kt, log_pfact = (
-                ivt[k] for k in ("lam", "c", "K_tilde", "kt", "log_pfact"))
-            log_int = Interval.log_of_int
+        c, lam, _, _, _ = params.decimals(mode)
+        as_iv = mode == "interval"
+        if as_iv:
+            kt, k_tilde = dist.kappa_tilde_intervals(params.x_max, lam)
         else:
-            raise ValueError(f"mode must be 'float' or 'interval', got {mode!r}")
+            k_tilde, kt = consts.K_tilde, consts.kt
+        log_fact = log_of_int([math.factorial(n) for n in range(consts.x_max + 1)], as_iv)
+        log_pfact = log_fact[ps] + log_fact[xs - ps]
         pos = consts.kt > 0.0  # kt^kt = 1 where a mass underflows to 0
-        log_base = (c * log_int(3) + lam * (xlog(lam) - log_int(6) - 1.0)
-                    + xsum(kt[w > 0]) * log_int(2)
+        log_base = (c * log_of_int(3, as_iv) + lam * (xlog(lam) - log_of_int(6, as_iv) - 1.0)
+                    + xsum(kt[w > 0]) * log_of_int(2, as_iv)
                     - xsum(kt[pos] * (log_pfact[pos] + xlog(kt[pos]))))
         p1 = ps >= 1
         strict = p1 & (w > 0)
@@ -221,32 +217,17 @@ def eq2(pt: PhiBetaPoint, system: EqSystem, *, form: str = "mod2"):
 @lru_cache(maxsize=4)
 def mu_index(x_max: int):
     """Flattened (x, p, j) triples over 0 <= 2p <= x <= x_max, row-aligned with
-    the DerivedConstants triangle order."""
-    tx, tp, tj, row = [], [], [], []
-    r = 0
-    for x in range(x_max + 1):
-        for p in range(x // 2 + 1):
-            for j in range(x + 1):
-                tx.append(x)
-                tp.append(p)
-                tj.append(j)
-                row.append(r)
-            r += 1
-    tx = np.array(tx, dtype=np.int64)
-    tp = np.array(tp, dtype=np.int64)
-    tj = np.array(tj, dtype=np.int64)
-    row = np.array(row, dtype=np.int64)
-    lt = tj < tp
-    log_h = np.where(
-        lt,
-        [log_comb(int(p), int(j)) for p, j in zip(tp, tj)],
-        [log_comb(int(x - p), int(j - p)) if j >= p else 0.0 for x, p, j in zip(tx, tp, tj)],
-    )
+    the DerivedConstants triangle order (each cell (x, p) expanded to j = 0..x)."""
+    xs, ps, _ = dist.triangle(x_max)
+    row = np.repeat(np.arange(xs.size), xs + 1)
     row_starts = np.flatnonzero(np.r_[1, np.diff(row)])
+    tx, tp = xs[row], ps[row]
+    tj = np.arange(row.size) - row_starts[row]
     return {
-        "x": tx, "p": tp, "j": tj, "row": row, "lt": lt,
-        "pmj": np.abs(tp - tj), "w": tx - 2 * tp, "log_h": log_h,
-        "row_starts": row_starts, "n_rows": r,
+        "x": tx, "p": tp, "j": tj, "row": row, "lt": tj < tp,
+        "pmj": np.abs(tp - tj), "w": tx - 2 * tp,
+        "log_h": log_of_int(np.frompyfunc(h_weight, 3, 1)(tx, tp, tj), False),
+        "row_starts": row_starts, "n_rows": xs.size,
     }
 
 
@@ -263,9 +244,10 @@ def mu_closed_form(x: int, p: int, j: int, pt: PhiBetaPoint) -> float:
         raise DomainError(f"mu closed form needs V > 1, got V = {pt.V}")
     den = log_den(*_logs(pt.U, pt.V), x - 2 * p, p)
     logv1 = math.log(pt.V - 1.0)
+    log_h = log_of_int(h_weight(x, p, j), False)
     if j < p:
-        return math.exp(log_comb(p, j) + (x - 2 * p) * math.log(pt.U) + (p - j) * logv1 - den)
-    return math.exp(log_comb(x - p, j - p) + (j - p) * logv1 - den)
+        return math.exp(log_h + (x - 2 * p) * math.log(pt.U) + (p - j) * logv1 - den)
+    return math.exp(log_h + (j - p) * logv1 - den)
 
 
 def alpha_closed_form(x, p, pt: PhiBetaPoint):

@@ -5,6 +5,7 @@ import pytest
 
 from typsat import distribution as dist
 from typsat.errors import ConfigurationError, DomainError
+from typsat.intervals import Interval
 from typsat.params import ModelParams
 
 LAM = 3 * 4.506
@@ -78,6 +79,20 @@ def test_unbalanced_column_pattern(tables):
         assert unbalanced.value(6, p) == 0.0
 
 
+def test_tables_match_cellwise_formula(tables, consts):
+    # reference: the cell mass written out per cell with scalar libm calls;
+    # numpy's vector exp may round one ulp away from math.exp
+    typical, unbalanced, _ = tables
+    for x in range(57):
+        for p in range(x + 1):
+            log_k = (math.log(math.comb(x, p)) - x * math.log(2.0)
+                     + (-LAM + x * math.log(LAM) - math.log(math.factorial(x))))
+            k = math.exp(log_k)
+            assert typical.value(x, p) == pytest.approx(k, rel=4.5e-16, abs=0.0)
+            fold = 2.0 if x > 2 * p else 1.0 if x == 2 * p else 0.0
+            assert unbalanced.value(x, p) == pytest.approx(fold * k, rel=4.5e-16, abs=0.0)
+
+
 def test_derived_constants(consts):
     assert consts.D == 1653
     assert consts.N == 32103
@@ -109,23 +124,29 @@ def test_build_tables_config_errors():
 
 
 def test_h_tilde_and_polynomials(consts):
-    assert consts.h_tilde(5, 1) == 3 * dist.kappa_tilde(5, 1, LAM)
     assert dist.p2(56) == 56 * 57 * 58 / 3
     assert dist.p3(56) == 56 * 58 * 115 / 8
 
 
 def test_interval_tables_enclose_float_tables(tables, consts):
-    ivt = dist.kappa_tilde_intervals(56, "4.506")
-    assert np.all(ivt["kt"].lo <= consts.kt)
-    assert np.all(consts.kt <= ivt["kt"].hi)
-    assert ivt["K_tilde"].contains(consts.K_tilde)
-    assert ivt["K_tilde"].width < 1e-10
+    kt, k_tilde = dist.kappa_tilde_intervals(56, 3.0 * Interval.from_decimal("4.506"))
+    assert np.all(kt.lo <= consts.kt)
+    assert np.all(consts.kt <= kt.hi)
+    assert k_tilde.contains(consts.K_tilde)
+    assert k_tilde.width < 1e-10
 
 
 def test_rho_interval_encloses_float(consts):
-    from typsat.intervals import Interval
-    rho_iv = dist.rho_tail_interval(56, 3.0 * Interval.from_decimal("4.506"))
+    rho_iv = dist.rho_tail(56, 3.0 * Interval.from_decimal("4.506"))
     assert rho_iv.contains(consts.rho)
+    # and the 50-digit diagonal tail, summed up to the same cutoff
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        lam = 3 * mp.mpf("4.506")
+        rho = mp.fsum(mp.binomial(two_p, two_p // 2) / mp.mpf(2) ** two_p
+                      * mp.exp(-lam) * lam ** two_p / mp.factorial(two_p)
+                      for two_p in range(58, dist.RHO_CUTOFF + 1, 2))
+        assert mp.mpf(float(rho_iv.lo)) <= rho <= mp.mpf(float(rho_iv.hi))
 
 
 def test_table_json_serialization(tables):

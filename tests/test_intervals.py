@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from typsat.intervals import Interval, xexp, xlog, xsum
+from typsat.intervals import Interval, log_of_int, xexp, xlog, xsum
 
 
 def test_from_decimal_encloses_exact_value():
@@ -44,10 +44,16 @@ def test_transcendentals_contain_mpmath_values(rng):
 def test_log_of_int_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
-    for n in (2, 3, 6, math.factorial(56), math.factorial(57)):
-        iv = Interval.log_of_int(n)
+    ns = (2, 3, 6, math.factorial(56), math.factorial(57))
+    for n in ns:
+        iv = log_of_int(n, True)
         assert iv.contains(float(mp.log(mp.mpf(n))))
         assert iv.width < 1e-12 * max(1.0, float(iv.hi))
+    one = log_of_int(1, True)
+    assert float(one.lo) == 0.0 and float(one.hi) == 0.0
+    arr = log_of_int(np.array((1,) + ns, dtype=object), True)
+    for k, n in enumerate((1,) + ns):
+        assert arr.lo[k] == log_of_int(n, True).lo and arr.hi[k] == log_of_int(n, True).hi
 
 
 def test_array_sum_encloses_fsum(rng):
@@ -83,7 +89,7 @@ def test_deep_composition_keeps_enclosure():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     x = Interval.from_decimal("13.518")
-    expr = (x.log() * 56.0 - Interval.log_of_int(math.factorial(56))).exp()
+    expr = (x.log() * 56.0 - log_of_int(math.factorial(56), True)).exp()
     truth = mp.mpf("13.518") ** 56 / mp.factorial(56)
     assert expr.contains(float(truth))
     assert expr.width / float(truth) < 1e-10

@@ -127,6 +127,27 @@ def test_mu_domain_errors(root_point):
         st.mu_closed_form(4, 1, 5, root_point)  # j > x
 
 
+def test_mu_index_matches_triple_loop(consts):
+    # reference: the (x, p, j) triples written out as nested loops
+    tx, tp, tj, row = [], [], [], []
+    r = 0
+    for x in range(57):
+        for p in range(x // 2 + 1):
+            for j in range(x + 1):
+                tx.append(x)
+                tp.append(p)
+                tj.append(j)
+                row.append(r)
+            r += 1
+    idx = st.mu_index(consts.x_max)
+    for key, want in (("x", tx), ("p", tp), ("j", tj), ("row", row)):
+        assert np.array_equal(idx[key], want)
+    log_h = [math.log(math.comb(p, j) if j < p else math.comb(x - p, j - p))
+             for x, p, j in zip(tx, tp, tj)]
+    assert np.array_equal(idx["log_h"], log_h)
+    assert idx["n_rows"] == row[-1] + 1 == consts.xs.size
+
+
 def test_h_weights_are_branch_binomials(root_point, consts):
     # h(x, p, j) = C(p, j) below the branch point, C(x-p, j-p) at and above
     table = st.mu_table(root_point, consts)
