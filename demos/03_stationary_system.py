@@ -3,11 +3,12 @@
 The entropy maximization behind the expectation bound collapses to two
 equations in (phi, beta1).  This script samples their zero loci, runs the
 sign-exclusion spiral that pens every feasible common root into a tiny
-rectangle, and cross-checks with a plain nested-bisection root.
+rectangle, and cross-checks with a Newton root from the rectangle's centre.
 """
 
 from typsat import EqSystem, ModelParams, build_tables
 from typsat.pipeline import emit_curves
+from typsat.params import WIDTH_TARGET
 from typsat.rootbox import solve_reference, spiral_localize, verify_exclusion
 
 params = ModelParams.certification()
@@ -24,7 +25,7 @@ for r in rows:
 
 print()
 print("-- exclusion spiral " + "-" * 49)
-trace = spiral_localize(eq1f, eq2f, box, width_target=4e-7)
+trace = spiral_localize(eq1f, eq2f, box, width_target=WIDTH_TARGET)
 rect = trace.rectangle
 print(f"   witness sequences: K = {trace.K}, L = {trace.L}")
 print(f"   confining rectangle: [{rect[0]:.8f}, {rect[1]:.8f}] x [{rect[2]:.8f}, {rect[3]:.8f}]")

@@ -18,7 +18,7 @@ import numpy as np
 from .pipeline import (VERSION, certify, counting_oracle, emit_curves,
                       empirical_csv, empirical_report, oracle_csv)
 from .errors import ConfigurationError, GuardError
-from .params import ModelParams
+from .params import WIDTH_TARGET, ModelParams
 
 
 def _write_manifest(out: Path, args: argparse.Namespace) -> None:
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=int, default=56)
     p.add_argument("--eps", type=float, default=1e-15)
     p.add_argument("--mode", choices=("float", "interval"), default="float")
-    p.add_argument("--width-target", type=float, default=4e-7)
+    p.add_argument("--width-target", type=float, default=WIDTH_TARGET)
     p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_certify)
 

@@ -62,6 +62,15 @@ class Interval:
         self.lo = lo
         self.hi = hi
 
+    @classmethod
+    def _ordered(cls, lo, hi) -> "Interval":
+        """Interval from float64 endpoints whose order the caller guarantees
+        (an outward-rounded result); skips the conversion and the order check."""
+        out = object.__new__(cls)
+        out.lo = lo
+        out.hi = hi
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -102,7 +111,7 @@ class Interval:
         return f"Interval(<{self.lo.shape}>)"
 
     def __getitem__(self, key):
-        return Interval(self.lo[key], self.hi[key])
+        return Interval._ordered(self.lo[key], self.hi[key])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -115,20 +124,20 @@ class Interval:
 
     def __add__(self, other):
         blo, bhi = self._coerce(other)
-        return Interval(_dn(self.lo + blo), _up(self.hi + bhi))
+        return Interval._ordered(_dn(self.lo + blo), _up(self.hi + bhi))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Interval(-self.hi, -self.lo)
+        return Interval._ordered(-self.hi, -self.lo)
 
     def __sub__(self, other):
         blo, bhi = self._coerce(other)
-        return Interval(_dn(self.lo - bhi), _up(self.hi - blo))
+        return Interval._ordered(_dn(self.lo - bhi), _up(self.hi - blo))
 
     def __rsub__(self, other):
         blo, bhi = self._coerce(other)
-        return Interval(_dn(blo - self.hi), _up(bhi - self.lo))
+        return Interval._ordered(_dn(blo - self.hi), _up(bhi - self.lo))
 
     def __mul__(self, other):
         blo, bhi = self._coerce(other)
@@ -138,7 +147,7 @@ class Interval:
         p4 = self.hi * bhi
         lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
         hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return Interval(_dn(lo), _up(hi))
+        return Interval._ordered(_dn(lo), _up(hi))
 
     __rmul__ = __mul__
 
@@ -152,7 +161,7 @@ class Interval:
         p4 = self.hi / bhi
         lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
         hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return Interval(_dn(lo), _up(hi))
+        return Interval._ordered(_dn(lo), _up(hi))
 
     def __rtruediv__(self, other):
         blo, bhi = self._coerce(other)
@@ -161,12 +170,14 @@ class Interval:
     # -- elementary functions ------------------------------------------------
 
     def exp(self) -> "Interval":
-        return Interval(_dn_k(np.exp(self.lo), LIBM_ULPS), _up_k(np.exp(self.hi), LIBM_ULPS))
+        return Interval._ordered(_dn_k(np.exp(self.lo), LIBM_ULPS),
+                                _up_k(np.exp(self.hi), LIBM_ULPS))
 
     def log(self) -> "Interval":
         if not np.all(self.lo > 0.0):
             raise DomainErrorForLog(self.lower())
-        return Interval(_dn_k(np.log(self.lo), LIBM_ULPS), _up_k(np.log(self.hi), LIBM_ULPS))
+        return Interval._ordered(_dn_k(np.log(self.lo), LIBM_ULPS),
+                                _up_k(np.log(self.hi), LIBM_ULPS))
 
     def sqrt(self) -> "Interval":
         if not np.all(self.lo >= 0.0):

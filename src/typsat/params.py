@@ -21,6 +21,11 @@ from .ledger import FeasibleBox
 #: Documented comparison slack, always applied in the pessimistic direction.
 DELTA_NUM = 1e-9
 
+#: Widths the exclusion spiral confines the root to, in phi and in beta1.
+#: The rectangle rate grows steeply with them: a 2e-7 square around the root
+#: rates at most 0.99994985 wherever it sits, a 4e-7 square up to 0.99998.
+WIDTH_TARGET = 2e-7
+
 #: Generic a-priori intervals valid for every density in [3, 5].
 GENERIC_GAMMA_PSI = {
     "gamma1": (0.21, 0.65),

@@ -32,7 +32,7 @@ from .errors import GuardError, SingularPointError, SpiralSeedError
 from .formulas import (Assignment, Formula, clause_count, deviation_budget, generate,
                        is_pps, pps_bitmap, run_omega_campaign, solution_bitmap, variable_type)
 from .intervals import lower, upper
-from .params import DELTA_NUM, ModelParams
+from .params import DELTA_NUM, WIDTH_TARGET, ModelParams
 
 VERSION = "0.1.0"
 SCHEMA = "typsat-certificate/2"
@@ -126,7 +126,7 @@ class Certificate:
 
 
 def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
-            mode: str = "float", width_target: float = 4e-7) -> Certificate:
+            mode: str = "float", width_target: float = WIDTH_TARGET) -> Certificate:
     """Run the full pipeline; raises ConfigurationError for invalid parameters."""
     if mode not in ("float", "interval"):
         raise ValueError(f"mode must be 'float' or 'interval', got {mode!r}")

@@ -13,6 +13,7 @@ every recorded sign with the required margin.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import SingularPointError, SpiralSeedError, TraceStructureError
@@ -148,36 +149,29 @@ def _probe(fn, phi: float, beta1: float, sign: int, delta: float) -> float | Non
     return val if val * sign > delta else None
 
 
-def _bisect_coordinate(fn, fixed: float, lo: float, hi: float, *, vary: str,
-                       sign: int, toward: str, delta: float, tol: float,
-                       max_iter: int = 90) -> float | None:
-    """Push a coordinate as far as possible while keeping a certified sign.
+def _push(probe, good: float, bad: float, tol: float,
+          max_iter: int = 90) -> tuple[float, float] | None:
+    """Bisect from the certified end `good` toward `bad` while probe certifies.
 
-    vary "beta" probes fn(fixed, b); vary "phi" probes fn(f, fixed).
-    toward "lo" returns the smallest certified value in (lo, hi) starting
-    from a certified hi; toward "hi" the mirror image.  Returns None when
+    probe(t) is the value at coordinate t, or None when its sign is not
+    certified.  Stops once some probe has certified and the bracket is
+    within 1/32 of its starting width, or in any case once it is within
+    tol.  Returns (point, value) of the last certified probe, or None when
     no strictly interior point certifies.
     """
-    def val(t: float) -> float | None:
-        if vary == "beta":
-            return _probe(fn, fixed, t, sign, delta)
-        return _probe(fn, t, fixed, sign, delta)
-
-    if toward == "lo":
-        good, bad = hi, lo
-    else:
-        good, bad = lo, hi
-    advanced = False
+    rel_tol = abs(bad - good) / 32.0
+    best = None
     for _ in range(max_iter):
-        if abs(good - bad) <= tol:
+        gap = abs(good - bad)
+        if gap <= tol or (best is not None and gap <= rel_tol):
             break
         mid = 0.5 * (good + bad)
-        if val(mid) is not None:
-            good = mid
-            advanced = True
-        else:
+        val = probe(mid)
+        if val is None:
             bad = mid
-    return good if advanced else None
+        else:
+            good, best = mid, (mid, val)
+    return best
 
 
 def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float,
@@ -185,12 +179,16 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float,
     """Generate witness sequences until the confining rectangle is narrow enough.
 
     Each arm step bisects one coordinate against the last opposing witness:
-    the minus arm first lowers beta1 to the least value where Eq2 < -delta at
-    its current phi, then raises phi to the greatest value where Eq1 > +delta
-    at the new beta1; the plus arm mirrors this.  Points are accepted only at
-    twice the verification margin, so re-verification (float or outward-
-    rounded) always clears delta with room.  Pure function of its arguments;
-    stops at width_target or when neither arm can advance.
+    the minus arm first lowers beta1 toward the least value where Eq2 < -delta
+    at its current phi, then raises phi toward the greatest value where
+    Eq1 > +delta at the new beta1; the plus arm mirrors this.  A bisection
+    stops within 1/32 of the rectangle's current size (see `_push`), so the
+    rectangle contracts geometrically at about ten evaluations a step.
+    Points are accepted only at twice the verification margin, so
+    re-verification (float or outward-rounded) always clears delta with
+    room; each recorded value is the one the accepting probe computed.
+    Pure function of its arguments; stops at width_target or when neither
+    arm can advance.
     """
     delta_build = 2.0 * delta
     pm = [domain.phi_min]
@@ -218,42 +216,29 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float,
         if width_phi <= width_target and width_b <= width_target:
             break
         moved = False
-
-        # minus arm: lower beta1 with Eq2 < 0 at current phi, then raise phi
-        # with Eq1 > 0 at the new beta1.
-        f = pm[-1]
-        b_new = _bisect_coordinate(eq2f, f, bm[-1], bp[-1], vary="beta", sign=-1,
-                                   toward="lo", delta=delta_build, tol=tol)
-        if b_new is not None and b_new < bp[-1]:
-            f_new = _bisect_coordinate(eq1f, b_new, f, pp[-1], vary="phi", sign=+1,
-                                       toward="hi", delta=delta_build, tol=tol)
-            if f_new is None and _probe(eq1f, f, b_new, +1, delta_build) is not None:
-                f_new = None  # beta1 moved but phi cannot; pair must advance together
-            if f_new is not None and f_new > f:
-                checks.append({"family": "eq2_minus", "index": len(pm) - 1, "phi": f,
-                               "beta1": b_new, "value": eq2f(f, b_new), "margin": delta})
-                pm.append(f_new)
-                bp.append(b_new)
-                checks.append({"family": "eq1_minus", "index": len(pm) - 1, "phi": f_new,
-                               "beta1": b_new, "value": eq1f(f_new, b_new), "margin": delta})
-                moved = True
-
-        # plus arm: raise beta1 with Eq2 > 0 at current phi, then lower phi
-        # with Eq1 < 0 at the new beta1.
-        f = pp[-1]
-        b_new = _bisect_coordinate(eq2f, f, bm[-1], bp[-1], vary="beta", sign=+1,
-                                   toward="hi", delta=delta_build, tol=tol)
-        if b_new is not None and b_new > bm[-1]:
-            f_new = _bisect_coordinate(eq1f, b_new, pm[-1], f, vary="phi", sign=-1,
-                                       toward="lo", delta=delta_build, tol=tol)
-            if f_new is not None and f_new < f:
-                checks.append({"family": "eq2_plus", "index": len(pp) - 1, "phi": f,
-                               "beta1": b_new, "value": eq2f(f, b_new), "margin": delta})
-                pp.append(f_new)
-                bm.append(b_new)
-                checks.append({"family": "eq1_plus", "index": len(pp) - 1, "phi": f_new,
-                               "beta1": b_new, "value": eq1f(f_new, b_new), "margin": delta})
-                moved = True
+        # minus arm (sign +1): move beta1 from bp toward bm while Eq2 < 0 at
+        # its current phi, then phi from pm toward pp while Eq1 > 0 at the new
+        # beta1; the plus arm (sign -1) mirrors it.
+        for phis, betas, far_phis, far_betas, sign, arm in (
+                (pm, bp, pp, bm, +1, "minus"), (pp, bm, pm, bp, -1, "plus")):
+            f = phis[-1]
+            hit_b = _push(lambda t: _probe(eq2f, f, t, -sign, delta_build),
+                          betas[-1], far_betas[-1], tol)
+            if hit_b is None:
+                continue
+            b_new, eq2_val = hit_b
+            hit_f = _push(lambda t: _probe(eq1f, t, b_new, sign, delta_build),
+                          f, far_phis[-1], tol)
+            if hit_f is None:
+                continue
+            f_new, eq1_val = hit_f
+            checks.append({"family": f"eq2_{arm}", "index": len(phis) - 1, "phi": f,
+                           "beta1": b_new, "value": eq2_val, "margin": delta})
+            phis.append(f_new)
+            betas.append(b_new)
+            checks.append({"family": f"eq1_{arm}", "index": len(phis) - 1, "phi": f_new,
+                           "beta1": b_new, "value": eq1_val, "margin": delta})
+            moved = True
 
         if not moved:
             diagnostic = (
@@ -267,65 +252,48 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float,
 
 def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float],
                     residual_target: float = 1e-10) -> dict:
-    """Nested-bisection root inside a verified rectangle (sanity oracle only).
+    """Newton root from the centre of a verified rectangle (sanity oracle only).
 
-    The inner bisection solves Eq1(., b1) = 0 in phi; the outer one drives
-    Eq2 along that locus.  Never feeds the certificate.
+    Each step takes a forward-difference Jacobian with increments of 1e-3 of
+    the rectangle's widths; the iteration has converged once a step is below
+    1e-6 of those widths, and the residuals are those at the last iterate.
+    A singular iterate (an equation that cannot be evaluated, or a
+    degenerate Jacobian), an iterate outside the rectangle widened by its own
+    widths on each side, or no convergence in 8 steps returns found False
+    with a reason.  Never feeds the certificate.
     """
     phi_lo, phi_hi, b_lo, b_hi = rectangle
-    pad_f = 50.0 * (phi_hi - phi_lo) + 1e-9
-    pad_b = 50.0 * (b_hi - b_lo) + 1e-9
-
-    def phi_root(b: float) -> float | None:
-        lo, hi = phi_lo - pad_f, phi_hi + pad_f
-        try:
-            flo, fhi = eq1f(lo, b), eq1f(hi, b)
-        except SingularPointError:
-            return None
-        if flo * fhi > 0.0:
-            return None
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            fm = eq1f(mid, b)
-            if fm == 0.0:
-                return mid
-            if flo * fm < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        return 0.5 * (lo + hi)
-
-    def g(b: float) -> float | None:
-        f = phi_root(b)
-        return None if f is None else eq2f(f, b)
-
-    lo, hi = b_lo - pad_b, b_hi + pad_b
-    glo, ghi = g(lo), g(hi)
-    if glo is None or ghi is None or glo * ghi > 0.0:
-        return {"found": False, "reason": "no sign change across the rectangle"}
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        gm = g(mid)
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if glo * gm < 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    b1 = 0.5 * (lo + hi)
-    phi = phi_root(b1)
-    r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
-    return {
-        "found": True,
-        "phi": phi,
-        "beta1": b1,
-        "residual_eq1": r1,
-        "residual_eq2": r2,
-        "within_target": max(abs(r1), abs(r2)) < residual_target,
-        "inside_rectangle": bool(phi_lo <= phi <= phi_hi and b_lo <= b1 <= b_hi),
-    }
+    w_f, w_b = phi_hi - phi_lo, b_hi - b_lo
+    h_f, h_b = 1e-3 * w_f, 1e-3 * w_b
+    phi, b1 = 0.5 * (phi_lo + phi_hi), 0.5 * (b_lo + b_hi)
+    try:
+        for _ in range(8):
+            r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
+            d11 = (eq1f(phi + h_f, b1) - r1) / h_f
+            d21 = (eq2f(phi + h_f, b1) - r2) / h_f
+            d12 = (eq1f(phi, b1 + h_b) - r1) / h_b
+            d22 = (eq2f(phi, b1 + h_b) - r2) / h_b
+            det = d11 * d22 - d12 * d21
+            if not (det != 0.0 and math.isfinite(det)):
+                return {"found": False,
+                        "reason": f"singular Jacobian at ({phi!r}, {b1!r}): det={det!r}"}
+            step_f = (d22 * r1 - d12 * r2) / det
+            step_b = (d11 * r2 - d21 * r1) / det
+            phi, b1 = phi - step_f, b1 - step_b
+            if not (phi_lo - w_f <= phi <= phi_hi + w_f and b_lo - w_b <= b1 <= b_hi + w_b):
+                return {"found": False,
+                        "reason": f"Newton iterate ({phi!r}, {b1!r}) left the rectangle"}
+            if abs(step_f) <= 1e-6 * w_f and abs(step_b) <= 1e-6 * w_b:
+                r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
+                return {
+                    "found": True,
+                    "phi": phi,
+                    "beta1": b1,
+                    "residual_eq1": r1,
+                    "residual_eq2": r2,
+                    "within_target": max(abs(r1), abs(r2)) < residual_target,
+                    "inside_rectangle": bool(phi_lo <= phi <= phi_hi and b_lo <= b1 <= b_hi),
+                }
+    except SingularPointError as exc:
+        return {"found": False, "reason": f"singular point: {exc}"}
+    return {"found": False, "reason": "no convergence in 8 Newton steps"}

@@ -4,7 +4,7 @@ import pytest
 from typsat import distribution as dist
 from typsat import ledger as lg
 from typsat import stationarity as st
-from typsat.params import ModelParams
+from typsat.params import WIDTH_TARGET, ModelParams
 
 LAM = 3 * 4.506
 
@@ -42,7 +42,7 @@ def system(params, consts):
 @pytest.fixture(scope="session")
 def trace(system, box):
     from typsat.rootbox import spiral_localize
-    return spiral_localize(system.eq1, system.eq2, box, width_target=4e-7)
+    return spiral_localize(system.eq1, system.eq2, box, width_target=WIDTH_TARGET)
 
 
 @pytest.fixture(scope="session")

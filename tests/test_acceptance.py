@@ -23,7 +23,7 @@ from typsat import pipeline as pl
 from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.intervals import upper
-from typsat.params import DELTA_NUM, ModelParams
+from typsat.params import DELTA_NUM, WIDTH_TARGET, ModelParams
 
 
 def _report(num: str, ok: bool, detail: str) -> bool:
@@ -105,7 +105,7 @@ def test_criterion_3_constants_table(params, system):
 
 def test_criterion_4_root_box(params, consts, system):
     t0 = time.perf_counter()
-    trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, width_target=4e-7)
+    trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, width_target=WIDTH_TARGET)
     report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
     rect = trace.rectangle
     contained = (0.5638320 <= rect[0] and rect[1] <= 0.5638326

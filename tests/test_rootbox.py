@@ -5,7 +5,7 @@ from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import SingularPointError, SpiralSeedError, TraceStructureError
 from typsat.ledger import FeasibleBox
-from typsat.params import DELTA_NUM
+from typsat.params import DELTA_NUM, WIDTH_TARGET
 
 UNIT_BOX = FeasibleBox(beta1_min=0.0, beta1_max=1.0, beta2_min=-100.0, beta2_max=100.0,
                        beta3_min=-100.0, beta3_max=100.0, phi_min=0.0, phi_max=1.0)
@@ -20,6 +20,43 @@ def toy_eq1(phi, beta1):
 
 def toy_eq2(phi, beta1):
     return -(beta1 - 0.5) - 0.25 * (phi - 0.5)
+
+
+def nested_bisection_root(eq1f, eq2f, rectangle):
+    """Reference root (phi, beta1) for solve_reference: the inner bisection
+    solves Eq1(., b1) = 0 in phi, the outer one drives Eq2 along that locus,
+    both down to adjacent floats."""
+    phi_lo, phi_hi, b_lo, b_hi = rectangle
+    pad_f = 50.0 * (phi_hi - phi_lo) + 1e-9
+    pad_b = 50.0 * (b_hi - b_lo) + 1e-9
+
+    def bisect(fn, lo, hi):
+        flo = fn(lo)
+        assert flo * fn(hi) <= 0.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return mid
+            fm = fn(mid)
+            if fm == 0.0:
+                return mid
+            if flo * fm < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+
+    def phi_root(b):
+        return bisect(lambda f: eq1f(f, b), phi_lo - pad_f, phi_hi + pad_f)
+
+    b1 = bisect(lambda b: eq2f(phi_root(b), b), b_lo - pad_b, b_hi + pad_b)
+    return phi_root(b1), b1
+
+
+def counted(fn, counter):
+    def wrapped(phi, beta1):
+        counter[0] += 1
+        return fn(phi, beta1)
+    return wrapped
 
 
 def test_spiral_on_toy_linear_system():
@@ -38,6 +75,46 @@ def test_solve_reference_on_toy_system():
     assert ref["found"]
     assert ref["phi"] == pytest.approx(0.5, abs=1e-9)
     assert ref["beta1"] == pytest.approx(0.5, abs=1e-9)
+    phi, b1 = nested_bisection_root(toy_eq1, toy_eq2, trace.rectangle)
+    assert abs(ref["phi"] - phi) < 1e-12 and abs(ref["beta1"] - b1) < 1e-12
+
+
+def test_newton_root_agrees_with_nested_bisection(system, trace, root):
+    evals = [0]
+    ref = rb.solve_reference(counted(system.eq1, evals), counted(system.eq2, evals),
+                             trace.rectangle)
+    assert ref == root
+    assert evals[0] <= 30
+    phi, b1 = nested_bisection_root(system.eq1, system.eq2, trace.rectangle)
+    assert abs(root["phi"] - phi) < 1e-12 and abs(root["beta1"] - b1) < 1e-12
+
+
+def _singular(phi, beta1):
+    raise SingularPointError("V <= 1")
+
+
+@pytest.mark.parametrize("eq1f, eq2f, rectangle, reason", [
+    (toy_eq1, toy_eq2, (0.0, 0.1, 0.0, 0.1), "left the rectangle"),  # root (0.5, 0.5) outside
+    (toy_eq1, _singular, (0.4, 0.6, 0.4, 0.6), "singular point"),
+    (toy_eq1, toy_eq1, (0.4, 0.6, 0.4, 0.6), "singular Jacobian"),
+])
+def test_solve_reference_reports_failure(eq1f, eq2f, rectangle, reason):
+    ref = rb.solve_reference(eq1f, eq2f, rectangle)
+    assert ref["found"] is False
+    assert reason in ref["reason"]
+
+
+def test_spiral_records_accepting_values(system, box):
+    evals = [0]
+    trace = rb.spiral_localize(counted(system.eq1, evals), counted(system.eq2, evals),
+                               box, width_target=WIDTH_TARGET)
+    assert not trace.diagnostic
+    assert evals[0] <= 16 * (trace.K + trace.L)
+    assert len(trace.sign_checks) == 2 * (trace.K + trace.L) + 2
+    for chk in trace.sign_checks:
+        fn = system.eq1 if chk["family"].startswith("eq1") else system.eq2
+        assert fn(chk["phi"], chk["beta1"]) == chk["value"]
+        assert abs(chk["value"]) > 2 * DELTA_NUM
 
 
 def test_spiral_seed_error():
