@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import DomainError
+
 LIBM_ULPS = 4
 
 _NEG_INF = -math.inf
@@ -175,13 +177,13 @@ class Interval:
 
     def log(self) -> "Interval":
         if not np.all(self.lo > 0.0):
-            raise DomainErrorForLog(self.lower())
+            raise DomainError(f"log of an interval reaching down to {self.lower()}")
         return Interval._ordered(_dn_k(np.log(self.lo), LIBM_ULPS),
                                 _up_k(np.log(self.hi), LIBM_ULPS))
 
     def sqrt(self) -> "Interval":
         if not np.all(self.lo >= 0.0):
-            raise ValueError("sqrt of an interval reaching below 0")
+            raise DomainError("sqrt of an interval reaching below 0")
         return Interval(_dn(np.sqrt(self.lo)), _up(np.sqrt(self.hi)))
 
     # -- reductions ----------------------------------------------------------
@@ -197,11 +199,6 @@ class Interval:
         lo = _dn(float(np.sum(self.lo)) - slack_lo)
         hi = _up(float(np.sum(self.hi)) + slack_hi)
         return Interval(float(lo), float(hi))
-
-
-class DomainErrorForLog(ValueError):
-    def __init__(self, lo):
-        super().__init__(f"log of an interval reaching down to {lo}")
 
 
 # -- generic dispatchers (shared formula code runs on floats or intervals) ----

@@ -122,6 +122,11 @@ def widen_intervals(gamma_psi: dict, r3_value: float) -> FeasibleBox:
 
 @dataclass
 class GFactors:
+    """The bounds R1-R3 and the five slack factors built from them."""
+
+    r1: object
+    r2: object
+    r3: object
     ga: object
     gb: object
     gc: object
@@ -130,7 +135,7 @@ class GFactors:
 
 
 def g_factors(eps, x_max: int, lam_min, lam_max, c_max) -> GFactors:
-    """The five multiplicative slack factors, each >= 1, in the log domain.
+    """R1-R3 and the five multiplicative slack factors, each >= 1, in the log domain.
 
     Raises ConfigurationError when an R argument falls outside L's domain
     (the accuracy radius is then too coarse for this x_max).
@@ -138,39 +143,34 @@ def g_factors(eps, x_max: int, lam_min, lam_max, c_max) -> GFactors:
     R1 = r1(eps, x_max, lam_max)
     R2 = r2(eps, x_max, lam_max)
     R3 = r3(eps, x_max, lam_min, lam_max)
-    try:
-        return _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3)
-    except DomainError as exc:
-        raise ConfigurationError(f"slack-factor domain violated: {exc}") from exc
-
-
-def _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3) -> GFactors:
     as_iv = isinstance(R3, Interval)
     ln2 = log_of_int(2, as_iv)
-    g1 = (
-        xexp(R1 * ln2)
-        * _L_or_limit(R1)
-        * _L_or_limit(R2)
-        * xexp(R2 * (log_of_int(18, as_iv) + 1.0 - xlog(lam_min)))
-        * xpow6(_L_or_limit(R2 / 6.0))
-        * xpow_c(
-            _L_or_limit(3.0 * eps * p3(x_max) / lam_min)
-            * _L_or_limit(6.0 * eps * p3(x_max) / lam_min),
-            c_max,
+    try:
+        g1 = (
+            xexp(R1 * ln2)
+            * _L_or_limit(R1)
+            * _L_or_limit(R2)
+            * xexp(R2 * (log_of_int(18, as_iv) + 1.0 - xlog(lam_min)))
+            * xpow6(_L_or_limit(R2 / 6.0))
+            * xpow_c(
+                _L_or_limit(3.0 * eps * p3(x_max) / lam_min)
+                * _L_or_limit(6.0 * eps * p3(x_max) / lam_min),
+                c_max,
+            )
+            * xpow_c(
+                _L_or_limit(3.0 * R3) * _L_or_limit(3.0 * R3)
+                * _L_or_limit(9.0 * R3) * _L_or_limit(6.0 * R3)
+                * xexp(R3 * log_of_int(3, as_iv)),
+                c_max,
+            )
         )
-        * xpow_c(
-            _L_or_limit(3.0 * R3) * _L_or_limit(3.0 * R3)
-            * _L_or_limit(9.0 * R3) * _L_or_limit(6.0 * R3)
-            * xexp(R3 * log_of_int(3, as_iv)),
-            c_max,
+        ga = (
+            xexp(eps * log_of_int(12, as_iv))
+            * xexp((x_max / 8.0) * (x_max**2 + 2 * x_max - 1) * eps * ln2)
+            * xpow_c(_L_or_limit(eps), (x_max / 4.0) * (x_max + 3))
         )
-    )
-
-    ga = (
-        xexp(eps * log_of_int(12, as_iv))
-        * xexp((x_max / 8.0) * (x_max**2 + 2 * x_max - 1) * eps * ln2)
-        * xpow_c(_L_or_limit(eps), (x_max / 4.0) * (x_max + 3))
-    )
+    except DomainError as exc:
+        raise ConfigurationError(f"slack-factor domain violated: {exc}") from exc
     gb = xexp((x_max / 4.0) * (x_max + 1) * xlog1p(eps))
 
     # inner bracket of GC evaluated at lam_max: e^-lam (lam/2)^x_max grows in lam
@@ -182,7 +182,7 @@ def _g_factors_inner(eps, x_max, lam_min, lam_max, c_max, R1, R2, R3) -> GFactor
         + ((x_max + 1) / 4.0) * ((x_max + 4) * ln2 + (x_max + 8) * log_inner)
     )
     gc = xexp(log_gc)
-    return GFactors(ga=ga, gb=gb, gc=gc, g1=g1, g2=ga * gb * gc)
+    return GFactors(r1=R1, r2=R2, r3=R3, ga=ga, gb=gb, gc=gc, g1=g1, g2=ga * gb * gc)
 
 
 def xpow6(z):
@@ -233,8 +233,8 @@ def _excess_upper(t):
 
 
 @dataclass
-class ErrorBudget:
-    """Full ledger: bounds, slack factors, prefactors, and the widened intervals.
+class ErrorBudget(GFactors):
+    """Full ledger: the bounds and slack factors, prefactors, and the widened intervals.
 
     Every value is meant as an upper bound ("pessimistic direction"), so that
     multiplying certificate factors by them composes pessimistically.  Only
@@ -248,14 +248,6 @@ class ErrorBudget:
     x_max: int
     lam_min: float
     lam_max: float
-    r1: object
-    r2: object
-    r3: object
-    ga: object
-    gb: object
-    gc: object
-    g1: object
-    g2: object
     prefactor: object       # G1 * G2 * exp(2*eps*D/e)
     unbalancing: object     # 2^(rho + eps*Delta)
     unbalancing_log: object     # t = (rho + eps*Delta) ln 2
@@ -304,18 +296,11 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
     prefactor = gf.g1 * gf.g2 * xexp(2.0 * eps * d / euler(as_iv))
     unbalancing_log = (rho + eps * consts.delta) * log_of_int(2, as_iv)
     return ErrorBudget(
+        **vars(gf),
         eps=params.epsilon,
         x_max=params.x_max,
         lam_min=params.lam_min,
         lam_max=params.lam_max,
-        r1=r1(eps, params.x_max, lam_max),
-        r2=r2(eps, params.x_max, lam_max),
-        r3=r3(eps, params.x_max, lam_min, lam_max),
-        ga=gf.ga,
-        gb=gf.gb,
-        gc=gf.gc,
-        g1=gf.g1,
-        g2=gf.g2,
         prefactor=prefactor,
         unbalancing=xexp(unbalancing_log),
         unbalancing_log=unbalancing_log,

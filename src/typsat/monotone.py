@@ -12,13 +12,13 @@ here feeds the certificate's constants table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SingularPointError
+from .errors import DomainError, SingularPointError
 from .intervals import xsum
-from .ledger import FeasibleBox, point_fields
+from .ledger import FeasibleBox
 from .params import DELTA_NUM
 from . import stationarity as st
 
@@ -132,7 +132,6 @@ class MonotoneCertificate:
     v_min2: float
     uv_max2: float
     tangent: tuple[float, float]
-    trace: dict = field(default_factory=dict)
 
     def total(self) -> float:
         return self.A_bound + self.B_bound + self.extra_bound
@@ -157,7 +156,7 @@ def eq2_monotone_verdict(which: str, system: st.EqSystem) -> MonotoneCertificate
     box = system.box
     v_min2, _ = polygon_extremize("V_min", box)
     uv_max2, _ = polygon_extremize("UoverV_max", box)
-    a_bound, a_terms = a_sum(v_min2, uv_max2, system)
+    a_bound, _ = a_sum(v_min2, uv_max2, system)
     if which == "fixed_phi":
         a1, b1 = tangent_fixed_phi(v_min2)
         extra = 0.0
@@ -166,7 +165,7 @@ def eq2_monotone_verdict(which: str, system: st.EqSystem) -> MonotoneCertificate
         extra = system.lam * (1.0 - box.beta1_min) / 16.0
     else:
         raise ValueError(f"unknown direction {which!r}")
-    b_bound, b_terms = b_sum(a1, b1, v_min2, system)
+    b_bound, _ = b_sum(a1, b1, v_min2, system)
     threshold = system.lam * box.phi_min
     verdict = a_bound + b_bound + extra + DELTA_NUM < threshold
     return MonotoneCertificate(
@@ -174,81 +173,38 @@ def eq2_monotone_verdict(which: str, system: st.EqSystem) -> MonotoneCertificate
         A_bound=a_bound, B_bound=b_bound, extra_bound=extra,
         threshold=threshold, verdict=verdict,
         v_min2=v_min2, uv_max2=uv_max2, tangent=(a1, b1),
-        trace={"A_terms": a_terms.tolist(), "B_terms": b_terms.tolist()},
     )
 
 
 # -- polygon extremization --------------------------------------------------------
 
-def polygon_vertices(box: FeasibleBox) -> list[tuple[float, float]]:
-    """Vertices of the feasibility polygon in the (phi, beta1) plane."""
-    # each constraint as a line a*phi + b*beta1 = d
-    lines = [
-        (1.0, 0.0, box.phi_min), (1.0, 0.0, box.phi_max),
-        (0.0, 1.0, box.beta1_min), (0.0, 1.0, box.beta1_max),
-        (-3.0, -2.0, box.beta2_min - 3.0), (-3.0, -2.0, box.beta2_max - 3.0),
-        (3.0, 1.0, box.beta3_min + 2.0), (3.0, 1.0, box.beta3_max + 2.0),
-    ]
-    tol = 1e-11
-    out: list[tuple[float, float]] = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a1, b1, d1 = lines[i]
-            a2, b2, d2 = lines[j]
-            det = a1 * b2 - a2 * b1
-            if abs(det) < 1e-12:
-                continue
-            phi = (d1 * b2 - d2 * b1) / det
-            beta1 = (a1 * d2 - a2 * d1) / det
-            beta2, beta3, _ = point_fields(phi, beta1)
-            if (box.phi_min - tol <= phi <= box.phi_max + tol
-                    and box.beta1_min - tol <= beta1 <= box.beta1_max + tol
-                    and box.beta2_min - tol <= beta2 <= box.beta2_max + tol
-                    and box.beta3_min - tol <= beta3 <= box.beta3_max + tol):
-                if not any(abs(phi - f) < 1e-10 and abs(beta1 - b) < 1e-10 for f, b in out):
-                    out.append((phi, beta1))
-    return out
+def polygon_extremize(target: str, box: FeasibleBox) -> tuple[float, tuple[float, float]]:
+    """V (min) or U/V (max) over the box's (beta2, beta3) rectangle, which
+    contains the feasibility polygon, and the (phi, beta1) point taking it.
 
-
-def polygon_extremize(target: str, box: FeasibleBox,
-                      edge_samples: int = 4000) -> tuple[float, tuple[float, float]]:
-    """Extremize V (min) or U/V (max) over the feasibility polygon.
-
-    Double-entry evaluation: the closed-form value at the (beta2_min,
-    beta3_max) vertex versus dense boundary sampling including all exact
-    vertices; disagreement beyond 1e-7 aborts.
+    With Y = 2 beta2 + 3 beta3, V = 1 + beta2^2 / (3 beta3 Y) rises in beta2
+    and falls in beta3; U/V = 9 (2 - beta2 - 2 beta3) beta3^2 / (beta2 (beta2 +
+    3 beta3)^2) falls in beta2 and, at fixed beta2, rises in beta3 while
+    g = 2 beta2 - beta2^2 - 3 beta2 beta3 - 3 beta3^2 > 0 and falls past the
+    root beta3* of g.  So V_min = V(beta2_min, beta3_max) and
+    (U/V)_max = U/V(beta2_min, clip(beta3*, beta3_min, beta3_max)).
+    Raises DomainError naming the precondition of this argument that fails.
     """
-    b2m, b3M = box.beta2_min, box.beta3_max
+    b2, b3_lo, b3_hi = box.beta2_min, box.beta3_min, box.beta3_max
+    for holds, needed in ((b2 > 0.0, "beta2_min > 0"), (b3_lo > 0.0, "beta3_min > 0"),
+                          (box.beta2_max + 2.0 * b3_hi < 2.0, "beta2_max + 2 beta3_max < 2")):
+        if not holds:
+            raise DomainError(f"closed-form polygon extremes need {needed}: {box}")
     if target == "V_min":
-        analytic = 1.0 + b2m**2 / (3.0 * b3M * (2.0 * b2m + 3.0 * b3M))
+        b3 = b3_hi
+        value = 1.0 + b2**2 / (3.0 * b3 * (2.0 * b2 + 3.0 * b3))
     elif target == "UoverV_max":
-        analytic = 9.0 * (2.0 * (1.0 - b3M) - b2m) * b3M**2 / (b2m * (b2m + 3.0 * b3M) ** 2)
+        peak = (math.sqrt(9.0 * b2**2 + 12.0 * b2 * (2.0 - b2)) - 3.0 * b2) / 6.0
+        b3 = min(max(peak, b3_lo), b3_hi)
+        value = 9.0 * (2.0 * (1.0 - b3) - b2) * b3**2 / (b2 * (b2 + 3.0 * b3) ** 2)
     else:
         raise ValueError(f"unknown extremization target {target!r}")
-
-    verts = polygon_vertices(box)
-    if len(verts) < 3:
-        raise ConfigurationError("feasibility polygon is degenerate")
-    pts_phi, pts_b = [], []
-    for (f1, b1), (f2, b2) in zip(verts, verts[1:] + verts[:1]):
-        # vertex order is arbitrary; chords still sample the boundary region
-        t = np.linspace(0.0, 1.0, edge_samples // len(verts))
-        pts_phi.append(f1 + (f2 - f1) * t)
-        pts_b.append(b1 + (b2 - b1) * t)
-    phi = np.concatenate([np.array([f for f, _ in verts])] + pts_phi)
-    beta1 = np.concatenate([np.array([b for _, b in verts])] + pts_b)
-    u, v = st.uv(phi, beta1)
-    if target == "V_min":
-        k = int(np.argmin(v))
-        sampled = float(v[k])
-    else:
-        k = int(np.argmax(u / v))
-        sampled = float((u / v)[k])
-    if abs(sampled - analytic) > 1e-7:
-        raise ConfigurationError(
-            f"{target}: vertex formula {analytic!r} disagrees with boundary "
-            f"sampling {sampled!r}")
-    return analytic, (float(phi[k]), float(beta1[k]))
+    return value, ((1.0 + b2 + 2.0 * b3) / 3.0, 1.0 - b2 - b3)
 
 
 # -- Eq1 exceptional-family analysis ----------------------------------------------

@@ -28,7 +28,8 @@ from . import ledger as lg
 from . import monotone as mo
 from . import rootbox as rb
 from . import stationarity as st
-from .errors import GuardError, SingularPointError, SpiralSeedError
+from .errors import (DomainError, GuardError, SingularPointError, SpiralSeedError,
+                     TraceStructureError)
 from .formulas import (Assignment, Formula, clause_count, deviation_budget, generate,
                        is_pps, pps_bitmap, run_omega_campaign, solution_bitmap, variable_type)
 from .intervals import lower, upper
@@ -174,8 +175,8 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
         mono_detail = (f"eq2 totals=({verdict_phi.total():.4f}, {verdict_beta.total():.4f}) "
                        f"vs {verdict_phi.threshold:.4f}; eq1*={star_majorant:.4f}; "
                        f"M={['%.4f' % v for v in m_values]}")
-    except Exception as exc:  # infeasible polygon, singularities, ...
-        mono_detail = f"{type(exc).__name__}: {exc}"
+    except DomainError as exc:  # a box outside the closed forms' domain, a singular point
+        mono_detail = str(exc)
     cert.stage("monotone", monotone_ok, mono_detail)
     cert.constants = {
         "v_min2": verdict_phi.v_min2 if verdict_phi is not None else None,
@@ -213,8 +214,8 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
             cert.trace_verified = report.ok
             cert.stage("verify_exclusion", report.ok,
                        f"{report.checks} sign checks, {len(report.failures)} failures")
-        except Exception as exc:
-            cert.stage("verify_exclusion", False, f"{type(exc).__name__}: {exc}")
+        except TraceStructureError as exc:
+            cert.stage("verify_exclusion", False, str(exc))
     else:
         cert.stage("verify_exclusion", False, "no trace")
 
@@ -233,8 +234,8 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
             cert.point_rate = st.rate_bound_point(center, system, budget)
             rate_ok = cert.rate + DELTA_NUM < 1.0
             cert.stage("rate", rate_ok, f"rectangle rate={cert.rate:.9f}")
-        except Exception as exc:
-            cert.stage("rate", False, f"{type(exc).__name__}: {exc}")
+        except DomainError as exc:
+            cert.stage("rate", False, str(exc))
     else:
         cert.stage("rate", False, "no verified rectangle")
 

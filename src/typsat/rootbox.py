@@ -21,6 +21,11 @@ from .intervals import lower
 from .ledger import FeasibleBox
 from .params import DELTA_NUM
 
+#: Step caps of `_push` and `spiral_localize`; `solve_reference`'s residual target.
+PUSH_MAX_ITER = 90
+SPIRAL_MAX_CYCLES = 400
+RESIDUAL_TARGET = 1e-10
+
 
 @dataclass
 class ExclusionTrace:
@@ -89,12 +94,11 @@ def _strictly(seq: list[float], direction: int) -> bool:
     return all((b - a) * direction > 0.0 for a, b in zip(seq, seq[1:]))
 
 
-def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox,
-                     delta: float = DELTA_NUM) -> VerificationReport:
-    """Re-evaluate all four sign-check families with margin > delta.
+def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> VerificationReport:
+    """Re-evaluate all four sign-check families with margin > DELTA_NUM.
 
     eq1f and eq2f may return floats or enclosing Intervals; a check passes
-    when the lowest value of sign * Eq exceeds delta.  Structural defects
+    when the lowest value of sign * Eq exceeds DELTA_NUM.  Structural defects
     (anchoring, monotonicity, rectangle orientation) raise
     TraceStructureError; sign failures are reported, not raised.
     """
@@ -125,9 +129,9 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox,
             failures.append({"family": family, "index": i, "phi": phi, "beta1": beta1,
                              "value": None, "error": str(exc)})
             return
-        if not lower(sign * val) > delta:
+        if not lower(sign * val) > DELTA_NUM:
             failures.append({"family": family, "index": i, "phi": phi, "beta1": beta1,
-                             "value": val, "needed_sign": sign, "margin": delta})
+                             "value": val, "needed_sign": sign, "margin": DELTA_NUM})
 
     for i, (f, b) in enumerate(zip(pm, bp)):
         need("eq1_minus", i, f, b, eq1f, +1)
@@ -149,8 +153,7 @@ def _probe(fn, phi: float, beta1: float, sign: int, delta: float) -> float | Non
     return val if val * sign > delta else None
 
 
-def _push(probe, good: float, bad: float, tol: float,
-          max_iter: int = 90) -> tuple[float, float] | None:
+def _push(probe, good: float, bad: float, tol: float) -> tuple[float, float] | None:
     """Bisect from the certified end `good` toward `bad` while probe certifies.
 
     probe(t) is the value at coordinate t, or None when its sign is not
@@ -161,7 +164,7 @@ def _push(probe, good: float, bad: float, tol: float,
     """
     rel_tol = abs(bad - good) / 32.0
     best = None
-    for _ in range(max_iter):
+    for _ in range(PUSH_MAX_ITER):
         gap = abs(good - bad)
         if gap <= tol or (best is not None and gap <= rel_tol):
             break
@@ -174,23 +177,22 @@ def _push(probe, good: float, bad: float, tol: float,
     return best
 
 
-def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float,
-                    delta: float = DELTA_NUM, max_cycles: int = 400) -> ExclusionTrace:
+def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> ExclusionTrace:
     """Generate witness sequences until the confining rectangle is narrow enough.
 
     Each arm step bisects one coordinate against the last opposing witness:
-    the minus arm first lowers beta1 toward the least value where Eq2 < -delta
+    the minus arm first lowers beta1 toward the least value where Eq2 < -DELTA_NUM
     at its current phi, then raises phi toward the greatest value where
-    Eq1 > +delta at the new beta1; the plus arm mirrors this.  A bisection
+    Eq1 > +DELTA_NUM at the new beta1; the plus arm mirrors this.  A bisection
     stops within 1/32 of the rectangle's current size (see `_push`), so the
     rectangle contracts geometrically at about ten evaluations a step.
     Points are accepted only at twice the verification margin, so
-    re-verification (float or outward-rounded) always clears delta with
+    re-verification (float or outward-rounded) always clears DELTA_NUM with
     room; each recorded value is the one the accepting probe computed.
     Pure function of its arguments; stops at width_target or when neither
-    arm can advance.
+    arm can advance, or after SPIRAL_MAX_CYCLES steps.
     """
-    delta_build = 2.0 * delta
+    delta_build = 2.0 * DELTA_NUM
     pm = [domain.phi_min]
     bp = [domain.beta1_max]
     pp = [domain.phi_max]
@@ -204,13 +206,13 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float,
             "corner sign seeds absent: need Eq1(phi_min, beta1_max) > 0 and "
             f"Eq1(phi_max, beta1_min) < 0, got {seed_minus} and {seed_plus}")
     checks.append({"family": "eq1_minus", "index": 0, "phi": pm[0], "beta1": bp[0],
-                   "value": seed_minus, "margin": delta})
+                   "value": seed_minus, "margin": DELTA_NUM})
     checks.append({"family": "eq1_plus", "index": 0, "phi": pp[0], "beta1": bm[0],
-                   "value": seed_plus, "margin": delta})
+                   "value": seed_plus, "margin": DELTA_NUM})
 
     tol = max(width_target / 64.0, 1e-14)
     diagnostic = ""
-    for _ in range(max_cycles):
+    for _ in range(SPIRAL_MAX_CYCLES):
         width_phi = pp[-1] - pm[-1]
         width_b = bp[-1] - bm[-1]
         if width_phi <= width_target and width_b <= width_target:
@@ -233,11 +235,11 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float,
                 continue
             f_new, eq1_val = hit_f
             checks.append({"family": f"eq2_{arm}", "index": len(phis) - 1, "phi": f,
-                           "beta1": b_new, "value": eq2_val, "margin": delta})
+                           "beta1": b_new, "value": eq2_val, "margin": DELTA_NUM})
             phis.append(f_new)
             betas.append(b_new)
             checks.append({"family": f"eq1_{arm}", "index": len(phis) - 1, "phi": f_new,
-                           "beta1": b_new, "value": eq1_val, "margin": delta})
+                           "beta1": b_new, "value": eq1_val, "margin": DELTA_NUM})
             moved = True
 
         if not moved:
@@ -250,8 +252,7 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float,
                           sign_checks=checks, diagnostic=diagnostic)
 
 
-def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float],
-                    residual_target: float = 1e-10) -> dict:
+def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float]) -> dict:
     """Newton root from the centre of a verified rectangle (sanity oracle only).
 
     Each step takes a forward-difference Jacobian with increments of 1e-3 of
@@ -291,7 +292,7 @@ def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float],
                     "beta1": b1,
                     "residual_eq1": r1,
                     "residual_eq2": r2,
-                    "within_target": max(abs(r1), abs(r2)) < residual_target,
+                    "within_target": max(abs(r1), abs(r2)) < RESIDUAL_TARGET,
                     "inside_rectangle": bool(phi_lo <= phi <= phi_hi and b_lo <= b1 <= b_hi),
                 }
     except SingularPointError as exc:

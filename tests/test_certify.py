@@ -47,10 +47,14 @@ def test_certify_records_assumption(cert):
     assert any("nonincreasing in the clause density" in a for a in cert.assumptions)
 
 
-def test_certify_subcritical_density_fails_with_stage():
-    cert = cf.certify(4.2, 56, 1e-15)
+@pytest.mark.parametrize("c", [3.0, 4.2, 4.6, 5.0])
+def test_certify_subcritical_density_fails_with_stage(c):
+    # away from 4.506 the Eq2 derivative sums exceed lambda * phi_min
+    cert = cf.certify(c, 56, 1e-15)
     assert not cert.verdict
-    assert cert.failing_stage is not None
+    assert cert.failing_stage == "monotone"
+    detail = cert.stages[[s["name"] for s in cert.stages].index("monotone")]["detail"]
+    assert detail.startswith("eq2 totals=")
 
 
 def test_certify_alternate_x_max_runs():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from typsat import monotone as mo
 from typsat import stationarity as st
 from typsat.errors import DomainError
-from typsat.params import DELTA_NUM
+from typsat.params import CERTIFICATION_BOX, DELTA_NUM, ModelParams
 
 
 # -- R and S ------------------------------------------------------------------------
@@ -27,14 +28,14 @@ def test_R_domain():
 
 
 def test_tangent_fixed_phi_matches_paper():
-    v_min2, _ = mo.polygon_extremize("V_min", _cert_box())
+    v_min2, _ = mo.polygon_extremize("V_min", CERTIFICATION_BOX)
     a1, b1 = mo.tangent_fixed_phi(v_min2)
     assert a1 == pytest.approx(2.4427, abs=5e-4)
     assert b1 == pytest.approx(-1.8194, abs=5e-4)
 
 
 def test_tangent_fixed_beta_matches_paper():
-    v_min2, _ = mo.polygon_extremize("V_min", _cert_box())
+    v_min2, _ = mo.polygon_extremize("V_min", CERTIFICATION_BOX)
     a1, b1 = mo.tangent_fixed_beta(v_min2)
     assert a1 == pytest.approx(2.2377, abs=5e-4)
     assert b1 == pytest.approx(-1.7173, abs=5e-4)
@@ -69,7 +70,7 @@ def test_derivatives_against_finite_differences():
 
 
 def test_tangent_dominates_curve():
-    v_min2, _ = mo.polygon_extremize("V_min", _cert_box())
+    v_min2, _ = mo.polygon_extremize("V_min", CERTIFICATION_BOX)
     a_phi, b_phi = mo.tangent_fixed_phi(v_min2)
     a_beta, b_beta = mo.tangent_fixed_beta(v_min2)
     for v in np.linspace(v_min2, 5.0, 10_000):
@@ -139,13 +140,8 @@ def test_amgm_auxiliary_inequality(rng):
 
 # -- A, B sums and verdicts --------------------------------------------------------------
 
-def _cert_box():
-    from typsat.params import CERTIFICATION_BOX
-    return CERTIFICATION_BOX
-
-
 def test_a_sum_below_paper_value(system):
-    box = _cert_box()
+    box = CERTIFICATION_BOX
     v_min2, _ = mo.polygon_extremize("V_min", box)
     uv_max2, _ = mo.polygon_extremize("UoverV_max", box)
     total, terms = mo.a_sum(v_min2, uv_max2, system)
@@ -154,7 +150,7 @@ def test_a_sum_below_paper_value(system):
 
 
 def test_b_sum_values(system):
-    box = _cert_box()
+    box = CERTIFICATION_BOX
     v_min2, _ = mo.polygon_extremize("V_min", box)
     b_phi, _ = mo.b_sum(*mo.tangent_fixed_phi(v_min2), v_min2, system)
     b_beta, _ = mo.b_sum(*mo.tangent_fixed_beta(v_min2), v_min2, system)
@@ -175,7 +171,6 @@ def test_eq2_monotone_verdicts(system):
     assert beta_cert.extra_bound < 0.566
     assert beta_cert.total() < 6.103
     assert phi_cert.threshold > 7.1
-    assert len(phi_cert.trace["A_terms"]) > 0
 
 
 # -- the turning-point curves -------------------------------------------------------------
@@ -276,7 +271,7 @@ def test_m_table(system):
     for v, t in zip(values, targets):
         assert v < t
     # bands cover the certification beta1 range
-    box = _cert_box()
+    box = CERTIFICATION_BOX
     assert mo.M_BANDS[0][0] <= box.beta1_min and mo.M_BANDS[-1][1] >= box.beta1_max
 
 
@@ -309,7 +304,7 @@ def test_m_bound_matches_pow_form(system, consts, params):
 # -- polygon extremization -------------------------------------------------------------------
 
 def test_polygon_extremize_values():
-    box = _cert_box()
+    box = CERTIFICATION_BOX
     v_min2, vertex_v = mo.polygon_extremize("V_min", box)
     uv_max2, vertex_uv = mo.polygon_extremize("UoverV_max", box)
     assert v_min2 == pytest.approx(1.126983, abs=1e-6)
@@ -322,6 +317,9 @@ def test_polygon_extremize_values():
     assert beta3 == pytest.approx(box.beta3_max, abs=1e-12)
 
 
+@pytest.mark.parametrize("box", [
+    CERTIFICATION_BOX, ModelParams(c=3.0).a_priori, ModelParams(c=4.6).a_priori,
+], ids=["certification", "c3.0", "c4.6"])
 def test_polygon_brute_force_grid(box):
     # 10^6-point grid over the polygon never undercuts V_min2 nor exceeds (U/V)_max2
     v_min2, _ = mo.polygon_extremize("V_min", box)
@@ -337,15 +335,21 @@ def test_polygon_brute_force_grid(box):
     with np.errstate(divide="ignore", invalid="ignore"):
         u = 9.0 * (1.0 - ff) * beta3 / (y * beta2)
         v = 1.0 + beta2**2 / (3.0 * y * beta3)
+    assert feas.sum() > 10_000
     assert np.min(v[feas]) >= v_min2 - 1e-9
     assert np.max((u / v)[feas]) <= uv_max2 + 1e-9
 
 
-def test_polygon_vertices_count(box):
-    # all eight linear constraints are active at the certification constants,
-    # giving an eight-vertex polygon
-    verts = mo.polygon_vertices(box)
-    assert len(verts) == 8
+@pytest.mark.parametrize("change, needed", [
+    ({"beta2_min": 0.0}, "beta2_min > 0"),
+    ({"beta3_min": -0.01}, "beta3_min > 0"),
+    ({"beta2_max": 1.6}, "beta2_max \\+ 2 beta3_max < 2"),
+], ids=["beta2_min", "beta3_min", "beta2_max"])
+def test_polygon_extremize_names_broken_precondition(change, needed):
+    box = dataclasses.replace(CERTIFICATION_BOX, **change)
+    for target in ("V_min", "UoverV_max"):
+        with pytest.raises(DomainError, match=needed):
+            mo.polygon_extremize(target, box)
 
 
 # -- E factorization and the grid report ---------------------------------------------------------
