@@ -102,33 +102,43 @@ def is_pps(formula: Formula, assignment: Assignment) -> bool:
     return True
 
 
-def solution_bitmap(formula: Formula) -> np.ndarray:
-    """Boolean satisfaction table over all 2^n assignments (bit k = variable k+1)."""
-    n = formula.n
+def truth_tables(lits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Satisfaction and locally-maximal tables over all 2^n assignments.
+
+    lits is (..., m, 3) with any leading formula axes; both tables are
+    (..., 2^n), bit k of the table index being variable k+1.  A clause's
+    table is the OR of its three literal columns, and the clauses are ANDed
+    one at a time.  A solution is locally maximal when clearing any one of
+    its set bits gives a non-solution.  satisfies, is_pps and variable_type
+    do not call this: they are the scalar oracles it is tested against.
+    """
     if n > ENUMERATION_GUARD:
         raise GuardError(f"refusing exhaustive scan for n = {n} > {ENUMERATION_GUARD}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    sat = np.ones(1 << n, dtype=bool)
-    for clause in formula.lits:
-        clause_true = np.zeros(1 << n, dtype=bool)
-        for lit in clause:
-            bit = (idx >> (abs(int(lit)) - 1)) & 1
-            clause_true |= (bit == 1) if lit > 0 else (bit == 0)
-        sat &= clause_true
-    return sat
+    size = 1 << n
+    columns = np.zeros((n, 2, size), dtype=bool)  # [k, 0]: x_(k+1) true; [k, 1]: negated
+    for k in range(n):
+        columns[k, 0].reshape(-1, 2, 1 << k)[:, 1] = True
+        np.logical_not(columns[k, 0], out=columns[k, 1])
+    columns = columns.reshape(2 * n, size)
+    cells = 2 * np.abs(lits) - 2 + (lits < 0)  # each cell's literal column
+    sat = np.ones(cells.shape[:-2] + (size,), dtype=bool)
+    for clause in np.moveaxis(cells, -2, 0):
+        sat &= columns[clause[..., 0]] | columns[clause[..., 1]] | columns[clause[..., 2]]
+    pps = sat.copy()
+    for k in range(n):
+        by_bit = sat.shape[:-1] + (-1, 2, 1 << k)
+        pps.reshape(by_bit)[..., 1, :] &= ~sat.reshape(by_bit)[..., 0, :]
+    return sat, pps
+
+
+def solution_bitmap(formula: Formula) -> np.ndarray:
+    """Boolean satisfaction table over all 2^n assignments (bit k = variable k+1)."""
+    return truth_tables(formula.lits, formula.n)[0]
 
 
 def pps_bitmap(formula: Formula) -> np.ndarray:
     """Boolean table of positively prime solutions over all 2^n assignments."""
-    n = formula.n
-    sat = solution_bitmap(formula)
-    idx = np.arange(1 << n, dtype=np.int64)
-    pps = sat.copy()
-    for v in range(n):
-        has_v = ((idx >> v) & 1) == 1
-        still_sat = sat[idx ^ (1 << v)]
-        pps &= ~(has_v & still_sat)
-    return pps
+    return truth_tables(formula.lits, formula.n)[1]
 
 
 def enumerate_pps(formula: Formula) -> int:

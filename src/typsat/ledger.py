@@ -69,9 +69,13 @@ def L(eta):
 
 
 def _L_or_limit(eta):
-    """L(eta) with the eta -> 0+ limit value 1 (used only for eps = 0 probes)."""
+    """L(eta) with the eta -> 0+ limit value 1 (used only for eps = 0 probes).
+    L increases on (0, 0.05], so an interval eta reaching down to 0 (eps =
+    [0, 0] after outward rounding) is enclosed by [1, L(upper)]."""
     if upper(eta) == 0.0:
         return 1.0
+    if isinstance(eta, Interval) and eta.lower() <= 0.0:
+        return Interval(1.0, L(Interval(eta.upper())).upper())
     return L(eta)
 
 

@@ -31,7 +31,8 @@ from . import stationarity as st
 from .errors import (DomainError, GuardError, SingularPointError, SpiralSeedError,
                      TraceStructureError)
 from .formulas import (Assignment, Formula, clause_count, deviation_budget, generate,
-                       is_pps, pps_bitmap, run_omega_campaign, solution_bitmap, variable_type)
+                       is_pps, pps_bitmap, run_omega_campaign, solution_bitmap, truth_tables,
+                       variable_type)
 from .intervals import lower, upper
 from .params import DELTA_NUM, WIDTH_TARGET, ModelParams
 
@@ -462,30 +463,13 @@ def _pair_bound(sig: tuple, n: int, m: int) -> int:
     return a_n * b_n * m1 * m2 * m3
 
 
-def _pps_counts_by_assignment(lits: np.ndarray, n: int) -> np.ndarray:
-    """Locally-maximal pairs per assignment over a stack of formulas, shape
-    (formulas, m, 3): one truth tensor per assignment, with the satisfaction
-    and single-flip tests done on every formula at once.  It does not call
-    is_pps, so it counts the pairs by a second route."""
-    abs_lits, negated = np.abs(lits), lits < 0
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for bits in range(1 << n):
-        values = Assignment.from_bits(bits, n).values
-        truth = values[abs_lits - 1] ^ negated
-        pps = truth.any(axis=2).all(axis=1)
-        for v in np.flatnonzero(values):
-            pps &= ~(truth ^ (abs_lits == v + 1)).any(axis=2).all(axis=1)
-        counts[bits] = np.count_nonzero(pps)
-    return counts
-
-
 def counting_oracle(n: int, c: float) -> dict:
     """Exhaust all formulas and assignments of a tiny instance and compare the
     exact per-signature census of locally-maximal pairs to the counting bound.
 
-    The pairs are counted twice: formula by formula with is_pps, and
-    assignment by assignment over all formulas at once; the double-count
-    identity holds when both routes agree on every assignment.
+    The pairs are counted twice: formula by formula with is_pps, and by the
+    truth-table kernel over the whole formula stack, which never calls is_pps;
+    the double-count identity holds when both routes agree on every assignment.
     """
     m = clause_count(n, c)
     if n > 3 or m > 2:
@@ -508,7 +492,7 @@ def counting_oracle(n: int, c: float) -> dict:
                 groups[sig] += 1
             else:
                 untypable += 1
-    pps_by_assignment = _pps_counts_by_assignment(all_lits, n)
+    pps_by_assignment = truth_tables(all_lits, n)[1].sum(axis=0)
     identity = bool(np.array_equal(pps_by_formula, pps_by_assignment))
     pairs = int(pps_by_formula.sum())
     records = []

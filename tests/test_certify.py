@@ -71,14 +71,19 @@ def test_certify_config_error():
 
 
 def test_interval_mode_consistent_with_float(cert, cert_iv):
-    assert cert_iv.verdict
-    rep = cert_iv.interval_report
-    assert rep["ok"]
-    assert rep["sign_failures"] == 0
-    # interval mode never contradicts float mode beyond 1e-6
-    assert abs(rep["rate_upper"] - cert.rate) < 1e-6
-    assert rep["rate_lower"] <= cert.rate <= rep["rate_upper"] + 1e-12
-    assert rep["prefactor_upper"] < 1.0 + 1e-7
+    # eps = 0 too: there every slack factor L(eta) takes its eta -> 0+ limit,
+    # which the interval ledger must enclose although eta's rounding crosses 0
+    at_zero = (cf.certify(4.506, 56, 0.0, mode="float"),
+               cf.certify(4.506, 56, 0.0, mode="interval"))
+    for float_cert, interval_cert in ((cert, cert_iv), at_zero):
+        assert interval_cert.verdict
+        rep = interval_cert.interval_report
+        assert rep["ok"]
+        assert rep["sign_failures"] == 0
+        # interval mode never contradicts float mode beyond 1e-6
+        assert abs(rep["rate_upper"] - float_cert.rate) < 1e-6
+        assert rep["rate_lower"] <= float_cert.rate <= rep["rate_upper"] + 1e-12
+        assert rep["prefactor_upper"] < 1.0 + 1e-7
 
 
 def test_certificate_json_decimal_strings(cert, tmp_path):

@@ -104,23 +104,37 @@ def test_enumerate_pps_spec_cases():
 
 def test_enumeration_guard():
     f = fl.generate(25, 1.0, seed=0)
-    with pytest.raises(GuardError):
-        fl.enumerate_pps(f)
+    for scan in (fl.enumerate_pps, fl.solution_bitmap, fl.pps_bitmap):
+        with pytest.raises(GuardError):
+            scan(f)
 
 
 def test_pps_soundness_exhaustive_small():
-    """Every reported locally maximal solution satisfies the formula and every
-    single positive-to-zero flip breaks a clause; exhaustive for n <= 3, m <= 2."""
+    """Both tables agree with the scalar predicates on every assignment of
+    every formula of the families up to (2, 2) and (3, 1): sound and complete."""
     for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
         for f in all_formulas(n, m):
             bitmap = fl.pps_bitmap(f)
             sat = fl.solution_bitmap(f)
-            for bits in np.flatnonzero(bitmap):
-                a = fl.Assignment.from_bits(int(bits), n)
-                assert fl.is_pps(f, a)
-                assert fl.satisfies(f, a)
-            # completeness at this scale: satisfiable implies some PPS
+            for bits in range(1 << n):
+                a = fl.Assignment.from_bits(bits, n)
+                assert bitmap[bits] == fl.is_pps(f, a)
+                assert sat[bits] == fl.satisfies(f, a)
+            # satisfiable implies some PPS
             assert bitmap.any() == sat.any()
+
+
+def test_truth_tables_over_leading_formula_axes():
+    # a (2, 3, m, 3) stack: each formula's tables sit at its own leading index
+    formulas = [fl.generate(6, 4.506, seed) for seed in range(6)]
+    stack = np.stack([f.lits for f in formulas]).reshape(2, 3, -1, 3)
+    sat, pps = fl.truth_tables(stack, 6)
+    assert sat.shape == pps.shape == (2, 3, 64)
+    for k, f in enumerate(formulas):
+        for bits in range(64):
+            a = fl.Assignment.from_bits(bits, 6)
+            assert sat[divmod(k, 3)][bits] == fl.satisfies(f, a)
+            assert pps[divmod(k, 3)][bits] == fl.is_pps(f, a)
 
 
 def test_pps_soundness_exhaustive_3_2_via_bitmap_vs_direct(rng):

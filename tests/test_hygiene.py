@@ -1,6 +1,7 @@
 """Source hygiene checks on the typsat package, by static scan of its modules."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,31 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names used under a node: loads, attributes, imports and exact-name
+    strings (the benchmark tracer wraps functions by name)."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            refs.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs[node.value] += 1
+    return refs
+
+
+def test_every_top_level_definition_is_referenced():
+    """Each top-level function and class is used outside its own body
+    somewhere in src/, tests/, demos/ or perfbench/."""
+    root = Path(__file__).resolve().parents[1]
+    files = [p for d in ("src", "tests", "demos", "perfbench") for p in (root / d).rglob("*.py")]
+    total = sum((_references(ast.parse(p.read_text(), filename=str(p))) for p in files), Counter())
+    definitions = [node for path in MODULES for node in ast.parse(path.read_text()).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    orphans = [d.name for d in definitions if total[d.name] == _references(d)[d.name]]
+    assert sorted(orphans) == []
