@@ -30,10 +30,12 @@ rect = trace.rectangle
 print(f"   witness sequences: K = {trace.K}, L = {trace.L}")
 print(f"   confining rectangle: [{rect[0]:.8f}, {rect[1]:.8f}] x [{rect[2]:.8f}, {rect[3]:.8f}]")
 report = verify_exclusion(trace, eq1f, eq2f, box)
-print(f"   independent re-verification: {report.checks} sign checks, ok = {report.ok}")
+print(f"   independent re-verification: {report.checks} sign checks, ok = {report.ok}, "
+      f"smallest margin {report.min_margin:.3e}")
 system_iv = EqSystem.build(params, consts, mode="interval")
 report_iv = verify_exclusion(trace, system_iv.eq1, system_iv.eq2, box)
-print(f"   the same checks outward-rounded: {report_iv.checks} sign checks, ok = {report_iv.ok}")
+print(f"   the same checks outward-rounded: {report_iv.checks} sign checks, ok = {report_iv.ok}, "
+      f"smallest margin {report_iv.min_margin:.3e}")
 
 print()
 print("-- reference root (sanity oracle, never feeds the certificate) " + "-" * 6)

@@ -3,10 +3,10 @@
 Every elementary operation rounds its lower endpoint down and its upper
 endpoint up, so the enclosure property is preserved through arbitrary
 compositions.  IEEE 754 guarantees correct rounding for +, -, *, / and sqrt,
-so one `nextafter` step outward is enough there.  exp and log go through
-libm, which is accurate to about 1 ulp on mainstream platforms but carries no
-formal guarantee; those results are widened by ``LIBM_ULPS`` ulps per side
-(tests cross-check the enclosures against 50-digit mpmath values).
+so one ulp outward (`next_down`, `next_up`) is enough there.  exp and log go
+through libm, which is accurate to about 1 ulp on mainstream platforms but
+carries no formal guarantee; those results are widened by ``LIBM_ULPS`` ulps
+per side (tests cross-check the enclosures against 50-digit mpmath values).
 
 An :class:`Interval` holds either scalar endpoints or numpy arrays of
 endpoints; all operations broadcast the same way numpy does.  Mixing with
@@ -24,28 +24,38 @@ from .errors import DomainError
 
 LIBM_ULPS = 4
 
-_NEG_INF = -math.inf
-_POS_INF = math.inf
+_ADD = np.add.reduce
 
 
-def _dn(x):
-    return np.nextafter(x, _NEG_INF)
+def _step(x, k: int):
+    """x moved |k| ulps toward +inf (k > 0) or -inf (k < 0), elementwise.
+
+    Bit-identical to |k| calls of ``np.nextafter``, at a fraction of their
+    cost: on the int64 view of a float64 the low 63 bits are the magnitude,
+    so a step toward +inf is +1 on the bit pattern of a positive value and
+    -1 on that of a negative one.  A step that would cross 0 or go past an
+    infinity lands on a NaN pattern; those entries, and NaN inputs, go
+    through ``nextafter`` itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    bits = x.view(np.int64)
+    y = (bits + (k - ((bits >> 63) & (2 * k)))).view(np.float64)
+    if math.isnan(_ADD(x - y, axis=None)):
+        edge, toward = x, math.copysign(math.inf, k)
+        for _ in range(abs(k)):
+            edge = np.nextafter(edge, toward)
+        y = np.where(np.isnan(x - y), edge, y)
+    return y[()]
 
 
-def _up(x):
-    return np.nextafter(x, _POS_INF)
+def next_down(x, k: int = 1):
+    """x rounded k ulps toward -inf (the outward step of a lower endpoint)."""
+    return _step(x, -k)
 
 
-def _dn_k(x, k):
-    for _ in range(k):
-        x = np.nextafter(x, _NEG_INF)
-    return x
-
-
-def _up_k(x, k):
-    for _ in range(k):
-        x = np.nextafter(x, _POS_INF)
-    return x
+def next_up(x, k: int = 1):
+    """x rounded k ulps toward +inf (the outward step of an upper endpoint)."""
+    return _step(x, k)
 
 
 class Interval:
@@ -83,8 +93,8 @@ class Interval:
         if Fraction(f) == v:
             return cls(f, f)
         if Fraction(f) < v:
-            return cls(f, float(np.nextafter(f, _POS_INF)))
-        return cls(float(np.nextafter(f, _NEG_INF)), f)
+            return cls(f, float(next_up(f)))
+        return cls(float(next_down(f)), f)
 
     # -- views -------------------------------------------------------------
 
@@ -126,7 +136,7 @@ class Interval:
 
     def __add__(self, other):
         blo, bhi = self._coerce(other)
-        return Interval._ordered(_dn(self.lo + blo), _up(self.hi + bhi))
+        return Interval._ordered(next_down(self.lo + blo), next_up(self.hi + bhi))
 
     __radd__ = __add__
 
@@ -135,11 +145,11 @@ class Interval:
 
     def __sub__(self, other):
         blo, bhi = self._coerce(other)
-        return Interval._ordered(_dn(self.lo - bhi), _up(self.hi - blo))
+        return Interval._ordered(next_down(self.lo - bhi), next_up(self.hi - blo))
 
     def __rsub__(self, other):
         blo, bhi = self._coerce(other)
-        return Interval._ordered(_dn(blo - self.hi), _up(bhi - self.lo))
+        return Interval._ordered(next_down(blo - self.hi), next_up(bhi - self.lo))
 
     def __mul__(self, other):
         blo, bhi = self._coerce(other)
@@ -149,13 +159,13 @@ class Interval:
         p4 = self.hi * bhi
         lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
         hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return Interval._ordered(_dn(lo), _up(hi))
+        return Interval._ordered(next_down(lo), next_up(hi))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         blo, bhi = self._coerce(other)
-        if not (np.all(blo > 0.0) or np.all(bhi < 0.0)):
+        if not np.all((blo > 0.0) | (bhi < 0.0)):
             raise ZeroDivisionError("interval division by a set containing 0")
         p1 = self.lo / blo
         p2 = self.lo / bhi
@@ -163,7 +173,7 @@ class Interval:
         p4 = self.hi / bhi
         lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
         hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return Interval._ordered(_dn(lo), _up(hi))
+        return Interval._ordered(next_down(lo), next_up(hi))
 
     def __rtruediv__(self, other):
         blo, bhi = self._coerce(other)
@@ -172,33 +182,36 @@ class Interval:
     # -- elementary functions ------------------------------------------------
 
     def exp(self) -> "Interval":
-        return Interval._ordered(_dn_k(np.exp(self.lo), LIBM_ULPS),
-                                _up_k(np.exp(self.hi), LIBM_ULPS))
+        return Interval._ordered(next_down(np.exp(self.lo), LIBM_ULPS),
+                                 next_up(np.exp(self.hi), LIBM_ULPS))
 
     def log(self) -> "Interval":
         if not np.all(self.lo > 0.0):
             raise DomainError(f"log of an interval reaching down to {self.lower()}")
-        return Interval._ordered(_dn_k(np.log(self.lo), LIBM_ULPS),
-                                _up_k(np.log(self.hi), LIBM_ULPS))
+        return Interval._ordered(next_down(np.log(self.lo), LIBM_ULPS),
+                                 next_up(np.log(self.hi), LIBM_ULPS))
 
     def sqrt(self) -> "Interval":
         if not np.all(self.lo >= 0.0):
             raise DomainError("sqrt of an interval reaching below 0")
-        return Interval(_dn(np.sqrt(self.lo)), _up(np.sqrt(self.hi)))
+        return Interval(next_down(np.sqrt(self.lo)), next_up(np.sqrt(self.hi)))
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self) -> "Interval":
-        """Enclosure of the exact sum of all entries (rigorous rounding slack)."""
+    def sum(self, axis=None) -> "Interval":
+        """Enclosure of the exact sum of all entries, or of each row along `axis`.
+
+        Each sum is widened by the rounding slack (n-1) u sum|t| of its n
+        terms, times 1.125 for the slack's own rounding.
+        """
         if self.lo.ndim == 0:
-            return Interval(float(self.lo), float(self.hi))
-        n = self.lo.size
+            return self
+        n = self.lo.size if axis is None else self.lo.shape[axis]
         eps = np.finfo(np.float64).eps
-        slack_lo = (n - 1) * eps * float(np.sum(np.abs(self.lo))) * 1.125
-        slack_hi = (n - 1) * eps * float(np.sum(np.abs(self.hi))) * 1.125
-        lo = _dn(float(np.sum(self.lo)) - slack_lo)
-        hi = _up(float(np.sum(self.hi)) + slack_hi)
-        return Interval(float(lo), float(hi))
+        slack_lo = (n - 1) * eps * np.sum(np.abs(self.lo), axis=axis) * 1.125
+        slack_hi = (n - 1) * eps * np.sum(np.abs(self.hi), axis=axis) * 1.125
+        return Interval._ordered(next_down(np.sum(self.lo, axis=axis) - slack_lo),
+                                 next_up(np.sum(self.hi, axis=axis) + slack_hi))
 
 
 # -- generic dispatchers (shared formula code runs on floats or intervals) ----
@@ -234,17 +247,26 @@ def log_of_int(n, as_interval: bool):
     if not as_interval:
         return float(r) if r.ndim == 0 else r
     exact = r == 0.0
-    return Interval(np.where(exact, 0.0, _dn_k(r, LIBM_ULPS)),
-                    np.where(exact, 0.0, _up_k(r, LIBM_ULPS)))
+    return Interval(np.where(exact, 0.0, next_down(r, LIBM_ULPS)),
+                    np.where(exact, 0.0, next_up(r, LIBM_ULPS)))
 
 
-def xsum(z):
-    """Compensated sum: math.fsum for float arrays, rigorous sum for intervals."""
+def xsum(z, axis=None):
+    """Compensated sum of all entries, or of each row along `axis`.
+
+    Floats are summed exactly rounded (math.fsum, row by row along an
+    axis); Intervals get the rigorous enclosure of `Interval.sum`.
+    """
     if isinstance(z, Interval):
-        return z.sum()
-    if np.ndim(z) == 0:
+        return z.sum(axis)
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim == 0:
         return float(z)
-    return math.fsum(np.asarray(z, dtype=np.float64).tolist())
+    if axis is None or z.ndim == 1:
+        return math.fsum(z.ravel().tolist())
+    rows = np.moveaxis(z, axis, -1)
+    sums = [math.fsum(row) for row in rows.reshape(-1, rows.shape[-1]).tolist()]
+    return np.array(sums).reshape(rows.shape[:-1])
 
 
 def upper(z) -> float:

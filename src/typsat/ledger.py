@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .distribution import big_d, p2, p3, rho_tail
 from .errors import ConfigurationError, DomainError
-from .intervals import Interval, log_of_int, lower, upper, xexp, xlog, xlog1p
+from .intervals import (Interval, log_of_int, lower, next_down, next_up, upper, xexp, xlog,
+                        xlog1p)
 
 
 def point_fields(phi, beta1):
@@ -82,8 +83,7 @@ def _L_or_limit(eta):
 def euler(as_interval: bool):
     """Euler's number e, as a two-ulp enclosure when as_interval."""
     if as_interval:
-        import numpy as np
-        return Interval(float(np.nextafter(math.e, 0.0)), float(np.nextafter(math.e, 4.0)))
+        return Interval(next_down(math.e), next_up(math.e))
     return math.e
 
 

@@ -214,7 +214,8 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
             report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
             cert.trace_verified = report.ok
             cert.stage("verify_exclusion", report.ok,
-                       f"{report.checks} sign checks, {len(report.failures)} failures")
+                       f"{report.checks} sign checks, {len(report.failures)} failures, "
+                       f"min margin {report.min_margin:.3e}")
         except TraceStructureError as exc:
             cert.stage("verify_exclusion", False, str(exc))
     else:
@@ -273,6 +274,7 @@ def _interval_pass(cert: Certificate, params: ModelParams, consts, trace) -> dic
         "unbalancing_excess_upper": upper(budget_iv.unbalancing_excess),
         "sign_checks": report.checks,
         "sign_failures": len(report.failures),
+        "min_sign_margin": report.min_margin,
         "rate_upper": upper(rate_iv),
         "rate_lower": lower(rate_iv),
     }

@@ -94,7 +94,8 @@ class EqSystem:
     takes the tables from build_tables; interval mode encloses them from the
     exact decimal density, so eq1, eq2 and the rectangle rate bound run the
     same code outward-rounded.  Evaluation points are exact floats in both
-    modes.
+    modes; eq1 and eq2 also take equal-shape arrays of them and return one
+    value per point, broadcasting the points against the cells.
     """
 
     mode: str
@@ -169,9 +170,15 @@ def _logs(U, V):
     return xlog(U) - log_v, log_v
 
 
+def _col(z):
+    """z with a trailing length-1 axis, so a point (or a points axis) broadcasts
+    against the cell arrays."""
+    return z[..., None] if isinstance(z, Interval) else np.asarray(z)[..., None]
+
+
 def _eq1_core(phi, log_uv, log_v, lam, k_tilde, kt, w, p):
-    E = cell_excess(log_uv, log_v, w, p)
-    return k_tilde - lam * phi - xsum(kt * w * (1.0 - 1.0 / (1.0 + E)))
+    E = cell_excess(_col(log_uv), _col(log_v), w, p)
+    return k_tilde - lam * phi - xsum(kt * w * (1.0 - 1.0 / (1.0 + E)), axis=-1)
 
 
 def eq1(pt: PhiBetaPoint, system: EqSystem, *, include_diagonal: bool = False):
@@ -182,15 +189,17 @@ def eq1(pt: PhiBetaPoint, system: EqSystem, *, include_diagonal: bool = False):
 
 
 def _eq2_core_mod2(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
+    log_uv, log_v, v = _col(log_uv), _col(log_v), _col(V)
     E = cell_excess(log_uv, log_v, w, p)
     vp_minus_1 = xexp(p * log_v) - 1.0
-    terms = p * kt * ((V - 1.0) / (V * vp_minus_1)) * (1.0 - 1.0 / (1.0 + E))
-    return -beta1 * c + lam * phi * (1.0 - 1.0 / V) + xsum(terms)
+    terms = p * kt * ((v - 1.0) / (v * vp_minus_1)) * (1.0 - 1.0 / (1.0 + E))
+    return -beta1 * c + lam * phi * (1.0 - 1.0 / V) + xsum(terms, axis=-1)
 
 
 def _eq2_core_eqb1(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
+    log_uv, log_v = _col(log_uv), _col(log_v)
     d = 1.0 + cell_excess(log_uv, log_v, w, p)
-    s = xsum(kt * (p * xexp(w * log_uv) + (w + p)) / d)
+    s = xsum(kt * (p * xexp(w * log_uv) + (w + p)) / d, axis=-1)
     return -beta1 * c + ((V - 1.0) / V) * s
 
 

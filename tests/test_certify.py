@@ -7,7 +7,7 @@ import pytest
 from typsat import pipeline as cf
 from typsat import formulas as fl
 from typsat.errors import ConfigurationError, GuardError
-from typsat.params import ModelParams
+from typsat.params import DELTA_NUM, ModelParams
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,15 @@ def test_interval_mode_consistent_with_float(cert, cert_iv):
         assert abs(rep["rate_upper"] - float_cert.rate) < 1e-6
         assert rep["rate_lower"] <= float_cert.rate <= rep["rate_upper"] + 1e-12
         assert rep["prefactor_upper"] < 1.0 + 1e-7
+
+
+def test_sign_margin_reported(cert, cert_iv):
+    # the smallest sign margin is a number in both modes; the outward-rounded
+    # one can only sit below the float one
+    detail = next(s["detail"] for s in cert.stages if s["name"] == "verify_exclusion")
+    assert detail.startswith("234 sign checks, 0 failures, min margin ")
+    margin_iv = cert_iv.interval_report["min_sign_margin"]
+    assert DELTA_NUM < margin_iv <= float(detail.rsplit(" ", 1)[1]) * (1 + 1e-3)
 
 
 def test_certificate_json_decimal_strings(cert, tmp_path):

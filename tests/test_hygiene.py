@@ -55,3 +55,11 @@ def test_every_top_level_definition_is_referenced():
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     orphans = [d.name for d in definitions if total[d.name] == _references(d)[d.name]]
     assert sorted(orphans) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_outward_rounding_lives_in_intervals(path):
+    """Only `intervals` steps floats by ulps; every other module goes through
+    its `next_down`/`next_up`."""
+    if path.name != "intervals.py":
+        assert "nextafter" not in path.read_text()

@@ -1,9 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from typsat.intervals import Interval, log_of_int, xexp, xlog, xsum
+from typsat.intervals import (LIBM_ULPS, Interval, log_of_int, next_down, next_up, xexp, xlog,
+                              xsum)
+
+DBL_MAX = np.finfo(np.float64).max
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 2e-323, -2e-323,
+                        2.2250738585072014e-308, -2.2250738585072014e-308, 1e-310, -1e-310,
+                        1.0, -1.0, DBL_MAX, -DBL_MAX, np.nextafter(DBL_MAX, 0.0),
+                        -np.nextafter(DBL_MAX, 0.0), np.inf, -np.inf, np.nan])
 
 
 def test_from_decimal_encloses_exact_value():
@@ -29,6 +37,45 @@ def test_arithmetic_enclosure_random(rng):
 def test_division_by_zero_crossing_interval():
     with pytest.raises(ZeroDivisionError):
         Interval(1.0) / Interval(-1.0, 1.0)
+    with pytest.raises(ZeroDivisionError):  # one entry of an array divisor contains 0
+        Interval([1.0, 1.0]) / Interval([1.0, -1.0], [2.0, 1.0])
+    with pytest.raises(ZeroDivisionError):
+        2.0 / Interval([1.0, 0.0], [2.0, 1.0])
+
+
+def test_division_by_entries_of_mixed_sign():
+    # each divisor entry excludes 0, but they are not all of one sign
+    q = Interval([1.0, 1.0]) / Interval([1.0, -2.0], [2.0, -1.0])
+    assert q.contains(np.array([1.0, -1.0])) and q.contains(np.array([0.5, -0.5]))
+    assert q.lo[1] <= -1.0 and q.hi[1] >= -0.5
+    r = 3.0 / Interval([1.0, -2.0], [2.0, -1.0])
+    assert r.contains(np.array([1.5, -3.0])) and r.contains(np.array([3.0, -1.5]))
+
+
+def _nextafter_k(x, k, toward):
+    with np.errstate(all="ignore"):
+        for _ in range(k):
+            x = np.nextafter(x, toward)
+    return x
+
+
+@pytest.mark.parametrize("k", [1, LIBM_ULPS])
+def test_outward_step_matches_nextafter_bit_for_bit(k, rng):
+    patterns = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=100_000,
+                            dtype=np.int64, endpoint=True)
+    subnormals = np.arange(0, 64, dtype=np.int64)
+    for x in (EDGE_VALUES, patterns.view(np.float64), subnormals.view(np.float64),
+              -subnormals.view(np.float64)):
+        for step, toward in ((next_down, -math.inf), (next_up, math.inf)):
+            with np.errstate(all="ignore"):
+                got = np.asarray(step(x, k))
+            assert np.array_equal(got.view(np.int64), _nextafter_k(x, k, toward).view(np.int64))
+    for v in EDGE_VALUES:  # the same step on scalars
+        for step, toward in ((next_down, -math.inf), (next_up, math.inf)):
+            with np.errstate(all="ignore"):
+                got = np.asarray(step(float(v), k))
+            assert got.shape == ()
+            assert got.view(np.int64) == np.asarray(_nextafter_k(v, k, toward)).view(np.int64)
 
 
 def test_transcendentals_contain_mpmath_values(rng):
@@ -61,6 +108,30 @@ def test_array_sum_encloses_fsum(rng):
     iv = Interval(vals, vals)
     s = iv.sum()
     assert s.contains(math.fsum(vals.tolist()))
+
+
+def test_row_sums_enclose_exact_fraction_sums(rng):
+    rows = rng.standard_normal((6, 300)) * np.logspace(-6, 6, 300)
+    rows[1] = np.concatenate([rows[0, :150], -rows[0, :150]])  # cancels to exactly 0
+    rows[2, 1::2] = -rows[2, ::2] * (1.0 + 2.0 ** -40)           # near-cancelling pairs
+    widths = rng.uniform(0.0, 1e-9, rows.shape) * np.abs(rows)
+    iv = Interval(rows - widths, rows + widths)
+    sums = iv.sum(axis=-1)
+    assert sums.lo.shape == (6,)
+    for i in range(rows.shape[0]):
+        lo_exact = sum(Fraction(float(v)) for v in iv.lo[i])
+        hi_exact = sum(Fraction(float(v)) for v in iv.hi[i])
+        assert Fraction(float(sums.lo[i])) <= lo_exact and hi_exact <= Fraction(float(sums.hi[i]))
+        whole = iv[i].sum()
+        assert sums.lo[i] == whole.lo and sums.hi[i] == whole.hi
+    assert xsum(iv, axis=-1).lo.tolist() == sums.lo.tolist()
+
+
+def test_float_row_sums_are_exactly_rounded(rng):
+    rows = rng.standard_normal((4, 200)) * np.logspace(-8, 8, 200)
+    got = xsum(rows, axis=-1)
+    assert got.tolist() == [math.fsum(r) for r in rows.tolist()]
+    assert xsum(rows[0], axis=-1) == math.fsum(rows[0].tolist())
 
 
 def test_mixed_scalar_array_broadcast():

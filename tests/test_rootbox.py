@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import SingularPointError, SpiralSeedError, TraceStructureError
+from typsat.intervals import Interval, lower
 from typsat.ledger import FeasibleBox
 from typsat.params import DELTA_NUM, WIDTH_TARGET
 
@@ -230,3 +233,80 @@ def test_trace_serialization_roundtrip(trace, system, box):
     import json
     again = rb.ExclusionTrace.from_jsonable(json.loads(trace.dumps()))
     assert again.phi_minus == trace.phi_minus
+
+
+@pytest.fixture(scope="module", params=["float", "interval"])
+def system_any(request, params, consts):
+    return st.EqSystem.build(params, consts, mode=request.param)
+
+
+def per_point_checks(trace, eq1f, eq2f):
+    """The trace's sign checks one scalar evaluation at a time, as the
+    re-verification did before it was batched: (failures, smallest margin)."""
+    pm, bp, pp, bm = trace.phi_minus, trace.beta_plus, trace.phi_plus, trace.beta_minus
+    claims = ([("eq1_minus", i, pm[i], bp[i], +1) for i in range(len(pm))]
+              + [("eq2_minus", i, pm[i], bp[i + 1], -1) for i in range(len(pm) - 1)]
+              + [("eq1_plus", j, pp[j], bm[j], -1) for j in range(len(pp))]
+              + [("eq2_plus", j, pp[j], bm[j + 1], +1) for j in range(len(pp) - 1)])
+    failures, lows = [], []
+    for family, i, phi, beta1, sign in claims:
+        fn = eq1f if family.startswith("eq1") else eq2f
+        try:
+            val = fn(phi, beta1)
+        except SingularPointError as exc:
+            failures.append((family, i, str(exc)))
+            continue
+        lows.append(lower(sign * val))
+        if not lows[-1] > DELTA_NUM:
+            failures.append((family, i, None))
+    return failures, min(lows)
+
+
+def _as_tuples(failures):
+    return [(f["family"], f["index"], f.get("error")) for f in failures]
+
+
+def test_batched_equations_match_per_point(system_any, trace):
+    claims = rb._sign_claims(trace)
+    for fn in (system_any.eq1, system_any.eq2):
+        phis = np.array([c[2] for c in claims])
+        betas = np.array([c[3] for c in claims])
+        batched = fn(phis, betas)
+        for k, (phi, beta1) in enumerate(zip(phis.tolist(), betas.tolist())):
+            single = fn(phi, beta1)
+            if isinstance(single, Interval):
+                assert (batched.lo[k], batched.hi[k]) == (single.lo, single.hi)
+            else:
+                assert batched[k] == single
+
+
+def test_min_margin_is_the_per_point_minimum(system_any, trace, box):
+    report = rb.verify_exclusion(trace, system_any.eq1, system_any.eq2, box)
+    failures, smallest = per_point_checks(trace, system_any.eq1, system_any.eq2)
+    assert report.ok and failures == []
+    assert report.checks == 2 * (trace.K + trace.L) + 2
+    assert report.min_margin == smallest
+    assert report.min_margin > DELTA_NUM
+
+
+def test_singular_point_fails_only_its_own_check(system_any, trace, box):
+    # new anchors ahead of both arms: the minus one has Y = 3 phi - beta1 < 0
+    # (Eq1 and Eq2 both singular); the plus one puts Eq2's point on
+    # beta2 = 1e-9, where V rounds to 1
+    phi_far = (3.0 - 2.0 * trace.beta_minus[0] - 1e-9) / 3.0
+    bad = rb.ExclusionTrace(phi_minus=[0.1] + trace.phi_minus,
+                            beta_plus=[0.6] + trace.beta_plus,
+                            phi_plus=[phi_far] + trace.phi_plus,
+                            beta_minus=[0.3] + trace.beta_minus)
+    domain = dataclasses.replace(box, phi_min=0.1, beta1_max=0.6,
+                                 phi_max=phi_far, beta1_min=0.3)
+    report = rb.verify_exclusion(bad, system_any.eq1, system_any.eq2, domain)
+    failures, smallest = per_point_checks(bad, system_any.eq1, system_any.eq2)
+    assert _as_tuples(report.failures) == failures
+    errors = {(f["family"], f["index"]): f["error"] for f in report.failures if f["error"]}
+    assert set(errors) == {("eq1_minus", 0), ("eq2_minus", 0), ("eq2_plus", 0)}
+    assert "U/V undefined" in errors[("eq1_minus", 0)]
+    assert "V > 1" in errors[("eq2_plus", 0)]
+    assert all(f["value"] is None for f in report.failures if f["error"])
+    assert report.checks == 2 * (bad.K + bad.L) + 2
+    assert report.min_margin == smallest  # every other check was evaluated
