@@ -30,10 +30,10 @@ _ADD = np.add.reduce
 def _step(x, k: int):
     """x moved |k| ulps toward +inf (k > 0) or -inf (k < 0), elementwise.
 
-    Bit-identical to |k| calls of ``np.nextafter``, at a fraction of their
-    cost: on the int64 view of a float64 the low 63 bits are the magnitude,
-    so a step toward +inf is +1 on the bit pattern of a positive value and
-    -1 on that of a negative one.  A step that would cross 0 or go past an
+    Bit-identical to |k| calls of ``np.nextafter`` and, on large arrays,
+    about half the cost of one: on the int64 view of a float64 the low 63
+    bits are the magnitude, so a step toward +inf is +1 on the bit pattern
+    of a positive value and -1 on that of a negative one.  A step that would cross 0 or go past an
     infinity lands on a NaN pattern; those entries, and NaN inputs, go
     through ``nextafter`` itself.
     """
