@@ -11,10 +11,8 @@ below 1, with every finite-size error factor accounted for in a ledger.
 from .pipeline import Certificate, certify, counting_oracle, emit_curves, empirical_report, replay
 from .distribution import (DerivedConstants, OccurrenceTable, build_tables,
                            kappa, kappa_tilde)
-from .formulas import (Assignment, Formula, binomial_large_deviation,
-                       count_unbalanced, enumerate_pps, generate, is_pps,
-                       measure_omega, obeys, totally_unbalanced_representative,
-                       variable_type)
+from .formulas import (Assignment, Formula, binomial_large_deviation, generate, is_pps,
+                       measure_omega, totally_unbalanced_representative, variable_type)
 from .intervals import Interval
 from .ledger import ErrorBudget, FeasibleBox, build_budget, widen_intervals
 from .params import CERTIFICATION_BOX, DELTA_NUM, ModelParams
@@ -29,10 +27,10 @@ __all__ = [
     "DerivedConstants", "EqSystem", "ErrorBudget", "ExclusionTrace", "FeasibleBox",
     "Formula", "Interval", "ModelParams", "MuTable", "OccurrenceTable",
     "PhiBetaPoint", "binomial_large_deviation", "build_budget", "build_tables",
-    "certify", "count_unbalanced", "counting_oracle", "derive_point",
-    "emit_curves", "empirical_report", "enumerate_pps", "eq1", "eq2", "g2",
+    "certify", "counting_oracle", "derive_point",
+    "emit_curves", "empirical_report", "eq1", "eq2", "g2",
     "generate", "gradient_f1", "is_pps", "kappa", "kappa_tilde",
-    "measure_omega", "mu_closed_form", "objective_f1", "obeys",
+    "measure_omega", "mu_closed_form", "objective_f1",
     "replay", "solve_reference", "spiral_localize",
     "totally_unbalanced_representative", "variable_type", "verify_exclusion",
     "widen_intervals",

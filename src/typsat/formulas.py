@@ -60,8 +60,20 @@ class Assignment:
     def from_bits(cls, bits: int, n: int) -> "Assignment":
         return cls(np.array([(bits >> k) & 1 for k in range(n)], dtype=bool))
 
-    def literal_truth(self, lits: np.ndarray) -> np.ndarray:
-        return self.values[np.abs(lits) - 1] ^ (lits < 0)
+
+def literal_truth(lits, values) -> np.ndarray:
+    """Cell truth values[|l| - 1] ^ (l < 0), shape (..., m, 3).
+
+    lits (..., m, 3) and bool values (..., n) broadcast over their leading axes.
+    """
+    lits, values = np.asarray(lits), np.asarray(values, dtype=bool)
+    idx = np.abs(lits) - 1
+    if values.ndim == 1 or lits.ndim == 2:  # one side has no leading axes
+        return values[..., idx] ^ (lits < 0)
+    pad = values.ndim - (lits.ndim - 1)  # gather along one axis of equal rank
+    cells = np.take_along_axis(values.reshape((1,) * -pad + values.shape),
+                               idx.reshape((1,) * pad + lits.shape[:-2] + (-1,)), axis=-1)
+    return cells.reshape(cells.shape[:-1] + lits.shape[-2:]) ^ (lits < 0)
 
 
 def generate(n: int, c: float, seed) -> Formula:
@@ -80,26 +92,58 @@ def generate(n: int, c: float, seed) -> Formula:
     return Formula(n=n, lits=variables * signs, seed=seed)
 
 
-def satisfies(formula: Formula, assignment: Assignment) -> bool:
-    truth = assignment.literal_truth(formula.lits)
-    return bool(truth.any(axis=1).all())
+def _operands(formula, assignment) -> tuple[np.ndarray, np.ndarray]:
+    """(lits, values) of a Formula and an Assignment, or of a literal array
+    (..., m, 3) and a bool value array (..., n)."""
+    values = np.asarray(getattr(assignment, "values", assignment), dtype=bool)
+    n = values.shape[-1]
+    if isinstance(formula, Formula):
+        if formula.n != n:
+            raise DomainError("assignment length does not match the formula")
+        return formula.lits, values
+    lits = np.asarray(formula)
+    if lits.size and (np.any(lits == 0) or np.abs(lits).max() > n):
+        raise DomainError("literals must be nonzero and within 1..n")
+    return lits, values
 
 
-def is_pps(formula: Formula, assignment: Assignment) -> bool:
+def _touches(lits: np.ndarray, n: int) -> np.ndarray:
+    """(..., n, m, 3) table: does the cell hold variable v (axis -3, v = 1..n)?"""
+    return np.abs(lits)[..., None, :, :] == np.arange(1, n + 1)[:, None, None]
+
+
+def _scalar(result):
+    return bool(result) if np.ndim(result) == 0 else result
+
+
+def _all_clauses_true(truth: np.ndarray) -> np.ndarray:
+    """(...) table of cell truths (..., m, 3): does every clause hold a true cell?"""
+    return (truth[..., 0] | truth[..., 1] | truth[..., 2]).all(axis=-1)
+
+
+def satisfies(formula, assignment):
+    """Does the assignment satisfy every clause?  On arrays, one bool per
+    broadcast (formula, assignment) pair."""
+    lits, values = _operands(formula, assignment)
+    return _scalar(_all_clauses_true(literal_truth(lits, values)))
+
+
+def is_pps(formula, assignment):
     """True iff the assignment satisfies the formula and every variable at 1
-    is pinned: flipping it alone to 0 unsatisfies some clause."""
-    if len(assignment.values) != formula.n:
-        raise DomainError("assignment length does not match the formula")
-    truth = assignment.literal_truth(formula.lits)
-    if not truth.any(axis=1).all():
-        return False
-    abs_lits = np.abs(formula.lits)
-    for v in np.flatnonzero(assignment.values):
-        touches = abs_lits == v + 1
-        flipped = truth ^ touches
-        if flipped.any(axis=1).all():
-            return False  # still satisfied after the flip: not locally maximal
-    return True
+    is pinned: flipping it alone to 0 unsatisfies some clause.
+
+    Takes a Formula and an Assignment, or lits (..., m, 3) and values
+    (..., n) broadcasting over leading axes (one bool per pair).  Each
+    variable's flip re-tests satisfaction with the cells it touches negated.
+    """
+    lits, values = _operands(formula, assignment)
+    truth = literal_truth(lits, values)
+    sat = _all_clauses_true(truth)
+    if not sat.any():  # no solution, nothing to flip
+        return _scalar(sat)
+    flipped = truth[..., None, :, :] ^ _touches(lits, values.shape[-1])
+    still_sat = _all_clauses_true(flipped)  # (..., n): the flip keeps a solution
+    return _scalar(sat & ~(values & still_sat).any(axis=-1))
 
 
 def truth_tables(lits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +154,7 @@ def truth_tables(lits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     table is the OR of its three literal columns, and the clauses are ANDed
     one at a time.  A solution is locally maximal when clearing any one of
     its set bits gives a non-solution.  satisfies, is_pps and variable_type
-    do not call this: they are the scalar oracles it is tested against.
+    do not call this: they are the independent oracles it is tested against.
     """
     if n > ENUMERATION_GUARD:
         raise GuardError(f"refusing exhaustive scan for n = {n} > {ENUMERATION_GUARD}")
@@ -139,11 +183,6 @@ def solution_bitmap(formula: Formula) -> np.ndarray:
 def pps_bitmap(formula: Formula) -> np.ndarray:
     """Boolean table of positively prime solutions over all 2^n assignments."""
     return truth_tables(formula.lits, formula.n)[1]
-
-
-def enumerate_pps(formula: Formula) -> int:
-    """Exact count of positively prime solutions (plain 2^n scan, guard at 24)."""
-    return int(np.count_nonzero(pps_bitmap(formula)))
 
 
 @dataclass(frozen=True)
@@ -176,42 +215,29 @@ def measure_omega(formula: Formula, x_cap: int) -> MeasuredOmega:
     )
 
 
-def obeys(formula: Formula, table, eps: float, x_cap: int) -> bool:
-    """Does every cell proportion fall within eps of the table mass?"""
-    measured = measure_omega(formula, x_cap)
-    props = measured.proportions()
-    for x in range(x_cap + 1):
-        for p in range(x + 1):
-            target = table.value(x, p) if hasattr(table, "value") else table[x][p]
-            if not (target - eps <= props[x, p] <= target + eps):
-                return False
-    return True
-
-
-def variable_type(formula: Formula, assignment: Assignment, v: int) -> tuple[int, int, int]:
+def variable_type(formula, assignment, v: int | None = None):
     """Type (x, p, j) of variable v relative to a solution.
 
     |p - j| counts the occurrences of v that uniquely satisfy a clause with
     exactly one true cell; the sign of p - j encodes the variable's value.
+    Without v, every variable's type at once: an (..., n, 3) int array, also
+    for lits (..., m, 3) and values (..., n) broadcasting over leading axes.
     """
-    if not (1 <= v <= formula.n):
+    lits, values = _operands(formula, assignment)
+    n = values.shape[-1]
+    if v is not None and not (1 <= v <= n):
         raise DomainError(f"variable index {v} out of range")
-    truth = assignment.literal_truth(formula.lits)
-    if not truth.any(axis=1).all():
+    truth = literal_truth(lits, values)
+    if not _all_clauses_true(truth).all():
         raise DomainError("variable types are defined relative to a solution")
-    abs_lits = np.abs(formula.lits)
-    x = int(np.count_nonzero(abs_lits == v))
-    p = int(np.count_nonzero(formula.lits == v))
-    single = truth.sum(axis=1) == 1
-    unique_sat = int(np.count_nonzero(truth[single] & (abs_lits[single] == v)))
-    j = p - unique_sat if assignment.values[v - 1] else p + unique_sat
-    return x, p, j
-
-
-def count_unbalanced(formula: Formula) -> int:
-    """Variables with unequal positive and negative occurrence counts."""
-    total, pos = formula.occurrence_counts()
-    return int(np.count_nonzero(2 * pos != total))
+    touches = _touches(lits, n)
+    x = touches.sum(axis=(-2, -1))
+    p = (touches & (lits > 0)[..., None, :, :]).sum(axis=(-2, -1))
+    unique = truth & (truth.sum(axis=-1, keepdims=True) == 1)  # sole true cell of its clause
+    unique_sat = (touches & unique[..., None, :, :]).sum(axis=(-2, -1))
+    j = np.where(values, p - unique_sat, p + unique_sat)
+    types = np.stack(np.broadcast_arrays(x, p, j), axis=-1)
+    return types if v is None else tuple(int(t) for t in types[v - 1])
 
 
 def totally_unbalanced_representative(formula: Formula) -> Formula:
@@ -228,12 +254,6 @@ def pure_negative_vars(formula: Formula) -> np.ndarray:
     """0-indexed variables that occur and only negatively."""
     total, pos = formula.occurrence_counts()
     return np.flatnonzero((total > 0) & (pos == 0))
-
-
-def is_nps(formula: Formula, assignment: Assignment) -> bool:
-    """Symmetric notion (no variable at 0 flippable to 1): a sign-flip wrapper."""
-    flipped = Formula(n=formula.n, lits=-formula.lits, seed=formula.seed)
-    return is_pps(flipped, Assignment(~assignment.values))
 
 
 # -- large-deviation budget -----------------------------------------------------
@@ -325,17 +345,3 @@ def to_ocnf(formula: Formula) -> str:
     lines = [f"p ocnf {formula.n} {formula.m}"]
     lines.extend(" ".join(str(int(l)) for l in clause) for clause in formula.lits)
     return "\n".join(lines) + "\n"
-
-
-def from_ocnf(text: str) -> Formula:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("c")]
-    if not lines or not lines[0].startswith("p ocnf"):
-        raise DomainError("missing 'p ocnf n m' header")
-    _, _, n_str, m_str = lines[0].split()
-    n, m = int(n_str), int(m_str)
-    if len(lines) - 1 != m:
-        raise DomainError(f"expected {m} clause lines, found {len(lines) - 1}")
-    lits = np.array([[int(tok) for tok in ln.split()] for ln in lines[1:]], dtype=np.int64)
-    if lits.shape != (m, 3):
-        raise DomainError("each clause line must hold exactly three signed integers")
-    return Formula(n=n, lits=lits)

@@ -14,7 +14,6 @@ every larger density but is not itself computed here.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -30,8 +29,8 @@ from . import rootbox as rb
 from . import stationarity as st
 from .errors import (DomainError, GuardError, SingularPointError, SpiralSeedError,
                      TraceStructureError)
-from .formulas import (Assignment, Formula, clause_count, deviation_budget, generate,
-                       is_pps, pps_bitmap, run_omega_campaign, solution_bitmap, truth_tables,
+from .formulas import (clause_count, deviation_budget, generate, is_pps, literal_truth,
+                       pps_bitmap, run_omega_campaign, solution_bitmap, truth_tables,
                        variable_type)
 from .intervals import lower, upper
 from .params import DELTA_NUM, WIDTH_TARGET, ModelParams
@@ -411,31 +410,6 @@ def empirical_csv(report: dict) -> str:
 
 # -- exhaustive counting oracle --------------------------------------------------------
 
-def _pair_signature(formula: Formula, assignment: Assignment) -> tuple[tuple, bool]:
-    """(gamma, theta, mu) signature of a pair, plus a typability flag.
-
-    The type (x, p, j) encodes the variable's value through the sign of
-    p - j.  A variable at 1 whose flip is blocked only by clauses holding
-    several of its own occurrences gets j = p (no unique-satisfier cells),
-    which the type system reads as value 0: such pairs are outside the
-    constructive counting scheme and are censused separately.
-    """
-    truth = assignment.literal_truth(formula.lits)
-    ntrue = truth.sum(axis=1)
-    gamma = (int((ntrue == 1).sum()), int((ntrue == 2).sum()), int((ntrue == 3).sum()))
-    total, pos = formula.occurrence_counts()
-    theta = Counter()
-    mu = Counter()
-    typable = True
-    for v in range(1, formula.n + 1):
-        x, p = int(total[v - 1]), int(pos[v - 1])
-        theta[(x, p)] += 1
-        typ = variable_type(formula, assignment, v)
-        typable &= (typ[2] != typ[1]) or not assignment.values[v - 1]
-        mu[typ] += 1
-    return (gamma, tuple(sorted(theta.items())), tuple(sorted(mu.items()))), typable
-
-
 def _pair_bound(sig: tuple, n: int, m: int) -> int:
     """Exact integer upper bound on the number of (formula, solution) pairs
     sharing one signature: cell-type placement x variable typing x per-group
@@ -465,6 +439,15 @@ def _pair_bound(sig: tuple, n: int, m: int) -> int:
     return a_n * b_n * m1 * m2 * m3
 
 
+def _signature(row, n: int, base: int) -> tuple:
+    """The (gamma, theta, mu) tuple of one census row: gamma, then the n
+    sorted (x, p) codes, then the n sorted (x, p, j) codes, in base `base`."""
+    row = row.tolist()  # Python ints, so that repr(signature) is stable
+    theta = Counter(divmod(code, base) for code in row[3:3 + n])
+    mu = Counter((*divmod(code // base, base), code % base) for code in row[3 + n:])
+    return tuple(row[:3]), tuple(sorted(theta.items())), tuple(sorted(mu.items()))
+
+
 def counting_oracle(n: int, c: float) -> dict:
     """Exhaust all formulas and assignments of a tiny instance and compare the
     exact per-signature census of locally-maximal pairs to the counting bound.
@@ -472,31 +455,39 @@ def counting_oracle(n: int, c: float) -> dict:
     The pairs are counted twice: formula by formula with is_pps, and by the
     truth-table kernel over the whole formula stack, which never calls is_pps;
     the double-count identity holds when both routes agree on every assignment.
+    The by-formula route is one broadcast is_pps call over the (formulas x
+    assignments) grid and one variable_type call over the pairs it selects.
+    Each pair's signature is gamma (clauses with 1, 2, 3 true cells), theta
+    (the (x, p) multiset of its variables) and mu (their (x, p, j) types).
+    The type encodes the value through the sign of p - j, so a variable at 1
+    with j = p (its flip blocked only by clauses holding several of its own
+    occurrences) reads as value 0: such pairs are outside the constructive
+    counting scheme and are censused separately as untypable.
     """
     m = clause_count(n, c)
     if n > 3 or m > 2:
         raise GuardError(f"counting oracle limited to n <= 3 and m <= 2, got ({n}, {m})")
-    literals = [l for v in range(1, n + 1) for l in (v, -v)]
-    all_lits = np.array(list(itertools.product(literals, repeat=3 * m)),
-                        dtype=np.int64).reshape(-1, m, 3)
-    groups: Counter = Counter()
-    pps_by_formula = np.zeros(1 << n, dtype=np.int64)
-    untypable = 0
-    for lits in all_lits:
-        formula = Formula(n=n, lits=lits)
-        for bits in range(1 << n):
-            assignment = Assignment.from_bits(bits, n)
-            if not is_pps(formula, assignment):
-                continue
-            pps_by_formula[bits] += 1
-            sig, typable = _pair_signature(formula, assignment)
-            if typable:
-                groups[sig] += 1
-            else:
-                untypable += 1
+    literals = np.array([l for v in range(1, n + 1) for l in (v, -v)], dtype=np.int8)
+    cells = np.indices((2 * n,) * (3 * m), dtype=np.int8).reshape(3 * m, -1).T
+    all_lits = literals[cells].reshape(-1, m, 3)  # every formula, in itertools.product order
+    values = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1  # bit k: variable k+1
+    pps = is_pps(all_lits[:, None], values)
+    pps_by_formula = pps.sum(axis=0)
+    formula_idx, bits = np.nonzero(pps)
+    lits, vals = all_lits[formula_idx], values[bits]
+    x, p, j = np.moveaxis(variable_type(lits, vals), -1, 0)
+    typable = ~(vals & (j == p)).any(axis=-1)
+    ntrue = literal_truth(lits, vals).sum(axis=-1)
+    base = 3 * m + 1  # x, p, j <= 3m
+    rows = np.hstack([(ntrue[:, :, None] == [1, 2, 3]).sum(axis=1),
+                      np.sort(x * base + p, axis=-1),
+                      np.sort((x * base + p) * base + j, axis=-1)])
+    unique, counts = np.unique(rows[typable], axis=0, return_counts=True)
+    groups = {_signature(row, n, base): int(cnt) for row, cnt in zip(unique, counts)}
     pps_by_assignment = truth_tables(all_lits, n)[1].sum(axis=0)
     identity = bool(np.array_equal(pps_by_formula, pps_by_assignment))
     pairs = int(pps_by_formula.sum())
+    untypable = pairs - int(typable.sum())
     records = []
     violations = 0
     for sig, count in sorted(groups.items()):

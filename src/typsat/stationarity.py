@@ -76,12 +76,6 @@ def derive_point(phi, beta1, box: FeasibleBox) -> PhiBetaPoint:
                         feasible=box.contains(phi, beta1))
 
 
-def v_alternate_form(pt: PhiBetaPoint) -> float:
-    """V as (b1 + 6 phi - 3)^2 / (3 b3 (3 phi - b1)); must agree with pt.V."""
-    t = pt.beta1 + 6.0 * pt.phi - 3.0
-    return t * t / (3.0 * pt.beta3 * pt.Y)
-
-
 # -- the two stationarity equations ---------------------------------------------
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from typsat import pipeline as cf
 from typsat import formulas as fl
 from typsat.errors import ConfigurationError, GuardError
-from typsat.params import DELTA_NUM, ModelParams
+from typsat.params import DELTA_NUM, ModelParams, clause_count
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +181,7 @@ def test_empirical_gamma_psi_intervals():
         if not idx.size:
             continue
         a = fl.Assignment.from_bits(int(idx[0]), f.n)
-        truth = a.literal_truth(f.lits)
+        truth = fl.literal_truth(f.lits, a.values)
         ntrue = truth.sum(axis=1)
         m = f.m
         g = np.array([(ntrue == k).sum() / m for k in (1, 2, 3)])
@@ -223,6 +225,88 @@ def test_counting_oracle_double_count_detects_wrong_pair_test(monkeypatch):
     assert res["pairs"] > res["pairs_by_assignment"] == honest["pairs"]
     assert res["double_count_identity"] is False
     assert res["ok"] is False
+
+
+def test_counting_oracle_n3():
+    # m = 2; the counts are those of the per-pair scalar census, frozen
+    res = cf.counting_oracle(3, 0.5)
+    assert (res["m"], res["formulas"], res["pairs"], res["signatures"]) == (2, 46_656, 58_350, 185)
+    assert res["pairs_by_assignment"] == res["pairs"]
+    assert res["untypable_pairs"] == 7_959
+    assert res["violations"] == 0
+    assert res["double_count_identity"] and res["ok"]
+
+
+def pair_signature(formula, assignment):
+    """(gamma, theta, mu) signature of a pair, plus a typability flag.
+
+    The type (x, p, j) encodes the variable's value through the sign of
+    p - j.  A variable at 1 whose flip is blocked only by clauses holding
+    several of its own occurrences gets j = p (no unique-satisfier cells),
+    which the type system reads as value 0: such pairs are outside the
+    constructive counting scheme and are censused separately.
+    """
+    ntrue = fl.literal_truth(formula.lits, assignment.values).sum(axis=1)
+    gamma = (int((ntrue == 1).sum()), int((ntrue == 2).sum()), int((ntrue == 3).sum()))
+    total, pos = formula.occurrence_counts()
+    theta = Counter()
+    mu = Counter()
+    typable = True
+    for v in range(1, formula.n + 1):
+        x, p = int(total[v - 1]), int(pos[v - 1])
+        theta[(x, p)] += 1
+        typ = fl.variable_type(formula, assignment, v)
+        typable &= (typ[2] != typ[1]) or not assignment.values[v - 1]
+        mu[typ] += 1
+    return (gamma, tuple(sorted(theta.items())), tuple(sorted(mu.items()))), typable
+
+
+def reference_census(n, c):
+    """counting_oracle's result, counted one (formula, assignment) pair at a
+    time with the scalar is_pps and variable_type."""
+    m = clause_count(n, c)
+    literals = [l for v in range(1, n + 1) for l in (v, -v)]
+    all_lits = np.array(list(itertools.product(literals, repeat=3 * m)),
+                        dtype=np.int64).reshape(-1, m, 3)
+    groups = Counter()
+    pps_by_formula = np.zeros(1 << n, dtype=np.int64)
+    untypable = 0
+    for lits in all_lits:
+        formula = fl.Formula(n=n, lits=lits)
+        for bits in range(1 << n):
+            assignment = fl.Assignment.from_bits(bits, n)
+            if not fl.is_pps(formula, assignment):
+                continue
+            pps_by_formula[bits] += 1
+            sig, typable = pair_signature(formula, assignment)
+            if typable:
+                groups[sig] += 1
+            else:
+                untypable += 1
+    pps_by_assignment = fl.truth_tables(all_lits, n)[1].sum(axis=0)
+    identity = bool(np.array_equal(pps_by_formula, pps_by_assignment))
+    pairs = int(pps_by_formula.sum())
+    records = []
+    violations = 0
+    for sig, count in sorted(groups.items()):
+        bound = cf._pair_bound(sig, n, m)
+        violations += count > bound
+        records.append({"signature": repr(sig), "count": count, "bound": bound,
+                        "ok": count <= bound})
+    return {
+        "n": n, "c": c, "m": m, "formulas": len(all_lits), "pairs": pairs,
+        "typed_pairs": pairs - untypable, "untypable_pairs": untypable,
+        "pairs_by_assignment": int(pps_by_assignment.sum()),
+        "double_count_identity": identity, "signatures": len(groups),
+        "violations": violations, "ok": violations == 0 and identity, "records": records,
+    }
+
+
+@pytest.mark.parametrize("n, c", [(1, 1.0), (2, 0.5), (2, 1.0)])
+def test_counting_oracle_equals_scalar_census(n, c):
+    res, ref = cf.counting_oracle(n, c), reference_census(n, c)
+    assert res == ref
+    assert cf.oracle_csv(res) == cf.oracle_csv(ref)
 
 
 def test_counting_oracle_guard():

@@ -14,10 +14,21 @@ LAM = 3 * 4.506
 H_HALF_TENTH = 0.020135513550688873
 
 
-def all_formulas(n, m):
+def family_lits(n, m):
+    """Every formula of the (n, m) family as one (formulas, m, 3) stack."""
     lits = [l for v in range(1, n + 1) for l in (v, -v)]
-    for cells in itertools.product(lits, repeat=3 * m):
-        yield fl.Formula(n=n, lits=np.array(cells, dtype=np.int64).reshape(m, 3))
+    return np.array(list(itertools.product(lits, repeat=3 * m)),
+                    dtype=np.int64).reshape(-1, m, 3)
+
+
+def all_formulas(n, m):
+    for lits in family_lits(n, m):
+        yield fl.Formula(n=n, lits=lits)
+
+
+def all_values(n):
+    """(2^n, n) bool rows: row b is the assignment with bit k = variable k+1."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
 
 
 # -- generation ----------------------------------------------------------------------
@@ -65,18 +76,29 @@ def test_measure_omega_invariants():
     assert light_mass + w.heavy_occurrences == 3 * f.m
 
 
+def obeys(formula, table, eps, x_cap):
+    """Does every cell proportion fall within eps of the table mass?"""
+    props = fl.measure_omega(formula, x_cap).proportions()
+    for x in range(x_cap + 1):
+        for p in range(x + 1):
+            target = table.value(x, p) if hasattr(table, "value") else table[x][p]
+            if not (target - eps <= props[x, p] <= target + eps):
+                return False
+    return True
+
+
 def test_obeys_trivial_and_irrational(tables):
     typical = tables[0]
     f = fl.generate(50, 4.506, seed=5)
-    assert fl.obeys(f, typical, eps=1.0, x_cap=6)
-    assert not fl.obeys(f, typical, eps=0.0, x_cap=6)  # kappa irrational
+    assert obeys(f, typical, eps=1.0, x_cap=6)
+    assert not obeys(f, typical, eps=0.0, x_cap=6)  # kappa irrational
 
 
 def test_obeys_monte_carlo_frequency(tables):
     # at n = 1e5 the proportions track kappa within 0.01 essentially always
     typical = tables[0]
     hits = sum(
-        fl.obeys(fl.generate(100_000, 4.506, seed), typical, eps=0.01, x_cap=6)
+        obeys(fl.generate(100_000, 4.506, seed), typical, eps=0.01, x_cap=6)
         for seed in range(100))
     assert hits >= 99
 
@@ -92,19 +114,24 @@ def test_is_pps_spec_cases():
     assert fl.is_pps(h, fl.Assignment([False]))
 
 
+def enumerate_pps(formula):
+    """Exact count of positively prime solutions (plain 2^n scan, guard at 24)."""
+    return int(np.count_nonzero(fl.pps_bitmap(formula)))
+
+
 def test_enumerate_pps_spec_cases():
-    assert fl.enumerate_pps(fl.Formula(n=2, lits=np.array([[1, 2, 2]]))) == 2
-    assert fl.enumerate_pps(fl.Formula(n=1, lits=np.array([[1, 1, 1]]))) == 1
+    assert enumerate_pps(fl.Formula(n=2, lits=np.array([[1, 2, 2]]))) == 2
+    assert enumerate_pps(fl.Formula(n=1, lits=np.array([[1, 1, 1]]))) == 1
     # unsatisfiable: all eight sign patterns over three variables
     unsat = fl.Formula(n=3, lits=np.array(
         [[s1, s2, s3] for s1 in (1, -1) for s2 in (2, -2) for s3 in (3, -3)]))
     assert not fl.solution_bitmap(unsat).any()
-    assert fl.enumerate_pps(unsat) == 0
+    assert enumerate_pps(unsat) == 0
 
 
 def test_enumeration_guard():
     f = fl.generate(25, 1.0, seed=0)
-    for scan in (fl.enumerate_pps, fl.solution_bitmap, fl.pps_bitmap):
+    for scan in (enumerate_pps, fl.solution_bitmap, fl.pps_bitmap):
         with pytest.raises(GuardError):
             scan(f)
 
@@ -137,19 +164,41 @@ def test_truth_tables_over_leading_formula_axes():
             assert pps[divmod(k, 3)][bits] == fl.is_pps(f, a)
 
 
-def test_pps_soundness_exhaustive_3_2_via_bitmap_vs_direct(rng):
-    # (3, 2) family is large; exhaust with the bitmap and spot-check 1500
-    # reported solutions against the direct flip test
-    checked = 0
-    for f in all_formulas(3, 2):
-        bitmap = fl.pps_bitmap(f)
-        assert bitmap.any() == fl.solution_bitmap(f).any()
-        if checked < 1500:
-            for bits in np.flatnonzero(bitmap):
-                a = fl.Assignment.from_bits(int(bits), 3)
-                assert fl.is_pps(f, a)
-                checked += 1
-    assert checked >= 1500
+def test_pps_soundness_exhaustive_3_2_via_bitmap_vs_direct():
+    """Every assignment of all 46,656 (3, 2) formulas: one stacked
+    truth_tables call against the broadcast is_pps and satisfies."""
+    stack = family_lits(3, 2)
+    assert len(stack) == 46_656
+    sat, pps = fl.truth_tables(stack, 3)
+    assert np.array_equal(pps, fl.is_pps(stack[:, None], all_values(3)))
+    assert np.array_equal(sat, fl.satisfies(stack[:, None], all_values(3)))
+    # satisfiable implies some PPS, formula by formula
+    assert np.array_equal(pps.any(axis=-1), sat.any(axis=-1))
+
+
+def test_broadcast_predicates_equal_scalar_calls():
+    """On every assignment of every (2, 2) formula, the broadcast satisfies,
+    is_pps and variable_type equal the scalar calls element by element."""
+    stack, values = family_lits(2, 2), all_values(2)
+    sat = fl.satisfies(stack[:, None], values)
+    pps = fl.is_pps(stack[:, None], values)
+    assert sat.shape == pps.shape == (4096, 4)
+    formula_idx, bits = np.nonzero(sat)
+    types = fl.variable_type(stack[formula_idx], values[bits])
+    assert types.shape == (len(bits), 2, 3)
+    k = 0
+    for i, f in enumerate(all_formulas(2, 2)):
+        for b in range(4):
+            a = fl.Assignment.from_bits(b, 2)
+            assert sat[i, b] == fl.satisfies(f, a)
+            assert pps[i, b] == fl.is_pps(f, a)
+            if sat[i, b]:
+                assert [tuple(t) for t in types[k]] == [fl.variable_type(f, a, v) for v in (1, 2)]
+                assert np.array_equal(fl.variable_type(f, a), types[k])
+                k += 1
+    assert k == len(bits)
+    with pytest.raises(DomainError):  # some pairs of the grid are not solutions
+        fl.variable_type(stack[:, None], values)
 
 
 def test_pps_random_sampling_n12(rng):
@@ -263,10 +312,16 @@ def test_unbalanced_omega_fold(rng):
                 assert w_r[x, p] == 0
 
 
+def count_unbalanced(formula):
+    """Variables with unequal positive and negative occurrence counts."""
+    total, pos = formula.occurrence_counts()
+    return int(np.count_nonzero(2 * pos != total))
+
+
 def test_count_unbalanced_cases():
-    assert fl.count_unbalanced(fl.Formula(n=2, lits=np.array([[1, -1, 2]]))) == 1
+    assert count_unbalanced(fl.Formula(n=2, lits=np.array([[1, -1, 2]]))) == 1
     # absent variable is balanced by definition
-    assert fl.count_unbalanced(fl.Formula(n=3, lits=np.array([[1, -1, 2]]))) == 1
+    assert count_unbalanced(fl.Formula(n=3, lits=np.array([[1, -1, 2]]))) == 1
 
 
 def test_renaming_fiber_size_matches_2_pow_vu():
@@ -291,7 +346,7 @@ def test_renaming_fiber_size_matches_2_pow_vu():
                     seen.add(tuple(lits.ravel().tolist()))
                     back = fl.totally_unbalanced_representative(renamed)
                     assert np.array_equal(back.lits, rep.lits)
-            assert len(seen) == 2 ** fl.count_unbalanced(rep)
+            assert len(seen) == 2 ** count_unbalanced(rep)
 
 
 # -- large deviation budget ------------------------------------------------------------------
@@ -336,35 +391,55 @@ def test_deviation_budget_monotone():
 
 # -- serialization ------------------------------------------------------------------------
 
+def from_ocnf(text):
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("c")]
+    if not lines or not lines[0].startswith("p ocnf"):
+        raise DomainError("missing 'p ocnf n m' header")
+    _, _, n_str, m_str = lines[0].split()
+    n, m = int(n_str), int(m_str)
+    if len(lines) - 1 != m:
+        raise DomainError(f"expected {m} clause lines, found {len(lines) - 1}")
+    lits = np.array([[int(tok) for tok in ln.split()] for ln in lines[1:]], dtype=np.int64)
+    if lits.shape != (m, 3):
+        raise DomainError("each clause line must hold exactly three signed integers")
+    return fl.Formula(n=n, lits=lits)
+
+
 def test_ocnf_roundtrip():
     f = fl.generate(40, 4.506, seed=2)
     text = fl.to_ocnf(f)
     assert text.startswith(f"p ocnf 40 {f.m}\n")
-    g = fl.from_ocnf(text)
+    g = from_ocnf(text)
     assert np.array_equal(f.lits, g.lits)
     # duplicate literals per clause are legal
-    h = fl.from_ocnf("p ocnf 2 1\n1 1 -2\n")
+    h = from_ocnf("p ocnf 2 1\n1 1 -2\n")
     assert h.lits.tolist() == [[1, 1, -2]]
 
 
 def test_ocnf_rejects_malformed():
     with pytest.raises(DomainError):
-        fl.from_ocnf("1 2 3\n")
+        from_ocnf("1 2 3\n")
     with pytest.raises(DomainError):
-        fl.from_ocnf("p ocnf 2 2\n1 2 -1\n")
+        from_ocnf("p ocnf 2 2\n1 2 -1\n")
     with pytest.raises(DomainError):
-        fl.from_ocnf("p ocnf 2 1\n1 2\n")
+        from_ocnf("p ocnf 2 1\n1 2\n")
+
+
+def is_nps(formula, assignment):
+    """Symmetric notion (no variable at 0 flippable to 1): a sign-flip wrapper."""
+    flipped = fl.Formula(n=formula.n, lits=-formula.lits, seed=formula.seed)
+    return fl.is_pps(flipped, fl.Assignment(~assignment.values))
 
 
 def test_nps_wrapper():
     # mirror of the locally-maximal examples under global sign flip
     f = fl.Formula(n=1, lits=np.array([[-1, -1, -1]]))
-    assert fl.is_nps(f, fl.Assignment([False]))
+    assert is_nps(f, fl.Assignment([False]))
     g = fl.Formula(n=2, lits=np.array([[-1, -2, -2]]))
-    assert not fl.is_nps(g, fl.Assignment([False, False]))
+    assert not is_nps(g, fl.Assignment([False, False]))
     # upward flip blocked: ~x1 or ~x1 or ~x2 under (0, 1) pins x1 at 0
     h = fl.Formula(n=2, lits=np.array([[-1, -1, -2]]))
-    assert fl.is_nps(h, fl.Assignment([False, True]))
+    assert is_nps(h, fl.Assignment([False, True]))
 
 
 def test_campaign_time_budget_flags_partial():

@@ -63,3 +63,16 @@ def test_outward_rounding_lives_in_intervals(path):
     its `next_down`/`next_up`."""
     if path.name != "intervals.py":
         assert "nextafter" not in path.read_text()
+
+
+def test_pipeline_keeps_the_names_the_tracer_rebinds():
+    """perfbench/tracer.py rebinds PIPELINE_BINDINGS in typsat.pipeline by
+    name; a name pipeline no longer imports would break a traced run."""
+    import typsat.pipeline
+
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    bindings = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "PIPELINE_BINDINGS" for t in node.targets))
+    assert bindings
+    assert [name for name in bindings if not hasattr(typsat.pipeline, name)] == []
