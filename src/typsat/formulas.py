@@ -68,8 +68,6 @@ def literal_truth(lits, values) -> np.ndarray:
     """
     lits, values = np.asarray(lits), np.asarray(values, dtype=bool)
     idx = np.abs(lits) - 1
-    if values.ndim == 1 or lits.ndim == 2:  # one side has no leading axes
-        return values[..., idx] ^ (lits < 0)
     pad = values.ndim - (lits.ndim - 1)  # gather along one axis of equal rank
     cells = np.take_along_axis(values.reshape((1,) * -pad + values.shape),
                                idx.reshape((1,) * pad + lits.shape[:-2] + (-1,)), axis=-1)
@@ -139,8 +137,6 @@ def is_pps(formula, assignment):
     lits, values = _operands(formula, assignment)
     truth = literal_truth(lits, values)
     sat = _all_clauses_true(truth)
-    if not sat.any():  # no solution, nothing to flip
-        return _scalar(sat)
     flipped = truth[..., None, :, :] ^ _touches(lits, values.shape[-1])
     still_sat = _all_clauses_true(flipped)  # (..., n): the flip keeps a solution
     return _scalar(sat & ~(values & still_sat).any(axis=-1))
@@ -220,21 +216,24 @@ def variable_type(formula, assignment, v: int | None = None):
 
     |p - j| counts the occurrences of v that uniquely satisfy a clause with
     exactly one true cell; the sign of p - j encodes the variable's value.
-    Without v, every variable's type at once: an (..., n, 3) int array, also
+    Without v, every variable's type at once: an (..., n, 3) int32 array, also
     for lits (..., m, 3) and values (..., n) broadcasting over leading axes.
     """
     lits, values = _operands(formula, assignment)
     n = values.shape[-1]
     if v is not None and not (1 <= v <= n):
         raise DomainError(f"variable index {v} out of range")
+    if v is not None and (lits.ndim > 2 or values.ndim > 1):
+        raise DomainError("a variable index needs one formula and one assignment")
     truth = literal_truth(lits, values)
     if not _all_clauses_true(truth).all():
         raise DomainError("variable types are defined relative to a solution")
     touches = _touches(lits, n)
-    x = touches.sum(axis=(-2, -1))
-    p = (touches & (lits > 0)[..., None, :, :]).sum(axis=(-2, -1))
+    count = dict(axis=(-2, -1), dtype=np.int32)  # int32 halves the batched tables
+    x = touches.sum(**count)
+    p = (touches & (lits > 0)[..., None, :, :]).sum(**count)
     unique = truth & (truth.sum(axis=-1, keepdims=True) == 1)  # sole true cell of its clause
-    unique_sat = (touches & unique[..., None, :, :]).sum(axis=(-2, -1))
+    unique_sat = (touches & unique[..., None, :, :]).sum(**count)
     j = np.where(values, p - unique_sat, p + unique_sat)
     types = np.stack(np.broadcast_arrays(x, p, j), axis=-1)
     return types if v is None else tuple(int(t) for t in types[v - 1])

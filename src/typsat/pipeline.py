@@ -479,11 +479,12 @@ def counting_oracle(n: int, c: float) -> dict:
     typable = ~(vals & (j == p)).any(axis=-1)
     ntrue = literal_truth(lits, vals).sum(axis=-1)
     base = 3 * m + 1  # x, p, j <= 3m
-    rows = np.hstack([(ntrue[:, :, None] == [1, 2, 3]).sum(axis=1),
-                      np.sort(x * base + p, axis=-1),
-                      np.sort((x * base + p) * base + j, axis=-1)])
-    unique, counts = np.unique(rows[typable], axis=0, return_counts=True)
-    groups = {_signature(row, n, base): int(cnt) for row, cnt in zip(unique, counts)}
+    digits = [*((ntrue == k).sum(axis=-1) for k in (1, 2, 3)),
+              *np.sort(x * base + p, axis=-1).T, *np.sort((x * base + p) * base + j, axis=-1).T]
+    radix = (m + 1,) * 3 + (base ** 2,) * n + (base ** 3,) * n  # one int64 key per pair
+    keys, counts = np.unique(np.ravel_multi_index(digits, radix)[typable], return_counts=True)
+    rows = np.stack(np.unravel_index(keys, radix), axis=-1)
+    groups = {_signature(row, n, base): int(cnt) for row, cnt in zip(rows, counts)}
     pps_by_assignment = truth_tables(all_lits, n)[1].sum(axis=0)
     identity = bool(np.array_equal(pps_by_formula, pps_by_assignment))
     pairs = int(pps_by_formula.sum())

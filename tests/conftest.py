@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,49 @@ from typsat import stationarity as st
 from typsat.params import WIDTH_TARGET, ModelParams
 
 LAM = 3 * 4.506
+
+
+# -- scalar reference predicates ------------------------------------------------------
+# One (Formula, Assignment) pair at a time, a variable at a time, with no
+# broadcasting: the independent reference that the broadcast satisfies, is_pps
+# and variable_type of typsat.formulas are checked against.
+
+def _cell_truth(formula, assignment):
+    return assignment.values[np.abs(formula.lits) - 1] ^ (formula.lits < 0)
+
+
+def scalar_satisfies(formula, assignment):
+    return bool(_cell_truth(formula, assignment).any(axis=1).all())
+
+
+def scalar_is_pps(formula, assignment):
+    truth = _cell_truth(formula, assignment)
+    if not truth.any(axis=1).all():
+        return False
+    abs_lits = np.abs(formula.lits)
+    for v in np.flatnonzero(assignment.values):
+        flipped = truth ^ (abs_lits == v + 1)
+        if flipped.any(axis=1).all():
+            return False  # still satisfied after the flip: not locally maximal
+    return True
+
+
+def scalar_variable_type(formula, assignment, v):
+    truth = _cell_truth(formula, assignment)
+    assert truth.any(axis=1).all(), "variable types are defined relative to a solution"
+    abs_lits = np.abs(formula.lits)
+    x = int(np.count_nonzero(abs_lits == v))
+    p = int(np.count_nonzero(formula.lits == v))
+    single = truth.sum(axis=1) == 1
+    unique_sat = int(np.count_nonzero(truth[single] & (abs_lits[single] == v)))
+    j = p - unique_sat if assignment.values[v - 1] else p + unique_sat
+    return x, p, j
+
+
+@pytest.fixture(scope="session")
+def scalar_reference():
+    return SimpleNamespace(satisfies=scalar_satisfies, is_pps=scalar_is_pps,
+                           variable_type=scalar_variable_type)
 
 
 @pytest.fixture(scope="session")

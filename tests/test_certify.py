@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -227,6 +228,17 @@ def test_counting_oracle_double_count_detects_wrong_pair_test(monkeypatch):
     assert res["ok"] is False
 
 
+# sha256 of oracle_csv as the per-pair scalar census wrote it, frozen
+ORACLE_CSV_SHA256 = {
+    (2, 1.0): "e5cc83fde89fba4a96f35b297a5204fccb760ee3d990cb52e210c3f215271c33",
+    (3, 0.5): "d8fcadc0438cb6d0da7265d00cdd16cc5485d2cbf94e1a905ac3209f14c34a2d",
+}
+
+
+def oracle_csv_sha256(result):
+    return hashlib.sha256(cf.oracle_csv(result).encode()).hexdigest()
+
+
 def test_counting_oracle_n3():
     # m = 2; the counts are those of the per-pair scalar census, frozen
     res = cf.counting_oracle(3, 0.5)
@@ -235,9 +247,10 @@ def test_counting_oracle_n3():
     assert res["untypable_pairs"] == 7_959
     assert res["violations"] == 0
     assert res["double_count_identity"] and res["ok"]
+    assert oracle_csv_sha256(res) == ORACLE_CSV_SHA256[(3, 0.5)]
 
 
-def pair_signature(formula, assignment):
+def pair_signature(formula, assignment, variable_type):
     """(gamma, theta, mu) signature of a pair, plus a typability flag.
 
     The type (x, p, j) encodes the variable's value through the sign of
@@ -246,7 +259,8 @@ def pair_signature(formula, assignment):
     which the type system reads as value 0: such pairs are outside the
     constructive counting scheme and are censused separately.
     """
-    ntrue = fl.literal_truth(formula.lits, assignment.values).sum(axis=1)
+    truth = assignment.values[np.abs(formula.lits) - 1] ^ (formula.lits < 0)
+    ntrue = truth.sum(axis=1)
     gamma = (int((ntrue == 1).sum()), int((ntrue == 2).sum()), int((ntrue == 3).sum()))
     total, pos = formula.occurrence_counts()
     theta = Counter()
@@ -255,15 +269,15 @@ def pair_signature(formula, assignment):
     for v in range(1, formula.n + 1):
         x, p = int(total[v - 1]), int(pos[v - 1])
         theta[(x, p)] += 1
-        typ = fl.variable_type(formula, assignment, v)
+        typ = variable_type(formula, assignment, v)
         typable &= (typ[2] != typ[1]) or not assignment.values[v - 1]
         mu[typ] += 1
     return (gamma, tuple(sorted(theta.items())), tuple(sorted(mu.items()))), typable
 
 
-def reference_census(n, c):
+def reference_census(n, c, ref):
     """counting_oracle's result, counted one (formula, assignment) pair at a
-    time with the scalar is_pps and variable_type."""
+    time with the scalar reference is_pps and variable_type."""
     m = clause_count(n, c)
     literals = [l for v in range(1, n + 1) for l in (v, -v)]
     all_lits = np.array(list(itertools.product(literals, repeat=3 * m)),
@@ -275,10 +289,10 @@ def reference_census(n, c):
         formula = fl.Formula(n=n, lits=lits)
         for bits in range(1 << n):
             assignment = fl.Assignment.from_bits(bits, n)
-            if not fl.is_pps(formula, assignment):
+            if not ref.is_pps(formula, assignment):
                 continue
             pps_by_formula[bits] += 1
-            sig, typable = pair_signature(formula, assignment)
+            sig, typable = pair_signature(formula, assignment, ref.variable_type)
             if typable:
                 groups[sig] += 1
             else:
@@ -303,10 +317,12 @@ def reference_census(n, c):
 
 
 @pytest.mark.parametrize("n, c", [(1, 1.0), (2, 0.5), (2, 1.0)])
-def test_counting_oracle_equals_scalar_census(n, c):
-    res, ref = cf.counting_oracle(n, c), reference_census(n, c)
+def test_counting_oracle_equals_scalar_census(n, c, scalar_reference):
+    res, ref = cf.counting_oracle(n, c), reference_census(n, c, scalar_reference)
     assert res == ref
     assert cf.oracle_csv(res) == cf.oracle_csv(ref)
+    if (n, c) in ORACLE_CSV_SHA256:
+        assert oracle_csv_sha256(ref) == ORACLE_CSV_SHA256[(n, c)]
 
 
 def test_counting_oracle_guard():

@@ -176,9 +176,11 @@ def test_pps_soundness_exhaustive_3_2_via_bitmap_vs_direct():
     assert np.array_equal(pps.any(axis=-1), sat.any(axis=-1))
 
 
-def test_broadcast_predicates_equal_scalar_calls():
+def test_broadcast_predicates_equal_scalar_calls(scalar_reference):
     """On every assignment of every (2, 2) formula, the broadcast satisfies,
-    is_pps and variable_type equal the scalar calls element by element."""
+    is_pps and variable_type, and their scalar calls, equal the scalar
+    reference predicates element by element."""
+    ref = scalar_reference
     stack, values = family_lits(2, 2), all_values(2)
     sat = fl.satisfies(stack[:, None], values)
     pps = fl.is_pps(stack[:, None], values)
@@ -190,15 +192,19 @@ def test_broadcast_predicates_equal_scalar_calls():
     for i, f in enumerate(all_formulas(2, 2)):
         for b in range(4):
             a = fl.Assignment.from_bits(b, 2)
-            assert sat[i, b] == fl.satisfies(f, a)
-            assert pps[i, b] == fl.is_pps(f, a)
+            assert sat[i, b] == fl.satisfies(f, a) == ref.satisfies(f, a)
+            assert pps[i, b] == fl.is_pps(f, a) == ref.is_pps(f, a)
             if sat[i, b]:
-                assert [tuple(t) for t in types[k]] == [fl.variable_type(f, a, v) for v in (1, 2)]
+                expected = [ref.variable_type(f, a, v) for v in (1, 2)]
+                assert [tuple(t) for t in types[k]] == expected
+                assert [fl.variable_type(f, a, v) for v in (1, 2)] == expected
                 assert np.array_equal(fl.variable_type(f, a), types[k])
                 k += 1
     assert k == len(bits)
     with pytest.raises(DomainError):  # some pairs of the grid are not solutions
         fl.variable_type(stack[:, None], values)
+    with pytest.raises(DomainError):  # a variable index with batched pairs
+        fl.variable_type(stack[formula_idx], values[bits], 1)
 
 
 def test_pps_random_sampling_n12(rng):
