@@ -15,8 +15,8 @@ point and rectangle (corner-majorized) modes.
 
 Every triangle quantity is built from one cell kernel, the excess
 E = (U/V)^(x-2p) (1 - V^-p) of `cell_excess`, and summed in the log domain
-by `intervals.xsum` (exact fsum on floats); the same code paths run on
-outward-rounded intervals for the certified pass.
+by `intervals.xsum` (np.sum on floats, within `intervals.sum_slack`); the
+same code paths run on outward-rounded intervals for the certified pass.
 """
 
 from __future__ import annotations

@@ -191,6 +191,9 @@ def test_criterion_8_empirical_lemma():
                    f"runtime={elapsed:.2f}s < 60s")
 
 
+CORPUS_CHUNK = 100  # formulas a stacked truth_tables call: 0.4 MB tables stay in cache
+
+
 def test_criterion_9_pps_oracle(rng):
     t0 = time.perf_counter()
     # exhaustive n=2, m=1 family
@@ -206,28 +209,31 @@ def test_criterion_9_pps_oracle(rng):
             exhaustive_ok &= fl.is_pps(f, fl.Assignment.from_bits(int(bits), 2))
     assert n_formulas == 64
 
-    # random corpus at n = 12
+    # random corpus at n = 12, stacked CORPUS_CHUNK formulas to a truth_tables call
     corpus_ok = True
     pure_ok = True
     flip_checked = 0
+    flip_lits, flip_bits = [], []
     children = np.random.SeedSequence(424242).spawn(10_000)
-    for child in children:
-        f = fl.generate(12, 4.506, child)
-        bitmap = fl.pps_bitmap(f)
-        if fl.solution_bitmap(f).any() and not bitmap.any():
-            corpus_ok = False
-            break
-        idx = np.flatnonzero(bitmap)
-        if idx.size:
-            # flip test on every reported solution of a sampled subset
-            if flip_checked < 4000:
-                for bits in idx:
-                    if not fl.is_pps(f, fl.Assignment.from_bits(int(bits), 12)):
-                        corpus_ok = False
-                    flip_checked += 1
-            for v in fl.pure_negative_vars(f):
-                if np.any((idx >> int(v)) & 1):
-                    pure_ok = False
+    for start in range(0, len(children), CORPUS_CHUNK):
+        formulas = [fl.generate(12, 4.506, child) for child in children[start:start + CORPUS_CHUNK]]
+        lits = np.stack([f.lits for f in formulas])
+        sat, pps = fl.truth_tables(lits, 12)
+        corpus_ok &= not np.any(sat.any(axis=-1) & ~pps.any(axis=-1))
+        which, bits = np.nonzero(pps)  # every reported solution, formula by formula
+        pure = np.array([sum(1 << int(v) for v in fl.pure_negative_vars(f)) for f in formulas])
+        pure_ok &= not np.any(bits & pure[which])
+        # flip test on every reported solution of each formula until 4,000 are counted
+        counts = pps.sum(axis=-1)
+        before = flip_checked + np.cumsum(counts) - counts
+        take = before[which] < 4000
+        flip_lits.append(lits[which[take]])
+        flip_bits.append(bits[take])
+        flip_checked += int(counts[before < 4000].sum())
+    flip_bits = np.concatenate(flip_bits)
+    values = (flip_bits[:, None] >> np.arange(12)) & 1 == 1  # bit k is variable k+1
+    flipped_ok = fl.is_pps(np.concatenate(flip_lits), values)
+    corpus_ok &= flipped_ok.size == flip_checked and bool(flipped_ok.all())
 
     oracle1 = pl.counting_oracle(1, 1.0)
     oracle2 = pl.counting_oracle(2, 0.5)

@@ -65,6 +65,17 @@ def test_outward_rounding_lives_in_intervals(path):
         assert "nextafter" not in path.read_text()
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_float_sums_go_through_xsum(path):
+    """No module calls `math.fsum`: the float summation policy lives in
+    `intervals.xsum`, under the error bound `intervals.sum_slack`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fsum_refs = [node for node in ast.walk(tree)
+                 if (isinstance(node, ast.Attribute) and node.attr == "fsum")
+                 or (isinstance(node, ast.alias) and node.name == "fsum")]
+    assert fsum_refs == []
+
+
 def test_pipeline_keeps_the_names_the_tracer_rebinds():
     """perfbench/tracer.py rebinds PIPELINE_BINDINGS in typsat.pipeline by
     name; a name pipeline no longer imports would break a traced run."""

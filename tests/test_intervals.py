@@ -4,8 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from typsat.intervals import (LIBM_ULPS, Interval, log_of_int, next_down, next_up, xexp, xlog,
-                              xsum)
+from typsat import stationarity as st
+from typsat.intervals import (LIBM_ULPS, Interval, log_of_int, next_down, next_up, sum_slack,
+                              xexp, xlog, xsum)
+from typsat.params import DELTA_NUM
+from typsat.rootbox import verify_exclusion
 
 DBL_MAX = np.finfo(np.float64).max
 EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 2e-323, -2e-323,
@@ -127,11 +130,41 @@ def test_row_sums_enclose_exact_fraction_sums(rng):
     assert xsum(iv, axis=-1).lo.tolist() == sums.lo.tolist()
 
 
-def test_float_row_sums_are_exactly_rounded(rng):
-    rows = rng.standard_normal((4, 200)) * np.logspace(-8, 8, 200)
+def _within_slack(rows, sums):
+    """|sum - fsum| <= sum_slack for each row of terms (the exactly rounded
+    fsum is the reference)."""
+    for row, got in zip(rows, np.atleast_1d(sums).tolist()):
+        assert abs(got - math.fsum(row.tolist())) <= sum_slack(row)
+
+
+def test_float_row_sums_within_a_priori_slack(rng):
+    rows = rng.standard_normal((6, 200)) * np.logspace(-8, 8, 200)
+    rows[1] = np.concatenate([rows[0, :100], -rows[0, :100]])  # cancels to exactly 0
+    rows[2, 1::2] = -rows[2, ::2] * (1.0 + 2.0 ** -40)           # near-cancelling pairs
     got = xsum(rows, axis=-1)
-    assert got.tolist() == [math.fsum(r) for r in rows.tolist()]
-    assert xsum(rows[0], axis=-1) == math.fsum(rows[0].tolist())
+    assert got.shape == (6,)
+    _within_slack(rows, got)
+    for k, row in enumerate(rows):
+        assert xsum(row, axis=-1) == got[k]  # one row alone sums as it does in the batch
+    _within_slack(rows.ravel()[None, :], xsum(rows))
+
+
+def test_trace_sums_within_a_priori_slack(system, trace, box, monkeypatch):
+    """Every Eq1/Eq2 sign check of the certified trace sums its cell terms with
+    an a priori error bound far below the sign margin DELTA_NUM."""
+    rows, sums = [], []
+
+    def recording_xsum(z, axis=None):
+        out = xsum(z, axis)
+        rows.extend(np.atleast_2d(z))
+        sums.extend(np.atleast_1d(out).tolist())
+        return out
+
+    monkeypatch.setattr(st, "xsum", recording_xsum)
+    report = verify_exclusion(trace, system.eq1, system.eq2, box)
+    assert report.ok and len(rows) == report.checks == 234
+    assert max(sum_slack(row) for row in rows) < DELTA_NUM / 1000.0
+    _within_slack(rows, sums)
 
 
 def test_mixed_scalar_array_broadcast():
