@@ -112,7 +112,9 @@ def rho_tail(x_max: int, lam, cutoff: int = RHO_CUTOFF):
         raise DomainError("rho cutoff must exceed x_max and lambda")
     two_p = np.arange(x_max + 2, cutoff + 1, 2)
     terms = xexp(log_kappa(two_p, two_p // 2, lam))
-    total = sum(terms[k] for k in range(two_p.size))  # running sum in the order of 2p
+    # floats keep the running sum in the order of 2p, which a naive partial sum
+    # of the same terms reproduces bit for bit; Intervals take one enclosure
+    total = terms.sum() if isinstance(terms, Interval) else np.cumsum(terms)[-1]
     q = lam / float(cutoff)
     ratio = q * q
     return total + terms[-1] * ratio / (1.0 - ratio)

@@ -30,13 +30,19 @@ _ADD = np.add.reduce
 def _step(x, k: int):
     """x moved |k| ulps toward +inf (k > 0) or -inf (k < 0), elementwise.
 
-    Bit-identical to |k| calls of ``np.nextafter`` and, on large arrays,
-    about half the cost of one: on the int64 view of a float64 the low 63
-    bits are the magnitude, so a step toward +inf is +1 on the bit pattern
-    of a positive value and -1 on that of a negative one.  A step that would cross 0 or go past an
-    infinity lands on a NaN pattern; those entries, and NaN inputs, go
-    through ``nextafter`` itself.
+    Bit-identical to |k| calls of ``np.nextafter``.  A 0-d input takes |k|
+    calls of ``math.nextafter``.  An array goes through its int64 view, about
+    half the cost of one ``nextafter``: the low 63 bits of a float64 are the
+    magnitude, so a step toward +inf is +1 on the bit pattern of a positive
+    value and -1 on that of a negative one.  A step that would cross 0 or go
+    past an infinity lands on a NaN pattern; those entries, and NaN inputs,
+    go through ``nextafter`` itself.
     """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        v, toward = float(x), math.copysign(math.inf, k)
+        for _ in range(abs(k)):
+            v = math.nextafter(v, toward)
+        return np.float64(v)
     x = np.asarray(x, dtype=np.float64)
     bits = x.view(np.int64)
     y = (bits + (k - ((bits >> 63) & (2 * k)))).view(np.float64)
@@ -45,7 +51,7 @@ def _step(x, k: int):
         for _ in range(abs(k)):
             edge = np.nextafter(edge, toward)
         y = np.where(np.isnan(x - y), edge, y)
-    return y[()]
+    return y
 
 
 def next_down(x, k: int = 1):
@@ -58,6 +64,29 @@ def next_up(x, k: int = 1):
     return _step(x, k)
 
 
+def _nonneg(a) -> bool:
+    """Whether every entry of a is >= 0 (False if any is NaN)."""
+    return bool((a >= 0.0).all())
+
+
+def _positive(a) -> bool:
+    """Whether every entry of a is > 0 (False if any is NaN)."""
+    return bool((a > 0.0).all())
+
+
+def _hull4(p1, p2, p3, p4):
+    """(min, max) of four products or quotients: the general, mixed-sign case.
+
+    Rounding is monotone, so when the signs are known fewer products suffice
+    and give the same endpoints after the outward step (Moore, Kearfott and
+    Cloud 2009, sec. 2.3); `Interval.__mul__` and `__truediv__` take those
+    paths first.
+    """
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return lo, hi
+
+
 class Interval:
     """Closed interval(s) [lo, hi]; endpoints are floats or float64 arrays."""
 
@@ -65,10 +94,8 @@ class Interval:
     __array_ufunc__ = None  # keep numpy from elementwise-wrapping us
 
     def __init__(self, lo, hi=None):
-        if hi is None:
-            hi = lo
         lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
+        hi = lo if hi is None else np.asarray(hi, dtype=np.float64)
         if np.any(lo > hi):
             raise ValueError("interval endpoints out of order")
         self.lo = lo
@@ -153,31 +180,30 @@ class Interval:
 
     def __mul__(self, other):
         blo, bhi = self._coerce(other)
-        p1 = self.lo * blo
-        p2 = self.lo * bhi
-        p3 = self.hi * blo
-        p4 = self.hi * bhi
-        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+        if blo is bhi:  # an exact operand: lo*blo == lo*bhi and hi*blo == hi*bhi
+            p1 = self.lo * blo
+            p3 = self.hi * blo
+            lo, hi = np.minimum(p1, p3), np.maximum(p1, p3)
+        elif _nonneg(self.lo) and _nonneg(blo):
+            lo, hi = self.lo * blo, self.hi * bhi
+        else:
+            lo, hi = _hull4(self.lo * blo, self.lo * bhi, self.hi * blo, self.hi * bhi)
         return Interval._ordered(next_down(lo), next_up(hi))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         blo, bhi = self._coerce(other)
+        if _positive(blo) and _nonneg(self.lo):
+            return Interval._ordered(next_down(self.lo / bhi), next_up(self.hi / blo))
         if not np.all((blo > 0.0) | (bhi < 0.0)):
             raise ZeroDivisionError("interval division by a set containing 0")
-        p1 = self.lo / blo
-        p2 = self.lo / bhi
-        p3 = self.hi / blo
-        p4 = self.hi / bhi
-        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+        lo, hi = _hull4(self.lo / blo, self.lo / bhi, self.hi / blo, self.hi / bhi)
         return Interval._ordered(next_down(lo), next_up(hi))
 
     def __rtruediv__(self, other):
         blo, bhi = self._coerce(other)
-        return Interval(blo, bhi) / self
+        return Interval._ordered(blo, bhi) / self
 
     # -- elementary functions ------------------------------------------------
 

@@ -293,8 +293,9 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
     true factors.
     """
     _, lam, lam_min, lam_max, eps = params.decimals(mode)
-    rho = rho_tail(params.x_max, lam)
     as_iv = mode == "interval"
+    # float mode reuses the tail build_tables stored; interval mode encloses it
+    rho = rho_tail(params.x_max, lam) if as_iv else consts.rho
     gf = g_factors(eps, params.x_max, lam_min, lam_max, params.c_max)
     d = big_d(params.x_max)
     prefactor = gf.g1 * gf.g2 * xexp(2.0 * eps * d / euler(as_iv))

@@ -310,34 +310,51 @@ def replay(cert_data: dict) -> dict:
 
 # -- curves -------------------------------------------------------------------------
 
+def _values_where_defined(fn, phis: np.ndarray, betas: np.ndarray):
+    """(values, defined): fn at each point in one batched call, or, if the batch
+    has a singular point, point by point with defined False where it is."""
+    try:
+        return fn(phis, betas), np.ones(phis.shape, dtype=bool)
+    except SingularPointError:
+        pass
+    values, defined = np.zeros(phis.shape), np.ones(phis.shape, dtype=bool)
+    for k, (phi, b1) in enumerate(zip(phis.tolist(), betas.tolist())):
+        try:
+            values[k] = fn(phi, b1)
+        except SingularPointError:
+            defined[k] = False
+    return values, defined
+
+
 def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str]:
-    """Sample the loci eq1 = 0 and eq2 = 0 as phi(beta1) by per-column bisection."""
+    """Sample the loci eq1 = 0 and eq2 = 0 as phi(beta1) by bisecting each column.
+
+    All columns are bisected in lockstep, one batched equation call a step; a
+    column is NaN where an end of its phi range is singular or the equation
+    has the same sign at both ends.
+    """
     _, _, consts = dist.build_tables(params)
     system = st.EqSystem.build(params, consts)
     box = params.a_priori
-    rows = []
-    for b1 in np.linspace(box.beta1_min, box.beta1_max, grid_density):
-        row = {"beta1": float(b1)}
-        for name, fn in (("phi_eq1", system.eq1), ("phi_eq2", system.eq2)):
-            lo = max(box.phi_min, (2.0 - b1) / 3.0 + 1e-9)
-            hi = box.phi_max
-            try:
-                flo, fhi = fn(lo, b1), fn(hi, b1)
-            except SingularPointError:
-                row[name] = math.nan
-                continue
-            if flo * fhi > 0:
-                row[name] = math.nan
-                continue
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = fn(mid, b1)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            row[name] = 0.5 * (lo + hi)
-        rows.append(row)
+    b1s = np.linspace(box.beta1_min, box.beta1_max, grid_density)
+    rows = [{"beta1": float(b1)} for b1 in b1s]
+    for name, fn in (("phi_eq1", system.eq1), ("phi_eq2", system.eq2)):
+        lo = np.maximum(box.phi_min, (2.0 - b1s) / 3.0 + 1e-9)
+        hi = np.full_like(b1s, box.phi_max)
+        flo, lo_defined = _values_where_defined(fn, lo, b1s)
+        fhi, hi_defined = _values_where_defined(fn, hi, b1s)
+        live = lo_defined & hi_defined & ~(flo * fhi > 0)
+        lo, hi, flo, b1 = lo[live], hi[live], flo[live], b1s[live]
+        for _ in range(80 if live.any() else 0):
+            mid = 0.5 * (lo + hi)
+            fm = fn(mid, b1)
+            left = flo * fm <= 0
+            hi = np.where(left, mid, hi)
+            lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+        phi = np.full_like(b1s, math.nan)
+        phi[live] = 0.5 * (lo + hi)
+        for row, v in zip(rows, phi.tolist()):
+            row[name] = v
     lines = ["beta1,phi_eq1,phi_eq2"]
     lines += [f"{r['beta1']:.12g},{r['phi_eq1']:.12g},{r['phi_eq2']:.12g}" for r in rows]
     return rows, "\n".join(lines) + "\n"

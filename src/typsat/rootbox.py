@@ -28,12 +28,6 @@ PUSH_MAX_ITER = 90
 SPIRAL_MAX_CYCLES = 400
 RESIDUAL_TARGET = 1e-10
 
-#: Points per equation call in `verify_exclusion`.  Bounds the (points x
-#: cells) working arrays: unchunked, the 117 points of an equation raise an
-#: interval certify's peak RSS by about 40%; 8 points keep it within 2% at
-#: about the same speed.
-CHUNK_POINTS = 8
-
 
 @dataclass
 class ExclusionTrace:
@@ -140,7 +134,7 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> 
 
     eq1f and eq2f take equal-shape arrays of phi and beta1 and return one
     float or enclosing Interval per point; each equation's checks are
-    evaluated CHUNK_POINTS points a call.  A check passes when the lowest
+    evaluated in one call.  A check passes when the lowest
     value of sign * Eq exceeds DELTA_NUM.  Structural defects (anchoring,
     monotonicity, rectangle orientation) raise TraceStructureError; sign
     failures are reported, not raised.
@@ -164,9 +158,8 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> 
     results: dict[int, tuple] = {}
     for fn, prefix in ((eq1f, "eq1"), (eq2f, "eq2")):
         order = [k for k, claim in enumerate(claims) if claim[0].startswith(prefix)]
-        for start in range(0, len(order), CHUNK_POINTS):
-            chunk = order[start:start + CHUNK_POINTS]
-            results.update(zip(chunk, _signed_lows(fn, [claims[k] for k in chunk])))
+        if order:  # a trace with K = L = 0 has no Eq2 claims
+            results.update(zip(order, _signed_lows(fn, [claims[k] for k in order])))
 
     failures: list[dict] = []
     for k, (family, i, phi, beta1, sign) in enumerate(claims):

@@ -151,6 +151,64 @@ def test_emit_curves(params, trace):
     assert rect[0] - 2e-4 < near["phi_eq2"] < rect[1] + 2e-4
 
 
+def per_column_curves(params, grid_density):
+    """The CSV of the loci computed one column and one scalar evaluation at a
+    time, the bisection emit_curves ran before its columns moved in lockstep."""
+    from typsat import distribution as dist
+    from typsat import stationarity as st
+    from typsat.errors import SingularPointError
+    system = st.EqSystem.build(params, dist.build_tables(params)[2])
+    box = params.a_priori
+    lines = ["beta1,phi_eq1,phi_eq2"]
+    for b1 in np.linspace(box.beta1_min, box.beta1_max, grid_density):
+        row = [float(b1)]
+        for fn in (system.eq1, system.eq2):
+            lo, hi = max(box.phi_min, (2.0 - b1) / 3.0 + 1e-9), box.phi_max
+            try:
+                flo, fhi = fn(lo, b1), fn(hi, b1)
+            except SingularPointError:
+                row.append(math.nan)
+                continue
+            if flo * fhi > 0:
+                row.append(math.nan)
+                continue
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                fm = fn(mid, b1)
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            row.append(0.5 * (lo + hi))
+        lines.append(",".join(f"{v:.12g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+#: sha256 of the per-column CSV at c = 4.506 (the 401-column one takes ~3 s to rebuild)
+CURVES_SHA256 = {
+    9: "84d1f61552e58697bcb3505d30526f37a4c722157370800cbf7fdb55ec87ea84",
+    10: "63d7037f68323f1db134ef3aed7f3c1224b91c53fe01b239a842978e017fd59e",
+    401: "038de7c739138ea9fbab691e33cf0fbfe1c934e5d82382eec77b00ebc15dbbd1",
+}
+
+
+@pytest.mark.parametrize("density", sorted(CURVES_SHA256))
+def test_lockstep_curves_equal_per_column_bisection(params, density):
+    _, text = cf.emit_curves(params, density)
+    assert hashlib.sha256(text.encode()).hexdigest() == CURVES_SHA256[density]
+    if density < 100:
+        assert text == per_column_curves(params, density)
+
+
+def test_lockstep_curves_at_another_density():
+    # c = 4.6 moves the loci; singular column ends are found point by point
+    p = ModelParams(c=4.6, x_max=56, epsilon=1e-15)
+    rows, text = cf.emit_curves(p, 12)
+    assert text == per_column_curves(p, 12)
+    assert any(math.isnan(r["phi_eq2"]) for r in rows)
+    assert any(not math.isnan(r["phi_eq2"]) for r in rows)
+
+
 # -- empirical ----------------------------------------------------------------------
 
 def test_empirical_report_small():

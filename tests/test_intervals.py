@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from typsat import intervals as iv_mod
 from typsat import stationarity as st
 from typsat.intervals import (LIBM_ULPS, Interval, log_of_int, next_down, next_up, sum_slack,
                               xexp, xlog, xsum)
@@ -73,12 +74,107 @@ def test_outward_step_matches_nextafter_bit_for_bit(k, rng):
             with np.errstate(all="ignore"):
                 got = np.asarray(step(x, k))
             assert np.array_equal(got.view(np.int64), _nextafter_k(x, k, toward).view(np.int64))
-    for v in EDGE_VALUES:  # the same step on scalars
+    for v in EDGE_VALUES:  # the 0-d path: Python floats, numpy scalars, 0-d arrays
         for step, toward in ((next_down, -math.inf), (next_up, math.inf)):
-            with np.errstate(all="ignore"):
-                got = np.asarray(step(float(v), k))
-            assert got.shape == ()
-            assert got.view(np.int64) == np.asarray(_nextafter_k(v, k, toward)).view(np.int64)
+            want = np.asarray(_nextafter_k(v, k, toward)).view(np.int64)
+            for x in (float(v), np.float64(v), np.asarray(v)):
+                got = step(x, k)
+                assert type(got) is np.float64  # keeps .ndim for Interval endpoints
+                assert np.asarray(got).view(np.int64) == want
+
+
+def _edge_intervals(keep=lambda lo: True):
+    """(lo, hi) arrays of every interval [a, b], a <= b, over the non-NaN
+    EDGE_VALUES whose lower end passes `keep`."""
+    vals = EDGE_VALUES[~np.isnan(EDGE_VALUES)]
+    pairs = [(a, b) for a in vals for b in vals if a <= b and keep(a)]
+    return tuple(np.array(col) for col in zip(*pairs))
+
+
+def _four_products(op, alo, ahi, blo, bhi):
+    """The general form: the hull of the four endpoint results, one ulp outward
+    by np.nextafter; NaN where any of the four is NaN."""
+    with np.errstate(all="ignore"):
+        p = (op(alo, blo), op(alo, bhi), op(ahi, blo), op(ahi, bhi))
+        lo = np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3]))
+        hi = np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
+        return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+
+
+def _cross(a, b):
+    """Every pairing of the intervals a with the intervals b, as flat arrays."""
+    return ([np.repeat(end, b[0].size) for end in a]
+            + [np.tile(end, a[0].size) for end in b])
+
+
+def _assert_matches_general_form(got, op, alo, ahi, blo, bhi, *, least=1000):
+    ref_lo, ref_hi = _four_products(op, alo, ahi, blo, bhi)
+    defined = ~(np.isnan(ref_lo) | np.isnan(ref_hi))
+    assert np.count_nonzero(defined) >= least
+    assert np.array_equal(got.lo[defined].view(np.int64), ref_lo[defined].view(np.int64))
+    assert np.array_equal(got.hi[defined].view(np.int64), ref_hi[defined].view(np.int64))
+
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """Count the calls of the general four-product form."""
+    calls = [0]
+    general = iv_mod._hull4
+
+    def counted(*args):
+        calls[0] += 1
+        return general(*args)
+
+    monkeypatch.setattr(iv_mod, "_hull4", counted)
+    return calls
+
+
+def test_nonnegative_product_and_quotient_fast_paths_are_bit_exact(hull_calls):
+    nonneg = _edge_intervals(lambda lo: lo >= 0.0)
+    positive = _edge_intervals(lambda lo: lo > 0.0)
+    alo, ahi, blo, bhi = _cross(nonneg, nonneg)
+    with np.errstate(all="ignore"):
+        got = Interval(alo, ahi) * Interval(blo, bhi)
+    _assert_matches_general_form(got, np.multiply, alo, ahi, blo, bhi)
+    alo, ahi, blo, bhi = _cross(nonneg, positive)
+    with np.errstate(all="ignore"):
+        got = Interval(alo, ahi) / Interval(blo, bhi)
+    _assert_matches_general_form(got, np.divide, alo, ahi, blo, bhi)
+    for num in np.unique(nonneg[0]):  # exact nonnegative numerators, as in 1 / (1 + E)
+        with np.errstate(all="ignore"):
+            got = float(num) / Interval(*positive)
+        _assert_matches_general_form(got, np.divide, num, num, *positive, least=1)
+    assert hull_calls[0] == 0
+
+
+def test_exact_operand_product_is_bit_exact(hull_calls):
+    edge = _edge_intervals()
+    vals = EDGE_VALUES[~np.isnan(EDGE_VALUES)]
+    alo, ahi, b, _ = _cross(edge, (vals, vals))
+    with np.errstate(all="ignore"):
+        a = Interval(alo, ahi)
+        for got in (a * b, b * a, a * Interval(b)):
+            _assert_matches_general_form(got, np.multiply, alo, ahi, b, b)
+    assert hull_calls[0] == 0
+
+
+def test_mixed_sign_products_and_quotients_take_the_general_form(hull_calls, rng):
+    edge = _edge_intervals()
+    alo, ahi, blo, bhi = _cross(edge, edge)
+    with np.errstate(all="ignore"):
+        got = Interval(alo, ahi) * Interval(blo, bhi)
+    _assert_matches_general_form(got, np.multiply, alo, ahi, blo, bhi)
+    lo = rng.standard_normal((4, 500)) * np.logspace(-300, 300, 500)
+    hi = lo + rng.uniform(0.0, 2.0, lo.shape) * np.abs(lo)
+    a, b = Interval(lo[0], hi[0]), Interval(lo[1], hi[1])
+    away = np.where(rng.random(500) < 0.5, 1.0, -1.0)  # divisors of both signs, none holding 0
+    d = Interval(np.where(away > 0, np.abs(lo[2]), -np.abs(hi[3]) - np.abs(lo[3])),
+                 np.where(away > 0, np.abs(lo[2]) + np.abs(hi[2]), -np.abs(hi[3])))
+    calls = hull_calls[0]
+    with np.errstate(all="ignore"):
+        _assert_matches_general_form(a * b, np.multiply, a.lo, a.hi, b.lo, b.hi, least=400)
+        _assert_matches_general_form(a / d, np.divide, a.lo, a.hi, d.lo, d.hi, least=400)
+    assert hull_calls[0] == calls + 2
 
 
 def test_transcendentals_contain_mpmath_values(rng):

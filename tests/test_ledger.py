@@ -3,7 +3,7 @@ import math
 import pytest
 
 from typsat import ledger as lg
-from typsat.distribution import big_d, build_tables, p2, p3
+from typsat.distribution import big_d, build_tables, p2, p3, rho_tail
 from typsat.errors import DomainError
 from typsat.intervals import Interval, upper
 from typsat.params import CERTIFICATION_BOX, GENERIC_GAMMA_PSI, ModelParams
@@ -103,6 +103,13 @@ def test_budget_values(params, consts, budget):
     # the factor itself is within ~50 ulp of 1; its excess carries the digits
     assert 1.0 < upper(budget.unbalancing) < 1.0 + 1.1e-14
     assert 1.005e-14 < upper(budget.unbalancing_excess) < 1.006e-14
+
+
+def test_float_budget_reuses_the_stored_tail(params, consts, budget):
+    # build_tables stores the diagonal tail; the float ledger takes it from there
+    rho = rho_tail(params.x_max, params.lam)
+    assert consts.rho == rho
+    assert budget.unbalancing_log == (rho + params.epsilon * consts.delta) * math.log(2.0)
 
 
 def test_budget_monotone_in_eps(consts):

@@ -280,6 +280,21 @@ def test_batched_equations_match_per_point(system_any, trace):
                 assert batched[k] == single
 
 
+def test_one_call_per_equation(system_any, trace, box):
+    calls = []
+
+    def recorded(fn):
+        def wrapped(phi, beta1):
+            calls.append(np.shape(phi))
+            return fn(phi, beta1)
+        return wrapped
+
+    report = rb.verify_exclusion(trace, recorded(system_any.eq1), recorded(system_any.eq2), box)
+    assert report.ok
+    assert calls == [(trace.K + trace.L + 2,), (trace.K + trace.L,)]
+    assert trace.K + trace.L > st.CHUNK_POINTS  # the equations evaluate several chunks
+
+
 def test_min_margin_is_the_per_point_minimum(system_any, trace, box):
     report = rb.verify_exclusion(trace, system_any.eq1, system_any.eq2, box)
     failures, smallest = per_point_checks(trace, system_any.eq1, system_any.eq2)
