@@ -9,7 +9,7 @@ prints the derived constants the certificate consumes.
 
 import math
 
-from typsat import ModelParams, build_tables
+from typsat import ModelParams, build_tables, kappa_tilde
 from typsat.distribution import poisson_log_pmf
 
 params = ModelParams.certification()
@@ -24,6 +24,9 @@ for p in range(7):
 print("and its unbalanced fold (doubled below the diagonal, zero above):")
 for p in range(7):
     print(f"  kt(6, {p})    = {unbalanced.value(6, p):.9e}")
+gap = max(abs(unbalanced.value(x, p) / kappa_tilde(x, p, params.lam) - 1.0)
+          for x in range(params.x_max + 1) for p in range(x // 2 + 1))
+print(f"every cell matches the pointwise kappa_tilde(x, p) to {gap:.1e} relative")
 print()
 
 print("Row sums equal the Poisson mass (binomial signs integrate out):")

@@ -10,7 +10,7 @@ occurrence histogram exactly as the unbalanced table predicts.
 import numpy as np
 
 from typsat import ModelParams, build_tables, generate, kappa, measure_omega
-from typsat.formulas import (Assignment, is_pps, pps_bitmap, pure_negative_vars,
+from typsat.formulas import (Assignment, is_pps, pps_bitmap, pure_negative_vars, satisfies,
                              solution_bitmap, to_ocnf, totally_unbalanced_representative)
 
 params = ModelParams.certification()
@@ -37,6 +37,8 @@ for seed in range(300):
             bits = int(np.flatnonzero(bitmap)[0])
             a = Assignment.from_bits(bits, 12)
             assert is_pps(f, a)
+            flipped = a.values ^ np.eye(12, dtype=bool)[a.values]  # each 1 -> 0 flip alone
+            assert satisfies(f, a) and not satisfies(f.lits, flipped).any()
             pure = pure_negative_vars(f)
             assert not any(a.values[v] for v in pure)
             flip_demos += 1

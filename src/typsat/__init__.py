@@ -17,20 +17,18 @@ from .intervals import Interval
 from .ledger import ErrorBudget, FeasibleBox, build_budget, widen_intervals
 from .params import CERTIFICATION_BOX, DELTA_NUM, ModelParams
 from .rootbox import ExclusionTrace, solve_reference, spiral_localize, verify_exclusion
-from .stationarity import (EqSystem, MuTable, PhiBetaPoint, derive_point, eq1, eq2, g2,
-                           gradient_f1, mu_closed_form, objective_f1)
+from .stationarity import EqSystem, PhiBetaPoint, derive_point, eq1, eq2
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "CERTIFICATION_BOX", "Certificate", "DELTA_NUM",
     "DerivedConstants", "EqSystem", "ErrorBudget", "ExclusionTrace", "FeasibleBox",
-    "Formula", "Interval", "ModelParams", "MuTable", "OccurrenceTable",
+    "Formula", "Interval", "ModelParams", "OccurrenceTable",
     "PhiBetaPoint", "binomial_large_deviation", "build_budget", "build_tables",
     "certify", "counting_oracle", "derive_point",
-    "emit_curves", "empirical_report", "eq1", "eq2", "g2",
-    "generate", "gradient_f1", "is_pps", "kappa", "kappa_tilde",
-    "measure_omega", "mu_closed_form", "objective_f1",
+    "emit_curves", "empirical_report", "eq1", "eq2",
+    "generate", "is_pps", "kappa", "kappa_tilde", "measure_omega",
     "replay", "solve_reference", "spiral_localize",
     "totally_unbalanced_representative", "variable_type", "verify_exclusion",
     "widen_intervals",

@@ -165,18 +165,6 @@ class OccurrenceTable:
     def triangle_sum(self) -> float:
         return xsum(self.entries[np.tril_indices(self.x_max + 1)])
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lambda": self.lam,
-            "x_max": self.x_max,
-            "entries": [
-                {"x": x, "p": p, "value": float(self.entries[x, p])}
-                for x in range(self.x_max + 1)
-                for p in range(x + 1)
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class DerivedConstants:

@@ -2,7 +2,7 @@
 
 Every elementary operation rounds its lower endpoint down and its upper
 endpoint up, so the enclosure property is preserved through arbitrary
-compositions.  IEEE 754 guarantees correct rounding for +, -, *, / and sqrt,
+compositions.  IEEE 754 guarantees correct rounding for +, -, * and /,
 so one ulp outward (`next_down`, `next_up`) is enough there.  exp and log go
 through libm, which is accurate to about 1 ulp on mainstream platforms but
 carries no formal guarantee; those results are widened by ``LIBM_ULPS`` ulps
@@ -125,24 +125,16 @@ class Interval:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def width(self):
-        return self.hi - self.lo
-
     def lower(self) -> float:
-        return float(self.lo if self.lo.ndim == 0 else self.lo.min())
+        """The least lower end; +inf for an empty array of intervals."""
+        return float(self.lo if self.lo.ndim == 0 else self.lo.min(initial=math.inf))
 
     def upper(self) -> float:
-        return float(self.hi if self.hi.ndim == 0 else self.hi.max())
+        """The greatest upper end; -inf for an empty array of intervals."""
+        return float(self.hi if self.hi.ndim == 0 else self.hi.max(initial=-math.inf))
 
     def contains(self, x) -> bool:
         return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
-
-    def surely_lt(self, x) -> bool:
-        return bool(np.all(self.hi < x))
-
-    def surely_gt(self, x) -> bool:
-        return bool(np.all(self.lo > x))
 
     def __repr__(self):
         if self.lo.ndim == 0:
@@ -217,11 +209,6 @@ class Interval:
         return Interval._ordered(next_down(np.log(self.lo), LIBM_ULPS),
                                  next_up(np.log(self.hi), LIBM_ULPS))
 
-    def sqrt(self) -> "Interval":
-        if not np.all(self.lo >= 0.0):
-            raise DomainError("sqrt of an interval reaching below 0")
-        return Interval(next_down(np.sqrt(self.lo)), next_up(np.sqrt(self.hi)))
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None) -> "Interval":
@@ -295,14 +282,16 @@ def xsum(z, axis=None):
 
 
 def upper(z) -> float:
-    """Largest value of z: an Interval's upper end, an array's maximum, or z itself."""
+    """Largest value of z: an Interval's upper end, an array's maximum (-inf
+    when empty), or z itself."""
     if isinstance(z, Interval):
         return z.upper()
-    return float(np.max(z)) if isinstance(z, np.ndarray) else float(z)
+    return float(z.max(initial=-math.inf)) if isinstance(z, np.ndarray) else float(z)
 
 
 def lower(z) -> float:
-    """Smallest value of z: an Interval's lower end, an array's minimum, or z itself."""
+    """Smallest value of z: an Interval's lower end, an array's minimum (+inf
+    when empty), or z itself."""
     if isinstance(z, Interval):
         return z.lower()
-    return float(np.min(z)) if isinstance(z, np.ndarray) else float(z)
+    return float(z.min(initial=math.inf)) if isinstance(z, np.ndarray) else float(z)

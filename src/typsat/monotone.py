@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError
+from .errors import DomainError
 from .intervals import xsum
 from .ledger import FeasibleBox
 from .params import DELTA_NUM
@@ -209,11 +209,6 @@ def polygon_extremize(target: str, box: FeasibleBox) -> tuple[float, tuple[float
 
 # -- Eq1 exceptional-family analysis ----------------------------------------------
 
-def beta1_star(phi: float) -> float:
-    """Turning point of the x = 2p+1 terms at fixed phi: sqrt(3) - 3(sqrt(3)-1) phi."""
-    return SQRT3 - 3.0 * (SQRT3 - 1.0) * phi
-
-
 def phi_star(beta1: float) -> float:
     """Turning point of the 2p+1 <= x <= 2p+2 terms at fixed beta1; decreases
     from 3/4 at beta1 = 0 to 1/3 at beta1 = 1."""
@@ -252,17 +247,9 @@ def _partial_cells(variant: str, system: st.EqSystem) -> tuple:
     return kt[keep], w[keep], p[keep]
 
 
-def eq1_partial(variant: str, pt: st.PhiBetaPoint, system: st.EqSystem) -> float:
-    """Eq1 with the non-monotone index families removed; always >= eq1.
-
-    "star" drops x = 2p+1; "star_star" drops 2p+1 <= x <= 2p+2.
-    """
-    return float(st._eq1_core(pt.phi, *st._logs(pt.U, pt.V), system.lam, system.K_tilde,
-                              *_partial_cells(variant, system)))
-
-
 def eq1_star_majorant(system: st.EqSystem) -> float:
-    """Upper bound of Eq1* along beta1 = beta1_star(phi), uniform in phi.
+    """Upper bound of Eq1* along the turning line of the x = 2p+1 terms at fixed
+    phi, beta1*(phi) = sqrt(3) - 3(sqrt(3)-1) phi, uniform in phi.
 
     There U = 3(1-phi)/(3phi-1) and V = 2/sqrt(3), so U/V decreases in phi and
     is bounded below by its value at phi_max; the negative sum is evaluated
@@ -287,70 +274,3 @@ def m_bound(b1_low: float, b1_high: float, system: st.EqSystem) -> float:
 #: Bands whose M-bounds certify Eq1** < 0 across the certification beta1 range.
 M_BANDS = ((0.33, 0.39), (0.39, 0.428), (0.428, 0.468), (0.468, 0.529))
 
-
-# -- grid certifications ------------------------------------------------------------
-
-def monotone_grid_report(system: st.EqSystem, n: int = 40,
-                         box: FeasibleBox | None = None) -> dict:
-    """Finite-difference monotonicity certification on an n x n feasible grid.
-
-    Checks, on adjacent feasible pairs: eq2 strictly decreasing in each
-    variable; eq1 decreasing wherever positive; U increasing and V decreasing
-    in each variable.  Returns the booleans plus the worst margins.
-    """
-    box = system.box if box is None else box
-    phis = np.linspace(box.phi_min, box.phi_max, n)
-    b1s = np.linspace(box.beta1_min, box.beta1_max, n)
-    e1 = np.full((n, n), np.nan)
-    e2 = np.full((n, n), np.nan)
-    uu = np.full((n, n), np.nan)
-    vv = np.full((n, n), np.nan)
-    feas = np.zeros((n, n), dtype=bool)
-    for i, f in enumerate(phis):
-        for j, b in enumerate(b1s):
-            if not box.contains(f, b):
-                continue
-            try:
-                pt = system.point(f, b)
-            except SingularPointError:
-                continue
-            feas[i, j] = True
-            e1[i, j] = st.eq1(pt, system)
-            e2[i, j] = st.eq2(pt, system)
-            uu[i, j] = pt.U
-            vv[i, j] = pt.V
-
-    def paired(mat, axis):
-        a = mat[:-1, :] if axis == 0 else mat[:, :-1]
-        b = mat[1:, :] if axis == 0 else mat[:, 1:]
-        ok = (feas[:-1, :] & feas[1:, :]) if axis == 0 else (feas[:, :-1] & feas[:, 1:])
-        return a[ok], b[ok]
-
-    report: dict = {"n": n, "feasible_points": int(feas.sum())}
-    worst: dict = {}
-    oks: dict = {}
-    for name, mat, want in (("eq2", e2, "dec"), ("U", uu, "inc"), ("V", vv, "dec")):
-        flags = []
-        for axis in (0, 1):
-            a, b = paired(mat, axis)
-            diff = b - a
-            if want == "dec":
-                flags.append(bool(np.all(diff < -DELTA_NUM)))
-                worst[f"{name}_axis{axis}"] = float(diff.max()) if diff.size else math.nan
-            else:
-                flags.append(bool(np.all(diff > DELTA_NUM)))
-                worst[f"{name}_axis{axis}"] = float(diff.min()) if diff.size else math.nan
-        oks[name] = all(flags)
-    # eq1: wherever positive, next value along either axis must be lower
-    flags = []
-    for axis in (0, 1):
-        a, b = paired(e1, axis)
-        sel = a > 0.0
-        diff = (b - a)[sel]
-        flags.append(bool(np.all(diff < -DELTA_NUM)))
-        worst[f"eq1_axis{axis}"] = float(diff.max()) if diff.size else math.nan
-    oks["eq1_where_positive"] = all(flags)
-    report.update(oks)
-    report["worst_margins"] = worst
-    report["ok"] = all(oks.values())
-    return report

@@ -310,22 +310,6 @@ def replay(cert_data: dict) -> dict:
 
 # -- curves -------------------------------------------------------------------------
 
-def _values_where_defined(fn, phis: np.ndarray, betas: np.ndarray):
-    """(values, defined): fn at each point in one batched call, or, if the batch
-    has a singular point, point by point with defined False where it is."""
-    try:
-        return fn(phis, betas), np.ones(phis.shape, dtype=bool)
-    except SingularPointError:
-        pass
-    values, defined = np.zeros(phis.shape), np.ones(phis.shape, dtype=bool)
-    for k, (phi, b1) in enumerate(zip(phis.tolist(), betas.tolist())):
-        try:
-            values[k] = fn(phi, b1)
-        except SingularPointError:
-            defined[k] = False
-    return values, defined
-
-
 def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str]:
     """Sample the loci eq1 = 0 and eq2 = 0 as phi(beta1) by bisecting each column.
 
@@ -341,11 +325,12 @@ def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str
     for name, fn in (("phi_eq1", system.eq1), ("phi_eq2", system.eq2)):
         lo = np.maximum(box.phi_min, (2.0 - b1s) / 3.0 + 1e-9)
         hi = np.full_like(b1s, box.phi_max)
-        flo, lo_defined = _values_where_defined(fn, lo, b1s)
-        fhi, hi_defined = _values_where_defined(fn, hi, b1s)
-        live = lo_defined & hi_defined & ~(flo * fhi > 0)
+        flo, lo_errors = rb.values_where_defined(fn, lo, b1s)
+        fhi, hi_errors = rb.values_where_defined(fn, hi, b1s)
+        flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)  # None -> NaN
+        live = np.equal(lo_errors, None) & np.equal(hi_errors, None) & ~(flo * fhi > 0)
         lo, hi, flo, b1 = lo[live], hi[live], flo[live], b1s[live]
-        for _ in range(80 if live.any() else 0):
+        for _ in range(80):
             mid = 0.5 * (lo + hi)
             fm = fn(mid, b1)
             left = flo * fm <= 0

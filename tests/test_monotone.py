@@ -9,6 +9,8 @@ from typsat import stationarity as st
 from typsat.errors import DomainError
 from typsat.params import CERTIFICATION_BOX, DELTA_NUM, ModelParams
 
+from oracles import eq1_over, monotone_grid_report
+
 
 # -- R and S ------------------------------------------------------------------------
 
@@ -87,10 +89,10 @@ def test_R_positive_and_below_S_empirically(box, rng):
         b1 = rng.uniform(box.beta1_min + 1e-3, box.beta1_max - 1e-3)
         if not box.contains(phi, b1):
             continue
-        pt = st.derive_point(phi, b1, box)
+        pt = st.derive_point(phi, b1)
 
         def uv(f, b):
-            q = st.derive_point(f, b, box)
+            q = st.derive_point(f, b)
             return q.U, q.V
 
         # fixed phi, vary beta1
@@ -180,20 +182,26 @@ def test_phi_star_endpoints():
     assert mo.phi_star(1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+def beta1_star(phi: float) -> float:
+    """Turning point of the x = 2p+1 terms at fixed phi: sqrt(3) - 3(sqrt(3)-1) phi,
+    the line along which eq1_star_majorant bounds Eq1*."""
+    return mo.SQRT3 - 3.0 * (mo.SQRT3 - 1.0) * phi
+
+
 def test_beta1_star_linear_decreasing():
-    vals = [mo.beta1_star(f) for f in np.linspace(0.5, 0.7, 11)]
+    vals = [beta1_star(f) for f in np.linspace(0.5, 0.7, 11)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v < 1.0 for v in vals)
     # slope is exactly -3(sqrt(3)-1)
-    slope = (mo.beta1_star(0.6) - mo.beta1_star(0.5)) / 0.1
+    slope = (beta1_star(0.6) - beta1_star(0.5)) / 0.1
     assert slope == pytest.approx(-3.0 * (math.sqrt(3.0) - 1.0), rel=1e-12)
 
 
 def test_uv_at_beta1_star(box):
     # at beta1*(phi): U = 3(1-phi)/(3phi-1) and V = 2/sqrt(3)
     for phi in (0.53, 0.56, 0.60):
-        b1 = mo.beta1_star(phi)
-        pt = st.derive_point(phi, b1, box)
+        b1 = beta1_star(phi)
+        pt = st.derive_point(phi, b1)
         assert pt.U == pytest.approx(3.0 * (1.0 - phi) / (3.0 * phi - 1.0), rel=1e-12)
         assert pt.V == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-12)
 
@@ -223,7 +231,7 @@ def test_uv_star_ranges_and_monotonicity():
 def test_uv_star_consistent_with_direct_evaluation(box):
     for b1 in (0.33, 0.4, 0.468, 0.52891):
         u_star, v_star = mo.uv_star(b1)
-        pt = st.derive_point(mo.phi_star(b1), b1, box)
+        pt = st.derive_point(mo.phi_star(b1), b1)
         assert u_star == pytest.approx(pt.U, rel=1e-10)
         assert v_star == pytest.approx(pt.V, rel=1e-10)
 
@@ -236,10 +244,10 @@ def test_eq1_partial_ordering(box, system, rng):
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
         if not box.contains(phi, b1):
             continue
-        pt = st.derive_point(phi, b1, box)
+        pt = st.derive_point(phi, b1)
         e = st.eq1(pt, system)
-        e_star = mo.eq1_partial("star", pt, system)
-        e_star2 = mo.eq1_partial("star_star", pt, system)
+        e_star = eq1_over(mo._partial_cells("star", system), pt, system)
+        e_star2 = eq1_over(mo._partial_cells("star_star", system), pt, system)
         assert e <= e_star + 1e-14
         assert e_star <= e_star2 + 1e-14
 
@@ -255,8 +263,8 @@ def test_eq1_partial_on_toy_table(box, params):
                            K_tilde=float(((xs - ps) * kt).sum()),
                            xs=xs, ps=ps, w=xs - 2 * ps, kt=kt)
     toy_system = st.EqSystem.build(params, toy)
-    pt = st.derive_point(0.56, 0.44, box)
-    assert mo.eq1_partial("star", pt, toy_system) == pytest.approx(
+    pt = st.derive_point(0.56, 0.44)
+    assert eq1_over(mo._partial_cells("star", toy_system), pt, toy_system) == pytest.approx(
         st.eq1(pt, toy_system), abs=1e-15)
 
 
@@ -361,7 +369,7 @@ def test_E_factorization(box, rng):
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
         if not box.contains(phi, b1):
             continue
-        pt = st.derive_point(phi, b1, box)
+        pt = st.derive_point(phi, b1)
         uv = pt.U / pt.V
 
         def E(x, p):
@@ -374,7 +382,7 @@ def test_E_factorization(box, rng):
 
 
 def test_monotone_grid_report(system):
-    report = mo.monotone_grid_report(system, n=25)
+    report = monotone_grid_report(system, n=25)
     assert report["ok"]
     assert report["eq2"] and report["U"] and report["V"] and report["eq1_where_positive"]
     assert report["feasible_points"] > 200

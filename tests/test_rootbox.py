@@ -231,7 +231,7 @@ def test_trace_serialization_roundtrip(trace, system, box):
     assert back.rectangle == trace.rectangle
     assert rb.verify_exclusion(back, system.eq1, system.eq2, box).ok
     import json
-    again = rb.ExclusionTrace.from_jsonable(json.loads(trace.dumps()))
+    again = rb.ExclusionTrace.from_jsonable(json.loads(json.dumps(trace.to_jsonable())))
     assert again.phi_minus == trace.phi_minus
 
 

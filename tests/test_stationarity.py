@@ -9,26 +9,30 @@ from typsat.errors import DomainError, SingularPointError
 from typsat.intervals import Interval
 from typsat.params import DELTA_NUM
 
+from oracles import (alpha_closed_form, beta1_of_mu, eq1_over, eq2_eqb1, g2, gradient_f1,
+                     h_weight, mu_closed_form, mu_index, mu_table, objective_f1, phi_of_mu,
+                     projected_gradient)
+
 LAM = 3 * 4.506
 
 
 # -- points ----------------------------------------------------------------------
 
 def test_final_rectangle_point_is_feasible(box, consts, params):
-    pt = st.derive_point(0.56383233, 0.44651440, box)
-    assert pt.feasible
+    pt = st.derive_point(0.56383233, 0.44651440)
+    assert box.contains(pt.phi, pt.beta1)
 
 
 def test_beta_partition_identity(box):
-    pt = st.derive_point(0.57, 0.45, box)
+    pt = st.derive_point(0.57, 0.45)
     assert pt.beta1 + pt.beta2 + pt.beta3 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_singular_point_raises(box):
     with pytest.raises(SingularPointError):
-        st.derive_point(0.12, 0.36, box)  # beta1 = 3 phi: Y = 0
+        st.derive_point(0.12, 0.36)  # beta1 = 3 phi: Y = 0
     with pytest.raises(SingularPointError):
-        st.derive_point(box.phi_min, box.beta1_min, box)  # beta3 < 0 corner
+        st.derive_point(box.phi_min, box.beta1_min)  # beta3 < 0 corner
 
 
 def test_uv_is_generic_over_number_types():
@@ -49,7 +53,7 @@ def test_v_at_polygon_vertex(box):
     # vertex beta2 = beta2_min, beta3 = beta3_max
     beta1 = 1.0 - box.beta2_min - box.beta3_max
     phi = (box.beta3_max + 2.0 - beta1) / 3.0
-    pt = st.derive_point(phi, beta1, box)
+    pt = st.derive_point(phi, beta1)
     assert pt.V == pytest.approx(1.126983, abs=1e-6)
 
 
@@ -64,7 +68,7 @@ def test_v_alternate_form_agrees(box, rng):
         phi = rng.uniform(box.phi_min, box.phi_max)
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
         try:
-            pt = st.derive_point(phi, b1, box)
+            pt = st.derive_point(phi, b1)
         except SingularPointError:
             continue
         assert abs(v_alternate_form(pt) - pt.V) / pt.V < 1e-12
@@ -77,10 +81,10 @@ def test_uv_bounds_on_feasible_set(box, rng):
         phi = rng.uniform(box.phi_min, box.phi_max)
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
         try:
-            pt = st.derive_point(phi, b1, box)
+            pt = st.derive_point(phi, b1)
         except SingularPointError:
             continue
-        if not pt.feasible:
+        if not box.contains(pt.phi, pt.beta1):
             continue
         hits += 1
         u_poly_max = max(u_poly_max, pt.U)
@@ -103,24 +107,24 @@ def test_mu_p0_is_binomial_mass(root_point):
     for x in (1, 4, 9):
         for j in range(x + 1):
             expect = math.comb(x, j) * q**j * (1.0 - q) ** (x - j)
-            assert st.mu_closed_form(x, 0, j, pt) == pytest.approx(expect, rel=1e-12)
+            assert mu_closed_form(x, 0, j, pt) == pytest.approx(expect, rel=1e-12)
 
 
 def test_mu_row_sum_oracle_5_2(box):
     # independent oracle: plain summation against the closed denominator identity
-    pt = st.derive_point(0.56383233, 0.44651440, box)
+    pt = st.derive_point(0.56383233, 0.44651440)
     x, p = 5, 2
-    total = sum(st.mu_closed_form(x, p, j, pt) for j in range(x + 1))
+    total = sum(mu_closed_form(x, p, j, pt) for j in range(x + 1))
     assert total == pytest.approx(1.0, abs=1e-12)
     num = pt.U ** (x - 2 * p) * (pt.V**p - 1.0)
     den = num + pt.V ** (x - p)
-    alpha_direct = sum(st.mu_closed_form(x, p, j, pt) for j in range(p))
+    alpha_direct = sum(mu_closed_form(x, p, j, pt) for j in range(p))
     assert alpha_direct == pytest.approx(num / den, rel=1e-12)
-    assert st.alpha_closed_form(x, p, pt) == pytest.approx(num / den, rel=1e-12)
+    assert alpha_closed_form(x, p, pt) == pytest.approx(num / den, rel=1e-12)
 
 
 def test_mu_rows_sum_to_one_everywhere(root_point, consts):
-    table = st.mu_table(root_point, consts)
+    table = mu_table(root_point, consts)
     sums = table.row_sums()
     assert np.max(np.abs(sums - 1.0)) < 1e-10
     assert table.alpha[0] == 0.0  # (x, p) = (0, 0)
@@ -128,9 +132,9 @@ def test_mu_rows_sum_to_one_everywhere(root_point, consts):
 
 def test_mu_domain_errors(root_point):
     with pytest.raises(DomainError):
-        st.mu_closed_form(3, 2, 0, root_point)  # 2p > x
+        mu_closed_form(3, 2, 0, root_point)  # 2p > x
     with pytest.raises(DomainError):
-        st.mu_closed_form(4, 1, 5, root_point)  # j > x
+        mu_closed_form(4, 1, 5, root_point)  # j > x
 
 
 def test_mu_index_matches_triple_loop(consts):
@@ -145,7 +149,7 @@ def test_mu_index_matches_triple_loop(consts):
                 tj.append(j)
                 row.append(r)
             r += 1
-    idx = st.mu_index(consts.x_max)
+    idx = mu_index(consts.x_max)
     for key, want in (("x", tx), ("p", tp), ("j", tj), ("row", row)):
         assert np.array_equal(idx[key], want)
     log_h = [math.log(math.comb(p, j) if j < p else math.comb(x - p, j - p))
@@ -156,17 +160,17 @@ def test_mu_index_matches_triple_loop(consts):
 
 def test_h_weights_are_branch_binomials(root_point, consts):
     # h(x, p, j) = C(p, j) below the branch point, C(x-p, j-p) at and above
-    table = st.mu_table(root_point, consts)
-    idx = st.mu_index(consts.x_max)
+    table = mu_table(root_point, consts)
+    idx = mu_index(consts.x_max)
     for k in (0, 50, 500, 5000, 20000):
         x, p, j = int(idx["x"][k]), int(idx["p"][k]), int(idx["j"][k])
         want = math.comb(p, j) if j < p else math.comb(x - p, j - p)
-        assert st.h_weight(x, p, j) == want
+        assert h_weight(x, p, j) == want
         assert table.log_h[k] == pytest.approx(math.log(want) if want > 1 else 0.0, abs=1e-12)
 
 
 def test_alpha_zero_at_p0(root_point, consts):
-    table = st.mu_table(root_point, consts)
+    table = mu_table(root_point, consts)
     p0_rows = np.flatnonzero(consts.ps == 0)
     assert np.all(table.alpha[p0_rows] == 0.0)
 
@@ -174,7 +178,7 @@ def test_alpha_zero_at_p0(root_point, consts):
 # -- the two equations ---------------------------------------------------------------
 
 def test_eq1_diagonal_terms_vanish(root_point, system):
-    with_diag = st.eq1(root_point, system, include_diagonal=True)
+    with_diag = eq1_over(system.cells_eq2, root_point, system)
     without = st.eq1(root_point, system)
     assert with_diag == pytest.approx(without, abs=1e-15)
 
@@ -227,11 +231,20 @@ def test_interval_system_encloses_float_system(params, consts, system, trace):
         st.EqSystem.build(params, consts, mode="decimal")
 
 
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_equations_at_no_points_return_empty(mode, params, consts):
+    system = st.EqSystem.build(params, consts, mode=mode)
+    for fn in (system.eq1, system.eq2):
+        val = fn(np.array([]), np.array([]))
+        ends = (val.lo, val.hi) if mode == "interval" else (val,)
+        assert all(isinstance(e, np.ndarray) and e.shape == (0,) for e in ends)
+
+
 def test_eq2_form_equivalence_at_root(root, box, system):
-    pt = st.derive_point(root["phi"], root["beta1"], box)
+    pt = st.derive_point(root["phi"], root["beta1"])
     assert abs(st.eq1(pt, system)) < 1e-10
-    mod2 = st.eq2(pt, system, form="mod2")
-    eqb1 = st.eq2(pt, system, form="eqb1")
+    mod2 = st.eq2(pt, system)
+    eqb1 = eq2_eqb1(pt, system)
     assert abs(mod2 - eqb1) < 1e-8
 
 
@@ -240,12 +253,12 @@ def test_eq2_form_equivalence_across_grid(box, system, rng):
         phi = rng.uniform(box.phi_min, box.phi_max)
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
         try:
-            pt = st.derive_point(phi, b1, box)
+            pt = st.derive_point(phi, b1)
         except SingularPointError:
             continue
         e1 = st.eq1(pt, system)
-        gap = abs(st.eq2(pt, system, form="eqb1")
-                  - st.eq2(pt, system, form="mod2"))
+        gap = abs(eq2_eqb1(pt, system)
+                  - st.eq2(pt, system))
         assert gap <= 1e-6 + 10.0 * abs(e1)
 
 
@@ -254,7 +267,7 @@ def test_eq2_form_equivalence_across_grid(box, system, rng):
 def test_g2_finite_and_positive(root_point, system):
     val = st.log_g2(root_point, system)
     assert math.isfinite(val)
-    assert st.g2(root_point, system) > 0.0
+    assert g2(root_point, system) > 0.0
 
 
 def test_g2_origin_factor_is_one(root_point, consts):
@@ -273,7 +286,7 @@ def _log_den_reference(consts, U, V):
 
 
 def test_log_den_matches_logaddexp_form(root_point, consts, box):
-    for pt in (root_point, st.derive_point(0.57, 0.45, box), st.derive_point(0.6, 0.4, box)):
+    for pt in (root_point, st.derive_point(0.57, 0.45), st.derive_point(0.6, 0.4)):
         log_uv, log_v = math.log(pt.U) - math.log(pt.V), math.log(pt.V)
         got = st.log_den(log_uv, log_v, consts.w, consts.ps)
         want = _log_den_reference(consts, pt.U, pt.V)
@@ -283,8 +296,8 @@ def test_log_den_matches_logaddexp_form(root_point, consts, box):
 
 def test_g2_consistency_with_mu_product(root, root_point, consts, system):
     # plug the closed-form mu into exp(sum kt sum_j mu log(mu/h)); must invert g2
-    idx = st.mu_index(consts.x_max)
-    table = st.mu_table(root_point, consts)
+    idx = mu_index(consts.x_max)
+    table = mu_table(root_point, consts)
     kt_tri = consts.kt[idx["row"]]
     s = math.fsum((kt_tri * table.mu * (np.log(table.mu) - idx["log_h"])).tolist())
     assert s == pytest.approx(-st.log_g2(root_point, system), abs=1e-9)
@@ -293,14 +306,14 @@ def test_g2_consistency_with_mu_product(root, root_point, consts, system):
 # -- objective and gradient ----------------------------------------------------------
 
 def _uniform_rows_mu(consts):
-    idx = st.mu_index(consts.x_max)
+    idx = mu_index(consts.x_max)
     return 1.0 / (idx["x"] + 1.0)
 
 
 def _feasible_mu(rng, consts, root_mu, t):
     """Mixture of the stationary mu with row-uniform noise; components stay
     bounded away from 0 so central differences at step 1e-6 are safe."""
-    idx = st.mu_index(consts.x_max)
+    idx = mu_index(consts.x_max)
     starts = idx["row_starts"]
     noise = rng.uniform(0.5, 1.5, size=root_mu.shape) * _uniform_rows_mu(consts)
     sums = np.add.reduceat(noise, starts)
@@ -310,11 +323,11 @@ def _feasible_mu(rng, consts, root_mu, t):
 
 def _objective_oracle_parts(mu, consts, params):
     """Independent transcription of the objective for the FD oracle."""
-    idx = st.mu_index(consts.x_max)
+    idx = mu_index(consts.x_max)
     kt_tri = consts.kt[idx["row"]]
     ent = float(np.sum(kt_tri * mu * (idx["log_h"] - np.log(mu))))
-    phi = st.phi_of_mu(mu, consts)
-    b1 = st.beta1_of_mu(mu, consts)
+    phi = phi_of_mu(mu, consts)
+    b1 = beta1_of_mu(mu, consts)
     return ent, phi, b1
 
 
@@ -333,7 +346,7 @@ def _fd_gradient(mu, consts, params, step=1e-6):
     exactly known amount (the affinity itself is cross-checked in
     test_affine_coordinates below); the entropy term updates locally.
     """
-    idx = st.mu_index(consts.x_max)
+    idx = mu_index(consts.x_max)
     kt_tri = consts.kt[idx["row"]]
     lam, c = params.lam, params.c
     dphi = np.where(idx["lt"], -(idx["w"] * kt_tri) / lam, 0.0)
@@ -355,16 +368,16 @@ def _fd_gradient(mu, consts, params, step=1e-6):
 
 def test_affine_coordinates(root_point, consts, params, rng):
     # phi_of_mu and beta1_of_mu shift linearly under coordinate perturbations
-    idx = st.mu_index(consts.x_max)
-    table = st.mu_table(root_point, consts)
+    idx = mu_index(consts.x_max)
+    table = mu_table(root_point, consts)
     mu = table.mu
     kt_tri = consts.kt[idx["row"]]
     for k in rng.integers(0, mu.size, 40):
         step = 1e-4
         bumped = mu.copy()
         bumped[k] += step
-        dphi = st.phi_of_mu(bumped, consts) - st.phi_of_mu(mu, consts)
-        db1 = st.beta1_of_mu(bumped, consts) - st.beta1_of_mu(mu, consts)
+        dphi = phi_of_mu(bumped, consts) - phi_of_mu(mu, consts)
+        db1 = beta1_of_mu(bumped, consts) - beta1_of_mu(mu, consts)
         want_dphi = (-(idx["w"][k] * kt_tri[k]) / params.lam if idx["lt"][k] else 0.0) * step
         want_db1 = idx["pmj"][k] * kt_tri[k] / params.c * step
         assert dphi == pytest.approx(want_dphi, abs=1e-15)
@@ -372,58 +385,58 @@ def test_affine_coordinates(root_point, consts, params, rng):
 
 
 def test_gradient_matches_fd_at_random_feasible_mu(root_point, consts, params, rng):
-    table = st.mu_table(root_point, consts)
+    table = mu_table(root_point, consts)
     mu = _feasible_mu(rng, consts, table.mu, t=0.12)
-    grad = st.gradient_f1(mu, consts, params)
+    grad = gradient_f1(mu, consts, params)
     fd = _fd_gradient(mu, consts, params)
     assert np.max(np.abs(grad - fd)) < 1e-5
 
 
 def test_gradient_matches_naive_fd_subset(root_point, consts, params, rng):
     # deepest cross-check: plain objective re-evaluation on a coordinate subset
-    table = st.mu_table(root_point, consts)
+    table = mu_table(root_point, consts)
     mu = _feasible_mu(rng, consts, table.mu, t=0.12)
-    grad = st.gradient_f1(mu, consts, params)
+    grad = gradient_f1(mu, consts, params)
     step = 1e-6
     for k in rng.integers(0, mu.size, 120):
         up, dn = mu.copy(), mu.copy()
         up[k] += step
         dn[k] -= step
-        fd = (st.objective_f1(up, consts, params)
-              - st.objective_f1(dn, consts, params)) / (2.0 * step)
+        fd = (objective_f1(up, consts, params)
+              - objective_f1(dn, consts, params)) / (2.0 * step)
         assert grad[k] == pytest.approx(fd, abs=2e-5)
 
 
 def test_gradient_rejects_null_coordinate(root_point, consts, params):
-    table = st.mu_table(root_point, consts)
+    table = mu_table(root_point, consts)
     mu = table.mu.copy()
     mu[5] = 0.0
     with pytest.raises(DomainError):
-        st.gradient_f1(mu, consts, params)
+        gradient_f1(mu, consts, params)
     with pytest.raises(DomainError):
-        st.objective_f1(mu, consts, params)
+        objective_f1(mu, consts, params)
 
 
 def test_projected_gradient_vanishes_at_root(root, root_point, consts, params):
-    table = st.mu_table(root_point, consts)
-    proj = st.projected_gradient(table.mu, consts, params)
+    table = mu_table(root_point, consts)
+    proj = projected_gradient(table.mu, consts, params)
     assert np.max(np.abs(proj)) < 1e-7
 
 
 def test_row_perturbation_directional_derivative(root_point, consts, params, rng):
     # moving mass between two j's of one row changes f1 by the two-coordinate
     # directional derivative to first order
-    table = st.mu_table(root_point, consts)
+    table = mu_table(root_point, consts)
     mu = _feasible_mu(rng, consts, table.mu, t=0.1)
-    grad = st.gradient_f1(mu, consts, params)
-    idx = st.mu_index(consts.x_max)
+    grad = gradient_f1(mu, consts, params)
+    idx = mu_index(consts.x_max)
     row = int(np.flatnonzero((idx["x"] == 7) & (idx["p"] == 2) & (idx["j"] == 0))[0])
     other = row + 3  # (7, 2, 3)
     for eps in (1e-5, 1e-6):
         bumped = mu.copy()
         bumped[row] += eps
         bumped[other] -= eps
-        df = st.objective_f1(bumped, consts, params) - st.objective_f1(mu, consts, params)
+        df = objective_f1(bumped, consts, params) - objective_f1(mu, consts, params)
         first_order = (grad[row] - grad[other]) * eps
         assert df == pytest.approx(first_order, abs=50 * eps * eps)
 
@@ -433,8 +446,8 @@ def test_objective_equals_log_g2_plus_cF_at_stationary_mu(root_point, consts, pa
     # the entropy objective at the closed-form mu, the normalizing product g2,
     # and the four-term F assembly
     pt = root_point
-    table = st.mu_table(pt, consts)
-    f1 = st.objective_f1(table.mu, consts, params)
+    table = mu_table(pt, consts)
+    f1 = objective_f1(table.mu, consts, params)
     F = (pt.Y * math.log(pt.Y) + 3 * (1 - pt.phi) * math.log(3 * (1 - pt.phi))
          - pt.beta2 * math.log(pt.beta2) - pt.beta3 * math.log(3 * pt.beta3))
     assert f1 == pytest.approx(st.log_g2(pt, system) + params.c * F, abs=1e-12)
@@ -443,9 +456,9 @@ def test_objective_equals_log_g2_plus_cF_at_stationary_mu(root_point, consts, pa
 def test_stationary_mu_dominates_random_feasible(root_point, consts, params, rng):
     # the confined root carries the constrained maximum: no sampled feasible
     # perturbation improves the objective
-    table = st.mu_table(root_point, consts)
-    f_star = st.objective_f1(table.mu, consts, params)
-    idx = st.mu_index(consts.x_max)
+    table = mu_table(root_point, consts)
+    f_star = objective_f1(table.mu, consts, params)
+    idx = mu_index(consts.x_max)
     starts = idx["row_starts"]
     tried = 0
     for _ in range(30):
@@ -453,7 +466,7 @@ def test_stationary_mu_dominates_random_feasible(root_point, consts, params, rng
         sums = np.add.reduceat(noise, starts)
         mu2 = noise / sums[idx["row"]]
         try:
-            val = st.objective_f1(mu2, consts, params)
+            val = objective_f1(mu2, consts, params)
         except DomainError:
             continue
         tried += 1
@@ -464,9 +477,9 @@ def test_stationary_mu_dominates_random_feasible(root_point, consts, params, rng
 def test_stationarity_closure(root, root_point, consts, params):
     # the elimination argument: plugging the closed-form mu back into the
     # affine coordinate maps reproduces (phi, beta1) at a solution
-    table = st.mu_table(root_point, consts)
-    assert st.phi_of_mu(table.mu, consts) == pytest.approx(root["phi"], abs=1e-8)
-    assert st.beta1_of_mu(table.mu, consts) == pytest.approx(root["beta1"], abs=1e-8)
+    table = mu_table(root_point, consts)
+    assert phi_of_mu(table.mu, consts) == pytest.approx(root["phi"], abs=1e-8)
+    assert beta1_of_mu(table.mu, consts) == pytest.approx(root["beta1"], abs=1e-8)
 
 
 # -- monotonicity of U and V ----------------------------------------------------------
@@ -481,7 +494,7 @@ def test_u_increasing_v_decreasing_50x50(box):
         for j, b in enumerate(b1s):
             if not box.contains(f, b):
                 continue
-            pt = st.derive_point(f, b, box)
+            pt = st.derive_point(f, b)
             u[i, j], v[i, j], feas[i, j] = pt.U, pt.V, True
     for axis in (0, 1):
         a_u = u[:-1, :] if axis == 0 else u[:, :-1]
@@ -505,7 +518,7 @@ def test_rate_point_mode_continuous_and_dominated(trace, box, consts, params, bu
     for _ in range(25):
         phi = rng.uniform(rect[0], rect[1])
         b1 = rng.uniform(rect[2], rect[3])
-        pt = st.derive_point(phi, b1, box)
+        pt = st.derive_point(phi, b1)
         samples.append(st.rate_bound_point(pt, system, budget))
     samples = np.array(samples)
     # rectangle mode dominates every interior sample (after adding the
@@ -551,8 +564,8 @@ def test_interval_rectangle_rate_encloses_its_corners(monkeypatch, params, const
 
 def test_rate_rejects_infeasible(box, system, budget):
     # nonsingular but outside the polygon: beta2 below its floor
-    pt = st.derive_point(box.phi_max - 1e-4, box.beta1_max - 1e-4, box)
-    assert not pt.feasible
+    pt = st.derive_point(box.phi_max - 1e-4, box.beta1_max - 1e-4)
+    assert not box.contains(pt.phi, pt.beta1)
     with pytest.raises(DomainError):
         st.rate_bound_point(pt, system, budget)
     with pytest.raises(DomainError):
