@@ -9,7 +9,7 @@ occurrence histogram exactly as the unbalanced table predicts.
 
 import numpy as np
 
-from typsat import ModelParams, build_tables, generate, kappa, measure_omega
+from typsat import ModelParams, generate, kappa, measure_omega
 from typsat.formulas import (Assignment, is_pps, pps_bitmap, pure_negative_vars, satisfies,
                              solution_bitmap, to_ocnf, totally_unbalanced_representative)
 

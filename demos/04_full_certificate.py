@@ -1,9 +1,9 @@
 """The whole pipeline: from clause density to a machine-readable certificate.
 
 Runs the certification at the headline density 4.506 in float mode, then
-re-verifies the ledger, every trace sign, and the rectangle rate with
-outward-rounded interval arithmetic, and finally replays both emitted
-certificates from their JSON form, each in its own mode.
+in interval mode, where the same stages run with the ledger, every trace
+sign and the rectangle rate outward-rounded, and finally replays both
+emitted certificates from their JSON form, each in its own mode.
 """
 
 import json
@@ -21,7 +21,7 @@ print(f"   certified per-variable expectation rate: {cert.rate:.9f}  (< 1)")
 print(f"   so the expected count decays like rate^n, up to a 6 n^3 polynomial factor")
 
 print()
-print("-- interval re-verification " + "-" * 41)
+print("-- interval certificate " + "-" * 45)
 cert_iv = certify(4.506, 56, 1e-15, mode="interval")
 rep = cert_iv.interval_report
 print(f"   {rep['sign_checks']} outward-rounded sign checks, failures: {rep['sign_failures']}")

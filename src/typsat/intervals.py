@@ -1,4 +1,4 @@
-"""Outward-rounded interval arithmetic for the certified re-verification pass.
+"""Outward-rounded interval arithmetic for interval-mode certificates.
 
 Every elementary operation rounds its lower endpoint down and its upper
 endpoint up, so the enclosure property is preserved through arbitrary

@@ -68,8 +68,8 @@ class ModelParams:
                 f"density range must satisfy 3 <= c_min <= c <= c_max <= 5, "
                 f"got c_min={c_min}, c={self.c}, c_max={c_max}"
             )
-        if self.epsilon < 0 or self.epsilon > 1e-6:
-            raise ConfigurationError(f"epsilon out of range (0, 1e-6]: {self.epsilon}")
+        if not (0.0 <= self.epsilon <= 1e-6):  # NaN fails too
+            raise ConfigurationError(f"epsilon out of range [0, 1e-6]: {self.epsilon}")
         check_x_max(self.x_max, 3.0 * c_min, 3.0 * c_max)
         if self.a_priori is None:
             object.__setattr__(self, "a_priori", self._default_box())

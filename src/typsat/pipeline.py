@@ -4,8 +4,8 @@ certify() chains: parameter validation -> occurrence tables -> error ledger
 -> separate-monotonicity verdicts -> exclusion spiral -> trace verification
 -> reference root -> rectangle-mode rate bound.  The verdict is true only if
 every stage passes and the rate (prefactors and unbalancing factor included)
-stays below 1 with the documented slack.  Interval mode reruns the ledger,
-the trace sign checks, and the rate with outward-rounded arithmetic.
+stays below 1 with the documented slack.  Interval mode runs the same stages
+with the ledger, the trace sign checks and the rate outward-rounded.
 
 The monotone decrease of the satisfiability probability in the density c is
 recorded as an external assumption: it transports the per-density verdict to
@@ -148,12 +148,12 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     cert.stage("tables", tables_ok,
                f"row_err={row_err:.3e}, mass_err={mass_err:.3e}, rho={consts.rho:.3e}")
 
-    budget = lg.build_budget(params, consts, mode="float")
+    system = st.EqSystem.build(params, consts)  # the search and the monotone stage
+    budget, checker = _checker(params, consts, mode, system)
     cert.ledger = budget.as_dict()
     ledger_ok = upper(budget.prefactor) < 1.01 and math.isfinite(upper(budget.prefactor))
     cert.stage("ledger", ledger_ok, f"prefactor={upper(budget.prefactor):.12g}")
 
-    system = st.EqSystem.build(params, consts)
     monotone_ok = False
     mono_detail = ""
     star_majorant = math.nan
@@ -208,9 +208,10 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     else:
         cert.stage("spiral", False, "skipped: monotonicity certificates failed")
 
+    report = rate = None
     if trace is not None:
         try:
-            report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
+            report = rb.verify_exclusion(trace, checker.eq1, checker.eq2, params.a_priori)
             cert.trace_verified = report.ok
             cert.stage("verify_exclusion", report.ok,
                        f"{report.checks} sign checks, {len(report.failures)} failures, "
@@ -230,7 +231,8 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
 
         rect = trace.rectangle
         try:
-            cert.rate = float(st.rate_bound_rectangle(*rect, system, budget))
+            rate = st.rate_bound_rectangle(*rect, checker, budget)
+            cert.rate = upper(rate)
             center = system.point(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
             cert.point_rate = st.rate_bound_point(center, system, budget)
             rate_ok = cert.rate + DELTA_NUM < 1.0
@@ -241,68 +243,55 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
         cert.stage("rate", False, "no verified rectangle")
 
     cert.verdict = all(s["ok"] for s in cert.stages)
-
     if mode == "interval":
-        cert.interval_report = _interval_pass(cert, params, consts, trace)
-        cert.stage("interval_reverify", cert.interval_report.get("ok", False),
-                   cert.interval_report.get("detail", ""))
-        cert.verdict = cert.verdict and cert.interval_report.get("ok", False)
+        cert.interval_report = {"ok": False} if rate is None else {
+            "ok": upper(rate) + DELTA_NUM < 1.0,
+            "prefactor_upper": upper(budget.prefactor),
+            "unbalancing_upper": upper(budget.unbalancing),
+            "unbalancing_excess_upper": upper(budget.unbalancing_excess),
+            "sign_checks": report.checks,
+            "sign_failures": len(report.failures),
+            "min_sign_margin": report.min_margin,
+            "rate_upper": upper(rate),
+            "rate_lower": lower(rate),
+        }
     return cert
 
 
-def _reverify(params: ModelParams, consts, mode: str, trace, rect):
-    """Rebuild the ledger and the system in `mode`, recheck the trace's sign
-    claims and recompute the rectangle rate: (budget, report, rate)."""
+def _checker(params: ModelParams, consts, mode: str, system=None):
+    """The ledger and the EqSystem that check the trace and the rate, both in
+    `mode`: (budget, checker).  In float mode the checker is `system` itself."""
     budget = lg.build_budget(params, consts, mode=mode)
-    system = st.EqSystem.build(params, consts, mode=mode)
-    report = rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori)
-    return budget, report, st.rate_bound_rectangle(*rect, system, budget)
-
-
-def _interval_pass(cert: Certificate, params: ModelParams, consts, trace) -> dict:
-    """Outward-rounded re-verification of ledger, trace signs, and the rate."""
-    if not cert.trace_verified:  # the float pass also checked the trace structure
-        return {"ok": False, "detail": "no verified trace to re-verify"}
-    budget_iv, report, rate_iv = _reverify(params, consts, "interval", trace, trace.rectangle)
-    out: dict = {
-        "ok": report.ok and upper(rate_iv) + DELTA_NUM < 1.0,
-        "detail": (f"{report.checks} interval sign checks ({len(report.failures)} failures), "
-                   f"rate upper={upper(rate_iv):.9f}"),
-        "prefactor_upper": upper(budget_iv.prefactor),
-        "unbalancing_upper": upper(budget_iv.unbalancing),
-        "unbalancing_excess_upper": upper(budget_iv.unbalancing_excess),
-        "sign_checks": report.checks,
-        "sign_failures": len(report.failures),
-        "min_sign_margin": report.min_margin,
-        "rate_upper": upper(rate_iv),
-        "rate_lower": lower(rate_iv),
-    }
-    if cert.rate is not None:
-        out["float_vs_interval_gap"] = abs(cert.rate - upper(rate_iv))
-    return out
+    if system is None or mode != system.mode:
+        system = st.EqSystem.build(params, consts, mode=mode)
+    return budget, system
 
 
 def replay(cert_data: dict) -> dict:
-    """Re-run the stored trace and rectangle of a certificate in its own mode.
+    """Re-check the stored trace and rectangle of a certificate in its own mode.
 
-    Interval certificates are compared on the interval rate upper bound.
+    A certificate without a trace (one that failed before the spiral) replays
+    as a failed trace with no rate; the spiral is never re-run.
     """
     p = cert_data["params"]
-    mode = cert_data["mode"]
     params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
-    _, _, consts = dist.build_tables(params)
-    trace = rb.ExclusionTrace.from_jsonable(cert_data["trace"])
-    rect = tuple(float(v["v"]) for v in cert_data["rectangle"])
-    _, report, rate = _reverify(params, consts, mode, trace, rect)
-    rate = upper(rate)
-    stored_rate = (cert_data["interval_report"]["rate_upper"] if mode == "interval"
-                   else float(cert_data["rate"]["v"]))
-    verdict = report.ok and rate + DELTA_NUM < 1.0
+    stored_rate = float(cert_data["rate"]["v"]) if cert_data["rate"] is not None else None
+    trace_ok, rate = False, None
+    if cert_data["trace"]:
+        _, _, consts = dist.build_tables(params)
+        budget, checker = _checker(params, consts, cert_data["mode"])
+        trace = rb.ExclusionTrace.from_jsonable(cert_data["trace"])
+        trace_ok = rb.verify_exclusion(trace, checker.eq1, checker.eq2, params.a_priori).ok
+        if trace_ok and cert_data["rectangle"] is not None:
+            rect = tuple(float(v["v"]) for v in cert_data["rectangle"])
+            rate = upper(st.rate_bound_rectangle(*rect, checker, budget))
+    verdict = trace_ok and rate is not None and rate + DELTA_NUM < 1.0
     return {
-        "trace_ok": report.ok,
+        "trace_ok": trace_ok,
         "rate": rate,
         "stored_rate": stored_rate,
-        "rate_agrees": abs(rate - stored_rate) < 1e-12,
+        "rate_agrees": (rate == stored_rate if None in (rate, stored_rate)
+                        else abs(rate - stored_rate) < 1e-12),
         "verdict": verdict,
         "verdict_agrees": verdict == cert_data["verdict"],
     }

@@ -9,6 +9,9 @@ import pytest
 
 from typsat import pipeline as cf
 from typsat import formulas as fl
+from typsat import ledger as lg
+from typsat import rootbox as rb
+from typsat import stationarity as st
 from typsat.errors import ConfigurationError, GuardError
 from typsat.params import DELTA_NUM, ModelParams, clause_count
 
@@ -37,9 +40,10 @@ def test_certify_rate_window(cert):
     assert cert.point_rate < cert.rate
 
 
-def test_certify_determinism():
-    a = cf.certify(4.506, 56, 1e-15)
-    b = cf.certify(4.506, 56, 1e-15)
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_certify_determinism(mode):
+    a = cf.certify(4.506, 56, 1e-15, mode=mode)
+    b = cf.certify(4.506, 56, 1e-15, mode=mode)
     assert a.rate == b.rate
     assert a.rectangle == b.rectangle
     assert a.trace["phi_minus"] == b.trace["phi_minus"]
@@ -71,6 +75,36 @@ def test_certify_config_error():
         cf.certify(4.506, 2, 1e-15)
     with pytest.raises(ConfigurationError):
         cf.certify(2.5, 56, 1e-15)
+
+
+@pytest.mark.parametrize("eps", [-1e-16, 2e-6, math.nan])
+def test_certify_rejects_epsilon_outside_range(eps, capsys):
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        cf.certify(4.506, 56, eps)
+    from typsat.cli import main
+    assert main(["certify", f"--eps={eps}"]) == 3
+    assert "epsilon out of range [0, 1e-6]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, systems", [("float", 1), ("interval", 2)])
+def test_certify_verifies_once(monkeypatch, cert, mode, systems):
+    # the ledger, the sign checks and the rate run once, in the certificate's
+    # mode; interval mode builds one checking system beside the float one
+    calls = Counter()
+    for owner, name in ((lg, "build_budget"), (rb, "verify_exclusion"),
+                        (st, "rate_bound_rectangle"), (st.EqSystem, "build")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    result = cf.certify(4.506, 56, 1e-15, mode=mode)
+    assert result.verdict
+    assert calls == {"build_budget": 1, "verify_exclusion": 1,
+                     "rate_bound_rectangle": 1, "build": systems}
+    assert [s["name"] for s in result.stages] == [s["name"] for s in cert.stages]
+    assert result.ledger["mode"] == mode
+    if mode == "interval":
+        assert result.rate == result.interval_report["rate_upper"]
 
 
 def test_interval_mode_consistent_with_float(cert, cert_iv):
@@ -128,6 +162,24 @@ def test_replay_in_own_mode_detects_tampered_verdict(cert, cert_iv, mode):
     if mode == "interval":
         assert honest["stored_rate"] == c.interval_report["rate_upper"]
     data["verdict"] = False
+    assert cf.replay(data)["verdict_agrees"] is False
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_replay_without_trace(monkeypatch, mode):
+    # a certificate that failed before the spiral replays as a failed trace
+    data = json.loads(cf.certify(4.2, 56, 1e-15, mode=mode).dumps())
+    assert data["failing_stage"] == "monotone" and not data["trace"]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("replay re-ran the spiral")
+    monkeypatch.setattr(rb, "spiral_localize", no_search)
+    result = cf.replay(data)
+    assert result["trace_ok"] is False
+    assert result["rate"] is None
+    assert result["verdict"] is False
+    assert result["verdict_agrees"] is True
+    data["verdict"] = True
     assert cf.replay(data)["verdict_agrees"] is False
 
 

@@ -1,4 +1,4 @@
-"""Source hygiene checks on the typsat package, by static scan of its modules."""
+"""Source hygiene checks on the typsat package and its demos, by static scan."""
 
 import ast
 from collections import Counter
@@ -10,6 +10,7 @@ import typsat
 
 MODULES = sorted(p for p in Path(typsat.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -22,7 +23,7 @@ def _imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + DEMOS, ids=[p.name for p in MODULES + DEMOS])
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
