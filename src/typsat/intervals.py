@@ -216,17 +216,18 @@ class Interval:
         the float sums of the endpoints widened by their `sum_slack`."""
         if self.lo.ndim == 0:
             return self
-        lo = np.sum(self.lo, axis=axis) - sum_slack(self.lo, axis)
-        hi = np.sum(self.hi, axis=axis) + sum_slack(self.hi, axis)
+        lo = _ADD(self.lo, axis=axis) - sum_slack(self.lo, axis)
+        hi = _ADD(self.hi, axis=axis) + sum_slack(self.hi, axis)
         return Interval._ordered(next_down(lo), next_up(hi))
 
 
 def sum_slack(t, axis=None):
-    """Bound (n-1) eps sum|t| 1.125 on the rounding error of np.sum over n terms t
-    (each row along `axis`): any order of additions errs by at most (n-1) u sum|t|
-    to first order (u = eps/2; Higham 2002, ch. 4); 1.125 covers the bound's rounding."""
+    """Bound (n-1) eps sum|t| 1.125 on the rounding error of np.add.reduce over n
+    terms t (each row along `axis`): any order of additions errs by at most
+    (n-1) u sum|t| to first order (u = eps/2; Higham 2002, ch. 4); 1.125 covers
+    the bound's rounding."""
     n = np.size(t) if axis is None else np.shape(t)[axis]
-    return (n - 1) * np.finfo(np.float64).eps * np.sum(np.abs(t), axis=axis) * 1.125
+    return (n - 1) * np.finfo(np.float64).eps * _ADD(np.abs(t), axis=axis) * 1.125
 
 
 # -- generic dispatchers (shared formula code runs on floats or intervals) ----
@@ -269,16 +270,16 @@ def log_of_int(n, as_interval: bool):
 def xsum(z, axis=None):
     """Sum of all entries, or of each row along `axis`.
 
-    Floats go through np.sum, whose rounding error stays within
-    `sum_slack` of the terms; Intervals get the enclosure of `Interval.sum`,
-    widened by that slack.
+    Floats go through np.add.reduce (`_ADD`), the reduction np.sum runs,
+    without its wrapper; its rounding error stays within `sum_slack` of the
+    terms.  Intervals get the enclosure of `Interval.sum`, widened by that slack.
     """
     if isinstance(z, Interval):
         return z.sum(axis)
     z = np.asarray(z, dtype=np.float64)
     if axis is None or z.ndim <= 1:
-        return float(np.sum(z))
-    return np.sum(z, axis=axis)
+        return float(_ADD(z, axis=None))
+    return _ADD(z, axis=axis)
 
 
 def upper(z) -> float:

@@ -16,14 +16,16 @@ objective and its gradient) are test oracles in tests/oracles.py.
 
 Every triangle quantity is built from one cell kernel, the excess
 E = (U/V)^(x-2p) (1 - V^-p) of `cell_excess`, and summed in the log domain
-by `intervals.xsum` (np.sum on floats, within `intervals.sum_slack`); the
-same code paths run on outward-rounded intervals for the certified pass.
+by `intervals.xsum` (np.add.reduce, the reduction of np.sum, on floats,
+within `intervals.sum_slack`); the same code paths run on outward-rounded
+intervals for the certified pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +44,9 @@ CHUNK_POINTS = 8
 
 # -- the (phi, beta1) point ----------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiBetaPoint:
-    """Derived fields at one point: floats, or Intervals in interval mode."""
+class PhiBetaPoint(NamedTuple):
+    """Derived fields at one point: floats, or Intervals in interval mode (a
+    NamedTuple: one is built per equation evaluation)."""
 
     phi: float
     beta1: float
@@ -77,7 +79,7 @@ def derive_point(phi, beta1) -> PhiBetaPoint:
     raises SingularPointError where U/V is undefined."""
     beta2, beta3, Y = point_fields(phi, beta1)
     U, V = _uv(phi, beta2, beta3, Y)
-    return PhiBetaPoint(phi=phi, beta1=beta1, beta2=beta2, beta3=beta3, Y=Y, U=U, V=V)
+    return PhiBetaPoint(phi, beta1, beta2, beta3, Y, U, V)
 
 
 # -- the two stationarity equations ---------------------------------------------
@@ -87,7 +89,8 @@ class EqSystem:
     """The stationarity system of one configuration, in float or interval mode.
 
     Holds lambda, c, K_tilde, the triangle cell arrays (x, p, w = x - 2p,
-    kt), their Eq1 and Eq2 subsets, and the log of the n-free base constant
+    kt), their Eq1 and Eq2 subsets (w and p as float64, so the per-cell
+    products cast nothing), and the log of the n-free base constant
     3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt.  Float mode
     takes the tables from build_tables; interval mode encloses them from the
     exact decimal density, so eq1, eq2 and the rectangle rate bound run the
@@ -127,10 +130,11 @@ class EqSystem:
                     - xsum(kt[pos] * (log_pfact[pos] + xlog(kt[pos]))))
         p1 = ps >= 1
         strict = p1 & (w > 0)
+        wf, pf = w.astype(np.float64), ps.astype(np.float64)
         return cls(mode=mode, box=params.a_priori, lam=lam, c=c, K_tilde=k_tilde,
                    xs=xs, ps=ps, w=w, kt=kt,
-                   cells_eq1=(kt[strict], w[strict], ps[strict]),
-                   cells_eq2=(kt[p1], w[p1], ps[p1]), log_base=log_base)
+                   cells_eq1=(kt[strict], wf[strict], pf[strict]),
+                   cells_eq2=(kt[p1], wf[p1], pf[p1]), log_base=log_base)
 
     def point(self, phi: float, beta1: float) -> PhiBetaPoint:
         """The derived point at (phi, beta1), enclosed in interval mode."""
@@ -155,7 +159,12 @@ def cell_excess(log_uv, log_v, w, p):
     U^w (V^p - 1) + V^(x-p) = V^(x-p) (1 + E) and the single-flip bracket is
     alpha = 1 - 1/(1 + E).  Generic over floats, ndarrays and Intervals.
     """
-    return xexp(w * log_uv) * (1.0 - xexp(-(p * log_v)))
+    return _excess(w * log_uv, p * -log_v)  # -(p log V) to the bit, one negation
+
+
+def _excess(w_log_uv, neg_p_log_v):
+    """E from its two exponent products, log (U/V)^w and log V^-p."""
+    return xexp(w_log_uv) * (1.0 - xexp(neg_p_log_v))
 
 
 def log_den(log_uv, log_v, w, p):
@@ -170,9 +179,11 @@ def _logs(U, V):
 
 
 def _col(z):
-    """z with a trailing length-1 axis, so a point (or a points axis) broadcasts
-    against the cell arrays."""
-    return z[..., None] if isinstance(z, Interval) else np.asarray(z)[..., None]
+    """A batch of points with a trailing length-1 axis, so its points axis
+    broadcasts against the cell arrays; a single point stays a scalar."""
+    if isinstance(z, Interval):
+        return z[..., None] if z.lo.ndim else z
+    return z[..., None] if isinstance(z, np.ndarray) and z.ndim else z
 
 
 def _in_chunks(core, points: tuple, *rest):
@@ -209,8 +220,10 @@ def eq1(pt: PhiBetaPoint, system: EqSystem):
 
 def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
     log_uv, log_v, v = _col(log_uv), _col(log_v), _col(V)
-    E = cell_excess(log_uv, log_v, w, p)
-    vp_minus_1 = xexp(p * log_v) - 1.0
+    neg_p_log_v = p * -log_v  # shared by V^-p in E and by V^p - 1
+    E = _excess(w * log_uv, neg_p_log_v)
+    vp_minus_1 = xexp(-neg_p_log_v) - 1.0
+    del neg_p_log_v  # freed before the terms, so the peak memory stays where it was
     terms = p * kt * ((v - 1.0) / (v * vp_minus_1)) * (1.0 - 1.0 / (1.0 + E))
     return -beta1 * c + lam * phi * (1.0 - 1.0 / V) + xsum(terms, axis=-1)
 

@@ -50,6 +50,23 @@ def test_certify_determinism(mode):
     assert a.dumps() == b.dumps()
 
 
+#: sha256 of certify(4.506, 56, 1e-15, mode=m).dumps().  A speed-up must keep
+#: these bytes: a reordered sum (say, a reduction over a non-C-contiguous
+#: (points, cells) array) moves the last bits of the interval margins while
+#: every tolerance-based test still passes.  A change that moves bits on
+#: purpose updates the digests here and records why in CHANGES.md.
+CERTIFICATE_SHA256 = {
+    "float": "195f9d1644494bf888ff6bbc25126eff593f3951be44ee57b8be8c9900dc3f99",
+    "interval": "0d632fe6c55a20c8b9154c1ef56ca13b54db83c51067b86d501b653155573fcc",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CERTIFICATE_SHA256))
+def test_certificate_bytes_frozen(cert, cert_iv, mode):
+    text = {"float": cert, "interval": cert_iv}[mode].dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[mode]
+
+
 def test_certify_records_assumption(cert):
     assert any("nonincreasing in the clause density" in a for a in cert.assumptions)
 
