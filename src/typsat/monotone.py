@@ -101,8 +101,8 @@ def vfrac(V: float, p):
 def a_sum(v_low: float, uv_high: float, system: st.EqSystem) -> tuple[float, np.ndarray]:
     """Bound on the A part of -dEq2: sum over p >= 1, x >= 2p of
     p * kt * vfrac(v_low, p) * [1 - 1/(1 + uv_high^(x-2p))]."""
-    kt, w, p = system.cells_eq2
-    terms = p * kt * vfrac(v_low, p) * (1.0 - 1.0 / (1.0 + uv_high**w.astype(float)))
+    _, w, p, p_kt = system.cells_eq2
+    terms = p_kt * vfrac(v_low, p) * (1.0 - 1.0 / (1.0 + uv_high**w.astype(float)))
     return xsum(terms), terms
 
 
@@ -113,7 +113,7 @@ def b_sum(a1: float, b1: float, v_low: float, system: st.EqSystem) -> tuple[floa
     if not a1 > abs(b1):
         raise DomainError(
             f"homographic-monotonicity reduction needs a1 > |b1|, got ({a1}, {b1})")
-    kt, w, p = system.cells_eq1
+    kt, w, p, _ = system.cells_eq1
     coeff = (a1 * v_low - abs(b1)) / 4.0
     terms = p * w * kt * coeff / (v_low**p.astype(float) - 1.0)
     return xsum(terms), terms
@@ -235,16 +235,17 @@ def uv_star(beta1: float) -> tuple[float, float]:
     return uv * v, v
 
 
-def _partial_cells(variant: str, system: st.EqSystem) -> tuple:
+def _partial_cells(variant: str, system: st.EqSystem) -> st.Cells:
     """Eq1's cells without x = 2p+1 ("star") or 2p+1 <= x <= 2p+2 ("star_star")."""
-    kt, w, p = system.cells_eq1
+    cells = system.cells_eq1
+    w = cells.w
     if variant == "star":
         keep = w != 1
     elif variant == "star_star":
         keep = w > 2
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return kt[keep], w[keep], p[keep]
+    return st.Cells(*(a[keep] for a in cells))
 
 
 def eq1_star_majorant(system: st.EqSystem) -> float:
@@ -258,7 +259,7 @@ def eq1_star_majorant(system: st.EqSystem) -> float:
     box = system.box
     uv_floor = (3.0 * SQRT3 / 2.0) * (1.0 - box.phi_max) / (3.0 * box.phi_max - 1.0)
     return float(st._eq1_core(box.phi_min, math.log(uv_floor), math.log(2.0 / SQRT3),
-                              system.lam, system.K_tilde, *_partial_cells("star", system)))
+                              system.lam, system.K_tilde, _partial_cells("star", system)))
 
 
 def m_bound(b1_low: float, b1_high: float, system: st.EqSystem) -> float:
@@ -268,7 +269,7 @@ def m_bound(b1_low: float, b1_high: float, system: st.EqSystem) -> float:
     u_lo, v_lo = uv_star(b1_low)
     _, v_hi = uv_star(b1_high)
     return float(st._eq1_core(phi_star(b1_high), math.log(u_lo / v_lo), math.log(v_hi),
-                              system.lam, system.K_tilde, *_partial_cells("star_star", system)))
+                              system.lam, system.K_tilde, _partial_cells("star_star", system)))
 
 
 #: Bands whose M-bounds certify Eq1** < 0 across the certification beta1 range.

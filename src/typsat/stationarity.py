@@ -57,6 +57,16 @@ class PhiBetaPoint(NamedTuple):
     V: float
 
 
+class Cells(NamedTuple):
+    """The triangle cells one equation sums over, with its per-cell weight
+    formed once at build: kt * w for Eq1, p * kt for Eq2."""
+
+    kt: object          # ndarray, or an Interval of arrays
+    w: np.ndarray       # x - 2p, float64
+    p: np.ndarray       # float64
+    weight: object      # like kt
+
+
 def _uv(phi, beta2, beta3, Y):
     if lower(Y) <= 0.0 or lower(beta2) <= 0.0 or lower(beta3) <= 0.0:
         raise SingularPointError(
@@ -109,8 +119,8 @@ class EqSystem:
     ps: np.ndarray
     w: np.ndarray
     kt: object          # ndarray, or an Interval of arrays
-    cells_eq1: tuple    # (kt, w, p) over p >= 1, x > 2p
-    cells_eq2: tuple    # (kt, w, p) over p >= 1
+    cells_eq1: Cells    # p >= 1, x > 2p; weight kt * w
+    cells_eq2: Cells    # p >= 1; weight p * kt
     log_base: object
 
     @classmethod
@@ -131,10 +141,12 @@ class EqSystem:
         p1 = ps >= 1
         strict = p1 & (w > 0)
         wf, pf = w.astype(np.float64), ps.astype(np.float64)
+        kt1, w1, pf1 = kt[strict], wf[strict], pf[strict]
+        kt2, w2, pf2 = kt[p1], wf[p1], pf[p1]
         return cls(mode=mode, box=params.a_priori, lam=lam, c=c, K_tilde=k_tilde,
                    xs=xs, ps=ps, w=w, kt=kt,
-                   cells_eq1=(kt[strict], wf[strict], pf[strict]),
-                   cells_eq2=(kt[p1], wf[p1], pf[p1]), log_base=log_base)
+                   cells_eq1=Cells(kt1, w1, pf1, kt1 * w1),
+                   cells_eq2=Cells(kt2, w2, pf2, pf2 * kt2), log_base=log_base)
 
     def point(self, phi: float, beta1: float) -> PhiBetaPoint:
         """The derived point at (phi, beta1), enclosed in interval mode."""
@@ -202,9 +214,9 @@ def _in_chunks(core, points: tuple, *rest):
     return np.concatenate(parts)
 
 
-def _eq1_core(phi, log_uv, log_v, lam, k_tilde, kt, w, p):
-    E = cell_excess(_col(log_uv), _col(log_v), w, p)
-    return k_tilde - lam * phi - xsum(kt * w * (1.0 - 1.0 / (1.0 + E)), axis=-1)
+def _eq1_core(phi, log_uv, log_v, lam, k_tilde, cells: Cells):
+    E = cell_excess(_col(log_uv), _col(log_v), cells.w, cells.p)
+    return k_tilde - lam * phi - xsum(cells.weight * (1.0 - 1.0 / (1.0 + E)), axis=-1)
 
 
 def eq1(pt: PhiBetaPoint, system: EqSystem):
@@ -215,16 +227,16 @@ def eq1(pt: PhiBetaPoint, system: EqSystem):
     computed once for all of them.
     """
     return _in_chunks(_eq1_core, (pt.phi, *_logs(pt.U, pt.V)),
-                      system.lam, system.K_tilde, *system.cells_eq1)
+                      system.lam, system.K_tilde, system.cells_eq1)
 
 
-def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, kt, w, p):
+def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, cells: Cells):
     log_uv, log_v, v = _col(log_uv), _col(log_v), _col(V)
-    neg_p_log_v = p * -log_v  # shared by V^-p in E and by V^p - 1
-    E = _excess(w * log_uv, neg_p_log_v)
+    neg_p_log_v = cells.p * -log_v  # shared by V^-p in E and by V^p - 1
+    E = _excess(cells.w * log_uv, neg_p_log_v)
     vp_minus_1 = xexp(-neg_p_log_v) - 1.0
     del neg_p_log_v  # freed before the terms, so the peak memory stays where it was
-    terms = p * kt * ((v - 1.0) / (v * vp_minus_1)) * (1.0 - 1.0 / (1.0 + E))
+    terms = cells.weight * ((v - 1.0) / (v * vp_minus_1)) * (1.0 - 1.0 / (1.0 + E))
     return -beta1 * c + lam * phi * (1.0 - 1.0 / V) + xsum(terms, axis=-1)
 
 
@@ -236,7 +248,7 @@ def eq2(pt: PhiBetaPoint, system: EqSystem):
     if lower(pt.V) <= 1.0:
         raise SingularPointError(f"eq2 needs V > 1, got V = {pt.V}")
     return _in_chunks(_eq2_core, (pt.phi, pt.beta1, pt.V, *_logs(pt.U, pt.V)),
-                      system.lam, system.c, *system.cells_eq2)
+                      system.lam, system.c, system.cells_eq2)
 
 
 # -- expectation-rate bound ------------------------------------------------------

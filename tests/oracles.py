@@ -159,12 +159,12 @@ def projected_gradient(mu: np.ndarray, consts: dist.DerivedConstants, params) ->
 
 # -- other forms of the two equations ---------------------------------------------
 
-def eq1_over(cells: tuple, pt: st.PhiBetaPoint, system: st.EqSystem) -> float:
-    """Eq1 at pt summed over the (kt, w, p) cells given: with system.cells_eq2
-    it adds the diagonal x = 2p, with monotone._partial_cells it is Eq1* or
-    Eq1**, each >= Eq1."""
+def eq1_over(cells: st.Cells, pt: st.PhiBetaPoint, system: st.EqSystem) -> float:
+    """Eq1 at pt summed over the cells given, weighted kt * w whatever weight
+    they carry: with system.cells_eq2 it adds the diagonal x = 2p, with
+    monotone._partial_cells it is Eq1* or Eq1**, each >= Eq1."""
     return float(st._eq1_core(pt.phi, *st._logs(pt.U, pt.V), system.lam, system.K_tilde,
-                              *cells))
+                              cells._replace(weight=cells.kt * cells.w)))
 
 
 def eq2_eqb1(pt: st.PhiBetaPoint, system: st.EqSystem) -> float:
