@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,15 @@ from .params import DELTA_NUM
 PUSH_MAX_ITER = 90
 SPIRAL_MAX_CYCLES = 400
 RESIDUAL_TARGET = 1e-10
+#: The spiral bisects until the rectangle's larger side is within PREDICT_WIDTH,
+#: then predicts each push from one linearisation and probes it PREDICT_SHARE
+#: of the push's gap back toward the certified side.
+PREDICT_WIDTH = 1e-1
+PREDICT_SHARE = 1.0 / 64.0
+#: `_newton`'s forward-difference increment, convergence step and step cap.
+NEWTON_INCREMENT = 1e-7
+NEWTON_STEP_TOL = 1e-12
+NEWTON_MAX_ITER = 8
 
 
 @dataclass
@@ -207,18 +217,105 @@ def _push(probe, good: float, bad: float, tol: float) -> tuple[float, float] | N
     return best
 
 
+class _NewtonFailure(Exception):
+    """`_newton` found no root; the message says why."""
+
+
+class NewtonRoot(NamedTuple):
+    """A `_newton` root and the Jacobian of its last step; the linearisation
+    about the root takes its residuals as zero."""
+
+    phi: float
+    beta1: float
+    residuals: tuple[float, float]               # (Eq1, Eq2) at (phi, beta1)
+    jacobian: tuple[float, float, float, float]  # (d11, d12, d21, d22) of the last step
+
+    def beta1_where_eq2(self, value: float, phi: float) -> float | None:
+        """beta1 at which the linearised Eq2 equals value at phi; None if it is
+        flat in beta1."""
+        _, _, d21, d22 = self.jacobian
+        return None if d22 == 0.0 else self.beta1 + (value - d21 * (phi - self.phi)) / d22
+
+    def phi_where_eq1(self, value: float, beta1: float) -> float | None:
+        """phi at which the linearised Eq1 equals value at beta1; None if it is
+        flat in phi."""
+        d11, d12, _, _ = self.jacobian
+        return None if d11 == 0.0 else self.phi + (value - d12 * (beta1 - self.beta1)) / d11
+
+
+def _newton(eq1f, eq2f, rectangle: tuple[float, float, float, float]) -> NewtonRoot:
+    """Newton root of (Eq1, Eq2) from the centre of a rectangle.
+
+    Each step takes a forward-difference Jacobian with increments of
+    NEWTON_INCREMENT; the iteration has converged once a step is within
+    NEWTON_STEP_TOL in both coordinates, and the residuals are those at the
+    converged iterate.  Raises _NewtonFailure on a singular iterate (an
+    equation that cannot be evaluated, or a degenerate Jacobian), on an
+    iterate outside the rectangle widened by its own widths on each side,
+    or after NEWTON_MAX_ITER steps without convergence.
+    """
+    phi_lo, phi_hi, b_lo, b_hi = rectangle
+    w_f, w_b = phi_hi - phi_lo, b_hi - b_lo
+    h = NEWTON_INCREMENT
+    phi, b1 = 0.5 * (phi_lo + phi_hi), 0.5 * (b_lo + b_hi)
+    try:
+        r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
+        for _ in range(NEWTON_MAX_ITER):
+            d11 = (eq1f(phi + h, b1) - r1) / h
+            d21 = (eq2f(phi + h, b1) - r2) / h
+            d12 = (eq1f(phi, b1 + h) - r1) / h
+            d22 = (eq2f(phi, b1 + h) - r2) / h
+            det = d11 * d22 - d12 * d21
+            if not (det != 0.0 and math.isfinite(det)):
+                raise _NewtonFailure(f"singular Jacobian at ({phi!r}, {b1!r}): det={det!r}")
+            step_f = (d22 * r1 - d12 * r2) / det
+            step_b = (d11 * r2 - d21 * r1) / det
+            phi, b1 = phi - step_f, b1 - step_b
+            if not (phi_lo - w_f <= phi <= phi_hi + w_f and b_lo - w_b <= b1 <= b_hi + w_b):
+                raise _NewtonFailure(f"Newton iterate ({phi!r}, {b1!r}) left the rectangle")
+            r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
+            if max(abs(step_f), abs(step_b)) <= NEWTON_STEP_TOL:
+                return NewtonRoot(phi, b1, (r1, r2), (d11, d12, d21, d22))
+    except SingularPointError as exc:
+        raise _NewtonFailure(f"singular point: {exc}") from None
+    raise _NewtonFailure(f"no convergence in {NEWTON_MAX_ITER} Newton steps")
+
+
+def _predicted_push(probe, good: float, bad: float, predicted: float | None, tol: float):
+    """`_push`, first trying one probe at the predicted crossing, if any.
+
+    The probe sits PREDICT_SHARE of the gap |good - bad| back from
+    `predicted` toward `good`.  If that point is strictly between good and
+    bad and certifies, it is the push's result; otherwise the push bisects
+    from `good` as `_push` does.
+    """
+    if predicted is not None:
+        t = predicted + PREDICT_SHARE * (good - bad)
+        if min(good, bad) < t < max(good, bad):
+            val = probe(t)
+            if val is not None:
+                return t, val
+    return _push(probe, good, bad, tol)
+
+
 def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> ExclusionTrace:
     """Generate witness sequences until the confining rectangle is narrow enough.
 
-    Each arm step bisects one coordinate against the last opposing witness:
-    the minus arm first lowers beta1 toward the least value where Eq2 < -DELTA_NUM
+    Each arm step pushes one coordinate against the last opposing witness:
+    the minus arm first lowers beta1 toward the least value where Eq2 < -2 DELTA_NUM
     at its current phi, then raises phi toward the greatest value where
-    Eq1 > +DELTA_NUM at the new beta1; the plus arm mirrors this.  A bisection
-    stops within 1/32 of the rectangle's current size (see `_push`), so the
-    rectangle contracts geometrically at about ten evaluations a step.
+    Eq1 > +2 DELTA_NUM at the new beta1; the plus arm mirrors this.  While the
+    rectangle's larger side exceeds PREDICT_WIDTH each push bisects, stopping
+    within 1/32 of the rectangle's current size (see `_push`).  Then one
+    `_newton` root and Jacobian at the rectangle's centre linearise Eq1 and
+    Eq2, and each push probes once at the linearised crossing, shifted
+    PREDICT_SHARE of the gap toward the certified side; a probe that misses
+    falls back to bisection from the last certified point.  A failed Newton
+    leaves every push bisecting.
     Points are accepted only at twice the verification margin, so
     re-verification (float or outward-rounded) always clears DELTA_NUM with
-    room; each recorded value is the one the accepting probe computed.
+    room; each recorded value is the one the accepting probe computed, and
+    `verify_exclusion` alone decides whether the trace holds.
     Pure function of its arguments; stops at width_target or when neither
     arm can advance, or after SPIRAL_MAX_CYCLES steps.
     """
@@ -242,11 +339,19 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
 
     tol = max(width_target / 64.0, 1e-14)
     diagnostic = ""
+    lin = None           # the NewtonRoot the pushes are predicted from
+    linearised = False   # whether the one Newton has run
     for _ in range(SPIRAL_MAX_CYCLES):
         width_phi = pp[-1] - pm[-1]
         width_b = bp[-1] - bm[-1]
         if width_phi <= width_target and width_b <= width_target:
             break
+        if not linearised and max(width_phi, width_b) <= PREDICT_WIDTH:
+            linearised = True
+            try:
+                lin = _newton(eq1f, eq2f, (pm[-1], pp[-1], bm[-1], bp[-1]))
+            except _NewtonFailure:
+                pass
         moved = False
         # minus arm (sign +1): move beta1 from bp toward bm while Eq2 < 0 at
         # its current phi, then phi from pm toward pp while Eq1 > 0 at the new
@@ -254,13 +359,15 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
         for phis, betas, far_phis, far_betas, sign, arm in (
                 (pm, bp, pp, bm, +1, "minus"), (pp, bm, pm, bp, -1, "plus")):
             f = phis[-1]
-            hit_b = _push(lambda t: _probe(eq2f, f, t, -sign, delta_build),
-                          betas[-1], far_betas[-1], tol)
+            guess = None if lin is None else lin.beta1_where_eq2(-sign * delta_build, f)
+            hit_b = _predicted_push(lambda t: _probe(eq2f, f, t, -sign, delta_build),
+                                    betas[-1], far_betas[-1], guess, tol)
             if hit_b is None:
                 continue
             b_new, eq2_val = hit_b
-            hit_f = _push(lambda t: _probe(eq1f, t, b_new, sign, delta_build),
-                          f, far_phis[-1], tol)
+            guess = None if lin is None else lin.phi_where_eq1(sign * delta_build, b_new)
+            hit_f = _predicted_push(lambda t: _probe(eq1f, t, b_new, sign, delta_build),
+                                    f, far_phis[-1], guess, tol)
             if hit_f is None:
                 continue
             f_new, eq1_val = hit_f
@@ -285,46 +392,27 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
 def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float]) -> dict:
     """Newton root from the centre of a verified rectangle (sanity oracle only).
 
-    Each step takes a forward-difference Jacobian with increments of 1e-3 of
-    the rectangle's widths; the iteration has converged once a step is below
-    1e-6 of those widths, and the residuals are those at the last iterate.
-    A singular iterate (an equation that cannot be evaluated, or a
-    degenerate Jacobian), an iterate outside the rectangle widened by its own
-    widths on each side, or no convergence in 8 steps returns found False
-    with a reason.  Never feeds the certificate.
+    The root is `_newton`'s, the same iteration that linearises the spiral:
+    forward-difference Jacobians with increments of NEWTON_INCREMENT, and
+    convergence once a step is within NEWTON_STEP_TOL; the residuals are
+    those at the converged iterate.  A singular iterate, an iterate outside
+    the rectangle widened by its own widths on each side, or no convergence
+    in NEWTON_MAX_ITER steps returns found False with a reason.  Never feeds
+    the certificate's verdict.
     """
     phi_lo, phi_hi, b_lo, b_hi = rectangle
-    w_f, w_b = phi_hi - phi_lo, b_hi - b_lo
-    h_f, h_b = 1e-3 * w_f, 1e-3 * w_b
-    phi, b1 = 0.5 * (phi_lo + phi_hi), 0.5 * (b_lo + b_hi)
     try:
-        for _ in range(8):
-            r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
-            d11 = (eq1f(phi + h_f, b1) - r1) / h_f
-            d21 = (eq2f(phi + h_f, b1) - r2) / h_f
-            d12 = (eq1f(phi, b1 + h_b) - r1) / h_b
-            d22 = (eq2f(phi, b1 + h_b) - r2) / h_b
-            det = d11 * d22 - d12 * d21
-            if not (det != 0.0 and math.isfinite(det)):
-                return {"found": False,
-                        "reason": f"singular Jacobian at ({phi!r}, {b1!r}): det={det!r}"}
-            step_f = (d22 * r1 - d12 * r2) / det
-            step_b = (d11 * r2 - d21 * r1) / det
-            phi, b1 = phi - step_f, b1 - step_b
-            if not (phi_lo - w_f <= phi <= phi_hi + w_f and b_lo - w_b <= b1 <= b_hi + w_b):
-                return {"found": False,
-                        "reason": f"Newton iterate ({phi!r}, {b1!r}) left the rectangle"}
-            if abs(step_f) <= 1e-6 * w_f and abs(step_b) <= 1e-6 * w_b:
-                r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
-                return {
-                    "found": True,
-                    "phi": phi,
-                    "beta1": b1,
-                    "residual_eq1": r1,
-                    "residual_eq2": r2,
-                    "within_target": max(abs(r1), abs(r2)) < RESIDUAL_TARGET,
-                    "inside_rectangle": bool(phi_lo <= phi <= phi_hi and b_lo <= b1 <= b_hi),
-                }
-    except SingularPointError as exc:
-        return {"found": False, "reason": f"singular point: {exc}"}
-    return {"found": False, "reason": "no convergence in 8 Newton steps"}
+        root = _newton(eq1f, eq2f, rectangle)
+    except _NewtonFailure as exc:
+        return {"found": False, "reason": str(exc)}
+    phi, b1 = root.phi, root.beta1
+    r1, r2 = root.residuals
+    return {
+        "found": True,
+        "phi": phi,
+        "beta1": b1,
+        "residual_eq1": r1,
+        "residual_eq2": r2,
+        "within_target": max(abs(r1), abs(r2)) < RESIDUAL_TARGET,
+        "inside_rectangle": bool(phi_lo <= phi <= phi_hi and b_lo <= b1 <= b_hi),
+    }

@@ -56,8 +56,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "195f9d1644494bf888ff6bbc25126eff593f3951be44ee57b8be8c9900dc3f99",
-    "interval": "0d632fe6c55a20c8b9154c1ef56ca13b54db83c51067b86d501b653155573fcc",
+    "float": "05a79fd21afcfed33bf34091a4ed00428b894b25f584299a2c46cc4e73bc4ebb",
+    "interval": "b1615c5168911530570cc1bec4f70a924189a9718c8665d1836c6d16bce8629c",
 }
 
 
@@ -124,6 +124,22 @@ def test_certify_verifies_once(monkeypatch, cert, mode, systems):
         assert result.rate == result.interval_report["rate_upper"]
 
 
+def test_float_certify_evaluation_count(monkeypatch):
+    # single-point Eq1/Eq2 evaluations of one float certify: the spiral with
+    # its Newton linearisation, and the reference root (the bisection spiral
+    # made 1,278); the two batched trace checks are not counted
+    single = Counter()
+    for name in ("eq1", "eq2"):
+        def counted(pt, system, _fn=getattr(st, name), _name=name):
+            if np.ndim(pt.phi) == 0:
+                single[_name] += 1
+            return _fn(pt, system)
+        monkeypatch.setattr(st, name, counted)
+    result = cf.certify(4.506, 56, 1e-15)
+    assert result.verdict
+    assert 0 < sum(single.values()) <= 450
+
+
 def test_interval_mode_consistent_with_float(cert, cert_iv):
     # eps = 0 too: there every slack factor L(eta) takes its eta -> 0+ limit,
     # which the interval ledger must enclose although eta's rounding crosses 0
@@ -144,7 +160,7 @@ def test_sign_margin_reported(cert, cert_iv):
     # the smallest sign margin is a number in both modes; the outward-rounded
     # one can only sit below the float one
     detail = next(s["detail"] for s in cert.stages if s["name"] == "verify_exclusion")
-    assert detail.startswith("234 sign checks, 0 failures, min margin ")
+    assert detail.startswith("250 sign checks, 0 failures, min margin ")
     margin_iv = cert_iv.interval_report["min_sign_margin"]
     assert DELTA_NUM < margin_iv <= float(detail.rsplit(" ", 1)[1]) * (1 + 1e-3)
 

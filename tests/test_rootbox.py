@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from typsat import distribution as dist
+from typsat import ledger as lg
 from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import SingularPointError, SpiralSeedError, TraceStructureError
 from typsat.intervals import Interval, lower
 from typsat.ledger import FeasibleBox
-from typsat.params import DELTA_NUM, WIDTH_TARGET
+from typsat.params import CERTIFICATION_BOX, DELTA_NUM, WIDTH_TARGET, ModelParams
 
 UNIT_BOX = FeasibleBox(beta1_min=0.0, beta1_max=1.0, beta2_min=-100.0, beta2_max=100.0,
                        beta3_min=-100.0, beta3_max=100.0, phi_min=0.0, phi_max=1.0)
@@ -112,12 +114,96 @@ def test_spiral_records_accepting_values(system, box):
     trace = rb.spiral_localize(counted(system.eq1, evals), counted(system.eq2, evals),
                                box, width_target=WIDTH_TARGET)
     assert not trace.diagnostic
-    assert evals[0] <= 16 * (trace.K + trace.L)
+    assert evals[0] <= 400  # ~10 a step when every push bisected (1,264)
     assert len(trace.sign_checks) == 2 * (trace.K + trace.L) + 2
     for chk in trace.sign_checks:
         fn = system.eq1 if chk["family"].startswith("eq1") else system.eq2
         assert fn(chk["phi"], chk["beta1"]) == chk["value"]
         assert abs(chk["value"]) > 2 * DELTA_NUM
+
+
+def _counting_pushes(monkeypatch):
+    """Record the spiral's bisecting pushes and its linearisation: (pushes,
+    roots), pushes counting them {"before": n, "after": m} the first
+    `_newton` root, roots listing every root `_newton` returned."""
+    pushes = {"before": 0, "after": 0}
+    linearised = []
+    newton, push = rb._newton, rb._push
+
+    def recorded_newton(*args):
+        root = newton(*args)
+        linearised.append(root)
+        return root
+
+    def recorded_push(*args):
+        pushes["after" if linearised else "before"] += 1
+        return push(*args)
+
+    monkeypatch.setattr(rb, "_newton", recorded_newton)
+    monkeypatch.setattr(rb, "_push", recorded_push)
+    return pushes, linearised
+
+
+def test_spiral_predicts_linear_system_without_fallback(monkeypatch):
+    pushes, linearised = _counting_pushes(monkeypatch)
+    trace = rb.spiral_localize(toy_eq1, toy_eq2, UNIT_BOX, width_target=1e-6)
+    assert len(linearised) == 1
+    assert pushes["before"] > 0 and pushes["after"] == 0
+    assert rb.verify_exclusion(trace, toy_eq1, toy_eq2, UNIT_BOX).ok
+
+
+def test_spiral_falls_back_to_bisection_on_a_missed_prediction(monkeypatch):
+    # the first Eq2 probe after the linearisation reads 0, which no sign
+    # certifies: that push bisects from its last certified point
+    pushes, linearised = _counting_pushes(monkeypatch)
+    missed = []
+
+    def eq2_missing_once(phi, beta1):
+        if linearised and not missed:
+            missed.append((phi, beta1))
+            return 0.0
+        return toy_eq2(phi, beta1)
+
+    trace = rb.spiral_localize(toy_eq1, eq2_missing_once, UNIT_BOX, width_target=1e-6)
+    assert len(missed) == 1 and pushes["after"] == 1
+    rect = trace.rectangle
+    assert rect[1] - rect[0] <= 1e-6 and rect[3] - rect[2] <= 1e-6
+    assert rb.verify_exclusion(trace, toy_eq1, toy_eq2, UNIT_BOX).ok
+
+
+def test_spiral_predictions_miss_rarely_on_the_real_system(monkeypatch, system, box):
+    # the curvature of Eq1/Eq2 makes a few predicted probes miss, near the
+    # switch width; each such push bisects, and the trace still verifies
+    pushes, linearised = _counting_pushes(monkeypatch)
+    trace = rb.spiral_localize(system.eq1, system.eq2, box, width_target=WIDTH_TARGET)
+    assert len(linearised) == 1 and not trace.diagnostic
+    assert 0 < pushes["after"] <= 10 < 2 * (trace.K + trace.L)
+    assert rb.verify_exclusion(trace, system.eq1, system.eq2, box).ok
+
+
+def test_spiral_bisects_throughout_when_newton_fails(monkeypatch):
+    def failing(*args):
+        raise rb._NewtonFailure("no root")
+
+    monkeypatch.setattr(rb, "_newton", failing)
+    trace = rb.spiral_localize(toy_eq1, toy_eq2, UNIT_BOX, width_target=1e-6)
+    rect = trace.rectangle
+    assert rect[1] - rect[0] <= 1e-6 and rect[3] - rect[2] <= 1e-6
+    assert rb.verify_exclusion(trace, toy_eq1, toy_eq2, UNIT_BOX).ok
+
+
+@pytest.mark.parametrize("c, below_one", [(4.5, False), (4.5055, True), (4.6, True)])
+def test_spiral_across_densities_with_the_certification_box(c, below_one):
+    # the 4.506 box forced at nearby densities: the rectangle rate stays on
+    # the side of 1 that the bisection spiral gave (1.000534, 0.999986, 0.990478)
+    params = ModelParams(c=c, a_priori=CERTIFICATION_BOX)
+    _, _, consts = dist.build_tables(params)
+    system = st.EqSystem.build(params, consts)
+    trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, WIDTH_TARGET)
+    assert not trace.diagnostic
+    assert rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori).ok
+    rate = st.rate_bound_rectangle(*trace.rectangle, system, lg.build_budget(params, consts))
+    assert (rate < 1.0) == below_one
 
 
 def test_spiral_seed_error():
