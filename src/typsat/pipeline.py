@@ -224,7 +224,7 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
 
     if trace is not None and cert.trace_verified:
         cert.rectangle = trace.rectangle
-        ref = rb.solve_reference(system.eq1, system.eq2, trace.rectangle)
+        ref = trace.root.report(trace.rectangle)  # the root the spiral linearised about
         cert.reference_root = {
             k: (_dec(v) if isinstance(v, float) else v) for k, v in ref.items()}
         cert.stage("reference_root", bool(ref.get("found") and ref.get("inside_rectangle")),

@@ -7,13 +7,13 @@ and Eq2 < 0 on the staggered (phi_i^-, b1_{i+1}^+) pairs, and the "plus"
 arm mirrors it from (phi_max, beta1_min).  Band exclusion then confines any
 common root to the rectangle spanned by the four final values.  The spiral
 construction is exploratory; `verify_exclusion` independently re-evaluates
-every recorded sign with the required margin.
+every sign the sequences claim, with the required margin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,31 +23,32 @@ from .intervals import lower
 from .ledger import FeasibleBox
 from .params import DELTA_NUM
 
-#: Step caps of `_push` and `spiral_localize`; `solve_reference`'s residual target.
+#: Step caps of `_push` and `spiral_localize`; the reference root's residual target.
 PUSH_MAX_ITER = 90
 SPIRAL_MAX_CYCLES = 400
 RESIDUAL_TARGET = 1e-10
-#: The spiral bisects until the rectangle's larger side is within PREDICT_WIDTH,
-#: then predicts each push from one linearisation and probes it PREDICT_SHARE
-#: of the push's gap back toward the certified side.
-PREDICT_WIDTH = 1e-1
+#: The spiral predicts each push from one linearisation and probes it
+#: PREDICT_SHARE of the push's gap back toward the certified side.
 PREDICT_SHARE = 1.0 / 64.0
-#: `_newton`'s forward-difference increment, convergence step and step cap.
+#: `solve_reference`'s forward-difference increment, convergence step and step cap.
 NEWTON_INCREMENT = 1e-7
 NEWTON_STEP_TOL = 1e-12
 NEWTON_MAX_ITER = 8
+#: The witness sequences, in ExclusionTrace's field order.
+SEQUENCES = ("phi_minus", "beta_plus", "phi_plus", "beta_minus")
 
 
 @dataclass
 class ExclusionTrace:
-    """The four witness sequences plus the sign evaluations that produced them."""
+    """The four witness sequences, and in memory the Newton root the spiral
+    linearised about (not serialised; None for a trace read back)."""
 
     phi_minus: list[float]   # increasing, starts at phi_min
     beta_plus: list[float]   # decreasing, starts at beta1_max
     phi_plus: list[float]    # decreasing, starts at phi_max
     beta_minus: list[float]  # increasing, starts at beta1_min
-    sign_checks: list[dict] = field(default_factory=list)
     diagnostic: str = ""
+    root: NewtonRoot | None = None
 
     @property
     def K(self) -> int:
@@ -64,28 +65,15 @@ class ExclusionTrace:
                 self.beta_minus[-1], self.beta_plus[-1])
 
     def to_jsonable(self) -> dict:
-        return {
-            "phi_minus": self.phi_minus,
-            "beta_plus": self.beta_plus,
-            "phi_plus": self.phi_plus,
-            "beta_minus": self.beta_minus,
-            "K": self.K,
-            "L": self.L,
-            "rectangle": list(self.rectangle),
-            "sign_checks": self.sign_checks,
-            "diagnostic": self.diagnostic,
-        }
+        return {**{name: getattr(self, name) for name in SEQUENCES}, "K": self.K, "L": self.L,
+                "rectangle": list(self.rectangle), "diagnostic": self.diagnostic}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExclusionTrace":
-        return cls(
-            phi_minus=list(data["phi_minus"]),
-            beta_plus=list(data["beta_plus"]),
-            phi_plus=list(data["phi_plus"]),
-            beta_minus=list(data["beta_minus"]),
-            sign_checks=list(data.get("sign_checks", [])),
-            diagnostic=data.get("diagnostic", ""),
-        )
+        """The trace of to_jsonable's dict; other keys (an older certificate's
+        `sign_checks` record) are ignored."""
+        return cls(*(list(data[name]) for name in SEQUENCES),
+                   diagnostic=data.get("diagnostic", ""))
 
 
 @dataclass
@@ -184,23 +172,21 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> 
                               min_margin=min(lows, default=math.nan))
 
 
-def _probe(fn, phi: float, beta1: float, sign: int, delta: float) -> float | None:
-    """Value if the sign is certified with margin, else None."""
+def _probe(fn, phi: float, beta1: float, sign: int, delta: float) -> bool:
+    """Whether sign * fn(phi, beta1) exceeds delta; False at a singular point."""
     try:
-        val = fn(phi, beta1)
+        return fn(phi, beta1) * sign > delta
     except SingularPointError:
-        return None
-    return val if val * sign > delta else None
+        return False
 
 
-def _push(probe, good: float, bad: float, tol: float) -> tuple[float, float] | None:
+def _push(probe, good: float, bad: float, tol: float) -> float | None:
     """Bisect from the certified end `good` toward `bad` while probe certifies.
 
-    probe(t) is the value at coordinate t, or None when its sign is not
-    certified.  Stops once some probe has certified and the bracket is
-    within 1/32 of its starting width, or in any case once it is within
-    tol.  Returns (point, value) of the last certified probe, or None when
-    no strictly interior point certifies.
+    probe(t) says whether the sign at coordinate t is certified.  Stops once
+    some probe has certified and the bracket is within 1/32 of its starting
+    width, or in any case once it is within tol.  Returns the last certified
+    probe point, or None when no strictly interior point certifies.
     """
     rel_tol = abs(bad - good) / 32.0
     best = None
@@ -209,50 +195,70 @@ def _push(probe, good: float, bad: float, tol: float) -> tuple[float, float] | N
         if gap <= tol or (best is not None and gap <= rel_tol):
             break
         mid = 0.5 * (good + bad)
-        val = probe(mid)
-        if val is None:
-            bad = mid
+        if probe(mid):
+            good = best = mid
         else:
-            good, best = mid, (mid, val)
+            bad = mid
     return best
 
 
-class _NewtonFailure(Exception):
-    """`_newton` found no root; the message says why."""
-
-
 class NewtonRoot(NamedTuple):
-    """A `_newton` root and the Jacobian of its last step; the linearisation
-    about the root takes its residuals as zero."""
+    """`solve_reference`'s result.  A root carries its residuals and the
+    Jacobian of the last step, and the linearisation about it takes the
+    residuals as zero; a failure carries the last iterate and its reason."""
 
     phi: float
     beta1: float
-    residuals: tuple[float, float]               # (Eq1, Eq2) at (phi, beta1)
-    jacobian: tuple[float, float, float, float]  # (d11, d12, d21, d22) of the last step
+    residuals: tuple[float, float] | None = None               # (Eq1, Eq2) at (phi, beta1)
+    jacobian: tuple[float, float, float, float] | None = None  # (d11, d12, d21, d22), last step
+    reason: str | None = None                                  # why no root was found
+
+    @property
+    def found(self) -> bool:
+        return self.reason is None
 
     def beta1_where_eq2(self, value: float, phi: float) -> float | None:
-        """beta1 at which the linearised Eq2 equals value at phi; None if it is
-        flat in beta1."""
+        """beta1 at which the linearised Eq2 equals value at phi; None if no
+        root was found or Eq2 is flat in beta1."""
+        if not self.found or self.jacobian[3] == 0.0:
+            return None
         _, _, d21, d22 = self.jacobian
-        return None if d22 == 0.0 else self.beta1 + (value - d21 * (phi - self.phi)) / d22
+        return self.beta1 + (value - d21 * (phi - self.phi)) / d22
 
     def phi_where_eq1(self, value: float, beta1: float) -> float | None:
-        """phi at which the linearised Eq1 equals value at beta1; None if it is
-        flat in phi."""
+        """phi at which the linearised Eq1 equals value at beta1; None if no
+        root was found or Eq1 is flat in phi."""
+        if not self.found or self.jacobian[0] == 0.0:
+            return None
         d11, d12, _, _ = self.jacobian
-        return None if d11 == 0.0 else self.phi + (value - d12 * (beta1 - self.beta1)) / d11
+        return self.phi + (value - d12 * (beta1 - self.beta1)) / d11
+
+    def report(self, rectangle: tuple[float, float, float, float]) -> dict:
+        """The root against a verified rectangle: the root, its residuals,
+        whether both are within RESIDUAL_TARGET and whether the root lies in
+        the rectangle; or found False and the reason."""
+        if not self.found:
+            return {"found": False, "reason": self.reason}
+        phi_lo, phi_hi, b_lo, b_hi = rectangle
+        r1, r2 = self.residuals
+        return {"found": True, "phi": self.phi, "beta1": self.beta1,
+                "residual_eq1": r1, "residual_eq2": r2,
+                "within_target": max(abs(r1), abs(r2)) < RESIDUAL_TARGET,
+                "inside_rectangle": bool(phi_lo <= self.phi <= phi_hi
+                                         and b_lo <= self.beta1 <= b_hi)}
 
 
-def _newton(eq1f, eq2f, rectangle: tuple[float, float, float, float]) -> NewtonRoot:
+def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float]) -> NewtonRoot:
     """Newton root of (Eq1, Eq2) from the centre of a rectangle.
 
-    Each step takes a forward-difference Jacobian with increments of
-    NEWTON_INCREMENT; the iteration has converged once a step is within
-    NEWTON_STEP_TOL in both coordinates, and the residuals are those at the
-    converged iterate.  Raises _NewtonFailure on a singular iterate (an
-    equation that cannot be evaluated, or a degenerate Jacobian), on an
-    iterate outside the rectangle widened by its own widths on each side,
-    or after NEWTON_MAX_ITER steps without convergence.
+    `spiral_localize` runs it once, on its domain, and predicts its pushes
+    from the root, which is also the certificate's reference root (a sanity
+    oracle that never feeds the verdict).  Each step takes a forward-
+    difference Jacobian with increments of NEWTON_INCREMENT, until a step is
+    within NEWTON_STEP_TOL in both coordinates.  A singular iterate (an
+    equation that cannot be evaluated, or a degenerate Jacobian), one
+    outside the rectangle widened by its own widths on each side, or
+    NEWTON_MAX_ITER steps without convergence end it with a reason.
     """
     phi_lo, phi_hi, b_lo, b_hi = rectangle
     w_f, w_b = phi_hi - phi_lo, b_hi - b_lo
@@ -267,21 +273,24 @@ def _newton(eq1f, eq2f, rectangle: tuple[float, float, float, float]) -> NewtonR
             d22 = (eq2f(phi, b1 + h) - r2) / h
             det = d11 * d22 - d12 * d21
             if not (det != 0.0 and math.isfinite(det)):
-                raise _NewtonFailure(f"singular Jacobian at ({phi!r}, {b1!r}): det={det!r}")
+                return NewtonRoot(phi, b1, reason=f"singular Jacobian at ({phi!r}, {b1!r}): "
+                                                  f"det={det!r}")
             step_f = (d22 * r1 - d12 * r2) / det
             step_b = (d11 * r2 - d21 * r1) / det
             phi, b1 = phi - step_f, b1 - step_b
             if not (phi_lo - w_f <= phi <= phi_hi + w_f and b_lo - w_b <= b1 <= b_hi + w_b):
-                raise _NewtonFailure(f"Newton iterate ({phi!r}, {b1!r}) left the rectangle")
+                return NewtonRoot(phi, b1, reason=f"Newton iterate ({phi!r}, {b1!r}) "
+                                                  "left the rectangle")
             r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
             if max(abs(step_f), abs(step_b)) <= NEWTON_STEP_TOL:
                 return NewtonRoot(phi, b1, (r1, r2), (d11, d12, d21, d22))
     except SingularPointError as exc:
-        raise _NewtonFailure(f"singular point: {exc}") from None
-    raise _NewtonFailure(f"no convergence in {NEWTON_MAX_ITER} Newton steps")
+        return NewtonRoot(phi, b1, reason=f"singular point: {exc}")
+    return NewtonRoot(phi, b1, reason=f"no convergence in {NEWTON_MAX_ITER} Newton steps")
 
 
-def _predicted_push(probe, good: float, bad: float, predicted: float | None, tol: float):
+def _predicted_push(probe, good: float, bad: float, predicted: float | None,
+                    tol: float) -> float | None:
     """`_push`, first trying one probe at the predicted crossing, if any.
 
     The probe sits PREDICT_SHARE of the gap |good - bad| back from
@@ -291,10 +300,8 @@ def _predicted_push(probe, good: float, bad: float, predicted: float | None, tol
     """
     if predicted is not None:
         t = predicted + PREDICT_SHARE * (good - bad)
-        if min(good, bad) < t < max(good, bad):
-            val = probe(t)
-            if val is not None:
-                return t, val
+        if min(good, bad) < t < max(good, bad) and probe(t):
+            return t
     return _push(probe, good, bad, tol)
 
 
@@ -304,79 +311,51 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
     Each arm step pushes one coordinate against the last opposing witness:
     the minus arm first lowers beta1 toward the least value where Eq2 < -2 DELTA_NUM
     at its current phi, then raises phi toward the greatest value where
-    Eq1 > +2 DELTA_NUM at the new beta1; the plus arm mirrors this.  While the
-    rectangle's larger side exceeds PREDICT_WIDTH each push bisects, stopping
-    within 1/32 of the rectangle's current size (see `_push`).  Then one
-    `_newton` root and Jacobian at the rectangle's centre linearise Eq1 and
-    Eq2, and each push probes once at the linearised crossing, shifted
-    PREDICT_SHARE of the gap toward the certified side; a probe that misses
-    falls back to bisection from the last certified point.  A failed Newton
-    leaves every push bisecting.
-    Points are accepted only at twice the verification margin, so
-    re-verification (float or outward-rounded) always clears DELTA_NUM with
-    room; each recorded value is the one the accepting probe computed, and
-    `verify_exclusion` alone decides whether the trace holds.
-    Pure function of its arguments; stops at width_target or when neither
-    arm can advance, or after SPIRAL_MAX_CYCLES steps.
+    Eq1 > +2 DELTA_NUM at the new beta1; the plus arm mirrors this.  One
+    `solve_reference` root from the domain's centre, which the trace keeps,
+    linearises Eq1 and Eq2 before the first push.  Each push probes once at
+    the linearised crossing, shifted PREDICT_SHARE of the gap toward the
+    certified side, and a miss bisects from the last certified point (see
+    `_push`); a failed Newton leaves every push bisecting.  Points are
+    accepted only at twice the verification margin, so re-verification
+    (float or outward-rounded) clears DELTA_NUM with room; `verify_exclusion`
+    alone decides whether the trace holds.  Pure function of its arguments;
+    stops at width_target, when neither arm can advance, or after
+    SPIRAL_MAX_CYCLES steps.
     """
     delta_build = 2.0 * DELTA_NUM
-    pm = [domain.phi_min]
-    bp = [domain.beta1_max]
-    pp = [domain.phi_max]
-    bm = [domain.beta1_min]
-    checks: list[dict] = []
-
-    seed_minus = _probe(eq1f, pm[0], bp[0], +1, delta_build)
-    seed_plus = _probe(eq1f, pp[0], bm[0], -1, delta_build)
-    if seed_minus is None or seed_plus is None:
+    pm, bp, pp, bm = [domain.phi_min], [domain.beta1_max], [domain.phi_max], [domain.beta1_min]
+    if not (_probe(eq1f, pm[0], bp[0], +1, delta_build)
+            and _probe(eq1f, pp[0], bm[0], -1, delta_build)):
         raise SpiralSeedError(
             "corner sign seeds absent: need Eq1(phi_min, beta1_max) > 0 and "
-            f"Eq1(phi_max, beta1_min) < 0, got {seed_minus} and {seed_plus}")
-    checks.append({"family": "eq1_minus", "index": 0, "phi": pm[0], "beta1": bp[0],
-                   "value": seed_minus, "margin": DELTA_NUM})
-    checks.append({"family": "eq1_plus", "index": 0, "phi": pp[0], "beta1": bm[0],
-                   "value": seed_plus, "margin": DELTA_NUM})
+            "Eq1(phi_max, beta1_min) < 0, each beyond 2 DELTA_NUM")
+    root = solve_reference(eq1f, eq2f, (pm[0], pp[0], bm[0], bp[0]))
 
     tol = max(width_target / 64.0, 1e-14)
     diagnostic = ""
-    lin = None           # the NewtonRoot the pushes are predicted from
-    linearised = False   # whether the one Newton has run
     for _ in range(SPIRAL_MAX_CYCLES):
-        width_phi = pp[-1] - pm[-1]
-        width_b = bp[-1] - bm[-1]
-        if width_phi <= width_target and width_b <= width_target:
+        if pp[-1] - pm[-1] <= width_target and bp[-1] - bm[-1] <= width_target:
             break
-        if not linearised and max(width_phi, width_b) <= PREDICT_WIDTH:
-            linearised = True
-            try:
-                lin = _newton(eq1f, eq2f, (pm[-1], pp[-1], bm[-1], bp[-1]))
-            except _NewtonFailure:
-                pass
         moved = False
         # minus arm (sign +1): move beta1 from bp toward bm while Eq2 < 0 at
         # its current phi, then phi from pm toward pp while Eq1 > 0 at the new
         # beta1; the plus arm (sign -1) mirrors it.
-        for phis, betas, far_phis, far_betas, sign, arm in (
-                (pm, bp, pp, bm, +1, "minus"), (pp, bm, pm, bp, -1, "plus")):
+        for phis, betas, far_phis, far_betas, sign in (
+                (pm, bp, pp, bm, +1), (pp, bm, pm, bp, -1)):
             f = phis[-1]
-            guess = None if lin is None else lin.beta1_where_eq2(-sign * delta_build, f)
-            hit_b = _predicted_push(lambda t: _probe(eq2f, f, t, -sign, delta_build),
-                                    betas[-1], far_betas[-1], guess, tol)
-            if hit_b is None:
+            b_new = _predicted_push(lambda t: _probe(eq2f, f, t, -sign, delta_build),
+                                    betas[-1], far_betas[-1],
+                                    root.beta1_where_eq2(-sign * delta_build, f), tol)
+            if b_new is None:
                 continue
-            b_new, eq2_val = hit_b
-            guess = None if lin is None else lin.phi_where_eq1(sign * delta_build, b_new)
-            hit_f = _predicted_push(lambda t: _probe(eq1f, t, b_new, sign, delta_build),
-                                    f, far_phis[-1], guess, tol)
-            if hit_f is None:
+            f_new = _predicted_push(lambda t: _probe(eq1f, t, b_new, sign, delta_build),
+                                    f, far_phis[-1],
+                                    root.phi_where_eq1(sign * delta_build, b_new), tol)
+            if f_new is None:
                 continue
-            f_new, eq1_val = hit_f
-            checks.append({"family": f"eq2_{arm}", "index": len(phis) - 1, "phi": f,
-                           "beta1": b_new, "value": eq2_val, "margin": DELTA_NUM})
             phis.append(f_new)
             betas.append(b_new)
-            checks.append({"family": f"eq1_{arm}", "index": len(phis) - 1, "phi": f_new,
-                           "beta1": b_new, "value": eq1_val, "margin": DELTA_NUM})
             moved = True
 
         if not moved:
@@ -386,33 +365,4 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
             break
 
     return ExclusionTrace(phi_minus=pm, beta_plus=bp, phi_plus=pp, beta_minus=bm,
-                          sign_checks=checks, diagnostic=diagnostic)
-
-
-def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float]) -> dict:
-    """Newton root from the centre of a verified rectangle (sanity oracle only).
-
-    The root is `_newton`'s, the same iteration that linearises the spiral:
-    forward-difference Jacobians with increments of NEWTON_INCREMENT, and
-    convergence once a step is within NEWTON_STEP_TOL; the residuals are
-    those at the converged iterate.  A singular iterate, an iterate outside
-    the rectangle widened by its own widths on each side, or no convergence
-    in NEWTON_MAX_ITER steps returns found False with a reason.  Never feeds
-    the certificate's verdict.
-    """
-    phi_lo, phi_hi, b_lo, b_hi = rectangle
-    try:
-        root = _newton(eq1f, eq2f, rectangle)
-    except _NewtonFailure as exc:
-        return {"found": False, "reason": str(exc)}
-    phi, b1 = root.phi, root.beta1
-    r1, r2 = root.residuals
-    return {
-        "found": True,
-        "phi": phi,
-        "beta1": b1,
-        "residual_eq1": r1,
-        "residual_eq2": r2,
-        "within_target": max(abs(r1), abs(r2)) < RESIDUAL_TARGET,
-        "inside_rectangle": bool(phi_lo <= phi <= phi_hi and b_lo <= b1 <= b_hi),
-    }
+                          diagnostic=diagnostic, root=root)

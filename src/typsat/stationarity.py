@@ -36,9 +36,10 @@ from .intervals import Interval, log_of_int, lower, upper, xexp, xlog, xsum
 from .ledger import ErrorBudget, FeasibleBox, euler, point_fields
 
 #: Points per (points x cells) evaluation when eq1/eq2 get arrays of points.
-#: Bounds the working arrays: evaluated in one batch, the 117 points of an
-#: equation raise an interval certify's peak RSS by about 25% and make it
-#: slower; 8 points keep the RSS of per-point evaluation.
+#: Bounds the working arrays: on a trace of 117 claims an equation, one batch
+#: raised an interval certify's peak RSS by about 25% and made it slower, and
+#: 8 points kept the RSS of per-point evaluation.  Not re-measured on today's
+#: trace of 128 Eq1 and 126 Eq2 claims.
 CHUNK_POINTS = 8
 
 

@@ -91,9 +91,10 @@ def trace(system, box):
 
 
 @pytest.fixture(scope="session")
-def root(system, trace):
-    from typsat.rootbox import solve_reference
-    ref = solve_reference(system.eq1, system.eq2, trace.rectangle)
+def root(trace):
+    """The certificate's reference root: the spiral's Newton root reported
+    against its rectangle."""
+    ref = trace.root.report(trace.rectangle)
     assert ref["found"]
     return ref
 

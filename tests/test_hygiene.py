@@ -1,6 +1,7 @@
 """Source hygiene checks on the typsat package and its demos, by static scan."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -84,14 +85,29 @@ def test_float_sums_go_through_xsum(path):
     assert sum_refs == []
 
 
+def _tracer_constant(name: str):
+    """The literal value of a top-level assignment in perfbench/tracer.py."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    return next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
+
+
 def test_pipeline_keeps_the_names_the_tracer_rebinds():
     """perfbench/tracer.py rebinds PIPELINE_BINDINGS in typsat.pipeline by
     name; a name pipeline no longer imports would break a traced run."""
     import typsat.pipeline
 
-    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    bindings = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
-                    if isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "PIPELINE_BINDINGS" for t in node.targets))
+    bindings = _tracer_constant("PIPELINE_BINDINGS")
     assert bindings
     assert [name for name in bindings if not hasattr(typsat.pipeline, name)] == []
+
+
+def test_tracer_targets_resolve():
+    """perfbench/tracer.py wraps each (module, attr) of TARGETS with getattr;
+    a renamed or removed function would crash every traced run."""
+    targets = _tracer_constant("TARGETS")
+    assert targets
+    missing = [(module, attr) for module, attr in targets
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

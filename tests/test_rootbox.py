@@ -77,19 +77,26 @@ def test_spiral_on_toy_linear_system():
 def test_solve_reference_on_toy_system():
     trace = rb.spiral_localize(toy_eq1, toy_eq2, UNIT_BOX, width_target=1e-6)
     ref = rb.solve_reference(toy_eq1, toy_eq2, trace.rectangle)
-    assert ref["found"]
-    assert ref["phi"] == pytest.approx(0.5, abs=1e-9)
-    assert ref["beta1"] == pytest.approx(0.5, abs=1e-9)
+    assert ref.found
+    assert ref.phi == pytest.approx(0.5, abs=1e-9)
+    assert ref.beta1 == pytest.approx(0.5, abs=1e-9)
     phi, b1 = nested_bisection_root(toy_eq1, toy_eq2, trace.rectangle)
-    assert abs(ref["phi"] - phi) < 1e-12 and abs(ref["beta1"] - b1) < 1e-12
+    assert abs(ref.phi - phi) < 1e-12 and abs(ref.beta1 - b1) < 1e-12
 
 
-def test_newton_root_agrees_with_nested_bisection(system, trace, root):
+def test_newton_root_agrees_with_nested_bisection(system, box, trace, root):
+    # the spiral's one Newton runs from the box's centre (32 evaluations);
+    # from the verified rectangle's centre it lands on the same root sooner
     evals = [0]
-    ref = rb.solve_reference(counted(system.eq1, evals), counted(system.eq2, evals),
-                             trace.rectangle)
-    assert ref == root
+    eq1c, eq2c = counted(system.eq1, evals), counted(system.eq2, evals)
+    ref = rb.solve_reference(eq1c, eq2c, (box.phi_min, box.phi_max, box.beta1_min, box.beta1_max))
+    assert ref == trace.root
+    assert ref.report(trace.rectangle) == root
+    assert evals[0] <= 40
+    evals[0] = 0
+    again = rb.solve_reference(eq1c, eq2c, trace.rectangle)
     assert evals[0] <= 30
+    assert abs(again.phi - ref.phi) < 1e-15 and abs(again.beta1 - ref.beta1) < 1e-15
     phi, b1 = nested_bisection_root(system.eq1, system.eq2, trace.rectangle)
     assert abs(root["phi"] - phi) < 1e-12 and abs(root["beta1"] - b1) < 1e-12
 
@@ -105,30 +112,33 @@ def _singular(phi, beta1):
 ])
 def test_solve_reference_reports_failure(eq1f, eq2f, rectangle, reason):
     ref = rb.solve_reference(eq1f, eq2f, rectangle)
-    assert ref["found"] is False
-    assert reason in ref["reason"]
+    assert ref.found is False
+    assert reason in ref.reason
+    assert ref.report(rectangle) == {"found": False, "reason": ref.reason}
+    assert ref.beta1_where_eq2(0.0, 0.5) is None and ref.phi_where_eq1(0.0, 0.5) is None
 
 
-def test_spiral_records_accepting_values(system, box):
+def test_spiral_claims_certify_at_the_build_margin(system, box):
+    # every claim of the trace was accepted at twice the verification margin
     evals = [0]
     trace = rb.spiral_localize(counted(system.eq1, evals), counted(system.eq2, evals),
                                box, width_target=WIDTH_TARGET)
     assert not trace.diagnostic
     assert evals[0] <= 400  # ~10 a step when every push bisected (1,264)
-    assert len(trace.sign_checks) == 2 * (trace.K + trace.L) + 2
-    for chk in trace.sign_checks:
-        fn = system.eq1 if chk["family"].startswith("eq1") else system.eq2
-        assert fn(chk["phi"], chk["beta1"]) == chk["value"]
-        assert abs(chk["value"]) > 2 * DELTA_NUM
+    claims = rb._sign_claims(trace)
+    assert len(claims) == 2 * (trace.K + trace.L) + 2
+    for family, _, phi, beta1, sign in claims:
+        fn = system.eq1 if family.startswith("eq1") else system.eq2
+        assert sign * fn(phi, beta1) > 2 * DELTA_NUM
 
 
 def _counting_pushes(monkeypatch):
     """Record the spiral's bisecting pushes and its linearisation: (pushes,
     roots), pushes counting them {"before": n, "after": m} the first
-    `_newton` root, roots listing every root `_newton` returned."""
+    `solve_reference` root, roots listing every root it returned."""
     pushes = {"before": 0, "after": 0}
     linearised = []
-    newton, push = rb._newton, rb._push
+    newton, push = rb.solve_reference, rb._push
 
     def recorded_newton(*args):
         root = newton(*args)
@@ -139,7 +149,7 @@ def _counting_pushes(monkeypatch):
         pushes["after" if linearised else "before"] += 1
         return push(*args)
 
-    monkeypatch.setattr(rb, "_newton", recorded_newton)
+    monkeypatch.setattr(rb, "solve_reference", recorded_newton)
     monkeypatch.setattr(rb, "_push", recorded_push)
     return pushes, linearised
 
@@ -148,7 +158,7 @@ def test_spiral_predicts_linear_system_without_fallback(monkeypatch):
     pushes, linearised = _counting_pushes(monkeypatch)
     trace = rb.spiral_localize(toy_eq1, toy_eq2, UNIT_BOX, width_target=1e-6)
     assert len(linearised) == 1
-    assert pushes["before"] > 0 and pushes["after"] == 0
+    assert pushes["before"] == 0 and pushes["after"] == 0
     assert rb.verify_exclusion(trace, toy_eq1, toy_eq2, UNIT_BOX).ok
 
 
@@ -172,8 +182,8 @@ def test_spiral_falls_back_to_bisection_on_a_missed_prediction(monkeypatch):
 
 
 def test_spiral_predictions_miss_rarely_on_the_real_system(monkeypatch, system, box):
-    # the curvature of Eq1/Eq2 makes a few predicted probes miss, near the
-    # switch width; each such push bisects, and the trace still verifies
+    # the curvature of Eq1/Eq2 makes a few predicted probes miss, far from
+    # the root; each such push bisects, and the trace still verifies
     pushes, linearised = _counting_pushes(monkeypatch)
     trace = rb.spiral_localize(system.eq1, system.eq2, box, width_target=WIDTH_TARGET)
     assert len(linearised) == 1 and not trace.diagnostic
@@ -182,11 +192,12 @@ def test_spiral_predictions_miss_rarely_on_the_real_system(monkeypatch, system, 
 
 
 def test_spiral_bisects_throughout_when_newton_fails(monkeypatch):
-    def failing(*args):
-        raise rb._NewtonFailure("no root")
+    def failing(eq1f, eq2f, rectangle):
+        return rb.NewtonRoot(0.5, 0.5, reason="no root")
 
-    monkeypatch.setattr(rb, "_newton", failing)
+    monkeypatch.setattr(rb, "solve_reference", failing)
     trace = rb.spiral_localize(toy_eq1, toy_eq2, UNIT_BOX, width_target=1e-6)
+    assert trace.root.reason == "no root"
     rect = trace.rectangle
     assert rect[1] - rect[0] <= 1e-6 and rect[3] - rect[2] <= 1e-6
     assert rb.verify_exclusion(trace, toy_eq1, toy_eq2, UNIT_BOX).ok
