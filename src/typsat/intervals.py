@@ -227,7 +227,13 @@ def sum_slack(t, axis=None):
     (n-1) u sum|t| to first order (u = eps/2; Higham 2002, ch. 4); 1.125 covers
     the bound's rounding."""
     n = np.size(t) if axis is None else np.shape(t)[axis]
-    return (n - 1) * np.finfo(np.float64).eps * _ADD(np.abs(t), axis=axis) * 1.125
+    return slack_of_sum(n, _ADD(np.abs(t), axis=axis))
+
+
+def slack_of_sum(n: int, abs_sum):
+    """`sum_slack` from the number of terms n and sum|t| (the float sum itself
+    when every term is >= 0)."""
+    return (n - 1) * np.finfo(np.float64).eps * abs_sum * 1.125
 
 
 # -- generic dispatchers (shared formula code runs on floats or intervals) ----

@@ -317,7 +317,6 @@ def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str
         hi = np.full_like(b1s, box.phi_max)
         flo, lo_errors = rb.values_where_defined(fn, lo, b1s)
         fhi, hi_errors = rb.values_where_defined(fn, hi, b1s)
-        flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)  # None -> NaN
         live = np.equal(lo_errors, None) & np.equal(hi_errors, None) & ~(flo * fhi > 0)
         lo, hi, flo, b1 = lo[live], hi[live], flo[live], b1s[live]
         for _ in range(80):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularPointError, SpiralSeedError, TraceStructureError
-from .intervals import lower
+from .intervals import Interval
 from .ledger import FeasibleBox
 from .params import DELTA_NUM
 
@@ -83,9 +83,6 @@ class VerificationReport:
     checks: int
     min_margin: float  # smallest lower end of sign * Eq over the evaluated checks
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _strictly(seq: list[float], direction: int) -> bool:
     return all((b - a) * direction > 0.0 for a, b in zip(seq, seq[1:]))
@@ -100,29 +97,29 @@ def _sign_claims(trace: ExclusionTrace) -> list[tuple]:
             + [("eq2_plus", j, pp[j], bm[j + 1], +1) for j in range(len(pp) - 1)])
 
 
-def values_where_defined(fn, phis: np.ndarray, betas: np.ndarray) -> tuple[list, list]:
+def values_where_defined(fn, phis: np.ndarray, betas: np.ndarray) -> tuple:
     """fn at each point of the equal-length arrays phis and betas: (values,
-    errors), one entry a point.  One batched call, or, if the batch has a
+    errors).  values is one batch, a float array or an Interval of arrays;
+    errors has one entry a point.  One batched call, or, if the batch has a
     singular point, one scalar call a point, so that the point fails alone:
-    its value is None and its error the SingularPointError's message.  Every
+    its value is NaN and its error the SingularPointError's message.  Every
     other error is None."""
     try:
-        vals = fn(phis, betas)
+        return fn(phis, betas), [None] * len(phis)
     except SingularPointError:
         pass
-    else:
-        n = len(phis)
-        return (vals.tolist() if isinstance(vals, np.ndarray)
-                else [vals[k] for k in range(n)]), [None] * n
     values, errors = [], []
     for phi, beta1 in zip(phis.tolist(), betas.tolist()):
         try:
             values.append(fn(phi, beta1))
             errors.append(None)
         except SingularPointError as exc:
-            values.append(None)
+            values.append(math.nan)
             errors.append(str(exc))
-    return values, errors
+    if any(isinstance(v, Interval) for v in values):
+        return Interval(*(np.array([getattr(v, end, v) for v in values], dtype=np.float64)
+                          for end in ("lo", "hi"))), errors
+    return np.array(values, dtype=np.float64), errors
 
 
 def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> VerificationReport:
@@ -151,23 +148,29 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> 
         raise TraceStructureError("final rectangle is inverted")
 
     claims = _sign_claims(trace)
-    results: dict[int, tuple] = {}  # claim index -> (lower end of sign * Eq, Eq, error)
+    # claim index -> (lower end of sign * Eq, error, the equation's values, position in them)
+    results: dict[int, tuple] = {}
     for fn, prefix in ((eq1f, "eq1"), (eq2f, "eq2")):
         order = [k for k, claim in enumerate(claims) if claim[0].startswith(prefix)]
-        phis, betas = (np.array([claims[k][col] for k in order]) for col in (2, 3))
-        for k, val, error in zip(order, *values_where_defined(fn, phis, betas)):
-            results[k] = (None if error is not None else lower(claims[k][4] * val), val, error)
+        phis, betas, signs = (np.array([claims[k][col] for k in order]) for col in (2, 3, 4))
+        vals, errors = values_where_defined(fn, phis, betas)
+        # sign * Eq for signs +-1 is an exact negation: an Interval's lower end
+        # for +1 and minus its upper end for -1, one array op for all the checks
+        lows = (np.where(signs > 0, vals.lo, -vals.hi) if isinstance(vals, Interval)
+                else signs * vals)
+        for j, (k, low, error) in enumerate(zip(order, lows.tolist(), errors)):
+            results[k] = (low, error, vals, j)
 
     failures: list[dict] = []
     for k, (family, i, phi, beta1, sign) in enumerate(claims):
-        low, val, error = results[k]
+        low, error, vals, j = results[k]
         if error is not None:
             failures.append({"family": family, "index": i, "phi": phi, "beta1": beta1,
                              "value": None, "error": error})
         elif not low > DELTA_NUM:
             failures.append({"family": family, "index": i, "phi": phi, "beta1": beta1,
-                             "value": val, "needed_sign": sign, "margin": DELTA_NUM})
-    lows = [low for low, _, error in results.values() if error is None]
+                             "value": vals[j], "needed_sign": sign, "margin": DELTA_NUM})
+    lows = [low for low, error, _, _ in results.values() if error is None]
     return VerificationReport(ok=not failures, failures=failures, checks=len(claims),
                               min_margin=min(lows, default=math.nan))
 

@@ -17,8 +17,11 @@ objective and its gradient) are test oracles in tests/oracles.py.
 Every triangle quantity is built from one cell kernel, the excess
 E = (U/V)^(x-2p) (1 - V^-p) of `cell_excess`, and summed in the log domain
 by `intervals.xsum` (np.add.reduce, the reduction of np.sum, on floats,
-within `intervals.sum_slack`); the same code paths run on outward-rounded
-intervals for the certified pass.
+within `intervals.sum_slack`).  The rate bounds run the same code on
+outward-rounded intervals.  In interval mode Eq1 and Eq2 keep the point
+quantities in interval arithmetic, but take their cell sums from two float
+evaluations at the corners of the point's enclosure, widened by the
+rounding lemma of `_pad`.
 """
 
 from __future__ import annotations
@@ -32,14 +35,16 @@ import numpy as np
 from . import distribution as dist
 from .distribution import DerivedConstants
 from .errors import DomainError, SingularPointError
-from .intervals import Interval, log_of_int, lower, upper, xexp, xlog, xsum
+from .intervals import (LIBM_ULPS, Interval, log_of_int, lower, next_down, next_up,
+                        slack_of_sum, upper, xexp, xlog, xsum)
 from .ledger import ErrorBudget, FeasibleBox, euler, point_fields
 
-#: Points per (points x cells) evaluation when eq1/eq2 get arrays of points.
-#: Bounds the working arrays: on a trace of 117 claims an equation, one batch
-#: raised an interval certify's peak RSS by about 25% and made it slower, and
-#: 8 points kept the RSS of per-point evaluation.  Not re-measured on today's
-#: trace of 128 Eq1 and 126 Eq2 claims.
+#: Points per (points x cells) float evaluation when eq1/eq2 get arrays of
+#: points (in interval mode, per corner); bounds the working arrays.  On the
+#: trace of 128 Eq1 and 126 Eq2 checks, one batch raised certify's peak RSS
+#: from ~36.4 to ~40.6 MB and its time by ~20% in both modes, 32 points to
+#: ~37.3 MB, also slower; 16 points matched 8 on float and RSS and was ~6%
+#: faster on interval certify (perfbench/run.py, two 8 s runs a value).
 CHUNK_POINTS = 8
 
 
@@ -104,11 +109,13 @@ class EqSystem:
     products cast nothing), and the log of the n-free base constant
     3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt.  Float mode
     takes the tables from build_tables; interval mode encloses them from the
-    exact decimal density, so eq1, eq2 and the rectangle rate bound run the
-    same code outward-rounded.  Evaluation points are exact floats in both
-    modes; eq1 and eq2 also take equal-shape arrays of them and return one
-    value per point: the point fields are derived once for all the points,
-    which are then broadcast against the cells CHUNK_POINTS at a time.
+    exact decimal density, so the rectangle rate bound runs the same code
+    outward-rounded, and eq1 and eq2 return enclosures: the point fields in
+    interval arithmetic, the cell sums from the float kernel at two corners
+    (`_enclose`).  Evaluation points are exact floats in both modes; eq1 and
+    eq2 also take equal-shape arrays of them and return one value per point:
+    the point fields are derived once for all the points, whose float cell
+    terms are then formed CHUNK_POINTS points at a time.
     """
 
     mode: str
@@ -194,30 +201,133 @@ def _logs(U, V):
 def _col(z):
     """A batch of points with a trailing length-1 axis, so its points axis
     broadcasts against the cell arrays; a single point stays a scalar."""
-    if isinstance(z, Interval):
-        return z[..., None] if z.lo.ndim else z
     return z[..., None] if isinstance(z, np.ndarray) and z.ndim else z
 
 
-def _in_chunks(core, points: tuple, *rest):
-    """core(*points, *rest), CHUNK_POINTS points a call along the points' leading
-    axis, the results joined in order.  A single point, or a batch no larger than
-    one chunk, is one direct call."""
-    first = points[0].lo if isinstance(points[0], Interval) else points[0]
-    n = first.shape[0] if isinstance(first, np.ndarray) and first.ndim else 0
+def _eq1_terms(cells: Cells, log_uv, log_v):
+    """Eq1's cell terms weight (1 - 1/(1 + E)), a row of cells per point."""
+    E = cell_excess(_col(log_uv), _col(log_v), cells.w, cells.p)
+    return cells.weight * (1.0 - 1.0 / (1.0 + E))
+
+
+def _eq2_terms(cells: Cells, V, log_uv, log_v, neg_log_v_den=None):
+    """Eq2's cell terms weight (V - 1)/(V (V^p - 1)) (1 - 1/(1 + E)), a row of
+    cells per point; V^p is exp(-p neg_log_v_den), by default from E's log_v."""
+    log_uv, v = _col(log_uv), _col(V)
+    neg_p_log_v = cells.p * -_col(log_v)  # shared by V^-p in E and by V^p - 1
+    E = _excess(cells.w * log_uv, neg_p_log_v)
+    if neg_log_v_den is not None:
+        neg_p_log_v = cells.p * _col(neg_log_v_den)
+    vp_minus_1 = xexp(-neg_p_log_v) - 1.0
+    del neg_p_log_v  # freed before the terms, so the peak memory stays where it was
+    return cells.weight * ((v - 1.0) / (v * vp_minus_1)) * (1.0 - 1.0 / (1.0 + E))
+
+
+def _row_sums(terms, cells: Cells, *points):
+    """xsum of terms(cells, *points) along the cells, CHUNK_POINTS points a call
+    along the points' leading axis, the sums joined in order.  A single point,
+    or a batch no larger than one chunk, is one direct call."""
+    n = points[0].shape[0] if isinstance(points[0], np.ndarray) and points[0].ndim else 0
     if n <= CHUNK_POINTS:
-        return core(*points, *rest)
-    parts = [core(*(z[s:s + CHUNK_POINTS] for z in points), *rest)
-             for s in range(0, n, CHUNK_POINTS)]
-    if isinstance(parts[0], Interval):
-        return Interval._ordered(np.concatenate([v.lo for v in parts]),
-                                 np.concatenate([v.hi for v in parts]))
-    return np.concatenate(parts)
+        return xsum(terms(cells, *points), axis=-1)
+    return np.concatenate([xsum(terms(cells, *(z[s:s + CHUNK_POINTS] for z in points)), axis=-1)
+                           for s in range(0, n, CHUNK_POINTS)])
+
+
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
+#: One libm exp in units of u: within LIBM_ULPS ulps of its returned
+#: value, the trust base of Interval.exp/log, so within 4 LIBM_ULPS u of it.
+_LIBM_K = 4.0 * LIBM_ULPS
+#: Largest |w a| and p b the rounding lemma admits: every exp in a cell term
+#: stays within e^+-300, far from overflow and underflow.
+_EXP_ARG_MAX = 300.0
+#: Bound on one cell term's underflow error (see `_pad`).
+_TINY = 2.0 ** -1000
+
+
+def _term_count(log_uv: Interval, log_v: Interval, cells: Cells, V: Interval | None = None):
+    """K of `_pad`'s lemma for every cell and both corners, one per point: an
+    Eq1 term's, or with V an Eq2 term's; infinite outside the lemma's range."""
+    wa = cells.w.max() * np.maximum(np.abs(log_uv.lo), np.abs(log_uv.hi))
+    pb = cells.p.max() * log_v.hi
+    k_p = pb + _LIBM_K  # e^(+-p b): its argument's rounding and libm
+    amp = 1.0 / (1.0 - k_p * _U)
+    k = wa + _LIBM_K + ((1.0 + _LIBM_K / log_v.lo) * amp + 1.0) + 1.0  # E = e^(w a) (1 - e^-pb)
+    k += 4.0  # the bracket 1 - 1/(1 + E) and the product with the weight
+    if V is not None:  # (V - 1)/(V (V^p - 1)) times the weight, and its bound F
+        k_den = (k_p + 1.0 + _LIBM_K / log_v.lo) * amp + 1.0
+        k = (k + k_den + 4.0) * np.maximum(1.0, (V.hi - 1.0) / (V.hi * log_v.lo))
+    ok = (log_v.lo > 0.0) & (wa <= _EXP_ARG_MAX) & (pb <= _EXP_ARG_MAX)
+    return np.where(ok, k, np.inf)
+
+
+def _pad(row_sum, cells: Cells, count):
+    """Bound on |computed - exact| of a float row sum of positive cell terms.
+
+    Lemma.  Let u = 2^-53, Theta_k the factors in [1 - ku, 1/(1 - ku)] and
+    gamma_k = ku/(1 - ku) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 3, for real k >= 0).  Theta_j Theta_k lies in
+    Theta_(j+k), 1/Theta_k = Theta_k, and |theta - 1| <= gamma_k on Theta_k.
+    Take exact float inputs a = log(U/V), b = log V > 0, V, the weight, and
+    the cells' integer w and p, with |w a| and p b at most 300.  Then:
+
+    - each IEEE op is Theta_1; a libm exp is Theta_(4L), L = LIBM_ULPS (within
+      L ulps of the returned value y, so within 4Lu y); exp of a rounded
+      product fl(t) is exp(t) Theta_|t|, since e^(+-|t|u) lies in Theta_|t|.
+    - From e^-pb computed as e Theta_k, k = pb + 4L, 1 - e^-pb is (1 - e)
+      Theta_(km/(1-ku)) with m = 1/(e^pb - 1) <= 1/(p b); e^pb - 1 is likewise
+      (e^pb - 1) Theta_(km/(1-ku)) with m = 1 + 1/(e^pb - 1).  So the computed
+      E is E Theta_kE and Eq2's (V - 1)/(V (V^p - 1)) times the weight is
+      exact times Theta_kg (`_term_count`; k_g = 0 for Eq1).
+    - 1 - 1/(1 + E) rounds to alpha rho (1 + d) + zeta with rho in Theta_kE,
+      |d| <= u and |zeta| <= gamma_2/(1 + E): the cancellation error is
+      absolute, not relative to alpha = E/(1 + E) (E reaches e^-30 on the
+      4.506 trace).
+    - alpha <= 1, and Eq2's (V - 1)/(V (V^p - 1)) is at most
+      F = max(1, (V_hi - 1)/(V_hi b_lo)) at either corner (e^x - 1 >= x),
+      so every computed term is within gamma_K weight of the exact term,
+      K = (k_E + k_g + 4) F (F = 1 for Eq1; gamma_k F <= gamma_(kF)).
+    - Underflow adds at most 2^-1075 to a product or quotient (Higham eq.
+      2.8), times at most 3 x_max + 3 in all through the rest of the term
+      (weight <= x_max): under 2^-1000 a term for x_max < 2^70.
+
+    Summing n terms, |S_float - S| <= gamma_K sum(weight) + n 2^-1000 +
+    sum_slack.  The pad takes 1.125 times the first two parts, which covers
+    the rounding of their own evaluation.  It is infinite where Ku >= 2^-20
+    (so b > 2^-29 wherever it is finite) or the inputs leave the lemma's range.
+    """
+    ku = count * _U
+    gamma = np.where(ku < 2.0 ** -20, ku / (1.0 - ku), np.inf)
+    n = cells.w.size
+    return 1.125 * (gamma * xsum(cells.weight) + n * _TINY) + slack_of_sum(n, row_sum)
+
+
+def _enclose(terms, cells: Cells, count, low: tuple, high: tuple) -> Interval:
+    """Enclosure of an equation's cell sums at Interval inputs, from two float
+    evaluations of `terms`.
+
+    Each term is positive and grows in each input, so every exact sum lies
+    between the exact sums at the corner `low` of lower ends (weight.lo) and
+    the corner `high` of upper ends (weight.hi).  Each corner is summed in
+    float, widened by its `_pad` under the count K of its terms and stepped
+    one ulp outward; only the (points,) sums are stepped.
+    """
+    at_lo, at_hi = cells._replace(weight=cells.weight.lo), cells._replace(weight=cells.weight.hi)
+    s_lo, s_hi = _row_sums(terms, at_lo, *low), _row_sums(terms, at_hi, *high)
+    return Interval._ordered(next_down(s_lo - _pad(s_lo, at_lo, count)),
+                             next_up(s_hi + _pad(s_hi, at_hi, count)))
 
 
 def _eq1_core(phi, log_uv, log_v, lam, k_tilde, cells: Cells):
-    E = cell_excess(_col(log_uv), _col(log_v), cells.w, cells.p)
-    return k_tilde - lam * phi - xsum(cells.weight * (1.0 - 1.0 / (1.0 + E)), axis=-1)
+    """Eq1 = K_tilde - lam phi - sum; on Interval coordinates the cell sum is
+    enclosed by `_enclose`, everything else stays in Interval arithmetic."""
+    if isinstance(log_uv, Interval):
+        s = _enclose(_eq1_terms, cells, _term_count(log_uv, log_v, cells),
+                     (log_uv.lo, log_v.lo), (log_uv.hi, log_v.hi))
+    else:
+        s = _row_sums(_eq1_terms, cells, log_uv, log_v)
+    return k_tilde - lam * phi - s
 
 
 def eq1(pt: PhiBetaPoint, system: EqSystem):
@@ -227,18 +337,19 @@ def eq1(pt: PhiBetaPoint, system: EqSystem):
     point, CHUNK_POINTS points at a time; the point fields and their logs are
     computed once for all of them.
     """
-    return _in_chunks(_eq1_core, (pt.phi, *_logs(pt.U, pt.V)),
-                      system.lam, system.K_tilde, system.cells_eq1)
+    return _eq1_core(pt.phi, *_logs(pt.U, pt.V), system.lam, system.K_tilde, system.cells_eq1)
 
 
 def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, cells: Cells):
-    log_uv, log_v, v = _col(log_uv), _col(log_v), _col(V)
-    neg_p_log_v = cells.p * -log_v  # shared by V^-p in E and by V^p - 1
-    E = _excess(cells.w * log_uv, neg_p_log_v)
-    vp_minus_1 = xexp(-neg_p_log_v) - 1.0
-    del neg_p_log_v  # freed before the terms, so the peak memory stays where it was
-    terms = cells.weight * ((v - 1.0) / (v * vp_minus_1)) * (1.0 - 1.0 / (1.0 + E))
-    return -beta1 * c + lam * phi * (1.0 - 1.0 / V) + xsum(terms, axis=-1)
+    """Eq2 = -beta1 c + lam phi (1 - 1/V) + sum, enclosed as in `_eq1_core`;
+    the lower corner takes V^p - 1 at the upper end of log V, and the upper
+    corner at its lower end."""
+    if isinstance(log_uv, Interval):
+        s = _enclose(_eq2_terms, cells, _term_count(log_uv, log_v, cells, V),
+                     (V.lo, log_uv.lo, log_v.lo, -log_v.hi), (V.hi, log_uv.hi, log_v.hi, -log_v.lo))
+    else:
+        s = _row_sums(_eq2_terms, cells, V, log_uv, log_v)
+    return -beta1 * c + lam * phi * (1.0 - 1.0 / V) + s
 
 
 def eq2(pt: PhiBetaPoint, system: EqSystem):
@@ -248,8 +359,8 @@ def eq2(pt: PhiBetaPoint, system: EqSystem):
     """
     if lower(pt.V) <= 1.0:
         raise SingularPointError(f"eq2 needs V > 1, got V = {pt.V}")
-    return _in_chunks(_eq2_core, (pt.phi, pt.beta1, pt.V, *_logs(pt.U, pt.V)),
-                      system.lam, system.c, system.cells_eq2)
+    return _eq2_core(pt.phi, pt.beta1, pt.V, *_logs(pt.U, pt.V), system.lam, system.c,
+                     system.cells_eq2)
 
 
 # -- expectation-rate bound ------------------------------------------------------

@@ -4,8 +4,9 @@ The certificate runs only on Eq1/Eq2 in (phi, beta1) and the rate bounds.
 The forms the reduction starts from and the ones it eliminates live here:
 the stationary mu_(x,p,j) and alpha in closed form, the normalizing product
 g2, the entropy objective f1 with its gradient, Eq1 over other cell sets,
-the raw elimination output of Eq2, and a finite-difference monotonicity
-grid over the feasibility box.  Each is checked against the product code
+the raw elimination output of Eq2, Eq1/Eq2 with every cell term in
+interval arithmetic, and a finite-difference monotonicity grid over the
+feasibility box.  Each is checked against the product code
 by the tests that import it.
 """
 
@@ -176,6 +177,20 @@ def eq2_eqb1(pt: st.PhiBetaPoint, system: st.EqSystem) -> float:
     s = xsum(kt * (p * xexp(w * log_uv) + (w + p)) / d)
     return -pt.beta1 * system.c + ((pt.V - 1.0) / pt.V) * s
 
+
+
+def interval_equations(system: st.EqSystem, phis: np.ndarray, betas: np.ndarray):
+    """(Eq1, Eq2) at each point of an interval-mode system with every cell term
+    in Interval arithmetic: the generic cell chains `_eq1_terms`/`_eq2_terms`
+    on Interval columns, summed by `Interval.sum`.  The product encloses the
+    same cell sums from two float corner evaluations (`stationarity._enclose`)."""
+    pt = system.point(phis, betas)
+    log_uv, log_v = st._logs(pt.U, pt.V)
+    v, log_uv, log_v = pt.V[:, None], log_uv[:, None], log_v[:, None]
+    s1 = xsum(st._eq1_terms(system.cells_eq1, log_uv, log_v), axis=-1)
+    s2 = xsum(st._eq2_terms(system.cells_eq2, v, log_uv, log_v), axis=-1)
+    return (system.K_tilde - system.lam * pt.phi - s1,
+            -pt.beta1 * system.c + system.lam * pt.phi * (1.0 - 1.0 / pt.V) + s2)
 
 # -- grid certifications ------------------------------------------------------------
 

@@ -57,7 +57,7 @@ def test_certify_determinism(mode):
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
     "float": "beb3e04fd5aa290f0383886b61419b6bd3e3956d170559feb7d20b04b9e421bd",
-    "interval": "901b6063a5517263910c9f72753332f0eac68cd59ce2560992ff3055c6950c8a",
+    "interval": "373b4ee62776042bf6b5ee291b2aee8be881b82dc6d007ec755d6b1c604fe2a0",
 }
 
 

@@ -8,7 +8,7 @@ from typsat import ledger as lg
 from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import SingularPointError, SpiralSeedError, TraceStructureError
-from typsat.intervals import Interval, lower
+from typsat.intervals import Interval, lower, upper
 from typsat.ledger import FeasibleBox
 from typsat.params import CERTIFICATION_BOX, DELTA_NUM, WIDTH_TARGET, ModelParams
 
@@ -353,7 +353,7 @@ def per_point_checks(trace, eq1f, eq2f):
         except SingularPointError as exc:
             failures.append((family, i, str(exc)))
             continue
-        lows.append(lower(sign * val))
+        lows.append(lower(val) if sign > 0 else -upper(val))  # sign * val, exactly
         if not lows[-1] > DELTA_NUM:
             failures.append((family, i, None))
     return failures, min(lows)
@@ -422,3 +422,37 @@ def test_singular_point_fails_only_its_own_check(system_any, trace, box):
     assert all(f["value"] is None for f in report.failures if f["error"])
     assert report.checks == 2 * (bad.K + bad.L) + 2
     assert report.min_margin == smallest  # every other check was evaluated
+
+
+def test_one_singular_point_fails_alone_in_a_batch(system_any, trace):
+    # Y = 3 phi - beta1 < 0 in the middle of Eq2's checks: that point fails
+    # with its error, and every other value equals the clean batch's
+    claims = [c for c in rb._sign_claims(trace) if c[0].startswith("eq2")]
+    phis, betas = (np.array([c[col] for c in claims]) for col in (2, 3))
+    clean = system_any.eq2(phis, betas)
+    at = len(phis) // 2
+    vals, errors = rb.values_where_defined(system_any.eq2, np.insert(phis, at, 0.1),
+                                           np.insert(betas, at, 0.6))
+    assert [k for k, e in enumerate(errors) if e is not None] == [at]
+    assert "U/V undefined" in errors[at]
+    ends = ([(vals.lo, clean.lo), (vals.hi, clean.hi)] if isinstance(clean, Interval)
+            else [(vals, clean)])
+    for got, want in ends:
+        assert np.isnan(got[at])
+        assert np.delete(got, at).tolist() == want.tolist()
+
+
+def test_enclosures_across_zero_certify_no_sign(params, consts, trace, box):
+    # sign * Eq's lower end is the lower end for +1 and minus the upper end
+    # for -1: an enclosure reaching across 0 certifies neither sign
+    system_iv = st.EqSystem.build(params, consts, mode="interval")
+
+    def widened(fn):
+        def wrapped(phi, beta1):
+            val = fn(phi, beta1)
+            return Interval(val.lo - 1.0, val.hi + 1.0)
+        return wrapped
+
+    report = rb.verify_exclusion(trace, widened(system_iv.eq1), widened(system_iv.eq2), box)
+    assert len(report.failures) == report.checks == 254
+    assert report.min_margin < -1.0 + 1e-6

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from typsat import intervals
 from typsat import ledger as lg
+from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import DomainError, SingularPointError
 from typsat.intervals import Interval
 from typsat.params import DELTA_NUM
 
 from oracles import (alpha_closed_form, beta1_of_mu, eq1_over, eq2_eqb1, g2, gradient_f1,
-                     h_weight, mu_closed_form, mu_index, mu_table, objective_f1, phi_of_mu,
-                     projected_gradient)
+                     h_weight, interval_equations, mu_closed_form, mu_index, mu_table,
+                     objective_f1, phi_of_mu, projected_gradient)
 
 LAM = 3 * 4.506
 
@@ -238,6 +240,128 @@ def test_equations_at_no_points_return_empty(mode, params, consts):
         val = fn(np.array([]), np.array([]))
         ends = (val.lo, val.hi) if mode == "interval" else (val,)
         assert all(isinstance(e, np.ndarray) and e.shape == (0,) for e in ends)
+
+
+# -- interval mode: the cell sums from two float corners -----------------------------
+
+@pytest.fixture(scope="module")
+def system_iv(params, consts):
+    return st.EqSystem.build(params, consts, mode="interval")
+
+
+@pytest.fixture(scope="module")
+def checks(trace):
+    """Each equation's trace checks: (phis, betas, signs)."""
+    claims = rb._sign_claims(trace)
+    return {eq: tuple(np.array([c[col] for c in claims if c[0].startswith(eq)])
+                      for col in (2, 3, 4))
+            for eq in ("eq1", "eq2")}
+
+
+def test_corner_enclosures_overlap_the_all_interval_oracle(system_iv, checks):
+    # on every trace check; Eq1's width is mostly K_tilde's (4.7e-12), which
+    # both forms carry, so each is held to 1e-12 beyond it
+    point_width = {"eq1": system_iv.K_tilde.hi - system_iv.K_tilde.lo, "eq2": 0.0}
+    for i, (eq, fn) in enumerate((("eq1", system_iv.eq1), ("eq2", system_iv.eq2))):
+        phis, betas, _ = checks[eq]
+        new, old = fn(phis, betas), interval_equations(system_iv, phis, betas)[i]
+        assert new.lo.shape == old.lo.shape == phis.shape
+        assert np.all(new.lo <= old.hi) and np.all(old.lo <= new.hi)
+        for enc in (new, old):
+            assert np.all(enc.hi - enc.lo < point_width[eq] + 1e-12)
+
+
+def _mp_terms(mp, eq, cells, corner):
+    """50-digit cell terms at one corner's float inputs (weights included)."""
+    if eq == "eq1":
+        a, b = corner
+    else:
+        v, a, b, neg_b_den = corner
+        v = mp.mpf(v)
+    a, b = mp.mpf(a), mp.mpf(b)
+    e_wa = {w: mp.exp(w * a) for w in set(cells.w.tolist())}
+    e_pb = {p: mp.exp(-p * b) for p in set(cells.p.tolist())}
+    if eq == "eq2":
+        den = {p: mp.exp(-p * mp.mpf(neg_b_den)) - 1 for p in set(cells.p.tolist())}
+    terms = []
+    for wt, w, p in zip(cells.weight.tolist(), cells.w.tolist(), cells.p.tolist()):
+        E = e_wa[w] * (1 - e_pb[p])
+        t = mp.mpf(wt) * E / (1 + E)
+        terms.append(t if eq == "eq1" else t * (v - 1) / (v * den[p]))
+    return terms
+
+
+@pytest.fixture(scope="module")
+def corner_rounding(system, system_iv, checks):
+    """At the first, worst-margin and last check of each equation and at both
+    corners: (eq, float terms, 50-digit terms, weights, K, float sum, pad)."""
+    mp = pytest.importorskip("mpmath")
+    out = []
+    with mp.workdps(50):
+        for eq, fn, terms, cells in (("eq1", system.eq1, st._eq1_terms, system_iv.cells_eq1),
+                                     ("eq2", system.eq2, st._eq2_terms, system_iv.cells_eq2)):
+            phis, betas, signs = checks[eq]
+            worst = int(np.argmin(signs * fn(phis, betas)))
+            for k in (0, worst, len(phis) - 1):
+                pt = system_iv.point(phis[k], betas[k])
+                log_uv, log_v = st._logs(pt.U, pt.V)
+                if eq == "eq1":
+                    K = float(st._term_count(log_uv, log_v, cells))
+                    ends = (log_uv, log_v)
+                else:
+                    K = float(st._term_count(log_uv, log_v, cells, pt.V))
+                    ends = (pt.V, log_uv, log_v, -log_v)
+                for end in ("lo", "hi"):
+                    corner = tuple(float(getattr(z, end)) for z in ends)
+                    at = cells._replace(weight=getattr(cells.weight, end))
+                    s = st._row_sums(terms, at, *corner)
+                    out.append((eq, terms(at, *corner), _mp_terms(mp, eq, at, corner),
+                                at.weight, K, s, float(st._pad(s, at, K))))
+    return mp, out
+
+
+def test_rounding_lemma_bounds_every_cell_term(corner_rounding):
+    # |float term - exact term| <= gamma_K weight, per cell, at the exact corner inputs
+    mp, cases = corner_rounding
+    u = 2.0 ** -53
+    worst = {}
+    for eq, floats, exact, weight, K, _, _ in cases:
+        gamma = K * u / (1 - K * u)
+        assert 0 < K < 1000
+        with mp.workdps(50):
+            ratio = max(abs(mp.mpf(f) - t) / (gamma * mp.mpf(wt))
+                        for f, t, wt in zip(floats.tolist(), exact, weight.tolist()))
+        worst[eq] = max(worst.get(eq, 0.0), float(ratio))
+    print(f"largest |error| / (gamma_K weight): {worst}")
+    assert all(0.0 < r <= 1.0 for r in worst.values())
+
+
+def test_widened_corner_sums_hold_the_exact_sums(corner_rounding):
+    mp, cases = corner_rounding
+    for _, _, exact, _, _, s, pad in cases:
+        with mp.workdps(50):
+            assert abs(mp.mpf(s) - mp.fsum(exact)) <= pad
+        assert 0.0 < pad < 1e-12
+
+
+def test_interval_equations_step_only_point_arrays(monkeypatch, system_iv, checks):
+    # outward steps on (points x cells) arrays would mean interval cell terms
+    sizes = []
+
+    def recording(step):
+        def wrapped(x, k=1):
+            sizes.append(np.size(x))
+            return step(x, k)
+        return wrapped
+
+    for module in (intervals, st):
+        for name in ("next_down", "next_up"):
+            monkeypatch.setattr(module, name, recording(getattr(intervals, name)))
+    for eq, fn in (("eq1", system_iv.eq1), ("eq2", system_iv.eq2)):
+        phis, betas, _ = checks[eq]
+        sizes.clear()
+        fn(phis, betas)
+        assert sizes and max(sizes) <= phis.size
 
 
 def test_eq2_form_equivalence_at_root(root, box, system):
