@@ -188,27 +188,20 @@ class DerivedConstants:
     kt: np.ndarray
 
 
-def check_x_max(x_max: int, lam_min: float, lam_max: float) -> None:
+def check_x_max(x_max: int, lam: float) -> None:
     """Validate the truncation degree against its two structural lower bounds."""
     if x_max % 2 != 0 or x_max <= 0:
         raise ConfigurationError(f"x_max must be a positive even integer, got {x_max}")
-    if not x_max > lam_max:
-        raise ConfigurationError(
-            f"xmaxlb2 violated: x_max = {x_max} must exceed lambda_max = {lam_max}"
-        )
-    # the bound grows with lambda on [9, 15]; check both ends anyway
-    for lam in (lam_min, lam_max):
-        need = (2.0 * lam - LOG2) / (math.log(lam) - LOG2)
-        if not x_max >= need:
-            raise ConfigurationError(
-                f"xmaxlb1 violated: x_max = {x_max} < (2*lambda - log 2)/(log lambda - log 2)"
-                f" = {need:.3f} at lambda = {lam}"
-            )
+    if not x_max > lam:
+        raise ConfigurationError(f"xmaxlb2 violated: x_max = {x_max} must exceed lambda = {lam}")
+    need = (2.0 * lam - LOG2) / (math.log(lam) - LOG2)
+    if not x_max >= need:
+        raise ConfigurationError(f"xmaxlb1 violated: x_max = {x_max} < (2*lambda - log 2)/"
+                                 f"(log lambda - log 2) = {need:.3f} at lambda = {lam}")
 
 
 def build_tables(params) -> tuple[OccurrenceTable, OccurrenceTable, DerivedConstants]:
     """Populate the typical table, the unbalanced table, and all derived constants."""
-    check_x_max(params.x_max, params.lam_min, params.lam_max)
     x_max, lam = params.x_max, params.lam
 
     xs, ps, w = triangle(x_max)

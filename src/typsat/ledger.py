@@ -87,25 +87,25 @@ def euler(as_interval: bool):
     return math.e
 
 
-def r1(eps, x_max: int, lam_max):
+def r1(eps, x_max: int, lam):
     """Tail bound on the heavy-variable proportion tau."""
-    as_iv = isinstance(lam_max, Interval) or isinstance(eps, Interval)
-    tail = xexp((x_max + 1) * xlog(lam_max) - log_of_int(math.factorial(x_max + 1), as_iv))
+    as_iv = isinstance(lam, Interval) or isinstance(eps, Interval)
+    tail = xexp((x_max + 1) * xlog(lam) - log_of_int(math.factorial(x_max + 1), as_iv))
     return tail + eps * float(big_d(x_max))
 
 
-def r2(eps, x_max: int, lam_max):
+def r2(eps, x_max: int, lam):
     """Bound on the heavy-occurrence proportion sigma."""
-    as_iv = isinstance(lam_max, Interval) or isinstance(eps, Interval)
-    tail = xexp((x_max + 1) * xlog(lam_max) - log_of_int(math.factorial(x_max), as_iv))
+    as_iv = isinstance(lam, Interval) or isinstance(eps, Interval)
+    tail = xexp((x_max + 1) * xlog(lam) - log_of_int(math.factorial(x_max), as_iv))
     return tail + eps * p2(x_max)
 
 
-def r3(eps, x_max: int, lam_min, lam_max):
+def r3(eps, x_max: int, lam):
     """Accuracy radius transferred to (phi, beta_j): |phi - psi| <= R3 etc."""
-    as_iv = isinstance(lam_max, Interval) or isinstance(eps, Interval)
-    tail = xexp(x_max * xlog(lam_max) - log_of_int(math.factorial(x_max), as_iv))
-    return tail + (eps / lam_min) * (p2(x_max) + p3(x_max))
+    as_iv = isinstance(lam, Interval) or isinstance(eps, Interval)
+    tail = xexp(x_max * xlog(lam) - log_of_int(math.factorial(x_max), as_iv))
+    return tail + (eps / lam) * (p2(x_max) + p3(x_max))
 
 
 def widen_intervals(gamma_psi: dict, r3_value: float) -> FeasibleBox:
@@ -138,15 +138,15 @@ class GFactors:
     g2: object
 
 
-def g_factors(eps, x_max: int, lam_min, lam_max, c_max) -> GFactors:
+def g_factors(eps, x_max: int, lam, c) -> GFactors:
     """R1-R3 and the five multiplicative slack factors, each >= 1, in the log domain.
 
     Raises ConfigurationError when an R argument falls outside L's domain
     (the accuracy radius is then too coarse for this x_max).
     """
-    R1 = r1(eps, x_max, lam_max)
-    R2 = r2(eps, x_max, lam_max)
-    R3 = r3(eps, x_max, lam_min, lam_max)
+    R1 = r1(eps, x_max, lam)
+    R2 = r2(eps, x_max, lam)
+    R3 = r3(eps, x_max, lam)
     as_iv = isinstance(R3, Interval)
     ln2 = log_of_int(2, as_iv)
     try:
@@ -154,18 +154,18 @@ def g_factors(eps, x_max: int, lam_min, lam_max, c_max) -> GFactors:
             xexp(R1 * ln2)
             * _L_or_limit(R1)
             * _L_or_limit(R2)
-            * xexp(R2 * (log_of_int(18, as_iv) + 1.0 - xlog(lam_min)))
+            * xexp(R2 * (log_of_int(18, as_iv) + 1.0 - xlog(lam)))
             * xpow6(_L_or_limit(R2 / 6.0))
             * xpow_c(
-                _L_or_limit(3.0 * eps * p3(x_max) / lam_min)
-                * _L_or_limit(6.0 * eps * p3(x_max) / lam_min),
-                c_max,
+                _L_or_limit(3.0 * eps * p3(x_max) / lam)
+                * _L_or_limit(6.0 * eps * p3(x_max) / lam),
+                c,
             )
             * xpow_c(
                 _L_or_limit(3.0 * R3) * _L_or_limit(3.0 * R3)
                 * _L_or_limit(9.0 * R3) * _L_or_limit(6.0 * R3)
                 * xexp(R3 * log_of_int(3, as_iv)),
-                c_max,
+                c,
             )
         )
         ga = (
@@ -177,9 +177,7 @@ def g_factors(eps, x_max: int, lam_min, lam_max, c_max) -> GFactors:
         raise ConfigurationError(f"slack-factor domain violated: {exc}") from exc
     gb = xexp((x_max / 4.0) * (x_max + 1) * xlog1p(eps))
 
-    # inner bracket of GC evaluated at lam_max: e^-lam (lam/2)^x_max grows in lam
-    # as long as x_max > lam_max
-    log_inner = -lam_max + x_max * (xlog(lam_max) - ln2)
+    log_inner = -lam + x_max * (xlog(lam) - ln2)
     log_gc = eps * (
         ((x_max + 2) / 2.0) * log_of_int(x_max + 1, as_iv)
         + (x_max / 24.0) * (x_max + 1) * (x_max - 7) * ln2
@@ -199,16 +197,15 @@ def xpow_c(z, c):
 
 #: Human-readable formula text per ledger symbol, emitted alongside values.
 LEDGER_FORMULAS = {
-    "r1": "lam_max^(x_max+1)/(x_max+1)! + eps*D(x_max)",
-    "r2": "lam_max^(x_max+1)/x_max! + eps*P2(x_max)",
-    "r3": "lam_max^x_max/x_max! + (eps/lam_min)*(P2(x_max)+P3(x_max))",
+    "r1": "lam^(x_max+1)/(x_max+1)! + eps*D(x_max)",
+    "r2": "lam^(x_max+1)/x_max! + eps*P2(x_max)",
+    "r3": "lam^x_max/x_max! + (eps/lam)*(P2(x_max)+P3(x_max))",
     "ga": "12^eps * 2^((x_max/8)(x_max^2+2x_max-1)eps) * L(eps)^((x_max/4)(x_max+3))",
     "gb": "(1+eps)^((x_max/4)(x_max+1))  [dominates prod_x (1+eps)^floor(x/2)]",
     "gc": "[(x_max+1)^((x_max+2)/2) 2^((x_max/24)(x_max+1)(x_max-7)) "
-          "(2^(x_max+4) [e^-lam (lam/2)^x_max]^(x_max+8))^((x_max+1)/4)]^eps at lam_max",
-    "g1": "2^R1 L(R1) L(R2) (18e/lam_min)^R2 L(R2/6)^6 "
-          "[L(3 eps P3/lam_min) L(6 eps P3/lam_min)]^c_max "
-          "[L(3R3)^2 L(9R3) L(6R3) 3^R3]^c_max",
+          "(2^(x_max+4) [e^-lam (lam/2)^x_max]^(x_max+8))^((x_max+1)/4)]^eps",
+    "g1": "2^R1 L(R1) L(R2) (18e/lam)^R2 L(R2/6)^6 "
+          "[L(3 eps P3/lam) L(6 eps P3/lam)]^c [L(3R3)^2 L(9R3) L(6R3) 3^R3]^c",
     "g2": "GA * GB * GC",
     "prefactor": "G1 * G2 * exp(2 eps D / e)",
     "unbalancing": "2^(rho + eps*Delta) = e^t, t = (rho + eps*Delta) ln 2; "
@@ -250,8 +247,6 @@ class ErrorBudget(GFactors):
 
     eps: float
     x_max: int
-    lam_min: float
-    lam_max: float
     prefactor: object       # G1 * G2 * exp(2*eps*D/e)
     unbalancing: object     # 2^(rho + eps*Delta)
     unbalancing_log: object     # t = (rho + eps*Delta) ln 2
@@ -266,8 +261,6 @@ class ErrorBudget(GFactors):
             "direction": self.direction,
             "eps": self.eps,
             "x_max": self.x_max,
-            "lam_min": self.lam_min,
-            "lam_max": self.lam_max,
             "interval_bounds": self.interval_bounds.as_dict(),
         }
         for key in ("r1", "r2", "r3", "ga", "gb", "gc", "g1", "g2", "prefactor", "unbalancing"):
@@ -292,11 +285,11 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
     stored values are then Interval objects whose upper endpoints bound the
     true factors.
     """
-    _, lam, lam_min, lam_max, eps = params.decimals(mode)
+    _, lam, eps = params.decimals(mode)
     as_iv = mode == "interval"
     # float mode reuses the tail build_tables stored; interval mode encloses it
     rho = rho_tail(params.x_max, lam) if as_iv else consts.rho
-    gf = g_factors(eps, params.x_max, lam_min, lam_max, params.c_max)
+    gf = g_factors(eps, params.x_max, lam, params.c)
     d = big_d(params.x_max)
     prefactor = gf.g1 * gf.g2 * xexp(2.0 * eps * d / euler(as_iv))
     unbalancing_log = (rho + eps * consts.delta) * log_of_int(2, as_iv)
@@ -304,8 +297,6 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
         **vars(gf),
         eps=params.epsilon,
         x_max=params.x_max,
-        lam_min=params.lam_min,
-        lam_max=params.lam_max,
         prefactor=prefactor,
         unbalancing=xexp(unbalancing_log),
         unbalancing_log=unbalancing_log,

@@ -54,61 +54,40 @@ class ModelParams:
     c: float
     x_max: int = CERTIFICATION_X_MAX
     epsilon: float = CERTIFICATION_EPS
-    c_min: float | None = None
-    c_max: float | None = None
     a_priori: FeasibleBox = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        c_min = self.c if self.c_min is None else self.c_min
-        c_max = self.c if self.c_max is None else self.c_max
-        object.__setattr__(self, "c_min", c_min)
-        object.__setattr__(self, "c_max", c_max)
-        if not (3.0 <= c_min <= self.c <= c_max <= 5.0):
-            raise ConfigurationError(
-                f"density range must satisfy 3 <= c_min <= c <= c_max <= 5, "
-                f"got c_min={c_min}, c={self.c}, c_max={c_max}"
-            )
+        if not (3.0 <= self.c <= 5.0):  # NaN fails too
+            raise ConfigurationError(f"density c out of range [3, 5]: {self.c}")
         if not (0.0 <= self.epsilon <= 1e-6):  # NaN fails too
             raise ConfigurationError(f"epsilon out of range [0, 1e-6]: {self.epsilon}")
-        check_x_max(self.x_max, 3.0 * c_min, 3.0 * c_max)
+        check_x_max(self.x_max, self.lam)
         if self.a_priori is None:
             object.__setattr__(self, "a_priori", self._default_box())
 
     def _default_box(self) -> FeasibleBox:
-        if self.c_min == self.c_max == CERTIFICATION_C:
+        if self.c == CERTIFICATION_C:
             return CERTIFICATION_BOX
-        r3 = ledger.r3(self.epsilon, self.x_max, self.lam_min, self.lam_max)
-        return ledger.widen_intervals(GENERIC_GAMMA_PSI, r3)
+        return ledger.widen_intervals(GENERIC_GAMMA_PSI,
+                                      ledger.r3(self.epsilon, self.x_max, self.lam))
 
     @property
     def lam(self) -> float:
         return 3.0 * self.c
 
-    @property
-    def lam_min(self) -> float:
-        return 3.0 * self.c_min
-
-    @property
-    def lam_max(self) -> float:
-        return 3.0 * self.c_max
-
     def decimals(self, mode: str) -> tuple:
-        """(c, lambda, lambda_min, lambda_max, eps) as floats, or in interval mode as
-        outward enclosures of the decimal text of c, c_min, c_max and eps."""
+        """(c, lambda, eps) as floats, or in interval mode as outward
+        enclosures of the decimal text of c and eps."""
         if mode == "float":
-            return self.c, self.lam, self.lam_min, self.lam_max, self.epsilon
+            return self.c, self.lam, self.epsilon
         if mode != "interval":
             raise ValueError(f"mode must be 'float' or 'interval', got {mode!r}")
-        c, c_min, c_max, eps = (Interval.from_decimal(repr(v))
-                                for v in (self.c, self.c_min, self.c_max, self.epsilon))
-        return c, 3.0 * c, 3.0 * c_min, 3.0 * c_max, eps
+        c, eps = (Interval.from_decimal(repr(v)) for v in (self.c, self.epsilon))
+        return c, 3.0 * c, eps
 
     @classmethod
     def certification(cls) -> "ModelParams":
         return cls(c=CERTIFICATION_C, x_max=CERTIFICATION_X_MAX, epsilon=CERTIFICATION_EPS)
-
-    def lambda_phi_min(self) -> float:
-        return self.lam * self.a_priori.phi_min
 
     def as_dict(self) -> dict:
         return {
@@ -116,8 +95,6 @@ class ModelParams:
             "lambda": self.lam,
             "x_max": self.x_max,
             "epsilon": self.epsilon,
-            "c_min": self.c_min,
-            "c_max": self.c_max,
             "a_priori": self.a_priori.as_dict(),
         }
 

@@ -27,8 +27,8 @@ from . import ledger as lg
 from . import monotone as mo
 from . import rootbox as rb
 from . import stationarity as st
-from .errors import (DomainError, GuardError, SingularPointError, SpiralSeedError,
-                     TraceStructureError)
+from .errors import (ConfigurationError, DomainError, GuardError, SingularPointError,
+                     SpiralSeedError, TraceStructureError)
 from .formulas import (clause_count, deviation_budget, generate, is_pps, literal_truth,
                        pps_bitmap, run_omega_campaign, solution_bitmap, truth_tables,
                        variable_type)
@@ -131,6 +131,8 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     """Run the full pipeline; raises ConfigurationError for invalid parameters."""
     if mode not in ("float", "interval"):
         raise ValueError(f"mode must be 'float' or 'interval', got {mode!r}")
+    if not 0.0 < width_target < math.inf:  # NaN fails too
+        raise ConfigurationError(f"width target must be finite and positive, got {width_target}")
     params = ModelParams(c=c, x_max=x_max, epsilon=eps)
     cert = Certificate(params=params.as_dict(), mode=mode)
     cert.assumptions.append(
@@ -184,7 +186,7 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
         "uv_max2": verdict_phi.uv_max2 if verdict_phi is not None else None,
         "eq1_star_majorant": star_majorant,
         "m_bands": [{"band": list(b), "value": v} for b, v in zip(mo.M_BANDS, m_values)],
-        "lambda_phi_min": params.lambda_phi_min(),
+        "lambda_phi_min": params.lam * params.a_priori.phi_min,
         "K_tilde": consts.K_tilde,
         "rho": consts.rho,
         "delta": consts.delta,
@@ -209,37 +211,30 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     else:
         cert.stage("spiral", False, "skipped: monotonicity certificates failed")
 
-    report = rate = None
-    if trace is not None:
-        try:
-            report = rb.verify_exclusion(trace, checker.eq1, checker.eq2, params.a_priori)
-            cert.trace_verified = report.ok
-            cert.stage("verify_exclusion", report.ok,
-                       f"{report.checks} sign checks, {len(report.failures)} failures, "
-                       f"min margin {report.min_margin:.3e}")
-        except TraceStructureError as exc:
-            cert.stage("verify_exclusion", False, str(exc))
+    report, rate, failure = ((None, None, "no trace") if trace is None
+                             else _check_and_rate(trace, trace.rectangle, checker, budget))
+    if report is None:
+        cert.stage("verify_exclusion", False, failure)
     else:
-        cert.stage("verify_exclusion", False, "no trace")
+        cert.trace_verified = report.ok
+        cert.stage("verify_exclusion", report.ok,
+                   f"{report.checks} sign checks, {len(report.failures)} failures, "
+                   f"min margin {report.min_margin:.3e}")
 
-    if trace is not None and cert.trace_verified:
-        cert.rectangle = trace.rectangle
-        ref = trace.root.report(trace.rectangle)  # the root the spiral linearised about
+    if cert.trace_verified:
+        rect = cert.rectangle = trace.rectangle
+        ref = trace.root.report(rect)  # the root the spiral linearised about
         cert.reference_root = {
             k: (_dec(v) if isinstance(v, float) else v) for k, v in ref.items()}
         cert.stage("reference_root", bool(ref.get("found") and ref.get("inside_rectangle")),
                    f"residuals=({ref.get('residual_eq1')}, {ref.get('residual_eq2')})")
-
-        rect = trace.rectangle
-        try:
-            rate = st.rate_bound_rectangle(*rect, checker, budget)
+        if rate is None:
+            cert.stage("rate", False, failure)
+        else:
             cert.rate = upper(rate)
             center = system.point(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
             cert.point_rate = st.rate_bound_point(center, system, budget)
-            rate_ok = cert.rate + DELTA_NUM < 1.0
-            cert.stage("rate", rate_ok, f"rectangle rate={cert.rate:.9f}")
-        except DomainError as exc:
-            cert.stage("rate", False, str(exc))
+            cert.stage("rate", cert.rate + DELTA_NUM < 1.0, f"rectangle rate={cert.rate:.9f}")
     else:
         cert.stage("rate", False, "no verified rectangle")
 
@@ -268,11 +263,28 @@ def _checker(params: ModelParams, consts, mode: str, system=None):
     return budget, system
 
 
+def _check_and_rate(trace, rect, checker, budget) -> tuple:
+    """Check `trace` and, if it holds and `rect` is given, rate `rect`: (report,
+    rate, failure).  A malformed trace leaves report None, a rectangle outside
+    the box leaves rate None, and failure is then the error's message."""
+    try:
+        report = rb.verify_exclusion(trace, checker.eq1, checker.eq2, checker.box)
+    except TraceStructureError as exc:
+        return None, None, str(exc)
+    if not report.ok or rect is None:
+        return report, None, ""
+    try:
+        return report, st.rate_bound_rectangle(*rect, checker, budget), ""
+    except DomainError as exc:
+        return report, None, str(exc)
+
+
 def replay(cert_data: dict) -> dict:
     """Re-check the stored trace and rectangle of a certificate in its own mode.
 
     A certificate without a trace (one that failed before the spiral) replays
-    as a failed trace with no rate; the spiral is never re-run.
+    as a failed trace with no rate; the spiral is never re-run.  A malformed
+    trace or a rectangle outside the box fails the replay, as in certify.
     """
     p = cert_data["params"]
     params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
@@ -282,10 +294,11 @@ def replay(cert_data: dict) -> dict:
         _, _, consts = dist.build_tables(params)
         budget, checker = _checker(params, consts, cert_data["mode"])
         trace = rb.ExclusionTrace.from_jsonable(cert_data["trace"])
-        trace_ok = rb.verify_exclusion(trace, checker.eq1, checker.eq2, params.a_priori).ok
-        if trace_ok and cert_data["rectangle"] is not None:
-            rect = tuple(float(v["v"]) for v in cert_data["rectangle"])
-            rate = upper(st.rate_bound_rectangle(*rect, checker, budget))
+        rect = (None if cert_data["rectangle"] is None
+                else tuple(float(v["v"]) for v in cert_data["rectangle"]))
+        report, rate, _ = _check_and_rate(trace, rect, checker, budget)
+        trace_ok = report is not None and report.ok
+        rate = None if rate is None else upper(rate)
     verdict = trace_ok and rate is not None and rate + DELTA_NUM < 1.0
     return {
         "trace_ok": trace_ok,

@@ -134,7 +134,7 @@ class EqSystem:
     @classmethod
     def build(cls, params, consts: DerivedConstants, mode: str = "float") -> "EqSystem":
         xs, ps, w = consts.xs, consts.ps, consts.w
-        c, lam, _, _, _ = params.decimals(mode)
+        c, lam, _ = params.decimals(mode)
         as_iv = mode == "interval"
         if as_iv:
             kt, k_tilde = dist.kappa_tilde_intervals(params.x_max, lam)

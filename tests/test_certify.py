@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -56,8 +57,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "beb3e04fd5aa290f0383886b61419b6bd3e3956d170559feb7d20b04b9e421bd",
-    "interval": "373b4ee62776042bf6b5ee291b2aee8be881b82dc6d007ec755d6b1c604fe2a0",
+    "float": "edaf6e510e835768d6d35bca38cc31207d423b238cd9a09a7bcd2a8b8badaf8f",
+    "interval": "f46666d3006853c79fa453b85fffdf2479307bd022bf7b44e613b761c32604a2",
 }
 
 
@@ -74,6 +75,16 @@ def test_certificate_trace_keys(cert, cert_iv):
         assert list(json.loads(c.dumps())["trace"]) == [
             "phi_minus", "beta_plus", "phi_plus", "beta_minus", "K", "L", "rectangle",
             "diagnostic"]
+
+
+def test_certificate_params_and_ledger_keys(cert, cert_iv):
+    # one density per certificate: no density range in params or the ledger
+    for c in (cert, cert_iv):
+        data = json.loads(c.dumps())
+        assert set(data["params"]) == {"c", "lambda", "x_max", "epsilon", "a_priori"}
+        assert set(data["ledger"]) == {
+            "mode", "direction", "eps", "x_max", "interval_bounds", "r1", "r2", "r3",
+            "ga", "gb", "gc", "g1", "g2", "prefactor", "unbalancing"}
 
 
 def test_certify_records_assumption(cert):
@@ -110,6 +121,29 @@ def test_certify_rejects_epsilon_outside_range(eps, capsys):
     from typsat.cli import main
     assert main(["certify", f"--eps={eps}"]) == 3
     assert "epsilon out of range [0, 1e-6]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", [2.5, 5.5, math.nan])
+def test_certify_rejects_density_outside_range(c, capsys):
+    with pytest.raises(ConfigurationError, match="density"):
+        cf.certify(c, 56, 1e-15)
+    from typsat.cli import main
+    assert main(["certify", f"--c={c}"]) == 3
+    assert "density c out of range [3, 5]" in capsys.readouterr().err
+
+
+def test_model_params_hold_one_density():
+    assert [f.name for f in dataclasses.fields(ModelParams)] == [
+        "c", "x_max", "epsilon", "a_priori"]
+
+
+@pytest.mark.parametrize("width", [math.nan, 0.0, -1e-7, math.inf])
+def test_certify_rejects_width_target_outside_range(width, capsys):
+    with pytest.raises(ConfigurationError, match="width target"):
+        cf.certify(4.506, 56, 1e-15, width_target=width)
+    from typsat.cli import main
+    assert main(["certify", f"--width-target={width}"]) == 3
+    assert "width target must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, systems", [("float", 1), ("interval", 2)])
@@ -231,6 +265,30 @@ def test_replay_ignores_legacy_sign_check_record(cert):
                                      "beta1": 0.0, "value": -1.0, "margin": DELTA_NUM}]
     result = cf.replay(data)
     assert result["trace_ok"] and result["rate_agrees"] and result["verdict_agrees"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_replay_fails_a_malformed_trace(cert, cert_iv, mode):
+    # a trace whose minus arm no longer starts at the box corner fails the
+    # replay, as it fails certify's verify_exclusion stage, instead of raising
+    data = json.loads({"float": cert, "interval": cert_iv}[mode].dumps())
+    data["trace"]["phi_minus"][0] += 1e-9
+    result = cf.replay(data)
+    assert result["trace_ok"] is False
+    assert result["rate"] is None
+    assert result["verdict"] is False
+    assert result["verdict_agrees"] is False
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_replay_fails_a_rectangle_outside_the_box(cert, cert_iv, mode):
+    data = json.loads({"float": cert, "interval": cert_iv}[mode].dumps())
+    data["rectangle"][1]["v"] = "0.7"  # phi_hi beyond phi_max = 0.619063
+    result = cf.replay(data)
+    assert result["trace_ok"] is True
+    assert result["rate"] is None
+    assert result["verdict"] is False
+    assert result["verdict_agrees"] is False
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])

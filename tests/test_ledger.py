@@ -37,12 +37,12 @@ def test_L_sandwich_property(rng):
 
 
 def test_r_bounds_reproduce_paper_values():
-    # quoted at the general density range (lambda_max = 15)
+    # quoted at the top of the density range (lambda = 15)
     assert lg.r2(1e-15, 56, 15.0) < 1.54e-8
-    assert lg.r3(1e-15, 56, 9.0, 15.0) < 1.035e-9
+    assert lg.r3(1e-15, 56, 15.0) < 1.035e-9
     # and at the certified density
     assert lg.r2(1e-15, 56, 3 * 4.506) < 1.54e-8
-    assert lg.r3(1e-15, 56, 3 * 4.506, 3 * 4.506) < 1.104e-11
+    assert lg.r3(1e-15, 56, 3 * 4.506) < 1.104e-11
 
 
 def test_r_bounds_at_zero_eps_are_pure_tails():
@@ -63,7 +63,7 @@ def test_widen_intervals_shifts():
 
 
 def test_widened_generic_box_contains_certification_constants():
-    r3 = lg.r3(1e-15, 56, 3 * 4.506, 3 * 4.506)
+    r3 = lg.r3(1e-15, 56, 3 * 4.506)
     box = lg.widen_intervals(GENERIC_GAMMA_PSI, r3)
     c = CERTIFICATION_BOX
     assert box.beta1_min <= c.beta1_min and c.beta1_max <= box.beta1_max
@@ -77,18 +77,18 @@ def test_gb_dominates_exact_product():
     exact = 1.0
     for x in range(57):
         exact *= (1.0 + eps) ** (x // 2)
-    gf = lg.g_factors(eps, 56, 13.518, 13.518, 4.506)
+    gf = lg.g_factors(eps, 56, 13.518, 4.506)
     assert 1.0 < exact <= upper(gf.gb) * (1 + 1e-12)
 
 
 def test_g_factors_rejects_coarse_eps():
     from typsat.errors import ConfigurationError
     with pytest.raises(ConfigurationError, match="slack-factor domain"):
-        lg.g_factors(1e-6, 56, 13.518, 13.518, 4.506)
+        lg.g_factors(1e-6, 56, 13.518, 4.506)
 
 
 def test_g_factors_at_zero_eps():
-    gf = lg.g_factors(0.0, 56, 13.518, 13.518, 4.506)
+    gf = lg.g_factors(0.0, 56, 13.518, 4.506)
     assert upper(gf.ga) == 1.0
     assert upper(gf.gb) == 1.0
     assert upper(gf.gc) == 1.0
