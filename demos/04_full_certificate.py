@@ -3,7 +3,9 @@
 Runs the certification at the headline density 4.506 in float mode, then
 in interval mode, where the same stages run with the ledger, every trace
 sign and the rectangle rate outward-rounded, and finally replays both
-emitted certificates from their JSON form, each in its own mode.
+emitted certificates from their JSON form, each in its own mode: every
+stage but the search re-runs on the stored trace, and the replay names each
+field of the certificate it did not reproduce.
 """
 
 import json
@@ -38,4 +40,5 @@ with tempfile.TemporaryDirectory() as tmp:
         outcome = replay(json.loads(path.read_text()))
         print(f"   {c.mode:8s} stored -> reloaded -> re-verified: trace ok = "
               f"{outcome['trace_ok']}, rate agrees = {outcome['rate_agrees']}, "
-              f"verdict agrees = {outcome['verdict_agrees']}")
+              f"verdict agrees = {outcome['verdict_agrees']}, "
+              f"disagreements = {outcome['disagreements']}")

@@ -1,4 +1,4 @@
-"""Command-line front end: certify, curves, empirical, oracle.
+"""Command-line front end: certify, check, curves, empirical, oracle.
 
 Every run writes its outputs under a single directory with a manifest
 recording arguments, versions, and the time of the run.  Exit codes: 0 when
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import json
 import platform
 import sys
 from pathlib import Path
@@ -16,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .pipeline import (VERSION, certify, counting_oracle, emit_curves,
-                      empirical_csv, empirical_report, oracle_csv)
+                      empirical_csv, empirical_report, oracle_csv, replay)
 from .errors import ConfigurationError, GuardError
-from .params import WIDTH_TARGET, ModelParams
+from .params import ModelParams
 
 
 def _write_manifest(out: Path, args: argparse.Namespace) -> None:
@@ -40,18 +41,28 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    cert = certify(c=args.c, x_max=args.xmax, eps=args.eps, mode=args.mode,
-                   width_target=args.width_target)
-    for s in cert.stages:
+def _print_stages(stages: list, verdict: bool, rate: float | None) -> None:
+    for s in stages:
         print(f"[{'ok' if s['ok'] else 'FAIL'}] {s['name']}: {s['detail']}")
-    print(f"verdict: {cert.verdict}" + (f" (rate {cert.rate:.9f})" if cert.rate else ""))
+    print(f"verdict: {verdict}" + (f" (rate {rate:.9f})" if rate else ""))
+
+
+def _cmd_certify(args: argparse.Namespace) -> int:
+    cert = certify(c=args.c, x_max=args.xmax, eps=args.eps, mode=args.mode)
+    _print_stages(cert.stages, cert.verdict, cert.rate)
     if args.out:
         out = _outdir(args)
         cert.dump(out / "certificate.json")
         _write_manifest(out, args)
         print(f"wrote {out / 'certificate.json'}")
     return 0 if cert.verdict else 2
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    result = replay(json.loads(Path(args.certificate).read_text()))
+    _print_stages(result["stages"], result["verdict"], result["rate"])
+    print(f"disagreements: {', '.join(result['disagreements']) or 'none'}")
+    return 0 if result["verdict"] and not result["disagreements"] else 2
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
@@ -111,9 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=int, default=56)
     p.add_argument("--eps", type=float, default=1e-15)
     p.add_argument("--mode", choices=("float", "interval"), default="float")
-    p.add_argument("--width-target", type=float, default=WIDTH_TARGET)
     p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_certify)
+
+    p = sub.add_parser("check", help="recompute a certificate's stages from its stored trace")
+    p.add_argument("certificate", type=str)
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("curves", help="sample the eq1=0 and eq2=0 loci to CSV")
     p.add_argument("--c", type=float, default=4.506)

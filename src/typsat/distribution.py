@@ -149,7 +149,6 @@ def _cells(x_max: int, lam):
 class OccurrenceTable:
     """Triangular table of cell masses over 0 <= p <= x <= x_max."""
 
-    kind: str  # "typical" | "unbalanced" | "measured"
     lam: float
     x_max: int
     entries: np.ndarray  # shape (x_max+1, x_max+1); entries[x, p], 0 for p > x
@@ -225,8 +224,8 @@ def build_tables(params) -> tuple[OccurrenceTable, OccurrenceTable, DerivedConst
         w=w,
         kt=kt,
     )
-    typical = OccurrenceTable("typical", lam, x_max, typ)
-    unbalanced = OccurrenceTable("unbalanced", lam, x_max, unb)
+    typical = OccurrenceTable(lam, x_max, typ)
+    unbalanced = OccurrenceTable(lam, x_max, unb)
     return typical, unbalanced, consts
 
 

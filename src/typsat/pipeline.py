@@ -6,6 +6,7 @@ certify() chains: parameter validation -> occurrence tables -> error ledger
 every stage passes and the rate (prefactors and unbalancing factor included)
 stays below 1 with the documented slack.  Interval mode runs the same stages
 with the ledger, the trace sign checks and the rate outward-rounded.
+replay() runs the same stages on a certificate's stored trace.
 
 The monotone decrease of the satisfiability probability in the density c is
 recorded as an external assumption: it transports the per-density verdict to
@@ -27,8 +28,8 @@ from . import ledger as lg
 from . import monotone as mo
 from . import rootbox as rb
 from . import stationarity as st
-from .errors import (ConfigurationError, DomainError, GuardError, SingularPointError,
-                     SpiralSeedError, TraceStructureError)
+from .errors import (DomainError, GuardError, SingularPointError, SpiralSeedError,
+                     TraceStructureError)
 from .formulas import (clause_count, deviation_budget, generate, is_pps, literal_truth,
                        pps_bitmap, run_omega_campaign, solution_bitmap, truth_tables,
                        variable_type)
@@ -127,18 +128,22 @@ class Certificate:
 
 
 def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
-            mode: str = "float", width_target: float = WIDTH_TARGET) -> Certificate:
+            mode: str = "float") -> Certificate:
     """Run the full pipeline; raises ConfigurationError for invalid parameters."""
+    return _run(ModelParams(c=c, x_max=x_max, epsilon=eps), mode)
+
+
+def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Certificate:
+    """The stages of certify and replay.  The spiral stage searches when
+    stored_trace is None and otherwise reads that trace (a certificate's
+    `trace` dict); every other stage runs the same code for both."""
     if mode not in ("float", "interval"):
         raise ValueError(f"mode must be 'float' or 'interval', got {mode!r}")
-    if not 0.0 < width_target < math.inf:  # NaN fails too
-        raise ConfigurationError(f"width target must be finite and positive, got {width_target}")
-    params = ModelParams(c=c, x_max=x_max, epsilon=eps)
     cert = Certificate(params=params.as_dict(), mode=mode)
     cert.assumptions.append(
         "the satisfiability probability is nonincreasing in the clause density c; "
         "recorded as an external assumption, not computed")
-    cert.stage("config", True, f"c={c}, x_max={x_max}, eps={eps}")
+    cert.stage("config", True, f"c={params.c}, x_max={params.x_max}, eps={params.epsilon}")
 
     typical, unbalanced, consts = dist.build_tables(params)
     # math.exp, not np.exp: the two differ in the last bit on some rows
@@ -151,8 +156,9 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     cert.stage("tables", tables_ok,
                f"row_err={row_err:.3e}, mass_err={mass_err:.3e}, rho={consts.rho:.3e}")
 
-    system = st.EqSystem.build(params, consts)  # the search and the monotone stage
-    budget, checker = _checker(params, consts, mode, system)
+    system = st.EqSystem.build(params, consts)  # the search, monotone stage and Newton
+    budget = lg.build_budget(params, consts, mode=mode)
+    checker = system if mode == "float" else st.EqSystem.build(params, consts, mode=mode)
     cert.ledger = budget.as_dict()
     ledger_ok = upper(budget.prefactor) < 1.01 and math.isfinite(upper(budget.prefactor))
     cert.stage("ledger", ledger_ok, f"prefactor={upper(budget.prefactor):.12g}")
@@ -199,37 +205,47 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     trace = None
     if monotone_ok:
         try:
-            trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, width_target)
+            trace = (rb.spiral_localize(system.eq1, system.eq2, params.a_priori, WIDTH_TARGET)
+                     if stored_trace is None else rb.ExclusionTrace.from_jsonable(stored_trace))
             cert.trace = trace.to_jsonable()
             rect = trace.rectangle
-            tight = (rect[1] - rect[0] <= width_target and rect[3] - rect[2] <= width_target)
+            tight = (rect[1] - rect[0] <= WIDTH_TARGET and rect[3] - rect[2] <= WIDTH_TARGET)
             cert.stage("spiral", tight,
                        f"K={trace.K}, L={trace.L}, rectangle={rect}" +
                        (f"; {trace.diagnostic}" if trace.diagnostic else ""))
-        except (SpiralSeedError, SingularPointError) as exc:
+        except (SpiralSeedError, SingularPointError, TraceStructureError) as exc:
             cert.stage("spiral", False, str(exc))
     else:
         cert.stage("spiral", False, "skipped: monotonicity certificates failed")
 
-    report, rate, failure = ((None, None, "no trace") if trace is None
-                             else _check_and_rate(trace, trace.rectangle, checker, budget))
-    if report is None:
-        cert.stage("verify_exclusion", False, failure)
+    report = rate = None
+    if trace is None:
+        cert.stage("verify_exclusion", False, "no trace")
     else:
-        cert.trace_verified = report.ok
-        cert.stage("verify_exclusion", report.ok,
-                   f"{report.checks} sign checks, {len(report.failures)} failures, "
-                   f"min margin {report.min_margin:.3e}")
+        try:
+            report = rb.verify_exclusion(trace, checker.eq1, checker.eq2, checker.box)
+        except TraceStructureError as exc:
+            cert.stage("verify_exclusion", False, str(exc))
+        else:
+            cert.trace_verified = report.ok
+            cert.stage("verify_exclusion", report.ok,
+                       f"{report.checks} sign checks, {len(report.failures)} failures, "
+                       f"min margin {report.min_margin:.3e}")
 
     if cert.trace_verified:
         rect = cert.rectangle = trace.rectangle
-        ref = trace.root.report(rect)  # the root the spiral linearised about
+        box = params.a_priori  # a stored trace has no root: rerun the spiral's Newton
+        root = trace.root or rb.solve_reference(
+            system.eq1, system.eq2, (box.phi_min, box.phi_max, box.beta1_min, box.beta1_max))
+        ref = root.report(rect)
         cert.reference_root = {
             k: (_dec(v) if isinstance(v, float) else v) for k, v in ref.items()}
         cert.stage("reference_root", bool(ref.get("found") and ref.get("inside_rectangle")),
                    f"residuals=({ref.get('residual_eq1')}, {ref.get('residual_eq2')})")
-        if rate is None:
-            cert.stage("rate", False, failure)
+        try:
+            rate = st.rate_bound_rectangle(*rect, checker, budget)
+        except DomainError as exc:
+            cert.stage("rate", False, str(exc))
         else:
             cert.rate = upper(rate)
             center = system.point(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
@@ -254,60 +270,27 @@ def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
     return cert
 
 
-def _checker(params: ModelParams, consts, mode: str, system=None):
-    """The ledger and the EqSystem that check the trace and the rate, both in
-    `mode`: (budget, checker).  In float mode the checker is `system` itself."""
-    budget = lg.build_budget(params, consts, mode=mode)
-    if system is None or mode != system.mode:
-        system = st.EqSystem.build(params, consts, mode=mode)
-    return budget, system
-
-
-def _check_and_rate(trace, rect, checker, budget) -> tuple:
-    """Check `trace` and, if it holds and `rect` is given, rate `rect`: (report,
-    rate, failure).  A malformed trace leaves report None, a rectangle outside
-    the box leaves rate None, and failure is then the error's message."""
-    try:
-        report = rb.verify_exclusion(trace, checker.eq1, checker.eq2, checker.box)
-    except TraceStructureError as exc:
-        return None, None, str(exc)
-    if not report.ok or rect is None:
-        return report, None, ""
-    try:
-        return report, st.rate_bound_rectangle(*rect, checker, budget), ""
-    except DomainError as exc:
-        return report, None, str(exc)
-
-
 def replay(cert_data: dict) -> dict:
-    """Re-check the stored trace and rectangle of a certificate in its own mode.
-
-    A certificate without a trace (one that failed before the spiral) replays
-    as a failed trace with no rate; the spiral is never re-run.  A malformed
-    trace or a rectangle outside the box fails the replay, as in certify.
-    """
+    """Re-run certify's stages on a certificate's stored trace, in its own
+    mode; only the spiral stage reads the trace instead of searching, and the
+    rate is that of the trace's own final rectangle.  `disagreements` names
+    the top-level fields of the re-run certificate that differ from the stored ones."""
     p = cert_data["params"]
-    params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
+    rerun = _run(ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"]),
+                 cert_data["mode"], cert_data["trace"] or {})
+    fresh, stored = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
+                     for d in (rerun.as_dict(), cert_data))
     stored_rate = float(cert_data["rate"]["v"]) if cert_data["rate"] is not None else None
-    trace_ok, rate = False, None
-    if cert_data["trace"]:
-        _, _, consts = dist.build_tables(params)
-        budget, checker = _checker(params, consts, cert_data["mode"])
-        trace = rb.ExclusionTrace.from_jsonable(cert_data["trace"])
-        rect = (None if cert_data["rectangle"] is None
-                else tuple(float(v["v"]) for v in cert_data["rectangle"]))
-        report, rate, _ = _check_and_rate(trace, rect, checker, budget)
-        trace_ok = report is not None and report.ok
-        rate = None if rate is None else upper(rate)
-    verdict = trace_ok and rate is not None and rate + DELTA_NUM < 1.0
     return {
-        "trace_ok": trace_ok,
-        "rate": rate,
+        "trace_ok": rerun.trace_verified,
+        "rate": rerun.rate,
         "stored_rate": stored_rate,
-        "rate_agrees": (rate == stored_rate if None in (rate, stored_rate)
-                        else abs(rate - stored_rate) < 1e-12),
-        "verdict": verdict,
-        "verdict_agrees": verdict == cert_data["verdict"],
+        "rate_agrees": (rerun.rate == stored_rate if None in (rerun.rate, stored_rate)
+                        else abs(rerun.rate - stored_rate) < 1e-12),
+        "verdict": rerun.verdict,
+        "verdict_agrees": rerun.verdict == cert_data["verdict"],
+        "stages": rerun.stages,
+        "disagreements": [k for k in {**fresh, **stored} if fresh.get(k) != stored.get(k)],
     }
 
 

@@ -71,7 +71,10 @@ class ExclusionTrace:
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExclusionTrace":
         """The trace of to_jsonable's dict; other keys (an older certificate's
-        `sign_checks` record) are ignored."""
+        `sign_checks` record) are ignored, and a missing or empty sequence
+        raises TraceStructureError."""
+        if not all(data.get(name) for name in SEQUENCES):
+            raise TraceStructureError("missing or empty witness sequences")
         return cls(*(list(data[name]) for name in SEQUENCES),
                    diagnostic=data.get("diagnostic", ""))
 

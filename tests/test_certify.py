@@ -13,7 +13,7 @@ from typsat import formulas as fl
 from typsat import ledger as lg
 from typsat import rootbox as rb
 from typsat import stationarity as st
-from typsat.errors import ConfigurationError, GuardError
+from typsat.errors import ConfigurationError, DomainError, GuardError
 from typsat.params import DELTA_NUM, ModelParams, clause_count
 
 
@@ -137,15 +137,6 @@ def test_model_params_hold_one_density():
         "c", "x_max", "epsilon", "a_priori"]
 
 
-@pytest.mark.parametrize("width", [math.nan, 0.0, -1e-7, math.inf])
-def test_certify_rejects_width_target_outside_range(width, capsys):
-    with pytest.raises(ConfigurationError, match="width target"):
-        cf.certify(4.506, 56, 1e-15, width_target=width)
-    from typsat.cli import main
-    assert main(["certify", f"--width-target={width}"]) == 3
-    assert "width target must be finite and positive" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("mode, systems", [("float", 1), ("interval", 2)])
 def test_certify_verifies_once(monkeypatch, cert, mode, systems):
     # the ledger, the sign checks and the rate run once, in the certificate's
@@ -242,6 +233,25 @@ def test_certificate_replays(cert):
     assert result["trace_ok"]
     assert result["rate_agrees"]
     assert result["verdict_agrees"]
+    assert result["disagreements"] == []
+
+
+def one_mode(cert, cert_iv, mode):
+    """The module certificate of `mode`, as parsed JSON."""
+    return json.loads({"float": cert, "interval": cert_iv}[mode].dumps())
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_honest_replay_agrees_without_search(monkeypatch, cert, cert_iv, mode):
+    # replay re-runs every stage but the search on the stored trace, and the
+    # re-run certificate equals the stored one field by field
+    def no_search(*args, **kwargs):
+        raise AssertionError("replay re-ran the spiral")
+    monkeypatch.setattr(rb, "spiral_localize", no_search)
+    result = cf.replay(one_mode(cert, cert_iv, mode))
+    assert result["disagreements"] == []
+    assert result["trace_ok"] and result["rate_agrees"] and result["verdict_agrees"]
+    assert [s["name"] for s in result["stages"]] == [s["name"] for s in cert.stages]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -254,41 +264,97 @@ def test_replay_in_own_mode_detects_tampered_verdict(cert, cert_iv, mode):
     if mode == "interval":
         assert honest["stored_rate"] == c.interval_report["rate_upper"]
     data["verdict"] = False
-    assert cf.replay(data)["verdict_agrees"] is False
+    result = cf.replay(data)
+    assert result["verdict_agrees"] is False
+    assert result["disagreements"] == ["verdict"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_replay_names_a_forged_rectangle(cert, cert_iv, mode):
+    # a 2e-9 square around the centre of the real rectangle: the replay used
+    # to rate the stored square (0.99991884 in float mode) and agree on the
+    # verdict; it now rates the trace's own rectangle and names the field
+    data = one_mode(cert, cert_iv, mode)
+    lo_f, hi_f, lo_b, hi_b = (float(v["v"]) for v in data["rectangle"])
+    phi, beta1 = 0.5 * (lo_f + hi_f), 0.5 * (lo_b + hi_b)
+    data["rectangle"] = [{"v": repr(v), "dir": "nearest"}
+                         for v in (phi - 1e-9, phi + 1e-9, beta1 - 1e-9, beta1 + 1e-9)]
+    result = cf.replay(data)
+    assert result["disagreements"] == ["rectangle"]
+    assert result["rate"] == result["stored_rate"]
+    assert result["trace_ok"] and result["verdict"] and result["verdict_agrees"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_replay_names_a_tampered_stage_and_ledger(cert, cert_iv, mode):
+    data = one_mode(cert, cert_iv, mode)
+    data["stages"][1]["ok"] = False  # the tables stage
+    assert cf.replay(data)["disagreements"] == ["stages"]
+    data = one_mode(cert, cert_iv, mode)
+    data["ledger"]["prefactor"]["v"] = "0.5"
+    result = cf.replay(data)
+    assert result["disagreements"] == ["ledger"]
+    assert result["rate_agrees"] and result["verdict_agrees"]
 
 
 def test_replay_ignores_legacy_sign_check_record(cert):
-    # certificates written before the trace dropped its `sign_checks` record
-    # still replay; the record is not read
+    # a certificate written before the trace dropped its `sign_checks` record
+    # still replays; the record is not read, so only the trace field differs
     data = json.loads(cert.dumps())
     data["trace"]["sign_checks"] = [{"family": "eq1_minus", "index": 0, "phi": 0.0,
                                      "beta1": 0.0, "value": -1.0, "margin": DELTA_NUM}]
     result = cf.replay(data)
     assert result["trace_ok"] and result["rate_agrees"] and result["verdict_agrees"]
+    assert result["disagreements"] == ["trace"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_replay_fails_a_malformed_trace(cert, cert_iv, mode):
     # a trace whose minus arm no longer starts at the box corner fails the
     # replay, as it fails certify's verify_exclusion stage, instead of raising
-    data = json.loads({"float": cert, "interval": cert_iv}[mode].dumps())
+    data = one_mode(cert, cert_iv, mode)
     data["trace"]["phi_minus"][0] += 1e-9
     result = cf.replay(data)
     assert result["trace_ok"] is False
     assert result["rate"] is None
     assert result["verdict"] is False
     assert result["verdict_agrees"] is False
+    assert "stages" in result["disagreements"] and "rate" in result["disagreements"]
+
+
+def test_replay_fails_an_empty_witness_sequence(cert):
+    data = json.loads(cert.dumps())
+    data["trace"]["phi_plus"] = []
+    result = cf.replay(data)
+    assert result["trace_ok"] is False and result["verdict"] is False
+    spiral = next(s for s in result["stages"] if s["name"] == "spiral")
+    assert not spiral["ok"] and "empty witness sequences" in spiral["detail"]
+    assert "trace" in result["disagreements"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_replay_fails_a_rectangle_outside_the_box(cert, cert_iv, mode):
-    data = json.loads({"float": cert, "interval": cert_iv}[mode].dumps())
+    # the stored rectangle is not rated, only compared with the trace's own
+    data = one_mode(cert, cert_iv, mode)
     data["rectangle"][1]["v"] = "0.7"  # phi_hi beyond phi_max = 0.619063
     result = cf.replay(data)
     assert result["trace_ok"] is True
-    assert result["rate"] is None
-    assert result["verdict"] is False
-    assert result["verdict_agrees"] is False
+    assert result["rate"] == result["stored_rate"]
+    assert result["disagreements"] == ["rectangle"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_rate_stage_fails_on_a_domain_error(monkeypatch, cert, cert_iv, mode):
+    # a rectangle the rate cannot be taken over fails the rate stage by name
+    def outside(*args):
+        raise DomainError("rectangle corner is outside the feasible box")
+    monkeypatch.setattr(st, "rate_bound_rectangle", outside)
+    result = cf.replay(one_mode(cert, cert_iv, mode))
+    assert result["trace_ok"] is True
+    assert result["rate"] is None and result["verdict"] is False
+    assert result["stages"][-1] == {"name": "rate", "ok": False,
+                                    "detail": "rectangle corner is outside the feasible box"}
+    assert {"stages", "rate", "verdict"} <= set(result["disagreements"])
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -305,6 +371,7 @@ def test_replay_without_trace(monkeypatch, mode):
     assert result["rate"] is None
     assert result["verdict"] is False
     assert result["verdict_agrees"] is True
+    assert result["disagreements"] == []
     data["verdict"] = True
     assert cf.replay(data)["verdict_agrees"] is False
 
@@ -578,6 +645,27 @@ def test_cli_certify(tmp_path, capsys):
     assert "verdict: True" in out
     assert (tmp_path / "run" / "certificate.json").exists()
     assert (tmp_path / "run" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_cli_check(tmp_path, capsys, mode):
+    from typsat.cli import main
+    assert main(["certify", "--mode", mode, "--out", str(tmp_path / "run")]) == 0
+    path = tmp_path / "run" / "certificate.json"
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "[ok] verify_exclusion: 254 sign checks, 0 failures" in out
+    assert "verdict: True" in out and "disagreements: none" in out
+    data = json.loads(path.read_text())
+    data["rectangle"][0]["v"] = "0.5638"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    assert "disagreements: rectangle" in capsys.readouterr().out
+    data["params"]["c"] = 2.5
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 3
+    assert "density c out of range" in capsys.readouterr().err
 
 
 def test_cli_certify_config_error(capsys):
