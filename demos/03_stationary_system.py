@@ -8,6 +8,7 @@ it lies inside the verified rectangle.
 """
 
 from typsat import EqSystem, ModelParams, build_tables
+from typsat.distribution import kappa_tilde_intervals
 from typsat.pipeline import emit_curves
 from typsat.params import WIDTH_TARGET
 from typsat.rootbox import spiral_localize, verify_exclusion
@@ -33,7 +34,7 @@ print(f"   confining rectangle: [{rect[0]:.8f}, {rect[1]:.8f}] x [{rect[2]:.8f},
 report = verify_exclusion(trace, eq1f, eq2f, box)
 print(f"   independent re-verification: {report.checks} sign checks, ok = {report.ok}, "
       f"smallest margin {report.min_margin:.3e}")
-system_iv = EqSystem.build(params, consts, mode="interval")
+system_iv = EqSystem.build(params, kappa_tilde_intervals(params))
 report_iv = verify_exclusion(trace, system_iv.eq1, system_iv.eq2, box)
 print(f"   the same checks outward-rounded: {report_iv.checks} sign checks, ok = {report_iv.ok}, "
       f"smallest margin {report_iv.min_margin:.3e}")

@@ -7,6 +7,7 @@ derivative-sum certificates that justify the sign-exclusion machinery.
 
 from typsat import EqSystem, ModelParams, build_budget, build_tables
 from typsat import monotone as mo
+from typsat.distribution import kappa_tilde_intervals
 from typsat.intervals import upper
 from typsat.ledger import LEDGER_TARGETS
 
@@ -28,7 +29,7 @@ print(f"   unbalancing  - 1   = {upper(budget.unbalancing_excess):.6e}  "
 print()
 
 print("-- interval re-derivation (outward rounding everywhere) " + "-" * 12)
-budget_iv = build_budget(params, consts, mode="interval")
+budget_iv = build_budget(params, kappa_tilde_intervals(params))
 print(f"   prefactor upper  = 1 + {budget_iv.prefactor.upper() - 1.0:.6e}")
 print(f"   unbalancing upper = 1 + {budget_iv.unbalancing_excess.upper():.6e}")
 print()

@@ -13,9 +13,10 @@ kappa_tilde: doubled below the diagonal x = 2p, unchanged on it, zero above.
 Binomials and factorials are kept in exact integer arithmetic (56! needs
 ~250 bits); probabilities are then evaluated as log-domain reals, which makes
 the p <-> x-p symmetry bit-exact and keeps rounding out of the certificate's
-error ledger.  One formula, `log_kappa`, serves float and interval lambda
-alike, so the certified pass encloses the same expression the float tables
-evaluate.
+error ledger.  Those lambda-free logs are taken once per process and mode,
+for the cells a certification uses.  One formula, `log_kappa`, serves float
+and interval lambda alike, and each mode has one producer of kt, K_tilde and
+rho: `build_tables` in float, `kappa_tilde_intervals` in interval mode.
 """
 
 from __future__ import annotations
@@ -39,24 +40,52 @@ _comb = np.frompyfunc(math.comb, 2, 1)
 _factorial = np.frompyfunc(math.factorial, 1, 1)
 
 
+def _read_only(v):
+    """v (an array, or an Interval of arrays) with its arrays made read-only."""
+    for arr in (v.lo, v.hi) if isinstance(v, Interval) else (v,):
+        arr.flags.writeable = False
+    return v
+
+
+@lru_cache(maxsize=None)
+def _log_factorials(as_iv: bool):
+    """log x! for 0 <= x <= RHO_CUTOFF, floats or Intervals.  Shared, so read-only."""
+    return _read_only(log_of_int(_factorial(np.arange(RHO_CUTOFF + 1)), as_iv))
+
+
+def log_factorial(x, as_iv: bool):
+    """log x! of integers x >= 0, elementwise: floats, or Intervals when as_iv."""
+    if 0 <= np.min(x, initial=0) and np.max(x, initial=0) <= RHO_CUTOFF:
+        return _log_factorials(as_iv)[x]
+    return log_of_int(_factorial(x), as_iv)
+
+
+def _log_binom(x, p, as_iv: bool):
+    """log C(x, p) - x log 2, elementwise from exact integers."""
+    return log_of_int(_comb(x, p), as_iv) - x * log_of_int(2, as_iv)
+
+
+@lru_cache(maxsize=None)
+def _log_binoms(x_max: int, as_iv: bool):
+    """`_log_binom` over triangle(x_max), and over the diagonal cells (2p, p),
+    x_max < 2p <= RHO_CUTOFF, that `rho_tail` sums.  Shared, so read-only."""
+    xs, ps, _ = triangle(x_max)
+    two_p = np.arange(x_max + 2, RHO_CUTOFF + 1, 2)
+    return (_read_only(_log_binom(xs, ps, as_iv)),
+            _read_only(_log_binom(two_p, two_p // 2, as_iv)))
+
+
 def poisson_log_pmf(x, lam):
-    """log of the Poisson(lam) mass at x: -lam + x log lam - log x!.
-
-    x is an integer or an integer array; lam is a float, or an Interval for
-    an enclosing Interval.
-    """
-    return -lam + x * xlog(lam) - log_of_int(_factorial(x), isinstance(lam, Interval))
+    """log of the Poisson(lam) mass at integers x: -lam + x log lam - log x!,
+    enclosed for an Interval lam."""
+    return -lam + x * xlog(lam) - log_factorial(x, isinstance(lam, Interval))
 
 
-def log_kappa(x, p, lam):
-    """log kappa(x, p) = log C(x, p) - x log 2 + log Poisson(lam)(x), elementwise.
-
-    The one cell-mass formula behind kappa, the tables, their interval
-    enclosures and rho: x, p are integers or equal-shape integer arrays, lam
-    a float or an Interval.
-    """
-    as_iv = isinstance(lam, Interval)
-    return log_of_int(_comb(x, p), as_iv) - x * log_of_int(2, as_iv) + poisson_log_pmf(x, lam)
+def log_kappa(log_binom, x, lam):
+    """log kappa(x, p) = (log C(x, p) - x log 2) + log Poisson(lam)(x) from the
+    cells' `_log_binom`, elementwise: the one cell-mass formula of kappa, the
+    tables, their interval enclosures and rho."""
+    return log_binom + poisson_log_pmf(x, lam)
 
 
 def _unbalanced(w):
@@ -70,7 +99,7 @@ def kappa(x: int, p: int, lam: float) -> float:
         raise DomainError(f"kappa needs 0 <= p <= x, got (x={x}, p={p})")
     if lam <= 0:
         raise DomainError("kappa needs lambda > 0")
-    return float(np.exp(log_kappa(x, p, lam)))
+    return float(np.exp(log_kappa(_log_binom(x, p, False), x, lam)))
 
 
 def kappa_tilde(x: int, p: int, lam: float) -> float:
@@ -102,20 +131,20 @@ def p3(xi: int) -> float:
     return float(Fraction(xi * (xi + 2) * (2 * xi + 3), 8))
 
 
-def rho_tail(x_max: int, lam, cutoff: int = RHO_CUTOFF):
+def rho_tail(x_max: int, lam):
     """Diagonal tail mass sum_{2p > x_max} kappa(2p, p), enclosed for an Interval lam.
 
-    Explicit terms up to 2p = cutoff, then a geometric remainder: the term
-    ratio is (lambda / (2p+2))^2 <= (lambda / cutoff)^2 past the cutoff.
+    Explicit terms up to 2p = RHO_CUTOFF, then a geometric remainder: the term
+    ratio is (lambda / (2p+2))^2 <= (lambda / RHO_CUTOFF)^2 past the cutoff.
     """
-    if cutoff <= x_max or cutoff <= upper(lam):
+    if RHO_CUTOFF <= x_max or RHO_CUTOFF <= upper(lam):
         raise DomainError("rho cutoff must exceed x_max and lambda")
-    two_p = np.arange(x_max + 2, cutoff + 1, 2)
-    terms = xexp(log_kappa(two_p, two_p // 2, lam))
+    two_p = np.arange(x_max + 2, RHO_CUTOFF + 1, 2)
+    terms = xexp(log_kappa(_log_binoms(x_max, isinstance(lam, Interval))[1], two_p, lam))
     # floats keep the running sum in the order of 2p, which a naive partial sum
     # of the same terms reproduces bit for bit; Intervals take one enclosure
     total = terms.sum() if isinstance(terms, Interval) else np.cumsum(terms)[-1]
-    q = lam / float(cutoff)
+    q = lam / float(RHO_CUTOFF)
     ratio = q * q
     return total + terms[-1] * ratio / (1.0 - ratio)
 
@@ -129,18 +158,7 @@ def triangle(x_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     cells = [(x, p) for x in range(x_max + 1) for p in range(x // 2 + 1)]
     xs, ps = (np.array(col, dtype=np.int64) for col in zip(*cells))
-    w = xs - 2 * ps
-    for arr in (xs, ps, w):
-        arr.flags.writeable = False
-    return xs, ps, w
-
-
-def _cells(x_max: int, lam):
-    """kappa and kappa_tilde over the triangle index, and K_tilde = sum (x-p) kappa_tilde."""
-    xs, ps, w = triangle(x_max)
-    kappas = xexp(log_kappa(xs, ps, lam))
-    kt = _unbalanced(w) * kappas
-    return kappas, kt, xsum((xs - ps) * kt)
+    return _read_only(xs), _read_only(ps), _read_only(xs - 2 * ps)
 
 
 # -- tables --------------------------------------------------------------------
@@ -167,24 +185,23 @@ class OccurrenceTable:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Scalar constants and flattened index arrays derived from (lambda, x_max).
+    """The constants of one (lambda, x_max) in one mode, floats from
+    `build_tables` or enclosures from `kappa_tilde_intervals`.  xs, ps, kt run
+    over the lower triangle 0 <= 2p <= x <= x_max in (x, p) order; w = x - 2p.
+    Everything downstream of the stationarity system is computed from these."""
 
-    xs, ps, kt run over the lower triangle 0 <= 2p <= x <= x_max in (x, p)
-    lexicographic order; w = x - 2p.  Everything downstream of the
-    stationarity system is computed from these arrays.
-    """
-
-    lam: float
+    mode: str
+    lam: object
     x_max: int
-    rho: float
+    rho: object
     delta: float
     D: int
     N: int
-    K_tilde: float
+    K_tilde: object
     xs: np.ndarray
     ps: np.ndarray
     w: np.ndarray
-    kt: np.ndarray
+    kt: object          # ndarray, or an Interval of arrays
 
 
 def check_x_max(x_max: int, lam: float) -> None:
@@ -199,43 +216,31 @@ def check_x_max(x_max: int, lam: float) -> None:
                                  f"(log lambda - log 2) = {need:.3f} at lambda = {lam}")
 
 
-def build_tables(params) -> tuple[OccurrenceTable, OccurrenceTable, DerivedConstants]:
-    """Populate the typical table, the unbalanced table, and all derived constants."""
-    x_max, lam = params.x_max, params.lam
-
+def _constants(params, mode: str):
+    """kappa over the triangle index, and the DerivedConstants of params in mode."""
+    x_max = params.x_max
+    _, lam, _ = params.decimals(mode)
     xs, ps, w = triangle(x_max)
-    kappas, kt, k_tilde = _cells(x_max, lam)
+    kappas = xexp(log_kappa(_log_binoms(x_max, mode == "interval")[0], xs, lam))
+    kt = _unbalanced(w) * kappas
+    return kappas, DerivedConstants(
+        mode=mode, lam=lam, x_max=x_max, rho=rho_tail(x_max, lam), delta=0.5 * (x_max / 2 + 1),
+        D=big_d(x_max), N=big_n(x_max), K_tilde=xsum((xs - ps) * kt), xs=xs, ps=ps, w=w, kt=kt)
+
+
+def build_tables(params) -> tuple[OccurrenceTable, OccurrenceTable, DerivedConstants]:
+    """The typical table, the unbalanced table, and the float derived constants."""
+    kappas, consts = _constants(params, "float")
+    x_max, lam, xs, ps = params.x_max, consts.lam, consts.xs, consts.ps
     typ = np.zeros((x_max + 1, x_max + 1))
     typ[xs, ps] = kappas
     typ[xs, xs - ps] = kappas  # kappa(x, p) = kappa(x, x - p) bit for bit
     unb = np.zeros_like(typ)
-    unb[xs, ps] = kt
-
-    consts = DerivedConstants(
-        lam=lam,
-        x_max=x_max,
-        rho=rho_tail(x_max, lam),
-        delta=0.5 * (x_max / 2 + 1),
-        D=big_d(x_max),
-        N=big_n(x_max),
-        K_tilde=k_tilde,
-        xs=xs,
-        ps=ps,
-        w=w,
-        kt=kt,
-    )
-    typical = OccurrenceTable(lam, x_max, typ)
-    unbalanced = OccurrenceTable(lam, x_max, unb)
-    return typical, unbalanced, consts
+    unb[xs, ps] = consts.kt
+    return OccurrenceTable(lam, x_max, typ), OccurrenceTable(lam, x_max, unb), consts
 
 
-# -- interval-mode table -------------------------------------------------------
-
-def kappa_tilde_intervals(x_max: int, lam: Interval) -> tuple[Interval, Interval]:
-    """Enclosures of the kt array and K_tilde for the certified pass.
-
-    lam encloses 3c from the exact decimal density (ModelParams.decimals);
-    binomials and factorials enter as exact integers through log enclosures.
-    """
-    _, kt, k_tilde = _cells(x_max, lam)
-    return kt, k_tilde
+def kappa_tilde_intervals(params) -> DerivedConstants:
+    """The interval-mode derived constants: `build_tables`' kt, K_tilde and rho
+    enclosed from the exact decimal density (ModelParams.decimals)."""
+    return _constants(params, "interval")[1]

@@ -43,10 +43,9 @@ class Formula:
 
     def occurrence_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(total, positive) occurrence counts per variable, 0-indexed."""
-        total = np.bincount(np.abs(self.lits).ravel(), minlength=self.n + 1)[1:]
-        pos_lits = self.lits[self.lits > 0]
-        pos = np.bincount(pos_lits, minlength=self.n + 1)[1:]
-        return total, pos
+        signed = np.bincount(self.lits.ravel() + self.n, minlength=2 * self.n + 1)  # -n..n
+        pos = signed[self.n + 1:]
+        return pos + signed[self.n - 1::-1], pos
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ by their limiting values.  The cost of each replacement is a factor >= 1:
 the tail/accuracy bounds R1, R2, R3, the x^x-replacement helper L, and the
 grouped factors G1 (sigma/tau elimination) and G2 = GA*GB*GC (powers-and-
 factorials product).  Everything here is monotone nondecreasing in the
-accuracy radius eps and is computed in the log domain with exact integer
-factorials; passing Interval inputs re-derives the whole budget with outward
-rounding.
+accuracy radius eps and is computed in the log domain from the exact
+integer factorials of `distribution.log_factorial`; interval-mode constants
+re-derive the whole budget with outward rounding.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distribution import big_d, p2, p3, rho_tail
+from .distribution import big_d, log_factorial, p2, p3
 from .errors import ConfigurationError, DomainError
 from .intervals import (Interval, log_of_int, lower, next_down, next_up, upper, xexp, xlog,
                         xlog1p)
@@ -87,25 +87,25 @@ def euler(as_interval: bool):
     return math.e
 
 
+def _poisson_tail(power: int, x: int, eps, lam):
+    """lam^power / x!, enclosed when lam or eps is an Interval."""
+    as_iv = isinstance(lam, Interval) or isinstance(eps, Interval)
+    return xexp(power * xlog(lam) - log_factorial(x, as_iv))
+
+
 def r1(eps, x_max: int, lam):
     """Tail bound on the heavy-variable proportion tau."""
-    as_iv = isinstance(lam, Interval) or isinstance(eps, Interval)
-    tail = xexp((x_max + 1) * xlog(lam) - log_of_int(math.factorial(x_max + 1), as_iv))
-    return tail + eps * float(big_d(x_max))
+    return _poisson_tail(x_max + 1, x_max + 1, eps, lam) + eps * float(big_d(x_max))
 
 
 def r2(eps, x_max: int, lam):
     """Bound on the heavy-occurrence proportion sigma."""
-    as_iv = isinstance(lam, Interval) or isinstance(eps, Interval)
-    tail = xexp((x_max + 1) * xlog(lam) - log_of_int(math.factorial(x_max), as_iv))
-    return tail + eps * p2(x_max)
+    return _poisson_tail(x_max + 1, x_max, eps, lam) + eps * p2(x_max)
 
 
 def r3(eps, x_max: int, lam):
     """Accuracy radius transferred to (phi, beta_j): |phi - psi| <= R3 etc."""
-    as_iv = isinstance(lam, Interval) or isinstance(eps, Interval)
-    tail = xexp(x_max * xlog(lam) - log_of_int(math.factorial(x_max), as_iv))
-    return tail + (eps / lam) * (p2(x_max) + p3(x_max))
+    return _poisson_tail(x_max, x_max, eps, lam) + (eps / lam) * (p2(x_max) + p3(x_max))
 
 
 def widen_intervals(gamma_psi: dict, r3_value: float) -> FeasibleBox:
@@ -278,21 +278,20 @@ class ErrorBudget(GFactors):
         return out
 
 
-def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
-    """Assemble the ledger for one parameter configuration.
+def build_budget(params, consts) -> ErrorBudget:
+    """Assemble the ledger for one parameter configuration, in the mode of its
+    derived constants.
 
-    mode "interval" reruns every formula with outward-rounded enclosures; the
-    stored values are then Interval objects whose upper endpoints bound the
-    true factors.
+    Interval constants (`distribution.kappa_tilde_intervals`) rerun every
+    formula with outward-rounded enclosures; the stored values are then
+    Interval objects whose upper endpoints bound the true factors.
     """
-    _, lam, eps = params.decimals(mode)
-    as_iv = mode == "interval"
-    # float mode reuses the tail build_tables stored; interval mode encloses it
-    rho = rho_tail(params.x_max, lam) if as_iv else consts.rho
-    gf = g_factors(eps, params.x_max, lam, params.c)
+    _, _, eps = params.decimals(consts.mode)
+    as_iv = consts.mode == "interval"
+    gf = g_factors(eps, params.x_max, consts.lam, params.c)
     d = big_d(params.x_max)
     prefactor = gf.g1 * gf.g2 * xexp(2.0 * eps * d / euler(as_iv))
-    unbalancing_log = (rho + eps * consts.delta) * log_of_int(2, as_iv)
+    unbalancing_log = (consts.rho + eps * consts.delta) * log_of_int(2, as_iv)
     return ErrorBudget(
         **vars(gf),
         eps=params.epsilon,
@@ -302,5 +301,5 @@ def build_budget(params, consts, mode: str = "float") -> ErrorBudget:
         unbalancing_log=unbalancing_log,
         unbalancing_excess=_excess_upper(unbalancing_log),
         interval_bounds=params.a_priori,
-        mode=mode,
+        mode=consts.mode,
     )

@@ -157,8 +157,9 @@ def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Ce
                f"row_err={row_err:.3e}, mass_err={mass_err:.3e}, rho={consts.rho:.3e}")
 
     system = st.EqSystem.build(params, consts)  # the search, monotone stage and Newton
-    budget = lg.build_budget(params, consts, mode=mode)
-    checker = system if mode == "float" else st.EqSystem.build(params, consts, mode=mode)
+    checking = consts if mode == "float" else dist.kappa_tilde_intervals(params)
+    budget = lg.build_budget(params, checking)
+    checker = system if mode == "float" else st.EqSystem.build(params, checking)
     cert.ledger = budget.as_dict()
     ledger_ok = upper(budget.prefactor) < 1.01 and math.isfinite(upper(budget.prefactor))
     cert.stage("ledger", ledger_ok, f"prefactor={upper(budget.prefactor):.12g}")

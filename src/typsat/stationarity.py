@@ -104,12 +104,12 @@ def derive_point(phi, beta1) -> PhiBetaPoint:
 class EqSystem:
     """The stationarity system of one configuration, in float or interval mode.
 
-    Holds lambda, c, K_tilde, the triangle cell arrays (x, p, w = x - 2p,
-    kt), their Eq1 and Eq2 subsets (w and p as float64, so the per-cell
+    Holds lambda, c, K_tilde, the triangle cell arrays (p, w = x - 2p, kt),
+    their Eq1 and Eq2 subsets (w and p as float64, so the per-cell
     products cast nothing), and the log of the n-free base constant
-    3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt.  Float mode
-    takes the tables from build_tables; interval mode encloses them from the
-    exact decimal density, so the rectangle rate bound runs the same code
+    3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt.  The mode
+    is that of the derived constants: float from build_tables, interval from
+    kappa_tilde_intervals, so the rectangle rate bound runs the same code
     outward-rounded, and eq1 and eq2 return enclosures: the point fields in
     interval arithmetic, the cell sums from the float kernel at two corners
     (`_enclose`).  Evaluation points are exact floats in both modes; eq1 and
@@ -123,7 +123,6 @@ class EqSystem:
     lam: object
     c: object
     K_tilde: object
-    xs: np.ndarray
     ps: np.ndarray
     w: np.ndarray
     kt: object          # ndarray, or an Interval of arrays
@@ -132,17 +131,12 @@ class EqSystem:
     log_base: object
 
     @classmethod
-    def build(cls, params, consts: DerivedConstants, mode: str = "float") -> "EqSystem":
-        xs, ps, w = consts.xs, consts.ps, consts.w
-        c, lam, _ = params.decimals(mode)
-        as_iv = mode == "interval"
-        if as_iv:
-            kt, k_tilde = dist.kappa_tilde_intervals(params.x_max, lam)
-        else:
-            k_tilde, kt = consts.K_tilde, consts.kt
-        log_fact = log_of_int([math.factorial(n) for n in range(consts.x_max + 1)], as_iv)
-        log_pfact = log_fact[ps] + log_fact[xs - ps]
-        pos = consts.kt > 0.0  # kt^kt = 1 where a mass underflows to 0
+    def build(cls, params, consts: DerivedConstants) -> "EqSystem":
+        xs, ps, w, kt, lam = consts.xs, consts.ps, consts.w, consts.kt, consts.lam
+        c = params.decimals(consts.mode)[0]
+        as_iv = consts.mode == "interval"
+        log_pfact = dist.log_factorial(ps, as_iv) + dist.log_factorial(xs - ps, as_iv)
+        pos = (kt.lo if as_iv else kt) > 0.0  # kt^kt = 1 where a mass underflows to 0
         log_base = (c * log_of_int(3, as_iv) + lam * (xlog(lam) - log_of_int(6, as_iv) - 1.0)
                     + xsum(kt[w > 0]) * log_of_int(2, as_iv)
                     - xsum(kt[pos] * (log_pfact[pos] + xlog(kt[pos]))))
@@ -151,8 +145,8 @@ class EqSystem:
         wf, pf = w.astype(np.float64), ps.astype(np.float64)
         kt1, w1, pf1 = kt[strict], wf[strict], pf[strict]
         kt2, w2, pf2 = kt[p1], wf[p1], pf[p1]
-        return cls(mode=mode, box=params.a_priori, lam=lam, c=c, K_tilde=k_tilde,
-                   xs=xs, ps=ps, w=w, kt=kt,
+        return cls(mode=consts.mode, box=params.a_priori, lam=lam, c=c, K_tilde=consts.K_tilde,
+                   ps=ps, w=w, kt=kt,
                    cells_eq1=Cells(kt1, w1, pf1, kt1 * w1),
                    cells_eq2=Cells(kt2, w2, pf2, pf2 * kt2), log_base=log_base)
 

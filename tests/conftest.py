@@ -70,6 +70,11 @@ def consts(tables):
 
 
 @pytest.fixture(scope="session")
+def consts_iv(params):
+    return dist.kappa_tilde_intervals(params)
+
+
+@pytest.fixture(scope="session")
 def budget(params, consts):
     return lg.build_budget(params, consts)
 

@@ -44,9 +44,9 @@ def test_criterion_1_final_verdict():
                    f"runtime={elapsed:.2f}s < 60s")
 
 
-def test_criterion_2a_prefactor_both_modes(params, consts):
-    b_float = lg.build_budget(params, consts, mode="float")
-    b_iv = lg.build_budget(params, consts, mode="interval")
+def test_criterion_2a_prefactor_both_modes(params, consts, consts_iv):
+    b_float = lg.build_budget(params, consts)
+    b_iv = lg.build_budget(params, consts_iv)
     ok = (upper(b_float.prefactor) < 1.0 + 1e-7
           and upper(b_iv.prefactor) < 1.0 + 1e-7)
     assert _report("2a", ok,
@@ -54,11 +54,11 @@ def test_criterion_2a_prefactor_both_modes(params, consts):
                    f"{upper(b_iv.prefactor)!r} (interval upper) < 1+1e-7")
 
 
-def test_criterion_2b_unbalancing_both_modes(params, consts):
+def test_criterion_2b_unbalancing_both_modes(params, consts, consts_iv):
     # the factor exceeds 1 by at most the eps*Delta*ln2 scale: 1.00507e-14
     # against 1.006e-14, compared on the excess a double resolves
-    b_float = lg.build_budget(params, consts, mode="float")
-    b_iv = lg.build_budget(params, consts, mode="interval")
+    b_float = lg.build_budget(params, consts)
+    b_iv = lg.build_budget(params, consts_iv)
     target = lg.LEDGER_TARGETS["unbalancing_excess"]
     ok = (upper(b_float.unbalancing_excess) < target
           and upper(b_iv.unbalancing_excess) < target)

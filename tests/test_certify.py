@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from typsat import distribution as dist
 from typsat import pipeline as cf
 from typsat import formulas as fl
 from typsat import ledger as lg
@@ -156,6 +157,22 @@ def test_certify_verifies_once(monkeypatch, cert, mode, systems):
     assert result.ledger["mode"] == mode
     if mode == "interval":
         assert result.rate == result.interval_report["rate_upper"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_warm_certify_takes_no_integer_log(monkeypatch, mode):
+    # the lambda-free logs of C(x, p) and x! are taken once per process and
+    # mode; a second certify reads them, and builds each mode's constants once
+    cf.certify(4.506, 56, 1e-15, mode=mode)
+    calls = Counter()
+    for name in ("_comb", "_factorial", "build_tables", "kappa_tilde_intervals", "rho_tail"):
+        def counted(*args, _fn=getattr(dist, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dist, name, counted)
+    assert cf.certify(4.506, 56, 1e-15, mode=mode).verdict
+    interval = mode == "interval"
+    assert calls == Counter(build_tables=1, kappa_tilde_intervals=interval, rho_tail=1 + interval)
 
 
 def test_float_certify_evaluation_count(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 
 from typsat import distribution as dist
 from typsat.errors import ConfigurationError, DomainError
-from typsat.intervals import Interval
 from typsat.params import ModelParams
 
 LAM = 3 * 4.506
@@ -128,16 +127,14 @@ def test_h_tilde_and_polynomials(consts):
     assert dist.p3(56) == 56 * 58 * 115 / 8
 
 
-def test_interval_tables_enclose_float_tables(tables, consts):
-    kt, k_tilde = dist.kappa_tilde_intervals(56, 3.0 * Interval.from_decimal("4.506"))
+def test_interval_constants_enclose_float_constants(consts, consts_iv):
+    # one producer per mode: the interval constants enclose the float ones
+    assert (consts.mode, consts_iv.mode) == ("float", "interval")
+    kt, k_tilde, rho_iv = consts_iv.kt, consts_iv.K_tilde, consts_iv.rho
     assert np.all(kt.lo <= consts.kt)
     assert np.all(consts.kt <= kt.hi)
     assert k_tilde.contains(consts.K_tilde)
     assert k_tilde.hi - k_tilde.lo < 1e-10
-
-
-def test_rho_interval_encloses_float(consts):
-    rho_iv = dist.rho_tail(56, 3.0 * Interval.from_decimal("4.506"))
     assert rho_iv.contains(consts.rho)
     # and the 50-digit diagonal tail, summed up to the same cutoff
     mp = pytest.importorskip("mpmath")

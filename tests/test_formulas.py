@@ -266,19 +266,23 @@ def test_variable_type_partition(rng):
         if idx.size:
             break
     assert idx.size > 0
-    a = fl.Assignment.from_bits(int(idx[0]), f.n)
-    total, pos = f.occurrence_counts()
+    # and a formula where variable 3 never occurs and variable 2 occurs only negatively
+    sparse = fl.Formula(n=3, lits=np.array([[1, -2, 1], [1, -2, -2]]))
     from collections import Counter
-    per_cell = Counter()
-    typed = Counter()
-    for v in range(1, f.n + 1):
-        x, p, j = fl.variable_type(f, a, v)
-        assert (x, p) == (int(total[v - 1]), int(pos[v - 1]))
-        assert 0 <= j <= x
-        per_cell[(x, p)] += 1
-        typed[(x, p, j)] += 1
-    for (x, p), cnt in per_cell.items():
-        assert sum(c for (xx, pp, _), c in typed.items() if (xx, pp) == (x, p)) == cnt
+    for f, a in ((f, fl.Assignment.from_bits(int(idx[0]), f.n)),
+                 (sparse, fl.Assignment([True, False, False]))):
+        total, pos = f.occurrence_counts()
+        per_cell = Counter()
+        typed = Counter()
+        for v in range(1, f.n + 1):
+            x, p, j = fl.variable_type(f, a, v)
+            assert (x, p) == (int(total[v - 1]), int(pos[v - 1]))
+            assert 0 <= j <= x
+            per_cell[(x, p)] += 1
+            typed[(x, p, j)] += 1
+        for (x, p), cnt in per_cell.items():
+            assert sum(c for (xx, pp, _), c in typed.items() if (xx, pp) == (x, p)) == cnt
+    assert [c.tolist() for c in sparse.occurrence_counts()] == [[3, 3, 0], [3, 0, 0]]
 
 
 # -- renaming ---------------------------------------------------------------------------

@@ -85,6 +85,21 @@ def test_float_sums_go_through_xsum(path):
     assert sum_refs == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_integer_logs_live_in_distribution(path):
+    """Only `distribution` takes math.factorial or math.comb: it logs them once
+    per mode.  `pipeline._pair_bound` counts exactly and takes no logs."""
+    if path.name == "distribution.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = [node for node in tree.body
+              if not (path.name == "pipeline.py" and getattr(node, "name", None) == "_pair_bound")]
+    refs = [node for scope in scopes for node in ast.walk(scope)
+            if (isinstance(node, ast.Attribute) and node.attr in ("factorial", "comb"))
+            or (isinstance(node, ast.alias) and node.name in ("factorial", "comb"))]
+    assert refs == []
+
+
 def _tracer_constant(name: str):
     """The literal value of a top-level assignment in perfbench/tracer.py."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from typsat import ledger as lg
-from typsat.distribution import big_d, build_tables, p2, p3, rho_tail
+from typsat.distribution import big_d, build_tables, kappa_tilde_intervals, p2, p3, rho_tail
 from typsat.errors import DomainError
 from typsat.intervals import Interval, upper
 from typsat.params import CERTIFICATION_BOX, GENERIC_GAMMA_PSI, ModelParams
@@ -121,8 +121,8 @@ def test_budget_monotone_in_eps(consts):
     assert uppers[0] <= uppers[1] <= uppers[2]
 
 
-def test_interval_budget_is_pessimistic_but_close(params, consts, budget):
-    biv = lg.build_budget(params, consts, mode="interval")
+def test_interval_budget_is_pessimistic_but_close(params, consts, consts_iv, budget):
+    biv = lg.build_budget(params, consts_iv)
     assert isinstance(biv.prefactor, Interval)
     assert biv.prefactor.contains(upper(budget.prefactor))
     assert upper(biv.prefactor) < 1.0 + 2e-7
@@ -143,12 +143,12 @@ def test_interval_budget_is_pessimistic_but_close(params, consts, budget):
 
 
 @pytest.mark.parametrize("eps_text", ["1e-15", "3e-15", "1e-14"])
-def test_interval_budget_encloses_decimal_eps(consts, eps_text):
+def test_interval_budget_encloses_decimal_eps(eps_text):
     # the double nearest 3e-15 or 1e-14 lies below the decimal; the interval
     # ledger must enclose R1 and R3 at the decimal the user asked for
     mp = pytest.importorskip("mpmath")
     params = ModelParams(c=4.506, x_max=56, epsilon=float(eps_text))
-    biv = lg.build_budget(params, consts, mode="interval")
+    biv = lg.build_budget(params, kappa_tilde_intervals(params))
     x = params.x_max
     with mp.workdps(50):
         eps, lam = mp.mpf(eps_text), 3 * mp.mpf("4.506")

@@ -259,7 +259,7 @@ def test_eq1_partial_on_toy_table(box, params):
     xs = np.array([0, 1, 2, 2])
     ps = np.array([0, 0, 0, 1])
     kt = np.array([kappa_tilde(int(x), int(p), lam) for x, p in zip(xs, ps)])
-    toy = DerivedConstants(lam=lam, x_max=2, rho=0.0, delta=1.0, D=6, N=9,
+    toy = DerivedConstants(mode="float", lam=lam, x_max=2, rho=0.0, delta=1.0, D=6, N=9,
                            K_tilde=float(((xs - ps) * kt).sum()),
                            xs=xs, ps=ps, w=xs - 2 * ps, kt=kt)
     toy_system = st.EqSystem.build(params, toy)

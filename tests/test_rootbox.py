@@ -333,8 +333,8 @@ def test_trace_serialization_roundtrip(trace, system, box):
 
 
 @pytest.fixture(scope="module", params=["float", "interval"])
-def system_any(request, params, consts):
-    return st.EqSystem.build(params, consts, mode=request.param)
+def system_any(request, params, consts, consts_iv):
+    return st.EqSystem.build(params, consts if request.param == "float" else consts_iv)
 
 
 def per_point_checks(trace, eq1f, eq2f):
@@ -442,10 +442,10 @@ def test_one_singular_point_fails_alone_in_a_batch(system_any, trace):
         assert np.delete(got, at).tolist() == want.tolist()
 
 
-def test_enclosures_across_zero_certify_no_sign(params, consts, trace, box):
+def test_enclosures_across_zero_certify_no_sign(params, consts_iv, trace, box):
     # sign * Eq's lower end is the lower end for +1 and minus the upper end
     # for -1: an enclosure reaching across 0 certifies neither sign
-    system_iv = st.EqSystem.build(params, consts, mode="interval")
+    system_iv = st.EqSystem.build(params, consts_iv)
 
     def widened(fn):
         def wrapped(phi, beta1):

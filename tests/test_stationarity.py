@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -218,8 +219,8 @@ def test_eq2_seed_signs_spec_corners(system, box):
     assert eq2f(box.phi_max, box.beta1_max) < 0.0
 
 
-def test_interval_system_encloses_float_system(params, consts, system, trace):
-    system_iv = st.EqSystem.build(params, consts, mode="interval")
+def test_interval_system_encloses_float_system(params, consts, consts_iv, system, trace):
+    system_iv = st.EqSystem.build(params, consts_iv)
     base = system_iv.log_base
     assert base.lower() - 1e-12 <= system.log_base <= base.upper() + 1e-12
     points = (list(zip(trace.phi_minus, trace.beta_plus))
@@ -229,13 +230,13 @@ def test_interval_system_encloses_float_system(params, consts, system, trace):
             val, enc = f(phi, b1), f_iv(phi, b1)
             assert enc.upper() - enc.lower() < 1e-9
             assert enc.lower() - 1e-12 <= val <= enc.upper() + 1e-12
-    with pytest.raises(ValueError):
-        st.EqSystem.build(params, consts, mode="decimal")
+    with pytest.raises(ValueError):  # the mode comes from the constants, and is checked
+        st.EqSystem.build(params, dataclasses.replace(consts, mode="decimal"))
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
-def test_equations_at_no_points_return_empty(mode, params, consts):
-    system = st.EqSystem.build(params, consts, mode=mode)
+def test_equations_at_no_points_return_empty(mode, params, consts, consts_iv):
+    system = st.EqSystem.build(params, consts if mode == "float" else consts_iv)
     for fn in (system.eq1, system.eq2):
         val = fn(np.array([]), np.array([]))
         ends = (val.lo, val.hi) if mode == "interval" else (val,)
@@ -245,8 +246,8 @@ def test_equations_at_no_points_return_empty(mode, params, consts):
 # -- interval mode: the cell sums from two float corners -----------------------------
 
 @pytest.fixture(scope="module")
-def system_iv(params, consts):
-    return st.EqSystem.build(params, consts, mode="interval")
+def system_iv(params, consts_iv):
+    return st.EqSystem.build(params, consts_iv)
 
 
 @pytest.fixture(scope="module")
@@ -662,12 +663,12 @@ def test_rate_on_target_rectangle(system, budget):
     assert rate == pytest.approx(0.9999884069006912, rel=1e-10)
 
 
-def test_interval_rectangle_rate_encloses_its_corners(monkeypatch, params, consts, trace, system,
-                                                      budget):
+def test_interval_rectangle_rate_encloses_its_corners(monkeypatch, params, consts_iv, trace,
+                                                      system, budget):
     # interval mode lifts the corners: every U/V and beta2/beta3/Y it
     # evaluates is an enclosure, not a nearest-rounded float
-    system_iv = st.EqSystem.build(params, consts, mode="interval")
-    budget_iv = lg.build_budget(params, consts, mode="interval")
+    system_iv = st.EqSystem.build(params, consts_iv)
+    budget_iv = lg.build_budget(params, consts_iv)
     calls = []
 
     def recording(fn):
