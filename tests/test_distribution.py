@@ -127,14 +127,18 @@ def test_h_tilde_and_polynomials(consts):
     assert dist.p3(56) == 56 * 58 * 115 / 8
 
 
-def test_interval_constants_enclose_float_constants(consts, consts_iv):
+def test_interval_tables_enclose_float_tables(consts, consts_iv):
     # one producer per mode: the interval constants enclose the float ones
     assert (consts.mode, consts_iv.mode) == ("float", "interval")
-    kt, k_tilde, rho_iv = consts_iv.kt, consts_iv.K_tilde, consts_iv.rho
+    kt, k_tilde = consts_iv.kt, consts_iv.K_tilde
     assert np.all(kt.lo <= consts.kt)
     assert np.all(consts.kt <= kt.hi)
     assert k_tilde.contains(consts.K_tilde)
     assert k_tilde.hi - k_tilde.lo < 1e-10
+
+
+def test_rho_interval_encloses_float(consts, consts_iv):
+    rho_iv = consts_iv.rho
     assert rho_iv.contains(consts.rho)
     # and the 50-digit diagonal tail, summed up to the same cutoff
     mp = pytest.importorskip("mpmath")
