@@ -205,7 +205,10 @@ class DerivedConstants:
 
 
 def check_x_max(x_max: int, lam: float) -> None:
-    """Validate the truncation degree against its two structural lower bounds."""
+    """Validate the truncation degree against its two structural lower bounds
+    and two upper ones: the rho cutoff, and a Poisson mass at x_max that does
+    not underflow (the tables stage divides each row sum by its mass, and
+    the mass falls beyond lambda < x_max)."""
     if x_max % 2 != 0 or x_max <= 0:
         raise ConfigurationError(f"x_max must be a positive even integer, got {x_max}")
     if not x_max > lam:
@@ -214,6 +217,11 @@ def check_x_max(x_max: int, lam: float) -> None:
     if not x_max >= need:
         raise ConfigurationError(f"xmaxlb1 violated: x_max = {x_max} < (2*lambda - log 2)/"
                                  f"(log lambda - log 2) = {need:.3f} at lambda = {lam}")
+    if not x_max < RHO_CUTOFF:
+        raise ConfigurationError(f"x_max = {x_max} must be below the rho cutoff {RHO_CUTOFF}")
+    if not math.exp(poisson_log_pmf(x_max, lam)) > 0.0:
+        raise ConfigurationError(f"x_max = {x_max} too large: the Poisson mass at x_max "
+                                 f"underflows to 0 at lambda = {lam}")
 
 
 def _constants(params, mode: str):

@@ -295,20 +295,82 @@ def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float]) ->
     return NewtonRoot(phi, b1, reason=f"no convergence in {NEWTON_MAX_ITER} Newton steps")
 
 
-def _predicted_push(probe, good: float, bad: float, predicted: float | None,
-                    tol: float) -> float | None:
-    """`_push`, first trying one probe at the predicted crossing, if any.
+def _first_probe(good: float, bad: float, predicted: float | None) -> float | None:
+    """Where a predicted push probes first: `predicted` shifted PREDICT_SHARE
+    of the gap |good - bad| back toward `good`; None without a prediction or
+    when that point is not strictly between good and bad."""
+    if predicted is None:
+        return None
+    t = predicted + PREDICT_SHARE * (good - bad)
+    return t if min(good, bad) < t < max(good, bad) else None
 
-    The probe sits PREDICT_SHARE of the gap |good - bad| back from
-    `predicted` toward `good`.  If that point is strictly between good and
-    bad and certifies, it is the push's result; otherwise the push bisects
-    from `good` as `_push` does.
+
+def _predicted_push(probe, good: float, bad: float, predicted: float | None,
+                    tol: float) -> tuple[float | None, bool]:
+    """`_push`, first trying one probe at `_first_probe`'s point, if any.
+
+    Returns the push's result and whether that first probe certified it;
+    otherwise the push bisects from `good` as `_push` does.
     """
-    if predicted is not None:
-        t = predicted + PREDICT_SHARE * (good - bad)
-        if min(good, bad) < t < max(good, bad) and probe(t):
-            return t
-    return _push(probe, good, bad, tol)
+    t = _first_probe(good, bad, predicted)
+    if t is not None and probe(t):
+        return t, True
+    return _push(probe, good, bad, tol), False
+
+
+def _narrow(arms, width_target: float) -> bool:
+    """Whether the rectangle the arms span is within width_target both ways."""
+    pm, bp, pp, bm, _ = arms[0]
+    return pp[-1] - pm[-1] <= width_target and bp[-1] - bm[-1] <= width_target
+
+
+def _generated_cycles(eq1f, eq2f, root: NewtonRoot, arms, width_target: float,
+                      max_cycles: int) -> int:
+    """Extend the arms by the cycles the point-by-point loop would take if
+    every push certified at its first probe; return how many are kept.
+
+    The cycles are generated from `_first_probe` and the root's linearisation
+    alone, with no evaluation, until the rectangle is within width_target (at
+    a cycle boundary), after max_cycles, or up to the first first-probe point
+    outside its gap.  Every generated claim is then checked at twice the
+    verification margin in one call per equation (`values_where_defined`, so
+    a singular point fails alone), and only the whole cycles before the first
+    claim that fails stay on the arms.  Since batched and single-point values
+    agree bit for bit, the kept cycles are the ones the loop would have made.
+    """
+    delta_build = 2.0 * DELTA_NUM
+    seqs = [seq for arm in arms for seq in arm[:2]]
+    starts = [len(seq) for seq in seqs]
+    steps = []  # (phi, new beta1, new phi, sign), one an arm step, cycle by cycle
+    cycles = 0
+    while cycles < max_cycles and not _narrow(arms, width_target):
+        for phis, betas, far_phis, far_betas, sign in arms:
+            f = phis[-1]
+            b_new = _first_probe(betas[-1], far_betas[-1],
+                                 root.beta1_where_eq2(-sign * delta_build, f))
+            f_new = None if b_new is None else _first_probe(
+                f, far_phis[-1], root.phi_where_eq1(sign * delta_build, b_new))
+            if f_new is None:
+                break
+            steps.append((f, b_new, f_new, sign))
+            phis.append(f_new)
+            betas.append(b_new)
+        if len(steps) < len(arms) * (cycles + 1):
+            break
+        cycles += 1
+
+    kept = cycles
+    if cycles:
+        f, b_new, f_new, sign = (np.array(col) for col in zip(*steps[:len(arms) * cycles]))
+        for fn, phis, signs in ((eq2f, f, -sign), (eq1f, f_new, sign)):
+            vals, _ = values_where_defined(fn, phis, b_new)
+            # a singular point's value is NaN, which certifies no sign
+            failed = ~(signs * vals > delta_build)
+            if failed.any():
+                kept = min(kept, int(np.argmax(failed)) // len(arms))
+    for seq, start in zip(seqs, starts):
+        del seq[start + kept:]
+    return kept
 
 
 def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> ExclusionTrace:
@@ -317,17 +379,27 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
     Each arm step pushes one coordinate against the last opposing witness:
     the minus arm first lowers beta1 toward the least value where Eq2 < -2 DELTA_NUM
     at its current phi, then raises phi toward the greatest value where
-    Eq1 > +2 DELTA_NUM at the new beta1; the plus arm mirrors this.  One
-    `solve_reference` root from the domain's centre, which the trace keeps,
-    linearises Eq1 and Eq2 before the first push.  Each push probes once at
-    the linearised crossing, shifted PREDICT_SHARE of the gap toward the
-    certified side, and a miss bisects from the last certified point (see
-    `_push`); a failed Newton leaves every push bisecting.  Points are
-    accepted only at twice the verification margin, so re-verification
-    (float or outward-rounded) clears DELTA_NUM with room; `verify_exclusion`
-    alone decides whether the trace holds.  Pure function of its arguments;
-    stops at width_target, when neither arm can advance, or after
-    SPIRAL_MAX_CYCLES steps.
+    Eq1 > +2 DELTA_NUM at the new beta1; the plus arm mirrors this.  A cycle
+    is one minus-arm step and then one plus-arm step.  One `solve_reference`
+    root from the domain's centre, which the trace keeps, linearises Eq1 and
+    Eq2 before the first push.  Each push probes once at the linearised
+    crossing, shifted PREDICT_SHARE of the gap toward the certified side, and
+    a miss bisects from the last certified point (see `_push`); a failed
+    Newton leaves every push bisecting.
+
+    Cycles run point by point, one evaluation a probe, until one cycle in
+    which all four pushes certify at their first probe.  The cycles after it
+    are generated from the linearisation alone and checked in one batched
+    call per equation (`_generated_cycles`); the whole cycles before the
+    first claim that fails are kept, and the spiral goes on point by point
+    from there.  Batched values equal single-point values bit for bit, so
+    the trace is the one the point-by-point loop alone would make.
+
+    Points are accepted only at twice the verification margin, so
+    re-verification (float or outward-rounded) clears DELTA_NUM with room;
+    `verify_exclusion` alone decides whether the trace holds.  Pure function
+    of its arguments; stops at width_target (checked between cycles), when
+    neither arm can advance, or after SPIRAL_MAX_CYCLES cycles.
     """
     delta_build = 2.0 * DELTA_NUM
     pm, bp, pp, bm = [domain.phi_min], [domain.beta1_max], [domain.phi_max], [domain.beta1_min]
@@ -339,27 +411,30 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
     root = solve_reference(eq1f, eq2f, (pm[0], pp[0], bm[0], bp[0]))
 
     tol = max(width_target / 64.0, 1e-14)
+    # minus arm (sign +1): move beta1 from bp toward bm while Eq2 < 0 at its
+    # current phi, then phi from pm toward pp while Eq1 > 0 at the new beta1;
+    # the plus arm (sign -1) mirrors it.
+    arms = ((pm, bp, pp, bm, +1), (pp, bm, pm, bp, -1))
     diagnostic = ""
-    for _ in range(SPIRAL_MAX_CYCLES):
-        if pp[-1] - pm[-1] <= width_target and bp[-1] - bm[-1] <= width_target:
-            break
+    cycles = 0
+    while cycles < SPIRAL_MAX_CYCLES and not _narrow(arms, width_target):
+        cycles += 1
         moved = False
-        # minus arm (sign +1): move beta1 from bp toward bm while Eq2 < 0 at
-        # its current phi, then phi from pm toward pp while Eq1 > 0 at the new
-        # beta1; the plus arm (sign -1) mirrors it.
-        for phis, betas, far_phis, far_betas, sign in (
-                (pm, bp, pp, bm, +1), (pp, bm, pm, bp, -1)):
+        first_probes = 0  # pushes certified at their first probe
+        for phis, betas, far_phis, far_betas, sign in arms:
             f = phis[-1]
-            b_new = _predicted_push(lambda t: _probe(eq2f, f, t, -sign, delta_build),
-                                    betas[-1], far_betas[-1],
-                                    root.beta1_where_eq2(-sign * delta_build, f), tol)
+            b_new, hit = _predicted_push(lambda t: _probe(eq2f, f, t, -sign, delta_build),
+                                         betas[-1], far_betas[-1],
+                                         root.beta1_where_eq2(-sign * delta_build, f), tol)
             if b_new is None:
                 continue
-            f_new = _predicted_push(lambda t: _probe(eq1f, t, b_new, sign, delta_build),
-                                    f, far_phis[-1],
-                                    root.phi_where_eq1(sign * delta_build, b_new), tol)
+            first_probes += hit
+            f_new, hit = _predicted_push(lambda t: _probe(eq1f, t, b_new, sign, delta_build),
+                                         f, far_phis[-1],
+                                         root.phi_where_eq1(sign * delta_build, b_new), tol)
             if f_new is None:
                 continue
+            first_probes += hit
             phis.append(f_new)
             betas.append(b_new)
             moved = True
@@ -369,6 +444,9 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
                 f"arms stalled at rectangle widths ({pp[-1] - pm[-1]:.3e}, "
                 f"{bp[-1] - bm[-1]:.3e}) before reaching {width_target:.3e}")
             break
+        if first_probes == 2 * len(arms):
+            cycles += _generated_cycles(eq1f, eq2f, root, arms, width_target,
+                                        SPIRAL_MAX_CYCLES - cycles)
 
     return ExclusionTrace(phi_minus=pm, beta_plus=bp, phi_plus=pp, beta_minus=bm,
                           diagnostic=diagnostic, root=root)

@@ -690,6 +690,16 @@ def test_cli_certify_config_error(capsys):
     assert main(["certify", "--xmax", "2"]) == 3
 
 
+@pytest.mark.parametrize("x_max, bound", [
+    (340, "Poisson mass at x_max underflows to 0"),  # from x = 332 at c = 4.506
+    (400, "must be below the rho cutoff 400"),
+])
+def test_cli_certify_rejects_x_max_above_its_upper_bounds(x_max, bound, capsys):
+    from typsat.cli import main
+    assert main(["certify", "--xmax", str(x_max)]) == 3
+    assert bound in capsys.readouterr().err
+
+
 def test_cli_certify_failed_verdict_exit_code(capsys):
     from typsat.cli import main
     assert main(["certify", "--c", "4.2"]) == 2

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -64,6 +66,20 @@ def counted(fn, counter):
     return wrapped
 
 
+def counted_by_shape(fn, name, calls):
+    """fn, counting its single-point calls in calls["single"] and its
+    batched calls in calls[name]."""
+    def wrapped(phi, beta1):
+        calls[name if np.ndim(phi) else "single"] += 1
+        return fn(phi, beta1)
+    return wrapped
+
+
+def sequences_sha256(trace):
+    seqs = json.dumps([getattr(trace, name) for name in rb.SEQUENCES])
+    return hashlib.sha256(seqs.encode()).hexdigest()
+
+
 def test_spiral_on_toy_linear_system():
     trace = rb.spiral_localize(toy_eq1, toy_eq2, UNIT_BOX, width_target=1e-6)
     rect = trace.rectangle
@@ -119,12 +135,17 @@ def test_solve_reference_reports_failure(eq1f, eq2f, rectangle, reason):
 
 
 def test_spiral_claims_certify_at_the_build_margin(system, box):
-    # every claim of the trace was accepted at twice the verification margin
-    evals = [0]
-    trace = rb.spiral_localize(counted(system.eq1, evals), counted(system.eq2, evals),
+    # every claim of the trace was accepted at twice the verification margin.
+    # 82 single-point evaluations: 2 corner seeds, 32 for the Newton and 48
+    # for the five cycles up to the first clean one; the other 58 cycles'
+    # claims are checked in one batched call per equation
+    calls = {"single": 0, "eq1": 0, "eq2": 0}
+    trace = rb.spiral_localize(counted_by_shape(system.eq1, "eq1", calls),
+                               counted_by_shape(system.eq2, "eq2", calls),
                                box, width_target=WIDTH_TARGET)
     assert not trace.diagnostic
-    assert evals[0] <= 400  # ~10 a step when every push bisected (1,264)
+    assert calls["eq1"] == calls["eq2"] == 1
+    assert calls["single"] <= 90
     claims = rb._sign_claims(trace)
     assert len(claims) == 2 * (trace.K + trace.L) + 2
     for family, _, phi, beta1, sign in claims:
@@ -191,6 +212,43 @@ def test_spiral_predictions_miss_rarely_on_the_real_system(monkeypatch, system, 
     assert rb.verify_exclusion(trace, system.eq1, system.eq2, box).ok
 
 
+@pytest.mark.parametrize("singular", [False, True])
+def test_spiral_resumes_point_by_point_after_a_failed_generated_claim(monkeypatch, singular):
+    # Eq2 fails at the fourth point of its first batch, the plus arm's claim
+    # in the second generated cycle: reading 0, or raising SingularPointError
+    # there, which makes the batch fall back to one call a point.  The spiral
+    # keeps the two cycles before that one, re-probes the point on its own,
+    # bisects that push, and then generates the rest again.
+    clean = rb.spiral_localize(toy_eq1, toy_eq2, UNIT_BOX, width_target=1e-6)
+    pushes, _ = _counting_pushes(monkeypatch)
+    bad, batches = [], []
+
+    def eq2_failing_at_one_claim(phi, beta1):
+        if np.ndim(phi):
+            batches.append(len(phi))
+            if not bad:
+                bad.append((phi[3], beta1[3]))
+        at_bad = bool(bad) and (np.equal(phi, bad[0][0]) & np.equal(beta1, bad[0][1]))
+        if np.any(at_bad):
+            if singular:
+                raise SingularPointError("the failing claim")
+            return np.where(at_bad, 0.0, toy_eq2(phi, beta1))
+        return toy_eq2(phi, beta1)
+
+    trace = rb.spiral_localize(toy_eq1, eq2_failing_at_one_claim, UNIT_BOX, width_target=1e-6)
+    assert bad == [(clean.phi_plus[2], clean.beta_minus[3])]
+    assert len(batches) == 2 and pushes["after"] == 1
+    assert trace.phi_minus[:4] == clean.phi_minus[:4]
+    assert trace.beta_plus[:4] == clean.beta_plus[:4]
+    assert trace.phi_plus[:3] == clean.phi_plus[:3]
+    assert trace.beta_minus[:3] == clean.beta_minus[:3]
+    assert trace.beta_minus[3] != clean.beta_minus[3]
+    rect = trace.rectangle
+    assert not trace.diagnostic
+    assert rect[1] - rect[0] <= 1e-6 and rect[3] - rect[2] <= 1e-6
+    assert rb.verify_exclusion(trace, toy_eq1, eq2_failing_at_one_claim, UNIT_BOX).ok
+
+
 def test_spiral_bisects_throughout_when_newton_fails(monkeypatch):
     def failing(eq1f, eq2f, rectangle):
         return rb.NewtonRoot(0.5, 0.5, reason="no root")
@@ -203,14 +261,38 @@ def test_spiral_bisects_throughout_when_newton_fails(monkeypatch):
     assert rb.verify_exclusion(trace, toy_eq1, toy_eq2, UNIT_BOX).ok
 
 
-@pytest.mark.parametrize("c, below_one", [(4.5, False), (4.5055, True), (4.6, True)])
+#: sha256 of the four witness sequences (`sequences_sha256`) that the
+#: point-by-point spiral made, with the 4.506 box at every density
+FROZEN_TRACES = {
+    (4.506, 2e-7): "2d5e9ebeb184a2bf3bc66a34f9634a81801a71a83ace9404bc15d7ad4c3a9033",
+    (4.506, 1e-4): "5a26012e7b82b31e0b5c76bfe6506def63fca959156080cd695bd9a75508d15a",
+    (4.506, 0.05): "9e338ca5a8d68acebc0ca9fc06cfcea2593799f47058bb5b156e08196b8adc06",
+    (4.5, 2e-7): "6d40766a107ec02aa110c7dcd62764881cdc927d133c6faca84e0ded41b15c3e",
+    (4.5, 1e-4): "40ba42b8c53048e363561da987975f2ca579285e0f2c7218d2a82c801b9d82e7",
+    (4.5, 0.05): "3a8d402375a70c44e1d02f46d8c08f04d8953823ee4d2465829390ae67b101f4",
+    (4.5055, 2e-7): "0fd0dcdbbb1273186d59d5f5b0bccd84721cd25adc1ef6c62c8183b3df18f271",
+    (4.5055, 1e-4): "eb6b71854307b2d7643cd0063712082bad50dc8bdbae55fab6883438b841ab29",
+    (4.5055, 0.05): "a0a0845d802d63a015895eac0ed62ed2908d473cde186e21b69876fdd80b0f86",
+    (4.6, 2e-7): "5c0814af564ec5c2e38f582aace113a878802a5a771035a87809886154a01dbd",
+    (4.6, 1e-4): "0d8b13bfb7cde53290966d14b29ed8a142439a6e09fb5bc2d53b6e508d72267b",
+    (4.6, 0.05): "4dc8b1981e91207f7ec0a30a69b379750f6c897bbfb7229fe30fadd561f3ddd0",
+}
+
+
+@pytest.mark.parametrize("c, below_one", [(4.506, True), (4.5, False), (4.5055, True),
+                                          (4.6, True)])
 def test_spiral_across_densities_with_the_certification_box(c, below_one):
-    # the 4.506 box forced at nearby densities: the rectangle rate stays on
-    # the side of 1 that the bisection spiral gave (1.000534, 0.999986, 0.990478)
+    # the 4.506 box forced at nearby densities: the traces are the ones the
+    # point-by-point spiral made at three widths, and the rectangle rate stays
+    # on the side of 1 that the bisection spiral gave (1.000534, 0.999986, 0.990478)
     params = ModelParams(c=c, a_priori=CERTIFICATION_BOX)
     _, _, consts = dist.build_tables(params)
     system = st.EqSystem.build(params, consts)
+    for width in (0.05, 1e-4):
+        trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, width)
+        assert sequences_sha256(trace) == FROZEN_TRACES[c, width], width
     trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, WIDTH_TARGET)
+    assert sequences_sha256(trace) == FROZEN_TRACES[c, WIDTH_TARGET]
     assert not trace.diagnostic
     assert rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori).ok
     rate = st.rate_bound_rectangle(*trace.rectangle, system, lg.build_budget(params, consts))
