@@ -22,8 +22,9 @@ from .ledger import FeasibleBox
 DELTA_NUM = 1e-9
 
 #: Widths the exclusion spiral confines the root to, in phi and in beta1.
-#: The rectangle rate grows steeply with them: a 2e-7 square around the root
-#: rates at most 0.99994985 wherever it sits, a 4e-7 square up to 0.99998.
+#: The centred rectangle rate exceeds the point rate at the root (0.99991852)
+#: by a term second order in the width: squares of 2e-7, 1e-5 and 1e-4 around
+#: the root rate 0.9999185225, 0.9999188370 and 0.9999500580, a 1e-3 square 1.0032.
 WIDTH_TARGET = 2e-7
 
 #: Generic a-priori intervals valid for every density in [3, 5].

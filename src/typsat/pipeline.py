@@ -250,8 +250,11 @@ def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Ce
         else:
             cert.rate = upper(rate)
             center = system.point(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
-            cert.point_rate = st.rate_bound_point(center, system, budget)
-            cert.stage("rate", cert.rate + DELTA_NUM < 1.0, f"rectangle rate={cert.rate:.9f}")
+            cert.point_rate = upper(st.rate_bound_point(center, system, budget))
+            cert.stage("rate", cert.rate + DELTA_NUM < 1.0,
+                       f"rectangle rate={cert.rate:.12f}, point rate at centre="
+                       f"{cert.point_rate:.12f}, mean-value excess="
+                       f"{cert.rate - cert.point_rate:.3e}")
     else:
         cert.stage("rate", False, "no verified rectangle")
 

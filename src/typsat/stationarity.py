@@ -10,7 +10,9 @@ with b2 = 3(1-phi) - 2 b1 and b3 = b1 - 2 + 3 phi, which turns the full
 N-dimensional Lagrange system into two scalar equations Eq1(phi, b1) = 0 and
 Eq2(phi, b1) = 0 over the occurrence triangle.  This module evaluates those
 equations, the log of the normalizing product g2 and the per-variable
-expectation-rate bound in point and rectangle (corner-majorized) modes.
+expectation rate: one log-rate f, taken at a point and, over a rectangle, in
+its mean-value form around the centre, whose gradient is a combination of
+Eq1 and Eq2.
 The mu-space forms the reduction starts from (closed-form mu and alpha, the
 objective and its gradient) are test oracles in tests/oracles.py.
 
@@ -26,7 +28,6 @@ rounding lemma of `_pad`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +38,7 @@ from .distribution import DerivedConstants
 from .errors import DomainError, SingularPointError
 from .intervals import (LIBM_ULPS, Interval, log_of_int, lower, next_down, next_up,
                         slack_of_sum, upper, xexp, xlog, xsum)
-from .ledger import ErrorBudget, FeasibleBox, euler, point_fields
+from .ledger import ErrorBudget, FeasibleBox, point_fields
 
 #: Points per (points x cells) float evaluation when eq1/eq2 get arrays of
 #: points (in interval mode, per corner); bounds the working arrays.  On the
@@ -303,11 +304,14 @@ def _enclose(terms, cells: Cells, count, low: tuple, high: tuple) -> Interval:
 
     Each term is positive and grows in each input, so every exact sum lies
     between the exact sums at the corner `low` of lower ends (weight.lo) and
-    the corner `high` of upper ends (weight.hi).  Each corner is summed in
-    float, widened by its `_pad` under the count K of its terms and stepped
-    one ulp outward; only the (points,) sums are stepped.
+    the corner `high` of upper ends (weight.hi); a float weight (a float
+    system over a box) is its own two ends.  Each corner is summed in float,
+    widened by its `_pad` under the count K of its terms and stepped one ulp
+    outward; only the (points,) sums are stepped.
     """
-    at_lo, at_hi = cells._replace(weight=cells.weight.lo), cells._replace(weight=cells.weight.hi)
+    w = cells.weight
+    lo, hi = (w.lo, w.hi) if isinstance(w, Interval) else (w, w)
+    at_lo, at_hi = cells._replace(weight=lo), cells._replace(weight=hi)
     s_lo, s_hi = _row_sums(terms, at_lo, *low), _row_sums(terms, at_hi, *high)
     return Interval._ordered(next_down(s_lo - _pad(s_lo, at_lo, count)),
                              next_up(s_hi + _pad(s_hi, at_hi, count)))
@@ -357,97 +361,80 @@ def eq2(pt: PhiBetaPoint, system: EqSystem):
                      system.cells_eq2)
 
 
-# -- expectation-rate bound ------------------------------------------------------
+# -- expectation rate -----------------------------------------------------------
 
-def log_g2(pt: PhiBetaPoint, system: EqSystem) -> float:
-    """log of the normalizing product prod Den^kt / (U^(K-lam phi) (V-1)^(b1 c))."""
-    if pt.V <= 1.0:
+def log_g2(pt: PhiBetaPoint, system: EqSystem):
+    """log of the normalizing product prod Den^kt / (U^(K-lam phi) (V-1)^(b1 c)),
+    a float or, at an Interval point of an interval system, an enclosure."""
+    if lower(pt.V) <= 1.0:
         raise DomainError(f"g2 needs V > 1, got V = {pt.V}")
-    return float(xsum(system.kt * log_den(*_logs(pt.U, pt.V), system.w, system.ps))
-                 - (system.K_tilde - system.lam * pt.phi) * np.log(pt.U)
-                 - pt.beta1 * system.c * np.log(pt.V - 1.0))
+    return (xsum(system.kt * log_den(*_logs(pt.U, pt.V), system.w, system.ps))
+            - (system.K_tilde - system.lam * pt.phi) * xlog(pt.U)
+            - pt.beta1 * system.c * xlog(pt.V - 1.0))
 
 
-def _entropy_f(phi, beta2, beta3, y) -> float:
+def _entropy_f(phi, beta2, beta3, y):
     """F = Y log Y + 3(1-phi) log 3(1-phi) - beta2 log beta2 - beta3 log 3 beta3."""
-    return (y * math.log(y) + 3.0 * (1.0 - phi) * math.log(3.0 * (1.0 - phi))
-            - beta2 * math.log(beta2) - beta3 * math.log(3.0 * beta3))
+    m = 3.0 * (1.0 - phi)
+    return y * xlog(y) + m * xlog(m) - beta2 * xlog(beta2) - beta3 * xlog(3.0 * beta3)
 
 
-def rate_bound_point(pt: PhiBetaPoint, system: EqSystem, budget: ErrorBudget) -> float:
-    """Point-mode expectation rate: the n-independent factor, prefactors included,
-    unbalancing factor excluded.  Exploratory only (float mode)."""
+def _log_rate(pt: PhiBetaPoint, system: EqSystem, budget: ErrorBudget):
+    """f, the log of the point rate: the n-free base constant, the prefactor,
+    the unbalancing factor 2^(rho + eps*Delta), log g2 and c F."""
+    return (system.log_base + xlog(budget.prefactor) + budget.unbalancing_log
+            + log_g2(pt, system) + system.c * _entropy_f(pt.phi, pt.beta2, pt.beta3, pt.Y))
+
+
+def _grad_log_rate(pt: PhiBetaPoint, system: EqSystem):
+    """(df/dphi, df/dbeta1) at pt; an enclosure over the box when pt's fields
+    are Intervals.
+
+    f depends on (phi, beta1) explicitly and through a = log(U/V) and
+    b = log V.  The explicit partials cancel: c dF/dphi = -lam log U and
+    c dF/dbeta1 = c log(V-1), since lam = 3c.  The cell sums make
+    df/da = -Eq1 and, because K_tilde = sum kt (x-p) over the triangle,
+    df/d log(V-1) = Eq2.  So grad f = -Eq1 grad a + Eq2 grad log(V-1), with
+    grad a = grad log U - ((V-1)/V) grad log(V-1).
+    """
+    e1, e2 = eq1(pt, system), eq2(pt, system)
+    i2, i3, iy = 1.0 / pt.beta2, 1.0 / pt.beta3, 1.0 / pt.Y
+    d_log_u = (3.0 * i2 + 3.0 * i3 - 3.0 * iy - 1.0 / (1.0 - pt.phi), 2.0 * i2 + i3 + iy)
+    d_log_vm1 = (-6.0 * i2 - 3.0 * i3 - 3.0 * iy, -4.0 * i2 - i3 + iy)
+    share = (pt.V - 1.0) / pt.V
+    return tuple(e2 * dv - e1 * (du - share * dv) for du, dv in zip(d_log_u, d_log_vm1))
+
+
+def rate_bound_point(pt: PhiBetaPoint, system: EqSystem, budget: ErrorBudget):
+    """The expectation rate exp(f) at one feasible point, prefactors and
+    unbalancing factor included; an enclosure at an Interval point of an
+    interval system."""
     if not system.box.contains(pt.phi, pt.beta1):
         raise DomainError("rate bound requires a feasible point")
-    log_rate = (system.log_base + math.log(upper(budget.prefactor)) + log_g2(pt, system)
-                + system.c * _entropy_f(pt.phi, pt.beta2, pt.beta3, pt.Y))
-    return math.exp(log_rate)
-
-
-def _xmax2(a, b):
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        a = a if isinstance(a, Interval) else Interval(a)
-        b = b if isinstance(b, Interval) else Interval(b)
-        return Interval(np.maximum(a.lo, b.lo), np.maximum(a.hi, b.hi))
-    return max(a, b)
-
-
-def _max_xlogx(lo, hi):
-    """max of t*log(t) over [lo, hi] (attained at an endpoint)."""
-    return _xmax2(lo * xlog(lo), hi * xlog(hi))
-
-
-def _max_neg_xlogsx(lo, hi, s: float):
-    """max of -t*log(s*t) over [lo, hi]; interior peak value t* = 1/(s*e) at t = t*."""
-    best = _xmax2(-(lo * xlog(s * lo)), -(hi * xlog(s * hi)))
-    t_star = 1.0 / (s * euler(isinstance(lo, Interval)))
-    if lower(lo) < upper(t_star) and lower(t_star) < upper(hi):
-        best = _xmax2(best, t_star)
-    return best
-
-
-def _pow_box_max_log(alo, ahi, blo, bhi):
-    """max of b*log(a) over the box [alo, ahi] x [blo, bhi] (corner-attained)."""
-    la, lb = xlog(alo), xlog(ahi)
-    return _xmax2(_xmax2(blo * la, blo * lb), _xmax2(bhi * la, bhi * lb))
+    return xexp(_log_rate(pt, system, budget))
 
 
 def rate_bound_rectangle(phi_lo: float, phi_hi: float, b1_lo: float, b1_hi: float,
                          system: EqSystem, budget: ErrorBudget):
-    """Uniform upper bound of the point rate over a feasibility rectangle.
+    """Upper bound of the point rate over a feasibility rectangle X, by the
+    mean-value (centred) form (Moore, Kearfott & Cloud 2009, ch. 6):
 
-    Corner monotonicity: the triangle product grows in U and V, so it is
-    evaluated at (U_max, V_max); the U- and (V-1)-powers and the four
-    x^x-style factors are majorized over their induced ranges corner by
-    corner.  The unbalancing factor 2^(rho + eps*Delta) is included.  With an
-    interval-mode system and ledger every step is outward-rounded: the corner
-    coordinates are lifted to Intervals, so the corner U/V, beta2/beta3/Y and
-    the x log x majorants are enclosed along with the table sums and constants.
+        f(X) lies in f(m) + G_phi (Phi - m_phi) + G_beta1 (B - m_beta1),
+
+    with m the rectangle's centre and G an enclosure of grad f over X
+    (`_grad_log_rate` at the box point Phi x B: its Eq1 and Eq2 enclosures
+    come from `_enclose`, whose two-corner argument holds over any box of
+    inputs).  The excess over exp(f(m)) is second order in the width, since
+    grad f vanishes at the root.  A float system returns the float exp(f(m)
+    + the excess's upper end); an interval system returns an enclosure, with
+    f(m) outward-rounded too.
     """
     for corner in ((phi_lo, b1_lo), (phi_lo, b1_hi), (phi_hi, b1_lo), (phi_hi, b1_hi)):
         if not system.box.contains(*corner):
             raise DomainError(f"rectangle corner {corner} is outside the feasible box")
-    if system.mode == "interval":
-        phi_lo, phi_hi, b1_lo, b1_hi = map(Interval, (phi_lo, phi_hi, b1_lo, b1_hi))
-    lam, c, k_tilde = system.lam, system.c, system.K_tilde
-
-    # U increases, V decreases in each variable
-    u_max, v_min = uv(phi_hi, b1_hi)
-    u_min, v_max = uv(phi_lo, b1_lo)
-    log_big = xsum(system.kt * log_den(*_logs(u_max, v_max), system.w, system.ps))
-
-    e_upow = _pow_box_max_log(u_min, u_max, lam * phi_lo - k_tilde, lam * phi_hi - k_tilde)
-    e_vpow = _pow_box_max_log(v_min - 1.0, v_max - 1.0, -(c * b1_hi), -(c * b1_lo))
-
-    # beta2 falls and beta3 rises in each variable; Y rises in phi, falls in beta1
-    b2_lo, b3_hi, _ = point_fields(phi_hi, b1_hi)
-    b2_hi, b3_lo, _ = point_fields(phi_lo, b1_lo)
-    t_y = _max_xlogx(point_fields(phi_lo, b1_hi)[2], point_fields(phi_hi, b1_lo)[2])
-    t_m = _max_xlogx(3.0 * (1.0 - phi_hi), 3.0 * (1.0 - phi_lo))
-    t_b2 = _max_neg_xlogsx(b2_lo, b2_hi, 1.0)
-    t_b3 = _max_neg_xlogsx(b3_lo, b3_hi, 3.0)
-
-    log_rate = (system.log_base + xlog(budget.prefactor) + log_big + e_upow + e_vpow
-                + c * (t_y + t_m + t_b2 + t_b3) + xlog(budget.unbalancing))
-    return xexp(log_rate)
-
+    phi, beta1 = Interval(phi_lo, phi_hi), Interval(b1_lo, b1_hi)
+    m_phi, m_b1 = 0.5 * (phi_lo + phi_hi), 0.5 * (b1_lo + b1_hi)
+    g_phi, g_b1 = _grad_log_rate(derive_point(phi, beta1), system)
+    excess = g_phi * (phi - m_phi) + g_b1 * (beta1 - m_b1)
+    log_rate = _log_rate(system.point(m_phi, m_b1), system, budget)
+    return xexp(log_rate + (excess if system.mode == "interval" else upper(excess)))

@@ -37,9 +37,25 @@ def test_certify_stages_all_pass(cert):
     assert all(s["ok"] for s in cert.stages)
 
 
-def test_certify_rate_window(cert):
-    assert 0.9999 <= cert.rate < 0.9999885
-    assert cert.point_rate < cert.rate
+def test_certify_rate_window(cert, cert_iv):
+    # the centred rectangle rate sits within 1e-9 of the point rate at the
+    # rectangle's centre, in both modes, and the interval one encloses the float one
+    assert 0.9999 <= cert.rate < 0.99991853
+    for c in (cert, cert_iv):
+        assert 0.0 < c.rate - c.point_rate < 1e-9
+    rep = cert_iv.interval_report
+    assert rep["rate_lower"] <= cert.rate <= rep["rate_upper"] == cert_iv.rate
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_rate_stage_names_the_point_rate_and_excess(cert, cert_iv, mode):
+    c = {"float": cert, "interval": cert_iv}[mode]
+    detail = c.stages[-1]["detail"]
+    fields = dict(part.split("=") for part in detail.split(", "))
+    assert list(fields) == ["rectangle rate", "point rate at centre", "mean-value excess"]
+    assert float(fields["rectangle rate"]) == pytest.approx(c.rate, abs=1e-12)
+    assert float(fields["point rate at centre"]) == pytest.approx(c.point_rate, abs=1e-12)
+    assert float(fields["mean-value excess"]) == pytest.approx(c.rate - c.point_rate, rel=1e-3)
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -58,8 +74,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "edaf6e510e835768d6d35bca38cc31207d423b238cd9a09a7bcd2a8b8badaf8f",
-    "interval": "f46666d3006853c79fa453b85fffdf2479307bd022bf7b44e613b761c32604a2",
+    "float": "a4268662f05d1e0ee9865129032013e73afc878804f42d7b55e5760a3e4ea333",
+    "interval": "85384671acc36da3c7ea2f9ed2e30bda5bd35f2e86910fea58362ba8005c7602",
 }
 
 

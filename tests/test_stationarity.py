@@ -251,6 +251,11 @@ def system_iv(params, consts_iv):
 
 
 @pytest.fixture(scope="module")
+def budget_iv(params, consts_iv):
+    return lg.build_budget(params, consts_iv)
+
+
+@pytest.fixture(scope="module")
 def checks(trace):
     """Each equation's trace checks: (phis, betas, signs)."""
     claims = rb._sign_claims(trace)
@@ -633,8 +638,54 @@ def test_u_increasing_v_decreasing_50x50(box):
 
 # -- rate bound --------------------------------------------------------------------
 
-def test_rate_point_mode_continuous_and_dominated(trace, box, consts, params, budget, rng, system,
-                                                  root_point):
+#: Feasible points away from the root, where grad f is far from 0.
+GRADIENT_POINTS = ((0.57, 0.45), (0.6, 0.4), (0.55, 0.47), (0.58, 0.42))
+
+
+def _central(fn, phi, b1, h=1e-6):
+    """Central differences (d/dphi, d/dbeta1) of fn(phi, beta1)."""
+    return ((fn(phi + h, b1) - fn(phi - h, b1)) / (2.0 * h),
+            (fn(phi, b1 + h) - fn(phi, b1 - h)) / (2.0 * h))
+
+
+def test_entropy_partials_cancel_the_explicit_terms():
+    # c dF/dbeta1 = c log(V-1) and c dF/dphi = -lam log U (lam = 3c): the
+    # terms that the gradient identity drops
+    def entropy(phi, b1):
+        return st._entropy_f(phi, *lg.point_fields(phi, b1))
+
+    for phi, b1 in GRADIENT_POINTS:
+        u, v = st.uv(phi, b1)
+        d_phi, d_b1 = _central(entropy, phi, b1)
+        assert d_b1 == pytest.approx(math.log(v - 1.0), rel=1e-7, abs=1e-8)
+        assert d_phi == pytest.approx(-3.0 * math.log(u), rel=1e-7, abs=1e-8)
+
+
+def test_log_rate_gradient_matches_central_differences(root_point, system, budget):
+    def log_rate(phi, b1):
+        return st._log_rate(st.derive_point(phi, b1), system, budget)
+
+    for phi, b1 in GRADIENT_POINTS + ((root_point.phi, root_point.beta1),):
+        grad = st._grad_log_rate(st.derive_point(phi, b1), system)
+        for got, want in zip(grad, _central(log_rate, phi, b1)):
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
+    # at the root both equations vanish, and so does the gradient
+    assert np.all(np.abs(st._grad_log_rate(root_point, system)) < 1e-12)
+
+
+def test_box_gradient_encloses_the_point_gradients(system, system_iv):
+    # G over a box, in either mode, holds the float gradient at its points
+    phi, b1 = GRADIENT_POINTS[0]
+    box = st.derive_point(Interval(phi - 1e-4, phi + 1e-4), Interval(b1 - 1e-4, b1 + 1e-4))
+    for sys in (system, system_iv):
+        g_phi, g_b1 = st._grad_log_rate(box, sys)
+        for t in (-1e-4, 0.0, 1e-4):
+            for s in (-1e-4, 1e-4):
+                p_phi, p_b1 = st._grad_log_rate(st.derive_point(phi + t, b1 + s), system)
+                assert g_phi.contains(p_phi) and g_b1.contains(p_b1)
+
+
+def test_rate_point_mode_continuous_and_dominated(trace, budget, rng, system, root_point):
     rect = trace.rectangle
     rate_rect = st.rate_bound_rectangle(*rect, system, budget)
     assert 0.99 < st.rate_bound_point(root_point, system, budget) < 1.0
@@ -646,29 +697,40 @@ def test_rate_point_mode_continuous_and_dominated(trace, box, consts, params, bu
         pt = st.derive_point(phi, b1)
         samples.append(st.rate_bound_point(pt, system, budget))
     samples = np.array(samples)
-    # rectangle mode dominates every interior sample (after adding the
-    # unbalancing factor the point mode deliberately omits)
-    unb = float(np.exp(math.log(2.0) * (consts.rho + params.epsilon * consts.delta)))
-    assert np.all(samples * unb <= rate_rect + 1e-12)
-    assert samples.max() - samples.min() < 1e-4  # continuity at rectangle scale
+    # the rectangle rate dominates every interior sample; the point rate
+    # carries the unbalancing factor too, so both are the one f
+    assert np.all(samples <= rate_rect + 1e-12)
+    assert samples.max() - samples.min() < 1e-9  # continuity at rectangle scale
+
+
+@pytest.mark.parametrize("width", [2e-7, 1e-5, 1e-4, 1e-3])
+def test_rectangle_rate_dominates_the_grid(width, root, system, budget, system_iv, budget_iv):
+    # squares around the reference root: in both modes the centred bound is at
+    # least the largest point rate of a 9 x 9 grid over the square
+    r = (root["phi"] - width / 2, root["phi"] + width / 2,
+         root["beta1"] - width / 2, root["beta1"] + width / 2)
+    grid = max(st.rate_bound_point(st.derive_point(phi, b1), system, budget)
+               for phi in np.linspace(r[0], r[1], 9) for b1 in np.linspace(r[2], r[3], 9))
+    rate = st.rate_bound_rectangle(*r, system, budget)
+    rate_iv = st.rate_bound_rectangle(*r, system_iv, budget_iv)
+    assert grid <= rate <= rate_iv.upper()
+    assert rate_iv.lower() <= rate
 
 
 def test_rate_on_target_rectangle(system, budget):
-    # the headline constant: the corner bound over the target rectangle lands
-    # just below 0.9999885 (computed: 0.99998840690...)
+    # the paper's rectangle: the centred bound lands well below its 0.9999885
+    # (computed: 0.99991852304...), and 6.5e-10 above the point rate at the centre
     from typsat.pipeline import TARGETS
     r = TARGETS["rectangle"]
     rate = st.rate_bound_rectangle(r[0], r[1], r[2], r[3], system, budget)
-    assert 0.99998 < rate < TARGETS["rate"]
-    assert rate == pytest.approx(0.9999884069006912, rel=1e-10)
+    assert 0.99991 < rate < TARGETS["rate"]
+    assert rate == pytest.approx(0.9999185230426495, rel=1e-10)
 
 
-def test_interval_rectangle_rate_encloses_its_corners(monkeypatch, params, consts_iv, trace,
-                                                      system, budget):
-    # interval mode lifts the corners: every U/V and beta2/beta3/Y it
-    # evaluates is an enclosure, not a nearest-rounded float
-    system_iv = st.EqSystem.build(params, consts_iv)
-    budget_iv = lg.build_budget(params, consts_iv)
+def test_interval_rectangle_rate_encloses_the_float_rate(monkeypatch, trace, system, budget,
+                                                         system_iv, budget_iv):
+    # interval mode encloses every point it derives, the box and its centre,
+    # and its enclosure holds the float rate
     calls = []
 
     def recording(fn):
@@ -677,11 +739,10 @@ def test_interval_rectangle_rate_encloses_its_corners(monkeypatch, params, const
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(st, "uv", recording(st.uv))
     monkeypatch.setattr(st, "point_fields", recording(st.point_fields))
     rate_iv = st.rate_bound_rectangle(*trace.rectangle, system_iv, budget_iv)
     monkeypatch.undo()
-    assert len(calls) >= 6
+    assert len(calls) == 2
     assert all(isinstance(a, Interval) for args in calls for a in args)
     rate = st.rate_bound_rectangle(*trace.rectangle, system, budget)
     assert rate_iv.lower() <= rate <= rate_iv.upper()
