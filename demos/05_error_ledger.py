@@ -35,9 +35,8 @@ print(f"   unbalancing upper = 1 + {budget_iv.unbalancing_excess.upper():.6e}")
 print()
 
 print("-- why the second equation decreases in each variable " + "-" * 14)
-for which in ("fixed_phi", "fixed_beta1"):
-    cert = mo.eq2_monotone_verdict(which, system)
-    print(f"   {which:12s}: A = {cert.A_bound:.4f}, B = {cert.B_bound:.4f}, "
+for cert in mo.eq2_monotone_verdict(system):
+    print(f"   {cert.direction:16s}: A = {cert.A_bound:.4f}, B = {cert.B_bound:.4f}, "
           f"extra = {cert.extra_bound:.4f}; total {cert.total():.4f} "
           f"< {cert.threshold:.4f} -> {cert.verdict}")
 print()

@@ -206,9 +206,11 @@ class DerivedConstants:
 
 def check_x_max(x_max: int, lam: float) -> None:
     """Validate the truncation degree against its two structural lower bounds
-    and two upper ones: the rho cutoff, and a Poisson mass at x_max that does
-    not underflow (the tables stage divides each row sum by its mass, and
-    the mass falls beyond lambda < x_max)."""
+    and two upper ones: the rho cutoff, and a Poisson mass at x_max that the
+    tables stage can check to its 1e-12 row tolerance.  Each of the x_max + 1
+    cells of row x_max may lose 2^-1075 to underflow, so that mass must
+    exceed (x_max + 1) 2^-1075 / 1e-12; the mass falls beyond lambda < x_max,
+    so row x_max is the row nearest the bound."""
     if x_max % 2 != 0 or x_max <= 0:
         raise ConfigurationError(f"x_max must be a positive even integer, got {x_max}")
     if not x_max > lam:
@@ -219,9 +221,12 @@ def check_x_max(x_max: int, lam: float) -> None:
                                  f"(log lambda - log 2) = {need:.3f} at lambda = {lam}")
     if not x_max < RHO_CUTOFF:
         raise ConfigurationError(f"x_max = {x_max} must be below the rho cutoff {RHO_CUTOFF}")
-    if not math.exp(poisson_log_pmf(x_max, lam)) > 0.0:
-        raise ConfigurationError(f"x_max = {x_max} too large: the Poisson mass at x_max "
-                                 f"underflows to 0 at lambda = {lam}")
+    mass = math.exp(poisson_log_pmf(x_max, lam))
+    floor = (x_max + 1) / 1e-12 * 2.0**-1074 / 2.0  # the literal 2.0**-1075 is 0
+    if not mass > floor:
+        raise ConfigurationError(f"x_max = {x_max} too large: the Poisson mass at x_max must "
+                                 f"exceed (x_max + 1) 2^-1075 / 1e-12 = {floor:.3e}, but is "
+                                 f"{mass:.3e} at lambda = {lam}")
 
 
 def _constants(params, mode: str):

@@ -304,35 +304,18 @@ class OmegaCampaign:
     x_cap: int
     mean: np.ndarray
     std: np.ndarray
-    completed: int = 0
-    partial: bool = False
     generator: str = field(default="numpy-pcg64-seedsequence")
 
 
-def run_omega_campaign(n: int, c: float, formulas: int, seed: int, x_cap: int,
-                       time_budget_s: float | None = None) -> OmegaCampaign:
-    """Generate `formulas` independent formulas and aggregate cell proportions.
-
-    A time budget truncates the campaign; the result is then flagged partial
-    and aggregates only the completed formulas.
-    """
-    import time as _time
-    t0 = _time.perf_counter()
-    children = np.random.SeedSequence(seed).spawn(formulas)
+def run_omega_campaign(n: int, c: float, formulas: int, seed: int, x_cap: int) -> OmegaCampaign:
+    """Generate `formulas` independent formulas and aggregate cell proportions."""
     acc = np.zeros((formulas, x_cap + 1, x_cap + 1))
-    done = 0
-    for k, child in enumerate(children):
-        if time_budget_s is not None and _time.perf_counter() - t0 > time_budget_s and done:
-            break
-        formula = generate(n, c, child)
-        acc[k] = measure_omega(formula, x_cap).proportions()
-        done += 1
-    acc = acc[:done]
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(formulas)):
+        acc[k] = measure_omega(generate(n, c, child), x_cap).proportions()
     return OmegaCampaign(
         n=n, c=c, formulas=formulas, seed=seed, x_cap=x_cap,
         mean=acc.mean(axis=0),
-        std=acc.std(axis=0, ddof=1) if done > 1 else acc.std(axis=0),
-        completed=done, partial=done < formulas,
+        std=acc.std(axis=0, ddof=1) if formulas > 1 else acc.std(axis=0),
     )
 
 

@@ -47,17 +47,16 @@ def dR_fixed_phi(V: float) -> float:
 
 
 def S_fixed_beta(V: float) -> float:
-    """Upper bound S for R at fixed beta1: 1/2 + 3(V-1)[V-2+sqrt(V(V-1))]/(3V-4).
+    """Upper bound S for R at fixed beta1: 1/2 + 3(V-1)[V-2+sqrt(V(V-1))]/(3V-4),
+    in its rationalised form 1/2 + 3w/(t + 1 - w), w = V - 1, t = sqrt(w(w+1)).
 
-    The apparent pole at V = 4/3 is removable; below |3V-4| = 1e-4 the
-    rationalized equivalent 1/2 + 3W/(sqrt(W(W+1)) + 1 - W), W = V-1, is used.
+    (w - 1 + t)(t + 1 - w) = 3w - 1, so the apparent pole at V = 4/3 is
+    removable and the rationalised form is exact for every V > 1.
     """
     if V <= 1.0:
         raise DomainError(f"S is defined for V > 1, got {V}")
     w = V - 1.0
-    if abs(3.0 * V - 4.0) < 1e-4:
-        return 0.5 + 3.0 * w / (math.sqrt(w * (w + 1.0)) + 1.0 - w)
-    return 0.5 + 3.0 * w * (w - 1.0 + math.sqrt(w * (w + 1.0))) / (3.0 * w - 1.0)
+    return 0.5 + 3.0 * w / (math.sqrt(w * (w + 1.0)) + 1.0 - w)
 
 
 def dS_fixed_beta(V: float) -> float:
@@ -66,12 +65,8 @@ def dS_fixed_beta(V: float) -> float:
     w = V - 1.0
     t = math.sqrt(w * (w + 1.0))
     dt = (2.0 * w + 1.0) / (2.0 * t)
-    if abs(3.0 * V - 4.0) < 1e-4:
-        den = t + 1.0 - w
-        return 3.0 * (den - w * (dt - 1.0)) / (den * den)
-    num = 3.0 * w * (w - 1.0 + t)
-    dnum = 3.0 * (w - 1.0 + t) + 3.0 * w * (1.0 + dt)
-    return (dnum * (3.0 * w - 1.0) - 3.0 * num) / (3.0 * w - 1.0) ** 2
+    den = t + 1.0 - w
+    return 3.0 * (den - w * (dt - 1.0)) / (den * den)
 
 
 def tangent_fixed_phi(V0: float) -> tuple[float, float]:
@@ -98,15 +93,14 @@ def vfrac(V: float, p):
 
 # -- the A and B derivative-sum bounds -------------------------------------------
 
-def a_sum(v_low: float, uv_high: float, system: st.EqSystem) -> tuple[float, np.ndarray]:
+def a_sum(v_low: float, uv_high: float, system: st.EqSystem) -> float:
     """Bound on the A part of -dEq2: sum over p >= 1, x >= 2p of
     p * kt * vfrac(v_low, p) * [1 - 1/(1 + uv_high^(x-2p))]."""
     _, w, p, p_kt = system.cells_eq2
-    terms = p_kt * vfrac(v_low, p) * (1.0 - 1.0 / (1.0 + uv_high**w.astype(float)))
-    return xsum(terms), terms
+    return xsum(p_kt * vfrac(v_low, p) * (1.0 - 1.0 / (1.0 + uv_high**w)))
 
 
-def b_sum(a1: float, b1: float, v_low: float, system: st.EqSystem) -> tuple[float, np.ndarray]:
+def b_sum(a1: float, b1: float, v_low: float, system: st.EqSystem) -> float:
     """Bound on the B part of -dEq2 via the tangent a1*V + b1 >= R and
     r/(1+rs)^2 <= 1/(4s): sum over p >= 1, x >= 2p+1 of
     p (x-2p) kt (a1 v_low - |b1|) / (4 (v_low^p - 1))."""
@@ -115,8 +109,7 @@ def b_sum(a1: float, b1: float, v_low: float, system: st.EqSystem) -> tuple[floa
             f"homographic-monotonicity reduction needs a1 > |b1|, got ({a1}, {b1})")
     kt, w, p, _ = system.cells_eq1
     coeff = (a1 * v_low - abs(b1)) / 4.0
-    terms = p * w * kt * coeff / (v_low**p.astype(float) - 1.0)
-    return xsum(terms), terms
+    return xsum(p * w * kt * coeff / (v_low**p - 1.0))
 
 
 @dataclass
@@ -151,36 +144,33 @@ class MonotoneCertificate:
         }
 
 
-def eq2_monotone_verdict(which: str, system: st.EqSystem) -> MonotoneCertificate:
-    """Certify that Eq2 strictly decreases in one variable over the feasible set."""
+def eq2_monotone_verdict(system: st.EqSystem) -> tuple[MonotoneCertificate, MonotoneCertificate]:
+    """Certify that Eq2 strictly decreases in each variable over the feasible
+    set: the (fixed_phi, fixed_beta1) certificates, which share V_min,
+    (U/V)_max, the A sum and the threshold lambda * phi_min."""
     box = system.box
-    v_min2, _ = polygon_extremize("V_min", box)
-    uv_max2, _ = polygon_extremize("UoverV_max", box)
-    a_bound, _ = a_sum(v_min2, uv_max2, system)
-    if which == "fixed_phi":
-        a1, b1 = tangent_fixed_phi(v_min2)
-        extra = 0.0
-    elif which == "fixed_beta1":
-        a1, b1 = tangent_fixed_beta(v_min2)
-        extra = system.lam * (1.0 - box.beta1_min) / 16.0
-    else:
-        raise ValueError(f"unknown direction {which!r}")
-    b_bound, _ = b_sum(a1, b1, v_min2, system)
+    v_min2, uv_max2 = polygon_extremize(box)
+    a_bound = a_sum(v_min2, uv_max2, system)
     threshold = system.lam * box.phi_min
-    verdict = a_bound + b_bound + extra + DELTA_NUM < threshold
-    return MonotoneCertificate(
-        direction=f"eq2_{which}",
-        A_bound=a_bound, B_bound=b_bound, extra_bound=extra,
-        threshold=threshold, verdict=verdict,
-        v_min2=v_min2, uv_max2=uv_max2, tangent=(a1, b1),
-    )
+    certs = []
+    for which, (a1, b1), extra in (
+            ("fixed_phi", tangent_fixed_phi(v_min2), 0.0),
+            ("fixed_beta1", tangent_fixed_beta(v_min2), system.lam * (1.0 - box.beta1_min) / 16.0)):
+        b_bound = b_sum(a1, b1, v_min2, system)
+        certs.append(MonotoneCertificate(
+            direction=f"eq2_{which}",
+            A_bound=a_bound, B_bound=b_bound, extra_bound=extra,
+            threshold=threshold, verdict=a_bound + b_bound + extra + DELTA_NUM < threshold,
+            v_min2=v_min2, uv_max2=uv_max2, tangent=(a1, b1),
+        ))
+    return certs[0], certs[1]
 
 
 # -- polygon extremization --------------------------------------------------------
 
-def polygon_extremize(target: str, box: FeasibleBox) -> tuple[float, tuple[float, float]]:
-    """V (min) or U/V (max) over the box's (beta2, beta3) rectangle, which
-    contains the feasibility polygon, and the (phi, beta1) point taking it.
+def polygon_extremize(box: FeasibleBox) -> tuple[float, float]:
+    """(V_min, (U/V)_max) over the box's (beta2, beta3) rectangle, which
+    contains the feasibility polygon.
 
     With Y = 2 beta2 + 3 beta3, V = 1 + beta2^2 / (3 beta3 Y) rises in beta2
     and falls in beta3; U/V = 9 (2 - beta2 - 2 beta3) beta3^2 / (beta2 (beta2 +
@@ -195,16 +185,10 @@ def polygon_extremize(target: str, box: FeasibleBox) -> tuple[float, tuple[float
                           (box.beta2_max + 2.0 * b3_hi < 2.0, "beta2_max + 2 beta3_max < 2")):
         if not holds:
             raise DomainError(f"closed-form polygon extremes need {needed}: {box}")
-    if target == "V_min":
-        b3 = b3_hi
-        value = 1.0 + b2**2 / (3.0 * b3 * (2.0 * b2 + 3.0 * b3))
-    elif target == "UoverV_max":
-        peak = (math.sqrt(9.0 * b2**2 + 12.0 * b2 * (2.0 - b2)) - 3.0 * b2) / 6.0
-        b3 = min(max(peak, b3_lo), b3_hi)
-        value = 9.0 * (2.0 * (1.0 - b3) - b2) * b3**2 / (b2 * (b2 + 3.0 * b3) ** 2)
-    else:
-        raise ValueError(f"unknown extremization target {target!r}")
-    return value, ((1.0 + b2 + 2.0 * b3) / 3.0, 1.0 - b2 - b3)
+    v_min = 1.0 + b2**2 / (3.0 * b3_hi * (2.0 * b2 + 3.0 * b3_hi))
+    peak = (math.sqrt(9.0 * b2**2 + 12.0 * b2 * (2.0 - b2)) - 3.0 * b2) / 6.0
+    b3 = min(max(peak, b3_lo), b3_hi)
+    return v_min, 9.0 * (2.0 * (1.0 - b3) - b2) * b3**2 / (b2 * (b2 + 3.0 * b3) ** 2)
 
 
 # -- Eq1 exceptional-family analysis ----------------------------------------------
@@ -235,16 +219,11 @@ def uv_star(beta1: float) -> tuple[float, float]:
     return uv * v, v
 
 
-def _partial_cells(variant: str, system: st.EqSystem) -> st.Cells:
-    """Eq1's cells without x = 2p+1 ("star") or 2p+1 <= x <= 2p+2 ("star_star")."""
+def _partial_cells(system: st.EqSystem, w_min: int) -> st.Cells:
+    """Eq1's cells with x - 2p > w_min: Eq1* at 1 (without x = 2p+1), Eq1** at 2
+    (without 2p+1 <= x <= 2p+2)."""
     cells = system.cells_eq1
-    w = cells.w
-    if variant == "star":
-        keep = w != 1
-    elif variant == "star_star":
-        keep = w > 2
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    keep = cells.w > w_min
     return st.Cells(*(a[keep] for a in cells))
 
 
@@ -259,7 +238,7 @@ def eq1_star_majorant(system: st.EqSystem) -> float:
     box = system.box
     uv_floor = (3.0 * SQRT3 / 2.0) * (1.0 - box.phi_max) / (3.0 * box.phi_max - 1.0)
     return float(st._eq1_core(box.phi_min, math.log(uv_floor), math.log(2.0 / SQRT3),
-                              system.lam, system.K_tilde, _partial_cells("star", system)))
+                              system.lam, system.K_tilde, _partial_cells(system, 1)))
 
 
 def m_bound(b1_low: float, b1_high: float, system: st.EqSystem) -> float:
@@ -269,7 +248,7 @@ def m_bound(b1_low: float, b1_high: float, system: st.EqSystem) -> float:
     u_lo, v_lo = uv_star(b1_low)
     _, v_hi = uv_star(b1_high)
     return float(st._eq1_core(phi_star(b1_high), math.log(u_lo / v_lo), math.log(v_hi),
-                              system.lam, system.K_tilde, _partial_cells("star_star", system)))
+                              system.lam, system.K_tilde, _partial_cells(system, 2)))
 
 
 #: Bands whose M-bounds certify Eq1** < 0 across the certification beta1 range.

@@ -170,8 +170,7 @@ def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Ce
     m_values: list[float] = []
     verdict_phi = None
     try:
-        verdict_phi = mo.eq2_monotone_verdict("fixed_phi", system)
-        verdict_beta = mo.eq2_monotone_verdict("fixed_beta1", system)
+        verdict_phi, verdict_beta = mo.eq2_monotone_verdict(system)
         cert.monotone = [verdict_phi.as_dict(), verdict_beta.as_dict()]
         star_majorant = mo.eq1_star_majorant(system)
         box = system.box
@@ -337,17 +336,15 @@ def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str
 # -- empirical report ----------------------------------------------------------------
 
 def empirical_report(n: int, c: float, formulas: int, seed: int, x_cap: int = 8,
-                     confidence: float = 0.999, time_budget_s: float | None = None,
+                     confidence: float = 0.999,
                      pps_sub: tuple[int, int] | None = None) -> dict:
     """Cell-by-cell empirical means against the limiting masses, with the
     large-deviation budget at the requested confidence; optional exhaustive
-    locally-maximal-solution subreport at a small n.  Exceeding the time
-    budget truncates the campaign and flags the report partial."""
+    locally-maximal-solution subreport at a small n."""
     lam = 3.0 * c
-    campaign = run_omega_campaign(n, c, formulas, seed, x_cap,
-                                  time_budget_s=time_budget_s)
+    campaign = run_omega_campaign(n, c, formulas, seed, x_cap)
     cells = (x_cap + 1) * (x_cap + 2) // 2
-    samples = n * campaign.completed
+    samples = n * formulas
     rows = []
     worst = 0.0
     over_budget = 0
@@ -366,11 +363,10 @@ def empirical_report(n: int, c: float, formulas: int, seed: int, x_cap: int = 8,
                 "within_budget": bool(dev < budget_t),
             })
     report = {
-        "n": n, "c": c, "formulas": campaign.completed, "seed": seed, "x_cap": x_cap,
-        "requested_formulas": formulas, "partial": campaign.partial,
+        "n": n, "c": c, "formulas": formulas, "seed": seed, "x_cap": x_cap,
         "confidence": confidence, "generator": campaign.generator,
         "max_abs_deviation": worst, "cells_over_budget": over_budget,
-        "ok": over_budget == 0 and not campaign.partial, "rows": rows,
+        "ok": over_budget == 0, "rows": rows,
     }
     if pps_sub is not None:
         sub_n, sub_formulas = pps_sub

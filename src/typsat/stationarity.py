@@ -82,15 +82,6 @@ def _uv(phi, beta2, beta3, Y):
     return 9.0 * (1.0 - phi) * beta3 / (Y * beta2), 1.0 + beta2 * beta2 / (3.0 * Y * beta3)
 
 
-def uv(phi, beta1):
-    """(U, V) at (phi, beta1) for floats, ndarrays or Intervals.
-
-    Raises SingularPointError unless Y, beta2 and beta3 are positive
-    throughout, which is where U and V are defined.
-    """
-    return _uv(phi, *point_fields(phi, beta1))
-
-
 def derive_point(phi, beta1) -> PhiBetaPoint:
     """Compute all derived fields (outward-rounded for Interval coordinates);
     raises SingularPointError where U/V is undefined."""
@@ -105,9 +96,9 @@ def derive_point(phi, beta1) -> PhiBetaPoint:
 class EqSystem:
     """The stationarity system of one configuration, in float or interval mode.
 
-    Holds lambda, c, K_tilde, the triangle cell arrays (p, w = x - 2p, kt),
-    their Eq1 and Eq2 subsets (w and p as float64, so the per-cell
-    products cast nothing), and the log of the n-free base constant
+    Holds lambda, c, K_tilde, the Eq1 and Eq2 subsets of the triangle cells
+    (kt, and w = x - 2p and p as float64, so the per-cell products cast
+    nothing), and the log of the n-free base constant
     3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt.  The mode
     is that of the derived constants: float from build_tables, interval from
     kappa_tilde_intervals, so the rectangle rate bound runs the same code
@@ -124,9 +115,6 @@ class EqSystem:
     lam: object
     c: object
     K_tilde: object
-    ps: np.ndarray
-    w: np.ndarray
-    kt: object          # ndarray, or an Interval of arrays
     cells_eq1: Cells    # p >= 1, x > 2p; weight kt * w
     cells_eq2: Cells    # p >= 1; weight p * kt
     log_base: object
@@ -147,7 +135,6 @@ class EqSystem:
         kt1, w1, pf1 = kt[strict], wf[strict], pf[strict]
         kt2, w2, pf2 = kt[p1], wf[p1], pf[p1]
         return cls(mode=consts.mode, box=params.a_priori, lam=lam, c=c, K_tilde=consts.K_tilde,
-                   ps=ps, w=w, kt=kt,
                    cells_eq1=Cells(kt1, w1, pf1, kt1 * w1),
                    cells_eq2=Cells(kt2, w2, pf2, pf2 * kt2), log_base=log_base)
 
@@ -180,11 +167,6 @@ def cell_excess(log_uv, log_v, w, p):
 def _excess(w_log_uv, neg_p_log_v):
     """E from its two exponent products, log (U/V)^w and log V^-p."""
     return xexp(w_log_uv) * (1.0 - xexp(neg_p_log_v))
-
-
-def log_den(log_uv, log_v, w, p):
-    """log of the row denominator U^w (V^p - 1) + V^(x-p): (x-p) log V + log(1 + E)."""
-    return (w + p) * log_v + xlog(1.0 + cell_excess(log_uv, log_v, w, p))
 
 
 def _logs(U, V):
@@ -365,11 +347,17 @@ def eq2(pt: PhiBetaPoint, system: EqSystem):
 
 def log_g2(pt: PhiBetaPoint, system: EqSystem):
     """log of the normalizing product prod Den^kt / (U^(K-lam phi) (V-1)^(b1 c)),
-    a float or, at an Interval point of an interval system, an enclosure."""
+    a float or, at an Interval point of an interval system, an enclosure.
+
+    log Den = (x-p) log V + log(1 + E), and sum kt (x-p) is K_tilde over the
+    triangle; E = 0 at p = 0, so the log(1 + E) sum runs over Eq2's cells.
+    """
     if lower(pt.V) <= 1.0:
         raise DomainError(f"g2 needs V > 1, got V = {pt.V}")
-    return (xsum(system.kt * log_den(*_logs(pt.U, pt.V), system.w, system.ps))
-            - (system.K_tilde - system.lam * pt.phi) * xlog(pt.U)
+    log_uv, log_v = _logs(pt.U, pt.V)
+    cells = system.cells_eq2
+    return (xsum(cells.kt * xlog(1.0 + cell_excess(log_uv, log_v, cells.w, cells.p)))
+            + system.K_tilde * log_v - (system.K_tilde - system.lam * pt.phi) * xlog(pt.U)
             - pt.beta1 * system.c * xlog(pt.V - 1.0))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from typsat import distribution as dist
 from typsat import stationarity as st
 from typsat.errors import DomainError, SingularPointError
-from typsat.intervals import log_of_int, xexp, xsum
+from typsat.intervals import log_of_int, xexp, xlog, xsum
 from typsat.ledger import point_fields
 from typsat.params import DELTA_NUM
 
@@ -50,13 +50,19 @@ def h_weight(x: int, p: int, j: int) -> int:
     return math.comb(p, j) if j < p else math.comb(x - p, j - p)
 
 
+def log_den(log_uv, log_v, w, p):
+    """log of the row denominator U^w (V^p - 1) + V^(x-p): (x-p) log V + log(1 + E),
+    w = x - 2p, from the product's cell kernel `stationarity.cell_excess`."""
+    return (w + p) * log_v + xlog(1.0 + st.cell_excess(log_uv, log_v, w, p))
+
+
 def mu_closed_form(x: int, p: int, j: int, pt: st.PhiBetaPoint) -> float:
     """Stationary proportion of type-(x, p, j) variables at the point pt."""
     if not (0 <= 2 * p <= x) or not (0 <= j <= x):
         raise DomainError(f"mu needs 0 <= 2p <= x and 0 <= j <= x, got {(x, p, j)}")
     if pt.V <= 1.0:
         raise DomainError(f"mu closed form needs V > 1, got V = {pt.V}")
-    den = st.log_den(*st._logs(pt.U, pt.V), x - 2 * p, p)
+    den = log_den(*st._logs(pt.U, pt.V), x - 2 * p, p)
     logv1 = math.log(pt.V - 1.0)
     log_h = log_of_int(h_weight(x, p, j), False)
     if j < p:
@@ -90,7 +96,7 @@ class MuTable:
 def mu_table(pt: st.PhiBetaPoint, consts: dist.DerivedConstants) -> MuTable:
     idx = mu_index(consts.x_max)
     logv1 = math.log(pt.V - 1.0)
-    log_den_rows = st.log_den(*st._logs(pt.U, pt.V), consts.w, consts.ps)
+    log_den_rows = log_den(*st._logs(pt.U, pt.V), consts.w, consts.ps)
     logmu = (idx["log_h"] + np.where(idx["lt"], idx["w"] * math.log(pt.U), 0.0)
              + idx["pmj"] * logv1 - log_den_rows[idx["row"]])
     return MuTable(x_max=consts.x_max, mu=np.exp(logmu),
@@ -142,7 +148,8 @@ def gradient_f1(mu: np.ndarray, consts: dist.DerivedConstants, params) -> np.nda
     phi, beta1 = phi_of_mu(mu, consts), beta1_of_mu(mu, consts)
     if phi >= 1.0:
         raise DomainError(f"derived point infeasible: phi={phi}, beta1={beta1}")
-    u, v = st.uv(phi, beta1)
+    pt = st.derive_point(phi, beta1)
+    u, v = pt.U, pt.V
     return kt_tri * (idx["log_h"] - np.log(mu) - 1.0
                      + np.where(idx["lt"], idx["w"] * math.log(u), 0.0)
                      + idx["pmj"] * math.log(v - 1.0))
@@ -168,11 +175,11 @@ def eq1_over(cells: st.Cells, pt: st.PhiBetaPoint, system: st.EqSystem) -> float
                               cells._replace(weight=cells.kt * cells.w)))
 
 
-def eq2_eqb1(pt: st.PhiBetaPoint, system: st.EqSystem) -> float:
-    """Eq2 as the raw elimination output over the full triangle; equal to Eq2
-    (the p >= 1 form) wherever Eq1 vanishes."""
+def eq2_eqb1(pt: st.PhiBetaPoint, system: st.EqSystem, consts: dist.DerivedConstants) -> float:
+    """Eq2 as the raw elimination output over consts' full triangle; equal to
+    Eq2 (the p >= 1 form) wherever Eq1 vanishes."""
     log_uv, log_v = st._logs(pt.U, pt.V)
-    kt, w, p = system.kt, system.w, system.ps
+    kt, w, p = consts.kt, consts.w, consts.ps
     d = 1.0 + st.cell_excess(log_uv, log_v, w, p)
     s = xsum(kt * (p * xexp(w * log_uv) + (w + p)) / d)
     return -pt.beta1 * system.c + ((pt.V - 1.0) / pt.V) * s

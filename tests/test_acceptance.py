@@ -73,18 +73,17 @@ def test_criterion_3_constants_table(params, system):
     t0 = time.perf_counter()
     box = params.a_priori
     checks = []
-    v_min2, _ = mo.polygon_extremize("V_min", box)
-    uv_max2, _ = mo.polygon_extremize("UoverV_max", box)
+    v_min2, uv_max2 = mo.polygon_extremize(box)
     checks.append(("V_min2", abs(v_min2 - 1.126983) <= 1e-6))
     checks.append(("(U/V)_max2", abs(uv_max2 - 1.64966) <= 1e-5))
     a_phi, b_phi = mo.tangent_fixed_phi(v_min2)
     a_beta, b_beta = mo.tangent_fixed_beta(v_min2)
     checks.append(("tangent_phi", abs(a_phi - 2.4427) <= 5e-4 and abs(b_phi + 1.8194) <= 5e-4))
     checks.append(("tangent_beta", abs(a_beta - 2.2377) <= 5e-4 and abs(b_beta + 1.7173) <= 5e-4))
-    a_val, _ = mo.a_sum(v_min2, uv_max2, system)
+    a_val = mo.a_sum(v_min2, uv_max2, system)
     checks.append(("A<=1.894", a_val <= 1.894))
-    b_val_phi, _ = mo.b_sum(a_phi, b_phi, v_min2, system)
-    b_val_beta, _ = mo.b_sum(a_beta, b_beta, v_min2, system)
+    b_val_phi = mo.b_sum(a_phi, b_phi, v_min2, system)
+    b_val_beta = mo.b_sum(a_beta, b_beta, v_min2, system)
     checks.append(("B_phi<=4.2269", b_val_phi <= 4.2269))
     checks.append(("B_beta<=3.643", b_val_beta <= 3.643))
     extra = params.lam * (1.0 - box.beta1_min) / 16.0

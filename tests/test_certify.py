@@ -12,6 +12,7 @@ from typsat import distribution as dist
 from typsat import pipeline as cf
 from typsat import formulas as fl
 from typsat import ledger as lg
+from typsat import monotone as mo
 from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import ConfigurationError, DomainError, GuardError
@@ -74,8 +75,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "a4268662f05d1e0ee9865129032013e73afc878804f42d7b55e5760a3e4ea333",
-    "interval": "85384671acc36da3c7ea2f9ed2e30bda5bd35f2e86910fea58362ba8005c7602",
+    "float": "5ee1962de084bce530d8df4a82cf83c68f8678175b467a79201c57119fdf652e",
+    "interval": "6f30b90dd133e019c19869194492b04acc82b43734f91e59728ef99617f67a04",
 }
 
 
@@ -173,6 +174,22 @@ def test_certify_verifies_once(monkeypatch, cert, mode, systems):
     assert result.ledger["mode"] == mode
     if mode == "interval":
         assert result.rate == result.interval_report["rate_upper"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_certify_runs_the_monotone_box_work_once(monkeypatch, mode):
+    # both Eq2 directions come from one call, which takes the box extremes
+    # and the A sum once
+    calls = Counter()
+    for name in ("eq2_monotone_verdict", "polygon_extremize", "a_sum"):
+        def counted(*args, _fn=getattr(mo, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mo, name, counted)
+    result = cf.certify(4.506, 56, 1e-15, mode=mode)
+    assert result.verdict
+    assert calls == Counter(eq2_monotone_verdict=1, polygon_extremize=1, a_sum=1)
+    assert [m["direction"] for m in result.monotone] == ["eq2_fixed_phi", "eq2_fixed_beta1"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -707,13 +724,22 @@ def test_cli_certify_config_error(capsys):
 
 
 @pytest.mark.parametrize("x_max, bound", [
-    (340, "Poisson mass at x_max underflows to 0"),  # from x = 332 at c = 4.506
+    (322, "Poisson mass at x_max must exceed (x_max + 1) 2^-1075 / 1e-12"),
+    (340, "Poisson mass at x_max must exceed (x_max + 1) 2^-1075 / 1e-12"),  # 0 from x = 332
     (400, "must be below the rho cutoff 400"),
 ])
 def test_cli_certify_rejects_x_max_above_its_upper_bounds(x_max, bound, capsys):
     from typsat.cli import main
     assert main(["certify", "--xmax", str(x_max)]) == 3
     assert bound in capsys.readouterr().err
+
+
+def test_cli_certify_largest_x_max_at_the_certified_density(capsys):
+    # 320 is the largest x_max whose last-row Poisson mass the tables stage can
+    # check to 1e-12 at c = 4.506; 322 fails validation (test above)
+    from typsat.cli import main
+    assert main(["certify", "--xmax", "320"]) == 0
+    assert "verdict: True" in capsys.readouterr().out
 
 
 def test_cli_certify_failed_verdict_exit_code(capsys):
@@ -743,14 +769,6 @@ def test_cli_oracle(tmp_path):
     code = main(["oracle", "--n", "2", "--c", "0.5", "--out", str(tmp_path / "run")])
     assert code == 0
     assert (tmp_path / "run" / "oracle.csv").exists()
-
-
-def test_empirical_report_partial_flag():
-    report = cf.empirical_report(20_000, 4.506, 40, seed=1, x_cap=4,
-                                 time_budget_s=1e-9)
-    assert report["partial"]
-    assert not report["ok"]
-    assert report["formulas"] < report["requested_formulas"]
 
 
 def test_cli_certify_interval_mode(tmp_path, capsys):

@@ -30,14 +30,14 @@ def test_R_domain():
 
 
 def test_tangent_fixed_phi_matches_paper():
-    v_min2, _ = mo.polygon_extremize("V_min", CERTIFICATION_BOX)
+    v_min2, _ = mo.polygon_extremize(CERTIFICATION_BOX)
     a1, b1 = mo.tangent_fixed_phi(v_min2)
     assert a1 == pytest.approx(2.4427, abs=5e-4)
     assert b1 == pytest.approx(-1.8194, abs=5e-4)
 
 
 def test_tangent_fixed_beta_matches_paper():
-    v_min2, _ = mo.polygon_extremize("V_min", CERTIFICATION_BOX)
+    v_min2, _ = mo.polygon_extremize(CERTIFICATION_BOX)
     a1, b1 = mo.tangent_fixed_beta(v_min2)
     assert a1 == pytest.approx(2.2377, abs=5e-4)
     assert b1 == pytest.approx(-1.7173, abs=5e-4)
@@ -55,7 +55,8 @@ def test_S_continuity_at_removable_singularity():
     left = mo.S_fixed_beta(4.0 / 3.0 - 1e-7)
     right = mo.S_fixed_beta(4.0 / 3.0 + 1e-7)
     assert abs(left - right) < 1e-4
-    # rationalized and raw forms agree away from the switch point
+    # S is the rationalised form; the raw form agrees with it away from the
+    # raw form's removable pole at V = 4/3
     for v in (1.2, 1.36, 1.8, 3.0):
         w = v - 1.0
         raw = 0.5 + 3.0 * w * (w - 1.0 + math.sqrt(w * (w + 1.0))) / (3.0 * w - 1.0)
@@ -72,7 +73,7 @@ def test_derivatives_against_finite_differences():
 
 
 def test_tangent_dominates_curve():
-    v_min2, _ = mo.polygon_extremize("V_min", CERTIFICATION_BOX)
+    v_min2, _ = mo.polygon_extremize(CERTIFICATION_BOX)
     a_phi, b_phi = mo.tangent_fixed_phi(v_min2)
     a_beta, b_beta = mo.tangent_fixed_beta(v_min2)
     for v in np.linspace(v_min2, 5.0, 10_000):
@@ -144,18 +145,15 @@ def test_amgm_auxiliary_inequality(rng):
 
 def test_a_sum_below_paper_value(system):
     box = CERTIFICATION_BOX
-    v_min2, _ = mo.polygon_extremize("V_min", box)
-    uv_max2, _ = mo.polygon_extremize("UoverV_max", box)
-    total, terms = mo.a_sum(v_min2, uv_max2, system)
-    assert total < 1.894
-    assert np.all(terms >= 0.0)
+    total = mo.a_sum(*mo.polygon_extremize(box), system)
+    assert 0.0 < total < 1.894
 
 
 def test_b_sum_values(system):
     box = CERTIFICATION_BOX
-    v_min2, _ = mo.polygon_extremize("V_min", box)
-    b_phi, _ = mo.b_sum(*mo.tangent_fixed_phi(v_min2), v_min2, system)
-    b_beta, _ = mo.b_sum(*mo.tangent_fixed_beta(v_min2), v_min2, system)
+    v_min2, _ = mo.polygon_extremize(box)
+    b_phi = mo.b_sum(*mo.tangent_fixed_phi(v_min2), v_min2, system)
+    b_beta = mo.b_sum(*mo.tangent_fixed_beta(v_min2), v_min2, system)
     assert b_phi < 4.2269
     assert b_beta < 3.643
 
@@ -166,9 +164,17 @@ def test_b_sum_requires_dominant_slope(system):
 
 
 def test_eq2_monotone_verdicts(system):
-    phi_cert = mo.eq2_monotone_verdict("fixed_phi", system)
-    beta_cert = mo.eq2_monotone_verdict("fixed_beta1", system)
+    phi_cert, beta_cert = mo.eq2_monotone_verdict(system)
+    assert (phi_cert.direction, beta_cert.direction) == ("eq2_fixed_phi", "eq2_fixed_beta1")
     assert phi_cert.verdict and beta_cert.verdict
+    # one V_min, (U/V)_max, A sum and threshold serve both directions
+    v_min2, uv_max2 = mo.polygon_extremize(system.box)
+    for cert in (phi_cert, beta_cert):
+        assert (cert.v_min2, cert.uv_max2) == (v_min2, uv_max2)
+        assert cert.A_bound == mo.a_sum(v_min2, uv_max2, system)
+        assert cert.threshold == phi_cert.threshold
+    assert phi_cert.tangent == mo.tangent_fixed_phi(v_min2) and phi_cert.extra_bound == 0.0
+    assert beta_cert.tangent == mo.tangent_fixed_beta(v_min2)
     assert phi_cert.total() < 6.125
     assert beta_cert.extra_bound < 0.566
     assert beta_cert.total() < 6.103
@@ -246,8 +252,8 @@ def test_eq1_partial_ordering(box, system, rng):
             continue
         pt = st.derive_point(phi, b1)
         e = st.eq1(pt, system)
-        e_star = eq1_over(mo._partial_cells("star", system), pt, system)
-        e_star2 = eq1_over(mo._partial_cells("star_star", system), pt, system)
+        e_star = eq1_over(mo._partial_cells(system, 1), pt, system)
+        e_star2 = eq1_over(mo._partial_cells(system, 2), pt, system)
         assert e <= e_star + 1e-14
         assert e_star <= e_star2 + 1e-14
 
@@ -264,7 +270,7 @@ def test_eq1_partial_on_toy_table(box, params):
                            xs=xs, ps=ps, w=xs - 2 * ps, kt=kt)
     toy_system = st.EqSystem.build(params, toy)
     pt = st.derive_point(0.56, 0.44)
-    assert eq1_over(mo._partial_cells("star", toy_system), pt, toy_system) == pytest.approx(
+    assert eq1_over(mo._partial_cells(toy_system, 1), pt, toy_system) == pytest.approx(
         st.eq1(pt, toy_system), abs=1e-15)
 
 
@@ -313,16 +319,13 @@ def test_m_bound_matches_pow_form(system, consts, params):
 
 def test_polygon_extremize_values():
     box = CERTIFICATION_BOX
-    v_min2, vertex_v = mo.polygon_extremize("V_min", box)
-    uv_max2, vertex_uv = mo.polygon_extremize("UoverV_max", box)
+    v_min2, uv_max2 = mo.polygon_extremize(box)
     assert v_min2 == pytest.approx(1.126983, abs=1e-6)
     assert uv_max2 == pytest.approx(1.64966, abs=1e-5)
-    # the witness vertex lies on the polygon boundary (within roundoff)
-    f, b = vertex_v
-    beta2 = 3.0 * (1.0 - f) - 2.0 * b
-    beta3 = b - 2.0 + 3.0 * f
-    assert beta2 == pytest.approx(box.beta2_min, abs=1e-12)
-    assert beta3 == pytest.approx(box.beta3_max, abs=1e-12)
+    # V_min is V at the vertex (beta2_min, beta3_max)
+    b1 = 1.0 - box.beta2_min - box.beta3_max
+    vertex = st.derive_point((1.0 + box.beta2_min + 2.0 * box.beta3_max) / 3.0, b1)
+    assert vertex.V == pytest.approx(v_min2, rel=1e-12)
 
 
 @pytest.mark.parametrize("box", [
@@ -330,8 +333,7 @@ def test_polygon_extremize_values():
 ], ids=["certification", "c3.0", "c4.6"])
 def test_polygon_brute_force_grid(box):
     # 10^6-point grid over the polygon never undercuts V_min2 nor exceeds (U/V)_max2
-    v_min2, _ = mo.polygon_extremize("V_min", box)
-    uv_max2, _ = mo.polygon_extremize("UoverV_max", box)
+    v_min2, uv_max2 = mo.polygon_extremize(box)
     phis = np.linspace(box.phi_min, box.phi_max, 1000)
     b1s = np.linspace(box.beta1_min, box.beta1_max, 1000)
     ff, bb = np.meshgrid(phis, b1s)
@@ -355,9 +357,8 @@ def test_polygon_brute_force_grid(box):
 ], ids=["beta2_min", "beta3_min", "beta2_max"])
 def test_polygon_extremize_names_broken_precondition(change, needed):
     box = dataclasses.replace(CERTIFICATION_BOX, **change)
-    for target in ("V_min", "UoverV_max"):
-        with pytest.raises(DomainError, match=needed):
-            mo.polygon_extremize(target, box)
+    with pytest.raises(DomainError, match=needed):
+        mo.polygon_extremize(box)
 
 
 # -- E factorization and the grid report ---------------------------------------------------------

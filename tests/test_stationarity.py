@@ -13,7 +13,7 @@ from typsat.intervals import Interval
 from typsat.params import DELTA_NUM
 
 from oracles import (alpha_closed_form, beta1_of_mu, eq1_over, eq2_eqb1, g2, gradient_f1,
-                     h_weight, interval_equations, mu_closed_form, mu_index, mu_table,
+                     h_weight, interval_equations, log_den, mu_closed_form, mu_index, mu_table,
                      objective_f1, phi_of_mu, projected_gradient)
 
 LAM = 3 * 4.506
@@ -39,17 +39,21 @@ def test_singular_point_raises(box):
 
 
 def test_uv_is_generic_over_number_types():
+    def uv(phi, b1):
+        pt = st.derive_point(phi, b1)
+        return pt.U, pt.V
+
     phis, b1s = np.array([0.56, 0.57, 0.60]), np.array([0.44, 0.45, 0.40])
-    u, v = st.uv(phis, b1s)
+    u, v = uv(phis, b1s)
     for k in range(3):
-        uk, vk = st.uv(float(phis[k]), float(b1s[k]))
-        iu, iv = st.uv(Interval(phis[k]), Interval(b1s[k]))
+        uk, vk = uv(float(phis[k]), float(b1s[k]))
+        iu, iv = uv(Interval(phis[k]), Interval(b1s[k]))
         assert (u[k], v[k]) == (uk, vk)
         assert iu.contains(uk) and iv.contains(vk)
     with pytest.raises(SingularPointError):
-        st.uv(np.array([0.56, 0.12]), np.array([0.44, 0.36]))
+        uv(np.array([0.56, 0.12]), np.array([0.44, 0.36]))
     with pytest.raises(SingularPointError):
-        st.uv(Interval(0.12), Interval(0.36))
+        uv(Interval(0.12), Interval(0.36))
 
 
 def test_v_at_polygon_vertex(box):
@@ -370,15 +374,15 @@ def test_interval_equations_step_only_point_arrays(monkeypatch, system_iv, check
         assert sizes and max(sizes) <= phis.size
 
 
-def test_eq2_form_equivalence_at_root(root, box, system):
+def test_eq2_form_equivalence_at_root(root, box, system, consts):
     pt = st.derive_point(root["phi"], root["beta1"])
     assert abs(st.eq1(pt, system)) < 1e-10
     mod2 = st.eq2(pt, system)
-    eqb1 = eq2_eqb1(pt, system)
+    eqb1 = eq2_eqb1(pt, system, consts)
     assert abs(mod2 - eqb1) < 1e-8
 
 
-def test_eq2_form_equivalence_across_grid(box, system, rng):
+def test_eq2_form_equivalence_across_grid(box, system, consts, rng):
     for _ in range(150):
         phi = rng.uniform(box.phi_min, box.phi_max)
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
@@ -387,7 +391,7 @@ def test_eq2_form_equivalence_across_grid(box, system, rng):
         except SingularPointError:
             continue
         e1 = st.eq1(pt, system)
-        gap = abs(eq2_eqb1(pt, system)
+        gap = abs(eq2_eqb1(pt, system, consts)
                   - st.eq2(pt, system))
         assert gap <= 1e-6 + 10.0 * abs(e1)
 
@@ -402,7 +406,7 @@ def test_g2_finite_and_positive(root_point, system):
 
 def test_g2_origin_factor_is_one(root_point, consts):
     log_uv = math.log(root_point.U / root_point.V)
-    log_dens = st.log_den(log_uv, math.log(root_point.V), consts.w, consts.ps)
+    log_dens = log_den(log_uv, math.log(root_point.V), consts.w, consts.ps)
     assert log_dens[0] == pytest.approx(0.0, abs=1e-15)  # (x, p) = (0, 0)
 
 
@@ -418,7 +422,7 @@ def _log_den_reference(consts, U, V):
 def test_log_den_matches_logaddexp_form(root_point, consts, box):
     for pt in (root_point, st.derive_point(0.57, 0.45), st.derive_point(0.6, 0.4)):
         log_uv, log_v = math.log(pt.U) - math.log(pt.V), math.log(pt.V)
-        got = st.log_den(log_uv, log_v, consts.w, consts.ps)
+        got = log_den(log_uv, log_v, consts.w, consts.ps)
         want = _log_den_reference(consts, pt.U, pt.V)
         assert got[0] == want[0] == 0.0
         assert got[1:] == pytest.approx(want[1:], rel=1e-15)
@@ -655,10 +659,10 @@ def test_entropy_partials_cancel_the_explicit_terms():
         return st._entropy_f(phi, *lg.point_fields(phi, b1))
 
     for phi, b1 in GRADIENT_POINTS:
-        u, v = st.uv(phi, b1)
+        pt = st.derive_point(phi, b1)
         d_phi, d_b1 = _central(entropy, phi, b1)
-        assert d_b1 == pytest.approx(math.log(v - 1.0), rel=1e-7, abs=1e-8)
-        assert d_phi == pytest.approx(-3.0 * math.log(u), rel=1e-7, abs=1e-8)
+        assert d_b1 == pytest.approx(math.log(pt.V - 1.0), rel=1e-7, abs=1e-8)
+        assert d_phi == pytest.approx(-3.0 * math.log(pt.U), rel=1e-7, abs=1e-8)
 
 
 def test_log_rate_gradient_matches_central_differences(root_point, system, budget):
