@@ -16,14 +16,15 @@ Eq1 and Eq2.
 The mu-space forms the reduction starts from (closed-form mu and alpha, the
 objective and its gradient) are test oracles in tests/oracles.py.
 
-Every triangle quantity is built from one cell kernel, the excess
-E = (U/V)^(x-2p) (1 - V^-p) of `cell_excess`, and summed in the log domain
-by `intervals.xsum` (np.add.reduce, the reduction of np.sum, on floats,
-within `intervals.sum_slack`).  The rate bounds run the same code on
-outward-rounded intervals.  In interval mode Eq1 and Eq2 keep the point
+Every triangle quantity is built from two cell exponentials, t1 = (U/V)^(x-2p)
+and t2 = V^-p: Eq1 and log g2 from the excess E = t1 (1 - t2) of
+`cell_excess`, Eq2 from E/(V^p - 1) = t1 t2 with 1 - 1/V outside its sum.
+Sums go through `intervals.xsum` (np.add.reduce, the reduction of np.sum,
+on floats, within `intervals.sum_slack`).  The rate bounds run the same code
+on outward-rounded intervals.  In interval mode Eq1 and Eq2 keep the point
 quantities in interval arithmetic, but take their cell sums from two float
-evaluations at the corners of the point's enclosure, widened by the
-rounding lemma of `_pad`.
+evaluations at corners of the point's enclosure, widened by the rounding
+lemma of `_pad`.
 """
 
 from __future__ import annotations
@@ -157,16 +158,11 @@ class EqSystem:
 def cell_excess(log_uv, log_v, w, p):
     """E = (U/V)^w (1 - V^-p) per cell, w = x - 2p, from log(U/V) and log V.
 
-    The one per-cell term of the reduction: the row denominator is
+    The per-cell excess of the reduction: the row denominator is
     U^w (V^p - 1) + V^(x-p) = V^(x-p) (1 + E) and the single-flip bracket is
-    alpha = 1 - 1/(1 + E).  Generic over floats, ndarrays and Intervals.
+    alpha = E/(1 + E).  Generic over floats, ndarrays and Intervals.
     """
-    return _excess(w * log_uv, p * -log_v)  # -(p log V) to the bit, one negation
-
-
-def _excess(w_log_uv, neg_p_log_v):
-    """E from its two exponent products, log (U/V)^w and log V^-p."""
-    return xexp(w_log_uv) * (1.0 - xexp(neg_p_log_v))
+    return xexp(w * log_uv) * (1.0 - xexp(p * -log_v))  # -(p log V) to the bit, one negation
 
 
 def _logs(U, V):
@@ -182,22 +178,18 @@ def _col(z):
 
 
 def _eq1_terms(cells: Cells, log_uv, log_v):
-    """Eq1's cell terms weight (1 - 1/(1 + E)), a row of cells per point."""
+    """Eq1's cell terms weight E/(1 + E), a row of cells per point."""
     E = cell_excess(_col(log_uv), _col(log_v), cells.w, cells.p)
-    return cells.weight * (1.0 - 1.0 / (1.0 + E))
+    return cells.weight * E / (1.0 + E)
 
 
-def _eq2_terms(cells: Cells, V, log_uv, log_v, neg_log_v_den=None):
-    """Eq2's cell terms weight (V - 1)/(V (V^p - 1)) (1 - 1/(1 + E)), a row of
-    cells per point; V^p is exp(-p neg_log_v_den), by default from E's log_v."""
-    log_uv, v = _col(log_uv), _col(V)
-    neg_p_log_v = cells.p * -_col(log_v)  # shared by V^-p in E and by V^p - 1
-    E = _excess(cells.w * log_uv, neg_p_log_v)
-    if neg_log_v_den is not None:
-        neg_p_log_v = cells.p * _col(neg_log_v_den)
-    vp_minus_1 = xexp(-neg_p_log_v) - 1.0
-    del neg_p_log_v  # freed before the terms, so the peak memory stays where it was
-    return cells.weight * ((v - 1.0) / (v * vp_minus_1)) * (1.0 - 1.0 / (1.0 + E))
+def _eq2_terms(cells: Cells, log_uv, log_v):
+    """Eq2's cell terms over 1 - 1/V, weight t1 t2/(1 + t1 (1 - t2)) with
+    t1 = (U/V)^w and t2 = V^-p, a row of cells per point: E/(V^p - 1) is
+    t1 t2, since V^p - 1 = V^p (1 - t2)."""
+    t1 = xexp(cells.w * _col(log_uv))
+    t2 = xexp(cells.p * -_col(log_v))  # -(p log V) to the bit, as in cell_excess
+    return cells.weight * (t1 * t2) / (1.0 + t1 * (1.0 - t2))
 
 
 def _row_sums(terms, cells: Cells, *points):
@@ -223,18 +215,18 @@ _EXP_ARG_MAX = 300.0
 _TINY = 2.0 ** -1000
 
 
-def _term_count(log_uv: Interval, log_v: Interval, cells: Cells, V: Interval | None = None):
-    """K of `_pad`'s lemma for every cell and both corners, one per point: an
-    Eq1 term's, or with V an Eq2 term's; infinite outside the lemma's range."""
+def _term_count(log_uv: Interval, log_v: Interval, cells: Cells, eq2: bool = False):
+    """K F of `_pad`'s lemma for every cell and both corners, one per point: an
+    Eq1 term's, or with eq2 an Eq2 term's; infinite outside the lemma's range."""
     wa = cells.w.max() * np.maximum(np.abs(log_uv.lo), np.abs(log_uv.hi))
     pb = cells.p.max() * log_v.hi
-    k_p = pb + _LIBM_K  # e^(+-p b): its argument's rounding and libm
-    amp = 1.0 / (1.0 - k_p * _U)
-    k = wa + _LIBM_K + ((1.0 + _LIBM_K / log_v.lo) * amp + 1.0) + 1.0  # E = e^(w a) (1 - e^-pb)
-    k += 4.0  # the bracket 1 - 1/(1 + E) and the product with the weight
-    if V is not None:  # (V - 1)/(V (V^p - 1)) times the weight, and its bound F
-        k_den = (k_p + 1.0 + _LIBM_K / log_v.lo) * amp + 1.0
-        k = (k + k_den + 4.0) * np.maximum(1.0, (V.hi - 1.0) / (V.hi * log_v.lo))
+    k_p = pb + _LIBM_K  # t2 = e^-pb: its argument's rounding and libm
+    k_m = (1.0 + _LIBM_K / log_v.lo) / (1.0 - k_p * _U) + 1.0  # 1 - t2
+    k = wa + _LIBM_K + k_m  # t1 = e^(w a), once, and 1 - t2
+    if eq2:  # t2 and five ops, times the bound F of a term over its weight
+        k = (k + k_p + 5.0) * np.maximum(1.0, 1.0 / log_v.lo)
+    else:  # E = t1 (1 - t2), then weight E/(1 + E)
+        k += 4.0
     ok = (log_v.lo > 0.0) & (wa <= _EXP_ARG_MAX) & (pb <= _EXP_ARG_MAX)
     return np.where(ok, k, np.inf)
 
@@ -246,33 +238,37 @@ def _pad(row_sum, cells: Cells, count):
     gamma_k = ku/(1 - ku) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, ch. 3, for real k >= 0).  Theta_j Theta_k lies in
     Theta_(j+k), 1/Theta_k = Theta_k, and |theta - 1| <= gamma_k on Theta_k.
-    Take exact float inputs a = log(U/V), b = log V > 0, V, the weight, and
-    the cells' integer w and p, with |w a| and p b at most 300.  Then:
+    Take exact float inputs a = log(U/V), b = log V > 0 and the weight, and
+    the cells' integers w >= 0 and p >= 1, with |w a| and p b at most 300.
 
-    - each IEEE op is Theta_1; a libm exp is Theta_(4L), L = LIBM_ULPS (within
+    - Each IEEE op is Theta_1; a libm exp is Theta_(4L), L = LIBM_ULPS (within
       L ulps of the returned value y, so within 4Lu y); exp of a rounded
       product fl(t) is exp(t) Theta_|t|, since e^(+-|t|u) lies in Theta_|t|.
-    - From e^-pb computed as e Theta_k, k = pb + 4L, 1 - e^-pb is (1 - e)
-      Theta_(km/(1-ku)) with m = 1/(e^pb - 1) <= 1/(p b); e^pb - 1 is likewise
-      (e^pb - 1) Theta_(km/(1-ku)) with m = 1 + 1/(e^pb - 1).  So the computed
-      E is E Theta_kE and Eq2's (V - 1)/(V (V^p - 1)) times the weight is
-      exact times Theta_kg (`_term_count`; k_g = 0 for Eq1).
-    - 1 - 1/(1 + E) rounds to alpha rho (1 + d) + zeta with rho in Theta_kE,
-      |d| <= u and |zeta| <= gamma_2/(1 + E): the cancellation error is
-      absolute, not relative to alpha = E/(1 + E) (E reaches e^-30 on the
-      4.506 trace).
-    - alpha <= 1, and Eq2's (V - 1)/(V (V^p - 1)) is at most
-      F = max(1, (V_hi - 1)/(V_hi b_lo)) at either corner (e^x - 1 >= x),
-      so every computed term is within gamma_K weight of the exact term,
-      K = (k_E + k_g + 4) F (F = 1 for Eq1; gamma_k F <= gamma_(kF)).
-    - Underflow adds at most 2^-1075 to a product or quotient (Higham eq.
-      2.8), times at most 3 x_max + 3 in all through the rest of the term
-      (weight <= x_max): under 2^-1000 a term for x_max < 2^70.
+      So t1 = e^(w a) is computed as t1 Theta_k1, k1 = |w a| + 4L, and
+      t2 = e^-pb as t2 Theta_k2, k2 = p b + 4L.
+    - 1 - t2 is computed as (1 - t2) Theta_km, k_m = k2 m/(1 - k2 u) + 1 with
+      m = 1/(e^pb - 1); k2 m <= 1 + 4L/b, since x/(e^x - 1) <= 1 and p >= 1.
+    - For y, z > 0 and s = yz/(1 + yz) in [0, 1), y theta/(1 + y theta z) is
+      y/(1 + y z) times theta/(1 + s (theta - 1)), and 1 + y z theta is
+      1 + y z times 1 + s (theta - 1); both factors lie between 1 and theta.
+      So a Theta_k error of y, or of y z, reaches either form as one Theta_k.
+    - Hence Eq1's term weight E/(1 + E), E = t1 (1 - t2) computed as E Theta_kE
+      with k_E = k1 + k_m + 1, is exact times Theta_K, K = k_E + 3; Eq2's,
+      weight (t1 t2)/(1 + t1 (1 - t2)), is exact times Theta_K with
+      K = k1 + k2 + k_m + 5 (t1 enters y/(1 + y z) once; five ops round).
+    - A term over its weight is E/(1 + E) < 1 for Eq1 (F = 1), and for Eq2
+      1/(e^pb (1 + e^-wa) - 1) < 1/(e^b - 1) < 1/b <= F = max(1, 1/b_lo) at
+      either corner.  So every computed term is within gamma_K F weight
+      <= gamma_(KF) weight of the exact term.
+    - No factor before the weight's product underflows (each lies in
+      [e^-600, e^300]); that product and the quotient by 1 + ... >= 1 add at
+      most 2^-1075 each (Higham eq. 2.8), under 2^-1000 a term.
 
-    Summing n terms, |S_float - S| <= gamma_K sum(weight) + n 2^-1000 +
-    sum_slack.  The pad takes 1.125 times the first two parts, which covers
-    the rounding of their own evaluation.  It is infinite where Ku >= 2^-20
-    (so b > 2^-29 wherever it is finite) or the inputs leave the lemma's range.
+    Summing n terms, |S_float - S| <= gamma_KF sum(weight) + n 2^-1000 +
+    sum_slack, with KF from `_term_count` as count.  The pad takes 1.125
+    times the first two parts, which covers the rounding of their own
+    evaluation.  It is infinite where KF u >= 2^-20 (so b > 2^-29 wherever it
+    is finite) or the inputs leave the lemma's range.
     """
     ku = count * _U
     gamma = np.where(ku < 2.0 ** -20, ku / (1.0 - ku), np.inf)
@@ -284,9 +280,11 @@ def _enclose(terms, cells: Cells, count, low: tuple, high: tuple) -> Interval:
     """Enclosure of an equation's cell sums at Interval inputs, from two float
     evaluations of `terms`.
 
-    Each term is positive and grows in each input, so every exact sum lies
-    between the exact sums at the corner `low` of lower ends (weight.lo) and
-    the corner `high` of upper ends (weight.hi); a float weight (a float
+    Each term is positive and monotone in each input, and the caller names
+    the corners: `low`, the input ends where every term is least, and
+    `high`, where every term is greatest.  So every exact sum lies between
+    the exact sums at `low` with the lower ends of the weights (weight.lo)
+    and at `high` with their upper ends (weight.hi); a float weight (a float
     system over a box) is its own two ends.  Each corner is summed in float,
     widened by its `_pad` under the count K of its terms and stepped one ulp
     outward; only the (points,) sums are stepped.
@@ -301,7 +299,8 @@ def _enclose(terms, cells: Cells, count, low: tuple, high: tuple) -> Interval:
 
 def _eq1_core(phi, log_uv, log_v, lam, k_tilde, cells: Cells):
     """Eq1 = K_tilde - lam phi - sum; on Interval coordinates the cell sum is
-    enclosed by `_enclose`, everything else stays in Interval arithmetic."""
+    enclosed by `_enclose` (a term grows in log(U/V) and in log V), everything
+    else stays in Interval arithmetic."""
     if isinstance(log_uv, Interval):
         s = _enclose(_eq1_terms, cells, _term_count(log_uv, log_v, cells),
                      (log_uv.lo, log_v.lo), (log_uv.hi, log_v.hi))
@@ -321,15 +320,15 @@ def eq1(pt: PhiBetaPoint, system: EqSystem):
 
 
 def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, cells: Cells):
-    """Eq2 = -beta1 c + lam phi (1 - 1/V) + sum, enclosed as in `_eq1_core`;
-    the lower corner takes V^p - 1 at the upper end of log V, and the upper
-    corner at its lower end."""
+    """Eq2 = -beta1 c + (1 - 1/V) (lam phi + sum), enclosed as in `_eq1_core`;
+    a term grows in log(U/V) and falls in log V, so the lower corner takes
+    log V's upper end and the upper corner its lower end."""
     if isinstance(log_uv, Interval):
-        s = _enclose(_eq2_terms, cells, _term_count(log_uv, log_v, cells, V),
-                     (V.lo, log_uv.lo, log_v.lo, -log_v.hi), (V.hi, log_uv.hi, log_v.hi, -log_v.lo))
+        s = _enclose(_eq2_terms, cells, _term_count(log_uv, log_v, cells, eq2=True),
+                     (log_uv.lo, log_v.hi), (log_uv.hi, log_v.lo))
     else:
-        s = _row_sums(_eq2_terms, cells, V, log_uv, log_v)
-    return -beta1 * c + lam * phi * (1.0 - 1.0 / V) + s
+        s = _row_sums(_eq2_terms, cells, log_uv, log_v)
+    return -beta1 * c + (1.0 - 1.0 / V) * (lam * phi + s)
 
 
 def eq2(pt: PhiBetaPoint, system: EqSystem):

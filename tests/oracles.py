@@ -193,11 +193,27 @@ def interval_equations(system: st.EqSystem, phis: np.ndarray, betas: np.ndarray)
     same cell sums from two float corner evaluations (`stationarity._enclose`)."""
     pt = system.point(phis, betas)
     log_uv, log_v = st._logs(pt.U, pt.V)
-    v, log_uv, log_v = pt.V[:, None], log_uv[:, None], log_v[:, None]
+    log_uv, log_v = log_uv[:, None], log_v[:, None]
     s1 = xsum(st._eq1_terms(system.cells_eq1, log_uv, log_v), axis=-1)
-    s2 = xsum(st._eq2_terms(system.cells_eq2, v, log_uv, log_v), axis=-1)
+    s2 = xsum(st._eq2_terms(system.cells_eq2, log_uv, log_v), axis=-1)
     return (system.K_tilde - system.lam * pt.phi - s1,
-            -pt.beta1 * system.c + system.lam * pt.phi * (1.0 - 1.0 / pt.V) + s2)
+            -pt.beta1 * system.c + (1.0 - 1.0 / pt.V) * (system.lam * pt.phi + s2))
+
+
+def mp_cell_terms(mp, eq: str, cells: st.Cells, a: float, b: float) -> list:
+    """The cells' terms (weights included) at a = log(U/V), b = log V, in mp
+    at its working precision: weight E/(1 + E) for Eq1, and for Eq2 the
+    summand of `stationarity._eq2_terms`, weight t1 t2/(1 + E) with
+    t1 = e^(w a), t2 = e^-pb and E = t1 (1 - t2)."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    t1 = {w: mp.exp(w * a) for w in set(cells.w.tolist())}
+    t2 = {p: mp.exp(-p * b) for p in set(cells.p.tolist())}
+    terms = []
+    for wt, w, p in zip(cells.weight.tolist(), cells.w.tolist(), cells.p.tolist()):
+        E = t1[w] * (1 - t2[p])
+        terms.append(mp.mpf(wt) * (E if eq == "eq1" else t1[w] * t2[p]) / (1 + E))
+    return terms
+
 
 # -- grid certifications ------------------------------------------------------------
 

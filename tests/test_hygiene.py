@@ -33,11 +33,13 @@ def test_every_import_is_used(path):
 
 def _references(tree: ast.AST) -> Counter:
     """Names used under a node: loads, attributes, imports and exact-name
-    strings (the benchmark tracer wraps functions by name)."""
+    strings (the benchmark tracer wraps functions by name).  A name assigned
+    or deleted is no use of it: a local of the same name refers to nothing."""
     refs = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs[node.id] += 1
+            if isinstance(node.ctx, ast.Load):
+                refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -47,17 +49,29 @@ def _references(tree: ast.AST) -> Counter:
     return refs
 
 
+def _unreferenced(modules: list[str], users: list[str]) -> list[str]:
+    """The top-level functions and classes of the `modules` sources that no
+    source in `users` refers to outside their own body."""
+    total = sum((_references(ast.parse(text)) for text in users), Counter())
+    definitions = [node for text in modules for node in ast.parse(text).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return sorted(d.name for d in definitions if total[d.name] == _references(d)[d.name])
+
+
 def test_every_top_level_definition_is_referenced():
     """Each top-level function and class is used outside its own body by
     product code: src/ (re-exports in __init__ do not count), demos/ or
     perfbench/.  A definition only tests call belongs beside those tests."""
     root = Path(__file__).resolve().parents[1]
     files = MODULES + [p for d in ("demos", "perfbench") for p in (root / d).rglob("*.py")]
-    total = sum((_references(ast.parse(p.read_text(), filename=str(p))) for p in files), Counter())
-    definitions = [node for path in MODULES for node in ast.parse(path.read_text()).body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    test_only = [d.name for d in definitions if total[d.name] == _references(d)[d.name]]
-    assert sorted(test_only) == []
+    assert _unreferenced([p.read_text() for p in MODULES], [p.read_text() for p in files]) == []
+
+
+def test_a_local_of_the_same_name_is_no_reference():
+    module = ("def uv():\n    return 1\n\n\n"
+              "def uv_star(x):\n    uv = x + 1\n    del uv\n    return x\n")
+    assert _unreferenced([module], [module]) == ["uv", "uv_star"]
+    assert _unreferenced([module], [module, "from m import uv\nuv()\n"]) == ["uv_star"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

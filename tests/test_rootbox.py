@@ -264,35 +264,39 @@ def test_spiral_bisects_throughout_when_newton_fails(monkeypatch):
 #: sha256 of the four witness sequences (`sequences_sha256`) that the
 #: point-by-point spiral made, with the 4.506 box at every density
 FROZEN_TRACES = {
-    (4.506, 2e-7): "2d5e9ebeb184a2bf3bc66a34f9634a81801a71a83ace9404bc15d7ad4c3a9033",
-    (4.506, 1e-4): "5a26012e7b82b31e0b5c76bfe6506def63fca959156080cd695bd9a75508d15a",
-    (4.506, 0.05): "9e338ca5a8d68acebc0ca9fc06cfcea2593799f47058bb5b156e08196b8adc06",
-    (4.5, 2e-7): "6d40766a107ec02aa110c7dcd62764881cdc927d133c6faca84e0ded41b15c3e",
-    (4.5, 1e-4): "40ba42b8c53048e363561da987975f2ca579285e0f2c7218d2a82c801b9d82e7",
-    (4.5, 0.05): "3a8d402375a70c44e1d02f46d8c08f04d8953823ee4d2465829390ae67b101f4",
-    (4.5055, 2e-7): "0fd0dcdbbb1273186d59d5f5b0bccd84721cd25adc1ef6c62c8183b3df18f271",
-    (4.5055, 1e-4): "eb6b71854307b2d7643cd0063712082bad50dc8bdbae55fab6883438b841ab29",
-    (4.5055, 0.05): "a0a0845d802d63a015895eac0ed62ed2908d473cde186e21b69876fdd80b0f86",
-    (4.6, 2e-7): "5c0814af564ec5c2e38f582aace113a878802a5a771035a87809886154a01dbd",
-    (4.6, 1e-4): "0d8b13bfb7cde53290966d14b29ed8a142439a6e09fb5bc2d53b6e508d72267b",
-    (4.6, 0.05): "4dc8b1981e91207f7ec0a30a69b379750f6c897bbfb7229fe30fadd561f3ddd0",
+    (4.506, 2e-7): "12acac0db78a4d0667e969214456f325b303d49a920eebb1fd3a617d104d0491",
+    (4.506, 1e-4): "45c13c6e56b2bf758293992f41a39b5df68be2c052157e8055ddea19fa854523",
+    (4.506, 0.05): "8791902997a8e0bbbc08d9638f1d6649e0b3fd96692fc629e5de0b11470b6ede",
+    (4.5, 2e-7): "2d46441246a0cd4a6fd8288a6e0d58400ea7795ab37ed83970db41ff985a0e75",
+    (4.5, 1e-4): "77a6496b22cfe36f46d9cb445adb58ceb5218ec4009b6f133b204da255d363ec",
+    (4.5, 0.05): "821866fe46f44ce1c394daee77a34fddf8ecb8b181b3b1e824d245e1a3a1aed5",
+    (4.5055, 2e-7): "9af099fbebb86346bef6a86ec5344bddacd2c36210ccb56284010b68b635692b",
+    (4.5055, 1e-4): "2539c7a16f72caff6f69f89ee0a8dd7521da96542b750bc55c2518b9b2b30db8",
+    (4.5055, 0.05): "2590d3b04bdf452dcab482e2b7a5dd6e0f9ed6db5d4f70eec5169930873458f0",
+    (4.6, 2e-7): "4053f16ba32dbcdce4f4e741254d926cd9c6e2ea7e0d32923aed13f0b6c01112",
+    (4.6, 1e-4): "b904facb0c0385908bcecc9fc7e946fc117cec42d750baf63a15a9190e46e168",
+    (4.6, 0.05): "131fbaff19c0e15398aee95bfbc5da8307bdce7b702832177a5560886cc1284a",
 }
 
 
 @pytest.mark.parametrize("c, below_one", [(4.506, True), (4.5, False), (4.5055, True),
                                           (4.6, True)])
-def test_spiral_across_densities_with_the_certification_box(c, below_one):
-    # the 4.506 box forced at nearby densities: the traces are the ones the
-    # point-by-point spiral made at three widths, and the rectangle rate stays
-    # on the side of 1 that the bisection spiral gave (1.000534, 0.999986, 0.990478)
+def test_spiral_across_densities_with_the_certification_box(monkeypatch, c, below_one):
+    # the 4.506 box forced at nearby densities: at three widths the batched
+    # spiral's trace is the point-by-point spiral's (no cycle generated),
+    # whose digest is frozen, and the rectangle rate stays on the side of 1
+    # that the bisection spiral gave (now 1.000518, 0.999969, 0.990461)
     params = ModelParams(c=c, a_priori=CERTIFICATION_BOX)
     _, _, consts = dist.build_tables(params)
     system = st.EqSystem.build(params, consts)
-    for width in (0.05, 1e-4):
-        trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, width)
+    widths = (0.05, 1e-4, WIDTH_TARGET)
+    batched = [rb.spiral_localize(system.eq1, system.eq2, params.a_priori, w) for w in widths]
+    monkeypatch.setattr(rb, "_generated_cycles", lambda *args: 0)
+    for width, trace in zip(widths, batched):
+        point_by_point = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, width)
+        assert sequences_sha256(point_by_point) == FROZEN_TRACES[c, width], width
         assert sequences_sha256(trace) == FROZEN_TRACES[c, width], width
-    trace = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, WIDTH_TARGET)
-    assert sequences_sha256(trace) == FROZEN_TRACES[c, WIDTH_TARGET]
+    trace = batched[-1]
     assert not trace.diagnostic
     assert rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori).ok
     rate = st.rate_bound_rectangle(*trace.rectangle, system, lg.build_budget(params, consts))
@@ -536,5 +540,5 @@ def test_enclosures_across_zero_certify_no_sign(params, consts_iv, trace, box):
         return wrapped
 
     report = rb.verify_exclusion(trace, widened(system_iv.eq1), widened(system_iv.eq2), box)
-    assert len(report.failures) == report.checks == 254
+    assert len(report.failures) == report.checks == 250
     assert report.min_margin < -1.0 + 1e-6

@@ -13,8 +13,8 @@ from typsat.intervals import Interval
 from typsat.params import DELTA_NUM
 
 from oracles import (alpha_closed_form, beta1_of_mu, eq1_over, eq2_eqb1, g2, gradient_f1,
-                     h_weight, interval_equations, log_den, mu_closed_form, mu_index, mu_table,
-                     objective_f1, phi_of_mu, projected_gradient)
+                     h_weight, interval_equations, log_den, mp_cell_terms, mu_closed_form,
+                     mu_index, mu_table, objective_f1, phi_of_mu, projected_gradient)
 
 LAM = 3 * 4.506
 
@@ -281,24 +281,9 @@ def test_corner_enclosures_overlap_the_all_interval_oracle(system_iv, checks):
             assert np.all(enc.hi - enc.lo < point_width[eq] + 1e-12)
 
 
-def _mp_terms(mp, eq, cells, corner):
-    """50-digit cell terms at one corner's float inputs (weights included)."""
-    if eq == "eq1":
-        a, b = corner
-    else:
-        v, a, b, neg_b_den = corner
-        v = mp.mpf(v)
-    a, b = mp.mpf(a), mp.mpf(b)
-    e_wa = {w: mp.exp(w * a) for w in set(cells.w.tolist())}
-    e_pb = {p: mp.exp(-p * b) for p in set(cells.p.tolist())}
-    if eq == "eq2":
-        den = {p: mp.exp(-p * mp.mpf(neg_b_den)) - 1 for p in set(cells.p.tolist())}
-    terms = []
-    for wt, w, p in zip(cells.weight.tolist(), cells.w.tolist(), cells.p.tolist()):
-        E = e_wa[w] * (1 - e_pb[p])
-        t = mp.mpf(wt) * E / (1 + E)
-        terms.append(t if eq == "eq1" else t * (v - 1) / (v * den[p]))
-    return terms
+#: Each equation's (low, high) corners of (log(U/V), log V), as `_eq1_core`
+#: and `_eq2_core` pass them to `_enclose`.
+CORNERS = {"eq1": (("lo", "lo"), ("hi", "hi")), "eq2": (("lo", "hi"), ("hi", "lo"))}
 
 
 @pytest.fixture(scope="module")
@@ -315,17 +300,12 @@ def corner_rounding(system, system_iv, checks):
             for k in (0, worst, len(phis) - 1):
                 pt = system_iv.point(phis[k], betas[k])
                 log_uv, log_v = st._logs(pt.U, pt.V)
-                if eq == "eq1":
-                    K = float(st._term_count(log_uv, log_v, cells))
-                    ends = (log_uv, log_v)
-                else:
-                    K = float(st._term_count(log_uv, log_v, cells, pt.V))
-                    ends = (pt.V, log_uv, log_v, -log_v)
-                for end in ("lo", "hi"):
-                    corner = tuple(float(getattr(z, end)) for z in ends)
-                    at = cells._replace(weight=getattr(cells.weight, end))
+                K = float(st._term_count(log_uv, log_v, cells, eq2=eq == "eq2"))
+                for weight_end, ends in zip(("lo", "hi"), CORNERS[eq]):
+                    corner = (float(getattr(log_uv, ends[0])), float(getattr(log_v, ends[1])))
+                    at = cells._replace(weight=getattr(cells.weight, weight_end))
                     s = st._row_sums(terms, at, *corner)
-                    out.append((eq, terms(at, *corner), _mp_terms(mp, eq, at, corner),
+                    out.append((eq, terms(at, *corner), mp_cell_terms(mp, eq, at, *corner),
                                 at.weight, K, s, float(st._pad(s, at, K))))
     return mp, out
 
