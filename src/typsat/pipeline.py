@@ -194,6 +194,8 @@ def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Ce
         "m_bands": [{"band": list(b), "value": v} for b, v in zip(mo.M_BANDS, m_values)],
         "lambda_phi_min": params.lam * params.a_priori.phi_min,
         "K_tilde": consts.K_tilde,
+        **{f"{eq}_cut": {"cells": cells.w.size, "tail": tail}
+           for eq, (cells, tail) in (("eq1", checker.cut_eq1), ("eq2", checker.cut_eq2))},
         "rho": consts.rho,
         "delta": consts.delta,
         "D": consts.D,

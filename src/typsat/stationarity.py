@@ -24,7 +24,8 @@ on floats, within `intervals.sum_slack`).  The rate bounds run the same code
 on outward-rounded intervals.  In interval mode Eq1 and Eq2 keep the point
 quantities in interval arithmetic, but take their cell sums from two float
 evaluations at corners of the point's enclosure, widened by the rounding
-lemma of `_pad`.
+lemma of `_pad`.  Eq1 and Eq2 sum the cells `_cut` keeps; an enclosure adds
+the dropped cells' bound as a one-sided tail, a float sum adds no tail or pad.
 """
 
 from __future__ import annotations
@@ -105,10 +106,12 @@ class EqSystem:
     kappa_tilde_intervals, so the rectangle rate bound runs the same code
     outward-rounded, and eq1 and eq2 return enclosures: the point fields in
     interval arithmetic, the cell sums from the float kernel at two corners
-    (`_enclose`).  Evaluation points are exact floats in both modes; eq1 and
-    eq2 also take equal-shape arrays of them and return one value per point:
-    the point fields are derived once for all the points, whose float cell
-    terms are then formed CHUNK_POINTS points at a time.
+    (`_enclose`).  eq1 and eq2 sum the cells `_cut` keeps; the monotone stage
+    and log_g2 take the whole triangle.  Evaluation points are exact floats
+    in both modes; eq1 and eq2 also take equal-shape arrays of them and return
+    one value per point: the point fields are derived once for all the
+    points, whose float cell terms are then formed CHUNK_POINTS points at a
+    time.
     """
 
     mode: str
@@ -119,6 +122,8 @@ class EqSystem:
     cells_eq1: Cells    # p >= 1, x > 2p; weight kt * w
     cells_eq2: Cells    # p >= 1; weight p * kt
     log_base: object
+    cut_eq1: tuple      # (the Cells eq1 sums, the bound T on the weight it drops): `_cut`
+    cut_eq2: tuple      # the same for eq2
 
     @classmethod
     def build(cls, params, consts: DerivedConstants) -> "EqSystem":
@@ -135,9 +140,10 @@ class EqSystem:
         wf, pf = w.astype(np.float64), ps.astype(np.float64)
         kt1, w1, pf1 = kt[strict], wf[strict], pf[strict]
         kt2, w2, pf2 = kt[p1], wf[p1], pf[p1]
+        cells_eq1, cells_eq2 = Cells(kt1, w1, pf1, kt1 * w1), Cells(kt2, w2, pf2, pf2 * kt2)
         return cls(mode=consts.mode, box=params.a_priori, lam=lam, c=c, K_tilde=consts.K_tilde,
-                   cells_eq1=Cells(kt1, w1, pf1, kt1 * w1),
-                   cells_eq2=Cells(kt2, w2, pf2, pf2 * kt2), log_base=log_base)
+                   cells_eq1=cells_eq1, cells_eq2=cells_eq2, log_base=log_base,
+                   cut_eq1=_cut(cells_eq1), cut_eq2=_cut(cells_eq2))
 
     def point(self, phi: float, beta1: float) -> PhiBetaPoint:
         """The derived point at (phi, beta1), enclosed in interval mode."""
@@ -153,6 +159,24 @@ class EqSystem:
     def eq2(self, phi: float, beta1: float):
         """Eq2 at (phi, beta1): a float, or an enclosing Interval."""
         return eq2(self.point(phi, beta1), self)
+
+
+def _cut(cells: Cells) -> tuple[Cells, float]:
+    """The cells an equation sums, and T, a bound on the weight of those it drops.
+
+    The dropped cells are the longest run of least weights (upper ends in
+    interval mode) whose total fits within slack_of_sum(n kept, kept weight),
+    which a float sum over the kept cells cannot resolve; the total rises and
+    the slack falls with each cell dropped, so one count finds the run.  T
+    bounds the exact total of those weights, the cumulative sum's rounding included.
+    """
+    weight = cells.weight.hi if isinstance(cells.weight, Interval) else cells.weight
+    order = np.argsort(weight, kind="stable")
+    dropped = np.cumsum(weight[order])
+    k = int(np.count_nonzero(dropped <= slack_of_sum(np.arange(weight.size - 1, -1, -1),
+                                                     xsum(weight) - dropped)))
+    tail = float(next_up(dropped[k - 1] + slack_of_sum(k, dropped[k - 1]))) if k else 0.0
+    return Cells(*(a[np.sort(order[k:])] for a in cells)), tail
 
 
 def cell_excess(log_uv, log_v, w, p):
@@ -268,7 +292,8 @@ def _pad(row_sum, cells: Cells, count):
     sum_slack, with KF from `_term_count` as count.  The pad takes 1.125
     times the first two parts, which covers the rounding of their own
     evaluation.  It is infinite where KF u >= 2^-20 (so b > 2^-29 wherever it
-    is finite) or the inputs leave the lemma's range.
+    is finite) or the inputs leave the lemma's range.  A cell `_cut` drops has
+    an exact term in [0, F weight], so F T bounds all of them (`_enclose`).
     """
     ku = count * _U
     gamma = np.where(ku < 2.0 ** -20, ku / (1.0 - ku), np.inf)
@@ -276,7 +301,7 @@ def _pad(row_sum, cells: Cells, count):
     return 1.125 * (gamma * xsum(cells.weight) + n * _TINY) + slack_of_sum(n, row_sum)
 
 
-def _enclose(terms, cells: Cells, count, low: tuple, high: tuple) -> Interval:
+def _enclose(terms, cells: Cells, count, low: tuple, high: tuple, tail) -> Interval:
     """Enclosure of an equation's cell sums at Interval inputs, from two float
     evaluations of `terms`.
 
@@ -287,23 +312,24 @@ def _enclose(terms, cells: Cells, count, low: tuple, high: tuple) -> Interval:
     and at `high` with their upper ends (weight.hi); a float weight (a float
     system over a box) is its own two ends.  Each corner is summed in float,
     widened by its `_pad` under the count K of its terms and stepped one ulp
-    outward; only the (points,) sums are stepped.
+    outward; only the (points,) sums are stepped.  The upper end also takes
+    `tail`, a bound on the terms of the cells `_cut` dropped, each >= 0.
     """
     w = cells.weight
     lo, hi = (w.lo, w.hi) if isinstance(w, Interval) else (w, w)
     at_lo, at_hi = cells._replace(weight=lo), cells._replace(weight=hi)
     s_lo, s_hi = _row_sums(terms, at_lo, *low), _row_sums(terms, at_hi, *high)
     return Interval._ordered(next_down(s_lo - _pad(s_lo, at_lo, count)),
-                             next_up(s_hi + _pad(s_hi, at_hi, count)))
+                             next_up(next_up(s_hi + _pad(s_hi, at_hi, count)) + tail))
 
 
-def _eq1_core(phi, log_uv, log_v, lam, k_tilde, cells: Cells):
+def _eq1_core(phi, log_uv, log_v, lam, k_tilde, cells: Cells, tail=0.0):
     """Eq1 = K_tilde - lam phi - sum; on Interval coordinates the cell sum is
-    enclosed by `_enclose` (a term grows in log(U/V) and in log V), everything
-    else stays in Interval arithmetic."""
+    enclosed by `_enclose` (a term grows in log(U/V) and in log V) with the
+    `tail`, everything else stays in Interval arithmetic."""
     if isinstance(log_uv, Interval):
         s = _enclose(_eq1_terms, cells, _term_count(log_uv, log_v, cells),
-                     (log_uv.lo, log_v.lo), (log_uv.hi, log_v.hi))
+                     (log_uv.lo, log_v.lo), (log_uv.hi, log_v.hi), tail)
     else:
         s = _row_sums(_eq1_terms, cells, log_uv, log_v)
     return k_tilde - lam * phi - s
@@ -316,16 +342,18 @@ def eq1(pt: PhiBetaPoint, system: EqSystem):
     point, CHUNK_POINTS points at a time; the point fields and their logs are
     computed once for all of them.
     """
-    return _eq1_core(pt.phi, *_logs(pt.U, pt.V), system.lam, system.K_tilde, system.cells_eq1)
+    return _eq1_core(pt.phi, *_logs(pt.U, pt.V), system.lam, system.K_tilde, *system.cut_eq1)
 
 
-def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, cells: Cells):
+def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, cells: Cells, tail):
     """Eq2 = -beta1 c + (1 - 1/V) (lam phi + sum), enclosed as in `_eq1_core`;
     a term grows in log(U/V) and falls in log V, so the lower corner takes
-    log V's upper end and the upper corner its lower end."""
+    log V's upper end and the upper corner its lower end.  A dropped term is
+    at most F = max(1, 1/b_lo) times its weight (`_pad`), so the tail is F T."""
     if isinstance(log_uv, Interval):
         s = _enclose(_eq2_terms, cells, _term_count(log_uv, log_v, cells, eq2=True),
-                     (log_uv.lo, log_v.hi), (log_uv.hi, log_v.lo))
+                     (log_uv.lo, log_v.hi), (log_uv.hi, log_v.lo),
+                     np.maximum(tail, (tail / log_v).hi))
     else:
         s = _row_sums(_eq2_terms, cells, log_uv, log_v)
     return -beta1 * c + (1.0 - 1.0 / V) * (lam * phi + s)
@@ -339,7 +367,7 @@ def eq2(pt: PhiBetaPoint, system: EqSystem):
     if lower(pt.V) <= 1.0:
         raise SingularPointError(f"eq2 needs V > 1, got V = {pt.V}")
     return _eq2_core(pt.phi, pt.beta1, pt.V, *_logs(pt.U, pt.V), system.lam, system.c,
-                     system.cells_eq2)
+                     *system.cut_eq2)
 
 
 # -- expectation rate -----------------------------------------------------------

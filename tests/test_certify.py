@@ -75,8 +75,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "9ef32fdff22bc652b6478f3c093fb7c73d8645d28d9c742df79f63970894d521",
-    "interval": "ac9b34ad000140e0b1d929be48f61235324f2dc3db6af9d6d09ccc2ec3800ff2",
+    "float": "7fcd156b41be1cdf2a86b8df92b837b85b151a43053f5a87d6f9b22f4fdcc637",
+    "interval": "4f84bb2d32818bcf6dd25f80a0f09fcab8ca41f1cfa35cd206a370ad6a79b49c",
 }
 
 
@@ -260,7 +260,7 @@ def test_sign_margin_reported(cert, cert_iv):
     # the smallest sign margin is a number in both modes; the outward-rounded
     # one can only sit below the float one
     detail = next(s["detail"] for s in cert.stages if s["name"] == "verify_exclusion")
-    assert detail.startswith("250 sign checks, 0 failures, min margin ")
+    assert detail.startswith("254 sign checks, 0 failures, min margin ")
     margin_iv = cert_iv.interval_report["min_sign_margin"]
     assert DELTA_NUM < margin_iv <= float(detail.rsplit(" ", 1)[1]) * (1 + 1e-3)
 
@@ -345,6 +345,32 @@ def test_replay_names_a_tampered_stage_and_ledger(cert, cert_iv, mode):
     result = cf.replay(data)
     assert result["disagreements"] == ["ledger"]
     assert result["rate_agrees"] and result["verdict_agrees"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_replay_names_a_tampered_cut(params, consts, consts_iv, cert, cert_iv, mode):
+    # the constants name each equation's kept cells and tail T, those of the
+    # system that verifies the trace; a replay recomputes them
+    checker = st.EqSystem.build(params, consts if mode == "float" else consts_iv)
+    for eq, cells in (("eq1", 478), ("eq2", 487)):
+        kept, tail = getattr(checker, f"cut_{eq}")
+        data = one_mode(cert, cert_iv, mode)
+        assert kept.w.size == cells
+        assert data["constants"][f"{eq}_cut"] == {"cells": cells, "tail": tail}
+        data["constants"][f"{eq}_cut"]["tail"] = 2.0 * tail
+        result = cf.replay(data)
+        assert result["disagreements"] == ["constants"]
+        assert result["rate_agrees"] and result["verdict_agrees"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_certify_at_x_max_100_keeps_the_cut(cert, cert_iv, mode):
+    # the cells x_max = 100 adds carry less weight than any the cut keeps
+    wide = cf.certify(4.506, 100, 1e-15, mode=mode)
+    assert wide.verdict and wide.failing_stage is None
+    c = {"float": cert, "interval": cert_iv}[mode]
+    for eq in ("eq1_cut", "eq2_cut"):
+        assert wide.constants[eq]["cells"] == c.constants[eq]["cells"]
 
 
 def test_replay_ignores_legacy_sign_check_record(cert):
@@ -483,7 +509,7 @@ def per_column_curves(params, grid_density):
 CURVES_SHA256 = {
     9: "84d1f61552e58697bcb3505d30526f37a4c722157370800cbf7fdb55ec87ea84",
     10: "63d7037f68323f1db134ef3aed7f3c1224b91c53fe01b239a842978e017fd59e",
-    401: "038de7c739138ea9fbab691e33cf0fbfe1c934e5d82382eec77b00ebc15dbbd1",
+    401: "9afa800e9ed78b52599098b6347d4f7dc822d4f8c86292c1472b43e7d1ac03ef",
 }
 
 
@@ -705,7 +731,7 @@ def test_cli_check(tmp_path, capsys, mode):
     capsys.readouterr()
     assert main(["check", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "[ok] verify_exclusion: 250 sign checks, 0 failures" in out
+    assert "[ok] verify_exclusion: 254 sign checks, 0 failures" in out
     assert "verdict: True" in out and "disagreements: none" in out
     data = json.loads(path.read_text())
     data["rectangle"][0]["v"] = "0.5638"

@@ -31,21 +31,46 @@ def test_every_import_is_used(path):
     assert sorted(_imported_names(tree) - used) == []
 
 
-def _references(tree: ast.AST) -> Counter:
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(scope) -> set[str]:
+    """The names a function binds itself: its arguments, the names it stores
+    or deletes and the functions and classes it defines, nested scopes aside."""
+    args = scope.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a)
+    todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(tree: ast.AST, bound: frozenset = frozenset()) -> Counter:
     """Names used under a node: loads, attributes, imports and exact-name
     strings (the benchmark tracer wraps functions by name).  A name assigned
-    or deleted is no use of it: a local of the same name refers to nothing."""
+    or deleted is no use of it, and neither is a read of a name the enclosing
+    function binds (`_bound`): a local of the same name refers to nothing."""
+    if isinstance(tree, _SCOPES):
+        bound = bound | _bound(tree)
     refs = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            if isinstance(node.ctx, ast.Load):
-                refs[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            refs[node.attr] += 1
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            refs.update(a.name.split(".")[-1] for a in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs[node.value] += 1
+    if isinstance(tree, ast.Name):
+        if isinstance(tree.ctx, ast.Load) and tree.id not in bound:
+            refs[tree.id] += 1
+    elif isinstance(tree, ast.Attribute):
+        refs[tree.attr] += 1
+    elif isinstance(tree, (ast.Import, ast.ImportFrom)):
+        refs.update(a.name.split(".")[-1] for a in tree.names)
+    elif isinstance(tree, ast.Constant) and isinstance(tree.value, str):
+        refs[tree.value] += 1
+    for child in ast.iter_child_nodes(tree):
+        refs += _references(child, bound)
     return refs
 
 
@@ -69,9 +94,12 @@ def test_every_top_level_definition_is_referenced():
 
 def test_a_local_of_the_same_name_is_no_reference():
     module = ("def uv():\n    return 1\n\n\n"
-              "def uv_star(x):\n    uv = x + 1\n    del uv\n    return x\n")
-    assert _unreferenced([module], [module]) == ["uv", "uv_star"]
-    assert _unreferenced([module], [module, "from m import uv\nuv()\n"]) == ["uv_star"]
+              "def uv_star(x):\n    uv = x + 1\n    del uv\n    return x\n\n\n"
+              "def uv_plus(x):\n    uv = x + 1\n    return uv\n\n\n"
+              "def uv_of(uv):\n    return uv\n")
+    assert _unreferenced([module], [module]) == ["uv", "uv_of", "uv_plus", "uv_star"]
+    assert _unreferenced([module], [module, "from m import uv\nuv()\n"]) == [
+        "uv_of", "uv_plus", "uv_star"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -257,7 +257,7 @@ def test_trace_sums_within_a_priori_slack(system, trace, box, monkeypatch):
 
     monkeypatch.setattr(st, "xsum", recording_xsum)
     report = verify_exclusion(trace, system.eq1, system.eq2, box)
-    assert report.ok and len(rows) == report.checks == 250
+    assert report.ok and len(rows) == report.checks == 254
     assert max(sum_slack(row) for row in rows) < DELTA_NUM / 1000.0
     _within_slack(rows, sums)
 

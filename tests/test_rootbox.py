@@ -264,18 +264,18 @@ def test_spiral_bisects_throughout_when_newton_fails(monkeypatch):
 #: sha256 of the four witness sequences (`sequences_sha256`) that the
 #: point-by-point spiral made, with the 4.506 box at every density
 FROZEN_TRACES = {
-    (4.506, 2e-7): "12acac0db78a4d0667e969214456f325b303d49a920eebb1fd3a617d104d0491",
-    (4.506, 1e-4): "45c13c6e56b2bf758293992f41a39b5df68be2c052157e8055ddea19fa854523",
-    (4.506, 0.05): "8791902997a8e0bbbc08d9638f1d6649e0b3fd96692fc629e5de0b11470b6ede",
-    (4.5, 2e-7): "2d46441246a0cd4a6fd8288a6e0d58400ea7795ab37ed83970db41ff985a0e75",
-    (4.5, 1e-4): "77a6496b22cfe36f46d9cb445adb58ceb5218ec4009b6f133b204da255d363ec",
-    (4.5, 0.05): "821866fe46f44ce1c394daee77a34fddf8ecb8b181b3b1e824d245e1a3a1aed5",
-    (4.5055, 2e-7): "9af099fbebb86346bef6a86ec5344bddacd2c36210ccb56284010b68b635692b",
-    (4.5055, 1e-4): "2539c7a16f72caff6f69f89ee0a8dd7521da96542b750bc55c2518b9b2b30db8",
-    (4.5055, 0.05): "2590d3b04bdf452dcab482e2b7a5dd6e0f9ed6db5d4f70eec5169930873458f0",
-    (4.6, 2e-7): "4053f16ba32dbcdce4f4e741254d926cd9c6e2ea7e0d32923aed13f0b6c01112",
-    (4.6, 1e-4): "b904facb0c0385908bcecc9fc7e946fc117cec42d750baf63a15a9190e46e168",
-    (4.6, 0.05): "131fbaff19c0e15398aee95bfbc5da8307bdce7b702832177a5560886cc1284a",
+    (4.506, 2e-7): "8137eb661d07ee3fd3717859aaad302e86cf7965b19557f1ae5a90234440e184",
+    (4.506, 1e-4): "fe308079876736f0362b76d6f8297687bee78086fb2ed87c1997facbddc82338",
+    (4.506, 0.05): "205a6aa07d779b338bac1249e805f8bf8179b17e736bf3a2061d8830df4ba57f",
+    (4.5, 2e-7): "e6b18f05367b086c874c853f5c2c03462120cec385ab132c87b4bc53802c9988",
+    (4.5, 1e-4): "c6209f0b3cb8e97fac7ff8ff9aa89e7167e417a00079bd6b2d504fec210ad5fa",
+    (4.5, 0.05): "a089b2313864fe926a828b7a1832064a6f13ea3230839e72ed95a6c1eb270d6b",
+    (4.5055, 2e-7): "47a47699cb40659b8445e321d1fdab697f46315e47ac29ab82332b16644f7617",
+    (4.5055, 1e-4): "c09d8ea964a8a478e8cadd8bfe333224be709f200272ad508d6dcd0448b28fc5",
+    (4.5055, 0.05): "ce8782f0bd91775d944184ca8a0b483f24d6b9bfd3925cc1708774598014be34",
+    (4.6, 2e-7): "d6091f269585356ddaefee38566555219923a6cf1fca8b53c3df7ba4689425f4",
+    (4.6, 1e-4): "7f4bc91cdeb2e9e9ac8e707cd60e3b810d9db80f5553894361dbdb8c6cd6b392",
+    (4.6, 0.05): "8127f51625e371e00bd976b956d7b507b895b3d48c6a0558a771b50969dc7132",
 }
 
 
@@ -540,5 +540,5 @@ def test_enclosures_across_zero_certify_no_sign(params, consts_iv, trace, box):
         return wrapped
 
     report = rb.verify_exclusion(trace, widened(system_iv.eq1), widened(system_iv.eq2), box)
-    assert len(report.failures) == report.checks == 250
+    assert len(report.failures) == report.checks == 254
     assert report.min_margin < -1.0 + 1e-6

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from typsat import distribution as dist
 from typsat import intervals
 from typsat import ledger as lg
 from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import DomainError, SingularPointError
 from typsat.intervals import Interval
-from typsat.params import DELTA_NUM
+from typsat.params import DELTA_NUM, ModelParams
 
 from oracles import (alpha_closed_form, beta1_of_mu, eq1_over, eq2_eqb1, g2, gradient_f1,
                      h_weight, interval_equations, log_den, mp_cell_terms, mu_closed_form,
@@ -185,7 +186,11 @@ def test_alpha_zero_at_p0(root_point, consts):
 # -- the two equations ---------------------------------------------------------------
 
 def test_eq1_diagonal_terms_vanish(root_point, system):
-    with_diag = eq1_over(system.cells_eq2, root_point, system)
+    # the x = 2p cells of Eq2 added to the cells Eq1 sums change nothing
+    diag = system.cells_eq2.w == 0
+    cells = st.Cells(*(np.concatenate([d[diag], k])
+                       for d, k in zip(system.cells_eq2, system.cut_eq1[0])))
+    with_diag = eq1_over(cells, root_point, system)
     without = st.eq1(root_point, system)
     assert with_diag == pytest.approx(without, abs=1e-15)
 
@@ -332,6 +337,84 @@ def test_widened_corner_sums_hold_the_exact_sums(corner_rounding):
         with mp.workdps(50):
             assert abs(mp.mpf(s) - mp.fsum(exact)) <= pad
         assert 0.0 < pad < 1e-12
+
+
+def _cell_keys(cells: st.Cells) -> np.ndarray:
+    """One integer per cell, (x, p) = (w + 2p, p) packed."""
+    return ((cells.w + 2 * cells.p) * 4096 + cells.p).astype(np.int64)
+
+
+def test_tails_bound_the_dropped_cells_and_enclosures_hold_the_whole_triangle(
+        system, system_iv, checks, box):
+    # at the first, worst-margin and last check of each equation and at the
+    # three regular corners of the box, in 50 digits at the exact point: the
+    # dropped cells' terms (weights at their upper ends) sum to at most the
+    # stored tail (times F = max(1, 1/log V) for Eq2), and the interval
+    # enclosure holds the equation over the whole triangle at both ends of
+    # the enclosed constants
+    mp = pytest.importorskip("mpmath")
+    corners = [(box.phi_min, box.beta1_max), (box.phi_max, box.beta1_min),
+               (box.phi_max, box.beta1_max)]
+    K, lam, c = (tuple(mp.mpf(float(e)) for e in (v.lo, v.hi))
+                 for v in (system_iv.K_tilde, system_iv.lam, system_iv.c))
+    for eq in ("eq1", "eq2"):
+        cells = getattr(system_iv, f"cells_{eq}")
+        kept, tail = getattr(system_iv, f"cut_{eq}")
+        drop = ~np.isin(_cell_keys(cells), _cell_keys(kept))
+        assert 0 < np.count_nonzero(drop) == cells.w.size - kept.w.size
+        phis, betas, signs = checks[eq]
+        worst = int(np.argmin(signs * getattr(system, eq)(phis, betas)))
+        points = [(phis[k], betas[k]) for k in (0, worst, len(phis) - 1)] + corners
+        with mp.workdps(50):
+            for phi, b1 in points:
+                enc = getattr(system_iv, eq)(phi, b1)
+                pt = st.derive_point(mp.mpf(float(phi)), mp.mpf(float(b1)))
+                a, b = mp.log(pt.U / pt.V), mp.log(pt.V)
+
+                def total(sub, end):
+                    at = st.Cells(*(f[sub] for f in cells))
+                    return mp.fsum(mp_cell_terms(mp, eq, at._replace(
+                        weight=getattr(at.weight, end)), a, b))
+
+                bound = tail if eq == "eq1" else tail * max(1, 1 / b)
+                assert 0 < total(drop, "hi") <= bound
+                s_lo, s_hi = total(slice(None), "lo"), total(slice(None), "hi")
+                if eq == "eq1":
+                    ends = (K[0] - lam[1] * pt.phi - s_hi, K[1] - lam[0] * pt.phi - s_lo)
+                else:
+                    ends = (-pt.beta1 * c[1] + (1 - 1 / pt.V) * (lam[0] * pt.phi + s_lo),
+                            -pt.beta1 * c[0] + (1 - 1 / pt.V) * (lam[1] * pt.phi + s_hi))
+                assert mp.mpf(float(enc.lo)) <= ends[0], (eq, phi, b1)
+                assert ends[1] <= mp.mpf(float(enc.hi)), (eq, phi, b1)
+
+
+def test_interval_equations_carry_the_tail_on_one_side(system_iv, checks):
+    # the dropped cells raise the cell sum's upper end by T (Eq1) or by at
+    # least F T, F = max(1, 1/log V's lower end) (Eq2), and leave its lower end
+    for eq in ("eq1", "eq2"):
+        phis, betas, _ = checks[eq]
+        kept, tail = getattr(system_iv, f"cut_{eq}")
+        untailed = dataclasses.replace(system_iv, **{f"cut_{eq}": (kept, 0.0)})
+        new, old = (getattr(s, eq)(phis, betas) for s in (system_iv, untailed))
+        if eq == "eq1":  # K_tilde - lam phi - sum
+            assert np.array_equal(new.hi, old.hi) and np.all(old.lo - new.lo >= 0.99 * tail)
+        else:  # -beta1 c + (1 - 1/V)(lam phi + sum)
+            pt = system_iv.point(phis, betas)
+            f_tail = tail * np.maximum(1.0, 1.0 / st._logs(pt.U, pt.V)[1].lo)
+            assert np.array_equal(new.lo, old.lo)
+            assert np.all(new.hi - old.hi >= 0.99 * (1.0 - 1.0 / pt.V).lo * f_tail)
+
+
+def test_one_cut_for_both_modes_and_every_x_max(system, system_iv):
+    # the same (x, p) cells are kept whatever the mode and x_max
+    for eq in ("eq1", "eq2"):
+        keys = _cell_keys(getattr(system, f"cut_{eq}")[0])
+        for x_max in (56, 100, 320):
+            params = ModelParams(c=4.506, x_max=x_max, epsilon=1e-15)
+            for consts in (dist.build_tables(params)[2], dist.kappa_tilde_intervals(params)):
+                kept, tail = getattr(st.EqSystem.build(params, consts), f"cut_{eq}")
+                assert np.array_equal(_cell_keys(kept), keys), (eq, x_max, consts.mode)
+                assert 0.0 < tail < 1e-12
 
 
 def test_interval_equations_step_only_point_arrays(monkeypatch, system_iv, checks):
