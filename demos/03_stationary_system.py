@@ -41,9 +41,10 @@ print(f"   the same checks outward-rounded: {report_iv.checks} sign checks, ok =
 
 print()
 print("-- the spiral's Newton root, inside the verified rectangle " + "-" * 11)
-ref = trace.root.report(rect)  # the reference root; never feeds the certificate
-pt = system.point(ref["phi"], ref["beta1"])
-print(f"   root = ({ref['phi']:.10f}, {ref['beta1']:.10f})")
-print(f"   residuals = ({ref['residual_eq1']:.2e}, {ref['residual_eq2']:.2e})")
+root = trace.root  # recorded in the certificate's trace; never enters the verdict
+pt = system.point(root.phi, root.beta1)
+print(f"   root = ({root.phi:.10f}, {root.beta1:.10f})")
+print(f"   residuals = ({root.residuals[0]:.2e}, {root.residuals[1]:.2e})")
 print(f"   U = {pt.U:.8f}, V = {pt.V:.8f}")
-print(f"   inside the rectangle: {ref['inside_rectangle']}")
+print(f"   inside the rectangle: "
+      f"{rect[0] <= root.phi <= rect[1] and rect[2] <= root.beta1 <= rect[3]}")

@@ -3,9 +3,10 @@
 Runs the certification at the headline density 4.506 in float mode, then
 in interval mode, where the same stages run with the ledger, every trace
 sign and the rectangle rate outward-rounded, and finally replays both
-emitted certificates from their JSON form, each in its own mode: every
-stage but the search re-runs on the stored trace, and the replay names each
-field of the certificate it did not reproduce.
+emitted certificates from their JSON form, each in its own mode: the same
+checker re-runs every stage on the stored trace, with neither the spiral nor
+its Newton, and the replay names each field of the certificate it did not
+reproduce.
 """
 
 import json

@@ -58,8 +58,20 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0 if cert.verdict else 2
 
 
+def _read_certificate(path: str) -> dict:
+    """The JSON object in the file at path; ConfigurationError, naming the
+    problem, when the file cannot be read or holds no JSON object."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"cannot read certificate {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"certificate {path} is not a JSON object")
+    return data
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
-    result = replay(json.loads(Path(args.certificate).read_text()))
+    result = replay(_read_certificate(args.certificate))
     _print_stages(result["stages"], result["verdict"], result["rate"])
     print(f"disagreements: {', '.join(result['disagreements']) or 'none'}")
     return 0 if result["verdict"] and not result["disagreements"] else 2

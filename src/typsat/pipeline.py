@@ -2,11 +2,11 @@
 
 certify() chains: parameter validation -> occurrence tables -> error ledger
 -> separate-monotonicity verdicts -> exclusion spiral -> trace verification
--> reference root -> rectangle-mode rate bound.  The verdict is true only if
-every stage passes and the rate (prefactors and unbalancing factor included)
-stays below 1 with the documented slack.  Interval mode runs the same stages
-with the ledger, the trace sign checks and the rate outward-rounded.
-replay() runs the same stages on a certificate's stored trace.
+-> rectangle-mode rate bound.  The verdict is true only if every stage
+passes and the rate (prefactors and unbalancing factor included) stays below
+1 with the documented slack.  Interval mode runs the same stages with the
+ledger, the trace sign checks and the rate outward-rounded.  replay() runs
+the same checker on a certificate's stored trace, where certify() searches.
 
 The monotone decrease of the satisfiability probability in the density c is
 recorded as an external assumption: it transports the per-density verdict to
@@ -28,8 +28,8 @@ from . import ledger as lg
 from . import monotone as mo
 from . import rootbox as rb
 from . import stationarity as st
-from .errors import (DomainError, GuardError, SingularPointError, SpiralSeedError,
-                     TraceStructureError)
+from .errors import (ConfigurationError, DomainError, GuardError, SingularPointError,
+                     SpiralSeedError, TraceStructureError)
 from .formulas import (clause_count, deviation_budget, generate, is_pps, literal_truth,
                        pps_bitmap, run_omega_campaign, solution_bitmap, truth_tables,
                        variable_type)
@@ -86,7 +86,6 @@ class Certificate:
     rectangle: tuple | None = None
     rate: float | None = None
     point_rate: float | None = None
-    reference_root: dict = field(default_factory=dict)
     interval_report: dict = field(default_factory=dict)
     assumptions: list = field(default_factory=list)
     verdict: bool = False
@@ -113,7 +112,6 @@ class Certificate:
             "rectangle": [_dec(v) for v in self.rectangle] if self.rectangle else None,
             "rate": _dec(self.rate, "upper") if self.rate is not None else None,
             "point_rate": _dec(self.point_rate) if self.point_rate is not None else None,
-            "reference_root": self.reference_root,
             "interval_report": self.interval_report,
             "assumptions": self.assumptions,
             "verdict": self.verdict,
@@ -129,16 +127,17 @@ class Certificate:
 
 def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
             mode: str = "float") -> Certificate:
-    """Run the full pipeline; raises ConfigurationError for invalid parameters."""
-    return _run(ModelParams(c=c, x_max=x_max, epsilon=eps), mode)
+    """Run the full pipeline, the spiral finding the trace; raises
+    ConfigurationError for invalid parameters or mode."""
+    return _check(ModelParams(c=c, x_max=x_max, epsilon=eps), mode, lambda system:
+                  rb.spiral_localize(system.eq1, system.eq2, system.box, WIDTH_TARGET))
 
 
-def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Certificate:
-    """The stages of certify and replay.  The spiral stage searches when
-    stored_trace is None and otherwise reads that trace (a certificate's
-    `trace` dict); every other stage runs the same code for both."""
+def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
+    """The stages of certify and replay, each recorded in every call; the
+    spiral stage takes its ExclusionTrace from find_trace(the float EqSystem)."""
     if mode not in ("float", "interval"):
-        raise ValueError(f"mode must be 'float' or 'interval', got {mode!r}")
+        raise ConfigurationError(f"mode must be 'float' or 'interval', got {mode!r}")
     cert = Certificate(params=params.as_dict(), mode=mode)
     cert.assumptions.append(
         "the satisfiability probability is nonincreasing in the clause density c; "
@@ -156,7 +155,7 @@ def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Ce
     cert.stage("tables", tables_ok,
                f"row_err={row_err:.3e}, mass_err={mass_err:.3e}, rho={consts.rho:.3e}")
 
-    system = st.EqSystem.build(params, consts)  # the search, monotone stage and Newton
+    system = st.EqSystem.build(params, consts)  # the search and the monotone stage
     checking = consts if mode == "float" else dist.kappa_tilde_intervals(params)
     budget = lg.build_budget(params, checking)
     checker = system if mode == "float" else st.EqSystem.build(params, checking)
@@ -205,20 +204,16 @@ def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Ce
     }
 
     trace = None
-    if monotone_ok:
-        try:
-            trace = (rb.spiral_localize(system.eq1, system.eq2, params.a_priori, WIDTH_TARGET)
-                     if stored_trace is None else rb.ExclusionTrace.from_jsonable(stored_trace))
-            cert.trace = trace.to_jsonable()
-            rect = trace.rectangle
-            tight = (rect[1] - rect[0] <= WIDTH_TARGET and rect[3] - rect[2] <= WIDTH_TARGET)
-            cert.stage("spiral", tight,
-                       f"K={trace.K}, L={trace.L}, rectangle={rect}" +
-                       (f"; {trace.diagnostic}" if trace.diagnostic else ""))
-        except (SpiralSeedError, SingularPointError, TraceStructureError) as exc:
-            cert.stage("spiral", False, str(exc))
-    else:
-        cert.stage("spiral", False, "skipped: monotonicity certificates failed")
+    try:
+        trace = find_trace(system)
+        cert.trace = trace.to_jsonable()
+        rect = trace.rectangle
+        tight = (rect[1] - rect[0] <= WIDTH_TARGET and rect[3] - rect[2] <= WIDTH_TARGET)
+        cert.stage("spiral", tight,
+                   f"K={trace.K}, L={trace.L}, rectangle={rect}" +
+                   (f"; {trace.diagnostic}" if trace.diagnostic else ""))
+    except (SpiralSeedError, SingularPointError, TraceStructureError) as exc:
+        cert.stage("spiral", False, str(exc))
 
     report = rate = None
     if trace is None:
@@ -236,14 +231,6 @@ def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Ce
 
     if cert.trace_verified:
         rect = cert.rectangle = trace.rectangle
-        box = params.a_priori  # a stored trace has no root: rerun the spiral's Newton
-        root = trace.root or rb.solve_reference(
-            system.eq1, system.eq2, (box.phi_min, box.phi_max, box.beta1_min, box.beta1_max))
-        ref = root.report(rect)
-        cert.reference_root = {
-            k: (_dec(v) if isinstance(v, float) else v) for k, v in ref.items()}
-        cert.stage("reference_root", bool(ref.get("found") and ref.get("inside_rectangle")),
-                   f"residuals=({ref.get('residual_eq1')}, {ref.get('residual_eq2')})")
         try:
             rate = st.rate_bound_rectangle(*rect, checker, budget)
         except DomainError as exc:
@@ -276,16 +263,22 @@ def _run(params: ModelParams, mode: str, stored_trace: dict | None = None) -> Ce
 
 
 def replay(cert_data: dict) -> dict:
-    """Re-run certify's stages on a certificate's stored trace, in its own
-    mode; only the spiral stage reads the trace instead of searching, and the
-    rate is that of the trace's own final rectangle.  `disagreements` names
-    the top-level fields of the re-run certificate that differ from the stored ones."""
-    p = cert_data["params"]
-    rerun = _run(ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"]),
-                 cert_data["mode"], cert_data["trace"] or {})
+    """Re-run certify's checker on a certificate's stored trace, in its own
+    mode: the spiral stage reads the trace, root included, where certify
+    searches, and the rate is that of the trace's own final rectangle.
+    `disagreements` names the top-level fields of the re-run certificate that
+    differ from the stored ones.  A certificate without params (c, x_max,
+    epsilon), mode or trace raises ConfigurationError naming the key."""
+    try:
+        p, mode, stored_trace = cert_data["params"], cert_data["mode"], cert_data["trace"]
+        params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
+    except KeyError as exc:
+        raise ConfigurationError(f"certificate has no {exc.args[0]!r}") from None
+    rerun = _check(params, mode,
+                   lambda system: rb.ExclusionTrace.from_jsonable(stored_trace or {}))
     fresh, stored = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
                      for d in (rerun.as_dict(), cert_data))
-    stored_rate = float(cert_data["rate"]["v"]) if cert_data["rate"] is not None else None
+    stored_rate = float(cert_data["rate"]["v"]) if cert_data.get("rate") is not None else None
     return {
         "trace_ok": rerun.trace_verified,
         "rate": rerun.rate,
@@ -293,7 +286,7 @@ def replay(cert_data: dict) -> dict:
         "rate_agrees": (rerun.rate == stored_rate if None in (rerun.rate, stored_rate)
                         else abs(rerun.rate - stored_rate) < 1e-12),
         "verdict": rerun.verdict,
-        "verdict_agrees": rerun.verdict == cert_data["verdict"],
+        "verdict_agrees": rerun.verdict == cert_data.get("verdict"),
         "stages": rerun.stages,
         "disagreements": [k for k in {**fresh, **stored} if fresh.get(k) != stored.get(k)],
     }

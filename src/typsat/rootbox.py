@@ -6,8 +6,10 @@ the feasibility box: the "minus" arm walks phi up / beta1 down from the
 and Eq2 < 0 on the staggered (phi_i^-, b1_{i+1}^+) pairs, and the "plus"
 arm mirrors it from (phi_max, beta1_min).  Band exclusion then confines any
 common root to the rectangle spanned by the four final values.  The spiral
-construction is exploratory; `verify_exclusion` independently re-evaluates
-every sign the sequences claim, with the required margin.
+construction is the search; `verify_exclusion` is the check: it
+re-evaluates every sign the sequences claim, with the required margin, and
+alone decides whether a trace holds.  The spiral's Newton root travels with
+the trace as a record of the search and never enters the check.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .intervals import Interval
 from .ledger import FeasibleBox
 from .params import DELTA_NUM
 
-#: Step caps of `_push` and `spiral_localize`; the reference root's residual target.
+#: Step caps of `_push` and `spiral_localize`.
 PUSH_MAX_ITER = 90
 SPIRAL_MAX_CYCLES = 400
-RESIDUAL_TARGET = 1e-10
 #: The spiral predicts each push from one linearisation and probes it
 #: PREDICT_SHARE of the push's gap back toward the certified side.
 PREDICT_SHARE = 1.0 / 64.0
@@ -40,8 +41,8 @@ SEQUENCES = ("phi_minus", "beta_plus", "phi_plus", "beta_minus")
 
 @dataclass
 class ExclusionTrace:
-    """The four witness sequences, and in memory the Newton root the spiral
-    linearised about (not serialised; None for a trace read back)."""
+    """The four witness sequences, and the Newton root the spiral linearised
+    about (None for a trace that no spiral made)."""
 
     phi_minus: list[float]   # increasing, starts at phi_min
     beta_plus: list[float]   # decreasing, starts at beta1_max
@@ -66,17 +67,22 @@ class ExclusionTrace:
 
     def to_jsonable(self) -> dict:
         return {**{name: getattr(self, name) for name in SEQUENCES}, "K": self.K, "L": self.L,
-                "rectangle": list(self.rectangle), "diagnostic": self.diagnostic}
+                "rectangle": list(self.rectangle), "diagnostic": self.diagnostic,
+                "root": self.root._asdict() if self.root is not None else None}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExclusionTrace":
-        """The trace of to_jsonable's dict; other keys (an older certificate's
-        `sign_checks` record) are ignored, and a missing or empty sequence
-        raises TraceStructureError."""
+        """The trace of to_jsonable's dict, its root included; other keys (an
+        older certificate's `sign_checks` record) are ignored, and a missing
+        or empty sequence or a malformed root raises TraceStructureError."""
         if not all(data.get(name) for name in SEQUENCES):
             raise TraceStructureError("missing or empty witness sequences")
+        try:
+            root = None if data.get("root") is None else NewtonRoot(**data["root"])
+        except TypeError as exc:
+            raise TraceStructureError(f"malformed root: {exc}") from None
         return cls(*(list(data[name]) for name in SEQUENCES),
-                   diagnostic=data.get("diagnostic", ""))
+                   diagnostic=data.get("diagnostic", ""), root=root)
 
 
 @dataclass
@@ -239,32 +245,17 @@ class NewtonRoot(NamedTuple):
         d11, d12, _, _ = self.jacobian
         return self.phi + (value - d12 * (beta1 - self.beta1)) / d11
 
-    def report(self, rectangle: tuple[float, float, float, float]) -> dict:
-        """The root against a verified rectangle: the root, its residuals,
-        whether both are within RESIDUAL_TARGET and whether the root lies in
-        the rectangle; or found False and the reason."""
-        if not self.found:
-            return {"found": False, "reason": self.reason}
-        phi_lo, phi_hi, b_lo, b_hi = rectangle
-        r1, r2 = self.residuals
-        return {"found": True, "phi": self.phi, "beta1": self.beta1,
-                "residual_eq1": r1, "residual_eq2": r2,
-                "within_target": max(abs(r1), abs(r2)) < RESIDUAL_TARGET,
-                "inside_rectangle": bool(phi_lo <= self.phi <= phi_hi
-                                         and b_lo <= self.beta1 <= b_hi)}
-
 
 def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float]) -> NewtonRoot:
     """Newton root of (Eq1, Eq2) from the centre of a rectangle.
 
     `spiral_localize` runs it once, on its domain, and predicts its pushes
-    from the root, which is also the certificate's reference root (a sanity
-    oracle that never feeds the verdict).  Each step takes a forward-
-    difference Jacobian with increments of NEWTON_INCREMENT, until a step is
-    within NEWTON_STEP_TOL in both coordinates.  A singular iterate (an
-    equation that cannot be evaluated, or a degenerate Jacobian), one
-    outside the rectangle widened by its own widths on each side, or
-    NEWTON_MAX_ITER steps without convergence end it with a reason.
+    from the root, which the trace records; no check reads it.  Each step
+    takes a forward-difference Jacobian with increments of NEWTON_INCREMENT,
+    until a step is within NEWTON_STEP_TOL in both coordinates.  A singular
+    iterate (an equation that cannot be evaluated, or a degenerate
+    Jacobian), one outside the rectangle widened by its own widths on each
+    side, or NEWTON_MAX_ITER steps without convergence end it with a reason.
     """
     phi_lo, phi_hi, b_lo, b_hi = rectangle
     w_f, w_b = phi_hi - phi_lo, b_hi - b_lo

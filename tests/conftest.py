@@ -97,11 +97,12 @@ def trace(system, box):
 
 @pytest.fixture(scope="session")
 def root(trace):
-    """The certificate's reference root: the spiral's Newton root reported
-    against its rectangle."""
-    ref = trace.root.report(trace.rectangle)
-    assert ref["found"]
-    return ref
+    """The spiral's Newton root, which the certificate records as
+    trace["root"]: its point and its residuals there."""
+    newton = trace.root
+    assert newton.found
+    r1, r2 = newton.residuals
+    return {"phi": newton.phi, "beta1": newton.beta1, "residual_eq1": r1, "residual_eq2": r2}
 
 
 @pytest.fixture(scope="session")

@@ -111,11 +111,11 @@ def test_criterion_4_root_box(params, consts, system):
     rect = trace.rectangle
     contained = (0.5638320 <= rect[0] and rect[1] <= 0.5638326
                  and 0.4465139 <= rect[2] and rect[3] <= 0.4465149)
-    ref = trace.root.report(rect)  # the spiral's Newton root, the reference root
+    root = trace.root  # the spiral's Newton root, which the certificate records
     elapsed = time.perf_counter() - t0
-    ok = (report.ok and contained and ref["found"] and ref["inside_rectangle"]
-          and max(abs(ref["residual_eq1"]), abs(ref["residual_eq2"])) < 1e-10
-          and elapsed < 30.0)
+    ok = (report.ok and contained and root.found
+          and rect[0] <= root.phi <= rect[1] and rect[2] <= root.beta1 <= rect[3]
+          and max(abs(r) for r in root.residuals) < 1e-10 and elapsed < 30.0)
     assert _report("4", ok,
                    f"rectangle={[f'{v:.8f}' for v in rect]} inside widened target, "
                    f"{report.checks} checks ok={report.ok}, residuals<1e-10, "

@@ -3,7 +3,9 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from typsat import ledger as lg
 from typsat import monotone as mo
 from typsat import rootbox as rb
 from typsat import stationarity as st
-from typsat.errors import ConfigurationError, DomainError, GuardError
+from typsat.errors import ConfigurationError, DomainError, GuardError, SpiralSeedError
 from typsat.params import DELTA_NUM, ModelParams, clause_count
 
 
@@ -29,12 +31,15 @@ def cert_iv():
     return cf.certify(4.506, 56, 1e-15, mode="interval")
 
 
+#: The stages of every certify and replay, in order: the ones the verdict means.
+STAGES = ["config", "tables", "ledger", "monotone", "spiral", "verify_exclusion", "rate"]
+
+
 def test_certify_stages_all_pass(cert):
     assert cert.verdict
     assert cert.failing_stage is None
     names = [s["name"] for s in cert.stages]
-    assert names == ["config", "tables", "ledger", "monotone", "spiral",
-                     "verify_exclusion", "reference_root", "rate"]
+    assert names == STAGES
     assert all(s["ok"] for s in cert.stages)
 
 
@@ -75,8 +80,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "7fcd156b41be1cdf2a86b8df92b837b85b151a43053f5a87d6f9b22f4fdcc637",
-    "interval": "4f84bb2d32818bcf6dd25f80a0f09fcab8ca41f1cfa35cd206a370ad6a79b49c",
+    "float": "c1e8fb648e98dbd2ef7669851843c2fa4215e125601801d72a64b4ef569c6338",
+    "interval": "9e76dcbb35c5cab8f323895c94be4a91447bddbf35ff741bf30e730d57878609",
 }
 
 
@@ -87,12 +92,13 @@ def test_certificate_bytes_frozen(cert, cert_iv, mode):
 
 
 def test_certificate_trace_keys(cert, cert_iv):
-    # the trace serialises the four sequences verify_exclusion checks and
-    # nothing the spiral computed on the way
+    # the trace serialises the four sequences verify_exclusion checks, and of
+    # what the spiral computed on the way only its Newton root
     for c in (cert, cert_iv):
-        assert list(json.loads(c.dumps())["trace"]) == [
-            "phi_minus", "beta_plus", "phi_plus", "beta_minus", "K", "L", "rectangle",
-            "diagnostic"]
+        trace = json.loads(c.dumps())["trace"]
+        assert list(trace) == ["phi_minus", "beta_plus", "phi_plus", "beta_minus", "K", "L",
+                               "rectangle", "diagnostic", "root"]
+        assert list(trace["root"]) == list(rb.NewtonRoot._fields)
 
 
 def test_certificate_params_and_ledger_keys(cert, cert_iv):
@@ -226,7 +232,7 @@ def test_float_certify_evaluation_count(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_certify_runs_one_newton(monkeypatch, mode):
-    # the spiral's Newton root seeds its pushes and is the reference root
+    # the spiral's Newton root seeds its pushes, and the trace records it
     roots, solve = [], rb.solve_reference
 
     def recorded(*args):
@@ -235,9 +241,19 @@ def test_certify_runs_one_newton(monkeypatch, mode):
     monkeypatch.setattr(rb, "solve_reference", recorded)
     result = cf.certify(4.506, 56, 1e-15, mode=mode)
     assert result.verdict and len(roots) == 1
-    ref = result.reference_root
-    assert float(ref["phi"]["v"]) == roots[0].phi and float(ref["beta1"]["v"]) == roots[0].beta1
-    assert ref["inside_rectangle"] and ref["within_target"]
+    assert result.trace["root"] == roots[0]._asdict()
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_certified_root_lies_in_the_rectangle(cert, cert_iv, mode):
+    # no stage checks the recorded root, so this test does: it was found, lies
+    # in the verified rectangle and leaves residuals below 1e-10
+    data = one_mode(cert, cert_iv, mode)
+    root = data["trace"]["root"]
+    lo_f, hi_f, lo_b, hi_b = (float(v["v"]) for v in data["rectangle"])
+    assert root["reason"] is None
+    assert lo_f <= root["phi"] <= hi_f and lo_b <= root["beta1"] <= hi_b
+    assert max(abs(r) for r in root["residuals"]) < 1e-10
 
 
 def test_interval_mode_consistent_with_float(cert, cert_iv):
@@ -293,11 +309,13 @@ def one_mode(cert, cert_iv, mode):
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_honest_replay_agrees_without_search(monkeypatch, cert, cert_iv, mode):
-    # replay re-runs every stage but the search on the stored trace, and the
-    # re-run certificate equals the stored one field by field
+    # replay runs the checker on the stored trace, with neither the spiral nor
+    # its Newton, and the re-run certificate equals the stored one field by
+    # field, the recorded root included
     def no_search(*args, **kwargs):
-        raise AssertionError("replay re-ran the spiral")
+        raise AssertionError("replay ran the search")
     monkeypatch.setattr(rb, "spiral_localize", no_search)
+    monkeypatch.setattr(rb, "solve_reference", no_search)
     result = cf.replay(one_mode(cert, cert_iv, mode))
     assert result["disagreements"] == []
     assert result["trace_ok"] and result["rate_agrees"] and result["verdict_agrees"]
@@ -408,6 +426,17 @@ def test_replay_fails_an_empty_witness_sequence(cert):
     assert "trace" in result["disagreements"]
 
 
+def test_replay_fails_a_malformed_root(cert):
+    # the recorded root is read back, not checked; one without NewtonRoot's
+    # fields fails the spiral stage by name instead of raising
+    data = json.loads(cert.dumps())
+    data["trace"]["root"] = {"phi": 0.5, "beta1": 0.4, "x": 0.5}
+    result = cf.replay(data)
+    spiral = next(s for s in result["stages"] if s["name"] == "spiral")
+    assert not spiral["ok"] and spiral["detail"].startswith("malformed root")
+    assert result["trace_ok"] is False and result["verdict"] is False
+
+
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_replay_fails_a_rectangle_outside_the_box(cert, cert_iv, mode):
     # the stored rectangle is not rated, only compared with the trace's own
@@ -435,21 +464,80 @@ def test_rate_stage_fails_on_a_domain_error(monkeypatch, cert, cert_iv, mode):
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_replay_without_trace(monkeypatch, mode):
-    # a certificate that failed before the spiral replays as a failed trace
-    data = json.loads(cf.certify(4.2, 56, 1e-15, mode=mode).dumps())
-    assert data["failing_stage"] == "monotone" and not data["trace"]
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("replay re-ran the spiral")
-    monkeypatch.setattr(rb, "spiral_localize", no_search)
+    # a certificate whose spiral failed at its seed stores no trace; its replay
+    # cannot search, so its spiral stage fails on the missing sequences: the
+    # verdict agrees and `stages` is named (a leftover, ROADMAP item 5)
+    def no_seed(*args, **kwargs):
+        raise SpiralSeedError("corner sign seeds absent")
+    monkeypatch.setattr(rb, "spiral_localize", no_seed)
+    data = json.loads(cf.certify(4.506, 56, 1e-15, mode=mode).dumps())
+    assert data["failing_stage"] == "spiral" and not data["trace"]
     result = cf.replay(data)
     assert result["trace_ok"] is False
     assert result["rate"] is None
     assert result["verdict"] is False
     assert result["verdict_agrees"] is True
-    assert result["disagreements"] == []
+    assert result["disagreements"] == ["stages"]
     data["verdict"] = True
     assert cf.replay(data)["verdict_agrees"] is False
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_certify_runs_every_stage_after_a_monotone_failure(mode):
+    # at c = 4.6 the generic box fails the monotone stage; the spiral, the
+    # trace check and the rate still run, and the certificate replays
+    result = cf.certify(4.6, 56, 1e-15, mode=mode)
+    assert not result.verdict and result.failing_stage == "monotone"
+    assert [s["name"] for s in result.stages] == STAGES
+    assert all(s["ok"] for s in result.stages if s["name"] != "monotone")
+    assert result.trace["K"] == result.trace["L"] == 70 and result.trace_verified
+    assert result.rate < 1.0
+    assert cf.replay(json.loads(result.dumps()))["disagreements"] == []
+
+
+def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
+    # an interval check evaluates Eq1 and Eq2 on the interval system only
+    modes = Counter()
+    for name in ("eq1", "eq2"):
+        def recorded(pt, system, _fn=getattr(st, name), _name=name):
+            modes[_name, system.mode] += 1
+            return _fn(pt, system)
+        monkeypatch.setattr(st, name, recorded)
+    assert cf.replay(json.loads(cert_iv.dumps()))["disagreements"] == []
+    assert set(modes) == {("eq1", "interval"), ("eq2", "interval")}
+
+
+#: Distinct src/typsat lines that a warm interval replay executes, counted by
+#: `lines_executed`.  The check path may only shrink; a change that grows it
+#: on purpose raises this bound and records why in CHANGES.md.
+REPLAY_LINES_MAX = 779
+
+
+def lines_executed(fn, *args) -> set:
+    """The (file, line) pairs of src/typsat that sys.settrace sees, at every
+    event kind, while fn(*args) runs."""
+    src = str(Path(cf.__file__).parent)
+    seen = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename.startswith(src):
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+            return tracer
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+def test_replay_line_count_stays_bounded(cert_iv):
+    data = json.loads(cert_iv.dumps())
+    cf.replay(data)  # warm: the per-process integer logs are taken
+    assert len(lines_executed(cf.replay, data)) <= REPLAY_LINES_MAX
 
 
 # -- curves ------------------------------------------------------------------------
@@ -742,6 +830,26 @@ def test_cli_check(tmp_path, capsys, mode):
     path.write_text(json.dumps(data))
     assert main(["check", str(path)]) == 3
     assert "density c out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read certificate"),
+    ("{not json", "cannot read certificate"),
+    ("[]", "is not a JSON object"),
+    ('{"mode": "float", "trace": {}}', "certificate has no 'params'"),
+    ('{"params": {"c": 4.506, "x_max": 56}, "mode": "float", "trace": {}}',
+     "certificate has no 'epsilon'"),
+    ('{"params": {"c": 4.506, "x_max": 56, "epsilon": 1e-15}, "mode": "double", "trace": {}}',
+     "mode must be 'float' or 'interval', got 'double'"),
+])
+def test_cli_check_rejects_a_bad_file(tmp_path, capsys, content, message):
+    # a file that is missing, not JSON or not a certificate exits 3 and names why
+    from typsat.cli import main
+    path = tmp_path / "certificate.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["check", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_cli_certify_config_error(capsys):
