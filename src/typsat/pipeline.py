@@ -268,12 +268,17 @@ def replay(cert_data: dict) -> dict:
     searches, and the rate is that of the trace's own final rectangle.
     `disagreements` names the top-level fields of the re-run certificate that
     differ from the stored ones.  A certificate without params (c, x_max,
-    epsilon), mode or trace raises ConfigurationError naming the key."""
+    epsilon), mode or trace raises ConfigurationError naming the key, and
+    one whose params is not an object or holds a non-number, naming it."""
     try:
         p, mode, stored_trace = cert_data["params"], cert_data["mode"], cert_data["trace"]
         params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
     except KeyError as exc:
         raise ConfigurationError(f"certificate has no {exc.args[0]!r}") from None
+    except TypeError:  # params is not an object, or one of its fields is not a number
+        bad = ([f"params.{k} = {p[k]!r}" for k in ("c", "x_max", "epsilon")
+                if type(p[k]) not in (int, float)] if isinstance(p, dict) else [f"params = {p!r}"])
+        raise ConfigurationError(f"certificate field of the wrong type: {', '.join(bad)}") from None
     rerun = _check(params, mode,
                    lambda system: rb.ExclusionTrace.from_jsonable(stored_trace or {}))
     fresh, stored = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
@@ -392,6 +397,11 @@ def empirical_csv(report: dict) -> str:
 
 # -- exhaustive counting oracle --------------------------------------------------------
 
+#: Largest (formula representative x assignment) grid counting_oracle scans;
+#: its measured cost is in counting_oracle's docstring.
+ORACLE_WORK_MAX = 1 << 20
+
+
 def _pair_bound(sig: tuple, n: int, m: int) -> int:
     """Exact integer upper bound on the number of (formula, solution) pairs
     sharing one signature: cell-type placement x variable typing x per-group
@@ -430,9 +440,62 @@ def _signature(row, n: int, base: int) -> tuple:
     return tuple(row[:3]), tuple(sorted(theta.items())), tuple(sorted(mu.items()))
 
 
+def _orderings(rows: np.ndarray) -> np.ndarray:
+    """Number of distinct orderings of each row sorted along the last axis.
+    Appending the i-th element, the r-th of its run, multiplies the prefix's
+    number of orderings by i / r, and each product is again a count."""
+    run = np.ones(rows.shape[:-1], dtype=np.int64)
+    count = np.ones_like(run)
+    for i in range(1, rows.shape[-1]):
+        run = np.where(rows[..., i] == rows[..., i - 1], run + 1, 1)
+        count = count * (i + 1) // run
+    return count
+
+
+def _multisets(size: int, k: int) -> int:
+    """Number of sorted k-tuples over `size` symbols, C(size + k - 1, k), as
+    a running product that is a count at every step."""
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (size + i - 1) // i
+    return count
+
+
+def _sorted_tuples(size: int, k: int) -> np.ndarray:
+    """Every non-decreasing k-tuple over range(size), (count, k), in
+    lexicographic order.  Each column turns a row ending at v into one row
+    per next value v..size-1."""
+    rows, last = np.zeros((1, 0), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for _ in range(k):
+        extensions = size - last
+        offset = np.repeat(np.cumsum(extensions) - extensions - last, extensions)
+        last = np.arange(len(offset)) - offset
+        rows = np.column_stack([np.repeat(rows, extensions, axis=0), last])
+    return rows
+
+
+def _representatives(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """One formula per class of formulas equal up to the order of the literals
+    in each clause and of the clauses, as lits (reps, m, 3): literal codes
+    non-decreasing within each clause, clause indices non-decreasing within
+    the formula.  Each one's int64 weight is its number of orderings,
+    m!/prod(clause multiplicities)! times, per clause, 3!/prod(literal
+    multiplicities)!; the weights sum to (2n)^(3m)."""
+    literals = np.array([l for v in range(1, n + 1) for l in (v, -v)], dtype=np.int8)
+    codes = _sorted_tuples(2 * n, 3)
+    chosen = _sorted_tuples(len(codes), m)
+    weights = _orderings(chosen) * _orderings(codes)[chosen].prod(axis=-1)
+    return literals[codes][chosen], weights
+
+
 def counting_oracle(n: int, c: float) -> dict:
     """Exhaust all formulas and assignments of a tiny instance and compare the
     exact per-signature census of locally-maximal pairs to the counting bound.
+
+    Every tally is invariant under reordering the literals of a clause and
+    the clauses of a formula, so the scan visits one representative per
+    class (_representatives), and every count below is a sum of the
+    representatives' weights, their numbers of orderings, in int64.
 
     The pairs are counted twice: formula by formula with is_pps, and by the
     truth-table kernel over the whole formula stack, which never calls is_pps;
@@ -445,32 +508,47 @@ def counting_oracle(n: int, c: float) -> dict:
     with j = p (its flip blocked only by clauses holding several of its own
     occurrences) reads as value 0: such pairs are outside the constructive
     counting scheme and are censused separately as untypable.
+
+    GuardError, raised before anything is allocated, refuses a grid of more
+    than ORACLE_WORK_MAX = 2^20 (representative, assignment) cells, and any
+    instance whose signature key radix or pair count bound (2n)^(3m) 2^n
+    reaches 2^63.  (3, 1.0), 30,856 representatives of 6^9 formulas, takes
+    0.14-0.22 s and peaks at 12 MB (tracemalloc); the largest grid admitted,
+    (2, 3.0) with 177,100 x 4 cells, takes 0.6-0.7 s and 51 MB (2-core
+    x86-64 VM, Python 3.11, numpy 2.4).  (4, 1.0) exceeds the work bound and
+    (5, 0.4) the key radix.
     """
     m = clause_count(n, c)
-    if n > 3 or m > 2:
-        raise GuardError(f"counting oracle limited to n <= 3 and m <= 2, got ({n}, {m})")
-    literals = np.array([l for v in range(1, n + 1) for l in (v, -v)], dtype=np.int8)
-    cells = np.indices((2 * n,) * (3 * m), dtype=np.int8).reshape(3 * m, -1).T
-    all_lits = literals[cells].reshape(-1, m, 3)  # every formula, in itertools.product order
+    reps = _multisets(_multisets(2 * n, 3), m)  # sorted m-tuples of sorted triples
+    if reps << n > ORACLE_WORK_MAX:
+        raise GuardError(f"counting oracle ({n}, {m}): {reps:,} representatives x 2^{n} "
+                         f"assignments exceed the work bound {ORACLE_WORK_MAX:,}")
+    base = 3 * m + 1  # x, p, j <= 3m
+    radix = (m + 1,) * 3 + (base ** 2,) * n + (base ** 3,) * n  # one int64 key per pair
+    key_radix, max_pairs = math.prod(radix), (2 * n) ** (3 * m) << n
+    if max(key_radix, max_pairs) >= 1 << 63:
+        raise GuardError(f"counting oracle ({n}, {m}): the signature key radix {key_radix:.3g} "
+                         f"or the pair count bound {max_pairs:.3g} reaches the int64 bound 2^63")
+    all_lits, weights = _representatives(n, m)
     values = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1  # bit k: variable k+1
     pps = is_pps(all_lits[:, None], values)
-    pps_by_formula = pps.sum(axis=0)
+    pps_by_formula = weights @ pps
     formula_idx, bits = np.nonzero(pps)
     lits, vals = all_lits[formula_idx], values[bits]
     x, p, j = np.moveaxis(variable_type(lits, vals), -1, 0)
     typable = ~(vals & (j == p)).any(axis=-1)
     ntrue = literal_truth(lits, vals).sum(axis=-1)
-    base = 3 * m + 1  # x, p, j <= 3m
     digits = [*((ntrue == k).sum(axis=-1) for k in (1, 2, 3)),
               *np.sort(x * base + p, axis=-1).T, *np.sort((x * base + p) * base + j, axis=-1).T]
-    radix = (m + 1,) * 3 + (base ** 2,) * n + (base ** 3,) * n  # one int64 key per pair
-    keys, counts = np.unique(np.ravel_multi_index(digits, radix)[typable], return_counts=True)
+    keys, group = np.unique(np.ravel_multi_index(digits, radix)[typable], return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, group, weights[formula_idx][typable])
     rows = np.stack(np.unravel_index(keys, radix), axis=-1)
     groups = {_signature(row, n, base): int(cnt) for row, cnt in zip(rows, counts)}
-    pps_by_assignment = truth_tables(all_lits, n)[1].sum(axis=0)
+    pps_by_assignment = weights @ truth_tables(all_lits, n)[1]
     identity = bool(np.array_equal(pps_by_formula, pps_by_assignment))
     pairs = int(pps_by_formula.sum())
-    untypable = pairs - int(typable.sum())
+    untypable = pairs - int(counts.sum())
     records = []
     violations = 0
     for sig, count in sorted(groups.items()):
@@ -480,7 +558,7 @@ def counting_oracle(n: int, c: float) -> dict:
         records.append({"signature": repr(sig), "count": count, "bound": bound, "ok": ok})
     return {
         "n": n, "c": c, "m": m,
-        "formulas": len(all_lits),
+        "formulas": int(weights.sum()),
         "pairs": pairs,
         "typed_pairs": pairs - untypable,
         "untypable_pairs": untypable,

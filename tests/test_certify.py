@@ -792,11 +792,80 @@ def test_counting_oracle_equals_scalar_census(n, c, scalar_reference):
         assert oracle_csv_sha256(ref) == ORACLE_CSV_SHA256[(n, c)]
 
 
+# sha256 of oracle_csv where the unreduced census, run in chunks of one fixed
+# first clause, agrees with the orbit-reduced one
+REDUCED_CSV_SHA256 = {
+    (4, 0.5): "34daed0da737387dbaacfeda3af8ce9cfb57aa5535effe4e843fd6e25b8f256b",
+    (3, 1.0): "a52d2cfad5e9c5ab88456b1149fe828ff795062fe47d94a18a3cd44cc8f337ca",
+}
+
+
+@pytest.mark.parametrize("n, c, counts", [
+    (4, 0.5, (2, 262_144, 344_264, 270, 39_280)),
+    (3, 1.0, (3, 10_077_696, 13_411_890, 1_601, 2_214_261)),  # 16.5% untypable
+])
+def test_counting_oracle_past_the_unreduced_guard(n, c, counts):
+    res = cf.counting_oracle(n, c)
+    assert (res["m"], res["formulas"], res["pairs"], res["signatures"],
+            res["untypable_pairs"]) == counts
+    assert res["pairs_by_assignment"] == res["pairs"]
+    assert res["violations"] == 0
+    assert res["double_count_identity"] and res["ok"]
+    assert oracle_csv_sha256(res) == REDUCED_CSV_SHA256[(n, c)]
+
+
+#: Every (n, m) with n <= 4 that the guard admits; one more clause is refused
+#: (test_counting_oracle_guard_edge).
+ADMITTED = [(1, m) for m in range(21)] + [(2, m) for m in range(7)] + [
+    (3, m) for m in range(4)] + [(4, m) for m in range(3)]
+
+
+def literal_codes(lits):
+    """Literal v -> 2v - 2, -v -> 2v - 1: the column order of truth_tables."""
+    return 2 * np.abs(lits).astype(np.int64) - 2 + (lits < 0)
+
+
+@pytest.mark.parametrize("n, m", ADMITTED)
+def test_oracle_representatives_are_canonical_and_weigh_every_formula(n, m):
+    lits, weights = cf._representatives(n, m)
+    assert lits.shape == (math.comb(math.comb(2 * n + 2, 3) + m - 1, m), m, 3)
+    assert weights.dtype == np.int64 and (weights > 0).all()
+    assert int(weights.sum()) == (2 * n) ** (3 * m)
+    codes = literal_codes(lits)
+    assert (np.diff(codes, axis=-1) >= 0).all()  # literals sorted within each clause
+    clause_key = (codes[..., 0] * 2 * n + codes[..., 1]) * 2 * n + codes[..., 2]
+    assert (np.diff(clause_key, axis=-1) >= 0).all()  # clauses sorted within each formula
+    assert len(np.unique(clause_key, axis=0)) == len(lits)  # distinct
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_oracle_weights_are_orbit_sizes(n, m):
+    # each representative's weight is the number of ordered formulas that
+    # sort to it, counted over all (2n)^(3m) of them
+    orbits = Counter(tuple(sorted(tuple(sorted(cells[i:i + 3])) for i in range(0, 3 * m, 3)))
+                     for cells in itertools.product(range(2 * n), repeat=3 * m))
+    lits, weights = cf._representatives(n, m)
+    reps = {tuple(map(tuple, row)): int(w) for row, w in zip(literal_codes(lits).tolist(), weights)}
+    assert reps == dict(orbits)
+
+
 def test_counting_oracle_guard():
-    with pytest.raises(GuardError):
+    # each refusal names the bound it hit, before anything is allocated
+    with pytest.raises(GuardError, match="9,078,630 representatives x 2\\^4 .* work bound"):
         cf.counting_oracle(4, 1.0)
-    with pytest.raises(GuardError):
-        cf.counting_oracle(3, 1.1)  # m = 3
+    with pytest.raises(GuardError, match="key radix 3.62e\\+22 .* int64 bound 2\\^63"):
+        cf.counting_oracle(5, 0.4)
+
+
+@pytest.mark.parametrize("n, c, bound", [
+    (1, 21.0, "int64 bound"), (2, 3.5, "work bound"),
+    (3, 1.34, "work bound"), (4, 0.75, "work bound"),
+])
+def test_counting_oracle_guard_edge(n, c, bound):
+    # one clause past ADMITTED
+    assert (n, clause_count(n, c) - 1) in ADMITTED
+    with pytest.raises(GuardError, match=bound):
+        cf.counting_oracle(n, c)
 
 
 # -- CLI ---------------------------------------------------------------------------------
@@ -852,6 +921,28 @@ def test_cli_check_rejects_a_bad_file(tmp_path, capsys, content, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", ["4.506", None, [4.506]])
+def test_cli_check_rejects_a_non_numeric_param(tmp_path, capsys, cert, c):
+    # a params field of the wrong JSON type exits 3 and names the field
+    from typsat.cli import main
+    data = json.loads(cert.dumps())
+    data["params"]["c"] = c
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 3
+    assert f"params.c = {c!r}" in capsys.readouterr().err
+
+
+def test_cli_check_rejects_params_that_are_not_an_object(tmp_path, capsys, cert):
+    from typsat.cli import main
+    data = json.loads(cert.dumps())
+    data["params"] = [4.506, 56, 1e-15]
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 3
+    assert "params = [4.506, 56, 1e-15]" in capsys.readouterr().err
+
+
 def test_cli_certify_config_error(capsys):
     from typsat.cli import main
     assert main(["certify", "--xmax", "2"]) == 3
@@ -903,6 +994,12 @@ def test_cli_oracle(tmp_path):
     code = main(["oracle", "--n", "2", "--c", "0.5", "--out", str(tmp_path / "run")])
     assert code == 0
     assert (tmp_path / "run" / "oracle.csv").exists()
+
+
+def test_cli_oracle_past_the_guard(capsys):
+    from typsat.cli import main
+    assert main(["oracle", "--n", "4", "--c", "1.0"]) == 3
+    assert "work bound" in capsys.readouterr().err
 
 
 def test_cli_certify_interval_mode(tmp_path, capsys):
