@@ -41,7 +41,7 @@ print(f"   the same checks outward-rounded: {report_iv.checks} sign checks, ok =
 
 print()
 print("-- the spiral's Newton root, inside the verified rectangle " + "-" * 11)
-root = trace.root  # recorded in the certificate's trace; never enters the verdict
+root = trace.root  # kept on the in-memory trace; the certificate and the verdict leave it out
 pt = system.point(root.phi, root.beta1)
 print(f"   root = ({root.phi:.10f}, {root.beta1:.10f})")
 print(f"   residuals = ({root.residuals[0]:.2e}, {root.residuals[1]:.2e})")

@@ -264,12 +264,12 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
 
 def replay(cert_data: dict) -> dict:
     """Re-run certify's checker on a certificate's stored trace, in its own
-    mode: the spiral stage reads the trace, root included, where certify
-    searches, and the rate is that of the trace's own final rectangle.
-    `disagreements` names the top-level fields of the re-run certificate that
-    differ from the stored ones.  A certificate without params (c, x_max,
-    epsilon), mode or trace raises ConfigurationError naming the key, and
-    one whose params is not an object or holds a non-number, naming it."""
+    mode: the spiral stage reads the trace where certify searches, and the
+    rate is that of the trace's own final rectangle.  `disagreements` names
+    the top-level fields of the re-run certificate that differ from the
+    stored ones.  A certificate without params (c, x_max, epsilon), mode or
+    trace raises ConfigurationError naming the key, and one whose params is
+    not an object or holds a non-number, naming it."""
     try:
         p, mode, stored_trace = cert_data["params"], cert_data["mode"], cert_data["trace"]
         params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
@@ -335,12 +335,24 @@ def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str
 
 # -- empirical report ----------------------------------------------------------------
 
+def _refuse_below(least: int, values: dict) -> None:
+    """ConfigurationError naming the first entry of `values` below `least`."""
+    for name, value in values.items():
+        if value < least:
+            raise ConfigurationError(f"{name} is {value}, below {least}")
+
+
 def empirical_report(n: int, c: float, formulas: int, seed: int, x_cap: int = 8,
                      confidence: float = 0.999,
                      pps_sub: tuple[int, int] | None = None) -> dict:
     """Cell-by-cell empirical means against the limiting masses, with the
     large-deviation budget at the requested confidence; optional exhaustive
-    locally-maximal-solution subreport at a small n."""
+    locally-maximal-solution subreport at a small n.  ConfigurationError,
+    raised before any work, names an argument that admits no formula."""
+    _refuse_below(0, {"x_cap": x_cap})
+    for pre, k, count in [("", n, formulas)] + ([("pps ", *pps_sub)] if pps_sub else []):
+        _refuse_below(1, {f"{pre}n": k, f"{pre}formulas": count,
+                          f"m = round(c {pre}n) at c = {c}": clause_count(k, c)})
     lam = 3.0 * c
     campaign = run_omega_campaign(n, c, formulas, seed, x_cap)
     cells = (x_cap + 1) * (x_cap + 2) // 2
@@ -516,9 +528,10 @@ def counting_oracle(n: int, c: float) -> dict:
     0.14-0.22 s and peaks at 12 MB (tracemalloc); the largest grid admitted,
     (2, 3.0) with 177,100 x 4 cells, takes 0.6-0.7 s and 51 MB (2-core
     x86-64 VM, Python 3.11, numpy 2.4).  (4, 1.0) exceeds the work bound and
-    (5, 0.4) the key radix.
+    (5, 0.4) the key radix.  Before them, n or m below 1 is a ConfigurationError.
     """
     m = clause_count(n, c)
+    _refuse_below(1, {"n": n, f"m = round(c n) at c = {c}": m})
     reps = _multisets(_multisets(2 * n, 3), m)  # sorted m-tuples of sorted triples
     if reps << n > ORACLE_WORK_MAX:
         raise GuardError(f"counting oracle ({n}, {m}): {reps:,} representatives x 2^{n} "

@@ -8,8 +8,9 @@ arm mirrors it from (phi_max, beta1_min).  Band exclusion then confines any
 common root to the rectangle spanned by the four final values.  The spiral
 construction is the search; `verify_exclusion` is the check: it
 re-evaluates every sign the sequences claim, with the required margin, and
-alone decides whether a trace holds.  The spiral's Newton root travels with
-the trace as a record of the search and never enters the check.
+alone decides whether a trace holds.  The spiral's Newton root stays on
+the in-memory trace as a record of the search; a certificate does not
+store it, and the check never reads it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ SEQUENCES = ("phi_minus", "beta_plus", "phi_plus", "beta_minus")
 @dataclass
 class ExclusionTrace:
     """The four witness sequences, and the Newton root the spiral linearised
-    about (None for a trace that no spiral made)."""
+    about (None for a trace that no spiral made, or one read from JSON)."""
 
     phi_minus: list[float]   # increasing, starts at phi_min
     beta_plus: list[float]   # decreasing, starts at beta1_max
@@ -67,22 +68,16 @@ class ExclusionTrace:
 
     def to_jsonable(self) -> dict:
         return {**{name: getattr(self, name) for name in SEQUENCES}, "K": self.K, "L": self.L,
-                "rectangle": list(self.rectangle), "diagnostic": self.diagnostic,
-                "root": self.root._asdict() if self.root is not None else None}
+                "rectangle": list(self.rectangle), "diagnostic": self.diagnostic}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExclusionTrace":
-        """The trace of to_jsonable's dict, its root included; other keys (an
-        older certificate's `sign_checks` record) are ignored, and a missing
-        or empty sequence or a malformed root raises TraceStructureError."""
+        """The trace of to_jsonable's dict, with no root; other keys (an older
+        certificate's `root` or `sign_checks` record) are ignored, and a
+        missing or empty sequence raises TraceStructureError."""
         if not all(data.get(name) for name in SEQUENCES):
             raise TraceStructureError("missing or empty witness sequences")
-        try:
-            root = None if data.get("root") is None else NewtonRoot(**data["root"])
-        except TypeError as exc:
-            raise TraceStructureError(f"malformed root: {exc}") from None
-        return cls(*(list(data[name]) for name in SEQUENCES),
-                   diagnostic=data.get("diagnostic", ""), root=root)
+        return cls(*(list(data[name]) for name in SEQUENCES), diagnostic=data.get("diagnostic", ""))
 
 
 @dataclass
@@ -250,7 +245,7 @@ def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float]) ->
     """Newton root of (Eq1, Eq2) from the centre of a rectangle.
 
     `spiral_localize` runs it once, on its domain, and predicts its pushes
-    from the root, which the trace records; no check reads it.  Each step
+    from the root, which its trace keeps in memory; no check reads it.  Each step
     takes a forward-difference Jacobian with increments of NEWTON_INCREMENT,
     until a step is within NEWTON_STEP_TOL in both coordinates.  A singular
     iterate (an equation that cannot be evaluated, or a degenerate

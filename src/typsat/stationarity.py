@@ -239,28 +239,24 @@ _EXP_ARG_MAX = 300.0
 _TINY = 2.0 ** -1000
 
 
-def _term_count(log_uv: Interval, log_v: Interval, cells: Cells, eq2: bool = False):
-    """K F of `_pad`'s lemma for every cell and both corners, one per point: an
-    Eq1 term's, or with eq2 an Eq2 term's; infinite outside the lemma's range."""
+def _term_count(log_uv: Interval, log_v: Interval, cells: Cells):
+    """K of `_pad`'s lemma, for Eq1 and Eq2, every cell and both corners, one
+    per point; infinite outside the lemma's range."""
     wa = cells.w.max() * np.maximum(np.abs(log_uv.lo), np.abs(log_uv.hi))
     pb = cells.p.max() * log_v.hi
     k_p = pb + _LIBM_K  # t2 = e^-pb: its argument's rounding and libm
     k_m = (1.0 + _LIBM_K / log_v.lo) / (1.0 - k_p * _U) + 1.0  # 1 - t2
-    k = wa + _LIBM_K + k_m  # t1 = e^(w a), once, and 1 - t2
-    if eq2:  # t2 and five ops, times the bound F of a term over its weight
-        k = (k + k_p + 5.0) * np.maximum(1.0, 1.0 / log_v.lo)
-    else:  # E = t1 (1 - t2), then weight E/(1 + E)
-        k += 4.0
+    k = wa + _LIBM_K + k_p + k_m + 5.0  # t1 = e^(w a), once, t2, 1 - t2 and five ops
     ok = (log_v.lo > 0.0) & (wa <= _EXP_ARG_MAX) & (pb <= _EXP_ARG_MAX)
     return np.where(ok, k, np.inf)
 
 
-def _pad(row_sum, cells: Cells, count):
-    """Bound on |computed - exact| of a float row sum of positive cell terms.
+def _pad(row_sum, n: int, count):
+    """Bound on |computed - exact| of a float sum of n positive cell terms.
 
     Lemma.  Let u = 2^-53, Theta_k the factors in [1 - ku, 1/(1 - ku)] and
     gamma_k = ku/(1 - ku) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 3, for real k >= 0).  Theta_j Theta_k lies in
+    Algorithms, 2002, ch. 3-4, for real k >= 0).  Theta_j Theta_k lies in
     Theta_(j+k), 1/Theta_k = Theta_k, and |theta - 1| <= gamma_k on Theta_k.
     Take exact float inputs a = log(U/V), b = log V > 0 and the weight, and
     the cells' integers w >= 0 and p >= 1, with |w a| and p b at most 300.
@@ -276,29 +272,24 @@ def _pad(row_sum, cells: Cells, count):
       y/(1 + y z) times theta/(1 + s (theta - 1)), and 1 + y z theta is
       1 + y z times 1 + s (theta - 1); both factors lie between 1 and theta.
       So a Theta_k error of y, or of y z, reaches either form as one Theta_k.
-    - Hence Eq1's term weight E/(1 + E), E = t1 (1 - t2) computed as E Theta_kE
-      with k_E = k1 + k_m + 1, is exact times Theta_K, K = k_E + 3; Eq2's,
-      weight (t1 t2)/(1 + t1 (1 - t2)), is exact times Theta_K with
-      K = k1 + k2 + k_m + 5 (t1 enters y/(1 + y z) once; five ops round).
-    - A term over its weight is E/(1 + E) < 1 for Eq1 (F = 1), and for Eq2
-      1/(e^pb (1 + e^-wa) - 1) < 1/(e^b - 1) < 1/b <= F = max(1, 1/b_lo) at
-      either corner.  So every computed term is within gamma_K F weight
-      <= gamma_(KF) weight of the exact term.
+    - Hence Eq2's term weight (t1 t2)/(1 + t1 (1 - t2)) is exact times
+      Theta_K, K = k1 + k2 + k_m + 5 (t1 enters once; five ops round), and
+      Eq1's weight E/(1 + E), E = t1 (1 - t2), with a smaller count k1 + k_m + 4.
     - No factor before the weight's product underflows (each lies in
       [e^-600, e^300]); that product and the quotient by 1 + ... >= 1 add at
       most 2^-1075 each (Higham eq. 2.8), under 2^-1000 a term.
+    - Summed in any order, each term meets at most n - 1 additions, so the
+      float sum is sum x_i Theta_(K+n-1) over the exact terms x_i > 0: their
+      sum S times one Theta_(K+n-1), and S is S_float times Theta_(K+n-1).
 
-    Summing n terms, |S_float - S| <= gamma_KF sum(weight) + n 2^-1000 +
-    sum_slack, with KF from `_term_count` as count.  The pad takes 1.125
-    times the first two parts, which covers the rounding of their own
-    evaluation.  It is infinite where KF u >= 2^-20 (so b > 2^-29 wherever it
-    is finite) or the inputs leave the lemma's range.  A cell `_cut` drops has
-    an exact term in [0, F weight], so F T bounds all of them (`_enclose`).
+    So |S_float - S| <= gamma_(K+n-1) S_float + n 2^-1000.  The pad counts
+    2(n - 1) as `sum_slack` does and takes 1.125 times the bound for its own
+    rounding; it is infinite where its count times u reaches 2^-20 (b > 2^-29
+    wherever it is finite) or the inputs leave the lemma's range.
     """
-    ku = count * _U
+    ku = (count + 2.0 * (n - 1)) * _U
     gamma = np.where(ku < 2.0 ** -20, ku / (1.0 - ku), np.inf)
-    n = cells.w.size
-    return 1.125 * (gamma * xsum(cells.weight) + n * _TINY) + slack_of_sum(n, row_sum)
+    return 1.125 * (gamma * row_sum + n * _TINY)
 
 
 def _enclose(terms, cells: Cells, count, low: tuple, high: tuple, tail) -> Interval:
@@ -308,19 +299,19 @@ def _enclose(terms, cells: Cells, count, low: tuple, high: tuple, tail) -> Inter
     Each term is positive and monotone in each input, and the caller names
     the corners: `low`, the input ends where every term is least, and
     `high`, where every term is greatest.  So every exact sum lies between
-    the exact sums at `low` with the lower ends of the weights (weight.lo)
-    and at `high` with their upper ends (weight.hi); a float weight (a float
-    system over a box) is its own two ends.  Each corner is summed in float,
-    widened by its `_pad` under the count K of its terms and stepped one ulp
-    outward; only the (points,) sums are stepped.  The upper end also takes
-    `tail`, a bound on the terms of the cells `_cut` dropped, each >= 0.
+    the exact sums at `low` with the weights' lower ends and at `high` with
+    their upper ends; a float weight (a float system over a box) is its own
+    two ends.  Each corner's float sum is widened by its `_pad` and stepped
+    one ulp outward; the upper end also takes `tail`, a bound on the terms
+    of the cells `_cut` dropped, each >= 0.
     """
     w = cells.weight
     lo, hi = (w.lo, w.hi) if isinstance(w, Interval) else (w, w)
     at_lo, at_hi = cells._replace(weight=lo), cells._replace(weight=hi)
     s_lo, s_hi = _row_sums(terms, at_lo, *low), _row_sums(terms, at_hi, *high)
-    return Interval._ordered(next_down(s_lo - _pad(s_lo, at_lo, count)),
-                             next_up(next_up(s_hi + _pad(s_hi, at_hi, count)) + tail))
+    n = cells.w.size
+    return Interval._ordered(next_down(s_lo - _pad(s_lo, n, count)),
+                             next_up(next_up(s_hi + _pad(s_hi, n, count)) + tail))
 
 
 def _eq1_core(phi, log_uv, log_v, lam, k_tilde, cells: Cells, tail=0.0):
@@ -348,10 +339,10 @@ def eq1(pt: PhiBetaPoint, system: EqSystem):
 def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, cells: Cells, tail):
     """Eq2 = -beta1 c + (1 - 1/V) (lam phi + sum), enclosed as in `_eq1_core`;
     a term grows in log(U/V) and falls in log V, so the lower corner takes
-    log V's upper end and the upper corner its lower end.  A dropped term is
-    at most F = max(1, 1/b_lo) times its weight (`_pad`), so the tail is F T."""
+    log V's upper end and the upper corner its lower end.  A term is its weight
+    over e^pb (1 + e^-wa) - 1 > b, so the dropped cells' tail is F T, F = max(1, 1/b_lo)."""
     if isinstance(log_uv, Interval):
-        s = _enclose(_eq2_terms, cells, _term_count(log_uv, log_v, cells, eq2=True),
+        s = _enclose(_eq2_terms, cells, _term_count(log_uv, log_v, cells),
                      (log_uv.lo, log_v.hi), (log_uv.hi, log_v.lo),
                      np.maximum(tail, (tail / log_v).hi))
     else:

@@ -97,8 +97,8 @@ def trace(system, box):
 
 @pytest.fixture(scope="session")
 def root(trace):
-    """The spiral's Newton root, which the certificate records as
-    trace["root"]: its point and its residuals there."""
+    """The spiral's Newton root, kept on its in-memory trace: its point and
+    its residuals there."""
     newton = trace.root
     assert newton.found
     r1, r2 = newton.residuals

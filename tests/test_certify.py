@@ -80,8 +80,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "c1e8fb648e98dbd2ef7669851843c2fa4215e125601801d72a64b4ef569c6338",
-    "interval": "9e76dcbb35c5cab8f323895c94be4a91447bddbf35ff741bf30e730d57878609",
+    "float": "03903f7a6ce412e27f618e90d8a8e3d63fe458daf3a003bd46bbdcff3217660b",
+    "interval": "7b4a5e5c59a370710acc8ed9ab3ea97f7aa13b8f05eb3c9625c27704df1837b3",
 }
 
 
@@ -92,13 +92,12 @@ def test_certificate_bytes_frozen(cert, cert_iv, mode):
 
 
 def test_certificate_trace_keys(cert, cert_iv):
-    # the trace serialises the four sequences verify_exclusion checks, and of
-    # what the spiral computed on the way only its Newton root
+    # the trace serialises the four sequences verify_exclusion checks and
+    # what they span, and nothing the spiral computed on the way
     for c in (cert, cert_iv):
         trace = json.loads(c.dumps())["trace"]
         assert list(trace) == ["phi_minus", "beta_plus", "phi_plus", "beta_minus", "K", "L",
-                               "rectangle", "diagnostic", "root"]
-        assert list(trace["root"]) == list(rb.NewtonRoot._fields)
+                               "rectangle", "diagnostic"]
 
 
 def test_certificate_params_and_ledger_keys(cert, cert_iv):
@@ -230,30 +229,40 @@ def test_float_certify_evaluation_count(monkeypatch):
     assert 0 < sum(single.values()) <= 350
 
 
-@pytest.mark.parametrize("mode", ["float", "interval"])
-def test_certify_runs_one_newton(monkeypatch, mode):
-    # the spiral's Newton root seeds its pushes, and the trace records it
-    roots, solve = [], rb.solve_reference
+@pytest.fixture(scope="module")
+def newton_runs():
+    """mode -> (certify(4.506, 56, 1e-15) in that mode, the NewtonRoots that
+    solve_reference returned during it)."""
+    solve, runs = rb.solve_reference, {}
+    with pytest.MonkeyPatch.context() as patch:
+        for mode in ("float", "interval"):
+            roots = []
 
-    def recorded(*args):
-        roots.append(solve(*args))
-        return roots[-1]
-    monkeypatch.setattr(rb, "solve_reference", recorded)
-    result = cf.certify(4.506, 56, 1e-15, mode=mode)
+            def recorded(*args, _roots=roots):
+                _roots.append(solve(*args))
+                return _roots[-1]
+            patch.setattr(rb, "solve_reference", recorded)
+            runs[mode] = cf.certify(4.506, 56, 1e-15, mode=mode), roots
+    return runs
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_certify_runs_one_newton(newton_runs, mode):
+    # the spiral's Newton root seeds its pushes; the certificate does not store it
+    result, roots = newton_runs[mode]
     assert result.verdict and len(roots) == 1
-    assert result.trace["root"] == roots[0]._asdict()
+    assert "root" not in result.trace
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
-def test_certified_root_lies_in_the_rectangle(cert, cert_iv, mode):
-    # no stage checks the recorded root, so this test does: it was found, lies
+def test_certified_root_lies_in_the_rectangle(newton_runs, mode):
+    # no stage checks the spiral's root, so this test does: it was found, lies
     # in the verified rectangle and leaves residuals below 1e-10
-    data = one_mode(cert, cert_iv, mode)
-    root = data["trace"]["root"]
-    lo_f, hi_f, lo_b, hi_b = (float(v["v"]) for v in data["rectangle"])
-    assert root["reason"] is None
-    assert lo_f <= root["phi"] <= hi_f and lo_b <= root["beta1"] <= hi_b
-    assert max(abs(r) for r in root["residuals"]) < 1e-10
+    result, (root,) = newton_runs[mode]
+    lo_f, hi_f, lo_b, hi_b = result.rectangle
+    assert root.found
+    assert lo_f <= root.phi <= hi_f and lo_b <= root.beta1 <= hi_b
+    assert max(abs(r) for r in root.residuals) < 1e-10
 
 
 def test_interval_mode_consistent_with_float(cert, cert_iv):
@@ -426,15 +435,18 @@ def test_replay_fails_an_empty_witness_sequence(cert):
     assert "trace" in result["disagreements"]
 
 
-def test_replay_fails_a_malformed_root(cert):
-    # the recorded root is read back, not checked; one without NewtonRoot's
-    # fields fails the spiral stage by name instead of raising
-    data = json.loads(cert.dumps())
-    data["trace"]["root"] = {"phi": 0.5, "beta1": 0.4, "x": 0.5}
-    result = cf.replay(data)
-    spiral = next(s for s in result["stages"] if s["name"] == "spiral")
-    assert not spiral["ok"] and spiral["detail"].startswith("malformed root")
-    assert result["trace_ok"] is False and result["verdict"] is False
+def test_replay_names_a_stored_root(cert):
+    # the trace stores no root and a replay reads none: a certificate that
+    # holds one, as older ones do, keeps its verdict and differs in `trace`,
+    # whether the root is a NewtonRoot's fields or not
+    found = {"phi": 0.5638, "beta1": 0.4465, "residuals": [0.0, 0.0],
+             "jacobian": [1.0, 0.0, 0.0, 1.0], "reason": None}
+    for root in (found, {"phi": 0.5, "beta1": 0.4, "x": 0.5}):
+        data = json.loads(cert.dumps())
+        data["trace"]["root"] = root
+        result = cf.replay(data)
+        assert result["trace_ok"] and result["verdict"] and result["verdict_agrees"]
+        assert result["disagreements"] == ["trace"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -510,7 +522,7 @@ def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
 #: Distinct src/typsat lines that a warm interval replay executes, counted by
 #: `lines_executed`.  The check path may only shrink; a change that grows it
 #: on purpose raises this bound and records why in CHANGES.md.
-REPLAY_LINES_MAX = 779
+REPLAY_LINES_MAX = 772
 
 
 def lines_executed(fn, *args) -> set:
@@ -994,6 +1006,25 @@ def test_cli_oracle(tmp_path):
     code = main(["oracle", "--n", "2", "--c", "0.5", "--out", str(tmp_path / "run")])
     assert code == 0
     assert (tmp_path / "run" / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["oracle", "--n", "0"], "n is 0, below 1", id="oracle-n-0"),
+    pytest.param(["oracle", "--n", "-1"], "n is -1, below 1", id="oracle-n-negative"),
+    pytest.param(["oracle", "--n", "2", "--c", "0.1"], "m = round(c n) at c = 0.1 is 0, below 1",
+                 id="oracle-no-clause"),
+    pytest.param(["empirical", "--formulas", "0"], "formulas is 0, below 1",
+                 id="empirical-formulas-0"),
+    pytest.param(["empirical", "--n", "0"], "n is 0, below 1", id="empirical-n-0"),
+    pytest.param(["empirical", "--xcap", "-1"], "x_cap is -1, below 0", id="empirical-xcap"),
+    pytest.param(["empirical", "--pps-n", "0", "--pps-formulas", "1"], "pps n is 0, below 1",
+                 id="empirical-pps-n-0"),
+])
+def test_cli_rejects_counts_that_admit_no_formula(argv, named, capsys):
+    # each is refused before any formula is drawn, by the argument it names
+    from typsat.cli import main
+    assert main(argv) == 3
+    assert f"configuration error: {named}" in capsys.readouterr().err
 
 
 def test_cli_oracle_past_the_guard(capsys):

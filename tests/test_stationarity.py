@@ -294,7 +294,7 @@ CORNERS = {"eq1": (("lo", "lo"), ("hi", "hi")), "eq2": (("lo", "hi"), ("hi", "lo
 @pytest.fixture(scope="module")
 def corner_rounding(system, system_iv, checks):
     """At the first, worst-margin and last check of each equation and at both
-    corners: (eq, float terms, 50-digit terms, weights, K, float sum, pad)."""
+    corners: (eq, float terms, 50-digit terms, K, float sum, pad)."""
     mp = pytest.importorskip("mpmath")
     out = []
     with mp.workdps(50):
@@ -305,35 +305,35 @@ def corner_rounding(system, system_iv, checks):
             for k in (0, worst, len(phis) - 1):
                 pt = system_iv.point(phis[k], betas[k])
                 log_uv, log_v = st._logs(pt.U, pt.V)
-                K = float(st._term_count(log_uv, log_v, cells, eq2=eq == "eq2"))
+                K = float(st._term_count(log_uv, log_v, cells))
                 for weight_end, ends in zip(("lo", "hi"), CORNERS[eq]):
                     corner = (float(getattr(log_uv, ends[0])), float(getattr(log_v, ends[1])))
                     at = cells._replace(weight=getattr(cells.weight, weight_end))
                     s = st._row_sums(terms, at, *corner)
                     out.append((eq, terms(at, *corner), mp_cell_terms(mp, eq, at, *corner),
-                                at.weight, K, s, float(st._pad(s, at, K))))
+                                K, s, float(st._pad(s, at.w.size, K))))
     return mp, out
 
 
 def test_rounding_lemma_bounds_every_cell_term(corner_rounding):
-    # |float term - exact term| <= gamma_K weight, per cell, at the exact corner inputs
+    # |float term - exact term| <= gamma_K exact term, per cell, at the exact
+    # corner inputs, with one K for both equations
     mp, cases = corner_rounding
     u = 2.0 ** -53
     worst = {}
-    for eq, floats, exact, weight, K, _, _ in cases:
+    for eq, floats, exact, K, _, _ in cases:
         gamma = K * u / (1 - K * u)
         assert 0 < K < 1000
         with mp.workdps(50):
-            ratio = max(abs(mp.mpf(f) - t) / (gamma * mp.mpf(wt))
-                        for f, t, wt in zip(floats.tolist(), exact, weight.tolist()))
+            ratio = max(abs(mp.mpf(f) - t) / (gamma * t) for f, t in zip(floats.tolist(), exact))
         worst[eq] = max(worst.get(eq, 0.0), float(ratio))
-    print(f"largest |error| / (gamma_K weight): {worst}")
+    print(f"largest |error| / (gamma_K exact): {worst}")
     assert all(0.0 < r <= 1.0 for r in worst.values())
 
 
 def test_widened_corner_sums_hold_the_exact_sums(corner_rounding):
     mp, cases = corner_rounding
-    for _, _, exact, _, _, s, pad in cases:
+    for _, _, exact, _, s, pad in cases:
         with mp.workdps(50):
             assert abs(mp.mpf(s) - mp.fsum(exact)) <= pad
         assert 0.0 < pad < 1e-12
