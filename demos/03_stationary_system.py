@@ -14,7 +14,7 @@ from typsat.params import WIDTH_TARGET
 from typsat.rootbox import spiral_localize, verify_exclusion
 
 params = ModelParams.certification()
-_, _, consts = build_tables(params)
+consts = build_tables(params)
 box = params.a_priori
 system = EqSystem.build(params, consts)
 eq1f, eq2f = system.eq1, system.eq2

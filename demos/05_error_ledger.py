@@ -12,7 +12,7 @@ from typsat.intervals import upper
 from typsat.ledger import LEDGER_TARGETS
 
 params = ModelParams.certification()
-_, _, consts = build_tables(params)
+consts = build_tables(params)
 system = EqSystem.build(params, consts)
 
 print("-- accuracy and tail bounds " + "-" * 40)

@@ -9,8 +9,7 @@ below 1, with every finite-size error factor accounted for in a ledger.
 """
 
 from .pipeline import Certificate, certify, counting_oracle, emit_curves, empirical_report, replay
-from .distribution import (DerivedConstants, OccurrenceTable, build_tables,
-                           kappa, kappa_tilde)
+from .distribution import DerivedConstants, build_tables, kappa, kappa_tilde
 from .formulas import (Assignment, Formula, binomial_large_deviation, generate, is_pps,
                        measure_omega, totally_unbalanced_representative, variable_type)
 from .intervals import Interval
@@ -24,9 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment", "CERTIFICATION_BOX", "Certificate", "DELTA_NUM",
     "DerivedConstants", "EqSystem", "ErrorBudget", "ExclusionTrace", "FeasibleBox",
-    "Formula", "Interval", "ModelParams", "OccurrenceTable",
-    "PhiBetaPoint", "binomial_large_deviation", "build_budget", "build_tables",
-    "certify", "counting_oracle", "derive_point",
+    "Formula", "Interval", "ModelParams", "PhiBetaPoint", "binomial_large_deviation",
+    "build_budget", "build_tables", "certify", "counting_oracle", "derive_point",
     "emit_curves", "empirical_report", "eq1", "eq2",
     "generate", "is_pps", "kappa", "kappa_tilde", "measure_omega",
     "replay", "solve_reference", "spiral_localize",

@@ -83,8 +83,8 @@ def poisson_log_pmf(x, lam):
 
 def log_kappa(log_binom, x, lam):
     """log kappa(x, p) = (log C(x, p) - x log 2) + log Poisson(lam)(x) from the
-    cells' `_log_binom`, elementwise: the one cell-mass formula of kappa, the
-    tables, their interval enclosures and rho."""
+    cells' `_log_binom`, elementwise: the one cell-mass formula of kappa, kt
+    in both modes and rho."""
     return log_binom + poisson_log_pmf(x, lam)
 
 
@@ -153,35 +153,15 @@ def rho_tail(x_max: int, lam):
 def triangle(x_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(xs, ps, w = x - 2p) over the cells 0 <= 2p <= x <= x_max in (x, p) order.
 
-    The one triangle index: the tables, their interval enclosures and the
-    stationarity mu index derive from it.  Shared, so read-only.
+    The one triangle index: kt in both modes and the stationarity mu index
+    derive from it.  Shared, so read-only.
     """
     cells = [(x, p) for x in range(x_max + 1) for p in range(x // 2 + 1)]
     xs, ps = (np.array(col, dtype=np.int64) for col in zip(*cells))
     return _read_only(xs), _read_only(ps), _read_only(xs - 2 * ps)
 
 
-# -- tables --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OccurrenceTable:
-    """Triangular table of cell masses over 0 <= p <= x <= x_max."""
-
-    lam: float
-    x_max: int
-    entries: np.ndarray  # shape (x_max+1, x_max+1); entries[x, p], 0 for p > x
-
-    def value(self, x: int, p: int) -> float:
-        if not (0 <= p <= x <= self.x_max):
-            raise DomainError(f"cell ({x}, {p}) outside the table triangle")
-        return float(self.entries[x, p])
-
-    def row_sum(self, x: int) -> float:
-        return xsum(self.entries[x, : x + 1])
-
-    def triangle_sum(self) -> float:
-        return xsum(self.entries[np.tril_indices(self.x_max + 1)])
-
+# -- derived constants ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -229,31 +209,24 @@ def check_x_max(x_max: int, lam: float) -> None:
                                  f"{mass:.3e} at lambda = {lam}")
 
 
-def _constants(params, mode: str):
-    """kappa over the triangle index, and the DerivedConstants of params in mode."""
+def _constants(params, mode: str) -> DerivedConstants:
+    """The DerivedConstants of params in mode, from kappa over the triangle index."""
     x_max = params.x_max
     _, lam, _ = params.decimals(mode)
     xs, ps, w = triangle(x_max)
-    kappas = xexp(log_kappa(_log_binoms(x_max, mode == "interval")[0], xs, lam))
-    kt = _unbalanced(w) * kappas
-    return kappas, DerivedConstants(
+    kt = _unbalanced(w) * xexp(log_kappa(_log_binoms(x_max, mode == "interval")[0], xs, lam))
+    return DerivedConstants(
         mode=mode, lam=lam, x_max=x_max, rho=rho_tail(x_max, lam), delta=0.5 * (x_max / 2 + 1),
         D=big_d(x_max), N=big_n(x_max), K_tilde=xsum((xs - ps) * kt), xs=xs, ps=ps, w=w, kt=kt)
 
 
-def build_tables(params) -> tuple[OccurrenceTable, OccurrenceTable, DerivedConstants]:
-    """The typical table, the unbalanced table, and the float derived constants."""
-    kappas, consts = _constants(params, "float")
-    x_max, lam, xs, ps = params.x_max, consts.lam, consts.xs, consts.ps
-    typ = np.zeros((x_max + 1, x_max + 1))
-    typ[xs, ps] = kappas
-    typ[xs, xs - ps] = kappas  # kappa(x, p) = kappa(x, x - p) bit for bit
-    unb = np.zeros_like(typ)
-    unb[xs, ps] = consts.kt
-    return OccurrenceTable(lam, x_max, typ), OccurrenceTable(lam, x_max, unb), consts
+def build_tables(params) -> DerivedConstants:
+    """The float-mode derived constants.  The name predates them: the
+    benchmark's tracer (perfbench/tracer.py) wraps this function by name."""
+    return _constants(params, "float")
 
 
 def kappa_tilde_intervals(params) -> DerivedConstants:
     """The interval-mode derived constants: `build_tables`' kt, K_tilde and rho
     enclosed from the exact decimal density (ModelParams.decimals)."""
-    return _constants(params, "interval")[1]
+    return _constants(params, "interval")

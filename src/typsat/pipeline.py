@@ -33,7 +33,7 @@ from .errors import (ConfigurationError, DomainError, GuardError, SingularPointE
 from .formulas import (clause_count, deviation_budget, generate, is_pps, literal_truth,
                        pps_bitmap, run_omega_campaign, solution_bitmap, truth_tables,
                        variable_type)
-from .intervals import lower, upper
+from .intervals import lower, upper, xsum
 from .params import DELTA_NUM, WIDTH_TARGET, ModelParams
 
 VERSION = "0.1.0"
@@ -144,16 +144,18 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
         "recorded as an external assumption, not computed")
     cert.stage("config", True, f"c={params.c}, x_max={params.x_max}, eps={params.epsilon}")
 
-    typical, unbalanced, consts = dist.build_tables(params)
-    # math.exp, not np.exp: the two differ in the last bit on some rows
-    pmf = [math.exp(v) for v in
-           dist.poisson_log_pmf(np.arange(params.x_max + 1), params.lam).tolist()]
-    row_err = max(abs(typical.row_sum(x) - m) / m for x, m in enumerate(pmf))
-    mass = typical.triangle_sum()
-    mass_err = abs(unbalanced.triangle_sum() - mass) / mass
-    tables_ok = row_err < 1e-12 and mass_err < 1e-12
-    cert.stage("tables", tables_ok,
-               f"row_err={row_err:.3e}, mass_err={mass_err:.3e}, rho={consts.rho:.3e}")
+    consts = dist.build_tables(params)
+    # kt's row x folds kappa's onto p <= x/2, so it sums to the Poisson mass
+    # of x only if both kappa and the fold are right; math.exp, not np.exp:
+    # the two differ in the last bit on some rows
+    half = np.zeros((params.x_max + 1, params.x_max // 2 + 1))
+    half[consts.xs, consts.ps] = consts.kt
+    pmf = np.array([math.exp(v) for v in
+                    dist.poisson_log_pmf(np.arange(params.x_max + 1), params.lam).tolist()])
+    row_errs = np.abs(xsum(half, axis=1) - pmf) / pmf
+    worst, bound = int(np.argmax(row_errs)), 1e-12
+    cert.stage("tables", row_errs[worst] < bound, f"row_err={row_errs[worst]:.3e} at "
+               f"x={worst}, bound {bound:g}, rho={consts.rho:.3e}")
 
     system = st.EqSystem.build(params, consts)  # the search and the monotone stage
     checking = consts if mode == "float" else dist.kappa_tilde_intervals(params)
@@ -299,15 +301,23 @@ def replay(cert_data: dict) -> dict:
 
 # -- curves -------------------------------------------------------------------------
 
+def _refuse_below(least: int, values: dict) -> None:
+    """ConfigurationError naming the first entry of `values` below `least`."""
+    for name, value in values.items():
+        if value < least:
+            raise ConfigurationError(f"{name} is {value}, below {least}")
+
+
 def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str]:
     """Sample the loci eq1 = 0 and eq2 = 0 as phi(beta1) by bisecting each column.
 
     All columns are bisected in lockstep, one batched equation call a step; a
     column is NaN where an end of its phi range is singular or the equation
-    has the same sign at both ends.
+    has the same sign at both ends.  A grid_density below 1 is a
+    ConfigurationError.
     """
-    _, _, consts = dist.build_tables(params)
-    system = st.EqSystem.build(params, consts)
+    _refuse_below(1, {"grid_density": grid_density})
+    system = st.EqSystem.build(params, dist.build_tables(params))
     box = params.a_priori
     b1s = np.linspace(box.beta1_min, box.beta1_max, grid_density)
     rows = [{"beta1": float(b1)} for b1 in b1s]
@@ -335,21 +345,15 @@ def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str
 
 # -- empirical report ----------------------------------------------------------------
 
-def _refuse_below(least: int, values: dict) -> None:
-    """ConfigurationError naming the first entry of `values` below `least`."""
-    for name, value in values.items():
-        if value < least:
-            raise ConfigurationError(f"{name} is {value}, below {least}")
-
-
 def empirical_report(n: int, c: float, formulas: int, seed: int, x_cap: int = 8,
                      confidence: float = 0.999,
                      pps_sub: tuple[int, int] | None = None) -> dict:
     """Cell-by-cell empirical means against the limiting masses, with the
     large-deviation budget at the requested confidence; optional exhaustive
     locally-maximal-solution subreport at a small n.  ConfigurationError,
-    raised before any work, names an argument that admits no formula."""
-    _refuse_below(0, {"x_cap": x_cap})
+    raised before any work, names a negative seed or an argument that admits
+    no formula."""
+    _refuse_below(0, {"x_cap": x_cap, "seed": seed})
     for pre, k, count in [("", n, formulas)] + ([("pps ", *pps_sub)] if pps_sub else []):
         _refuse_below(1, {f"{pre}n": k, f"{pre}formulas": count,
                           f"m = round(c {pre}n) at c = {c}": clause_count(k, c)})

@@ -60,13 +60,17 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def tables(params):
+def consts(params):
     return dist.build_tables(params)
 
 
 @pytest.fixture(scope="session")
-def consts(tables):
-    return tables[2]
+def kappa_rows(params):
+    """kappa over the full triangle 0 <= p <= x <= x_max, row x holding p = 0..x,
+    taken cell by cell from the scalar `dist.kappa`: the oracle that the
+    stored kt (p <= x/2 only) is checked against."""
+    return [[dist.kappa(x, p, params.lam) for p in range(x + 1)]
+            for x in range(params.x_max + 1)]
 
 
 @pytest.fixture(scope="session")

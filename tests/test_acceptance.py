@@ -167,14 +167,13 @@ def test_criterion_6_monotonicity_suites(system):
                    f"V dec={report['V']}, runtime={elapsed:.2f}s < 20s")
 
 
-def test_criterion_7_distribution_suite(tables):
-    typical, unbalanced, _ = tables
-    lam = typical.lam
-    sym = all(dist.kappa(x, p, lam) == dist.kappa(x, x - p, lam)
-              for x in range(57) for p in range(x + 1))
-    row = max(abs(typical.row_sum(x) - math.exp(dist.poisson_log_pmf(x, lam)))
-              / math.exp(dist.poisson_log_pmf(x, lam)) for x in range(57))
-    mass = abs(unbalanced.triangle_sum() - typical.triangle_sum()) / typical.triangle_sum()
+def test_criterion_7_distribution_suite(consts, kappa_rows):
+    # kappa_rows holds dist.kappa over the full triangle; kt its fold
+    sym = all(row[p] == row[x - p] for x, row in enumerate(kappa_rows) for p in range(x + 1))
+    pmf = [math.exp(dist.poisson_log_pmf(x, consts.lam)) for x in range(57)]
+    row = max(abs(math.fsum(consts.kt[consts.xs == x]) - m) / m for x, m in enumerate(pmf))
+    total = math.fsum(math.fsum(r) for r in kappa_rows)
+    mass = abs(math.fsum(consts.kt) - total) / total
     ok = sym and row < 1e-12 and mass < 1e-12
     assert _report("7", ok,
                    f"symmetry bit-exact={sym}, max row-sum error {row:.2e} < 1e-12, "

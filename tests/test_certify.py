@@ -80,8 +80,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "03903f7a6ce412e27f618e90d8a8e3d63fe458daf3a003bd46bbdcff3217660b",
-    "interval": "7b4a5e5c59a370710acc8ed9ab3ea97f7aa13b8f05eb3c9625c27704df1837b3",
+    "float": "52c790184b4db42dfe0afc717536b3e9439fbc0cb275796967d5fb787517bcc0",
+    "interval": "b506a052a4dad70443223d60673775371c506137f5ef454dcd3587279f51633c",
 }
 
 
@@ -507,6 +507,21 @@ def test_certify_runs_every_stage_after_a_monotone_failure(mode):
     assert cf.replay(json.loads(result.dumps()))["disagreements"] == []
 
 
+@pytest.mark.parametrize("fold, detail", [
+    pytest.param(lambda w: 2.0 * (w > 0), "row_err=1.000e+00 at x=0, bound 1e-12",
+                 id="diagonal-dropped"),
+    pytest.param(lambda w: 1.0 * (w >= 0), "row_err=5.000e-01 at x=", id="never-doubled"),
+])
+def test_tables_stage_fails_a_wrong_fold(monkeypatch, fold, detail):
+    # a kt row sums to the Poisson mass of x only if the fold multiplicities
+    # are right; the stage names the worst row and the bound it missed
+    monkeypatch.setattr(dist, "_unbalanced", fold)
+    result = cf.certify(4.506, 56, 1e-15)
+    tables = result.stages[STAGES.index("tables")]
+    assert not tables["ok"] and tables["detail"].startswith(detail)
+    assert not result.verdict and result.failing_stage == "tables"
+
+
 def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
     # an interval check evaluates Eq1 and Eq2 on the interval system only
     modes = Counter()
@@ -522,7 +537,7 @@ def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
 #: Distinct src/typsat lines that a warm interval replay executes, counted by
 #: `lines_executed`.  The check path may only shrink; a change that grows it
 #: on purpose raises this bound and records why in CHANGES.md.
-REPLAY_LINES_MAX = 772
+REPLAY_LINES_MAX = 760
 
 
 def lines_executed(fn, *args) -> set:
@@ -578,7 +593,7 @@ def per_column_curves(params, grid_density):
     from typsat import distribution as dist
     from typsat import stationarity as st
     from typsat.errors import SingularPointError
-    system = st.EqSystem.build(params, dist.build_tables(params)[2])
+    system = st.EqSystem.build(params, dist.build_tables(params))
     box = params.a_priori
     lines = ["beta1,phi_eq1,phi_eq2"]
     for b1 in np.linspace(box.beta1_min, box.beta1_max, grid_density):
@@ -1025,6 +1040,21 @@ def test_cli_rejects_counts_that_admit_no_formula(argv, named, capsys):
     from typsat.cli import main
     assert main(argv) == 3
     assert f"configuration error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["curves", "--density", "-1"], "grid_density is -1, below 1",
+                 id="curves-density-negative"),
+    pytest.param(["curves", "--density", "0"], "grid_density is 0, below 1",
+                 id="curves-density-0"),
+    pytest.param(["empirical", "--seed", "-1"], "seed is -1, below 0", id="empirical-seed"),
+])
+def test_cli_rejects_an_empty_grid_and_a_negative_seed(argv, named, tmp_path, capsys):
+    # refused before any work, so no CSV is written
+    from typsat.cli import main
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 3
+    assert f"configuration error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_oracle_past_the_guard(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from typsat import distribution as dist
 from typsat.errors import ConfigurationError, DomainError
+from typsat.intervals import Interval
 from typsat.params import ModelParams
 
 LAM = 3 * 4.506
@@ -49,47 +51,51 @@ def test_kappa_tilde_cases():
     assert dist.kappa_tilde(4, 3, LAM) == 0.0
 
 
-def test_row_sums_match_poisson(tables):
-    typical = tables[0]
-    for x in range(57):
+def _kt_row(consts, x):
+    return consts.kt[consts.xs == x]
+
+
+def test_row_sums_match_poisson(consts, kappa_rows):
+    # a kappa row and its fold onto p <= x/2 both hold the Poisson mass of x
+    for x, row in enumerate(kappa_rows):
         mass = math.exp(dist.poisson_log_pmf(x, LAM))
-        assert abs(typical.row_sum(x) - mass) / mass < 1e-12
+        assert abs(math.fsum(row) - mass) / mass < 1e-12
+        assert abs(math.fsum(_kt_row(consts, x)) - mass) / mass < 1e-12
 
 
-def test_mass_conservation_under_unbalancing(tables):
-    typical, unbalanced, _ = tables
-    s1, s2 = typical.triangle_sum(), unbalanced.triangle_sum()
+def test_mass_conservation_under_unbalancing(consts, kappa_rows):
+    s1, s2 = math.fsum(math.fsum(row) for row in kappa_rows), math.fsum(consts.kt)
     assert abs(s1 - s2) / s1 < 1e-12
 
 
-def test_triangle_sum_vs_explicit_poisson_tail(tables, consts):
+def test_triangle_sum_vs_explicit_poisson_tail(consts, kappa_rows):
     # the triangle holds everything except the Poisson tail beyond x_max
-    typical = tables[0]
-    s = typical.triangle_sum()
-    assert 1.0 - POISSON_TAIL_56 - 1e-13 < s < 1.0 + 1e-13
+    for s in (math.fsum(math.fsum(row) for row in kappa_rows), math.fsum(consts.kt)):
+        assert 1.0 - POISSON_TAIL_56 - 1e-13 < s < 1.0 + 1e-13
 
 
-def test_unbalanced_column_pattern(tables):
-    _, unbalanced, _ = tables
+def test_unbalanced_column_pattern(consts):
+    # kt holds no cell above the diagonal: the fold leaves them empty
+    assert np.all(2 * consts.ps <= consts.xs)
+    assert consts.ps[consts.xs == 6].tolist() == [0, 1, 2, 3]
+    kt6 = _kt_row(consts, 6)
     for p in (0, 1, 2):
-        assert unbalanced.value(6, p) == 2.0 * dist.kappa(6, p, LAM)
-    assert unbalanced.value(6, 3) == dist.kappa(6, 3, LAM)
-    for p in (4, 5, 6):
-        assert unbalanced.value(6, p) == 0.0
+        assert kt6[p] == 2.0 * dist.kappa(6, p, LAM)
+    assert kt6[3] == dist.kappa(6, 3, LAM)
 
 
-def test_tables_match_cellwise_formula(tables, consts):
+def test_tables_match_cellwise_formula(consts, kappa_rows):
     # reference: the cell mass written out per cell with scalar libm calls;
     # numpy's vector exp may round one ulp away from math.exp
-    typical, unbalanced, _ = tables
+    kt = dict(zip(zip(consts.xs.tolist(), consts.ps.tolist()), consts.kt.tolist()))
     for x in range(57):
         for p in range(x + 1):
             log_k = (math.log(math.comb(x, p)) - x * math.log(2.0)
                      + (-LAM + x * math.log(LAM) - math.log(math.factorial(x))))
             k = math.exp(log_k)
-            assert typical.value(x, p) == pytest.approx(k, rel=4.5e-16, abs=0.0)
+            assert kappa_rows[x][p] == pytest.approx(k, rel=4.5e-16, abs=0.0)
             fold = 2.0 if x > 2 * p else 1.0 if x == 2 * p else 0.0
-            assert unbalanced.value(x, p) == pytest.approx(fold * k, rel=4.5e-16, abs=0.0)
+            assert kt.get((x, p), 0.0) == pytest.approx(fold * k, rel=4.5e-16, abs=0.0)
 
 
 def test_derived_constants(consts):
@@ -125,6 +131,22 @@ def test_build_tables_config_errors():
 def test_h_tilde_and_polynomials(consts):
     assert dist.p2(56) == 56 * 57 * 58 / 3
     assert dist.p3(56) == 56 * 58 * 115 / 8
+
+
+def test_both_producers_return_derived_constants_on_one_triangle(params, consts, consts_iv):
+    # one type from both producers, over the same shared triangle arrays: the
+    # mode differs, each interval value encloses its float, the rest is equal
+    triangle = dict(zip(("xs", "ps", "w"), dist.triangle(params.x_max)))
+    for field in dataclasses.fields(dist.DerivedConstants):
+        f, iv = getattr(consts, field.name), getattr(consts_iv, field.name)
+        if field.name in triangle:
+            assert f is triangle[field.name] and iv is triangle[field.name]
+        elif field.name == "mode":
+            assert (f, iv) == ("float", "interval")
+        elif isinstance(iv, Interval):
+            assert iv.contains(f), field.name
+        else:
+            assert f == iv, field.name
 
 
 def test_interval_tables_enclose_float_tables(consts, consts_iv):

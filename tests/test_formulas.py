@@ -81,24 +81,21 @@ def obeys(formula, table, eps, x_cap):
     props = fl.measure_omega(formula, x_cap).proportions()
     for x in range(x_cap + 1):
         for p in range(x + 1):
-            target = table.value(x, p) if hasattr(table, "value") else table[x][p]
-            if not (target - eps <= props[x, p] <= target + eps):
+            if not (table[x][p] - eps <= props[x, p] <= table[x][p] + eps):
                 return False
     return True
 
 
-def test_obeys_trivial_and_irrational(tables):
-    typical = tables[0]
+def test_obeys_trivial_and_irrational(kappa_rows):
     f = fl.generate(50, 4.506, seed=5)
-    assert obeys(f, typical, eps=1.0, x_cap=6)
-    assert not obeys(f, typical, eps=0.0, x_cap=6)  # kappa irrational
+    assert obeys(f, kappa_rows, eps=1.0, x_cap=6)
+    assert not obeys(f, kappa_rows, eps=0.0, x_cap=6)  # kappa irrational
 
 
-def test_obeys_monte_carlo_frequency(tables):
+def test_obeys_monte_carlo_frequency(kappa_rows):
     # at n = 1e5 the proportions track kappa within 0.01 essentially always
-    typical = tables[0]
     hits = sum(
-        obeys(fl.generate(100_000, 4.506, seed), typical, eps=0.01, x_cap=6)
+        obeys(fl.generate(100_000, 4.506, seed), kappa_rows, eps=0.01, x_cap=6)
         for seed in range(100))
     assert hits >= 99
 

@@ -285,7 +285,7 @@ def test_spiral_across_densities_with_the_certification_box(monkeypatch, c, belo
     # whose digest is frozen, and the rectangle rate stays on the side of 1
     # that the bisection spiral gave (now 1.000518, 0.999969, 0.990461)
     params = ModelParams(c=c, a_priori=CERTIFICATION_BOX)
-    _, _, consts = dist.build_tables(params)
+    consts = dist.build_tables(params)
     system = st.EqSystem.build(params, consts)
     widths = (0.05, 1e-4, WIDTH_TARGET)
     batched = [rb.spiral_localize(system.eq1, system.eq2, params.a_priori, w) for w in widths]

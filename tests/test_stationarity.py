@@ -411,7 +411,7 @@ def test_one_cut_for_both_modes_and_every_x_max(system, system_iv):
         keys = _cell_keys(getattr(system, f"cut_{eq}")[0])
         for x_max in (56, 100, 320):
             params = ModelParams(c=4.506, x_max=x_max, epsilon=1e-15)
-            for consts in (dist.build_tables(params)[2], dist.kappa_tilde_intervals(params)):
+            for consts in (dist.build_tables(params), dist.kappa_tilde_intervals(params)):
                 kept, tail = getattr(st.EqSystem.build(params, consts), f"cut_{eq}")
                 assert np.array_equal(_cell_keys(kept), keys), (eq, x_max, consts.mode)
                 assert 0.0 < tail < 1e-12
