@@ -16,7 +16,8 @@ the p <-> x-p symmetry bit-exact and keeps rounding out of the certificate's
 error ledger.  Those lambda-free logs are taken once per process and mode,
 for the cells a certification uses.  One formula, `log_kappa`, serves float
 and interval lambda alike, and each mode has one producer of kt, K_tilde and
-rho: `build_tables` in float, `kappa_tilde_intervals` in interval mode.
+rho: `build_tables` in float, `kappa_tilde_intervals` in interval mode; rho
+is a geometric bound read off kt's last cell, not a sum.
 """
 
 from __future__ import annotations
@@ -29,11 +30,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .intervals import Interval, log_of_int, upper, xexp, xlog, xsum
+from .intervals import Interval, log_of_int, xexp, xlog, xsum
 
-LOG2 = math.log(2.0)
+#: The tables stage's relative tolerance on each kt row against the Poisson
+#: mass of x; `check_x_max` keeps row x_max's underflow within it.
+ROW_TOL = 1e-12
 
-RHO_CUTOFF = 400  # explicit summation of the diagonal tail up to x = 2p = 400
+#: log x! is cached up to here: past every x_max + 1 that `check_x_max` admits
+#: (x_max <= 330 for 3 <= c <= 5).
+CACHED_X_MAX = 400
 
 
 _comb = np.frompyfunc(math.comb, 2, 1)
@@ -49,13 +54,13 @@ def _read_only(v):
 
 @lru_cache(maxsize=None)
 def _log_factorials(as_iv: bool):
-    """log x! for 0 <= x <= RHO_CUTOFF, floats or Intervals.  Shared, so read-only."""
-    return _read_only(log_of_int(_factorial(np.arange(RHO_CUTOFF + 1)), as_iv))
+    """log x! for 0 <= x <= CACHED_X_MAX, floats or Intervals.  Shared, so read-only."""
+    return _read_only(log_of_int(_factorial(np.arange(CACHED_X_MAX + 1)), as_iv))
 
 
 def log_factorial(x, as_iv: bool):
     """log x! of integers x >= 0, elementwise: floats, or Intervals when as_iv."""
-    if 0 <= np.min(x, initial=0) and np.max(x, initial=0) <= RHO_CUTOFF:
+    if 0 <= np.min(x, initial=0) and np.max(x, initial=0) <= CACHED_X_MAX:
         return _log_factorials(as_iv)[x]
     return log_of_int(_factorial(x), as_iv)
 
@@ -67,12 +72,9 @@ def _log_binom(x, p, as_iv: bool):
 
 @lru_cache(maxsize=None)
 def _log_binoms(x_max: int, as_iv: bool):
-    """`_log_binom` over triangle(x_max), and over the diagonal cells (2p, p),
-    x_max < 2p <= RHO_CUTOFF, that `rho_tail` sums.  Shared, so read-only."""
+    """`_log_binom` over triangle(x_max).  Shared, so read-only."""
     xs, ps, _ = triangle(x_max)
-    two_p = np.arange(x_max + 2, RHO_CUTOFF + 1, 2)
-    return (_read_only(_log_binom(xs, ps, as_iv)),
-            _read_only(_log_binom(two_p, two_p // 2, as_iv)))
+    return _read_only(_log_binom(xs, ps, as_iv))
 
 
 def poisson_log_pmf(x, lam):
@@ -83,8 +85,8 @@ def poisson_log_pmf(x, lam):
 
 def log_kappa(log_binom, x, lam):
     """log kappa(x, p) = (log C(x, p) - x log 2) + log Poisson(lam)(x) from the
-    cells' `_log_binom`, elementwise: the one cell-mass formula of kappa, kt
-    in both modes and rho."""
+    cells' `_log_binom`, elementwise: the one cell-mass formula of kappa and
+    of kt in both modes."""
     return log_binom + poisson_log_pmf(x, lam)
 
 
@@ -131,22 +133,16 @@ def p3(xi: int) -> float:
     return float(Fraction(xi * (xi + 2) * (2 * xi + 3), 8))
 
 
-def rho_tail(x_max: int, lam):
-    """Diagonal tail mass sum_{2p > x_max} kappa(2p, p), enclosed for an Interval lam.
+def rho_tail(x_max: int, lam, kt_last):
+    """A bound on the diagonal tail mass sum_{2p > x_max} kappa(2p, p), from
+    kt_last = kappa(x_max, x_max/2), kt's last cell; enclosed for Intervals.
 
-    Explicit terms up to 2p = RHO_CUTOFF, then a geometric remainder: the term
-    ratio is (lambda / (2p+2))^2 <= (lambda / RHO_CUTOFF)^2 past the cutoff.
+    Consecutive diagonal terms have ratio (lambda/(2p+2))^2, so the tail is at
+    most kt_last q0/(1 - q1), q0 = (lambda/(x_max+2))^2, q1 = (lambda/(x_max+4))^2
+    < 1 (`check_x_max` keeps x_max > lambda): at most the exact tail over 1 - q1.
     """
-    if RHO_CUTOFF <= x_max or RHO_CUTOFF <= upper(lam):
-        raise DomainError("rho cutoff must exceed x_max and lambda")
-    two_p = np.arange(x_max + 2, RHO_CUTOFF + 1, 2)
-    terms = xexp(log_kappa(_log_binoms(x_max, isinstance(lam, Interval))[1], two_p, lam))
-    # floats keep the running sum in the order of 2p, which a naive partial sum
-    # of the same terms reproduces bit for bit; Intervals take one enclosure
-    total = terms.sum() if isinstance(terms, Interval) else np.cumsum(terms)[-1]
-    q = lam / float(RHO_CUTOFF)
-    ratio = q * q
-    return total + terms[-1] * ratio / (1.0 - ratio)
+    q0, q1 = lam / float(x_max + 2), lam / float(x_max + 4)
+    return kt_last * (q0 * q0) / (1.0 - q1 * q1)
 
 
 @lru_cache(maxsize=None)
@@ -186,26 +182,24 @@ class DerivedConstants:
 
 def check_x_max(x_max: int, lam: float) -> None:
     """Validate the truncation degree against its two structural lower bounds
-    and two upper ones: the rho cutoff, and a Poisson mass at x_max that the
-    tables stage can check to its 1e-12 row tolerance.  Each of the x_max + 1
-    cells of row x_max may lose 2^-1075 to underflow, so that mass must
-    exceed (x_max + 1) 2^-1075 / 1e-12; the mass falls beyond lambda < x_max,
-    so row x_max is the row nearest the bound."""
+    and one upper bound: a Poisson mass at x_max that the tables stage can
+    check to its row tolerance ROW_TOL.  Each of the x_max + 1 cells of row
+    x_max may lose 2^-1075 to underflow, so that mass must exceed
+    (x_max + 1) 2^-1075 / ROW_TOL; the mass falls beyond lambda < x_max, so
+    row x_max is the row nearest the bound."""
     if x_max % 2 != 0 or x_max <= 0:
         raise ConfigurationError(f"x_max must be a positive even integer, got {x_max}")
     if not x_max > lam:
         raise ConfigurationError(f"xmaxlb2 violated: x_max = {x_max} must exceed lambda = {lam}")
-    need = (2.0 * lam - LOG2) / (math.log(lam) - LOG2)
+    need = (2.0 * lam - math.log(2.0)) / (math.log(lam) - math.log(2.0))
     if not x_max >= need:
         raise ConfigurationError(f"xmaxlb1 violated: x_max = {x_max} < (2*lambda - log 2)/"
                                  f"(log lambda - log 2) = {need:.3f} at lambda = {lam}")
-    if not x_max < RHO_CUTOFF:
-        raise ConfigurationError(f"x_max = {x_max} must be below the rho cutoff {RHO_CUTOFF}")
     mass = math.exp(poisson_log_pmf(x_max, lam))
-    floor = (x_max + 1) / 1e-12 * 2.0**-1074 / 2.0  # the literal 2.0**-1075 is 0
+    floor = (x_max + 1) / ROW_TOL * 2.0**-1074 / 2.0  # the literal 2.0**-1075 is 0
     if not mass > floor:
         raise ConfigurationError(f"x_max = {x_max} too large: the Poisson mass at x_max must "
-                                 f"exceed (x_max + 1) 2^-1075 / 1e-12 = {floor:.3e}, but is "
+                                 f"exceed (x_max + 1) 2^-1075 / {ROW_TOL:g} = {floor:.3e}, but is "
                                  f"{mass:.3e} at lambda = {lam}")
 
 
@@ -214,10 +208,11 @@ def _constants(params, mode: str) -> DerivedConstants:
     x_max = params.x_max
     _, lam, _ = params.decimals(mode)
     xs, ps, w = triangle(x_max)
-    kt = _unbalanced(w) * xexp(log_kappa(_log_binoms(x_max, mode == "interval")[0], xs, lam))
+    kt = _unbalanced(w) * xexp(log_kappa(_log_binoms(x_max, mode == "interval"), xs, lam))
     return DerivedConstants(
-        mode=mode, lam=lam, x_max=x_max, rho=rho_tail(x_max, lam), delta=0.5 * (x_max / 2 + 1),
-        D=big_d(x_max), N=big_n(x_max), K_tilde=xsum((xs - ps) * kt), xs=xs, ps=ps, w=w, kt=kt)
+        mode=mode, lam=lam, x_max=x_max, rho=rho_tail(x_max, lam, kt[-1]),
+        delta=0.5 * (x_max / 2 + 1), D=big_d(x_max), N=big_n(x_max),
+        K_tilde=xsum((xs - ps) * kt), xs=xs, ps=ps, w=w, kt=kt)
 
 
 def build_tables(params) -> DerivedConstants:

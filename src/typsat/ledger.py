@@ -218,6 +218,10 @@ LEDGER_FORMULAS = {
 #: resolves; at eps = 1e-15, Delta = 14.5 the excess is 1.00507e-14.
 LEDGER_TARGETS = {"prefactor": 1.0 + 1e-7, "unbalancing_excess": 1.006e-14}
 
+#: The ledger stage's bound on the prefactor's upper end: the rate carries the
+#: prefactor itself, so it only refuses a runaway ledger.
+PREFACTOR_BOUND = 1.01
+
 
 def _excess_upper(t):
     """Bound on e^t - 1 that keeps its digits for tiny t >= 0.

@@ -153,17 +153,17 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
     pmf = np.array([math.exp(v) for v in
                     dist.poisson_log_pmf(np.arange(params.x_max + 1), params.lam).tolist()])
     row_errs = np.abs(xsum(half, axis=1) - pmf) / pmf
-    worst, bound = int(np.argmax(row_errs)), 1e-12
-    cert.stage("tables", row_errs[worst] < bound, f"row_err={row_errs[worst]:.3e} at "
-               f"x={worst}, bound {bound:g}, rho={consts.rho:.3e}")
+    worst = int(np.argmax(row_errs))
+    cert.stage("tables", row_errs[worst] < dist.ROW_TOL, f"row_err={row_errs[worst]:.3e} at "
+               f"x={worst}, bound {dist.ROW_TOL:g}, rho={consts.rho:.3e}")
 
     system = st.EqSystem.build(params, consts)  # the search and the monotone stage
     checking = consts if mode == "float" else dist.kappa_tilde_intervals(params)
     budget = lg.build_budget(params, checking)
     checker = system if mode == "float" else st.EqSystem.build(params, checking)
     cert.ledger = budget.as_dict()
-    ledger_ok = upper(budget.prefactor) < 1.01 and math.isfinite(upper(budget.prefactor))
-    cert.stage("ledger", ledger_ok, f"prefactor={upper(budget.prefactor):.12g}")
+    cert.stage("ledger", upper(budget.prefactor) < lg.PREFACTOR_BOUND,
+               f"prefactor={upper(budget.prefactor):.12g}, bound {lg.PREFACTOR_BOUND:g}")
 
     monotone_ok = False
     mono_detail = ""

@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import distribution as dist
 from .distribution import DerivedConstants
 from .errors import DomainError, SingularPointError
 from .intervals import (LIBM_ULPS, Interval, log_of_int, lower, next_down, next_up,
@@ -101,17 +100,20 @@ class EqSystem:
     Holds lambda, c, K_tilde, the Eq1 and Eq2 subsets of the triangle cells
     (kt, and w = x - 2p and p as float64, so the per-cell products cast
     nothing), and the log of the n-free base constant
-    3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt.  The mode
-    is that of the derived constants: float from build_tables, interval from
-    kappa_tilde_intervals, so the rectangle rate bound runs the same code
-    outward-rounded, and eq1 and eq2 return enclosures: the point fields in
-    interval arithmetic, the cell sums from the float kernel at two corners
-    (`_enclose`).  eq1 and eq2 sum the cells `_cut` keeps; the monotone stage
-    and log_g2 take the whole triangle.  Evaluation points are exact floats
-    in both modes; eq1 and eq2 also take equal-shape arrays of them and return
-    one value per point: the point fields are derived once for all the
-    points, whose float cell terms are then formed CHUNK_POINTS points at a
-    time.
+    3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt.  Since
+    p!(x-p)! kt = m 2^-x e^-lam lam^x (m = 2 below the diagonal, 1 on it), the
+    2^(sum) cancels and the log is read off kt, with no factorial:
+    c log 3 + lam (log lam - log 6 - 1) + sum kt (lam - x log(lam/2)).
+    The mode is that of the derived constants: float from build_tables,
+    interval from kappa_tilde_intervals, so the rectangle rate bound runs the
+    same code outward-rounded, and eq1 and eq2 return enclosures: the point
+    fields in interval arithmetic, the cell sums from the float kernel at two
+    corners (`_enclose`).  eq1 and eq2 sum the cells `_cut` keeps; the
+    monotone stage and log_g2 take the whole triangle.  Evaluation points are
+    exact floats in both modes; eq1 and eq2 also take equal-shape arrays of
+    them and return one value per point: the point fields are derived once
+    for all the points, whose float cell terms are then formed CHUNK_POINTS
+    points at a time.
     """
 
     mode: str
@@ -130,11 +132,8 @@ class EqSystem:
         xs, ps, w, kt, lam = consts.xs, consts.ps, consts.w, consts.kt, consts.lam
         c = params.decimals(consts.mode)[0]
         as_iv = consts.mode == "interval"
-        log_pfact = dist.log_factorial(ps, as_iv) + dist.log_factorial(xs - ps, as_iv)
-        pos = (kt.lo if as_iv else kt) > 0.0  # kt^kt = 1 where a mass underflows to 0
         log_base = (c * log_of_int(3, as_iv) + lam * (xlog(lam) - log_of_int(6, as_iv) - 1.0)
-                    + xsum(kt[w > 0]) * log_of_int(2, as_iv)
-                    - xsum(kt[pos] * (log_pfact[pos] + xlog(kt[pos]))))
+                    + xsum(kt * (lam - xs * (xlog(lam) - log_of_int(2, as_iv)))))
         p1 = ps >= 1
         strict = p1 & (w > 0)
         wf, pf = w.astype(np.float64), ps.astype(np.float64)

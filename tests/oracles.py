@@ -5,8 +5,9 @@ The forms the reduction starts from and the ones it eliminates live here:
 the stationary mu_(x,p,j) and alpha in closed form, the normalizing product
 g2, the entropy objective f1 with its gradient, Eq1 over other cell sets,
 the raw elimination output of Eq2, Eq1/Eq2 with every cell term in
-interval arithmetic, and a finite-difference monotonicity grid over the
-feasibility box.  Each is checked against the product code
+interval arithmetic, the constants kappa, rho and the base constant at
+mpmath's working precision, and a finite-difference monotonicity grid over
+the feasibility box.  Each is checked against the product code
 by the tests that import it.
 """
 
@@ -213,6 +214,45 @@ def mp_cell_terms(mp, eq: str, cells: st.Cells, a: float, b: float) -> list:
         E = t1[w] * (1 - t2[p])
         terms.append(mp.mpf(wt) * (E if eq == "eq1" else t1[w] * t2[p]) / (1 + E))
     return terms
+
+
+# -- the constants at working precision ------------------------------------------
+
+def mp_kappa(mp, x: int, p: int, lam):
+    """kappa(x, p) = 2^-x e^-lam lam^x / (p! (x-p)!) in mp, from its factorials."""
+    return mp.exp(-lam) * (lam / 2) ** x / (mp.factorial(p) * mp.factorial(x - p))
+
+
+def mp_rho(mp, x_max: int, lam):
+    """The exact diagonal tail sum_{2p > x_max} kappa(2p, p) in mp, summed until
+    a term no longer moves the total (the terms fall geometrically past lam)."""
+    total, two_p = mp.mpf(0), x_max + 2
+    while total + (term := mp_kappa(mp, two_p, two_p // 2, lam)) != total:
+        total, two_p = total + term, two_p + 2
+    return total
+
+
+def mp_rho_bound(mp, x_max: int, lam):
+    """The closed form `distribution.rho_tail` takes, kappa(x_max, x_max/2)
+    q0/(1 - q1) with q0 = (lam/(x_max+2))^2 and q1 = (lam/(x_max+4))^2, in mp."""
+    return (mp_kappa(mp, x_max, x_max // 2, lam) * (lam / (x_max + 2)) ** 2
+            / (1 - (lam / (x_max + 4)) ** 2))
+
+
+def mp_log_base(mp, c: str, x_max: int):
+    """log of the n-free base constant in the paper's product form,
+    3^c (lam/6e)^lam 2^(sum_{x>2p} kt) / prod [p!(x-p)! kt]^kt over the
+    triangle, with kt = 2 kappa below the diagonal and kappa on it, in mp at
+    the decimal density c."""
+    c = mp.mpf(c)
+    lam = 3 * c
+    total = c * mp.log(3) + lam * (mp.log(lam) - mp.log(6) - 1)
+    for x in range(x_max + 1):
+        for p in range(x // 2 + 1):
+            kt = (2 if x > 2 * p else 1) * mp_kappa(mp, x, p, lam)
+            total += (kt * mp.log(2) if x > 2 * p else 0) - kt * (
+                mp.log(mp.factorial(p) * mp.factorial(x - p)) + mp.log(kt))
+    return total
 
 
 # -- grid certifications ------------------------------------------------------------

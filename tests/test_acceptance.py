@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from typsat import distribution as dist
 from typsat import formulas as fl
@@ -23,7 +22,7 @@ from typsat import pipeline as pl
 from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.intervals import upper
-from typsat.params import DELTA_NUM, WIDTH_TARGET, ModelParams
+from typsat.params import WIDTH_TARGET
 
 from oracles import gradient_f1, monotone_grid_report, mu_table, projected_gradient
 

@@ -80,8 +80,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "52c790184b4db42dfe0afc717536b3e9439fbc0cb275796967d5fb787517bcc0",
-    "interval": "b506a052a4dad70443223d60673775371c506137f5ef454dcd3587279f51633c",
+    "float": "39d3cfae5c3c4486008a737e0254da6dc4419ddc779c1c27a5429b649e5b569e",
+    "interval": "f5ed0984efd34e15b5b9935f52967982792ea5522fcfe3998db538fd5e370d7f",
 }
 
 
@@ -522,6 +522,19 @@ def test_tables_stage_fails_a_wrong_fold(monkeypatch, fold, detail):
     assert not result.verdict and result.failing_stage == "tables"
 
 
+@pytest.mark.parametrize("bound, ok", [(1.01, True), (1.00000006, False)])
+def test_ledger_stage_names_the_bound_it_checks(monkeypatch, cert, bound, ok):
+    # the stage passes on the prefactor's upper end below lg.PREFACTOR_BOUND,
+    # and its detail names that bound
+    assert lg.PREFACTOR_BOUND == 1.01
+    monkeypatch.setattr(lg, "PREFACTOR_BOUND", bound)
+    result = cf.replay(json.loads(cert.dumps()))
+    ledger = result["stages"][STAGES.index("ledger")]
+    assert ledger == {"name": "ledger", "ok": ok,
+                      "detail": f"prefactor=1.00000006429, bound {bound:g}"}
+    assert result["verdict"] is ok
+
+
 def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
     # an interval check evaluates Eq1 and Eq2 on the interval system only
     modes = Counter()
@@ -537,7 +550,7 @@ def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
 #: Distinct src/typsat lines that a warm interval replay executes, counted by
 #: `lines_executed`.  The check path may only shrink; a change that grows it
 #: on purpose raises this bound and records why in CHANGES.md.
-REPLAY_LINES_MAX = 760
+REPLAY_LINES_MAX = 749
 
 
 def lines_executed(fn, *args) -> set:
@@ -978,7 +991,7 @@ def test_cli_certify_config_error(capsys):
 @pytest.mark.parametrize("x_max, bound", [
     (322, "Poisson mass at x_max must exceed (x_max + 1) 2^-1075 / 1e-12"),
     (340, "Poisson mass at x_max must exceed (x_max + 1) 2^-1075 / 1e-12"),  # 0 from x = 332
-    (400, "must be below the rho cutoff 400"),
+    (400, "Poisson mass at x_max must exceed (x_max + 1) 2^-1075 / 1e-12"),  # 0 from x = 332
 ])
 def test_cli_certify_rejects_x_max_above_its_upper_bounds(x_max, bound, capsys):
     from typsat.cli import main

@@ -9,6 +9,8 @@ from typsat.errors import ConfigurationError, DomainError
 from typsat.intervals import Interval
 from typsat.params import ModelParams
 
+from oracles import mp_rho, mp_rho_bound
+
 LAM = 3 * 4.506
 
 # oracle: exact rational binomial times a 50-digit exponential (mpmath), frozen
@@ -108,15 +110,18 @@ def test_derived_constants(consts):
 
 
 def test_rho_monotone_in_x_max():
-    rhos = [dist.rho_tail(x, LAM) for x in range(40, 62, 2)]
+    rhos = [dist.rho_tail(x, LAM, dist.kappa(x, x // 2, LAM)) for x in range(40, 62, 2)]
     assert all(a > b for a, b in zip(rhos, rhos[1:]))
 
 
-def test_rho_matches_partial_sum_oracle():
-    # independent oracle: plain 200-term partial sum plus nothing
-    partial = sum(dist.kappa(2 * p, p, LAM) for p in range(29, 229))
-    rho = dist.rho_tail(56, LAM)
-    assert partial <= rho <= partial * (1.0 + 1e-10)
+def test_rho_matches_partial_sum_oracle(consts):
+    # rho is a geometric bound on the diagonal tail, not a sum: it lies
+    # between the exact tail (50 digits, summed until it converges) and the
+    # exact tail over 1 - q1, q1 = (lambda/60)^2, the bound's stated slack
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        exact = mp_rho(mp, 56, 3 * mp.mpf("4.506"))
+        assert exact <= consts.rho <= exact / (1 - (LAM / 60) ** 2)
 
 
 def test_build_tables_config_errors():
@@ -162,11 +167,11 @@ def test_interval_tables_enclose_float_tables(consts, consts_iv):
 def test_rho_interval_encloses_float(consts, consts_iv):
     rho_iv = consts_iv.rho
     assert rho_iv.contains(consts.rho)
-    # and the 50-digit diagonal tail, summed up to the same cutoff
+    # and the 50-digit closed form, which bounds the exact tail within its slack
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         lam = 3 * mp.mpf("4.506")
-        rho = mp.fsum(mp.binomial(two_p, two_p // 2) / mp.mpf(2) ** two_p
-                      * mp.exp(-lam) * lam ** two_p / mp.factorial(two_p)
-                      for two_p in range(58, dist.RHO_CUTOFF + 1, 2))
-        assert mp.mpf(float(rho_iv.lo)) <= rho <= mp.mpf(float(rho_iv.hi))
+        bound = mp_rho_bound(mp, 56, lam)
+        assert mp.mpf(float(rho_iv.lo)) <= bound <= mp.mpf(float(rho_iv.hi))
+        exact = mp_rho(mp, 56, lam)
+        assert exact <= bound <= exact / (1 - (lam / 60) ** 2)

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from typsat import distribution as dist
 from typsat import formulas as fl
 from typsat.errors import DomainError, GuardError
 

@@ -12,6 +12,7 @@ import typsat
 MODULES = sorted(p for p in Path(typsat.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -24,7 +25,8 @@ def _imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES + DEMOS, ids=[p.name for p in MODULES + DEMOS])
+@pytest.mark.parametrize("path", MODULES + DEMOS + TESTS,
+                         ids=[p.name for p in MODULES + DEMOS + TESTS])
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

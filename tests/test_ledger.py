@@ -3,10 +3,12 @@ import math
 import pytest
 
 from typsat import ledger as lg
-from typsat.distribution import big_d, build_tables, kappa_tilde_intervals, p2, p3, rho_tail
+from typsat.distribution import big_d, kappa_tilde_intervals, p2, p3
 from typsat.errors import DomainError
 from typsat.intervals import Interval, upper
 from typsat.params import CERTIFICATION_BOX, GENERIC_GAMMA_PSI, ModelParams
+
+from oracles import mp_rho, mp_rho_bound
 
 
 def test_L_domain_guard():
@@ -106,10 +108,13 @@ def test_budget_values(params, consts, budget):
 
 
 def test_float_budget_reuses_the_stored_tail(params, consts, budget):
-    # build_tables stores the diagonal tail; the float ledger takes it from there
-    rho = rho_tail(params.x_max, params.lam)
-    assert consts.rho == rho
-    assert budget.unbalancing_log == (rho + params.epsilon * consts.delta) * math.log(2.0)
+    # build_tables stores a bound on the diagonal tail, between the exact
+    # 50-digit tail and that tail over 1 - q1; the float ledger takes it from there
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        exact = mp_rho(mp, params.x_max, 3 * mp.mpf("4.506"))
+        assert exact <= consts.rho <= exact / (1 - (params.lam / (params.x_max + 4)) ** 2)
+    assert budget.unbalancing_log == (consts.rho + params.epsilon * consts.delta) * math.log(2.0)
 
 
 def test_budget_monotone_in_eps(consts):
@@ -127,17 +132,17 @@ def test_interval_budget_is_pessimistic_but_close(params, consts, consts_iv, bud
     assert biv.prefactor.contains(upper(budget.prefactor))
     assert upper(biv.prefactor) < 1.0 + 2e-7
     assert biv.r3.contains(upper(budget.r3))
-    # 2^(rho + eps*Delta) at 50 digits, rho summed as in rho_tail up to its cutoff
+    # 2^(rho + eps*Delta) at 50 digits, rho the closed-form bound on the
+    # diagonal tail, within 1/(1 - q1) of the exact tail
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    lam = 3 * mp.mpf("4.506")
-    rho = mp.fsum(mp.binomial(two_p, two_p // 2) / mp.mpf(2) ** two_p
-                  * mp.exp(-lam) * lam ** two_p / mp.factorial(two_p)
-                  for two_p in range(params.x_max + 2, 401, 2))
-    expo = (rho + mp.mpf(params.epsilon) * mp.mpf(consts.delta)) * mp.log(2)
-    excess = mp.expm1(expo)
-    assert biv.unbalancing_log.contains(float(expo))
-    assert biv.unbalancing_excess.contains(float(excess))
+    with mp.workdps(50):
+        lam = 3 * mp.mpf("4.506")
+        rho, exact = mp_rho_bound(mp, params.x_max, lam), mp_rho(mp, params.x_max, lam)
+        assert exact <= rho <= exact / (1 - (lam / (params.x_max + 4)) ** 2)
+        expo = (rho + mp.mpf(params.epsilon) * mp.mpf(consts.delta)) * mp.log(2)
+        excess = mp.expm1(expo)
+        for iv, value in ((biv.unbalancing_log, expo), (biv.unbalancing_excess, excess)):
+            assert mp.mpf(float(iv.lo)) <= value <= mp.mpf(float(iv.hi))
     assert upper(biv.unbalancing_excess) < float(excess) * (1.0 + 1e-12)
     assert math.isclose(upper(budget.unbalancing_excess), float(excess), rel_tol=1e-14)
 

@@ -7,7 +7,7 @@ import pytest
 from typsat import monotone as mo
 from typsat import stationarity as st
 from typsat.errors import DomainError
-from typsat.params import CERTIFICATION_BOX, DELTA_NUM, ModelParams
+from typsat.params import CERTIFICATION_BOX, ModelParams
 
 from oracles import eq1_over, monotone_grid_report
 

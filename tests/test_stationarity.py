@@ -11,11 +11,12 @@ from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import DomainError, SingularPointError
 from typsat.intervals import Interval
-from typsat.params import DELTA_NUM, ModelParams
+from typsat.params import ModelParams
 
 from oracles import (alpha_closed_form, beta1_of_mu, eq1_over, eq2_eqb1, g2, gradient_f1,
-                     h_weight, interval_equations, log_den, mp_cell_terms, mu_closed_form,
-                     mu_index, mu_table, objective_f1, phi_of_mu, projected_gradient)
+                     h_weight, interval_equations, log_den, mp_cell_terms, mp_log_base,
+                     mu_closed_form, mu_index, mu_table, objective_f1, phi_of_mu,
+                     projected_gradient)
 
 LAM = 3 * 4.506
 
@@ -226,6 +227,21 @@ def test_eq2_seed_signs_spec_corners(system, box):
     b_floor = (2.0 - 3.0 * box.phi_min) + 1e-6
     assert eq2f(box.phi_min, b_floor) > 0.0
     assert eq2f(box.phi_max, box.beta1_max) < 0.0
+
+
+@pytest.mark.parametrize("c", ["3", "4.506", "5"])
+def test_log_base_against_product_form_oracle(c):
+    # the paper's product form, with kt from 50-digit factorials, against the
+    # base constant EqSystem reads off kt: enclosed in interval mode, within
+    # 1e-13 in float
+    mp = pytest.importorskip("mpmath")
+    params = ModelParams(c=float(c), x_max=56)
+    base = st.EqSystem.build(params, dist.build_tables(params)).log_base
+    base_iv = st.EqSystem.build(params, dist.kappa_tilde_intervals(params)).log_base
+    with mp.workdps(50):
+        exact = mp_log_base(mp, c, params.x_max)
+        assert mp.mpf(float(base_iv.lo)) <= exact <= mp.mpf(float(base_iv.hi))
+        assert abs(mp.mpf(base) - exact) < 1e-13
 
 
 def test_interval_system_encloses_float_system(params, consts, consts_iv, system, trace):
