@@ -29,7 +29,7 @@ cert_iv = certify(4.506, 56, 1e-15, mode="interval")
 rep = cert_iv.interval_report
 print(f"   {rep['sign_checks']} outward-rounded sign checks, failures: {rep['sign_failures']}")
 print(f"   rate enclosure: [{rep['rate_lower']:.12f}, {rep['rate_upper']:.12f}]")
-print(f"   prefactor upper bound: {rep['prefactor_upper']:.12f}")
+print(f"   prefactor upper bound: {float(cert_iv.ledger['prefactor']['v']):.12f}")
 print(f"   verdict: {cert_iv.verdict}")
 
 print()

@@ -35,13 +35,18 @@ print(f"   unbalancing upper = 1 + {budget_iv.unbalancing_excess.upper():.6e}")
 print()
 
 print("-- why the second equation decreases in each variable " + "-" * 14)
-for cert in mo.eq2_monotone_verdict(system):
-    print(f"   {cert.direction:16s}: A = {cert.A_bound:.4f}, B = {cert.B_bound:.4f}, "
-          f"extra = {cert.extra_bound:.4f}; total {cert.total():.4f} "
-          f"< {cert.threshold:.4f} -> {cert.verdict}")
+ok, _, record = mo.verdict(system)
+threshold = record["lambda_phi_min"]
+print(f"   V_min = {record['v_min2']:.6f}, (U/V)_max = {record['uv_max2']:.5f}, "
+      f"A = {record['A_bound']:.4f}, lambda phi_min = {threshold:.4f}")
+for direction in ("eq2_fixed_phi", "eq2_fixed_beta1"):
+    d = record[direction]
+    print(f"   {direction:16s}: B = {d['B_bound']:.4f}, extra = {d['extra_bound']:.4f}; "
+          f"total {d['total']:.4f} < {threshold:.4f} -> {d['verdict']}")
 print()
 print("-- why the first equation cannot vanish past its turning curves " + "-" * 4)
-print(f"   Eq1* majorant along beta1*(phi): {mo.eq1_star_majorant(system):.4f} < 0")
-for lo, hi in mo.M_BANDS:
-    print(f"   Eq1** majorant on beta1 in [{lo}, {hi}]: "
-          f"{mo.m_bound(lo, hi, system):.4f} < 0")
+print(f"   Eq1* majorant along beta1*(phi): {record['eq1_star_majorant']:.4f} < 0")
+for band in record["m_bands"]:
+    lo, hi = band["band"]
+    print(f"   Eq1** majorant on beta1 in [{lo}, {hi}]: {band['value']:.4f} < 0")
+print(f"   monotone stage passes: {ok}")

@@ -186,8 +186,9 @@ def check_x_max(x_max: int, lam: float) -> None:
     check to its row tolerance ROW_TOL.  Each of the x_max + 1 cells of row
     x_max may lose 2^-1075 to underflow, so that mass must exceed
     (x_max + 1) 2^-1075 / ROW_TOL; the mass falls beyond lambda < x_max, so
-    row x_max is the row nearest the bound."""
-    if x_max % 2 != 0 or x_max <= 0:
+    row x_max is the row nearest the bound, and past the cached factorials
+    the mass at CACHED_X_MAX bounds it at a cost that does not grow with x_max."""
+    if not isinstance(x_max, (int, np.integer)) or x_max % 2 != 0 or x_max <= 0:
         raise ConfigurationError(f"x_max must be a positive even integer, got {x_max}")
     if not x_max > lam:
         raise ConfigurationError(f"xmaxlb2 violated: x_max = {x_max} must exceed lambda = {lam}")
@@ -195,12 +196,13 @@ def check_x_max(x_max: int, lam: float) -> None:
     if not x_max >= need:
         raise ConfigurationError(f"xmaxlb1 violated: x_max = {x_max} < (2*lambda - log 2)/"
                                  f"(log lambda - log 2) = {need:.3f} at lambda = {lam}")
-    mass = math.exp(poisson_log_pmf(x_max, lam))
+    at = min(x_max, CACHED_X_MAX)
+    mass = math.exp(poisson_log_pmf(at, lam))
     floor = (x_max + 1) / ROW_TOL * 2.0**-1074 / 2.0  # the literal 2.0**-1075 is 0
     if not mass > floor:
         raise ConfigurationError(f"x_max = {x_max} too large: the Poisson mass at x_max must "
                                  f"exceed (x_max + 1) 2^-1075 / {ROW_TOL:g} = {floor:.3e}, but is "
-                                 f"{mass:.3e} at lambda = {lam}")
+                                 f"{'at most ' if at < x_max else ''}{mass:.3e} at lambda = {lam}")
 
 
 def _constants(params, mode: str) -> DerivedConstants:

@@ -239,7 +239,7 @@ def _excess_upper(t):
 
 @dataclass
 class ErrorBudget(GFactors):
-    """Full ledger: the bounds and slack factors, prefactors, and the widened intervals.
+    """Full ledger: the bounds and slack factors, the prefactor and the unbalancing factor.
 
     Every value is meant as an upper bound ("pessimistic direction"), so that
     multiplying certificate factors by them composes pessimistically.  Only
@@ -249,36 +249,28 @@ class ErrorBudget(GFactors):
     (the float unbalancing factor does, by 0.26 ulp).
     """
 
-    eps: float
-    x_max: int
     prefactor: object       # G1 * G2 * exp(2*eps*D/e)
     unbalancing: object     # 2^(rho + eps*Delta)
     unbalancing_log: object     # t = (rho + eps*Delta) ln 2
     unbalancing_excess: object  # upper bound on 2^(rho + eps*Delta) - 1
-    interval_bounds: FeasibleBox
-    mode: str = "float"
-    direction: str = "upper"
 
     def as_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "direction": self.direction,
-            "eps": self.eps,
-            "x_max": self.x_max,
-            "interval_bounds": self.interval_bounds.as_dict(),
-        }
+        """Each entry as the certificate stores it: its formula, the excess,
+        target and margin where it has a target, and its upper end as a
+        17-digit decimal string."""
+        out = {}
         for key in ("r1", "r2", "r3", "ga", "gb", "gc", "g1", "g2", "prefactor", "unbalancing"):
-            value = upper(getattr(self, key))
-            entry = {"value": value, "formula": LEDGER_FORMULAS[key], "direction": "upper"}
+            entry = {"formula": LEDGER_FORMULAS[key]}
+            upper_end = checked = upper(getattr(self, key))
             target_key = key
             if key == "unbalancing":
                 # the target is on the excess: a double next to 1.0 cannot resolve it
-                value = entry["excess"] = upper(self.unbalancing_excess)
+                checked = entry["excess"] = upper(self.unbalancing_excess)
                 target_key = "unbalancing_excess"
             if target_key in LEDGER_TARGETS:
                 entry["target"] = LEDGER_TARGETS[target_key]
-                entry["margin"] = LEDGER_TARGETS[target_key] - value
-            out[key] = entry
+                entry["margin"] = LEDGER_TARGETS[target_key] - checked
+            out[key] = {**entry, "v": f"{upper_end:.17g}", "dir": "upper"}
         return out
 
 
@@ -298,12 +290,8 @@ def build_budget(params, consts) -> ErrorBudget:
     unbalancing_log = (consts.rho + eps * consts.delta) * log_of_int(2, as_iv)
     return ErrorBudget(
         **vars(gf),
-        eps=params.epsilon,
-        x_max=params.x_max,
         prefactor=prefactor,
         unbalancing=xexp(unbalancing_log),
         unbalancing_log=unbalancing_log,
         unbalancing_excess=_excess_upper(unbalancing_log),
-        interval_bounds=params.a_priori,
-        mode=consts.mode,
     )

@@ -5,14 +5,13 @@ is certified by summing explicit per-cell derivative bounds (A and B below)
 and comparing against lambda * phi_min.  Eq1 decreases wherever it is
 positive; the exceptional index families (x = 2p+1 and x = 2p+2) are removed
 to form Eq1* and Eq1**, which are then shown negative past the closed-form
-turning points beta1*(phi) and phi*(beta1).  Every numeric bound produced
-here feeds the certificate's constants table.
+turning points beta1*(phi) and phi*(beta1).  `verdict` runs the whole stage
+and returns the certificate's record of every bound it compared.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,58 +111,25 @@ def b_sum(a1: float, b1: float, v_low: float, system: st.EqSystem) -> float:
     return xsum(p * w * kt * coeff / (v_low**p - 1.0))
 
 
-@dataclass
-class MonotoneCertificate:
-    """One direction of the Eq2 separate-monotonicity proof, fully evaluated."""
-
-    direction: str          # "eq2_fixed_phi" | "eq2_fixed_beta1"
-    A_bound: float
-    B_bound: float
-    extra_bound: float
-    threshold: float        # lambda * phi_min
-    verdict: bool
-    v_min2: float
-    uv_max2: float
-    tangent: tuple[float, float]
-
-    def total(self) -> float:
-        return self.A_bound + self.B_bound + self.extra_bound
-
-    def as_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "A_bound": self.A_bound,
-            "B_bound": self.B_bound,
-            "extra_bound": self.extra_bound,
-            "total": self.total(),
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "v_min2": self.v_min2,
-            "uv_max2": self.uv_max2,
-            "tangent": list(self.tangent),
-        }
-
-
-def eq2_monotone_verdict(system: st.EqSystem) -> tuple[MonotoneCertificate, MonotoneCertificate]:
+def eq2_monotone_verdict(system: st.EqSystem) -> dict:
     """Certify that Eq2 strictly decreases in each variable over the feasible
-    set: the (fixed_phi, fixed_beta1) certificates, which share V_min,
-    (U/V)_max, the A sum and the threshold lambda * phi_min."""
+    set.  The record holds what both directions share, V_min, (U/V)_max, the
+    A sum and the threshold lambda * phi_min, then per direction (eq2_fixed_phi,
+    eq2_fixed_beta1) its tangent, B sum, extra term, total and verdict."""
     box = system.box
     v_min2, uv_max2 = polygon_extremize(box)
     a_bound = a_sum(v_min2, uv_max2, system)
     threshold = system.lam * box.phi_min
-    certs = []
+    record = {"v_min2": v_min2, "uv_max2": uv_max2, "A_bound": a_bound,
+              "lambda_phi_min": threshold}
     for which, (a1, b1), extra in (
             ("fixed_phi", tangent_fixed_phi(v_min2), 0.0),
             ("fixed_beta1", tangent_fixed_beta(v_min2), system.lam * (1.0 - box.beta1_min) / 16.0)):
         b_bound = b_sum(a1, b1, v_min2, system)
-        certs.append(MonotoneCertificate(
-            direction=f"eq2_{which}",
-            A_bound=a_bound, B_bound=b_bound, extra_bound=extra,
-            threshold=threshold, verdict=a_bound + b_bound + extra + DELTA_NUM < threshold,
-            v_min2=v_min2, uv_max2=uv_max2, tangent=(a1, b1),
-        ))
-    return certs[0], certs[1]
+        total = a_bound + b_bound + extra
+        record[f"eq2_{which}"] = {"tangent": [a1, b1], "B_bound": b_bound, "extra_bound": extra,
+                                  "total": total, "verdict": total + DELTA_NUM < threshold}
+    return record
 
 
 # -- polygon extremization --------------------------------------------------------
@@ -254,3 +220,23 @@ def m_bound(b1_low: float, b1_high: float, system: st.EqSystem) -> float:
 #: Bands whose M-bounds certify Eq1** < 0 across the certification beta1 range.
 M_BANDS = ((0.33, 0.39), (0.39, 0.428), (0.428, 0.468), (0.468, 0.529))
 
+
+def verdict(system: st.EqSystem) -> tuple[bool, str, dict]:
+    """The monotone stage: (ok, detail, record).  It passes when both Eq2
+    directions hold, the Eq1* majorant and every M-band bound lie below
+    -DELTA_NUM, and M_BANDS cover the box's beta1 range without a gap.  The
+    record is `eq2_monotone_verdict`'s, then the Eq1* majorant and the M bands.
+    Raises DomainError for a box outside the closed forms' domain."""
+    record = eq2_monotone_verdict(system)
+    phi, beta = record["eq2_fixed_phi"], record["eq2_fixed_beta1"]
+    star = record["eq1_star_majorant"] = eq1_star_majorant(system)
+    box = system.box
+    covered = (M_BANDS[0][0] <= box.beta1_min and M_BANDS[-1][1] >= box.beta1_max
+               and all(a[1] >= b[0] for a, b in zip(M_BANDS, M_BANDS[1:])))
+    m_values = [m_bound(lo, hi, system) for lo, hi in M_BANDS]
+    record["m_bands"] = [{"band": list(b), "value": v} for b, v in zip(M_BANDS, m_values)]
+    ok = (phi["verdict"] and beta["verdict"] and star < -DELTA_NUM and covered
+          and all(v < -DELTA_NUM for v in m_values))
+    return ok, (f"eq2 totals=({phi['total']:.4f}, {beta['total']:.4f}) vs "
+                f"{record['lambda_phi_min']:.4f}; eq1*={star:.4f}; "
+                f"M={['%.4f' % v for v in m_values]}"), record

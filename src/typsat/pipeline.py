@@ -37,12 +37,11 @@ from .intervals import lower, upper, xsum
 from .params import DELTA_NUM, WIDTH_TARGET, ModelParams
 
 VERSION = "0.1.0"
-SCHEMA = "typsat-certificate/2"
+SCHEMA = "typsat-certificate/3"
 
 #: Headline targets the certificate's constants table is compared against.
 TARGETS = {
     "rate": 0.9999885,
-    **lg.LEDGER_TARGETS,
     "v_min2": 1.126983,
     "uv_max2": 1.64966,
     "tangent_phi": (2.4427, -1.8194),
@@ -64,15 +63,6 @@ def _dec(x, direction: str = "nearest") -> dict:
     return {"v": f"{float(x):.17g}", "dir": direction}
 
 
-def _dec_entry(entry: dict) -> dict:
-    out = dict(entry)
-    out["v"] = f"{float(entry['value']):.17g}"
-    out["dir"] = entry.get("direction", "upper")
-    del out["value"]
-    out.pop("direction", None)
-    return out
-
-
 @dataclass
 class Certificate:
     params: dict
@@ -80,7 +70,7 @@ class Certificate:
     stages: list = field(default_factory=list)   # (name, ok, detail)
     ledger: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
-    monotone: list = field(default_factory=list)
+    monotone: dict = field(default_factory=dict)
     trace: dict = field(default_factory=dict)
     trace_verified: bool = False
     rectangle: tuple | None = None
@@ -103,8 +93,7 @@ class Certificate:
             "mode": self.mode,
             "params": self.params,
             "stages": self.stages,
-            "ledger": {k: (_dec_entry(v) if isinstance(v, dict) and "value" in v else v)
-                       for k, v in self.ledger.items()},
+            "ledger": self.ledger,
             "constants": self.constants,
             "monotone": self.monotone,
             "trace": self.trace,
@@ -165,35 +154,12 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
     cert.stage("ledger", upper(budget.prefactor) < lg.PREFACTOR_BOUND,
                f"prefactor={upper(budget.prefactor):.12g}, bound {lg.PREFACTOR_BOUND:g}")
 
-    monotone_ok = False
-    mono_detail = ""
-    star_majorant = math.nan
-    m_values: list[float] = []
-    verdict_phi = None
     try:
-        verdict_phi, verdict_beta = mo.eq2_monotone_verdict(system)
-        cert.monotone = [verdict_phi.as_dict(), verdict_beta.as_dict()]
-        star_majorant = mo.eq1_star_majorant(system)
-        box = system.box
-        bands_cover = (mo.M_BANDS[0][0] <= box.beta1_min
-                       and mo.M_BANDS[-1][1] >= box.beta1_max
-                       and all(a[1] >= b[0] for a, b in zip(mo.M_BANDS, mo.M_BANDS[1:])))
-        m_values = [mo.m_bound(lo, hi, system) for lo, hi in mo.M_BANDS]
-        monotone_ok = (verdict_phi.verdict and verdict_beta.verdict
-                       and star_majorant < -DELTA_NUM and bands_cover
-                       and all(v < -DELTA_NUM for v in m_values))
-        mono_detail = (f"eq2 totals=({verdict_phi.total():.4f}, {verdict_beta.total():.4f}) "
-                       f"vs {verdict_phi.threshold:.4f}; eq1*={star_majorant:.4f}; "
-                       f"M={['%.4f' % v for v in m_values]}")
+        monotone_ok, mono_detail, cert.monotone = mo.verdict(system)
     except DomainError as exc:  # a box outside the closed forms' domain, a singular point
-        mono_detail = str(exc)
+        monotone_ok, mono_detail = False, str(exc)
     cert.stage("monotone", monotone_ok, mono_detail)
     cert.constants = {
-        "v_min2": verdict_phi.v_min2 if verdict_phi is not None else None,
-        "uv_max2": verdict_phi.uv_max2 if verdict_phi is not None else None,
-        "eq1_star_majorant": star_majorant,
-        "m_bands": [{"band": list(b), "value": v} for b, v in zip(mo.M_BANDS, m_values)],
-        "lambda_phi_min": params.lam * params.a_priori.phi_min,
         "K_tilde": consts.K_tilde,
         **{f"{eq}_cut": {"cells": cells.w.size, "tail": tail}
            for eq, (cells, tail) in (("eq1", checker.cut_eq1), ("eq2", checker.cut_eq2))},
@@ -252,9 +218,6 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
     if mode == "interval":
         cert.interval_report = {"ok": False} if rate is None else {
             "ok": upper(rate) + DELTA_NUM < 1.0,
-            "prefactor_upper": upper(budget.prefactor),
-            "unbalancing_upper": upper(budget.unbalancing),
-            "unbalancing_excess_upper": upper(budget.unbalancing_excess),
             "sign_checks": report.checks,
             "sign_failures": len(report.failures),
             "min_sign_margin": report.min_margin,
@@ -269,23 +232,24 @@ def replay(cert_data: dict) -> dict:
     mode: the spiral stage reads the trace where certify searches, and the
     rate is that of the trace's own final rectangle.  `disagreements` names
     the top-level fields of the re-run certificate that differ from the
-    stored ones.  A certificate without params (c, x_max, epsilon), mode or
-    trace raises ConfigurationError naming the key, and one whose params is
-    not an object or holds a non-number, naming it."""
+    stored ones.  Before any stage runs, a certificate without params (c,
+    x_max, epsilon), mode or trace raises ConfigurationError naming the key,
+    and one whose params or trace is not an object, whose params field or
+    witness value is not a number, or whose rate has no decimal `v`, naming
+    the field."""
+    rate = cert_data.get("rate")
     try:
-        p, mode, stored_trace = cert_data["params"], cert_data["mode"], cert_data["trace"]
+        p, mode, stored_trace = cert_data["params"], cert_data["mode"], cert_data["trace"] or {}
+        bad = _wrong_types(p, stored_trace, rate)
+        if bad:
+            raise ConfigurationError(f"certificate field of the wrong type: {', '.join(bad)}")
         params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
     except KeyError as exc:
         raise ConfigurationError(f"certificate has no {exc.args[0]!r}") from None
-    except TypeError:  # params is not an object, or one of its fields is not a number
-        bad = ([f"params.{k} = {p[k]!r}" for k in ("c", "x_max", "epsilon")
-                if type(p[k]) not in (int, float)] if isinstance(p, dict) else [f"params = {p!r}"])
-        raise ConfigurationError(f"certificate field of the wrong type: {', '.join(bad)}") from None
-    rerun = _check(params, mode,
-                   lambda system: rb.ExclusionTrace.from_jsonable(stored_trace or {}))
+    stored_rate = None if rate is None else float(rate["v"])
+    rerun = _check(params, mode, lambda system: rb.ExclusionTrace.from_jsonable(stored_trace))
     fresh, stored = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
                      for d in (rerun.as_dict(), cert_data))
-    stored_rate = float(cert_data["rate"]["v"]) if cert_data.get("rate") is not None else None
     return {
         "trace_ok": rerun.trace_verified,
         "rate": rerun.rate,
@@ -297,6 +261,26 @@ def replay(cert_data: dict) -> dict:
         "stages": rerun.stages,
         "disagreements": [k for k in {**fresh, **stored} if fresh.get(k) != stored.get(k)],
     }
+
+
+def _wrong_types(params, trace, rate) -> list[str]:
+    """'field = value' for each field replay reads that holds the wrong JSON
+    type: params or trace not an object, a params field or a witness value
+    not a number, a rate without a decimal `v`.  A missing field is not named."""
+    def number(v):
+        return type(v) in (int, float)
+    bad = ([f"params = {params!r}"] if not isinstance(params, dict) else
+           [f"params.{k} = {params[k]!r}" for k in ("c", "x_max", "epsilon")
+            if k in params and not number(params[k])])
+    bad += ([f"trace = {trace!r}"] if not isinstance(trace, dict) else
+            [f"trace.{k} = {trace[k]!r}" for k in rb.SEQUENCES
+             if k in trace and not (isinstance(trace[k], list) and all(map(number, trace[k])))])
+    try:
+        if rate is not None:
+            float(rate["v"])
+    except (TypeError, KeyError, ValueError):
+        bad.append(f"rate = {rate!r}")
+    return bad
 
 
 # -- curves -------------------------------------------------------------------------

@@ -139,8 +139,6 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> 
     pm, bp, pp, bm = trace.phi_minus, trace.beta_plus, trace.phi_plus, trace.beta_minus
     if len(pm) != len(bp) or len(pp) != len(bm):
         raise TraceStructureError("witness sequences must come in equal-length pairs")
-    if not pm or not pp:
-        raise TraceStructureError("empty witness sequences")
     if pm[0] != domain.phi_min or bp[0] != domain.beta1_max:
         raise TraceStructureError("minus arm must start at (phi_min, beta1_max)")
     if pp[0] != domain.phi_max or bm[0] != domain.beta1_min:

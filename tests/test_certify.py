@@ -15,6 +15,7 @@ from typsat import pipeline as cf
 from typsat import formulas as fl
 from typsat import ledger as lg
 from typsat import monotone as mo
+from typsat import params as params_module
 from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import ConfigurationError, DomainError, GuardError, SpiralSeedError
@@ -80,8 +81,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "39d3cfae5c3c4486008a737e0254da6dc4419ddc779c1c27a5429b649e5b569e",
-    "interval": "f5ed0984efd34e15b5b9935f52967982792ea5522fcfe3998db538fd5e370d7f",
+    "float": "102a18be3d30dd612e6a7d5660849e88a9c42278e82e6fb31f4a00e66bc17f1d",
+    "interval": "6eb59e96fd2fc5f072de81d0b25784b07caa5183b69a158462f9254dcc940abc",
 }
 
 
@@ -101,13 +102,47 @@ def test_certificate_trace_keys(cert, cert_iv):
 
 
 def test_certificate_params_and_ledger_keys(cert, cert_iv):
-    # one density per certificate: no density range in params or the ledger
+    # one density per certificate: no density range in params or the ledger;
+    # the ledger holds its entries alone, each in its stored form
     for c in (cert, cert_iv):
         data = json.loads(c.dumps())
         assert set(data["params"]) == {"c", "lambda", "x_max", "epsilon", "a_priori"}
-        assert set(data["ledger"]) == {
-            "mode", "direction", "eps", "x_max", "interval_bounds", "r1", "r2", "r3",
-            "ga", "gb", "gc", "g1", "g2", "prefactor", "unbalancing"}
+        assert list(data["ledger"]) == ["r1", "r2", "r3", "ga", "gb", "gc", "g1", "g2",
+                                        "prefactor", "unbalancing"]
+        assert list(data["ledger"]["unbalancing"]) == ["formula", "excess", "target", "margin",
+                                                       "v", "dir"]
+        assert list(data["ledger"]["prefactor"]) == ["formula", "target", "margin", "v", "dir"]
+        assert list(data["ledger"]["r1"]) == ["formula", "v", "dir"]
+
+
+def numbers(node) -> Counter:
+    """Every number under a parsed certificate node, each decimal string `v`
+    read as one; booleans are not numbers here."""
+    if isinstance(node, dict):
+        return sum((numbers(float(v) if k == "v" else v) for k, v in node.items()), Counter())
+    if isinstance(node, list):
+        return sum(map(numbers, node), Counter())
+    return Counter([node]) if type(node) in (int, float) else Counter()
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_certificate_states_each_fact_once(cert, cert_iv, mode):
+    # a value one stage computes is stored by that stage alone: the ledger
+    # repeats neither the mode nor params, the constants hold no monotone
+    # value, interval_report no ledger value, and the monotone record states
+    # each quantity its two Eq2 directions share once
+    data = one_mode(cert, cert_iv, mode)
+    ledger, mono = data["ledger"], data["monotone"]
+    assert not set(ledger) & (set(data) | set(data["params"]))
+    assert not numbers(ledger) & numbers({k: data[k] for k in ("mode", "params")})
+    assert not numbers(data["constants"]) & numbers(mono)
+    assert not numbers(data["interval_report"]) & numbers(ledger)
+    assert list(mono)[:4] == ["v_min2", "uv_max2", "A_bound", "lambda_phi_min"]
+    every = numbers(data)
+    assert [every[mono[k]] for k in list(mono)[:4]] == [1, 1, 1, 1]
+    assert list(mono)[4:] == ["eq2_fixed_phi", "eq2_fixed_beta1", "eq1_star_majorant", "m_bands"]
+    for direction in ("eq2_fixed_phi", "eq2_fixed_beta1"):
+        assert list(mono[direction]) == ["tangent", "B_bound", "extra_bound", "total", "verdict"]
 
 
 def test_certify_records_assumption(cert):
@@ -135,6 +170,8 @@ def test_certify_config_error():
         cf.certify(4.506, 2, 1e-15)
     with pytest.raises(ConfigurationError):
         cf.certify(2.5, 56, 1e-15)
+    with pytest.raises(ConfigurationError, match="positive even integer, got 56.0"):
+        cf.certify(4.506, 56.0, 1e-15)
 
 
 @pytest.mark.parametrize("eps", [-1e-16, 2e-6, math.nan])
@@ -164,11 +201,13 @@ def test_model_params_hold_one_density():
 def test_certify_verifies_once(monkeypatch, cert, mode, systems):
     # the ledger, the sign checks and the rate run once, in the certificate's
     # mode; interval mode builds one checking system beside the float one
-    calls = Counter()
+    calls, budget_modes = Counter(), []
     for owner, name in ((lg, "build_budget"), (rb, "verify_exclusion"),
                         (st, "rate_bound_rectangle"), (st.EqSystem, "build")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "build_budget":
+                budget_modes.append(args[1].mode)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     result = cf.certify(4.506, 56, 1e-15, mode=mode)
@@ -176,7 +215,7 @@ def test_certify_verifies_once(monkeypatch, cert, mode, systems):
     assert calls == {"build_budget": 1, "verify_exclusion": 1,
                      "rate_bound_rectangle": 1, "build": systems}
     assert [s["name"] for s in result.stages] == [s["name"] for s in cert.stages]
-    assert result.ledger["mode"] == mode
+    assert budget_modes == [mode]
     if mode == "interval":
         assert result.rate == result.interval_report["rate_upper"]
 
@@ -184,17 +223,21 @@ def test_certify_verifies_once(monkeypatch, cert, mode, systems):
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_certify_runs_the_monotone_box_work_once(monkeypatch, mode):
     # both Eq2 directions come from one call, which takes the box extremes
-    # and the A sum once
+    # and the A sum once; the stage bounds Eq1* once and each M band once,
+    # through the module names the benchmark's tracer wraps
     calls = Counter()
-    for name in ("eq2_monotone_verdict", "polygon_extremize", "a_sum"):
+    for name in ("eq2_monotone_verdict", "polygon_extremize", "a_sum", "eq1_star_majorant",
+                 "m_bound"):
         def counted(*args, _fn=getattr(mo, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(mo, name, counted)
     result = cf.certify(4.506, 56, 1e-15, mode=mode)
     assert result.verdict
-    assert calls == Counter(eq2_monotone_verdict=1, polygon_extremize=1, a_sum=1)
-    assert [m["direction"] for m in result.monotone] == ["eq2_fixed_phi", "eq2_fixed_beta1"]
+    assert calls == Counter(eq2_monotone_verdict=1, polygon_extremize=1, a_sum=1,
+                            eq1_star_majorant=1, m_bound=len(mo.M_BANDS))
+    assert len(mo.M_BANDS) == 4
+    assert [m["band"] for m in result.monotone["m_bands"]] == [list(b) for b in mo.M_BANDS]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -278,7 +321,7 @@ def test_interval_mode_consistent_with_float(cert, cert_iv):
         # interval mode never contradicts float mode beyond 1e-6
         assert abs(rep["rate_upper"] - float_cert.rate) < 1e-6
         assert rep["rate_lower"] <= float_cert.rate <= rep["rate_upper"] + 1e-12
-        assert rep["prefactor_upper"] < 1.0 + 1e-7
+        assert float(interval_cert.ledger["prefactor"]["v"]) < 1.0 + 1e-7
 
 
 def test_sign_margin_reported(cert, cert_iv):
@@ -425,6 +468,34 @@ def test_replay_fails_a_malformed_trace(cert, cert_iv, mode):
     assert "stages" in result["disagreements"] and "rate" in result["disagreements"]
 
 
+def _unpair(trace):
+    del trace["beta_plus"][-1]
+
+
+def _unanchor_plus(trace):
+    trace["phi_plus"][0] += 1e-9
+
+
+def _invert(trace):
+    trace["phi_minus"][-1] = trace["phi_plus"][-1] + 1e-12
+
+
+@pytest.mark.parametrize("edit, defect", [
+    pytest.param(_unpair, "witness sequences must come in equal-length pairs", id="unpaired"),
+    pytest.param(_unanchor_plus, "plus arm must start at (phi_max, beta1_min)", id="plus-anchor"),
+    pytest.param(_invert, "final rectangle is inverted", id="inverted"),
+])
+def test_replay_names_a_structural_defect(cert, edit, defect):
+    # verify_exclusion refuses a trace whose structure cannot exclude the
+    # box, and its stage detail names the defect; the rate is not taken
+    data = json.loads(cert.dumps())
+    edit(data["trace"])
+    result = cf.replay(data)
+    assert result["stages"][STAGES.index("verify_exclusion")] == {
+        "name": "verify_exclusion", "ok": False, "detail": defect}
+    assert result["trace_ok"] is False and result["rate"] is None and not result["verdict"]
+
+
 def test_replay_fails_an_empty_witness_sequence(cert):
     data = json.loads(cert.dumps())
     data["trace"]["phi_plus"] = []
@@ -507,6 +578,21 @@ def test_certify_runs_every_stage_after_a_monotone_failure(mode):
     assert cf.replay(json.loads(result.dumps()))["disagreements"] == []
 
 
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_monotone_stage_fails_a_box_outside_its_closed_forms(monkeypatch, mode):
+    # the closed-form polygon extremes need beta3_min > 0: the stage fails on
+    # that named condition, records nothing, and every later stage still runs
+    box = dataclasses.replace(params_module.CERTIFICATION_BOX, beta3_min=0.0)
+    monkeypatch.setattr(params_module, "CERTIFICATION_BOX", box)
+    result = cf.certify(4.506, 56, 1e-15, mode=mode)
+    assert not result.verdict and result.failing_stage == "monotone"
+    assert [s["name"] for s in result.stages] == STAGES
+    monotone = result.stages[STAGES.index("monotone")]
+    assert not monotone["ok"] and "beta3_min > 0" in monotone["detail"]
+    assert result.monotone == {}
+    assert all(s["ok"] for s in result.stages if s["name"] != "monotone")
+
+
 @pytest.mark.parametrize("fold, detail", [
     pytest.param(lambda w: 2.0 * (w > 0), "row_err=1.000e+00 at x=0, bound 1e-12",
                  id="diagonal-dropped"),
@@ -550,7 +636,7 @@ def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
 #: Distinct src/typsat lines that a warm interval replay executes, counted by
 #: `lines_executed`.  The check path may only shrink; a change that grows it
 #: on purpose raises this bound and records why in CHANGES.md.
-REPLAY_LINES_MAX = 749
+REPLAY_LINES_MAX = 720
 
 
 def lines_executed(fn, *args) -> set:
@@ -973,6 +1059,32 @@ def test_cli_check_rejects_a_non_numeric_param(tmp_path, capsys, cert, c):
     assert f"params.c = {c!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, named", [
+    pytest.param("trace", [1], "trace = [1]", id="trace-list"),
+    pytest.param("trace.phi_plus", 5, "trace.phi_plus = 5", id="sequence-int"),
+    pytest.param("trace.phi_plus", [[0.6]], "trace.phi_plus = [[0.6]]", id="holds-list"),
+    pytest.param("trace.beta_minus", ["0.4"], "trace.beta_minus = ['0.4']", id="holds-string"),
+    pytest.param("trace.beta_plus", [None], "trace.beta_plus = [None]", id="holds-null"),
+    pytest.param("params.x_max", 56.0, "x_max must be a positive even integer, got 56.0",
+                 id="x_max-float"),
+    pytest.param("rate", {"v": "abc"}, "rate = {'v': 'abc'}", id="rate-not-decimal"),
+    pytest.param("rate", 0.5, "rate = 0.5", id="rate-not-object"),
+])
+def test_cli_check_rejects_a_malformed_stored_field(tmp_path, capsys, cert, field, value, named):
+    # a stored field of the wrong JSON type exits 3 and names the field
+    from typsat.cli import main
+    data = json.loads(cert.dumps())
+    *parents, key = field.split(".")
+    node = data
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 3
+    assert named in capsys.readouterr().err
+
+
 def test_cli_check_rejects_params_that_are_not_an_object(tmp_path, capsys, cert):
     from typsat.cli import main
     data = json.loads(cert.dumps())
@@ -986,6 +1098,9 @@ def test_cli_check_rejects_params_that_are_not_an_object(tmp_path, capsys, cert)
 def test_cli_certify_config_error(capsys):
     from typsat.cli import main
     assert main(["certify", "--xmax", "2"]) == 3
+    capsys.readouterr()
+    assert main(["certify", "--c", "3", "--xmax", "10"]) == 3
+    assert "xmaxlb1 violated: x_max = 10 < (2*lambda - log 2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("x_max, bound", [
@@ -1021,12 +1136,29 @@ def test_cli_curves(tmp_path):
     assert len(text.strip().splitlines()) == 7
 
 
+def test_cli_curves_to_stdout(capsys):
+    # without --out the CSV goes to stdout
+    from typsat.cli import main
+    assert main(["curves", "--density", "3"]) == 0
+    assert capsys.readouterr().out == cf.emit_curves(ModelParams.certification(), 3)[1]
+
+
 def test_cli_empirical(tmp_path):
     from typsat.cli import main
     code = main(["empirical", "--n", "2000", "--formulas", "4", "--xcap", "4",
                  "--out", str(tmp_path / "run")])
     assert code == 0
     assert (tmp_path / "run" / "empirical.csv").exists()
+
+
+def test_cli_empirical_prints_the_pps_subreport(capsys):
+    from typsat.cli import main
+    assert main(["empirical", "--n", "2000", "--formulas", "4", "--xcap", "4",
+                 "--pps-n", "8", "--pps-formulas", "3"]) == 0
+    sub = cf.empirical_report(2000, 4.506, 4, 0, x_cap=4, pps_sub=(8, 3))["pps_subreport"]
+    assert (f"pps subreport at n=8: {sub['satisfiable_with_pps']}/{sub['satisfiable']} "
+            f"satisfiable formulas have a locally maximal solution; ok: True"
+            in capsys.readouterr().out)
 
 
 def test_cli_oracle(tmp_path):

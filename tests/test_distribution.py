@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -129,8 +130,28 @@ def test_build_tables_config_errors():
         ModelParams(c=4.506, x_max=2)
     with pytest.raises(ConfigurationError, match="even"):
         ModelParams(c=4.506, x_max=57)
+    with pytest.raises(ConfigurationError, match="positive even integer, got 56.0"):
+        ModelParams(c=4.506, x_max=56.0)
     with pytest.raises(ConfigurationError):
         ModelParams(c=2.0)
+
+
+@pytest.mark.parametrize("c, largest", [(3.0, 284), (4.506, 320), (5.0, 330)])
+def test_check_x_max_admits_up_to_the_row_tolerance(c, largest):
+    # the largest x_max whose last-row Poisson mass the tables stage can check
+    dist.check_x_max(largest, 3.0 * c)
+    with pytest.raises(ConfigurationError, match="too large"):
+        dist.check_x_max(largest + 2, 3.0 * c)
+
+
+@pytest.mark.parametrize("x_max", [10**6, 4 * 10**6])
+def test_check_x_max_refuses_a_huge_x_max_at_once(x_max):
+    # past the cached factorials the mass at CACHED_X_MAX bounds the mass at
+    # x_max, so no x_max! is taken; 10^6 took ~10 s when it was
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match="too large.*but is at most 0.000e"):
+        ModelParams(c=4.506, x_max=x_max)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_h_tilde_and_polynomials(consts):

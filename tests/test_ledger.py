@@ -164,16 +164,15 @@ def test_interval_budget_encloses_decimal_eps(eps_text):
 
 
 def test_budget_as_dict_directions(budget):
+    # each entry is an upper end, as a decimal string that reads back exactly
     d = budget.as_dict()
-    assert d["direction"] == "upper"
-    assert d["prefactor"]["value"] > 1.0
-    assert d["prefactor"]["direction"] == "upper"
+    for key, entry in d.items():
+        assert entry["dir"] == "upper"
+        assert float(entry["v"]) == upper(getattr(budget, key))
+    assert float(d["prefactor"]["v"]) > 1.0
     assert "G1 * G2" in d["prefactor"]["formula"]
     assert d["prefactor"]["target"] == 1.0 + 1e-7
     assert d["prefactor"]["margin"] > 0.0
     assert d["unbalancing"]["target"] == lg.LEDGER_TARGETS["unbalancing_excess"]
     assert d["unbalancing"]["excess"] == upper(budget.unbalancing_excess)
     assert d["unbalancing"]["margin"] > 0.0
-    assert set(d["interval_bounds"]) == {
-        "beta1_min", "beta1_max", "beta2_min", "beta2_max",
-        "beta3_min", "beta3_max", "phi_min", "phi_max"}

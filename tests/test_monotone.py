@@ -164,21 +164,24 @@ def test_b_sum_requires_dominant_slope(system):
 
 
 def test_eq2_monotone_verdicts(system):
-    phi_cert, beta_cert = mo.eq2_monotone_verdict(system)
-    assert (phi_cert.direction, beta_cert.direction) == ("eq2_fixed_phi", "eq2_fixed_beta1")
-    assert phi_cert.verdict and beta_cert.verdict
+    record = mo.eq2_monotone_verdict(system)
+    assert list(record) == ["v_min2", "uv_max2", "A_bound", "lambda_phi_min",
+                            "eq2_fixed_phi", "eq2_fixed_beta1"]
+    phi, beta = record["eq2_fixed_phi"], record["eq2_fixed_beta1"]
+    assert phi["verdict"] and beta["verdict"]
     # one V_min, (U/V)_max, A sum and threshold serve both directions
     v_min2, uv_max2 = mo.polygon_extremize(system.box)
-    for cert in (phi_cert, beta_cert):
-        assert (cert.v_min2, cert.uv_max2) == (v_min2, uv_max2)
-        assert cert.A_bound == mo.a_sum(v_min2, uv_max2, system)
-        assert cert.threshold == phi_cert.threshold
-    assert phi_cert.tangent == mo.tangent_fixed_phi(v_min2) and phi_cert.extra_bound == 0.0
-    assert beta_cert.tangent == mo.tangent_fixed_beta(v_min2)
-    assert phi_cert.total() < 6.125
-    assert beta_cert.extra_bound < 0.566
-    assert beta_cert.total() < 6.103
-    assert phi_cert.threshold > 7.1
+    assert (record["v_min2"], record["uv_max2"]) == (v_min2, uv_max2)
+    assert record["A_bound"] == mo.a_sum(v_min2, uv_max2, system)
+    for direction in (phi, beta):
+        assert direction["total"] == (record["A_bound"] + direction["B_bound"]
+                                      + direction["extra_bound"])
+    assert phi["tangent"] == list(mo.tangent_fixed_phi(v_min2)) and phi["extra_bound"] == 0.0
+    assert beta["tangent"] == list(mo.tangent_fixed_beta(v_min2))
+    assert phi["total"] < 6.125
+    assert beta["extra_bound"] < 0.566
+    assert beta["total"] < 6.103
+    assert record["lambda_phi_min"] > 7.1
 
 
 # -- the turning-point curves -------------------------------------------------------------
