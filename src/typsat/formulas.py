@@ -141,32 +141,53 @@ def is_pps(formula, assignment):
     return _scalar(sat & ~(values & still_sat).any(axis=-1))
 
 
+#: The literal column of x_(k+1), k < 6, within one packed word: bit b is set
+#: when bit k of b is.
+IN_WORD_BITS = np.array([0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+                         0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000], dtype="<u8")
+
+
 def truth_tables(lits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Satisfaction and locally-maximal tables over all 2^n assignments.
 
-    lits is (..., m, 3) with any leading formula axes; both tables are
-    (..., 2^n), bit k of the table index being variable k+1.  A clause's
-    table is the OR of its three literal columns, and the clauses are ANDed
-    one at a time.  A solution is locally maximal when clearing any one of
-    its set bits gives a non-solution.  satisfies, is_pps and variable_type
+    lits is (..., m, 3) with any leading formula axes; both tables are bool
+    (..., 2^n), bit k of the table index being variable k+1.  They are built
+    packed, 64 assignments to a little-endian uint64 word (bit b of word w is
+    assignment 64 w + b; for n < 6 one partial word), and unpacked once at
+    the end.  The literal column of x_(k+1) is the pattern IN_WORD_BITS[k] in
+    every word for k < 6, and runs of 2^(k-6) words, alternately clear and
+    set, beyond; a negated column is the complement.  A clause's table is the
+    OR of its three literal columns, and the clauses are ANDed one at a time.
+    A solution is locally maximal when clearing any one of its set bits gives
+    a non-solution; bit k's partner is 2^k bits down in the same word for
+    k < 6 and 2^(k-6) words down beyond.  satisfies, is_pps and variable_type
     do not call this: they are the independent oracles it is tested against.
     """
     if n > ENUMERATION_GUARD:
         raise GuardError(f"refusing exhaustive scan for n = {n} > {ENUMERATION_GUARD}")
     size = 1 << n
-    columns = np.zeros((n, 2, size), dtype=bool)  # [k, 0]: x_(k+1) true; [k, 1]: negated
-    for k in range(n):
-        columns[k, 0].reshape(-1, 2, 1 << k)[:, 1] = True
-        np.logical_not(columns[k, 0], out=columns[k, 1])
-    columns = columns.reshape(2 * n, size)
+    words = max(1, size // 64)
+    columns = np.zeros((n, 2, words), dtype="<u8")  # [k, 0]: x_(k+1) true; [k, 1]: negated
+    columns[:6, 0] = IN_WORD_BITS[:n, None]
+    for k in range(6, n):
+        columns[k, 0].reshape(-1, 2, 1 << (k - 6))[:, 1] = ~np.uint64(0)
+    np.invert(columns[:, 0], out=columns[:, 1])
+    columns = columns.reshape(2 * n, words)
     cells = 2 * np.abs(lits) - 2 + (lits < 0)  # each cell's literal column
-    sat = np.ones(cells.shape[:-2] + (size,), dtype=bool)
+    tables = np.empty((2,) + cells.shape[:-2] + (words,), dtype="<u8")
+    sat, pps = tables
+    sat.fill(~np.uint64(0))
     for clause in np.moveaxis(cells, -2, 0):
         sat &= columns[clause[..., 0]] | columns[clause[..., 1]] | columns[clause[..., 2]]
-    pps = sat.copy()
-    for k in range(n):
-        by_bit = sat.shape[:-1] + (-1, 2, 1 << k)
+    pps[...] = sat
+    for k in range(min(n, 6)):
+        pps &= ~((sat << (1 << k)) & IN_WORD_BITS[k])
+    for k in range(6, n):
+        by_bit = sat.shape[:-1] + (-1, 2, 1 << (k - 6))
         pps.reshape(by_bit)[..., 1, :] &= ~sat.reshape(by_bit)[..., 0, :]
+    # a partial word unpacks only the bytes that hold its 2^n assignments
+    packed = tables.view(np.uint8)[..., :max(1, size // 8)]
+    sat, pps = np.unpackbits(packed, axis=-1, count=size, bitorder="little").view(bool)
     return sat, pps
 
 

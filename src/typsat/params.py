@@ -10,6 +10,7 @@ outward by the accuracy transfers 3*R3 / 9*R3 / 6*R3 / R3.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from . import ledger
@@ -58,6 +59,14 @@ class ModelParams:
     a_priori: FeasibleBox = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        # numpy scalars are stored as the Python numbers they equal, so that
+        # the certificate serialises; strings and bools stay as they are, for
+        # the checks below
+        for name, kind, to in (("c", numbers.Real, float), ("epsilon", numbers.Real, float),
+                               ("x_max", numbers.Integral, int)):
+            value = getattr(self, name)
+            if isinstance(value, kind) and not isinstance(value, bool):
+                object.__setattr__(self, name, to(value))
         if not (3.0 <= self.c <= 5.0):  # NaN fails too
             raise ConfigurationError(f"density c out of range [3, 5]: {self.c}")
         if not (0.0 <= self.epsilon <= 1e-6):  # NaN fails too

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,9 @@ from .params import DELTA_NUM, WIDTH_TARGET, ModelParams
 VERSION = "0.1.0"
 SCHEMA = "typsat-certificate/3"
 
-#: Headline targets the certificate's constants table is compared against.
+#: The paper's headline values, recorded in the constants table for the
+#: reader; certify compares nothing with them.  Only the ledger entries carry
+#: a target and a margin (ledger.LEDGER_TARGETS).
 TARGETS = {
     "rate": 0.9999885,
     "v_min2": 1.126983,
@@ -65,8 +67,8 @@ def _dec(x, direction: str = "nearest") -> dict:
 
 @dataclass
 class Certificate:
-    params: dict
     mode: str
+    params: dict
     stages: list = field(default_factory=list)   # (name, ok, detail)
     ledger: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
@@ -87,25 +89,14 @@ class Certificate:
             self.failing_stage = name
 
     def as_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "version": VERSION,
-            "mode": self.mode,
-            "params": self.params,
-            "stages": self.stages,
-            "ledger": self.ledger,
-            "constants": self.constants,
-            "monotone": self.monotone,
-            "trace": self.trace,
-            "trace_verified": self.trace_verified,
-            "rectangle": [_dec(v) for v in self.rectangle] if self.rectangle else None,
-            "rate": _dec(self.rate, "upper") if self.rate is not None else None,
-            "point_rate": _dec(self.point_rate) if self.point_rate is not None else None,
-            "interval_report": self.interval_report,
-            "assumptions": self.assumptions,
-            "verdict": self.verdict,
-            "failing_stage": self.failing_stage,
-        }
+        """Schema and version, then the fields in their declared order, the
+        rectangle and the rates as decimal entries."""
+        data = {"schema": SCHEMA, "version": VERSION,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
+        data["rectangle"] = [_dec(v) for v in self.rectangle] if self.rectangle else None
+        data["rate"] = _dec(self.rate, "upper") if self.rate is not None else None
+        data["point_rate"] = _dec(self.point_rate) if self.point_rate is not None else None
+        return data
 
     def dumps(self) -> str:
         return json.dumps(self.as_dict(), indent=1)
@@ -513,9 +504,10 @@ def counting_oracle(n: int, c: float) -> dict:
     than ORACLE_WORK_MAX = 2^20 (representative, assignment) cells, and any
     instance whose signature key radix or pair count bound (2n)^(3m) 2^n
     reaches 2^63.  (3, 1.0), 30,856 representatives of 6^9 formulas, takes
-    0.14-0.22 s and peaks at 12 MB (tracemalloc); the largest grid admitted,
-    (2, 3.0) with 177,100 x 4 cells, takes 0.6-0.7 s and 51 MB (2-core
-    x86-64 VM, Python 3.11, numpy 2.4).  (4, 1.0) exceeds the work bound and
+    0.10-0.12 s and peaks at 13 MB (tracemalloc); the largest grid admitted,
+    (2, 3.0) with 177,100 x 4 cells, takes 0.40-0.49 s and 54 MB (2-core
+    x86-64 VM, Python 3.11, numpy 2.4).  The truth-table kernel is 2 and
+    17 ms of these.  (4, 1.0) exceeds the work bound and
     (5, 0.4) the key radix.  Before them, n or m below 1 is a ConfigurationError.
     """
     m = clause_count(n, c)

@@ -92,6 +92,24 @@ def test_certificate_bytes_frozen(cert, cert_iv, mode):
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[mode]
 
 
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_numpy_scalar_arguments_write_the_same_certificate(cert, cert_iv, mode):
+    # numpy scalars are stored as the Python numbers they equal, so the
+    # certificate serialises and keeps its frozen bytes
+    text = cf.certify(np.float64(4.506), np.int64(56), np.float64(1e-15), mode=mode).dumps()
+    assert text == {"float": cert, "interval": cert_iv}[mode].dumps()
+    params = ModelParams(c=np.float32(4.5), x_max=np.int32(56), epsilon=np.float64(1e-15))
+    assert [type(v) for v in (params.c, params.x_max, params.epsilon)] == [float, int, float]
+
+
+def test_model_params_still_refuse_strings_and_bools():
+    with pytest.raises(TypeError):
+        ModelParams(c="4.506")
+    for bad in (dict(c=True), dict(c=4.506, x_max=True), dict(c=4.506, x_max=np.float64(56))):
+        with pytest.raises(ConfigurationError):
+            ModelParams(**bad)
+
+
 def test_certificate_trace_keys(cert, cert_iv):
     # the trace serialises the four sequences verify_exclusion checks and
     # what they span, and nothing the spiral computed on the way

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,43 @@ def test_truth_tables_over_leading_formula_axes():
             a = fl.Assignment.from_bits(bits, 6)
             assert sat[divmod(k, 3)][bits] == fl.satisfies(f, a)
             assert pps[divmod(k, 3)][bits] == fl.is_pps(f, a)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_truth_tables_either_side_of_the_word_boundary(n):
+    # 64 assignments a packed word: n = 5 is one partial word, n = 6 one
+    # whole word, n = 7 two; every assignment against the broadcast oracles
+    stack = np.stack([fl.generate(n, 2.0, seed).lits for seed in range(8)])  # many solutions
+    sat, pps = fl.truth_tables(stack, n)
+    assert sat.shape == pps.shape == (8, 1 << n) and sat.dtype == pps.dtype == bool
+    assert np.array_equal(sat, fl.satisfies(stack[:, None], all_values(n)))
+    assert np.array_equal(pps, fl.is_pps(stack[:, None], all_values(n)))
+    for k, lits in enumerate(stack):
+        one_sat, one_pps = fl.truth_tables(lits, n)
+        assert np.array_equal(one_sat, sat[k]) and np.array_equal(one_pps, pps[k])
+
+
+def test_truth_tables_partial_word_with_leading_axes():
+    # n = 4: each formula's 16 assignments are sliced from its own packed word
+    stack = np.stack([fl.generate(4, 3.0, seed).lits for seed in range(6)]).reshape(3, 2, -1, 3)
+    sat, pps = fl.truth_tables(stack, 4)
+    assert sat.shape == pps.shape == (3, 2, 16)
+    assert np.array_equal(sat, fl.satisfies(stack[..., None, :, :], all_values(4)))
+    assert np.array_equal(pps, fl.is_pps(stack[..., None, :, :], all_values(4)))
+
+
+def test_pps_bitmap_memory_is_packed():
+    # packed columns: one pps_bitmap at n = 20 peaks at 7.6 MB (tracemalloc),
+    # against 45 MB for one byte per assignment per literal column
+    formula = fl.generate(20, 4.506, seed=3)
+    tracemalloc.start()
+    try:
+        bitmap = fl.pps_bitmap(formula)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bitmap.shape == (1 << 20,)
+    assert peak < 20e6
 
 
 def test_pps_soundness_exhaustive_3_2_via_bitmap_vs_direct():
