@@ -19,7 +19,7 @@ import numpy as np
 from .pipeline import (VERSION, certify, counting_oracle, emit_curves,
                       empirical_csv, empirical_report, oracle_csv, replay)
 from .errors import ConfigurationError, GuardError
-from .params import ModelParams
+from .params import CERTIFICATION_C, CERTIFICATION_EPS, CERTIFICATION_X_MAX, ModelParams
 
 
 def _write_manifest(out: Path, args: argparse.Namespace) -> None:
@@ -126,13 +126,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="typsat",
-        description="Certified first-moment bound 4.506 for random 3-SAT.")
+        description=f"Certified first-moment bound {CERTIFICATION_C} for random 3-SAT.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="run the full certification pipeline")
-    p.add_argument("--c", type=float, default=4.506)
-    p.add_argument("--xmax", type=int, default=56)
-    p.add_argument("--eps", type=float, default=1e-15)
+    p.add_argument("--c", type=float, default=CERTIFICATION_C)
+    p.add_argument("--xmax", type=int, default=CERTIFICATION_X_MAX)
+    p.add_argument("--eps", type=float, default=CERTIFICATION_EPS)
     p.add_argument("--mode", choices=("float", "interval"), default="float")
     p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_certify)
@@ -142,16 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("curves", help="sample the eq1=0 and eq2=0 loci to CSV")
-    p.add_argument("--c", type=float, default=4.506)
-    p.add_argument("--xmax", type=int, default=56)
-    p.add_argument("--eps", type=float, default=1e-15)
+    p.add_argument("--c", type=float, default=CERTIFICATION_C)
+    p.add_argument("--xmax", type=int, default=CERTIFICATION_X_MAX)
+    p.add_argument("--eps", type=float, default=CERTIFICATION_EPS)
     p.add_argument("--density", type=int, default=60)
     p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_curves)
 
     p = sub.add_parser("empirical", help="occurrence-distribution measurement report")
     p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--c", type=float, default=4.506)
+    p.add_argument("--c", type=float, default=CERTIFICATION_C)
     p.add_argument("--formulas", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--xcap", type=int, default=8)

@@ -183,7 +183,7 @@ def truth_tables(lits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(min(n, 6)):
         pps &= ~((sat << (1 << k)) & IN_WORD_BITS[k])
     for k in range(6, n):
-        by_bit = sat.shape[:-1] + (-1, 2, 1 << (k - 6))
+        by_bit = sat.shape[:-1] + (1 << (n - 1 - k), 2, 1 << (k - 6))
         pps.reshape(by_bit)[..., 1, :] &= ~sat.reshape(by_bit)[..., 0, :]
     # a partial word unpacks only the bytes that hold its 2^n assignments
     packed = tables.view(np.uint8)[..., :max(1, size // 8)]

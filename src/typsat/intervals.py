@@ -250,12 +250,6 @@ def xlog(z):
     return np.log(z)
 
 
-def xlog1p(z):
-    if isinstance(z, Interval):
-        return (1.0 + z).log()
-    return math.log1p(z)
-
-
 def log_of_int(n, as_interval: bool):
     """log(n) for an exact (big) integer n >= 1, or elementwise over a sequence of them.
 

@@ -2,12 +2,15 @@
 
 The asymptotic analysis replaces the unknown finite-n occurrence proportions
 by their limiting values.  The cost of each replacement is a factor >= 1:
-the tail/accuracy bounds R1, R2, R3, the x^x-replacement helper L, and the
-grouped factors G1 (sigma/tau elimination) and G2 = GA*GB*GC (powers-and-
-factorials product).  Everything here is monotone nondecreasing in the
-accuracy radius eps and is computed in the log domain from the exact
-integer factorials of `distribution.log_factorial`; interval-mode constants
-re-derive the whole budget with outward rounding.
+the tail/accuracy bounds R1, R2, R3 enter, through the x^x-replacement
+helper L(eta) = (2 eta)^(-2 eta), the grouped factors G1 (sigma/tau
+elimination) and G2 = GA*GB*GC (powers-and-factorials product).  Each factor
+is one exp of a sum of log terms, one `log_L` per power of L, and the
+prefactor's log goes into the rate as it is (`ErrorBudget.prefactor_log`).
+Everything here is monotone nondecreasing in the accuracy radius eps; the
+Poisson tails come from the exact integer factorials of
+`distribution.log_factorial`, and interval-mode constants re-derive the
+whole budget with outward rounding.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from dataclasses import dataclass
 
 from .distribution import big_d, log_factorial, p2, p3
 from .errors import ConfigurationError, DomainError
-from .intervals import (Interval, log_of_int, lower, next_down, next_up, upper, xexp, xlog,
-                        xlog1p)
+from .intervals import Interval, log_of_int, lower, upper, xexp, xlog
 
 
 def point_fields(phi, beta1):
@@ -59,32 +61,23 @@ class FeasibleBox:
             "beta3_min", "beta3_max", "phi_min", "phi_max")}
 
 
-def L(eta):
-    """(2*eta)^(-2*eta), valid for 0 < eta <= 0.05; sandwiches y^y/x^x for |x-y| <= eta."""
-    if upper(eta) > 0.05 or not (0.0 < upper(eta)):
-        raise DomainError(f"L is only available for eta in (0, 0.05], got {eta}")
+def log_L(eta):
+    """log L(eta) = -2 eta log(2 eta), where L(eta) = (2 eta)^(-2 eta)
+    sandwiches y^y/x^x for |x - y| <= eta <= 0.05.
+
+    0 at eta = 0, the eta -> 0+ limit.  log_L increases on [0, 0.05], so an
+    interval eta reaching down to 0 (an outward-rounded eps = 0 term) gives
+    [0, log_L(upper)].  Refuses eta below 0, above 0.05 and NaN.
+    """
+    hi = upper(eta)
+    if not (0.0 <= hi <= 0.05):  # NaN fails too
+        raise DomainError(f"L is only available for eta in [0, 0.05], got {eta}")
+    if hi == 0.0:
+        return 0.0
     if isinstance(eta, Interval) and eta.lower() <= 0.0:
-        raise DomainError("L of an interval reaching down to 0")
+        return Interval(0.0, log_L(Interval(hi)).hi)
     two_eta = 2.0 * eta
-    return xexp(-(two_eta) * xlog(two_eta))
-
-
-def _L_or_limit(eta):
-    """L(eta) with the eta -> 0+ limit value 1 (used only for eps = 0 probes).
-    L increases on (0, 0.05], so an interval eta reaching down to 0 (eps =
-    [0, 0] after outward rounding) is enclosed by [1, L(upper)]."""
-    if upper(eta) == 0.0:
-        return 1.0
-    if isinstance(eta, Interval) and eta.lower() <= 0.0:
-        return Interval(1.0, L(Interval(eta.upper())).upper())
-    return L(eta)
-
-
-def euler(as_interval: bool):
-    """Euler's number e, as a two-ulp enclosure when as_interval."""
-    if as_interval:
-        return Interval(next_down(math.e), next_up(math.e))
-    return math.e
+    return -two_eta * xlog(two_eta)
 
 
 def _poisson_tail(power: int, x: int, eps, lam):
@@ -124,84 +117,14 @@ def widen_intervals(gamma_psi: dict, r3_value: float) -> FeasibleBox:
     )
 
 
-@dataclass
-class GFactors:
-    """The bounds R1-R3 and the five slack factors built from them."""
-
-    r1: object
-    r2: object
-    r3: object
-    ga: object
-    gb: object
-    gc: object
-    g1: object
-    g2: object
-
-
-def g_factors(eps, x_max: int, lam, c) -> GFactors:
-    """R1-R3 and the five multiplicative slack factors, each >= 1, in the log domain.
-
-    Raises ConfigurationError when an R argument falls outside L's domain
-    (the accuracy radius is then too coarse for this x_max).
-    """
-    R1 = r1(eps, x_max, lam)
-    R2 = r2(eps, x_max, lam)
-    R3 = r3(eps, x_max, lam)
-    as_iv = isinstance(R3, Interval)
-    ln2 = log_of_int(2, as_iv)
-    try:
-        g1 = (
-            xexp(R1 * ln2)
-            * _L_or_limit(R1)
-            * _L_or_limit(R2)
-            * xexp(R2 * (log_of_int(18, as_iv) + 1.0 - xlog(lam)))
-            * xpow6(_L_or_limit(R2 / 6.0))
-            * xpow_c(
-                _L_or_limit(3.0 * eps * p3(x_max) / lam)
-                * _L_or_limit(6.0 * eps * p3(x_max) / lam),
-                c,
-            )
-            * xpow_c(
-                _L_or_limit(3.0 * R3) * _L_or_limit(3.0 * R3)
-                * _L_or_limit(9.0 * R3) * _L_or_limit(6.0 * R3)
-                * xexp(R3 * log_of_int(3, as_iv)),
-                c,
-            )
-        )
-        ga = (
-            xexp(eps * log_of_int(12, as_iv))
-            * xexp((x_max / 8.0) * (x_max**2 + 2 * x_max - 1) * eps * ln2)
-            * xpow_c(_L_or_limit(eps), (x_max / 4.0) * (x_max + 3))
-        )
-    except DomainError as exc:
-        raise ConfigurationError(f"slack-factor domain violated: {exc}") from exc
-    gb = xexp((x_max / 4.0) * (x_max + 1) * xlog1p(eps))
-
-    log_inner = -lam + x_max * (xlog(lam) - ln2)
-    log_gc = eps * (
-        ((x_max + 2) / 2.0) * log_of_int(x_max + 1, as_iv)
-        + (x_max / 24.0) * (x_max + 1) * (x_max - 7) * ln2
-        + ((x_max + 1) / 4.0) * ((x_max + 4) * ln2 + (x_max + 8) * log_inner)
-    )
-    gc = xexp(log_gc)
-    return GFactors(r1=R1, r2=R2, r3=R3, ga=ga, gb=gb, gc=gc, g1=g1, g2=ga * gb * gc)
-
-
-def xpow6(z):
-    return z * z * z * z * z * z
-
-
-def xpow_c(z, c):
-    return xexp(c * xlog(z))
-
-
 #: Human-readable formula text per ledger symbol, emitted alongside values.
 LEDGER_FORMULAS = {
     "r1": "lam^(x_max+1)/(x_max+1)! + eps*D(x_max)",
     "r2": "lam^(x_max+1)/x_max! + eps*P2(x_max)",
     "r3": "lam^x_max/x_max! + (eps/lam)*(P2(x_max)+P3(x_max))",
     "ga": "12^eps * 2^((x_max/8)(x_max^2+2x_max-1)eps) * L(eps)^((x_max/4)(x_max+3))",
-    "gb": "(1+eps)^((x_max/4)(x_max+1))  [dominates prod_x (1+eps)^floor(x/2)]",
+    "gb": "e^((x_max/4)(x_max+1) eps) >= (1+eps)^((x_max/4)(x_max+1)) "
+          ">= prod_x (1+eps)^floor(x/2)",
     "gc": "[(x_max+1)^((x_max+2)/2) 2^((x_max/24)(x_max+1)(x_max-7)) "
           "(2^(x_max+4) [e^-lam (lam/2)^x_max]^(x_max+8))^((x_max+1)/4)]^eps",
     "g1": "2^R1 L(R1) L(R2) (18e/lam)^R2 L(R2/6)^6 "
@@ -238,8 +161,9 @@ def _excess_upper(t):
 
 
 @dataclass
-class ErrorBudget(GFactors):
-    """Full ledger: the bounds and slack factors, the prefactor and the unbalancing factor.
+class ErrorBudget:
+    """Full ledger: the bounds R1-R3, the slack factors, the prefactor and the
+    unbalancing factor, with the logs the rate adds.
 
     Every value is meant as an upper bound ("pessimistic direction"), so that
     multiplying certificate factors by them composes pessimistically.  Only
@@ -249,8 +173,17 @@ class ErrorBudget(GFactors):
     (the float unbalancing factor does, by 0.26 ulp).
     """
 
-    prefactor: object       # G1 * G2 * exp(2*eps*D/e)
-    unbalancing: object     # 2^(rho + eps*Delta)
+    r1: object
+    r2: object
+    r3: object
+    ga: object
+    gb: object
+    gc: object
+    g1: object
+    g2: object
+    prefactor: object           # G1 * G2 * exp(2*eps*D/e)
+    prefactor_log: object       # its log, the sum the factors are exps of
+    unbalancing: object         # 2^(rho + eps*Delta)
     unbalancing_log: object     # t = (rho + eps*Delta) ln 2
     unbalancing_excess: object  # upper bound on 2^(rho + eps*Delta) - 1
 
@@ -279,18 +212,44 @@ def build_budget(params, consts) -> ErrorBudget:
     derived constants.
 
     Interval constants (`distribution.kappa_tilde_intervals`) rerun every
-    formula with outward-rounded enclosures; the stored values are then
-    Interval objects whose upper endpoints bound the true factors.
+    formula with outward-rounded enclosures, from the decimal c and eps; the
+    stored values are then Interval objects whose upper endpoints bound the
+    true factors.  GB's log (x_max/4)(x_max+1) log(1+eps) is bounded by
+    (x_max/4)(x_max+1) eps.  Raises ConfigurationError when an argument of L
+    falls outside its domain (the accuracy radius is then too coarse for
+    this x_max).
     """
-    _, _, eps = params.decimals(consts.mode)
+    c, _, eps = params.decimals(consts.mode)
     as_iv = consts.mode == "interval"
-    gf = g_factors(eps, params.x_max, consts.lam, params.c)
-    d = big_d(params.x_max)
-    prefactor = gf.g1 * gf.g2 * xexp(2.0 * eps * d / euler(as_iv))
-    unbalancing_log = (consts.rho + eps * consts.delta) * log_of_int(2, as_iv)
+    x, lam = params.x_max, consts.lam
+    R1, R2, R3 = r1(eps, x, lam), r2(eps, x, lam), r3(eps, x, lam)
+    ln2 = log_of_int(2, as_iv)
+    try:
+        e3 = 3.0 * eps * p3(x) / lam
+        log_g1 = (R1 * ln2 + log_L(R1) + log_L(R2) + 6.0 * log_L(R2 / 6.0)
+                  + R2 * (log_of_int(18, as_iv) + 1.0 - xlog(lam))
+                  + c * (log_L(e3) + log_L(2.0 * e3) + 2.0 * log_L(3.0 * R3)
+                         + log_L(9.0 * R3) + log_L(6.0 * R3) + R3 * log_of_int(3, as_iv)))
+        log_ga = (eps * (log_of_int(12, as_iv) + (x / 8.0) * (x**2 + 2 * x - 1) * ln2)
+                  + (x / 4.0) * (x + 3) * log_L(eps))
+    except DomainError as exc:
+        raise ConfigurationError(f"slack-factor domain violated: {exc}") from exc
+    log_gb = (x / 4.0) * (x + 1) * eps
+    log_inner = -lam + x * (xlog(lam) - ln2)
+    log_gc = eps * (
+        ((x + 2) / 2.0) * log_of_int(x + 1, as_iv)
+        + (x / 24.0) * (x + 1) * (x - 7) * ln2
+        + ((x + 1) / 4.0) * ((x + 4) * ln2 + (x + 8) * log_inner)
+    )
+    log_g2 = log_ga + log_gb + log_gc
+    inv_e = xexp(Interval(-1.0) if as_iv else -1.0)
+    prefactor_log = log_g1 + log_g2 + 2.0 * eps * big_d(x) * inv_e
+    unbalancing_log = (consts.rho + eps * consts.delta) * ln2
     return ErrorBudget(
-        **vars(gf),
-        prefactor=prefactor,
+        r1=R1, r2=R2, r3=R3,
+        ga=xexp(log_ga), gb=xexp(log_gb), gc=xexp(log_gc), g1=xexp(log_g1), g2=xexp(log_g2),
+        prefactor=xexp(prefactor_log),
+        prefactor_log=prefactor_log,
         unbalancing=xexp(unbalancing_log),
         unbalancing_log=unbalancing_log,
         unbalancing_excess=_excess_upper(unbalancing_log),

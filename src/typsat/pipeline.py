@@ -34,7 +34,8 @@ from .formulas import (clause_count, deviation_budget, generate, is_pps, literal
                        pps_bitmap, run_omega_campaign, solution_bitmap, truth_tables,
                        variable_type)
 from .intervals import lower, upper, xsum
-from .params import DELTA_NUM, WIDTH_TARGET, ModelParams
+from .params import (CERTIFICATION_C, CERTIFICATION_EPS, CERTIFICATION_X_MAX, DELTA_NUM,
+                     WIDTH_TARGET, ModelParams)
 
 VERSION = "0.1.0"
 SCHEMA = "typsat-certificate/3"
@@ -105,8 +106,8 @@ class Certificate:
         Path(path).write_text(self.dumps())
 
 
-def certify(c: float = 4.506, x_max: int = 56, eps: float = 1e-15,
-            mode: str = "float") -> Certificate:
+def certify(c: float = CERTIFICATION_C, x_max: int = CERTIFICATION_X_MAX,
+            eps: float = CERTIFICATION_EPS, mode: str = "float") -> Certificate:
     """Run the full pipeline, the spiral finding the trace; raises
     ConfigurationError for invalid parameters or mode."""
     return _check(ModelParams(c=c, x_max=x_max, epsilon=eps), mode, lambda system:
@@ -365,10 +366,9 @@ def empirical_report(n: int, c: float, formulas: int, seed: int, x_cap: int = 8,
         children = np.random.SeedSequence((seed, 0xAC)).spawn(sub_formulas)
         for child in children:
             formula = generate(sub_n, c, child)
-            bitmap = pps_bitmap(formula)
-            satisfiable = bool(solution_bitmap(formula).any())
-            sat += satisfiable
-            with_pps += satisfiable and bool(bitmap.any())
+            has_pps = bool(pps_bitmap(formula).any())  # a PPS is a solution
+            sat += has_pps or bool(solution_bitmap(formula).any())
+            with_pps += has_pps
         report["pps_subreport"] = {
             "n": sub_n, "formulas": sub_formulas,
             "satisfiable": sat, "satisfiable_with_pps": with_pps,

@@ -385,9 +385,9 @@ def _entropy_f(phi, beta2, beta3, y):
 
 
 def _log_rate(pt: PhiBetaPoint, system: EqSystem, budget: ErrorBudget):
-    """f, the log of the point rate: the n-free base constant, the prefactor,
-    the unbalancing factor 2^(rho + eps*Delta), log g2 and c F."""
-    return (system.log_base + xlog(budget.prefactor) + budget.unbalancing_log
+    """f, the log of the point rate: the n-free base constant, the logs of the
+    prefactor and of the unbalancing factor 2^(rho + eps*Delta), log g2 and c F."""
+    return (system.log_base + budget.prefactor_log + budget.unbalancing_log
             + log_g2(pt, system) + system.c * _entropy_f(pt.phi, pt.beta2, pt.beta3, pt.Y))
 
 

@@ -5,8 +5,8 @@ The forms the reduction starts from and the ones it eliminates live here:
 the stationary mu_(x,p,j) and alpha in closed form, the normalizing product
 g2, the entropy objective f1 with its gradient, Eq1 over other cell sets,
 the raw elimination output of Eq2, Eq1/Eq2 with every cell term in
-interval arithmetic, the constants kappa, rho and the base constant at
-mpmath's working precision, and a finite-difference monotonicity grid over
+interval arithmetic, the constants kappa, rho and the base constant and the
+ledger's slack factors at mpmath's working precision, and a finite-difference monotonicity grid over
 the feasibility box.  Each is checked against the product code
 by the tests that import it.
 """
@@ -253,6 +253,37 @@ def mp_log_base(mp, c: str, x_max: int):
             total += (kt * mp.log(2) if x > 2 * p else 0) - kt * (
                 mp.log(mp.factorial(p) * mp.factorial(x - p)) + mp.log(kt))
     return total
+
+
+def mp_slack_factors(mp, c: str, x_max: int, eps: str) -> dict:
+    """G1, GA, GB, GC, G2 = GA GB GC and the prefactor G1 G2 exp(2 eps D/e),
+    each the paper's product of powers of L(eta) = (2 eta)^(-2 eta) and of
+    e-powers, in mp at the decimal c and eps; GB is the paper's
+    (1+eps)^((x_max/4)(x_max+1)).  L(0) is 0^0 = 1, the eta -> 0+ limit."""
+    c, eps, x = mp.mpf(c), mp.mpf(eps), x_max
+    lam = 3 * c
+
+    def L(eta):
+        return (2 * eta) ** (-2 * eta)
+
+    p2 = mp.mpf(x * (x + 1) * (x + 2)) / 3
+    p3 = mp.mpf(x * (x + 2) * (2 * x + 3)) / 8
+    d = dist.big_d(x)
+    r1 = lam ** (x + 1) / mp.factorial(x + 1) + eps * d
+    r2 = lam ** (x + 1) / mp.factorial(x) + eps * p2
+    r3 = lam ** x / mp.factorial(x) + eps / lam * (p2 + p3)
+    g1 = (2 ** r1 * L(r1) * L(r2) * (18 * mp.e / lam) ** r2 * L(r2 / 6) ** 6
+          * (L(3 * eps * p3 / lam) * L(6 * eps * p3 / lam)) ** c
+          * (L(3 * r3) ** 2 * L(9 * r3) * L(6 * r3) * 3 ** r3) ** c)
+    ga = (12 ** eps * 2 ** (mp.mpf(x) / 8 * (x**2 + 2 * x - 1) * eps)
+          * L(eps) ** (mp.mpf(x) / 4 * (x + 3)))
+    gb = (1 + eps) ** (mp.mpf(x) / 4 * (x + 1))
+    gc = ((x + 1) ** (mp.mpf(x + 2) / 2) * 2 ** (mp.mpf(x) / 24 * (x + 1) * (x - 7))
+          * (2 ** (x + 4) * (mp.exp(-lam) * (lam / 2) ** x) ** (x + 8)) ** (mp.mpf(x + 1) / 4)
+          ) ** eps
+    g2 = ga * gb * gc
+    return {"g1": g1, "ga": ga, "gb": gb, "gc": gc, "g2": g2,
+            "prefactor": g1 * g2 * mp.exp(2 * eps * d / mp.e)}
 
 
 # -- grid certifications ------------------------------------------------------------

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -81,8 +83,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "102a18be3d30dd612e6a7d5660849e88a9c42278e82e6fb31f4a00e66bc17f1d",
-    "interval": "6eb59e96fd2fc5f072de81d0b25784b07caa5183b69a158462f9254dcc940abc",
+    "float": "f5759723f586a84413128914b8db3dba26a77ca40d87e860957c21a5553f91d9",
+    "interval": "b3c6d393f505c6b3fe4631ac427b5a48ade922c7a798861a0c1ccb9875e6cbed",
 }
 
 
@@ -651,15 +653,27 @@ def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
     assert set(modes) == {("eq1", "interval"), ("eq2", "interval")}
 
 
-#: Distinct src/typsat lines that a warm interval replay executes, counted by
-#: `lines_executed`.  The check path may only shrink; a change that grows it
-#: on purpose raises this bound and records why in CHANGES.md.
-REPLAY_LINES_MAX = 720
+#: Distinct src/typsat statements that a warm interval replay executes,
+#: counted by `statements_executed`.  The check path may only shrink; a change
+#: that grows it on purpose raises this bound and records why in CHANGES.md.
+REPLAY_LINES_MAX = 578
 
 
-def lines_executed(fn, *args) -> set:
-    """The (file, line) pairs of src/typsat that sys.settrace sees, at every
-    event kind, while fn(*args) runs."""
+def statement_starts(path: str) -> dict:
+    """Each line of a source file mapped to the first line of the innermost
+    statement that holds it (ast.walk visits a statement before those nested
+    in it, so the innermost one is written last)."""
+    starts = {}
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.stmt):
+            starts.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.lineno))
+    return starts
+
+
+def statements_executed(fn, *args) -> set:
+    """The (file, first line) of each src/typsat statement that sys.settrace
+    sees at any event kind while fn(*args) runs: the lines of one multi-line
+    statement, a dict literal say, count once."""
     src = str(Path(cf.__file__).parent)
     seen = set()
 
@@ -675,13 +689,14 @@ def lines_executed(fn, *args) -> set:
         fn(*args)
     finally:
         sys.settrace(previous)
-    return seen
+    starts = {path: statement_starts(path) for path, _ in seen}
+    return {(path, starts[path].get(line, line)) for path, line in seen}
 
 
 def test_replay_line_count_stays_bounded(cert_iv):
     data = json.loads(cert_iv.dumps())
     cf.replay(data)  # warm: the per-process integer logs are taken
-    assert len(lines_executed(cf.replay, data)) <= REPLAY_LINES_MAX
+    assert len(statements_executed(cf.replay, data)) <= REPLAY_LINES_MAX
 
 
 # -- curves ------------------------------------------------------------------------
@@ -773,6 +788,24 @@ def test_empirical_report_small():
     header = csv.splitlines()[0]
     assert header == "x,p,kappa,mean_omega,std_omega,n,formulas,seed"
     assert len(csv.strip().splitlines()) == 1 + 21  # cells with x <= 5
+
+
+def test_pps_subreport_runs_the_kernel_once_per_formula_with_a_pps(monkeypatch):
+    # a PPS is a solution, so solution_bitmap runs only for a formula without one
+    seed, (sub_n, count) = 5, (10, 40)
+    formulas = [fl.generate(sub_n, 4.506, child)
+                for child in np.random.SeedSequence((seed, 0xAC)).spawn(count)]
+    sat = [bool(fl.solution_bitmap(f).any()) for f in formulas]
+    pps = [bool(fl.pps_bitmap(f).any()) for f in formulas]
+    assert 0 < sum(pps) < count  # both branches run
+    kernel, calls = fl.truth_tables, []
+    monkeypatch.setattr(fl, "truth_tables", lambda lits, n: calls.append(n) or kernel(lits, n))
+    sub = cf.empirical_report(2000, 4.506, 2, seed, x_cap=4,
+                              pps_sub=(sub_n, count))["pps_subreport"]
+    with_pps = sum(s and p for s, p in zip(sat, pps))
+    assert sub == {"n": sub_n, "formulas": count, "satisfiable": sum(sat),
+                   "satisfiable_with_pps": with_pps, "ok": sum(sat) == with_pps}
+    assert len(calls) == count + (count - sum(pps))
 
 
 def test_empirical_report_deterministic():
@@ -1013,6 +1046,26 @@ def test_counting_oracle_guard_edge(n, c, bound):
 
 
 # -- CLI ---------------------------------------------------------------------------------
+
+def test_certified_configuration_has_one_home():
+    # certify's defaults and the CLI's read the params constants, and no other
+    # src module writes 4.506 or 1e-15 as a number
+    from typsat.cli import build_parser
+    home = (params_module.CERTIFICATION_C, params_module.CERTIFICATION_X_MAX,
+            params_module.CERTIFICATION_EPS)
+    signature = inspect.signature(cf.certify).parameters
+    assert tuple(signature[k].default for k in ("c", "x_max", "eps")) == home
+    parser = build_parser()
+    for command in ("certify", "curves"):
+        args = parser.parse_args([command])
+        assert (args.c, args.xmax, args.eps) == home
+    assert parser.parse_args(["empirical"]).c == home[0]
+    for path in Path(cf.__file__).parent.glob("*.py"):
+        if path.name != "params.py":
+            numbers = {node.value for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Constant) and type(node.value) is float}
+            assert not numbers & {home[0], home[2]}, path.name
+
 
 def test_cli_certify(tmp_path, capsys):
     from typsat.cli import main

@@ -184,6 +184,15 @@ def test_truth_tables_partial_word_with_leading_axes():
     assert np.array_equal(pps, fl.is_pps(stack[..., None, :, :], all_values(4)))
 
 
+@pytest.mark.parametrize("n", [6, 7, 9])
+def test_truth_tables_of_an_empty_stack(n):
+    # no formula: two (0, 2^n) tables, with and without blocks of whole words
+    tables = fl.truth_tables(np.zeros((0, 4, 3), dtype=int), n)
+    assert len(tables) == 2
+    for table in tables:
+        assert table.shape == (0, 1 << n) and table.dtype == bool
+
+
 def test_pps_bitmap_memory_is_packed():
     # packed columns: one pps_bitmap at n = 20 peaks at 7.6 MB (tracemalloc),
     # against 45 MB for one byte per assignment per literal column

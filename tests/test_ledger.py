@@ -3,26 +3,28 @@ import math
 import pytest
 
 from typsat import ledger as lg
-from typsat.distribution import big_d, kappa_tilde_intervals, p2, p3
-from typsat.errors import DomainError
+from typsat.distribution import big_d, build_tables, kappa_tilde_intervals, p2, p3
+from typsat.errors import ConfigurationError, DomainError
 from typsat.intervals import Interval, upper
 from typsat.params import CERTIFICATION_BOX, GENERIC_GAMMA_PSI, ModelParams
 
-from oracles import mp_rho, mp_rho_bound
+from oracles import mp_rho, mp_rho_bound, mp_slack_factors
 
 
 def test_L_domain_guard():
-    with pytest.raises(DomainError):
-        lg.L(0.5)  # would equal 1 but lies outside (0, 0.05]
-    with pytest.raises(DomainError):
-        lg.L(0.0)
-    with pytest.raises(DomainError):
-        lg.L(-1e-3)
+    # log_L admits 0, L's eta -> 0+ limit, and refuses eta below 0, above 0.05 and NaN
+    assert lg.log_L(0.0) == 0.0
+    assert lg.log_L(Interval(0.0)) == 0.0
+    reaching_zero = lg.log_L(Interval(-5e-324, 1e-9))  # an outward-rounded eps = 0 term
+    assert reaching_zero.lower() == 0.0 and reaching_zero.upper() >= lg.log_L(1e-9)
+    for bad in (0.5, 0.0500001, -1e-3, math.nan, Interval(-1e-3, -1e-4), Interval(0.0, 0.06)):
+        with pytest.raises(DomainError):
+            lg.log_L(bad)
 
 
 def test_L_small_eta_expansion():
-    assert lg.L(1e-9) - 1.0 < 5e-8
-    assert lg.L(1e-9) > 1.0
+    # log L(eta) = 2 eta log(1/(2 eta)) ~ 4e-8 at eta = 1e-9
+    assert 0.0 < lg.log_L(1e-9) < 5e-8
 
 
 def test_L_sandwich_property(rng):
@@ -34,7 +36,7 @@ def test_L_sandwich_property(rng):
         if y <= 0.0:
             continue
         ratio = math.exp(y * math.log(y) - x * math.log(x))
-        big = lg.L(eta)
+        big = math.exp(lg.log_L(eta))
         assert 1.0 / big <= ratio <= big
 
 
@@ -74,28 +76,49 @@ def test_widened_generic_box_contains_certification_constants():
     assert box.phi_min <= c.phi_min and c.phi_max <= box.phi_max
 
 
-def test_gb_dominates_exact_product():
+def test_gb_dominates_exact_product(consts):
     eps = 1e-8  # large enough that the product is visibly above 1
     exact = 1.0
     for x in range(57):
         exact *= (1.0 + eps) ** (x // 2)
-    gf = lg.g_factors(eps, 56, 13.518, 4.506)
-    assert 1.0 < exact <= upper(gf.gb) * (1 + 1e-12)
+    budget = lg.build_budget(ModelParams(c=4.506, x_max=56, epsilon=eps), consts)
+    assert 1.0 < exact <= upper(budget.gb) * (1 + 1e-12)
 
 
-def test_g_factors_rejects_coarse_eps():
-    from typsat.errors import ConfigurationError
-    with pytest.raises(ConfigurationError, match="slack-factor domain"):
-        lg.g_factors(1e-6, 56, 13.518, 4.506)
+def test_g_factors_rejects_coarse_eps(consts, consts_iv):
+    for constants in (consts, consts_iv):
+        with pytest.raises(ConfigurationError, match="slack-factor domain"):
+            lg.build_budget(ModelParams(c=4.506, x_max=56, epsilon=1e-6), constants)
 
 
-def test_g_factors_at_zero_eps():
-    gf = lg.g_factors(0.0, 56, 13.518, 4.506)
-    assert upper(gf.ga) == 1.0
-    assert upper(gf.gb) == 1.0
-    assert upper(gf.gc) == 1.0
+def test_g_factors_at_zero_eps(consts):
+    budget = lg.build_budget(ModelParams(c=4.506, x_max=56, epsilon=0.0), consts)
+    assert upper(budget.ga) == 1.0
+    assert upper(budget.gb) == 1.0
+    assert upper(budget.gc) == 1.0
     # G1 keeps the pure Poisson-tail contributions, barely above 1
-    assert 1.0 < upper(gf.g1) < 1.0 + 1e-7
+    assert 1.0 < upper(budget.g1) < 1.0 + 1e-7
+
+
+ULP = 2.0 ** -52  # one ulp of 1.0
+
+
+@pytest.mark.parametrize("eps", ["0", "1e-15", "1e-12"])
+def test_slack_factors_against_the_50_digit_products(eps):
+    # each factor is one exp of a sum of logs: a float factor lies within
+    # 4 ulps of the paper's product of powers, an interval one encloses it
+    # (GB's e^(k eps) dominates the paper's (1+eps)^k) at most 16 ulps wide
+    mp = pytest.importorskip("mpmath")
+    params = ModelParams(c=4.506, x_max=56, epsilon=float(eps))
+    flt = lg.build_budget(params, build_tables(params))
+    biv = lg.build_budget(params, kappa_tilde_intervals(params))
+    with mp.workdps(50):
+        for key, exact in mp_slack_factors(mp, "4.506", 56, eps).items():
+            assert abs(mp.mpf(float(getattr(flt, key))) - exact) <= 4 * ULP, key
+            iv = getattr(biv, key)
+            assert key == "gb" or mp.mpf(float(iv.lo)) <= exact, key
+            assert exact <= mp.mpf(float(iv.hi)), key
+            assert iv.upper() - iv.lower() <= 16 * ULP, key
 
 
 def test_budget_values(params, consts, budget):
