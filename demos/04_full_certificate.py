@@ -38,8 +38,7 @@ with tempfile.TemporaryDirectory() as tmp:
     for c in (cert, cert_iv):
         path = Path(tmp) / "certificate.json"
         c.dump(path)
-        outcome = replay(json.loads(path.read_text()))
+        rerun, disagreements = replay(json.loads(path.read_text()))
         print(f"   {c.mode:8s} stored -> reloaded -> re-verified: trace ok = "
-              f"{outcome['trace_ok']}, rate agrees = {outcome['rate_agrees']}, "
-              f"verdict agrees = {outcome['verdict_agrees']}, "
-              f"disagreements = {outcome['disagreements']}")
+              f"{rerun.trace_verified}, rate = {rerun.rate:.12f}, verdict = {rerun.verdict}, "
+              f"disagreements = {disagreements}")

@@ -71,10 +71,10 @@ def _read_certificate(path: str) -> dict:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    result = replay(_read_certificate(args.certificate))
-    _print_stages(result["stages"], result["verdict"], result["rate"])
-    print(f"disagreements: {', '.join(result['disagreements']) or 'none'}")
-    return 0 if result["verdict"] and not result["disagreements"] else 2
+    rerun, disagreements = replay(_read_certificate(args.certificate))
+    _print_stages(rerun.stages, rerun.verdict, rerun.rate)
+    print(f"disagreements: {', '.join(disagreements) or 'none'}")
+    return 0 if rerun.verdict and not disagreements else 2
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:

@@ -110,5 +110,8 @@ class ModelParams:
 
 
 def clause_count(n: int, c: float) -> int:
-    """Number of clauses m = round(c*n), half up."""
+    """Number of clauses m = round(c*n), half up; ConfigurationError names a
+    density c that is not a finite number."""
+    if not math.isfinite(c):
+        raise ConfigurationError(f"clause density c must be finite, got {c}")
     return int(math.floor(c * n + 0.5))

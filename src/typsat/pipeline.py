@@ -38,28 +38,7 @@ from .params import (CERTIFICATION_C, CERTIFICATION_EPS, CERTIFICATION_X_MAX, DE
                      WIDTH_TARGET, ModelParams)
 
 VERSION = "0.1.0"
-SCHEMA = "typsat-certificate/3"
-
-#: The paper's headline values, recorded in the constants table for the
-#: reader; certify compares nothing with them.  Only the ledger entries carry
-#: a target and a margin (ledger.LEDGER_TARGETS).
-TARGETS = {
-    "rate": 0.9999885,
-    "v_min2": 1.126983,
-    "uv_max2": 1.64966,
-    "tangent_phi": (2.4427, -1.8194),
-    "tangent_beta": (2.2377, -1.7173),
-    "a_bound": 1.894,
-    "b_bound_phi": 4.2269,
-    "b_bound_beta": 3.643,
-    "extra_beta": 0.566,
-    "total_phi": 6.125,
-    "total_beta": 6.103,
-    "lambda_phi_min": 7.1,
-    "eq1_star": -0.157,
-    "m_bands": (-0.051, -0.051, -0.062, -0.055),
-    "rectangle": (0.56383217, 0.56383249, 0.44651403, 0.44651478),
-}
+SCHEMA = "typsat-certificate/4"
 
 
 def _dec(x, direction: str = "nearest") -> dict:
@@ -95,8 +74,8 @@ class Certificate:
         data = {"schema": SCHEMA, "version": VERSION,
                 **{f.name: getattr(self, f.name) for f in fields(self)}}
         data["rectangle"] = [_dec(v) for v in self.rectangle] if self.rectangle else None
-        data["rate"] = _dec(self.rate, "upper") if self.rate is not None else None
-        data["point_rate"] = _dec(self.point_rate) if self.point_rate is not None else None
+        data["rate"], data["point_rate"] = (_dec(v, "upper") if v is not None else None
+                                            for v in (self.rate, self.point_rate))
         return data
 
     def dumps(self) -> str:
@@ -160,7 +139,6 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
         "D": consts.D,
         "N": consts.N,
         "n_dependent_factor": "(6 n^3)^(1/n), excluded from the rate by design",
-        "targets": {k: (list(v) if isinstance(v, tuple) else v) for k, v in TARGETS.items()},
     }
 
     trace = None
@@ -192,13 +170,11 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
     if cert.trace_verified:
         rect = cert.rectangle = trace.rectangle
         try:
-            rate = st.rate_bound_rectangle(*rect, checker, budget)
+            rate, centre_rate = st.rate_bound_rectangle(*rect, checker, budget)
         except DomainError as exc:
             cert.stage("rate", False, str(exc))
         else:
-            cert.rate = upper(rate)
-            center = system.point(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
-            cert.point_rate = upper(st.rate_bound_point(center, system, budget))
+            cert.rate, cert.point_rate = upper(rate), upper(centre_rate)
             cert.stage("rate", cert.rate + DELTA_NUM < 1.0,
                        f"rectangle rate={cert.rate:.12f}, point rate at centre="
                        f"{cert.point_rate:.12f}, mean-value excess="
@@ -219,40 +195,28 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
     return cert
 
 
-def replay(cert_data: dict) -> dict:
+def replay(cert_data: dict) -> tuple[Certificate, list[str]]:
     """Re-run certify's checker on a certificate's stored trace, in its own
-    mode: the spiral stage reads the trace where certify searches, and the
-    rate is that of the trace's own final rectangle.  `disagreements` names
-    the top-level fields of the re-run certificate that differ from the
-    stored ones.  Before any stage runs, a certificate without params (c,
+    mode, and return (the re-run Certificate, the names of its top-level
+    fields whose JSON differs from the stored ones).  The spiral stage reads
+    the trace where certify searches, and the rate is that of the trace's own
+    final rectangle.  Before any stage runs, a certificate without params (c,
     x_max, epsilon), mode or trace raises ConfigurationError naming the key,
     and one whose params or trace is not an object, whose params field or
     witness value is not a number, or whose rate has no decimal `v`, naming
     the field."""
-    rate = cert_data.get("rate")
     try:
         p, mode, stored_trace = cert_data["params"], cert_data["mode"], cert_data["trace"] or {}
-        bad = _wrong_types(p, stored_trace, rate)
+        bad = _wrong_types(p, stored_trace, cert_data.get("rate"))
         if bad:
             raise ConfigurationError(f"certificate field of the wrong type: {', '.join(bad)}")
         params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
     except KeyError as exc:
         raise ConfigurationError(f"certificate has no {exc.args[0]!r}") from None
-    stored_rate = None if rate is None else float(rate["v"])
     rerun = _check(params, mode, lambda system: rb.ExclusionTrace.from_jsonable(stored_trace))
     fresh, stored = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
                      for d in (rerun.as_dict(), cert_data))
-    return {
-        "trace_ok": rerun.trace_verified,
-        "rate": rerun.rate,
-        "stored_rate": stored_rate,
-        "rate_agrees": (rerun.rate == stored_rate if None in (rerun.rate, stored_rate)
-                        else abs(rerun.rate - stored_rate) < 1e-12),
-        "verdict": rerun.verdict,
-        "verdict_agrees": rerun.verdict == cert_data.get("verdict"),
-        "stages": rerun.stages,
-        "disagreements": [k for k in {**fresh, **stored} if fresh.get(k) != stored.get(k)],
-    }
+    return rerun, [k for k in {**fresh, **stored} if fresh.get(k) != stored.get(k)]
 
 
 def _wrong_types(params, trace, rate) -> list[str]:
@@ -321,11 +285,14 @@ def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str
 
 # -- empirical report ----------------------------------------------------------------
 
+#: Confidence of each empirical_report cell's large-deviation budget.
+CONFIDENCE = 0.999
+
+
 def empirical_report(n: int, c: float, formulas: int, seed: int, x_cap: int = 8,
-                     confidence: float = 0.999,
                      pps_sub: tuple[int, int] | None = None) -> dict:
     """Cell-by-cell empirical means against the limiting masses, with the
-    large-deviation budget at the requested confidence; optional exhaustive
+    large-deviation budget at confidence CONFIDENCE; optional exhaustive
     locally-maximal-solution subreport at a small n.  ConfigurationError,
     raised before any work, names a negative seed or an argument that admits
     no formula."""
@@ -344,7 +311,7 @@ def empirical_report(n: int, c: float, formulas: int, seed: int, x_cap: int = 8,
         for p in range(x + 1):
             k = dist.kappa(x, p, lam)
             dev = abs(campaign.mean[x, p] - k)
-            budget_t = deviation_budget(k, samples, confidence, cells)
+            budget_t = deviation_budget(k, samples, CONFIDENCE, cells)
             worst = max(worst, dev)
             over_budget += dev >= budget_t
             rows.append({
@@ -356,7 +323,7 @@ def empirical_report(n: int, c: float, formulas: int, seed: int, x_cap: int = 8,
             })
     report = {
         "n": n, "c": c, "formulas": formulas, "seed": seed, "x_cap": x_cap,
-        "confidence": confidence, "generator": campaign.generator,
+        "confidence": CONFIDENCE, "generator": campaign.generator,
         "max_abs_deviation": worst, "cells_over_budget": over_budget,
         "ok": over_budget == 0, "rows": rows,
     }

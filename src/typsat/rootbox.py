@@ -68,13 +68,13 @@ class ExclusionTrace:
 
     def to_jsonable(self) -> dict:
         return {**{name: getattr(self, name) for name in SEQUENCES}, "K": self.K, "L": self.L,
-                "rectangle": list(self.rectangle), "diagnostic": self.diagnostic}
+                "diagnostic": self.diagnostic}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExclusionTrace":
         """The trace of to_jsonable's dict, with no root; other keys (an older
-        certificate's `root` or `sign_checks` record) are ignored, and a
-        missing or empty sequence raises TraceStructureError."""
+        certificate's `root`, `sign_checks` or `rectangle` record) are
+        ignored, and a missing or empty sequence raises TraceStructureError."""
         if not all(data.get(name) for name in SEQUENCES):
             raise TraceStructureError("missing or empty witness sequences")
         return cls(*(list(data[name]) for name in SEQUENCES), diagnostic=data.get("diagnostic", ""))

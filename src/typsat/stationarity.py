@@ -430,9 +430,10 @@ def rate_bound_rectangle(phi_lo: float, phi_hi: float, b1_lo: float, b1_hi: floa
     (`_grad_log_rate` at the box point Phi x B: its Eq1 and Eq2 enclosures
     come from `_enclose`, whose two-corner argument holds over any box of
     inputs).  The excess over exp(f(m)) is second order in the width, since
-    grad f vanishes at the root.  A float system returns the float exp(f(m)
-    + the excess's upper end); an interval system returns an enclosure, with
-    f(m) outward-rounded too.
+    grad f vanishes at the root.  Returns (rate, centre_rate): exp(f(m) +
+    the excess) and the centre term exp(f(m)).  A float system takes the
+    excess's upper end and returns floats; an interval system returns
+    enclosures, with f(m) outward-rounded too.
     """
     for corner in ((phi_lo, b1_lo), (phi_lo, b1_hi), (phi_hi, b1_lo), (phi_hi, b1_hi)):
         if not system.box.contains(*corner):
@@ -442,4 +443,5 @@ def rate_bound_rectangle(phi_lo: float, phi_hi: float, b1_lo: float, b1_hi: floa
     g_phi, g_b1 = _grad_log_rate(derive_point(phi, beta1), system)
     excess = g_phi * (phi - m_phi) + g_b1 * (beta1 - m_b1)
     log_rate = _log_rate(system.point(m_phi, m_b1), system, budget)
-    return xexp(log_rate + (excess if system.mode == "interval" else upper(excess)))
+    return (xexp(log_rate + (excess if system.mode == "interval" else upper(excess))),
+            xexp(log_rate))

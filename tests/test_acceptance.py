@@ -181,7 +181,7 @@ def test_criterion_7_distribution_suite(consts, kappa_rows):
 
 def test_criterion_8_empirical_lemma():
     t0 = time.perf_counter()
-    report = pl.empirical_report(100_000, 4.506, 50, seed=0, x_cap=8, confidence=0.999)
+    report = pl.empirical_report(100_000, 4.506, 50, seed=0, x_cap=8)
     elapsed = time.perf_counter() - t0
     ok = report["ok"] and elapsed < 60.0
     assert _report("8", ok,

@@ -67,6 +67,18 @@ def test_rate_stage_names_the_point_rate_and_excess(cert, cert_iv, mode):
     assert float(fields["mean-value excess"]) == pytest.approx(c.rate - c.point_rate, rel=1e-3)
 
 
+def test_point_rate_is_the_rectangle_rates_centre_term(cert, cert_iv):
+    # in both modes point_rate is the upper end of exp(f(m)), the centre term
+    # of the rectangle rate, on the mode's own system and ledger: the interval
+    # one sits at or above the float one, and the two modes' mean-value
+    # excesses agree
+    for c in (cert, cert_iv):
+        assert json.loads(c.dumps())["point_rate"]["dir"] == "upper"
+    assert cert_iv.point_rate >= cert.point_rate
+    excess = [c.rate - c.point_rate for c in (cert, cert_iv)]
+    assert abs(excess[1] - excess[0]) < 1e-13
+
+
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_certify_determinism(mode):
     a = cf.certify(4.506, 56, 1e-15, mode=mode)
@@ -83,8 +95,8 @@ def test_certify_determinism(mode):
 #: every tolerance-based test still passes.  A change that moves bits on
 #: purpose updates the digests here and records why in CHANGES.md.
 CERTIFICATE_SHA256 = {
-    "float": "f5759723f586a84413128914b8db3dba26a77ca40d87e860957c21a5553f91d9",
-    "interval": "b3c6d393f505c6b3fe4631ac427b5a48ade922c7a798861a0c1ccb9875e6cbed",
+    "float": "4e3b830a7fbb87ac97890a6ee239ea729370e6c76bd38dba1c75b44ded8f8b75",
+    "interval": "9fd3ace0d57be0d2526f19f30a801fb68af1cb9a6dfb15b3817aca2820177209",
 }
 
 
@@ -114,11 +126,12 @@ def test_model_params_still_refuse_strings_and_bools():
 
 def test_certificate_trace_keys(cert, cert_iv):
     # the trace serialises the four sequences verify_exclusion checks and
-    # what they span, and nothing the spiral computed on the way
+    # their lengths, and nothing the spiral computed on the way; the
+    # rectangle they span is the certificate's top-level `rectangle`
     for c in (cert, cert_iv):
         trace = json.loads(c.dumps())["trace"]
         assert list(trace) == ["phi_minus", "beta_plus", "phi_plus", "beta_minus", "K", "L",
-                               "rectangle", "diagnostic"]
+                               "diagnostic"]
 
 
 def test_certificate_params_and_ledger_keys(cert, cert_iv):
@@ -163,6 +176,11 @@ def test_certificate_states_each_fact_once(cert, cert_iv, mode):
     assert list(mono)[4:] == ["eq2_fixed_phi", "eq2_fixed_beta1", "eq1_star_majorant", "m_bands"]
     for direction in ("eq2_fixed_phi", "eq2_fixed_beta1"):
         assert list(mono[direction]) == ["tangent", "B_bound", "extra_bound", "total", "verdict"]
+    # the rectangle is stored at the top level alone, not again by the trace,
+    # and the constants carry no table of the paper's values
+    rectangle = [float(item["v"]) for item in data["rectangle"]]
+    assert rectangle not in data["trace"].values()
+    assert "targets" not in data["constants"]
 
 
 def test_certify_records_assumption(cert):
@@ -220,10 +238,12 @@ def test_model_params_hold_one_density():
 @pytest.mark.parametrize("mode, systems", [("float", 1), ("interval", 2)])
 def test_certify_verifies_once(monkeypatch, cert, mode, systems):
     # the ledger, the sign checks and the rate run once, in the certificate's
-    # mode; interval mode builds one checking system beside the float one
+    # mode, and the point rate at the centre is the rectangle rate's own
+    # centre term; interval mode builds one checking system beside the float one
     calls, budget_modes = Counter(), []
     for owner, name in ((lg, "build_budget"), (rb, "verify_exclusion"),
-                        (st, "rate_bound_rectangle"), (st.EqSystem, "build")):
+                        (st, "rate_bound_rectangle"), (st, "rate_bound_point"),
+                        (st.EqSystem, "build")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             if _name == "build_budget":
@@ -234,6 +254,7 @@ def test_certify_verifies_once(monkeypatch, cert, mode, systems):
     assert result.verdict
     assert calls == {"build_budget": 1, "verify_exclusion": 1,
                      "rate_bound_rectangle": 1, "build": systems}
+    assert calls["rate_bound_point"] == 0
     assert [s["name"] for s in result.stages] == [s["name"] for s in cert.stages]
     assert budget_modes == [mode]
     if mode == "interval":
@@ -367,11 +388,9 @@ def test_certificate_json_decimal_strings(cert, tmp_path):
 
 
 def test_certificate_replays(cert):
-    result = cf.replay(cert.as_dict())
-    assert result["trace_ok"]
-    assert result["rate_agrees"]
-    assert result["verdict_agrees"]
-    assert result["disagreements"] == []
+    rerun, disagreements = cf.replay(cert.as_dict())
+    assert rerun.trace_verified and rerun.verdict
+    assert disagreements == []
 
 
 def one_mode(cert, cert_iv, mode):
@@ -388,25 +407,24 @@ def test_honest_replay_agrees_without_search(monkeypatch, cert, cert_iv, mode):
         raise AssertionError("replay ran the search")
     monkeypatch.setattr(rb, "spiral_localize", no_search)
     monkeypatch.setattr(rb, "solve_reference", no_search)
-    result = cf.replay(one_mode(cert, cert_iv, mode))
-    assert result["disagreements"] == []
-    assert result["trace_ok"] and result["rate_agrees"] and result["verdict_agrees"]
-    assert [s["name"] for s in result["stages"]] == [s["name"] for s in cert.stages]
+    rerun, disagreements = cf.replay(one_mode(cert, cert_iv, mode))
+    assert disagreements == []
+    assert rerun.trace_verified and rerun.verdict
+    assert [s["name"] for s in rerun.stages] == [s["name"] for s in cert.stages]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_replay_in_own_mode_detects_tampered_verdict(cert, cert_iv, mode):
     c = cert if mode == "float" else cert_iv
     data = json.loads(c.dumps())
-    honest = cf.replay(data)
-    json.dumps(honest)  # plain Python values only
-    assert honest["trace_ok"] and honest["rate_agrees"] and honest["verdict_agrees"]
+    honest, disagreements = cf.replay(data)
+    assert disagreements == [] and honest.trace_verified and honest.verdict
     if mode == "interval":
-        assert honest["stored_rate"] == c.interval_report["rate_upper"]
+        assert honest.rate == c.interval_report["rate_upper"]
     data["verdict"] = False
-    result = cf.replay(data)
-    assert result["verdict_agrees"] is False
-    assert result["disagreements"] == ["verdict"]
+    rerun, disagreements = cf.replay(data)
+    assert rerun.verdict is True
+    assert disagreements == ["verdict"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -419,22 +437,31 @@ def test_replay_names_a_forged_rectangle(cert, cert_iv, mode):
     phi, beta1 = 0.5 * (lo_f + hi_f), 0.5 * (lo_b + hi_b)
     data["rectangle"] = [{"v": repr(v), "dir": "nearest"}
                          for v in (phi - 1e-9, phi + 1e-9, beta1 - 1e-9, beta1 + 1e-9)]
-    result = cf.replay(data)
-    assert result["disagreements"] == ["rectangle"]
-    assert result["rate"] == result["stored_rate"]
-    assert result["trace_ok"] and result["verdict"] and result["verdict_agrees"]
+    rerun, disagreements = cf.replay(data)
+    assert disagreements == ["rectangle"]
+    assert rerun.trace_verified and rerun.verdict
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
 def test_replay_names_a_tampered_stage_and_ledger(cert, cert_iv, mode):
     data = one_mode(cert, cert_iv, mode)
     data["stages"][1]["ok"] = False  # the tables stage
-    assert cf.replay(data)["disagreements"] == ["stages"]
+    assert cf.replay(data)[1] == ["stages"]
     data = one_mode(cert, cert_iv, mode)
     data["ledger"]["prefactor"]["v"] = "0.5"
-    result = cf.replay(data)
-    assert result["disagreements"] == ["ledger"]
-    assert result["rate_agrees"] and result["verdict_agrees"]
+    assert cf.replay(data)[1] == ["ledger"]
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_replay_names_a_point_rate_off_in_its_last_digit(cert, cert_iv, mode):
+    # replay compares each field exactly: one unit in the 17th digit of the
+    # stored centre term is a disagreement, and the rest still agrees
+    data = one_mode(cert, cert_iv, mode)
+    v = data["point_rate"]["v"]
+    data["point_rate"]["v"] = v[:-1] + str((int(v[-1]) + 1) % 10)
+    rerun, disagreements = cf.replay(data)
+    assert disagreements == ["point_rate"]
+    assert rerun.verdict
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -448,9 +475,7 @@ def test_replay_names_a_tampered_cut(params, consts, consts_iv, cert, cert_iv, m
         assert kept.w.size == cells
         assert data["constants"][f"{eq}_cut"] == {"cells": cells, "tail": tail}
         data["constants"][f"{eq}_cut"]["tail"] = 2.0 * tail
-        result = cf.replay(data)
-        assert result["disagreements"] == ["constants"]
-        assert result["rate_agrees"] and result["verdict_agrees"]
+        assert cf.replay(data)[1] == ["constants"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -469,9 +494,9 @@ def test_replay_ignores_legacy_sign_check_record(cert):
     data = json.loads(cert.dumps())
     data["trace"]["sign_checks"] = [{"family": "eq1_minus", "index": 0, "phi": 0.0,
                                      "beta1": 0.0, "value": -1.0, "margin": DELTA_NUM}]
-    result = cf.replay(data)
-    assert result["trace_ok"] and result["rate_agrees"] and result["verdict_agrees"]
-    assert result["disagreements"] == ["trace"]
+    rerun, disagreements = cf.replay(data)
+    assert rerun.trace_verified and rerun.verdict
+    assert disagreements == ["trace"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -480,12 +505,11 @@ def test_replay_fails_a_malformed_trace(cert, cert_iv, mode):
     # replay, as it fails certify's verify_exclusion stage, instead of raising
     data = one_mode(cert, cert_iv, mode)
     data["trace"]["phi_minus"][0] += 1e-9
-    result = cf.replay(data)
-    assert result["trace_ok"] is False
-    assert result["rate"] is None
-    assert result["verdict"] is False
-    assert result["verdict_agrees"] is False
-    assert "stages" in result["disagreements"] and "rate" in result["disagreements"]
+    rerun, disagreements = cf.replay(data)
+    assert rerun.trace_verified is False
+    assert rerun.rate is None
+    assert rerun.verdict is False
+    assert {"stages", "rate", "verdict"} <= set(disagreements)
 
 
 def _unpair(trace):
@@ -510,20 +534,20 @@ def test_replay_names_a_structural_defect(cert, edit, defect):
     # box, and its stage detail names the defect; the rate is not taken
     data = json.loads(cert.dumps())
     edit(data["trace"])
-    result = cf.replay(data)
-    assert result["stages"][STAGES.index("verify_exclusion")] == {
+    rerun, _ = cf.replay(data)
+    assert rerun.stages[STAGES.index("verify_exclusion")] == {
         "name": "verify_exclusion", "ok": False, "detail": defect}
-    assert result["trace_ok"] is False and result["rate"] is None and not result["verdict"]
+    assert rerun.trace_verified is False and rerun.rate is None and not rerun.verdict
 
 
 def test_replay_fails_an_empty_witness_sequence(cert):
     data = json.loads(cert.dumps())
     data["trace"]["phi_plus"] = []
-    result = cf.replay(data)
-    assert result["trace_ok"] is False and result["verdict"] is False
-    spiral = next(s for s in result["stages"] if s["name"] == "spiral")
+    rerun, disagreements = cf.replay(data)
+    assert rerun.trace_verified is False and rerun.verdict is False
+    spiral = next(s for s in rerun.stages if s["name"] == "spiral")
     assert not spiral["ok"] and "empty witness sequences" in spiral["detail"]
-    assert "trace" in result["disagreements"]
+    assert "trace" in disagreements
 
 
 def test_replay_names_a_stored_root(cert):
@@ -535,9 +559,9 @@ def test_replay_names_a_stored_root(cert):
     for root in (found, {"phi": 0.5, "beta1": 0.4, "x": 0.5}):
         data = json.loads(cert.dumps())
         data["trace"]["root"] = root
-        result = cf.replay(data)
-        assert result["trace_ok"] and result["verdict"] and result["verdict_agrees"]
-        assert result["disagreements"] == ["trace"]
+        rerun, disagreements = cf.replay(data)
+        assert rerun.trace_verified and rerun.verdict
+        assert disagreements == ["trace"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -545,10 +569,9 @@ def test_replay_fails_a_rectangle_outside_the_box(cert, cert_iv, mode):
     # the stored rectangle is not rated, only compared with the trace's own
     data = one_mode(cert, cert_iv, mode)
     data["rectangle"][1]["v"] = "0.7"  # phi_hi beyond phi_max = 0.619063
-    result = cf.replay(data)
-    assert result["trace_ok"] is True
-    assert result["rate"] == result["stored_rate"]
-    assert result["disagreements"] == ["rectangle"]
+    rerun, disagreements = cf.replay(data)
+    assert rerun.trace_verified is True
+    assert disagreements == ["rectangle"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -557,12 +580,12 @@ def test_rate_stage_fails_on_a_domain_error(monkeypatch, cert, cert_iv, mode):
     def outside(*args):
         raise DomainError("rectangle corner is outside the feasible box")
     monkeypatch.setattr(st, "rate_bound_rectangle", outside)
-    result = cf.replay(one_mode(cert, cert_iv, mode))
-    assert result["trace_ok"] is True
-    assert result["rate"] is None and result["verdict"] is False
-    assert result["stages"][-1] == {"name": "rate", "ok": False,
-                                    "detail": "rectangle corner is outside the feasible box"}
-    assert {"stages", "rate", "verdict"} <= set(result["disagreements"])
+    rerun, disagreements = cf.replay(one_mode(cert, cert_iv, mode))
+    assert rerun.trace_verified is True
+    assert rerun.rate is None and rerun.verdict is False
+    assert rerun.stages[-1] == {"name": "rate", "ok": False,
+                                "detail": "rectangle corner is outside the feasible box"}
+    assert {"stages", "rate", "verdict"} <= set(disagreements)
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -575,14 +598,13 @@ def test_replay_without_trace(monkeypatch, mode):
     monkeypatch.setattr(rb, "spiral_localize", no_seed)
     data = json.loads(cf.certify(4.506, 56, 1e-15, mode=mode).dumps())
     assert data["failing_stage"] == "spiral" and not data["trace"]
-    result = cf.replay(data)
-    assert result["trace_ok"] is False
-    assert result["rate"] is None
-    assert result["verdict"] is False
-    assert result["verdict_agrees"] is True
-    assert result["disagreements"] == ["stages"]
+    rerun, disagreements = cf.replay(data)
+    assert rerun.trace_verified is False
+    assert rerun.rate is None
+    assert rerun.verdict is False
+    assert disagreements == ["stages"]
     data["verdict"] = True
-    assert cf.replay(data)["verdict_agrees"] is False
+    assert cf.replay(data)[1] == ["stages", "verdict"]
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -595,7 +617,7 @@ def test_certify_runs_every_stage_after_a_monotone_failure(mode):
     assert all(s["ok"] for s in result.stages if s["name"] != "monotone")
     assert result.trace["K"] == result.trace["L"] == 70 and result.trace_verified
     assert result.rate < 1.0
-    assert cf.replay(json.loads(result.dumps()))["disagreements"] == []
+    assert cf.replay(json.loads(result.dumps()))[1] == []
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])
@@ -634,11 +656,11 @@ def test_ledger_stage_names_the_bound_it_checks(monkeypatch, cert, bound, ok):
     # and its detail names that bound
     assert lg.PREFACTOR_BOUND == 1.01
     monkeypatch.setattr(lg, "PREFACTOR_BOUND", bound)
-    result = cf.replay(json.loads(cert.dumps()))
-    ledger = result["stages"][STAGES.index("ledger")]
+    rerun, _ = cf.replay(json.loads(cert.dumps()))
+    ledger = rerun.stages[STAGES.index("ledger")]
     assert ledger == {"name": "ledger", "ok": ok,
                       "detail": f"prefactor=1.00000006429, bound {bound:g}"}
-    assert result["verdict"] is ok
+    assert rerun.verdict is ok
 
 
 def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
@@ -649,14 +671,14 @@ def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
             modes[_name, system.mode] += 1
             return _fn(pt, system)
         monkeypatch.setattr(st, name, recorded)
-    assert cf.replay(json.loads(cert_iv.dumps()))["disagreements"] == []
+    assert cf.replay(json.loads(cert_iv.dumps()))[1] == []
     assert set(modes) == {("eq1", "interval"), ("eq2", "interval")}
 
 
 #: Distinct src/typsat statements that a warm interval replay executes,
 #: counted by `statements_executed`.  The check path may only shrink; a change
 #: that grows it on purpose raises this bound and records why in CHANGES.md.
-REPLAY_LINES_MAX = 578
+REPLAY_LINES_MAX = 570
 
 
 def statement_starts(path: str) -> dict:
@@ -782,7 +804,7 @@ def test_lockstep_curves_at_another_density():
 def test_empirical_report_small():
     report = cf.empirical_report(5000, 4.506, 8, seed=7, x_cap=5,
                                  pps_sub=(10, 50))
-    assert report["ok"]
+    assert report["ok"] and report["confidence"] == cf.CONFIDENCE == 0.999
     assert report["pps_subreport"]["ok"]
     csv = cf.empirical_csv(report)
     header = csv.splitlines()[0]
@@ -1256,6 +1278,22 @@ def test_cli_rejects_counts_that_admit_no_formula(argv, named, capsys):
     from typsat.cli import main
     assert main(argv) == 3
     assert f"configuration error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_a_non_finite_density_is_a_configuration_error(c, capsys):
+    # clause_count refuses it by name, so the library calls and the commands
+    # that draw or count formulas report it instead of crashing on the round
+    from typsat.cli import main
+    named = f"clause density c must be finite, got {c}"
+    for call in (lambda: cf.counting_oracle(2, float(c)),
+                 lambda: cf.empirical_report(10, float(c), 2, seed=0),
+                 lambda: fl.generate(10, float(c), 0)):
+        with pytest.raises(ConfigurationError, match=named):
+            call()
+    for argv in (["oracle", "--n", "2"], ["empirical", "--n", "10", "--formulas", "2"]):
+        assert main(argv + [f"--c={c}"]) == 3
+        assert f"configuration error: {named}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -297,7 +297,7 @@ def test_spiral_across_densities_with_the_certification_box(monkeypatch, c, belo
     trace = batched[-1]
     assert not trace.diagnostic
     assert rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori).ok
-    rate = st.rate_bound_rectangle(*trace.rectangle, system, lg.build_budget(params, consts))
+    rate, _ = st.rate_bound_rectangle(*trace.rectangle, system, lg.build_budget(params, consts))
     assert (rate < 1.0) == below_one
 
 

@@ -770,9 +770,12 @@ def test_box_gradient_encloses_the_point_gradients(system, system_iv):
 
 def test_rate_point_mode_continuous_and_dominated(trace, budget, rng, system, root_point):
     rect = trace.rectangle
-    rate_rect = st.rate_bound_rectangle(*rect, system, budget)
+    rate_rect, centre_rate = st.rate_bound_rectangle(*rect, system, budget)
     assert 0.99 < st.rate_bound_point(root_point, system, budget) < 1.0
-    assert 0.99 < rate_rect < 1.0
+    assert 0.99 < centre_rate < rate_rect < 1.0
+    # the centre term is the point rate at the rectangle's centre
+    centre = st.derive_point(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
+    assert centre_rate == st.rate_bound_point(centre, system, budget)
     samples = []
     for _ in range(25):
         phi = rng.uniform(rect[0], rect[1])
@@ -794,8 +797,8 @@ def test_rectangle_rate_dominates_the_grid(width, root, system, budget, system_i
          root["beta1"] - width / 2, root["beta1"] + width / 2)
     grid = max(st.rate_bound_point(st.derive_point(phi, b1), system, budget)
                for phi in np.linspace(r[0], r[1], 9) for b1 in np.linspace(r[2], r[3], 9))
-    rate = st.rate_bound_rectangle(*r, system, budget)
-    rate_iv = st.rate_bound_rectangle(*r, system_iv, budget_iv)
+    rate, _ = st.rate_bound_rectangle(*r, system, budget)
+    rate_iv, _ = st.rate_bound_rectangle(*r, system_iv, budget_iv)
     assert grid <= rate <= rate_iv.upper()
     assert rate_iv.lower() <= rate
 
@@ -803,11 +806,11 @@ def test_rectangle_rate_dominates_the_grid(width, root, system, budget, system_i
 def test_rate_on_target_rectangle(system, budget):
     # the paper's rectangle: the centred bound lands well below its 0.9999885
     # (computed: 0.99991852304...), and 6.5e-10 above the point rate at the centre
-    from typsat.pipeline import TARGETS
-    r = TARGETS["rectangle"]
-    rate = st.rate_bound_rectangle(r[0], r[1], r[2], r[3], system, budget)
-    assert 0.99991 < rate < TARGETS["rate"]
+    rate, centre_rate = st.rate_bound_rectangle(0.56383217, 0.56383249, 0.44651403,
+                                                0.44651478, system, budget)
+    assert 0.99991 < rate < 0.9999885
     assert rate == pytest.approx(0.9999185230426495, rel=1e-10)
+    assert rate - centre_rate == pytest.approx(6.5e-10, rel=0.05)
 
 
 def test_interval_rectangle_rate_encloses_the_float_rate(monkeypatch, trace, system, budget,
@@ -823,12 +826,13 @@ def test_interval_rectangle_rate_encloses_the_float_rate(monkeypatch, trace, sys
         return wrapped
 
     monkeypatch.setattr(st, "point_fields", recording(st.point_fields))
-    rate_iv = st.rate_bound_rectangle(*trace.rectangle, system_iv, budget_iv)
+    rate_iv, centre_iv = st.rate_bound_rectangle(*trace.rectangle, system_iv, budget_iv)
     monkeypatch.undo()
     assert len(calls) == 2
     assert all(isinstance(a, Interval) for args in calls for a in args)
-    rate = st.rate_bound_rectangle(*trace.rectangle, system, budget)
+    rate, centre_rate = st.rate_bound_rectangle(*trace.rectangle, system, budget)
     assert rate_iv.lower() <= rate <= rate_iv.upper()
+    assert centre_iv.lower() <= centre_rate <= centre_iv.upper()
 
 
 def test_rate_rejects_infeasible(box, system, budget):
