@@ -37,7 +37,7 @@ print("-- certificate replay " + "-" * 47)
 with tempfile.TemporaryDirectory() as tmp:
     for c in (cert, cert_iv):
         path = Path(tmp) / "certificate.json"
-        c.dump(path)
+        path.write_text(c.dumps())
         rerun, disagreements = replay(json.loads(path.read_text()))
         print(f"   {c.mode:8s} stored -> reloaded -> re-verified: trace ok = "
               f"{rerun.trace_verified}, rate = {rerun.rate:.12f}, verdict = {rerun.verdict}, "

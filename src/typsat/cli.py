@@ -2,7 +2,9 @@
 
 Every run writes its outputs under a single directory with a manifest
 recording arguments, versions, and the time of the run.  Exit codes: 0 when
-the requested verdict holds, 2 when it fails, 3 on a configuration error.
+the requested verdict holds, 2 when it fails, 3 on a configuration error,
+argparse's refusals included.  A negative value is written --c=-inf, as
+argparse reads the "-inf" of "--c -inf" as an option.
 """
 
 from __future__ import annotations
@@ -22,23 +24,28 @@ from .errors import ConfigurationError, GuardError
 from .params import CERTIFICATION_C, CERTIFICATION_EPS, CERTIFICATION_X_MAX, ModelParams
 
 
-def _write_manifest(out: Path, args: argparse.Namespace) -> None:
-    """Run metadata; the run's outputs themselves carry no timestamp."""
-    lines = [
-        f"command: {args.command}",
-        f"args: { {k: v for k, v in vars(args).items() if k != 'func'} }",
-        f"timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
-        f"typsat: {VERSION}",
-        f"python: {platform.python_version()}",
-        f"numpy: {np.__version__}",
-    ]
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+class _Parser(argparse.ArgumentParser):
+    """argparse's refusals raise ConfigurationError, so that they exit 3."""
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
 
 
-def _outdir(args: argparse.Namespace) -> Path:
+def _write(args: argparse.Namespace, name: str, text: str, note: str = "") -> None:
+    """Write text to name in the --out directory, if one is given, beside a
+    manifest of run metadata (the outputs themselves carry no timestamp)."""
+    if not args.out:
+        return
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    (out / name).write_text(text)
+    lines = [f"command: {args.command}",
+             f"args: { {k: v for k, v in vars(args).items() if k != 'func'} }",
+             f"timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
+             f"typsat: {VERSION}", f"python: {platform.python_version()}",
+             f"numpy: {np.__version__}"]
+    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+    print(f"wrote {out / name}{note}")
 
 
 def _print_stages(stages: list, verdict: bool, rate: float | None) -> None:
@@ -50,17 +57,12 @@ def _print_stages(stages: list, verdict: bool, rate: float | None) -> None:
 def _cmd_certify(args: argparse.Namespace) -> int:
     cert = certify(c=args.c, x_max=args.xmax, eps=args.eps, mode=args.mode)
     _print_stages(cert.stages, cert.verdict, cert.rate)
-    if args.out:
-        out = _outdir(args)
-        cert.dump(out / "certificate.json")
-        _write_manifest(out, args)
-        print(f"wrote {out / 'certificate.json'}")
+    _write(args, "certificate.json", cert.dumps())
     return 0 if cert.verdict else 2
 
 
 def _read_certificate(path: str) -> dict:
-    """The JSON object in the file at path; ConfigurationError, naming the
-    problem, when the file cannot be read or holds no JSON object."""
+    """The JSON object in the file at path, or a ConfigurationError naming why not."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -80,12 +82,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     params = ModelParams(c=args.c, x_max=args.xmax, epsilon=args.eps)
     rows, text = emit_curves(params, args.density)
-    if args.out:
-        out = _outdir(args)
-        (out / "curves.csv").write_text(text)
-        _write_manifest(out, args)
-        print(f"wrote {out / 'curves.csv'} ({len(rows)} samples per locus)")
-    else:
+    _write(args, "curves.csv", text, f" ({len(rows)} samples per locus)")
+    if not args.out:
         sys.stdout.write(text)
     return 0
 
@@ -102,11 +100,7 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
         print(f"pps subreport at n={sub['n']}: {sub['satisfiable_with_pps']}/"
               f"{sub['satisfiable']} satisfiable formulas have a locally maximal "
               f"solution; ok: {sub['ok']}")
-    if args.out:
-        out = _outdir(args)
-        (out / "empirical.csv").write_text(empirical_csv(report))
-        _write_manifest(out, args)
-        print(f"wrote {out / 'empirical.csv'}")
+    _write(args, "empirical.csv", empirical_csv(report))
     ok = report["ok"] and report.get("pps_subreport", {}).get("ok", True)
     return 0 if ok else 2
 
@@ -115,41 +109,37 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     result = counting_oracle(args.n, args.c)
     print(f"{result['formulas']} formulas, {result['pairs']} locally-maximal pairs, "
           f"{result['signatures']} signatures, {result['violations']} bound violations")
-    if args.out:
-        out = _outdir(args)
-        (out / "oracle.csv").write_text(oracle_csv(result))
-        _write_manifest(out, args)
-        print(f"wrote {out / 'oracle.csv'}")
+    _write(args, "oracle.csv", oracle_csv(result))
     return 0 if result["ok"] else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    model = _Parser(add_help=False)
+    model.add_argument("--c", type=float, default=CERTIFICATION_C)
+    model.add_argument("--xmax", type=int, default=CERTIFICATION_X_MAX)
+    model.add_argument("--eps", type=float, default=CERTIFICATION_EPS)
+    out = _Parser(add_help=False)
+    out.add_argument("--out", type=str, default="")
+    parser = _Parser(
         prog="typsat",
         description=f"Certified first-moment bound {CERTIFICATION_C} for random 3-SAT.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("certify", help="run the full certification pipeline")
-    p.add_argument("--c", type=float, default=CERTIFICATION_C)
-    p.add_argument("--xmax", type=int, default=CERTIFICATION_X_MAX)
-    p.add_argument("--eps", type=float, default=CERTIFICATION_EPS)
+    p = sub.add_parser("certify", parents=[model, out], help="run the full certification pipeline")
     p.add_argument("--mode", choices=("float", "interval"), default="float")
-    p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("check", help="recompute a certificate's stages from its stored trace")
     p.add_argument("certificate", type=str)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("curves", help="sample the eq1=0 and eq2=0 loci to CSV")
-    p.add_argument("--c", type=float, default=CERTIFICATION_C)
-    p.add_argument("--xmax", type=int, default=CERTIFICATION_X_MAX)
-    p.add_argument("--eps", type=float, default=CERTIFICATION_EPS)
+    p = sub.add_parser("curves", parents=[model, out],
+                       help="sample the eq1=0 and eq2=0 loci to CSV")
     p.add_argument("--density", type=int, default=60)
-    p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_curves)
 
-    p = sub.add_parser("empirical", help="occurrence-distribution measurement report")
+    p = sub.add_parser("empirical", parents=[out],
+                       help="occurrence-distribution measurement report")
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--c", type=float, default=CERTIFICATION_C)
     p.add_argument("--formulas", type=int, default=50)
@@ -158,20 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pps-n", type=int, default=12)
     p.add_argument("--pps-formulas", type=int, default=0,
                    help="when > 0, add an exhaustive locally-maximal subreport")
-    p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_empirical)
 
-    p = sub.add_parser("oracle", help="exhaustive tiny-instance counting comparison")
+    p = sub.add_parser("oracle", parents=[out], help="exhaustive tiny-instance counting comparison")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_oracle)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigurationError, GuardError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -117,12 +117,9 @@ def big_d(x_max: int) -> int:
 
 
 def big_n(x_max: int) -> int:
-    """Number of unknowns mu_(x,p,j) with 0 <= 2p <= x <= x_max, 0 <= j <= x."""
-    num = (x_max + 2) * (4 * x_max * x_max + 13 * x_max + 12)
-    frac = Fraction(num, 24)
-    if frac.denominator != 1:
-        raise ConfigurationError(f"N({x_max}) is not an integer")
-    return int(frac)
+    """Number of unknowns mu_(x,p,j) with 0 <= 2p <= x <= x_max, 0 <= j <= x;
+    24 divides the product for every even x_max, the only kind check_x_max admits."""
+    return (x_max + 2) * (4 * x_max * x_max + 13 * x_max + 12) // 24
 
 
 def p2(xi: int) -> float:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import ledger
 from .distribution import check_x_max
@@ -56,7 +57,6 @@ class ModelParams:
     c: float
     x_max: int = CERTIFICATION_X_MAX
     epsilon: float = CERTIFICATION_EPS
-    a_priori: FeasibleBox = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         # numpy scalars are stored as the Python numbers they equal, so that
@@ -72,10 +72,9 @@ class ModelParams:
         if not (0.0 <= self.epsilon <= 1e-6):  # NaN fails too
             raise ConfigurationError(f"epsilon out of range [0, 1e-6]: {self.epsilon}")
         check_x_max(self.x_max, self.lam)
-        if self.a_priori is None:
-            object.__setattr__(self, "a_priori", self._default_box())
 
-    def _default_box(self) -> FeasibleBox:
+    @cached_property
+    def a_priori(self) -> FeasibleBox:
         if self.c == CERTIFICATION_C:
             return CERTIFICATION_BOX
         return ledger.widen_intervals(GENERIC_GAMMA_PSI,

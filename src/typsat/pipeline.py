@@ -19,7 +19,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -80,9 +79,6 @@ class Certificate:
 
     def dumps(self) -> str:
         return json.dumps(self.as_dict(), indent=1)
-
-    def dump(self, path) -> None:
-        Path(path).write_text(self.dumps())
 
 
 def certify(c: float = CERTIFICATION_C, x_max: int = CERTIFICATION_X_MAX,

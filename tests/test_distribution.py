@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ def test_derived_constants(consts):
     assert 0.0 < consts.rho < 1e-14
     # oracle value from a 50-digit evaluation of the full double sum, frozen
     assert consts.K_tilde == pytest.approx(8.212023535312346, rel=1e-13)
+
+
+def test_big_n_is_exact_at_every_even_x_max():
+    # the closed form over 24 is an integer at every even x_max (the only kind
+    # check_x_max admits), so the floor division is exact; it counts the
+    # (x, p, j) with 0 <= 2p <= x <= x_max and 0 <= j <= x
+    for x_max in range(2, 2001, 2):
+        exact = Fraction((x_max + 2) * (4 * x_max**2 + 13 * x_max + 12), 24)
+        assert exact.denominator == 1 and dist.big_n(x_max) == exact, x_max
+    assert dist.big_n(56) == sum((x // 2 + 1) * (x + 1) for x in range(57))
 
 
 def test_rho_monotone_in_x_max():

@@ -284,19 +284,19 @@ def test_spiral_across_densities_with_the_certification_box(monkeypatch, c, belo
     # spiral's trace is the point-by-point spiral's (no cycle generated),
     # whose digest is frozen, and the rectangle rate stays on the side of 1
     # that the bisection spiral gave (now 1.000518, 0.999969, 0.990461)
-    params = ModelParams(c=c, a_priori=CERTIFICATION_BOX)
+    params = ModelParams(c=c)
     consts = dist.build_tables(params)
-    system = st.EqSystem.build(params, consts)
+    system = dataclasses.replace(st.EqSystem.build(params, consts), box=CERTIFICATION_BOX)
     widths = (0.05, 1e-4, WIDTH_TARGET)
-    batched = [rb.spiral_localize(system.eq1, system.eq2, params.a_priori, w) for w in widths]
+    batched = [rb.spiral_localize(system.eq1, system.eq2, CERTIFICATION_BOX, w) for w in widths]
     monkeypatch.setattr(rb, "_generated_cycles", lambda *args: 0)
     for width, trace in zip(widths, batched):
-        point_by_point = rb.spiral_localize(system.eq1, system.eq2, params.a_priori, width)
+        point_by_point = rb.spiral_localize(system.eq1, system.eq2, CERTIFICATION_BOX, width)
         assert sequences_sha256(point_by_point) == FROZEN_TRACES[c, width], width
         assert sequences_sha256(trace) == FROZEN_TRACES[c, width], width
     trace = batched[-1]
     assert not trace.diagnostic
-    assert rb.verify_exclusion(trace, system.eq1, system.eq2, params.a_priori).ok
+    assert rb.verify_exclusion(trace, system.eq1, system.eq2, CERTIFICATION_BOX).ok
     rate, _ = st.rate_bound_rectangle(*trace.rectangle, system, lg.build_budget(params, consts))
     assert (rate < 1.0) == below_one
 
