@@ -7,6 +7,8 @@ passes and the rate (prefactors and unbalancing factor included) stays below
 1 with the documented slack.  Interval mode runs the same stages with the
 ledger, the trace sign checks and the rate outward-rounded.  replay() runs
 the same checker on a certificate's stored trace, where certify() searches.
+A float certify's sign checks read the spiral's Eq1/Eq2 values at the same
+exact points; replay and interval mode evaluate every check afresh.
 
 The monotone decrease of the satisfiability probability in the density c is
 recorded as an external assumption: it transports the per-density verdict to
@@ -19,6 +21,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -85,13 +88,37 @@ def certify(c: float = CERTIFICATION_C, x_max: int = CERTIFICATION_X_MAX,
             eps: float = CERTIFICATION_EPS, mode: str = "float") -> Certificate:
     """Run the full pipeline, the spiral finding the trace; raises
     ConfigurationError for invalid parameters or mode."""
-    return _check(ModelParams(c=c, x_max=x_max, epsilon=eps), mode, lambda system:
-                  rb.spiral_localize(system.eq1, system.eq2, system.box, WIDTH_TARGET))
+    return _check(ModelParams(c=c, x_max=x_max, epsilon=eps), mode, lambda eq1, eq2, box:
+                  rb.spiral_localize(eq1, eq2, box, WIDTH_TARGET))
+
+
+def _memoized(fn, memo: dict, phi, beta1):
+    """A float system's fn(phi, beta1), read from and added to memo, which
+    maps each exact point (phi, beta1) to its value.  A single point is
+    looked up and a miss evaluated alone; 1-D arrays of points send their
+    misses to fn in one batch (a SingularPointError reaches the caller as
+    fn's own) and get one float array.  Batched and single-point values agree
+    bit for bit, so a read value is the one a fresh call returns.  Keys are
+    exact floats: only +0 and -0 are distinct and compare equal, and no point
+    of a feasibility box is 0."""
+    if not isinstance(phi, np.ndarray):
+        if (phi, beta1) not in memo:
+            memo[phi, beta1] = fn(phi, beta1)
+        return memo[phi, beta1]
+    points = list(zip(phi.tolist(), beta1.tolist()))
+    missing = [pt for pt in dict.fromkeys(points) if pt not in memo]
+    if missing:
+        memo.update(zip(missing, fn(*map(np.array, zip(*missing))).tolist()))
+    return np.array([memo[pt] for pt in points], dtype=np.float64)
 
 
 def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
     """The stages of certify and replay, each recorded in every call; the
-    spiral stage takes its ExclusionTrace from find_trace(the float EqSystem)."""
+    spiral stage takes its ExclusionTrace from find_trace(eq1, eq2, box) of
+    the float EqSystem, whose values are memoized for this call alone.  A
+    float check reads the claims through that memo; an interval check, on
+    its own system, and replay, whose find_trace evaluates nothing, evaluate
+    every claim afresh."""
     if mode not in ("float", "interval"):
         raise ConfigurationError(f"mode must be 'float' or 'interval', got {mode!r}")
     cert = Certificate(params=params.as_dict(), mode=mode)
@@ -114,6 +141,7 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
                f"x={worst}, bound {dist.ROW_TOL:g}, rho={consts.rho:.3e}")
 
     system = st.EqSystem.build(params, consts)  # the search and the monotone stage
+    search = [partial(_memoized, fn, {}) for fn in (system.eq1, system.eq2)]
     checking = consts if mode == "float" else dist.kappa_tilde_intervals(params)
     budget = lg.build_budget(params, checking)
     checker = system if mode == "float" else st.EqSystem.build(params, checking)
@@ -139,7 +167,7 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
 
     trace = None
     try:
-        trace = find_trace(system)
+        trace = find_trace(*search, system.box)
         cert.trace = trace.to_jsonable()
         rect = trace.rectangle
         tight = (rect[1] - rect[0] <= WIDTH_TARGET and rect[3] - rect[2] <= WIDTH_TARGET)
@@ -154,7 +182,8 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
         cert.stage("verify_exclusion", False, "no trace")
     else:
         try:
-            report = rb.verify_exclusion(trace, checker.eq1, checker.eq2, checker.box)
+            report = rb.verify_exclusion(trace, *(search if checker is system else
+                                                  (checker.eq1, checker.eq2)), checker.box)
         except TraceStructureError as exc:
             cert.stage("verify_exclusion", False, str(exc))
         else:
@@ -209,7 +238,7 @@ def replay(cert_data: dict) -> tuple[Certificate, list[str]]:
         params = ModelParams(c=p["c"], x_max=p["x_max"], epsilon=p["epsilon"])
     except KeyError as exc:
         raise ConfigurationError(f"certificate has no {exc.args[0]!r}") from None
-    rerun = _check(params, mode, lambda system: rb.ExclusionTrace.from_jsonable(stored_trace))
+    rerun = _check(params, mode, lambda *_: rb.ExclusionTrace.from_jsonable(stored_trace))
     fresh, stored = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
                      for d in (rerun.as_dict(), cert_data))
     return rerun, [k for k in {**fresh, **stored} if fresh.get(k) != stored.get(k)]
@@ -219,14 +248,12 @@ def _wrong_types(params, trace, rate) -> list[str]:
     """'field = value' for each field replay reads that holds the wrong JSON
     type: params or trace not an object, a params field or a witness value
     not a number, a rate without a decimal `v`.  A missing field is not named."""
-    def number(v):
-        return type(v) in (int, float)
     bad = ([f"params = {params!r}"] if not isinstance(params, dict) else
            [f"params.{k} = {params[k]!r}" for k in ("c", "x_max", "epsilon")
-            if k in params and not number(params[k])])
+            if k in params and type(params[k]) not in (int, float)])
     bad += ([f"trace = {trace!r}"] if not isinstance(trace, dict) else
-            [f"trace.{k} = {trace[k]!r}" for k in rb.SEQUENCES
-             if k in trace and not (isinstance(trace[k], list) and all(map(number, trace[k])))])
+            [f"trace.{k} = {trace[k]!r}" for k in rb.SEQUENCES if k in trace and not (
+                isinstance(trace[k], list) and all(type(v) in (int, float) for v in trace[k]))])
     try:
         if rate is not None:
             float(rate["v"])

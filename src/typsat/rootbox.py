@@ -6,11 +6,13 @@ the feasibility box: the "minus" arm walks phi up / beta1 down from the
 and Eq2 < 0 on the staggered (phi_i^-, b1_{i+1}^+) pairs, and the "plus"
 arm mirrors it from (phi_max, beta1_min).  Band exclusion then confines any
 common root to the rectangle spanned by the four final values.  The spiral
-construction is the search; `verify_exclusion` is the check: it
-re-evaluates every sign the sequences claim, with the required margin, and
-alone decides whether a trace holds.  The spiral's Newton root stays on
-the in-memory trace as a record of the search; a certificate does not
-store it, and the check never reads it.
+construction is the search; `verify_exclusion` is the check: it builds
+every sign the sequences claim and compares its value with the required
+margin, and alone decides whether a trace holds.  A float certify hands it
+the spiral's values at the same exact points (`pipeline._memoized`); a
+replay or an interval check evaluates every claim.  The spiral's Newton
+root stays on the in-memory trace as a record of the search; a certificate
+does not store it, and the check never reads it.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def values_where_defined(fn, phis: np.ndarray, betas: np.ndarray) -> tuple:
 
 
 def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> VerificationReport:
-    """Re-evaluate all four sign-check families with margin > DELTA_NUM.
+    """Check all four sign-check families with margin > DELTA_NUM.
 
     eq1f and eq2f take equal-shape arrays of phi and beta1 and return one
     float or enclosing Interval per point; each equation's checks are
@@ -379,11 +381,12 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
     from there.  Batched values equal single-point values bit for bit, so
     the trace is the one the point-by-point loop alone would make.
 
-    Points are accepted only at twice the verification margin, so
-    re-verification (float or outward-rounded) clears DELTA_NUM with room;
-    `verify_exclusion` alone decides whether the trace holds.  Pure function
-    of its arguments; stops at width_target (checked between cycles), when
-    neither arm can advance, or after SPIRAL_MAX_CYCLES cycles.
+    Points are accepted only at twice the verification margin, so the check
+    (on these float values in a float certify, on fresh float or
+    outward-rounded ones in a replay or in interval mode) clears DELTA_NUM
+    with room; `verify_exclusion` alone decides whether the trace holds.
+    Pure function of its arguments; stops at width_target (checked between
+    cycles), when neither arm can advance, or after SPIRAL_MAX_CYCLES cycles.
     """
     delta_build = 2.0 * DELTA_NUM
     pm, bp, pp, bm = [domain.phi_min], [domain.beta1_max], [domain.phi_max], [domain.beta1_min]

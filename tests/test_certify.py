@@ -296,20 +296,97 @@ def test_warm_certify_takes_no_integer_log(monkeypatch, mode):
     assert calls == Counter(build_tables=1, kappa_tilde_intervals=interval, rho_tail=1 + interval)
 
 
-def test_float_certify_evaluation_count(monkeypatch):
-    # single-point Eq1/Eq2 evaluations of one float certify: the spiral with
-    # its one Newton, whose root is also the reference root (the bisection
-    # spiral made 1,278); the two batched trace checks are not counted
-    single = Counter()
+def count_evaluations(monkeypatch) -> tuple[Counter, Counter]:
+    """Counters of the points reaching st.eq1/st.eq2 from here on, keyed by
+    (equation, system mode): single points, and the rows of batched calls
+    (an array of points, or an Interval of arrays)."""
+    single, rows = Counter(), Counter()
     for name in ("eq1", "eq2"):
         def counted(pt, system, _fn=getattr(st, name), _name=name):
-            if np.ndim(pt.phi) == 0:
-                single[_name] += 1
+            phi = getattr(pt.phi, "lo", pt.phi)
+            (rows if np.ndim(phi) else single)[_name, system.mode] += np.size(phi)
             return _fn(pt, system)
         monkeypatch.setattr(st, name, counted)
-    result = cf.certify(4.506, 56, 1e-15)
-    assert result.verdict
-    assert 0 < sum(single.values()) <= 350
+    return single, rows
+
+
+def test_float_certify_evaluation_count(monkeypatch):
+    # one float certify: 81 single points from the spiral (2 corner seeds, 32
+    # for its one Newton, 47 probes) and 2 from the rate's gradient over the
+    # rectangle, and one batch of 116 generated claims per equation.  The 254
+    # sign checks read the spiral's values at the same points and evaluate
+    # none; evaluated again, they took the rows to 244 and 242.  The
+    # bisection spiral made 1,278 single-point evaluations
+    single, rows = count_evaluations(monkeypatch)
+    assert cf.certify(4.506, 56, 1e-15).verdict
+    assert single == {("eq1", "float"): 50, ("eq2", "float"): 33}
+    assert rows == {("eq1", "float"): 116, ("eq2", "float"): 116}
+
+
+def test_float_replay_evaluates_every_sign_check(monkeypatch, cert):
+    # replay's trace comes from the certificate, so its memo starts empty and
+    # the 128 Eq1 and 126 Eq2 claims are evaluated afresh, with the same values
+    single, rows = count_evaluations(monkeypatch)
+    assert cf.replay(json.loads(cert.dumps()))[1] == []
+    assert single == {("eq1", "float"): 1, ("eq2", "float"): 1}
+    assert rows == {("eq1", "float"): 128, ("eq2", "float"): 126}
+
+
+def test_interval_checker_evaluates_every_sign_check(monkeypatch):
+    # the interval checker is another system, with no memo: it evaluates all
+    # 254 claims, next to the float spiral's own batch
+    single, rows = count_evaluations(monkeypatch)
+    assert cf.certify(4.506, 56, 1e-15, mode="interval").verdict
+    assert rows == {("eq1", "float"): 116, ("eq2", "float"): 116,
+                    ("eq1", "interval"): 128, ("eq2", "interval"): 126}
+    assert single == {("eq1", "float"): 49, ("eq2", "float"): 32,
+                      ("eq1", "interval"): 1, ("eq2", "interval"): 1}
+
+
+def test_float_checks_read_the_values_of_a_fresh_evaluation(monkeypatch, params):
+    # certify's float sign checks, read through the search's memo, see every
+    # claim's value bit for bit as a freshly built system computes it, so
+    # their report is the fresh one, min margin included
+    check = rb.verify_exclusion
+    runs = []
+
+    def recorded(trace, eq1f, eq2f, box):
+        values = {}
+
+        def kept(fn, name):
+            def at(phis, betas):
+                values[name] = fn(phis, betas)
+                return values[name]
+            return at
+        report = check(trace, kept(eq1f, "eq1"), kept(eq2f, "eq2"), box)
+        runs.append((trace, values, report))
+        return report
+
+    monkeypatch.setattr(rb, "verify_exclusion", recorded)
+    assert cf.certify(4.506, 56, 1e-15).verdict
+    fresh = st.EqSystem.build(params, dist.build_tables(params))
+    recorded(runs[0][0], fresh.eq1, fresh.eq2, fresh.box)
+    (_, memo_values, report), (_, fresh_values, fresh_report) = runs
+    assert [v.size for v in memo_values.values()] == [128, 126]
+    for name in ("eq1", "eq2"):
+        assert memo_values[name].tobytes() == fresh_values[name].tobytes()
+    assert report.ok and report.checks == fresh_report.checks == 254
+    assert report.failures == fresh_report.failures == []
+    assert report.min_margin == fresh_report.min_margin
+
+
+def test_no_value_outlives_one_certify(monkeypatch, system, box):
+    # a kernel patched between two certifies shows in the second, whose
+    # spiral finds no corner seed once Eq1 is negated, and in the session's
+    # own system; EqSystem has no field to keep values in
+    assert cf.certify(4.506, 56, 1e-15).verdict
+    monkeypatch.setattr(st, "eq1", lambda pt, system, _fn=st.eq1: -_fn(pt, system))
+    spiral = next(s for s in cf.certify(4.506, 56, 1e-15).stages if s["name"] == "spiral")
+    assert not spiral["ok"] and spiral["detail"].startswith("corner sign seeds absent")
+    assert system.eq1(box.phi_min, box.beta1_max) < 0
+    assert [f.name for f in dataclasses.fields(st.EqSystem)] == [
+        "mode", "box", "lam", "c", "K_tilde", "cells_eq1", "cells_eq2", "log_base",
+        "cut_eq1", "cut_eq2"]
 
 
 @pytest.fixture(scope="module")
