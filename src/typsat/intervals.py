@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import DomainError
 LIBM_ULPS = 4
 
 _ADD = np.add.reduce
+_MAX = np.maximum.reduce
 
 
 def _step(x, k: int):
@@ -36,7 +38,10 @@ def _step(x, k: int):
     magnitude, so a step toward +inf is +1 on the bit pattern of a positive
     value and -1 on that of a negative one.  A step that would cross 0 or go
     past an infinity lands on a NaN pattern; those entries, and NaN inputs,
-    go through ``nextafter`` itself.
+    go through ``nextafter`` itself.  Such a pattern may be a signaling NaN,
+    so they are found by np.maximum and its reduction, which propagate NaN and
+    raise no floating-point flag, and ``nextafter`` runs with its invalid and
+    overflow flags off: no entry, +-inf and NaN included, warns.
     """
     if isinstance(x, float) or np.ndim(x) == 0:
         v, toward = float(x), math.copysign(math.inf, k)
@@ -46,11 +51,11 @@ def _step(x, k: int):
     x = np.asarray(x, dtype=np.float64)
     bits = x.view(np.int64)
     y = (bits + (k - ((bits >> 63) & (2 * k)))).view(np.float64)
-    if math.isnan(_ADD(x - y, axis=None)):
-        edge, toward = x, math.copysign(math.inf, k)
-        for _ in range(abs(k)):
-            edge = np.nextafter(edge, toward)
-        y = np.where(np.isnan(x - y), edge, y)
+    if math.isnan(_MAX(np.maximum(x, y), axis=None, initial=-math.inf)):
+        # nextafter flags a signaling NaN as invalid and a step to +-inf as overflow
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = np.where(np.isnan(np.maximum(x, y)),
+                         reduce(np.nextafter, [math.copysign(math.inf, k)] * abs(k), x), y)
     return y
 
 

@@ -8,7 +8,9 @@ passes and the rate (prefactors and unbalancing factor included) stays below
 ledger, the trace sign checks and the rate outward-rounded.  replay() runs
 the same checker on a certificate's stored trace, where certify() searches.
 A float certify's sign checks read the spiral's Eq1/Eq2 values at the same
-exact points; replay and interval mode evaluate every check afresh.
+exact points; a float replay evaluates every check afresh, and interval mode
+computes for each check only the end of its enclosure that the claimed sign
+reads, from one float corner sum.
 
 The monotone decrease of the satisfiability probability in the density c is
 recorded as an external assumption: it transports the per-density verdict to
@@ -92,15 +94,16 @@ def certify(c: float = CERTIFICATION_C, x_max: int = CERTIFICATION_X_MAX,
                   rb.spiral_localize(eq1, eq2, box, WIDTH_TARGET))
 
 
-def _memoized(fn, memo: dict, phi, beta1):
+def _memoized(fn, memo: dict, phi, beta1, sign=None):
     """A float system's fn(phi, beta1), read from and added to memo, which
-    maps each exact point (phi, beta1) to its value.  A single point is
-    looked up and a miss evaluated alone; 1-D arrays of points send their
-    misses to fn in one batch (a SingularPointError reaches the caller as
-    fn's own) and get one float array.  Batched and single-point values agree
-    bit for bit, so a read value is the one a fresh call returns.  Keys are
-    exact floats: only +0 and -0 are distinct and compare equal, and no point
-    of a feasibility box is 0."""
+    maps each exact point (phi, beta1) to its value; a check's `sign`, which
+    a float system ignores, is not passed on.  A single point is looked up
+    and a miss evaluated alone; 1-D arrays of points send their misses to fn
+    in one batch (a SingularPointError reaches the caller as fn's own) and
+    get one float array.  Batched and single-point values agree bit for bit,
+    so a read value is the one a fresh call returns.  Keys are exact floats:
+    only +0 and -0 are distinct and compare equal, and no point of a
+    feasibility box is 0."""
     if not isinstance(phi, np.ndarray):
         if (phi, beta1) not in memo:
             memo[phi, beta1] = fn(phi, beta1)
@@ -115,10 +118,13 @@ def _memoized(fn, memo: dict, phi, beta1):
 def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
     """The stages of certify and replay, each recorded in every call; the
     spiral stage takes its ExclusionTrace from find_trace(eq1, eq2, box) of
-    the float EqSystem, whose values are memoized for this call alone.  A
-    float check reads the claims through that memo; an interval check, on
-    its own system, and replay, whose find_trace evaluates nothing, evaluate
-    every claim afresh."""
+    the float EqSystem.  In float mode, where the check runs on that system,
+    its values are memoized for this call alone and the check reads the
+    claims through the memo; a replay's find_trace evaluates nothing, so its
+    check evaluates every claim afresh.  In interval mode nothing reads the
+    search's values, so none are memoized, and the check, on its own
+    system, computes only the end of each claim's enclosure that its sign
+    reads (`stationarity.eq1`)."""
     if mode not in ("float", "interval"):
         raise ConfigurationError(f"mode must be 'float' or 'interval', got {mode!r}")
     cert = Certificate(params=params.as_dict(), mode=mode)
@@ -141,10 +147,12 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
                f"x={worst}, bound {dist.ROW_TOL:g}, rho={consts.rho:.3e}")
 
     system = st.EqSystem.build(params, consts)  # the search and the monotone stage
-    search = [partial(_memoized, fn, {}) for fn in (system.eq1, system.eq2)]
     checking = consts if mode == "float" else dist.kappa_tilde_intervals(params)
     budget = lg.build_budget(params, checking)
     checker = system if mode == "float" else st.EqSystem.build(params, checking)
+    # memoized only where the check reads the search's values
+    search = [partial(_memoized, fn, {}) if checker is system else fn
+              for fn in (system.eq1, system.eq2)]
     cert.ledger = budget.as_dict()
     cert.stage("ledger", upper(budget.prefactor) < lg.PREFACTOR_BOUND,
                f"prefactor={upper(budget.prefactor):.12g}, bound {lg.PREFACTOR_BOUND:g}")

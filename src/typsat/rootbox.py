@@ -10,7 +10,9 @@ construction is the search; `verify_exclusion` is the check: it builds
 every sign the sequences claim and compares its value with the required
 margin, and alone decides whether a trace holds.  A float certify hands it
 the spiral's values at the same exact points (`pipeline._memoized`); a
-replay or an interval check evaluates every claim.  The spiral's Newton
+replay evaluates every claim, and an interval check computes, for each
+claim, only the end of its enclosure that the claimed sign reads (one float
+corner sum, not two).  The spiral's Newton
 root stays on the in-memory trace as a record of the search; a certificate
 does not store it, and the check never reads it.
 """
@@ -103,21 +105,24 @@ def _sign_claims(trace: ExclusionTrace) -> list[tuple]:
             + [("eq2_plus", j, pp[j], bm[j + 1], +1) for j in range(len(pp) - 1)])
 
 
-def values_where_defined(fn, phis: np.ndarray, betas: np.ndarray) -> tuple:
-    """fn at each point of the equal-length arrays phis and betas: (values,
-    errors).  values is one batch, a float array or an Interval of arrays;
-    errors has one entry a point.  One batched call, or, if the batch has a
-    singular point, one scalar call a point, so that the point fails alone:
-    its value is NaN and its error the SingularPointError's message.  Every
-    other error is None."""
+def values_where_defined(fn, phis: np.ndarray, betas: np.ndarray, signs=None) -> tuple:
+    """fn(phi, beta1, sign) at each point of the equal-length arrays phis and
+    betas: (values, errors).  `signs`, one a point or None, are the signs
+    the caller's checks claim, so an interval fn computes only the end each
+    check reads (`stationarity.eq1`).  values is one batch, a float array or
+    an Interval of arrays; errors has one entry a point.  One batched call,
+    or, if the batch has a singular point, one scalar call a point with its
+    own sign, so that the point fails alone: its value is NaN and its error
+    the SingularPointError's message.  Every other error is None."""
     try:
-        return fn(phis, betas), [None] * len(phis)
+        return fn(phis, betas, signs), [None] * len(phis)
     except SingularPointError:
         pass
     values, errors = [], []
-    for phi, beta1 in zip(phis.tolist(), betas.tolist()):
+    for phi, beta1, sign in zip(phis.tolist(), betas.tolist(),
+                                [None] * len(phis) if signs is None else signs.tolist()):
         try:
-            values.append(fn(phi, beta1))
+            values.append(fn(phi, beta1, sign))
             errors.append(None)
         except SingularPointError as exc:
             values.append(math.nan)
@@ -131,10 +136,13 @@ def values_where_defined(fn, phis: np.ndarray, betas: np.ndarray) -> tuple:
 def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> VerificationReport:
     """Check all four sign-check families with margin > DELTA_NUM.
 
-    eq1f and eq2f take equal-shape arrays of phi and beta1 and return one
-    float or enclosing Interval per point; each equation's checks are
-    evaluated in one call.  A check passes when the lowest
-    value of sign * Eq exceeds DELTA_NUM.  Structural defects (anchoring,
+    eq1f and eq2f take equal-shape arrays of phi, beta1 and the claimed
+    signs and return one float or enclosing Interval per point; each
+    equation's checks are evaluated in one call (`values_where_defined`).
+    A check passes when the lowest value of sign * Eq exceeds DELTA_NUM; an
+    interval system computes only that end, so the `value` of an interval
+    failure record may have one trivial end (+-inf, or a bound from a cell
+    sum of 0).  Structural defects (anchoring,
     monotonicity, rectangle orientation) raise TraceStructureError; sign
     failures are reported, not raised.
     """
@@ -157,7 +165,7 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> 
     for fn, prefix in ((eq1f, "eq1"), (eq2f, "eq2")):
         order = [k for k, claim in enumerate(claims) if claim[0].startswith(prefix)]
         phis, betas, signs = (np.array([claims[k][col] for k in order]) for col in (2, 3, 4))
-        vals, errors = values_where_defined(fn, phis, betas)
+        vals, errors = values_where_defined(fn, phis, betas, signs)
         # sign * Eq for signs +-1 is an exact negation: an Interval's lower end
         # for +1 and minus its upper end for -1, one array op for all the checks
         lows = (np.where(signs > 0, vals.lo, -vals.hi) if isinstance(vals, Interval)
@@ -349,7 +357,7 @@ def _generated_cycles(eq1f, eq2f, root: NewtonRoot, arms, width_target: float,
     if cycles:
         f, b_new, f_new, sign = (np.array(col) for col in zip(*steps[:len(arms) * cycles]))
         for fn, phis, signs in ((eq2f, f, -sign), (eq1f, f_new, sign)):
-            vals, _ = values_where_defined(fn, phis, b_new)
+            vals, _ = values_where_defined(fn, phis, b_new, signs)
             # a singular point's value is NaN, which certifies no sign
             failed = ~(signs * vals > delta_build)
             if failed.any():
@@ -382,8 +390,9 @@ def spiral_localize(eq1f, eq2f, domain: FeasibleBox, width_target: float) -> Exc
     the trace is the one the point-by-point loop alone would make.
 
     Points are accepted only at twice the verification margin, so the check
-    (on these float values in a float certify, on fresh float or
-    outward-rounded ones in a replay or in interval mode) clears DELTA_NUM
+    (on these float values in a float certify, on fresh float values in a
+    replay, on the outward-rounded end each claim reads in interval mode)
+    clears DELTA_NUM
     with room; `verify_exclusion` alone decides whether the trace holds.
     Pure function of its arguments; stops at width_target (checked between
     cycles), when neither arm can advance, or after SPIRAL_MAX_CYCLES cycles.

@@ -24,8 +24,10 @@ on floats, within `intervals.sum_slack`).  The rate bounds run the same code
 on outward-rounded intervals.  In interval mode Eq1 and Eq2 keep the point
 quantities in interval arithmetic, but take their cell sums from two float
 evaluations at corners of the point's enclosure, widened by the rounding
-lemma of `_pad`.  Eq1 and Eq2 sum the cells `_cut` keeps; an enclosure adds
-the dropped cells' bound as a one-sided tail, a float sum adds no tail or pad.
+lemma of `_pad`; a sign check, which reads one end of the enclosure, gets
+only the corner that end needs.  Eq1 and Eq2 sum the cells `_cut` keeps; an
+enclosure adds the dropped cells' bound as a one-sided tail, a float sum
+adds no tail or pad.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ class EqSystem:
     interval from kappa_tilde_intervals, so the rectangle rate bound runs the
     same code outward-rounded, and eq1 and eq2 return enclosures: the point
     fields in interval arithmetic, the cell sums from the float kernel at two
-    corners (`_enclose`).  eq1 and eq2 sum the cells `_cut` keeps; the
+    corners (`_enclose`), or at the one corner a sign check reads when given
+    the check's `sign`.  eq1 and eq2 sum the cells `_cut` keeps; the
     monotone stage and log_g2 take the whole triangle.  Evaluation points are
     exact floats in both modes; eq1 and eq2 also take equal-shape arrays of
     them and return one value per point: the point fields are derived once
@@ -151,13 +154,15 @@ class EqSystem:
         return derive_point(phi, beta1)
 
     # the bodies call the module-level eq1/eq2, the one entry point per equation
-    def eq1(self, phi: float, beta1: float):
-        """Eq1 at (phi, beta1): a float, or an enclosing Interval."""
-        return eq1(self.point(phi, beta1), self)
+    def eq1(self, phi: float, beta1: float, sign=None):
+        """Eq1 at (phi, beta1): a float, or an enclosing Interval, of which
+        a `sign` check reads one end (see `eq1`)."""
+        return eq1(self.point(phi, beta1), self, sign)
 
-    def eq2(self, phi: float, beta1: float):
-        """Eq2 at (phi, beta1): a float, or an enclosing Interval."""
-        return eq2(self.point(phi, beta1), self)
+    def eq2(self, phi: float, beta1: float, sign=None):
+        """Eq2 at (phi, beta1): a float, or an enclosing Interval, of which
+        a `sign` check reads one end (see `eq2`)."""
+        return eq2(self.point(phi, beta1), self, sign)
 
 
 def _cut(cells: Cells) -> tuple[Cells, float]:
@@ -291,9 +296,25 @@ def _pad(row_sum, n: int, count):
     return 1.125 * (gamma * row_sum + n * _TINY)
 
 
-def _enclose(terms, cells: Cells, count, low: tuple, high: tuple, tail) -> Interval:
-    """Enclosure of an equation's cell sums at Interval inputs, from two float
-    evaluations of `terms`.
+def _corner(terms, cells: Cells, inputs: tuple, count, end: int, rows=None):
+    """One end of `_enclose`'s sums, the lower for end -1 and the upper for
+    +1, one value a point: the float sum of `terms` at the corner `inputs`,
+    with the weights' matching end, widened by its `_pad` and stepped one
+    ulp outward.  Given a mask `rows` over the points, only the points it
+    selects are summed, and the others get the trivial end of a sum of
+    positive terms: 0 below, +inf above."""
+    if rows is None:
+        s = _row_sums(terms, cells._replace(weight=getattr(cells.weight, "hi" if end > 0 else "lo",
+                                                           cells.weight)), *inputs)
+        return (next_up if end > 0 else next_down)(s + end * _pad(s, cells.w.size, count))
+    out = np.full(np.shape(rows), np.inf if end > 0 else 0.0)
+    out[rows] = _corner(terms, cells, tuple(np.asarray(z)[rows] for z in inputs), count[rows], end)
+    return out
+
+
+def _enclose(terms, cells: Cells, count, low: tuple, high: tuple, tail, side=None) -> Interval:
+    """Enclosure of an equation's cell sums at Interval inputs, from float
+    evaluations of `terms` at two corners.
 
     Each term is positive and monotone in each input, and the caller names
     the corners: `low`, the input ends where every term is least, and
@@ -301,63 +322,73 @@ def _enclose(terms, cells: Cells, count, low: tuple, high: tuple, tail) -> Inter
     the exact sums at `low` with the weights' lower ends and at `high` with
     their upper ends; a float weight (a float system over a box) is its own
     two ends.  Each corner's float sum is widened by its `_pad` and stepped
-    one ulp outward; the upper end also takes `tail`, a bound on the terms
-    of the cells `_cut` dropped, each >= 0.
+    one ulp outward (`_corner`); the upper end also takes `tail`, a bound on
+    the terms of the cells `_cut` dropped, each >= 0.  `side`, one entry per
+    point, names the one end the caller reads: the upper for +1, the lower
+    for -1.  Each corner is summed only at the points that read it; the end
+    no one reads is 0 below or +inf above, so the result still encloses the
+    sums.  With side None both corners are summed at every point.
     """
-    w = cells.weight
-    lo, hi = (w.lo, w.hi) if isinstance(w, Interval) else (w, w)
-    at_lo, at_hi = cells._replace(weight=lo), cells._replace(weight=hi)
-    s_lo, s_hi = _row_sums(terms, at_lo, *low), _row_sums(terms, at_hi, *high)
-    n = cells.w.size
-    return Interval._ordered(next_down(s_lo - _pad(s_lo, n, count)),
-                             next_up(next_up(s_hi + _pad(s_hi, n, count)) + tail))
+    rows = (None, None) if side is None else (side < 0, side > 0)
+    return Interval._ordered(_corner(terms, cells, low, count, -1, rows[0]),
+                             next_up(_corner(terms, cells, high, count, +1, rows[1]) + tail))
 
 
-def _eq1_core(phi, log_uv, log_v, lam, k_tilde, cells: Cells, tail=0.0):
+def _eq1_core(phi, log_uv, log_v, lam, k_tilde, cells: Cells, tail=0.0, sign=None):
     """Eq1 = K_tilde - lam phi - sum; on Interval coordinates the cell sum is
     enclosed by `_enclose` (a term grows in log(U/V) and in log V) with the
-    `tail`, everything else stays in Interval arithmetic."""
+    `tail`, everything else stays in Interval arithmetic.  Eq1 falls as the
+    sum grows, so its lower end, which a `sign` of +1 reads, takes the sum's
+    upper end, and its upper end (sign -1) the sum's lower end."""
     if isinstance(log_uv, Interval):
         s = _enclose(_eq1_terms, cells, _term_count(log_uv, log_v, cells),
-                     (log_uv.lo, log_v.lo), (log_uv.hi, log_v.hi), tail)
+                     (log_uv.lo, log_v.lo), (log_uv.hi, log_v.hi), tail, sign)
     else:
         s = _row_sums(_eq1_terms, cells, log_uv, log_v)
     return k_tilde - lam * phi - s
 
 
-def eq1(pt: PhiBetaPoint, system: EqSystem):
+def eq1(pt: PhiBetaPoint, system: EqSystem, sign=None):
     """Residual of the first stationarity equation (diagonal terms vanish identically).
 
     At a point whose fields are arrays the residual is evaluated for every
     point, CHUNK_POINTS points at a time; the point fields and their logs are
-    computed once for all of them.
+    computed once for all of them.  `sign`, +1 or -1 a point (or None), is
+    the sign a check claims there: the check reads the lower end of
+    sign * Eq1, and an interval system computes only that end's float
+    corner.  The other end is then the trivial bound (from a cell sum of 0
+    or +inf), so the result still encloses Eq1; the end read is bit for bit
+    the two-sided one.  A float system ignores `sign`.
     """
-    return _eq1_core(pt.phi, *_logs(pt.U, pt.V), system.lam, system.K_tilde, *system.cut_eq1)
+    return _eq1_core(pt.phi, *_logs(pt.U, pt.V), system.lam, system.K_tilde, *system.cut_eq1,
+                     sign)
 
 
-def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, cells: Cells, tail):
+def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, cells: Cells, tail, sign=None):
     """Eq2 = -beta1 c + (1 - 1/V) (lam phi + sum), enclosed as in `_eq1_core`;
     a term grows in log(U/V) and falls in log V, so the lower corner takes
     log V's upper end and the upper corner its lower end.  A term is its weight
-    over e^pb (1 + e^-wa) - 1 > b, so the dropped cells' tail is F T, F = max(1, 1/b_lo)."""
+    over e^pb (1 + e^-wa) - 1 > b, so the dropped cells' tail is F T, F = max(1, 1/b_lo).
+    Both factors are positive, so Eq2 grows with the sum: a `sign` of +1
+    reads the sum's lower end and -1 its upper end."""
     if isinstance(log_uv, Interval):
         s = _enclose(_eq2_terms, cells, _term_count(log_uv, log_v, cells),
                      (log_uv.lo, log_v.hi), (log_uv.hi, log_v.lo),
-                     np.maximum(tail, (tail / log_v).hi))
+                     np.maximum(tail, (tail / log_v).hi), sign if sign is None else -sign)
     else:
         s = _row_sums(_eq2_terms, cells, log_uv, log_v)
     return -beta1 * c + (1.0 - 1.0 / V) * (lam * phi + s)
 
 
-def eq2(pt: PhiBetaPoint, system: EqSystem):
+def eq2(pt: PhiBetaPoint, system: EqSystem, sign=None):
     """Residual of the second stationarity equation, over the p >= 1 cells.
 
-    Arrays of points are evaluated as in `eq1`.
+    Arrays of points, and a `sign` a point, are taken as in `eq1`.
     """
     if lower(pt.V) <= 1.0:
         raise SingularPointError(f"eq2 needs V > 1, got V = {pt.V}")
     return _eq2_core(pt.phi, pt.beta1, pt.V, *_logs(pt.U, pt.V), system.lam, system.c,
-                     *system.cut_eq2)
+                     *system.cut_eq2, sign)
 
 
 # -- expectation rate -----------------------------------------------------------

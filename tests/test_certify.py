@@ -302,10 +302,10 @@ def count_evaluations(monkeypatch) -> tuple[Counter, Counter]:
     (an array of points, or an Interval of arrays)."""
     single, rows = Counter(), Counter()
     for name in ("eq1", "eq2"):
-        def counted(pt, system, _fn=getattr(st, name), _name=name):
+        def counted(pt, system, sign=None, _fn=getattr(st, name), _name=name):
             phi = getattr(pt.phi, "lo", pt.phi)
             (rows if np.ndim(phi) else single)[_name, system.mode] += np.size(phi)
-            return _fn(pt, system)
+            return _fn(pt, system, sign)
         monkeypatch.setattr(st, name, counted)
     return single, rows
 
@@ -343,6 +343,52 @@ def test_interval_checker_evaluates_every_sign_check(monkeypatch):
                       ("eq1", "interval"): 1, ("eq2", "interval"): 1}
 
 
+def test_interval_checks_sum_one_float_corner_a_claim(monkeypatch, params, consts_iv, trace,
+                                                     box):
+    # each of the 254 claims reads one end of its enclosure, so the interval
+    # checks send 254 rows to the float corner sums, where a two-sided
+    # enclosure of the same points sends 508; a float check sums each once
+    row_sums, rows = st._row_sums, Counter()
+
+    def counted(terms, cells, *points):
+        rows[terms.__name__] += np.size(points[0])
+        return row_sums(terms, cells, *points)
+
+    monkeypatch.setattr(st, "_row_sums", counted)
+    system_iv = st.EqSystem.build(params, consts_iv)
+    report = rb.verify_exclusion(trace, system_iv.eq1, system_iv.eq2, box)
+    assert report.ok and report.checks == 254
+    assert rows == {"_eq1_terms": 128, "_eq2_terms": 126}
+    rows.clear()
+    claims = rb._sign_claims(trace)
+    for name in ("eq1", "eq2"):
+        phis, betas = (np.array([c[col] for c in claims if c[0].startswith(name)])
+                       for col in (2, 3))
+        getattr(system_iv, name)(phis, betas)
+    assert rows == {"_eq1_terms": 256, "_eq2_terms": 252}
+    rows.clear()
+    system = st.EqSystem.build(params, dist.build_tables(params))
+    assert rb.verify_exclusion(trace, system.eq1, system.eq2, box).ok
+    assert rows == {"_eq1_terms": 128, "_eq2_terms": 126}
+
+
+def test_only_a_float_certify_memoizes_its_search(monkeypatch):
+    # the memo serves a check that reads the search's values: a float
+    # certify's checks read it in one batch per equation, after the spiral's
+    # generated claims, while an interval certify's search never records one
+    memoized, calls = cf._memoized, []
+
+    def counted(fn, memo, phi, beta1, sign=None):
+        calls.append(len(phi) if np.ndim(phi) else None)
+        return memoized(fn, memo, phi, beta1, sign)
+
+    monkeypatch.setattr(cf, "_memoized", counted)
+    assert cf.certify(4.506, 56, 1e-15, mode="interval").verdict
+    assert calls == []
+    assert cf.certify(4.506, 56, 1e-15).verdict
+    assert [n for n in calls if n is not None] == [116, 116, 128, 126]
+
+
 def test_float_checks_read_the_values_of_a_fresh_evaluation(monkeypatch, params):
     # certify's float sign checks, read through the search's memo, see every
     # claim's value bit for bit as a freshly built system computes it, so
@@ -354,7 +400,7 @@ def test_float_checks_read_the_values_of_a_fresh_evaluation(monkeypatch, params)
         values = {}
 
         def kept(fn, name):
-            def at(phis, betas):
+            def at(phis, betas, sign=None):
                 values[name] = fn(phis, betas)
                 return values[name]
             return at
@@ -380,7 +426,7 @@ def test_no_value_outlives_one_certify(monkeypatch, system, box):
     # spiral finds no corner seed once Eq1 is negated, and in the session's
     # own system; EqSystem has no field to keep values in
     assert cf.certify(4.506, 56, 1e-15).verdict
-    monkeypatch.setattr(st, "eq1", lambda pt, system, _fn=st.eq1: -_fn(pt, system))
+    monkeypatch.setattr(st, "eq1", lambda pt, system, sign=None, _fn=st.eq1: -_fn(pt, system))
     spiral = next(s for s in cf.certify(4.506, 56, 1e-15).stages if s["name"] == "spiral")
     assert not spiral["ok"] and spiral["detail"].startswith("corner sign seeds absent")
     assert system.eq1(box.phi_min, box.beta1_max) < 0
@@ -743,9 +789,9 @@ def test_interval_replay_evaluates_no_float_equation(monkeypatch, cert_iv):
     # an interval check evaluates Eq1 and Eq2 on the interval system only
     modes = Counter()
     for name in ("eq1", "eq2"):
-        def recorded(pt, system, _fn=getattr(st, name), _name=name):
+        def recorded(pt, system, sign=None, _fn=getattr(st, name), _name=name):
             modes[_name, system.mode] += 1
-            return _fn(pt, system)
+            return _fn(pt, system, sign)
         monkeypatch.setattr(st, name, recorded)
     assert cf.replay(json.loads(cert_iv.dumps()))[1] == []
     assert set(modes) == {("eq1", "interval"), ("eq2", "interval")}

@@ -71,8 +71,7 @@ def test_outward_step_matches_nextafter_bit_for_bit(k, rng):
     for x in (EDGE_VALUES, patterns.view(np.float64), subnormals.view(np.float64),
               -subnormals.view(np.float64)):
         for step, toward in ((next_down, -math.inf), (next_up, math.inf)):
-            with np.errstate(all="ignore"):
-                got = np.asarray(step(x, k))
+            got = np.asarray(step(x, k))
             assert np.array_equal(got.view(np.int64), _nextafter_k(x, k, toward).view(np.int64))
     for v in EDGE_VALUES:  # the 0-d path: Python floats, numpy scalars, 0-d arrays
         for step, toward in ((next_down, -math.inf), (next_up, math.inf)):

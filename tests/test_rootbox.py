@@ -21,11 +21,11 @@ UNIT_BOX = FeasibleBox(beta1_min=0.0, beta1_max=1.0, beta2_min=-100.0, beta2_max
 # linear system crossing at (0.5, 0.5) with the orientation the exclusion
 # corollary needs: eq1 positive at (phi_min, beta1_max), negative at
 # (phi_max, beta1_min); both decreasing where it matters
-def toy_eq1(phi, beta1):
+def toy_eq1(phi, beta1, sign=None):
     return -(phi - 0.5) - 0.25 * (beta1 - 0.5)
 
 
-def toy_eq2(phi, beta1):
+def toy_eq2(phi, beta1, sign=None):
     return -(beta1 - 0.5) - 0.25 * (phi - 0.5)
 
 
@@ -60,7 +60,7 @@ def nested_bisection_root(eq1f, eq2f, rectangle):
 
 
 def counted(fn, counter):
-    def wrapped(phi, beta1):
+    def wrapped(phi, beta1, sign=None):
         counter[0] += 1
         return fn(phi, beta1)
     return wrapped
@@ -69,7 +69,7 @@ def counted(fn, counter):
 def counted_by_shape(fn, name, calls):
     """fn, counting its single-point calls in calls["single"] and its
     batched calls in calls[name]."""
-    def wrapped(phi, beta1):
+    def wrapped(phi, beta1, sign=None):
         calls[name if np.ndim(phi) else "single"] += 1
         return fn(phi, beta1)
     return wrapped
@@ -116,7 +116,7 @@ def test_newton_root_agrees_with_nested_bisection(system, box, trace, root):
     assert abs(root["phi"] - phi) < 1e-12 and abs(root["beta1"] - b1) < 1e-12
 
 
-def _singular(phi, beta1):
+def _singular(phi, beta1, sign=None):
     raise SingularPointError("V <= 1")
 
 
@@ -187,7 +187,7 @@ def test_spiral_falls_back_to_bisection_on_a_missed_prediction(monkeypatch):
     pushes, linearised = _counting_pushes(monkeypatch)
     missed = []
 
-    def eq2_missing_once(phi, beta1):
+    def eq2_missing_once(phi, beta1, sign=None):
         if linearised and not missed:
             missed.append((phi, beta1))
             return 0.0
@@ -221,7 +221,7 @@ def test_spiral_resumes_point_by_point_after_a_failed_generated_claim(monkeypatc
     pushes, _ = _counting_pushes(monkeypatch)
     bad, batches = [], []
 
-    def eq2_failing_at_one_claim(phi, beta1):
+    def eq2_failing_at_one_claim(phi, beta1, sign=None):
         if np.ndim(phi):
             batches.append(len(phi))
             if not bad:
@@ -330,7 +330,7 @@ def test_wrong_inequality_direction_reports_index():
     # negative control: swap the equations so the first sign check fails
     trace = rb.ExclusionTrace(phi_minus=[0.0, 0.1], beta_plus=[1.0, 0.9],
                               phi_plus=[1.0], beta_minus=[0.0])
-    report = rb.verify_exclusion(trace, lambda f, b: -toy_eq1(f, b), toy_eq2, UNIT_BOX)
+    report = rb.verify_exclusion(trace, lambda f, b, sign=None: -toy_eq1(f, b), toy_eq2, UNIT_BOX)
     assert not report.ok
     assert report.failures[0]["family"] == "eq1_minus"
     assert report.failures[0]["index"] == 0
@@ -465,7 +465,7 @@ def test_one_call_per_equation(system_any, trace, box):
     calls = []
 
     def recorded(fn):
-        def wrapped(phi, beta1):
+        def wrapped(phi, beta1, sign=None):
             calls.append(np.shape(phi))
             return fn(phi, beta1)
         return wrapped
@@ -526,13 +526,29 @@ def test_one_singular_point_fails_alone_in_a_batch(system_any, trace):
         assert np.delete(got, at).tolist() == want.tolist()
 
 
+def test_the_one_point_fallback_passes_each_point_its_own_sign():
+    # a singular batch is evaluated one point at a time, each with its sign
+    seen = []
+
+    def eq(phi, beta1, sign=None):
+        if np.ndim(phi):
+            raise SingularPointError("somewhere in the batch")
+        seen.append(sign)
+        return toy_eq1(phi, beta1)
+
+    signs = np.array([1, -1, -1, 1])
+    vals, errors = rb.values_where_defined(eq, np.full(4, 0.3), np.linspace(0.1, 0.4, 4), signs)
+    assert seen == [1, -1, -1, 1] and errors == [None] * 4
+    assert vals.tolist() == [toy_eq1(0.3, b) for b in np.linspace(0.1, 0.4, 4).tolist()]
+
+
 def test_enclosures_across_zero_certify_no_sign(params, consts_iv, trace, box):
     # sign * Eq's lower end is the lower end for +1 and minus the upper end
     # for -1: an enclosure reaching across 0 certifies neither sign
     system_iv = st.EqSystem.build(params, consts_iv)
 
     def widened(fn):
-        def wrapped(phi, beta1):
+        def wrapped(phi, beta1, sign=None):
             val = fn(phi, beta1)
             return Interval(val.lo - 1.0, val.hi + 1.0)
         return wrapped

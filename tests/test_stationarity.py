@@ -308,6 +308,62 @@ CORNERS = {"eq1": (("lo", "lo"), ("hi", "hi")), "eq2": (("lo", "hi"), ("hi", "lo
 
 
 @pytest.fixture(scope="module")
+def signed_points(box, checks):
+    """Each equation's (phis, betas, signs): its trace checks, then 300
+    random feasible points with random signs."""
+    gen = np.random.default_rng(4506)
+    phis = gen.uniform(box.phi_min, box.phi_max, 2000)
+    betas = gen.uniform(box.beta1_min, box.beta1_max, 2000)
+    feasible = [k for k in range(2000) if box.contains(phis[k], betas[k])][:300]
+    assert len(feasible) == 300
+    signs = gen.choice([-1, 1], 300)
+    return {eq: tuple(np.concatenate([a, b[feasible] if b is not signs else signs])
+                      for a, b in zip(checks[eq], (phis, betas, signs)))
+            for eq in ("eq1", "eq2")}
+
+
+def test_a_sign_check_computes_only_the_end_it_reads(system_iv, signed_points):
+    # a sign of +1 reads the lower end of Eq, -1 the upper end: that end is
+    # the two-sided one bit for bit, batched or at a single point, and the
+    # other end only widens the enclosure.  Eq1 falls and Eq2 grows with the
+    # cell sum, so the unread end is infinite where the sum's unread end is
+    # +inf (Eq1's lower end, Eq2's upper end) and finite where it is 0
+    for eq, fn in (("eq1", system_iv.eq1), ("eq2", system_iv.eq2)):
+        phis, betas, signs = signed_points[eq]
+        both, one = fn(phis, betas), fn(phis, betas, signs)
+        read = signs > 0
+        assert one.lo[read].tobytes() == both.lo[read].tobytes()
+        assert one.hi[~read].tobytes() == both.hi[~read].tobytes()
+        assert np.all(one.lo <= both.lo) and np.all(both.hi <= one.hi)
+        unread = np.where(read, one.hi, one.lo)
+        infinite = ~read if eq == "eq1" else read
+        assert np.all(np.isinf(unread[infinite])) and np.all(np.isfinite(unread[~infinite]))
+        for k in (0, len(signs) // 2, len(signs) - 1):
+            single = fn(phis[k], betas[k], int(signs[k]))
+            assert (single.lo if read[k] else single.hi) == (one.lo if read[k] else one.hi)[k]
+
+
+def test_an_unread_cell_sum_end_is_the_trivial_bound(system_iv, signed_points):
+    # `_enclose` sums each corner only at the points whose side reads it: the
+    # end read is the two-sided one bit for bit, the other is 0 below or
+    # +inf above, the bounds of a sum of positive terms
+    for eq, terms, (cells, tail) in (("eq1", st._eq1_terms, system_iv.cut_eq1),
+                                     ("eq2", st._eq2_terms, system_iv.cut_eq2)):
+        phis, betas, signs = signed_points[eq]
+        pt = system_iv.point(phis, betas)
+        log_uv, log_v = st._logs(pt.U, pt.V)
+        count = st._term_count(log_uv, log_v, cells)
+        low, high = ((getattr(log_uv, a), getattr(log_v, b)) for a, b in CORNERS[eq])
+        both = st._enclose(terms, cells, count, low, high, tail)
+        one = st._enclose(terms, cells, count, low, high, tail, signs)
+        up = signs > 0
+        assert one.hi[up].tobytes() == both.hi[up].tobytes()
+        assert one.lo[~up].tobytes() == both.lo[~up].tobytes()
+        assert np.all(one.lo[up] == 0.0) and np.all(one.hi[~up] == np.inf)
+        assert np.all(0.0 < both.lo) and np.all(both.hi < np.inf)
+
+
+@pytest.fixture(scope="module")
 def corner_rounding(system, system_iv, checks):
     """At the first, worst-margin and last check of each equation and at both
     corners: (eq, float terms, 50-digit terms, K, float sum, pad)."""
