@@ -107,7 +107,9 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     result = counting_oracle(args.n, args.c)
+    untypable = result["untypable_pairs"]
     print(f"{result['formulas']} formulas, {result['pairs']} locally-maximal pairs, "
+          f"{untypable} untypable ({untypable / result['pairs']:.1%}), "
           f"{result['signatures']} signatures, {result['violations']} bound violations")
     _write(args, "oracle.csv", oracle_csv(result))
     return 0 if result["ok"] else 2

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -394,39 +393,42 @@ ORACLE_WORK_MAX = 1 << 20
 def _pair_bound(sig: tuple, n: int, m: int) -> int:
     """Exact integer upper bound on the number of (formula, solution) pairs
     sharing one signature: cell-type placement x variable typing x per-group
-    cell fillings (all sigma/tau terms vanish below the occurrence cap)."""
+    cell fillings (all sigma/tau terms vanish below the occurrence cap); each
+    multinomial floors once, as dividing factor by factor would."""
     (k1, k2, k3), theta_items, mu_items = sig
     fact = math.factorial
-    a_n = fact(m) // (fact(k1) * fact(k2) * fact(k3)) * 3 ** (k1 + k2)
-    b_n = fact(n)
-    for _, cnt in mu_items:
-        b_n //= fact(cnt)
     true_cells = k1 + 2 * k2 + 3 * k3
-    false_cells = 3 * m - true_cells
-    unique_cells = sum(abs(p - j) * cnt for (x, p, j), cnt in mu_items)
+    unique_cells, d_n, d1, d2, d3 = 0, 1, 1, 1, 1
+    for (x, p, j), cnt in mu_items:
+        inner1, inner2, inner3 = (p - j, j, x - p) if j < p else (j - p, x - j, p)
+        unique_cells += inner1 * cnt
+        d_n *= fact(cnt)
+        d1 *= fact(inner1) ** cnt
+        d2 *= fact(inner2) ** cnt
+        d3 *= fact(inner3) ** cnt
     if unique_cells != k1:
         raise AssertionError("unique-satisfier cells must match type-1 clause count")
-    m1 = fact(k1)
-    m2 = fact(true_cells - k1)
-    m3 = fact(false_cells)
-    for (x, p, j), cnt in mu_items:
-        if j < p:
-            inner1, inner2, inner3 = p - j, j, x - p
-        else:
-            inner1, inner2, inner3 = j - p, x - j, p
-        m1 //= fact(inner1) ** cnt
-        m2 //= fact(inner2) ** cnt
-        m3 //= fact(inner3) ** cnt
-    return a_n * b_n * m1 * m2 * m3
+    a_n = fact(m) // (fact(k1) * fact(k2) * fact(k3)) * 3 ** (k1 + k2)
+    return (a_n * (fact(n) // d_n) * (fact(k1) // d1) * (fact(true_cells - k1) // d2)
+            * (fact(3 * m - true_cells) // d3))
 
 
-def _signature(row, n: int, base: int) -> tuple:
-    """The (gamma, theta, mu) tuple of one census row: gamma, then the n
-    sorted (x, p) codes, then the n sorted (x, p, j) codes, in base `base`."""
-    row = row.tolist()  # Python ints, so that repr(signature) is stable
-    theta = Counter(divmod(code, base) for code in row[3:3 + n])
-    mu = Counter((*divmod(code // base, base), code % base) for code in row[3 + n:])
-    return tuple(row[:3]), tuple(sorted(theta.items())), tuple(sorted(mu.items()))
+def _runs(block: np.ndarray, decode) -> tuple[list, list]:
+    """The multiset of each sorted row of `block` as its (decode(code), count)
+    items, a tuple and its repr: a run starts at each row's first entry and at
+    each entry unlike the one before it; each distinct code is decoded once."""
+    starts = np.ones(block.shape, dtype=bool)
+    starts[:, 1:] = block[:, 1:] != block[:, :-1]
+    flat = np.flatnonzero(starts)
+    codes, counts = block.ravel()[flat].tolist(), np.diff(flat, append=block.size).tolist()
+    value = {code: decode(code) for code in set(codes)}
+    prefix = {code: f"({v!r}, " for code, v in value.items()}
+    items = [(value[code], k) for code, k in zip(codes, counts)]
+    text = [f"{prefix[code]}{k})" for code, k in zip(codes, counts)]
+    ends = np.cumsum(starts.sum(axis=1)).tolist()
+    spans = [slice(a, b) for a, b in zip([0, *ends], ends)]
+    return ([tuple(items[s]) for s in spans],
+            [f"({', '.join(text[s])}{',' * (s.stop - s.start == 1)})" for s in spans])
 
 
 def _orderings(rows: np.ndarray) -> np.ndarray:
@@ -496,17 +498,19 @@ def counting_oracle(n: int, c: float) -> dict:
     The type encodes the value through the sign of p - j, so a variable at 1
     with j = p (its flip blocked only by clauses holding several of its own
     occurrences) reads as value 0: such pairs are outside the constructive
-    counting scheme and are censused separately as untypable.
+    counting scheme and are censused separately as untypable.  Each distinct
+    signature is one int64 key; its theta and mu items are the run lengths of
+    its sorted digit columns (_runs), and the records follow the tuples' order.
 
     GuardError, raised before anything is allocated, refuses a grid of more
     than ORACLE_WORK_MAX = 2^20 (representative, assignment) cells, and any
     instance whose signature key radix or pair count bound (2n)^(3m) 2^n
     reaches 2^63.  (3, 1.0), 30,856 representatives of 6^9 formulas, takes
-    0.10-0.12 s and peaks at 13 MB (tracemalloc); the largest grid admitted,
-    (2, 3.0) with 177,100 x 4 cells, takes 0.40-0.49 s and 54 MB (2-core
-    x86-64 VM, Python 3.11, numpy 2.4).  The truth-table kernel is 2 and
-    17 ms of these.  (4, 1.0) exceeds the work bound and
-    (5, 0.4) the key radix.  Before them, n or m below 1 is a ConfigurationError.
+    0.10-0.11 s and peaks at 12 MB (tracemalloc); the largest grid admitted,
+    (2, 3.0) with 177,100 x 4 cells, takes 0.40-0.44 s and 51 MB (2-core
+    x86-64 VM, Python 3.11, numpy 2.4).  The truth-table kernel is 2 and 17 ms
+    of these.  (4, 1.0) exceeds the work bound and (5, 0.4) the key radix.
+    Before them, n or m below 1 is a ConfigurationError.
     """
     m = clause_count(n, c)
     _refuse_below(1, {"n": n, f"m = round(c n) at c = {c}": m})
@@ -534,19 +538,23 @@ def counting_oracle(n: int, c: float) -> dict:
     keys, group = np.unique(np.ravel_multi_index(digits, radix)[typable], return_inverse=True)
     counts = np.zeros(len(keys), dtype=np.int64)
     np.add.at(counts, group, weights[formula_idx][typable])
-    rows = np.stack(np.unravel_index(keys, radix), axis=-1)
-    groups = {_signature(row, n, base): int(cnt) for row, cnt in zip(rows, counts)}
+    columns = np.unravel_index(keys, radix)
+    gammas = np.stack(columns[:3], axis=-1).tolist()
+    thetas, theta_text = _runs(np.stack(columns[3:3 + n], axis=-1), lambda code: divmod(code, base))
+    mus, mu_text = _runs(np.stack(columns[3 + n:], axis=-1),
+                         lambda code: (*divmod(code // base, base), code % base))
+    sigs = [(tuple(g), t, u) for g, t, u in zip(gammas, thetas, mus)]
     pps_by_assignment = weights @ truth_tables(all_lits, n)[1]
     identity = bool(np.array_equal(pps_by_formula, pps_by_assignment))
     pairs = int(pps_by_formula.sum())
     untypable = pairs - int(counts.sum())
-    records = []
-    violations = 0
-    for sig, count in sorted(groups.items()):
-        bound = _pair_bound(sig, n, m)
+    records, violations = [], 0
+    for i in sorted(range(len(sigs)), key=sigs.__getitem__):
+        count, bound = int(counts[i]), _pair_bound(sigs[i], n, m)
         ok = count <= bound
         violations += not ok
-        records.append({"signature": repr(sig), "count": count, "bound": bound, "ok": ok})
+        records.append({"signature": f"({sigs[i][0]!r}, {theta_text[i]}, {mu_text[i]})",
+                        "count": count, "bound": bound, "ok": ok})
     return {
         "n": n, "c": c, "m": m,
         "formulas": int(weights.sum()),
@@ -555,7 +563,7 @@ def counting_oracle(n: int, c: float) -> dict:
         "untypable_pairs": untypable,
         "pairs_by_assignment": int(pps_by_assignment.sum()),
         "double_count_identity": identity,
-        "signatures": len(groups),
+        "signatures": len(sigs),
         "violations": violations,
         "ok": violations == 0 and identity,
         "records": records,

@@ -1135,6 +1135,37 @@ def test_counting_oracle_past_the_unreduced_guard(n, c, counts):
     assert oracle_csv_sha256(res) == REDUCED_CSV_SHA256[(n, c)]
 
 
+# sha256 of oracle_csv at two far edges of the admitted instances, as the
+# per-row Counter signatures wrote it: (1, 20.0), m = 20, whose bounds reach
+# 60!, and (2, 3.0), the largest grid the work bound admits
+EDGE_CSV_SHA256 = {
+    (1, 20.0): "4667f4402ef6367ec7fd1514385deb26f00c6b5fc5e92d6d5564e47d57a05a33",
+    (2, 3.0): "7c8885e5e1b575f232a17a7ac0caa6fec4473112fbe40c9e6c39bce02b0208f8",
+}
+
+
+@pytest.mark.parametrize("n, c, m, signatures", [(1, 20.0, 20, 421), (2, 3.0, 6, 6_151)])
+def test_counting_oracle_at_the_guards_far_edges(n, c, m, signatures):
+    res = cf.counting_oracle(n, c)
+    assert (res["m"], res["signatures"], res["violations"]) == (m, signatures, 0)
+    assert res["double_count_identity"] and res["ok"]
+    assert oracle_csv_sha256(res) == EDGE_CSV_SHA256[(n, c)]
+
+
+@pytest.mark.parametrize("n, c", [(2, 1.0), (1, 20.0)])
+def test_oracle_records_are_in_signature_order(n, c):
+    # at (2, 1.0) the order of the integer keys is not the order of the
+    # signature tuples, so the records have to be sorted by the tuples
+    res = cf.counting_oracle(n, c)
+    sigs = [ast.literal_eval(r["signature"]) for r in res["records"]]
+    assert sigs == sorted(sigs) and len(set(sigs)) == len(sigs) == res["signatures"]
+    for _, theta, mu in sigs:
+        for items in (theta, mu):
+            codes, counts = zip(*items)
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+            assert min(counts) > 0 and sum(counts) == n
+
+
 #: Every (n, m) with n <= 4 that the guard admits; one more clause is refused
 #: (test_counting_oracle_guard_edge).
 ADMITTED = [(1, m) for m in range(21)] + [(2, m) for m in range(7)] + [
@@ -1381,6 +1412,13 @@ def test_cli_oracle(tmp_path):
     code = main(["oracle", "--n", "2", "--c", "0.5", "--out", str(tmp_path / "run")])
     assert code == 0
     assert (tmp_path / "run" / "oracle.csv").exists()
+
+
+def test_cli_oracle_reports_the_untypable_pairs(capsys):
+    from typsat.cli import main
+    assert main(["oracle"]) == 0  # (2, 0.5)
+    assert capsys.readouterr().out == ("64 formulas, 70 locally-maximal pairs, 8 untypable "
+                                       "(11.4%), 9 signatures, 0 bound violations\n")
 
 
 @pytest.mark.parametrize("argv, named", [
