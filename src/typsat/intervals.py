@@ -26,37 +26,25 @@ from .errors import DomainError
 LIBM_ULPS = 4
 
 _ADD = np.add.reduce
-_MAX = np.maximum.reduce
 
 
 def _step(x, k: int):
-    """x moved |k| ulps toward +inf (k > 0) or -inf (k < 0), elementwise.
-
-    Bit-identical to |k| calls of ``np.nextafter``.  A 0-d input takes |k|
-    calls of ``math.nextafter``.  An array goes through its int64 view, about
-    half the cost of one ``nextafter``: the low 63 bits of a float64 are the
-    magnitude, so a step toward +inf is +1 on the bit pattern of a positive
-    value and -1 on that of a negative one.  A step that would cross 0 or go
-    past an infinity lands on a NaN pattern; those entries, and NaN inputs,
-    go through ``nextafter`` itself.  Such a pattern may be a signaling NaN,
-    so they are found by np.maximum and its reduction, which propagate NaN and
-    raise no floating-point flag, and ``nextafter`` runs with its invalid and
-    overflow flags off: no entry, +-inf and NaN included, warns.
-    """
+    """x moved |k| ulps toward +inf (k > 0) or -inf (k < 0), elementwise: |k|
+    calls of ``nextafter``.  A scalar takes ``math.nextafter`` and comes back
+    as an ``np.float64``; an array takes ``np.nextafter`` (`_nextafter`)."""
+    toward = [math.copysign(math.inf, k)] * abs(k)
     if isinstance(x, float) or np.ndim(x) == 0:
-        v, toward = float(x), math.copysign(math.inf, k)
-        for _ in range(abs(k)):
-            v = math.nextafter(v, toward)
-        return np.float64(v)
-    x = np.asarray(x, dtype=np.float64)
-    bits = x.view(np.int64)
-    y = (bits + (k - ((bits >> 63) & (2 * k)))).view(np.float64)
-    if math.isnan(_MAX(np.maximum(x, y), axis=None, initial=-math.inf)):
-        # nextafter flags a signaling NaN as invalid and a step to +-inf as overflow
-        with np.errstate(invalid="ignore", over="ignore"):
-            y = np.where(np.isnan(np.maximum(x, y)),
-                         reduce(np.nextafter, [math.copysign(math.inf, k)] * abs(k), x), y)
-    return y
+        return np.float64(reduce(math.nextafter, toward, float(x)))
+    return _nextafter(np.asarray(x, dtype=np.float64), toward)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _nextafter(x: np.ndarray, toward: list):
+    """np.nextafter(x, t) for each t of `toward` in turn.  It flags a signaling
+    NaN as invalid and a step to +-inf as overflow, so it runs with those
+    flags off: no entry, +-inf and NaN included, warns.  The decorator sets
+    them once a call, for less than a ``with`` block costs."""
+    return reduce(np.nextafter, toward, x)
 
 
 def next_down(x, k: int = 1):
@@ -69,14 +57,29 @@ def next_up(x, k: int = 1):
     return _step(x, k)
 
 
-def _nonneg(a) -> bool:
-    """Whether every entry of a is >= 0 (False if any is NaN)."""
-    return bool((a >= 0.0).all())
+def _endpoint(v):
+    """v as an endpoint: an np.float64 scalar, or a float64 array if v has a dimension."""
+    if isinstance(v, (float, int)) or np.ndim(v) == 0:
+        return np.float64(v)
+    return np.asarray(v, dtype=np.float64)
 
 
-def _positive(a) -> bool:
-    """Whether every entry of a is > 0 (False if any is NaN)."""
-    return bool((a > 0.0).all())
+def _all(mask) -> bool:
+    """Whether every entry of a comparison's result holds (a NaN compares False)."""
+    return bool(mask.all() if isinstance(mask, np.ndarray) else mask)
+
+
+def _any(mask) -> bool:
+    """Whether some entry of a comparison's result holds."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def _hull2(p, q):
+    """(min, max) of p and q, NaN at both ends where either is NaN, as
+    np.minimum and np.maximum give; two scalars skip those ufuncs."""
+    if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
+        return np.minimum(p, q), np.maximum(p, q)
+    return (p, q) if p <= q else (q, p) if q < p else (math.nan, math.nan)
 
 
 def _hull4(p1, p2, p3, p4):
@@ -87,21 +90,20 @@ def _hull4(p1, p2, p3, p4):
     Cloud 2009, sec. 2.3); `Interval.__mul__` and `__truediv__` take those
     paths first.
     """
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return lo, hi
+    (lo1, hi1), (lo2, hi2) = _hull2(p1, p2), _hull2(p3, p4)
+    return _hull2(lo1, lo2)[0], _hull2(hi1, hi2)[1]
 
 
 class Interval:
-    """Closed interval(s) [lo, hi]; endpoints are floats or float64 arrays."""
+    """Closed interval(s) [lo, hi]; endpoints are np.float64 scalars or float64 arrays."""
 
     __slots__ = ("lo", "hi")
     __array_ufunc__ = None  # keep numpy from elementwise-wrapping us
 
     def __init__(self, lo, hi=None):
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = lo if hi is None else np.asarray(hi, dtype=np.float64)
-        if np.any(lo > hi):
+        lo = _endpoint(lo)
+        hi = lo if hi is None else _endpoint(hi)
+        if _any(lo > hi):
             raise ValueError("interval endpoints out of order")
         self.lo = lo
         self.hi = hi
@@ -155,8 +157,8 @@ class Interval:
     def _coerce(other):
         if isinstance(other, Interval):
             return other.lo, other.hi
-        arr = np.asarray(other, dtype=np.float64)
-        return arr, arr
+        end = _endpoint(other)
+        return end, end
 
     def __add__(self, other):
         blo, bhi = self._coerce(other)
@@ -178,10 +180,8 @@ class Interval:
     def __mul__(self, other):
         blo, bhi = self._coerce(other)
         if blo is bhi:  # an exact operand: lo*blo == lo*bhi and hi*blo == hi*bhi
-            p1 = self.lo * blo
-            p3 = self.hi * blo
-            lo, hi = np.minimum(p1, p3), np.maximum(p1, p3)
-        elif _nonneg(self.lo) and _nonneg(blo):
+            lo, hi = _hull2(self.lo * blo, self.hi * blo)
+        elif _all(self.lo >= 0.0) and _all(blo >= 0.0):
             lo, hi = self.lo * blo, self.hi * bhi
         else:
             lo, hi = _hull4(self.lo * blo, self.lo * bhi, self.hi * blo, self.hi * bhi)
@@ -191,9 +191,9 @@ class Interval:
 
     def __truediv__(self, other):
         blo, bhi = self._coerce(other)
-        if _positive(blo) and _nonneg(self.lo):
+        if _all(blo > 0.0) and _all(self.lo >= 0.0):
             return Interval._ordered(next_down(self.lo / bhi), next_up(self.hi / blo))
-        if not np.all((blo > 0.0) | (bhi < 0.0)):
+        if _any((blo <= 0.0) & (0.0 <= bhi)):  # NaN entries go on to NaN ends
             raise ZeroDivisionError("interval division by a set containing 0")
         lo, hi = _hull4(self.lo / blo, self.lo / bhi, self.hi / blo, self.hi / bhi)
         return Interval._ordered(next_down(lo), next_up(hi))
@@ -209,7 +209,7 @@ class Interval:
                                  next_up(np.exp(self.hi), LIBM_ULPS))
 
     def log(self) -> "Interval":
-        if not np.all(self.lo > 0.0):
+        if _any(self.lo <= 0.0):  # NaN entries go on to NaN ends
             raise DomainError(f"log of an interval reaching down to {self.lower()}")
         return Interval._ordered(next_down(np.log(self.lo), LIBM_ULPS),
                                  next_up(np.log(self.hi), LIBM_ULPS))
@@ -218,9 +218,8 @@ class Interval:
 
     def sum(self, axis=None) -> "Interval":
         """Enclosure of the exact sum of all entries, or of each row along `axis`:
-        the float sums of the endpoints widened by their `sum_slack`."""
-        if self.lo.ndim == 0:
-            return self
+        the float sums of the endpoints widened by their `sum_slack` and one
+        ulp.  A scalar is one term and sums as a 1-entry array does."""
         lo = _ADD(self.lo, axis=axis) - sum_slack(self.lo, axis)
         hi = _ADD(self.hi, axis=axis) + sum_slack(self.hi, axis)
         return Interval._ordered(next_down(lo), next_up(hi))

@@ -292,7 +292,9 @@ def _pad(row_sum, n: int, count):
     wherever it is finite) or the inputs leave the lemma's range.
     """
     ku = (count + 2.0 * (n - 1)) * _U
-    gamma = np.where(ku < 2.0 ** -20, ku / (1.0 - ku), np.inf)
+    # the floor is never reached where gamma is used; it spares an infinite
+    # count the invalid inf / -inf
+    gamma = np.where(ku < 2.0 ** -20, ku / np.maximum(1.0 - ku, 0.5), np.inf)
     return 1.125 * (gamma * row_sum + n * _TINY)
 
 

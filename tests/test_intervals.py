@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from typsat import intervals as iv_mod
+from typsat import ledger as lg
 from typsat import stationarity as st
 from typsat.intervals import (LIBM_ULPS, Interval, log_of_int, next_down, next_up, sum_slack,
                               xexp, xlog, xsum)
@@ -45,6 +48,22 @@ def test_division_by_zero_crossing_interval():
         Interval([1.0, 1.0]) / Interval([1.0, -1.0], [2.0, 1.0])
     with pytest.raises(ZeroDivisionError):
         2.0 / Interval([1.0, 0.0], [2.0, 1.0])
+
+
+def test_nan_entries_reach_nan_ends_in_division_and_log():
+    # a NaN divisor or log argument holds no 0: its entry gets NaN ends, as a
+    # NaN product or sum does, and every other entry its own enclosure
+    nan = math.nan
+    q = Interval([1.0, 1.0]) / Interval([2.0, nan], [4.0, nan])
+    whole = Interval(1.0) / Interval(2.0, 4.0)
+    assert (q.lo[0], q.hi[0]) == (whole.lo, whole.hi)
+    assert np.isnan(q.lo[1]) and np.isnan(q.hi[1])
+    logs = Interval([2.0, nan]).log()
+    assert (logs.lo[0], logs.hi[0]) == (Interval(2.0).log().lo, Interval(2.0).log().hi)
+    assert np.isnan(logs.lo[1]) and np.isnan(logs.hi[1])
+    for iv in (Interval(1.0) / Interval(nan), 1.0 / Interval(nan), Interval(nan) / Interval(2.0),
+               Interval(nan).log(), Interval(-1.0, 1.0) / Interval(nan)):
+        assert np.isnan(iv.lo) and np.isnan(iv.hi)
 
 
 def test_division_by_entries_of_mixed_sign():
@@ -88,6 +107,15 @@ def _edge_intervals(keep=lambda lo: True):
     vals = EDGE_VALUES[~np.isnan(EDGE_VALUES)]
     pairs = [(a, b) for a in vals for b in vals if a <= b and keep(a)]
     return tuple(np.array(col) for col in zip(*pairs))
+
+
+def test_scalar_endpoints_are_float64_scalars(params, consts_iv):
+    budget = lg.build_budget(params, consts_iv)
+    ivs = [Interval(0.3), Interval(0.3, 0.4), Interval.from_decimal("4.506"), log_of_int(3, True),
+           *(getattr(budget, f.name) for f in dataclasses.fields(budget))]
+    for iv in ivs:
+        assert isinstance(iv, Interval)
+        assert type(iv.lo) is np.float64 and type(iv.hi) is np.float64  # not 0-d ndarrays
 
 
 def _four_products(op, alo, ahi, blo, bhi):
@@ -174,6 +202,40 @@ def test_mixed_sign_products_and_quotients_take_the_general_form(hull_calls, rng
         _assert_matches_general_form(a * b, np.multiply, a.lo, a.hi, b.lo, b.hi, least=400)
         _assert_matches_general_form(a / d, np.divide, a.lo, a.hi, d.lo, d.hi, least=400)
     assert hull_calls[0] == calls + 2
+
+
+def _same_ends(scalar, array):
+    """Whether a scalar Interval has the ends of a 1-entry array Interval, bit
+    for bit, where both ends are NaN when either form's is."""
+    for s, a in ((scalar.lo, array.lo), (scalar.hi, array.hi)):
+        a = np.ravel(a)  # the sum of a 1-entry array is a scalar
+        assert type(s) is np.float64 and a.shape == (1,)
+        if not (np.isnan(s) and np.isnan(a[0])) and s.view(np.int64) != a.view(np.int64)[0]:
+            return False
+    return True
+
+
+def test_scalar_and_one_entry_array_forms_agree_bit_for_bit():
+    edge = list(zip(*(end.tolist() for end in _edge_intervals())))
+    forms = [(Interval(a, b), Interval([a], [b]), not a <= 0.0 <= b) for a, b in edge]
+    unary = [Interval.__neg__, Interval.exp, Interval.sum]
+    binary = [operator.add, operator.sub, operator.mul]
+    # with an exact float operand v, the reversed forms included
+    exact = [operator.add, operator.sub, lambda x, v: v - x, operator.mul, lambda x, v: v * x]
+    checked = 0
+    with np.errstate(all="ignore"):
+        for scalar, array, no_zero in forms:
+            for op in unary + ([Interval.log] if scalar.lo > 0.0 else []):
+                assert _same_ends(op(scalar), op(array))
+            for v in EDGE_VALUES.tolist():  # NaN included
+                for op in (exact + ([operator.truediv] if v != 0.0 else [])
+                           + ([lambda x, v: v / x] if no_zero else [])):
+                    assert _same_ends(op(scalar, v), op(array, v))
+            for other_scalar, other_array, other_no_zero in forms:
+                for op in binary + ([operator.truediv] if other_no_zero else []):
+                    assert _same_ends(op(scalar, other_scalar), op(array, other_array))
+                checked += 1
+    assert checked == len(edge) ** 2
 
 
 def test_transcendentals_contain_mpmath_values(rng):

@@ -526,6 +526,24 @@ def test_one_singular_point_fails_alone_in_a_batch(system_any, trace):
         assert np.delete(got, at).tolist() == want.tolist()
 
 
+def test_a_nan_point_gives_nan_alone_in_a_batch(system_any, trace):
+    # a NaN coordinate is no singular point: in either mode its values are NaN,
+    # it has no error, and every other value equals the clean batch's
+    claims = [c for c in rb._sign_claims(trace) if c[0].startswith("eq1")]
+    phis, betas = (np.array([c[col] for c in claims]) for col in (2, 3))
+    clean = system_any.eq1(phis, betas)
+    at = len(phis) // 2
+    vals, errors = rb.values_where_defined(system_any.eq1, np.insert(phis, at, np.nan),
+                                           np.insert(betas, at, betas[at]))
+    assert errors == [None] * (len(phis) + 1)
+    single = system_any.eq1(np.nan, 0.45)
+    ends = ([(vals.lo, clean.lo, single.lo), (vals.hi, clean.hi, single.hi)]
+            if isinstance(clean, Interval) else [(vals, clean, single)])
+    for got, want, alone in ends:
+        assert np.isnan(got[at]) and np.isnan(alone)
+        assert np.delete(got, at).tolist() == want.tolist()
+
+
 def test_the_one_point_fallback_passes_each_point_its_own_sign():
     # a singular batch is evaluated one point at a time, each with its sign
     seen = []
