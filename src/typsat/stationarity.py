@@ -19,6 +19,11 @@ objective and its gradient) are test oracles in tests/oracles.py.
 Every triangle quantity is built from two cell exponentials, t1 = (U/V)^(x-2p)
 and t2 = V^-p: Eq1 and log g2 from the excess E = t1 (1 - t2) of
 `cell_excess`, Eq2 from E/(V^p - 1) = t1 t2 with 1 - 1/V outside its sum.
+At a single point each cell takes its own two exps.  A batch of points
+takes them once per exponent (w = x - 2p in 0..x_max, p in 1..x_max/2,
+against ~480 cells a row), over contiguous (points x exponents) tables
+gathered to the cells (`_powers`); every exp and product has the
+single-point operands, so a batch gives the single-point bits.
 Sums go through `intervals.xsum` (np.add.reduce, the reduction of np.sum,
 on floats, within `intervals.sum_slack`).  The rate bounds run the same code
 on outward-rounded intervals.  In interval mode Eq1 and Eq2 keep the point
@@ -44,12 +49,14 @@ from .intervals import (LIBM_ULPS, Interval, log_of_int, lower, next_down, next_
 from .ledger import ErrorBudget, FeasibleBox, point_fields
 
 #: Points per (points x cells) float evaluation when eq1/eq2 get arrays of
-#: points (in interval mode, per corner); bounds the working arrays.  On the
-#: trace of 128 Eq1 and 126 Eq2 checks, one batch raised certify's peak RSS
-#: from ~36.4 to ~40.6 MB and its time by ~20% in both modes, 32 points to
-#: ~37.3 MB, also slower; 16 points matched 8 on float and RSS and was ~6%
-#: faster on interval certify (perfbench/run.py, two 8 s runs a value).
-CHUNK_POINTS = 8
+#: points (in interval mode, per corner); bounds the working arrays.  With
+#: the exponent tables of `_powers`, certify's scaled op_s_p50 read 5.91 ms
+#: (float) and 10.74 ms (interval) at 16 points, 6.01 and 11.39 ms at 8
+#: (6.41 and 11.57 ms with one exp per cell at 8), and peak RSS ~37.0 MB at
+#: all three (perfbench/run.py, 8 s runs, seeds 1-3, medians).  Before the
+#: tables, one batch raised peak RSS from ~36.4 to ~40.6 MB and the time by
+#: ~20%, and 32 points gave ~37.3 MB, also slower.
+CHUNK_POINTS = 16
 
 
 # -- the (phi, beta1) point ----------------------------------------------------
@@ -116,7 +123,7 @@ class EqSystem:
     exact floats in both modes; eq1 and eq2 also take equal-shape arrays of
     them and return one value per point: the point fields are derived once
     for all the points, whose float cell terms are then formed CHUNK_POINTS
-    points at a time.
+    points at a time, from exponent tables (`_powers`).
     """
 
     mode: str
@@ -199,36 +206,51 @@ def _logs(U, V):
     return xlog(U) - log_v, log_v
 
 
-def _col(z):
-    """A batch of points with a trailing length-1 axis, so its points axis
-    broadcasts against the cell arrays; a single point stays a scalar."""
-    return z[..., None] if isinstance(z, np.ndarray) and z.ndim else z
+def _powers(cells: Cells, log_uv, log_v, levels=None):
+    """(t1, t2) = ((U/V)^w, V^-p) per cell, a row of cells per point.
+
+    Without `levels` (a single point, or Interval inputs) each cell takes its
+    own exp of w log(U/V) and of p (-log V).  A batch of rows passes
+    `levels`, for w and then p the float exponents 0..max and each cell's
+    index among them (`_row_sums`): each row's exps are taken once per
+    exponent, over a contiguous (rows x levels) table, and gathered to the
+    cells by one `take`.  Products and exps have the same operands either
+    way, so t1 and t2 are the same bits.
+    """
+    if levels is None:
+        return xexp(cells.w * log_uv), xexp(cells.p * -log_v)  # -(p log V) to the bit
+    return tuple(np.exp(np.multiply.outer(z, exps)).take(at, axis=1)
+                 for z, (exps, at) in zip((log_uv, -log_v), levels))
 
 
-def _eq1_terms(cells: Cells, log_uv, log_v):
-    """Eq1's cell terms weight E/(1 + E), a row of cells per point."""
-    E = cell_excess(_col(log_uv), _col(log_v), cells.w, cells.p)
+def _eq1_terms(cells: Cells, log_uv, log_v, levels=None):
+    """Eq1's cell terms weight E/(1 + E), E = t1 (1 - t2) as in `cell_excess`,
+    a row of cells per point; t1 and t2 from `_powers`."""
+    t1, t2 = _powers(cells, log_uv, log_v, levels)
+    E = t1 * (1.0 - t2)
     return cells.weight * E / (1.0 + E)
 
 
-def _eq2_terms(cells: Cells, log_uv, log_v):
-    """Eq2's cell terms over 1 - 1/V, weight t1 t2/(1 + t1 (1 - t2)) with
-    t1 = (U/V)^w and t2 = V^-p, a row of cells per point: E/(V^p - 1) is
-    t1 t2, since V^p - 1 = V^p (1 - t2)."""
-    t1 = xexp(cells.w * _col(log_uv))
-    t2 = xexp(cells.p * -_col(log_v))  # -(p log V) to the bit, as in cell_excess
+def _eq2_terms(cells: Cells, log_uv, log_v, levels=None):
+    """Eq2's cell terms over 1 - 1/V, weight t1 t2/(1 + t1 (1 - t2)), a row
+    of cells per point, t1 and t2 from `_powers`: E/(V^p - 1) is t1 t2,
+    since V^p - 1 = V^p (1 - t2)."""
+    t1, t2 = _powers(cells, log_uv, log_v, levels)
     return cells.weight * (t1 * t2) / (1.0 + t1 * (1.0 - t2))
 
 
 def _row_sums(terms, cells: Cells, *points):
-    """xsum of terms(cells, *points) along the cells, CHUNK_POINTS points a call
-    along the points' leading axis, the sums joined in order.  A single point,
-    or a batch no larger than one chunk, is one direct call."""
-    n = points[0].shape[0] if isinstance(points[0], np.ndarray) and points[0].ndim else 0
-    if n <= CHUNK_POINTS:
+    """xsum of terms(cells, *points) along the cells.  A single point is one
+    direct call.  A batch of points (1-D arrays) is summed CHUNK_POINTS
+    points a call along their axis, the sums joined in order, and an empty
+    batch is one empty call; the calls share the exponent levels and cell
+    indices `_powers` gathers with, formed once here."""
+    if np.ndim(points[0]) == 0:
         return xsum(terms(cells, *points), axis=-1)
-    return np.concatenate([xsum(terms(cells, *(z[s:s + CHUNK_POINTS] for z in points)), axis=-1)
-                           for s in range(0, n, CHUNK_POINTS)])
+    levels = tuple((np.arange(e.max() + 1.0), e.astype(np.intp)) for e in (cells.w, cells.p))
+    return np.concatenate([xsum(terms(cells, *(z[s:s + CHUNK_POINTS] for z in points), levels),
+                                axis=-1)
+                           for s in range(0, max(len(points[0]), 1), CHUNK_POINTS)])
 
 
 #: Unit roundoff of float64.

@@ -5,7 +5,8 @@ The forms the reduction starts from and the ones it eliminates live here:
 the stationary mu_(x,p,j) and alpha in closed form, the normalizing product
 g2, the entropy objective f1 with its gradient, Eq1 over other cell sets,
 the raw elimination output of Eq2, Eq1/Eq2 with every cell term in
-interval arithmetic, the constants kappa, rho and the base constant and the
+interval arithmetic, the direct single-point form of the batched cell
+kernel, the constants kappa, rho and the base constant and the
 ledger's slack factors at mpmath's working precision, and a finite-difference monotonicity grid over
 the feasibility box.  Each is checked against the product code
 by the tests that import it.
@@ -199,6 +200,43 @@ def interval_equations(system: st.EqSystem, phis: np.ndarray, betas: np.ndarray)
     s2 = xsum(st._eq2_terms(system.cells_eq2, log_uv, log_v), axis=-1)
     return (system.K_tilde - system.lam * pt.phi - s1,
             -pt.beta1 * system.c + (1.0 - 1.0 / pt.V) * (system.lam * pt.phi + s2))
+
+
+def lemma_rows(rng, cells: st.Cells, n: int):
+    """n random rows (a, b) = (log(U/V), log V) across the range of
+    `stationarity._pad`'s lemma for the cells: |w a| and p b at most 300,
+    b log-uniform from 2^-29.  Row n // 2 is NaN when n > 2."""
+    a = rng.uniform(-1.0, 1.0, n) * 300.0 / max(cells.w.max(), 1.0)
+    b = 2.0 ** rng.uniform(-29.0, math.log2(300.0 / cells.p.max()), n)
+    if n > 2:
+        a[n // 2] = b[n // 2] = math.nan
+    return a, b
+
+
+def batched_and_direct(terms, cells: st.Cells, a: np.ndarray, b: np.ndarray):
+    """The cell terms and row sums `stationarity._row_sums` forms over the
+    rows (a, b), and the same row by row in the direct single-point form,
+    one exp of w a and of p (-b) per cell: (batched terms, direct terms,
+    batched sums, direct sums), the terms as (rows x cells) arrays."""
+    chunks = []
+
+    def recorded(*args):
+        chunks.append(terms(*args))
+        return chunks[-1]
+
+    sums = st._row_sums(recorded, cells, a, b)
+    rows = [(terms(cells, x, y), st._row_sums(terms, cells, x, y)) for x, y in zip(a, b)]
+    direct = np.reshape([t for t, _ in rows], (len(rows), cells.w.size))
+    return np.concatenate(chunks), direct, sums, np.array([s for _, s in rows])
+
+
+def kernel_cases(system: st.EqSystem):
+    """(name, terms, cells) for both equations on the cells they sum (`_cut`)
+    and on their whole cell sets; Eq2's whole set holds the w = 0 diagonal."""
+    return [(f"{eq}_{part}", getattr(st, f"_{eq}_terms"), cells)
+            for eq in ("eq1", "eq2")
+            for part, cells in (("cut", getattr(system, f"cut_{eq}")[0]),
+                                ("whole", getattr(system, f"cells_{eq}")))]
 
 
 def mp_cell_terms(mp, eq: str, cells: st.Cells, a: float, b: float) -> list:

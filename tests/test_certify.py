@@ -5,6 +5,8 @@ import inspect
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -22,6 +24,8 @@ from typsat import rootbox as rb
 from typsat import stationarity as st
 from typsat.errors import ConfigurationError, DomainError, GuardError, SpiralSeedError
 from typsat.params import DELTA_NUM, ModelParams, clause_count
+
+from oracles import batched_and_direct, kernel_cases, lemma_rows
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +108,59 @@ CERTIFICATE_SHA256 = {
 def test_certificate_bytes_frozen(cert, cert_iv, mode):
     text = {"float": cert, "interval": cert_iv}[mode].dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[mode]
+
+
+#: numpy's x86-64-v3 kernels in place of its AVX-512 ones: the named dispatch
+#: targets are dropped when numpy is imported, in that process alone; names
+#: a CPU lacks are ignored.
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+
+
+def dispatch_report() -> None:
+    """Print one JSON line on what this process's numpy dispatch gives: the
+    float64 exp kernel it runs, whether the batched cell kernel is the direct
+    form bit for bit (`oracles.batched_and_direct`, batches of
+    CHUNK_POINTS + 1 and 128 rows), and a float certify's verdict, K, L,
+    sign checks and rate."""
+    params = ModelParams.certification()
+    system = st.EqSystem.build(params, dist.build_tables(params))
+    rng = np.random.default_rng(0)
+    same = []
+    for _, terms, cells in kernel_cases(system):
+        for n in (st.CHUNK_POINTS + 1, 128):
+            batched, direct, sums, direct_sums = batched_and_direct(terms, cells,
+                                                                    *lemma_rows(rng, cells, n))
+            same.append(np.array_equal(batched, direct, equal_nan=True)
+                        and np.array_equal(sums, direct_sums, equal_nan=True))
+    cert = cf.certify(4.506, 56, 1e-15, mode="float")
+    checks = next(s["detail"] for s in cert.stages if s["name"] == "verify_exclusion")
+    introspect = getattr(np.lib, "introspect", None)  # numpy >= 2.0
+    kernel = (next(iter(introspect.opt_func_info("^exp$", "float64")["exp"].values()))["current"]
+              if introspect else None)
+    print(json.dumps({"exp_kernel": kernel, "kernel_bits": all(same), "verdict": cert.verdict,
+                      "K": cert.trace["K"], "L": cert.trace["L"],
+                      "sign_checks": int(checks.split()[0]), "rate": cert.rate}))
+
+
+def test_another_dispatch_keeps_the_verdict_and_the_kernel_bits(cert):
+    # numpy picks its exp/log kernels from the CPU at import, and they differ
+    # in the last ulp; under the x86-64-v3 ones the batched cell kernel is
+    # still the direct form to the bit, and a float certify passes with the
+    # same K, L and sign checks and its rate within 1e-15 relative
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests)] + (
+        [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    child = "import test_certify; test_certify.dispatch_report()"
+    proc = subprocess.run([sys.executable, "-c", child],
+                          env={**os.environ, **NO_AVX512, "PYTHONPATH": os.pathsep.join(path)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["exp_kernel"] != "X86_V4"
+    assert report["kernel_bits"]
+    assert report["verdict"] and report["K"] == report["L"] == 63
+    assert report["sign_checks"] == 254
+    assert abs(report["rate"] - cert.rate) <= 1e-15 * cert.rate
 
 
 @pytest.mark.parametrize("mode", ["float", "interval"])

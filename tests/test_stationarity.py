@@ -13,10 +13,10 @@ from typsat.errors import DomainError, SingularPointError
 from typsat.intervals import Interval
 from typsat.params import ModelParams
 
-from oracles import (alpha_closed_form, beta1_of_mu, eq1_over, eq2_eqb1, g2, gradient_f1,
-                     h_weight, interval_equations, log_den, mp_cell_terms, mp_log_base,
-                     mu_closed_form, mu_index, mu_table, objective_f1, phi_of_mu,
-                     projected_gradient)
+from oracles import (alpha_closed_form, batched_and_direct, beta1_of_mu, eq1_over, eq2_eqb1, g2,
+                     gradient_f1, h_weight, interval_equations, kernel_cases, lemma_rows, log_den,
+                     mp_cell_terms, mp_log_base, mu_closed_form, mu_index, mu_table, objective_f1,
+                     phi_of_mu, projected_gradient)
 
 LAM = 3 * 4.506
 
@@ -266,6 +266,24 @@ def test_equations_at_no_points_return_empty(mode, params, consts, consts_iv):
         val = fn(np.array([]), np.array([]))
         ends = (val.lo, val.hi) if mode == "interval" else (val,)
         assert all(isinstance(e, np.ndarray) and e.shape == (0,) for e in ends)
+
+
+@pytest.mark.parametrize("n", [0, 1, st.CHUNK_POINTS - 1, st.CHUNK_POINTS, st.CHUNK_POINTS + 1,
+                               128])
+def test_batched_cell_terms_are_the_direct_form_bit_for_bit(system, n):
+    # a batch forms t1 and t2 from exponent tables gathered to the cells; its
+    # terms and row sums are those of one exp per cell, row by row, to the
+    # bit, in every chunk, a NaN row staying NaN and alone
+    rng = np.random.default_rng(n)
+    for name, terms, cells in kernel_cases(system):
+        a, b = lemma_rows(rng, cells, n)
+        batched, direct, sums, direct_sums = batched_and_direct(terms, cells, a, b)
+        assert batched.shape == direct.shape == (n, cells.w.size), name
+        assert np.array_equal(batched, direct, equal_nan=True), name
+        assert sums.shape == (n,) and np.array_equal(sums, direct_sums, equal_nan=True), name
+        nan_row = np.isnan(a)
+        assert np.all(np.isnan(sums[nan_row])) and np.all(np.isfinite(sums[~nan_row])), name
+    assert np.any(system.cells_eq2.w == 0)
 
 
 # -- interval mode: the cell sums from two float corners -----------------------------
