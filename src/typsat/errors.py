@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """An operation was called outside its mathematical domain."""
 
 
-class SingularPointError(DomainError):
-    """(phi, beta1) point where U or V is undefined (division by zero or V <= 1)."""
-
-
 class TraceStructureError(ValueError):
     """An exclusion trace violates anchoring or monotonicity (not a sign failure)."""
 

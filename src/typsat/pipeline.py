@@ -31,8 +31,8 @@ from . import ledger as lg
 from . import monotone as mo
 from . import rootbox as rb
 from . import stationarity as st
-from .errors import (ConfigurationError, DomainError, GuardError, SingularPointError,
-                     SpiralSeedError, TraceStructureError)
+from .errors import (ConfigurationError, DomainError, GuardError, SpiralSeedError,
+                     TraceStructureError)
 from .formulas import (clause_count, deviation_budget, generate, is_pps, literal_truth,
                        pps_bitmap, run_omega_campaign, solution_bitmap, truth_tables,
                        variable_type)
@@ -98,8 +98,8 @@ def _memoized(fn, memo: dict, phi, beta1, sign=None):
     maps each exact point (phi, beta1) to its value; a check's `sign`, which
     a float system ignores, is not passed on.  A single point is looked up
     and a miss evaluated alone; 1-D arrays of points send their misses to fn
-    in one batch (a SingularPointError reaches the caller as fn's own) and
-    get one float array.  Batched and single-point values agree bit for bit,
+    in one batch and get one float array, NaN at an undefined point as fn's
+    own.  Batched and single-point values agree bit for bit,
     so a read value is the one a fresh call returns.  Keys are exact floats:
     only +0 and -0 are distinct and compare equal, and no point of a
     feasibility box is 0."""
@@ -158,7 +158,7 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
 
     try:
         monotone_ok, mono_detail, cert.monotone = mo.verdict(system)
-    except DomainError as exc:  # a box outside the closed forms' domain, a singular point
+    except DomainError as exc:  # a box outside the closed forms' domain
         monotone_ok, mono_detail = False, str(exc)
     cert.stage("monotone", monotone_ok, mono_detail)
     cert.constants = {
@@ -181,7 +181,7 @@ def _check(params: ModelParams, mode: str, find_trace) -> Certificate:
         cert.stage("spiral", tight,
                    f"K={trace.K}, L={trace.L}, rectangle={rect}" +
                    (f"; {trace.diagnostic}" if trace.diagnostic else ""))
-    except (SpiralSeedError, SingularPointError, TraceStructureError) as exc:
+    except (SpiralSeedError, TraceStructureError) as exc:
         cert.stage("spiral", False, str(exc))
 
     report = rate = None
@@ -282,8 +282,8 @@ def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str
     """Sample the loci eq1 = 0 and eq2 = 0 as phi(beta1) by bisecting each column.
 
     All columns are bisected in lockstep, one batched equation call a step; a
-    column is NaN where an end of its phi range is singular or the equation
-    has the same sign at both ends.  A grid_density below 1 is a
+    column is NaN where the equation is undefined (NaN) at an end of its phi
+    range or has the same sign at both ends.  A grid_density below 1 is a
     ConfigurationError.
     """
     _refuse_below(1, {"grid_density": grid_density})
@@ -294,9 +294,10 @@ def emit_curves(params: ModelParams, grid_density: int) -> tuple[list[dict], str
     for name, fn in (("phi_eq1", system.eq1), ("phi_eq2", system.eq2)):
         lo = np.maximum(box.phi_min, (2.0 - b1s) / 3.0 + 1e-9)
         hi = np.full_like(b1s, box.phi_max)
-        flo, lo_errors = rb.values_where_defined(fn, lo, b1s)
-        fhi, hi_errors = rb.values_where_defined(fn, hi, b1s)
-        live = np.equal(lo_errors, None) & np.equal(hi_errors, None) & ~(flo * fhi > 0)
+        flo = fn(lo, b1s)
+        # a NaN end is no product <= 0.  At fixed beta1, Y and beta3 rise and beta2
+        # falls in phi, so between two defined ends no bisection point is undefined
+        live = flo * fn(hi, b1s) <= 0
         lo, hi, flo, b1 = lo[live], hi[live], flo[live], b1s[live]
         for _ in range(80):
             mid = 0.5 * (lo + hi)

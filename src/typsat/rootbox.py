@@ -12,9 +12,9 @@ margin, and alone decides whether a trace holds.  A float certify hands it
 the spiral's values at the same exact points (`pipeline._memoized`); a
 replay evaluates every claim, and an interval check computes, for each
 claim, only the end of its enclosure that the claimed sign reads (one float
-corner sum, not two).  The spiral's Newton
-root stays on the in-memory trace as a record of the search; a certificate
-does not store it, and the check never reads it.
+corner sum, not two).  An undefined point's value is NaN, which certifies
+no sign.  The spiral's Newton root stays on the in-memory trace as a record
+of the search; a certificate does not store it, and the check never reads it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularPointError, SpiralSeedError, TraceStructureError
+from .errors import SpiralSeedError, TraceStructureError
 from .intervals import Interval
 from .ledger import FeasibleBox
 from .params import DELTA_NUM
@@ -105,46 +105,18 @@ def _sign_claims(trace: ExclusionTrace) -> list[tuple]:
             + [("eq2_plus", j, pp[j], bm[j + 1], +1) for j in range(len(pp) - 1)])
 
 
-def values_where_defined(fn, phis: np.ndarray, betas: np.ndarray, signs=None) -> tuple:
-    """fn(phi, beta1, sign) at each point of the equal-length arrays phis and
-    betas: (values, errors).  `signs`, one a point or None, are the signs
-    the caller's checks claim, so an interval fn computes only the end each
-    check reads (`stationarity.eq1`).  values is one batch, a float array or
-    an Interval of arrays; errors has one entry a point.  One batched call,
-    or, if the batch has a singular point, one scalar call a point with its
-    own sign, so that the point fails alone: its value is NaN and its error
-    the SingularPointError's message.  Every other error is None."""
-    try:
-        return fn(phis, betas, signs), [None] * len(phis)
-    except SingularPointError:
-        pass
-    values, errors = [], []
-    for phi, beta1, sign in zip(phis.tolist(), betas.tolist(),
-                                [None] * len(phis) if signs is None else signs.tolist()):
-        try:
-            values.append(fn(phi, beta1, sign))
-            errors.append(None)
-        except SingularPointError as exc:
-            values.append(math.nan)
-            errors.append(str(exc))
-    if any(isinstance(v, Interval) for v in values):
-        return Interval(*(np.array([getattr(v, end, v) for v in values], dtype=np.float64)
-                          for end in ("lo", "hi"))), errors
-    return np.array(values, dtype=np.float64), errors
-
-
 def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> VerificationReport:
     """Check all four sign-check families with margin > DELTA_NUM.
 
     eq1f and eq2f take equal-shape arrays of phi, beta1 and the claimed
-    signs and return one float or enclosing Interval per point; each
-    equation's checks are evaluated in one call (`values_where_defined`).
-    A check passes when the lowest value of sign * Eq exceeds DELTA_NUM; an
-    interval system computes only that end, so the `value` of an interval
-    failure record may have one trivial end (+-inf, or a bound from a cell
-    sum of 0).  Structural defects (anchoring,
-    monotonicity, rectangle orientation) raise TraceStructureError; sign
-    failures are reported, not raised.
+    signs and return one float or enclosing Interval per point, NaN at an
+    undefined point; each equation's checks are evaluated in one call.
+    A check passes when the lowest value of sign * Eq exceeds DELTA_NUM (a
+    NaN does not); an interval system computes only that end, so the
+    `value` of an interval failure record may have one trivial end (+-inf,
+    or a bound from a cell sum of 0).  min_margin skips NaN.  Structural
+    defects (anchoring, monotonicity, rectangle orientation) raise
+    TraceStructureError; sign failures are reported, not raised.
     """
     pm, bp, pp, bm = trace.phi_minus, trace.beta_plus, trace.phi_plus, trace.beta_minus
     if len(pm) != len(bp) or len(pp) != len(bm):
@@ -160,39 +132,29 @@ def verify_exclusion(trace: ExclusionTrace, eq1f, eq2f, domain: FeasibleBox) -> 
         raise TraceStructureError("final rectangle is inverted")
 
     claims = _sign_claims(trace)
-    # claim index -> (lower end of sign * Eq, error, the equation's values, position in them)
-    results: dict[int, tuple] = {}
+    failures, lows = {}, []
     for fn, prefix in ((eq1f, "eq1"), (eq2f, "eq2")):
         order = [k for k, claim in enumerate(claims) if claim[0].startswith(prefix)]
         phis, betas, signs = (np.array([claims[k][col] for k in order]) for col in (2, 3, 4))
-        vals, errors = values_where_defined(fn, phis, betas, signs)
+        vals = fn(phis, betas, signs)
         # sign * Eq for signs +-1 is an exact negation: an Interval's lower end
         # for +1 and minus its upper end for -1, one array op for all the checks
-        lows = (np.where(signs > 0, vals.lo, -vals.hi) if isinstance(vals, Interval)
-                else signs * vals)
-        for j, (k, low, error) in enumerate(zip(order, lows.tolist(), errors)):
-            results[k] = (low, error, vals, j)
-
-    failures: list[dict] = []
-    for k, (family, i, phi, beta1, sign) in enumerate(claims):
-        low, error, vals, j = results[k]
-        if error is not None:
-            failures.append({"family": family, "index": i, "phi": phi, "beta1": beta1,
-                             "value": None, "error": error})
-        elif not low > DELTA_NUM:
-            failures.append({"family": family, "index": i, "phi": phi, "beta1": beta1,
-                             "value": vals[j], "needed_sign": sign, "margin": DELTA_NUM})
-    lows = [low for low, error, _, _ in results.values() if error is None]
-    return VerificationReport(ok=not failures, failures=failures, checks=len(claims),
-                              min_margin=min(lows, default=math.nan))
+        lows.append(np.where(signs > 0, vals.lo, -vals.hi) if isinstance(vals, Interval)
+                    else signs * vals)
+        # NaN, an undefined point's value, exceeds no margin
+        for j in np.flatnonzero(~(lows[-1] > DELTA_NUM)).tolist():
+            family, i, phi, beta1, sign = claims[order[j]]
+            failures[order[j]] = {"family": family, "index": i, "phi": phi, "beta1": beta1,
+                                  "value": vals[j], "needed_sign": sign, "margin": DELTA_NUM}
+    # fmin skips NaN, wherever it sits; the empty reduction is the initial NaN
+    min_margin = float(np.fmin.reduce(np.concatenate(lows), initial=math.nan))
+    return VerificationReport(ok=not failures, failures=[failures[k] for k in sorted(failures)],
+                              checks=len(claims), min_margin=min_margin)
 
 
 def _probe(fn, phi: float, beta1: float, sign: int, delta: float) -> bool:
-    """Whether sign * fn(phi, beta1) exceeds delta; False at a singular point."""
-    try:
-        return fn(phi, beta1) * sign > delta
-    except SingularPointError:
-        return False
+    """Whether sign * fn(phi, beta1) exceeds delta; False at a NaN value."""
+    return fn(phi, beta1) * sign > delta
 
 
 def _push(probe, good: float, bad: float, tol: float) -> float | None:
@@ -255,37 +217,41 @@ def solve_reference(eq1f, eq2f, rectangle: tuple[float, float, float, float]) ->
     `spiral_localize` runs it once, on its domain, and predicts its pushes
     from the root, which its trace keeps in memory; no check reads it.  Each step
     takes a forward-difference Jacobian with increments of NEWTON_INCREMENT,
-    until a step is within NEWTON_STEP_TOL in both coordinates.  A singular
-    iterate (an equation that cannot be evaluated, or a degenerate
-    Jacobian), one outside the rectangle widened by its own widths on each
-    side, or NEWTON_MAX_ITER steps without convergence end it with a reason.
+    until a step is within NEWTON_STEP_TOL in both coordinates.  An
+    undefined point (a NaN residual, at the start or at an iterate), a
+    degenerate Jacobian, an iterate outside the rectangle widened by its
+    own widths on each side, or NEWTON_MAX_ITER steps without convergence
+    end it with a reason.
     """
     phi_lo, phi_hi, b_lo, b_hi = rectangle
     w_f, w_b = phi_hi - phi_lo, b_hi - b_lo
     h = NEWTON_INCREMENT
     phi, b1 = 0.5 * (phi_lo + phi_hi), 0.5 * (b_lo + b_hi)
-    try:
+    jacobian = None
+    for steps in range(NEWTON_MAX_ITER + 1):
         r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
-        for _ in range(NEWTON_MAX_ITER):
-            d11 = (eq1f(phi + h, b1) - r1) / h
-            d21 = (eq2f(phi + h, b1) - r2) / h
-            d12 = (eq1f(phi, b1 + h) - r1) / h
-            d22 = (eq2f(phi, b1 + h) - r2) / h
-            det = d11 * d22 - d12 * d21
-            if not (det != 0.0 and math.isfinite(det)):
-                return NewtonRoot(phi, b1, reason=f"singular Jacobian at ({phi!r}, {b1!r}): "
-                                                  f"det={det!r}")
-            step_f = (d22 * r1 - d12 * r2) / det
-            step_b = (d11 * r2 - d21 * r1) / det
-            phi, b1 = phi - step_f, b1 - step_b
-            if not (phi_lo - w_f <= phi <= phi_hi + w_f and b_lo - w_b <= b1 <= b_hi + w_b):
-                return NewtonRoot(phi, b1, reason=f"Newton iterate ({phi!r}, {b1!r}) "
-                                                  "left the rectangle")
-            r1, r2 = eq1f(phi, b1), eq2f(phi, b1)
-            if max(abs(step_f), abs(step_b)) <= NEWTON_STEP_TOL:
-                return NewtonRoot(phi, b1, (r1, r2), (d11, d12, d21, d22))
-    except SingularPointError as exc:
-        return NewtonRoot(phi, b1, reason=f"singular point: {exc}")
+        if math.isnan(r1) or math.isnan(r2):
+            return NewtonRoot(phi, b1, reason=f"undefined point ({phi!r}, {b1!r}): "
+                                              f"Eq1={r1!r}, Eq2={r2!r}")
+        if jacobian is not None and max(abs(step_f), abs(step_b)) <= NEWTON_STEP_TOL:
+            return NewtonRoot(phi, b1, (r1, r2), jacobian)
+        if steps == NEWTON_MAX_ITER:
+            break
+        d11 = (eq1f(phi + h, b1) - r1) / h
+        d21 = (eq2f(phi + h, b1) - r2) / h
+        d12 = (eq1f(phi, b1 + h) - r1) / h
+        d22 = (eq2f(phi, b1 + h) - r2) / h
+        det = d11 * d22 - d12 * d21
+        if not (det != 0.0 and math.isfinite(det)):
+            return NewtonRoot(phi, b1, reason=f"singular Jacobian at ({phi!r}, {b1!r}): "
+                                              f"det={det!r}")
+        jacobian = (d11, d12, d21, d22)
+        step_f = (d22 * r1 - d12 * r2) / det
+        step_b = (d11 * r2 - d21 * r1) / det
+        phi, b1 = phi - step_f, b1 - step_b
+        if not (phi_lo - w_f <= phi <= phi_hi + w_f and b_lo - w_b <= b1 <= b_hi + w_b):
+            return NewtonRoot(phi, b1, reason=f"Newton iterate ({phi!r}, {b1!r}) "
+                                              "left the rectangle")
     return NewtonRoot(phi, b1, reason=f"no convergence in {NEWTON_MAX_ITER} Newton steps")
 
 
@@ -327,8 +293,8 @@ def _generated_cycles(eq1f, eq2f, root: NewtonRoot, arms, width_target: float,
     alone, with no evaluation, until the rectangle is within width_target (at
     a cycle boundary), after max_cycles, or up to the first first-probe point
     outside its gap.  Every generated claim is then checked at twice the
-    verification margin in one call per equation (`values_where_defined`, so
-    a singular point fails alone), and only the whole cycles before the first
+    verification margin in one call per equation (an undefined point is NaN
+    and fails alone), and only the whole cycles before the first
     claim that fails stay on the arms.  Since batched and single-point values
     agree bit for bit, the kept cycles are the ones the loop would have made.
     """
@@ -357,9 +323,8 @@ def _generated_cycles(eq1f, eq2f, root: NewtonRoot, arms, width_target: float,
     if cycles:
         f, b_new, f_new, sign = (np.array(col) for col in zip(*steps[:len(arms) * cycles]))
         for fn, phis, signs in ((eq2f, f, -sign), (eq1f, f_new, sign)):
-            vals, _ = values_where_defined(fn, phis, b_new, signs)
-            # a singular point's value is NaN, which certifies no sign
-            failed = ~(signs * vals > delta_build)
+            # an undefined point's value is NaN, which certifies no sign
+            failed = ~(signs * fn(phis, b_new, signs) > delta_build)
             if failed.any():
                 kept = min(kept, int(np.argmax(failed)) // len(arms))
     for seq, start in zip(seqs, starts):

@@ -12,7 +12,8 @@ Eq2(phi, b1) = 0 over the occurrence triangle.  This module evaluates those
 equations, the log of the normalizing product g2 and the per-variable
 expectation rate: one log-rate f, taken at a point and, over a rectangle, in
 its mean-value form around the centre, whose gradient is a combination of
-Eq1 and Eq2.
+Eq1 and Eq2.  Outside the feasibility polygon (Y, beta2, beta3 > 0) U and V,
+and so Eq1 and Eq2, are undefined: a NaN entry in every shape and mode.
 The mu-space forms the reduction starts from (closed-form mu and alpha, the
 objective and its gradient) are test oracles in tests/oracles.py.
 
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution import DerivedConstants
-from .errors import DomainError, SingularPointError
+from .errors import DomainError
 from .intervals import (LIBM_ULPS, Interval, log_of_int, lower, next_down, next_up,
                         slack_of_sum, upper, xexp, xlog, xsum)
 from .ledger import ErrorBudget, FeasibleBox, point_fields
@@ -84,17 +85,27 @@ class Cells(NamedTuple):
     weight: object      # like kt
 
 
+def _nan_unless_above(z, floor, *also):
+    """z, NaN (at both ends of an Interval) where the lower end of z or of a
+    field in `also` is not above `floor`; scalars stay np.float64 (`[()]`)."""
+    ok = np.logical_and.reduce([getattr(f, "lo", f) > floor for f in (z, *also)])
+    if isinstance(z, Interval):
+        return Interval._ordered(*(np.where(ok, end, np.nan)[()] for end in (z.lo, z.hi)))
+    return np.where(ok, z, np.nan)[()]
+
+
 def _uv(phi, beta2, beta3, Y):
-    if lower(Y) <= 0.0 or lower(beta2) <= 0.0 or lower(beta3) <= 0.0:
-        raise SingularPointError(
-            f"U/V undefined at phi={phi}: Y={lower(Y):.6g}, "
-            f"beta2={lower(beta2):.6g}, beta3={lower(beta3):.6g}")
+    """(U, V), NaN where Y, beta2 or beta3 reaches down to 0, outside the
+    feasibility polygon.  The mask is built only when the whole-batch gate
+    trips; NaN raises no flag, and Y is a factor of both denominators."""
+    if not (lower(Y) > 0.0 and lower(beta2) > 0.0 and lower(beta3) > 0.0):
+        Y = _nan_unless_above(Y, 0.0, beta2, beta3)
     return 9.0 * (1.0 - phi) * beta3 / (Y * beta2), 1.0 + beta2 * beta2 / (3.0 * Y * beta3)
 
 
 def derive_point(phi, beta1) -> PhiBetaPoint:
     """Compute all derived fields (outward-rounded for Interval coordinates);
-    raises SingularPointError where U/V is undefined."""
+    U and V are NaN at each point where they are undefined (`_uv`)."""
     beta2, beta3, Y = point_fields(phi, beta1)
     U, V = _uv(phi, beta2, beta3, Y)
     return PhiBetaPoint(phi, beta1, beta2, beta3, Y, U, V)
@@ -407,10 +418,11 @@ def _eq2_core(phi, beta1, V, log_uv, log_v, lam, c, cells: Cells, tail, sign=Non
 def eq2(pt: PhiBetaPoint, system: EqSystem, sign=None):
     """Residual of the second stationarity equation, over the p >= 1 cells.
 
-    Arrays of points, and a `sign` a point, are taken as in `eq1`.
+    Arrays of points, and a `sign` a point, are taken as in `eq1`; Eq2 is
+    NaN where U/V is undefined or V reaches down to 1.
     """
-    if lower(pt.V) <= 1.0:
-        raise SingularPointError(f"eq2 needs V > 1, got V = {pt.V}")
+    if not lower(pt.V) > 1.0:
+        pt = pt._replace(V=_nan_unless_above(pt.V, 1.0))
     return _eq2_core(pt.phi, pt.beta1, pt.V, *_logs(pt.U, pt.V), system.lam, system.c,
                      *system.cut_eq2, sign)
 

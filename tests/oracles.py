@@ -22,7 +22,7 @@ import numpy as np
 
 from typsat import distribution as dist
 from typsat import stationarity as st
-from typsat.errors import DomainError, SingularPointError
+from typsat.errors import DomainError
 from typsat.intervals import log_of_int, xexp, xlog, xsum
 from typsat.ledger import point_fields
 from typsat.params import DELTA_NUM
@@ -339,10 +339,7 @@ def monotone_grid_report(system: st.EqSystem, n: int = 40) -> dict:
         for j, b in enumerate(np.linspace(box.beta1_min, box.beta1_max, n)):
             if not box.contains(f, b):
                 continue
-            try:
-                pt = system.point(f, b)
-            except SingularPointError:
-                continue
+            pt = system.point(f, b)
             grid[:, i, j] = st.eq1(pt, system), st.eq2(pt, system), pt.U, pt.V
 
     report: dict = {"n": n, "feasible_points": int(np.count_nonzero(~np.isnan(grid[2])))}

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from typsat import distribution as dist
 from typsat import ledger as lg
 from typsat import rootbox as rb
 from typsat import stationarity as st
-from typsat.errors import SingularPointError, SpiralSeedError, TraceStructureError
+from typsat.errors import SpiralSeedError, TraceStructureError
 from typsat.intervals import Interval, lower, upper
 from typsat.ledger import FeasibleBox
 from typsat.params import CERTIFICATION_BOX, DELTA_NUM, WIDTH_TARGET, ModelParams
@@ -116,19 +117,28 @@ def test_newton_root_agrees_with_nested_bisection(system, box, trace, root):
     assert abs(root["phi"] - phi) < 1e-12 and abs(root["beta1"] - b1) < 1e-12
 
 
-def _singular(phi, beta1, sign=None):
-    raise SingularPointError("V <= 1")
+def _undefined(phi, beta1, sign=None):
+    return math.nan
+
+
+def _undefined_past_045(phi, beta1, sign=None):
+    # defined at the start (0.4, 0.4) and its Jacobian points, NaN at the
+    # first iterate, the root (0.5, 0.5)
+    return math.nan if phi > 0.45 else toy_eq2(phi, beta1)
 
 
 @pytest.mark.parametrize("eq1f, eq2f, rectangle, reason", [
     (toy_eq1, toy_eq2, (0.0, 0.1, 0.0, 0.1), "left the rectangle"),  # root (0.5, 0.5) outside
-    (toy_eq1, _singular, (0.4, 0.6, 0.4, 0.6), "singular point"),
+    (toy_eq1, _undefined, (0.4, 0.6, 0.4, 0.6), "undefined point (0.5, 0.5)"),
     (toy_eq1, toy_eq1, (0.4, 0.6, 0.4, 0.6), "singular Jacobian"),
+    (toy_eq1, _undefined_past_045, (0.3, 0.5, 0.3, 0.5), "undefined point"),
 ])
 def test_solve_reference_reports_failure(eq1f, eq2f, rectangle, reason):
     ref = rb.solve_reference(eq1f, eq2f, rectangle)
     assert ref.found is False
     assert reason in ref.reason
+    if eq2f is _undefined_past_045:  # the iterate is named, not the start
+        assert ref.phi > 0.45 and f"({ref.phi!r}, {ref.beta1!r})" in ref.reason
     assert ref.beta1_where_eq2(0.0, 0.5) is None and ref.phi_where_eq1(0.0, 0.5) is None
 
 
@@ -213,8 +223,8 @@ def test_spiral_predictions_miss_rarely_on_the_real_system(monkeypatch, system, 
 @pytest.mark.parametrize("singular", [False, True])
 def test_spiral_resumes_point_by_point_after_a_failed_generated_claim(monkeypatch, singular):
     # Eq2 fails at the fourth point of its first batch, the plus arm's claim
-    # in the second generated cycle: reading 0, or raising SingularPointError
-    # there, which makes the batch fall back to one call a point.  The spiral
+    # in the second generated cycle: reading 0, or NaN as at an undefined
+    # point, in the same batched call as every other claim.  The spiral
     # keeps the two cycles before that one, re-probes the point on its own,
     # bisects that push, and then generates the rest again.
     clean = rb.spiral_localize(toy_eq1, toy_eq2, UNIT_BOX, width_target=1e-6)
@@ -228,9 +238,7 @@ def test_spiral_resumes_point_by_point_after_a_failed_generated_claim(monkeypatc
                 bad.append((phi[3], beta1[3]))
         at_bad = bool(bad) and (np.equal(phi, bad[0][0]) & np.equal(beta1, bad[0][1]))
         if np.any(at_bad):
-            if singular:
-                raise SingularPointError("the failing claim")
-            return np.where(at_bad, 0.0, toy_eq2(phi, beta1))
+            return np.where(at_bad, math.nan if singular else 0.0, toy_eq2(phi, beta1))
         return toy_eq2(phi, beta1)
 
     trace = rb.spiral_localize(toy_eq1, eq2_failing_at_one_claim, UNIT_BOX, width_target=1e-6)
@@ -375,9 +383,8 @@ def test_sign_preservation_on_random_ordered_pairs(system, box, rng):
         fa, fb = sorted(rng.uniform(box.phi_min, box.phi_max, 2))
         ba, bb = sorted(rng.uniform(box.beta1_min, box.beta1_max, 2))
         low, high = (fa, ba), (fb, bb)
-        try:
-            e2_low, e2_high = eq2f(*low), eq2f(*high)
-        except SingularPointError:
+        e2_low, e2_high = eq2f(*low), eq2f(*high)
+        if math.isnan(e2_low) or math.isnan(e2_high):  # outside the feasibility polygon
             continue
         checked += 1
         if e2_high > 0:
@@ -399,9 +406,8 @@ def test_band_exclusion_margins(system, trace, rng):
         for _ in range(20):
             phi = rng.uniform(pm[0], trace.phi_plus[0])
             b1 = rng.uniform(bp[i + 1], bp[i])
-            try:
-                vals = (abs(eq1f(phi, b1)), abs(eq2f(phi, b1)))
-            except SingularPointError:
+            vals = (abs(eq1f(phi, b1)), abs(eq2f(phi, b1)))
+            if math.isnan(sum(vals)):  # outside the feasibility polygon
                 continue
             assert max(vals) > DELTA_NUM
 
@@ -423,7 +429,8 @@ def system_any(request, params, consts, consts_iv):
 
 def per_point_checks(trace, eq1f, eq2f):
     """The trace's sign checks one scalar evaluation at a time, as the
-    re-verification did before it was batched: (failures, smallest margin)."""
+    re-verification did before it was batched: ((family, index) of each
+    failure, smallest margin that is not NaN)."""
     pm, bp, pp, bm = trace.phi_minus, trace.beta_plus, trace.phi_plus, trace.beta_minus
     claims = ([("eq1_minus", i, pm[i], bp[i], +1) for i in range(len(pm))]
               + [("eq2_minus", i, pm[i], bp[i + 1], -1) for i in range(len(pm) - 1)]
@@ -432,19 +439,21 @@ def per_point_checks(trace, eq1f, eq2f):
     failures, lows = [], []
     for family, i, phi, beta1, sign in claims:
         fn = eq1f if family.startswith("eq1") else eq2f
-        try:
-            val = fn(phi, beta1)
-        except SingularPointError as exc:
-            failures.append((family, i, str(exc)))
-            continue
-        lows.append(lower(val) if sign > 0 else -upper(val))  # sign * val, exactly
-        if not lows[-1] > DELTA_NUM:
-            failures.append((family, i, None))
+        low = read_end(fn(phi, beta1), sign)
+        if not math.isnan(low):
+            lows.append(low)
+        if not low > DELTA_NUM:  # NaN at an undefined point
+            failures.append((family, i))
     return failures, min(lows)
 
 
+def read_end(val, sign):
+    """The end of a value that a check of `sign` reads: sign * val, exactly."""
+    return lower(val) if sign > 0 else -upper(val)
+
+
 def _as_tuples(failures):
-    return [(f["family"], f["index"], f.get("error")) for f in failures]
+    return [(f["family"], f["index"]) for f in failures]
 
 
 def test_batched_equations_match_per_point(system_any, trace):
@@ -476,6 +485,25 @@ def test_one_call_per_equation(system_any, trace, box):
     assert trace.K + trace.L > st.CHUNK_POINTS  # the equations evaluate several chunks
 
 
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+def test_min_margin_skips_a_nan_check_wherever_it_sits(at):
+    # Eq1 is NaN at its first, then its last claim: that check fails alone,
+    # and min_margin is the least margin of the others either way
+    trace = rb.spiral_localize(toy_eq1, toy_eq2, UNIT_BOX, width_target=1e-3)
+    claims = rb._sign_claims(trace)
+    family, index, phi_nan, beta_nan, _ = [c for c in claims if c[0].startswith("eq1")][at]
+
+    def eq1_nan_at_one_claim(phi, beta1, sign=None):
+        return np.where((phi == phi_nan) & (beta1 == beta_nan), np.nan, toy_eq1(phi, beta1))
+
+    report = rb.verify_exclusion(trace, eq1_nan_at_one_claim, toy_eq2, UNIT_BOX)
+    assert _as_tuples(report.failures) == [(family, index)]
+    assert math.isnan(report.failures[0]["value"])
+    margins = [sign * (toy_eq1 if fam.startswith("eq1") else toy_eq2)(phi, beta1)
+               for fam, i, phi, beta1, sign in claims if (fam, i) != (family, index)]
+    assert report.min_margin == min(margins) > DELTA_NUM
+
+
 def test_min_margin_is_the_per_point_minimum(system_any, trace, box):
     report = rb.verify_exclusion(trace, system_any.eq1, system_any.eq2, box)
     failures, smallest = per_point_checks(trace, system_any.eq1, system_any.eq2)
@@ -487,7 +515,7 @@ def test_min_margin_is_the_per_point_minimum(system_any, trace, box):
 
 def test_singular_point_fails_only_its_own_check(system_any, trace, box):
     # new anchors ahead of both arms: the minus one has Y = 3 phi - beta1 < 0
-    # (Eq1 and Eq2 both singular); the plus one puts Eq2's point on
+    # (Eq1 and Eq2 both undefined); the plus one puts Eq2's point on
     # beta2 = 1e-9, where V rounds to 1
     phi_far = (3.0 - 2.0 * trace.beta_minus[0] - 1e-9) / 3.0
     bad = rb.ExclusionTrace(phi_minus=[0.1] + trace.phi_minus,
@@ -499,26 +527,29 @@ def test_singular_point_fails_only_its_own_check(system_any, trace, box):
     report = rb.verify_exclusion(bad, system_any.eq1, system_any.eq2, domain)
     failures, smallest = per_point_checks(bad, system_any.eq1, system_any.eq2)
     assert _as_tuples(report.failures) == failures
-    errors = {(f["family"], f["index"]): f["error"] for f in report.failures if f["error"]}
-    assert set(errors) == {("eq1_minus", 0), ("eq2_minus", 0), ("eq2_plus", 0)}
-    assert "U/V undefined" in errors[("eq1_minus", 0)]
-    assert "V > 1" in errors[("eq2_plus", 0)]
-    assert all(f["value"] is None for f in report.failures if f["error"])
+    # one record shape; an undefined point's record reads NaN
+    assert all(set(f) == {"family", "index", "phi", "beta1", "value", "needed_sign", "margin"}
+               for f in report.failures)
+    undefined = {(f["family"], f["index"]) for f in report.failures
+                 if math.isnan(read_end(f["value"], f["needed_sign"]))}
+    assert undefined == {("eq1_minus", 0), ("eq2_minus", 0), ("eq2_plus", 0)}
     assert report.checks == 2 * (bad.K + bad.L) + 2
     assert report.min_margin == smallest  # every other check was evaluated
 
 
-def test_one_singular_point_fails_alone_in_a_batch(system_any, trace):
-    # Y = 3 phi - beta1 < 0 in the middle of Eq2's checks: that point fails
-    # with its error, and every other value equals the clean batch's
-    claims = [c for c in rb._sign_claims(trace) if c[0].startswith("eq2")]
+def _clean_and_inserted(fn, trace, prefix, phi, beta1):
+    """fn at the trace's `prefix` claims, and at the same claims with (phi,
+    beta1) inserted in the middle: (clean values, inserted values, where)."""
+    claims = [c for c in rb._sign_claims(trace) if c[0].startswith(prefix)]
     phis, betas = (np.array([c[col] for c in claims]) for col in (2, 3))
-    clean = system_any.eq2(phis, betas)
     at = len(phis) // 2
-    vals, errors = rb.values_where_defined(system_any.eq2, np.insert(phis, at, 0.1),
-                                           np.insert(betas, at, 0.6))
-    assert [k for k, e in enumerate(errors) if e is not None] == [at]
-    assert "U/V undefined" in errors[at]
+    return fn(phis, betas), fn(np.insert(phis, at, phi), np.insert(betas, at, beta1)), at
+
+
+def test_one_singular_point_fails_alone_in_a_batch(system_any, trace):
+    # Y = 3 phi - beta1 < 0 in the middle of Eq2's checks: that point is NaN,
+    # and every other value equals the clean batch's
+    clean, vals, at = _clean_and_inserted(system_any.eq2, trace, "eq2", 0.1, 0.6)
     ends = ([(vals.lo, clean.lo), (vals.hi, clean.hi)] if isinstance(clean, Interval)
             else [(vals, clean)])
     for got, want in ends:
@@ -527,37 +558,15 @@ def test_one_singular_point_fails_alone_in_a_batch(system_any, trace):
 
 
 def test_a_nan_point_gives_nan_alone_in_a_batch(system_any, trace):
-    # a NaN coordinate is no singular point: in either mode its values are NaN,
-    # it has no error, and every other value equals the clean batch's
-    claims = [c for c in rb._sign_claims(trace) if c[0].startswith("eq1")]
-    phis, betas = (np.array([c[col] for c in claims]) for col in (2, 3))
-    clean = system_any.eq1(phis, betas)
-    at = len(phis) // 2
-    vals, errors = rb.values_where_defined(system_any.eq1, np.insert(phis, at, np.nan),
-                                           np.insert(betas, at, betas[at]))
-    assert errors == [None] * (len(phis) + 1)
+    # a NaN coordinate gives NaN as an undefined point does, in either mode,
+    # and every other value equals the clean batch's
+    clean, vals, at = _clean_and_inserted(system_any.eq1, trace, "eq1", np.nan, 0.45)
     single = system_any.eq1(np.nan, 0.45)
     ends = ([(vals.lo, clean.lo, single.lo), (vals.hi, clean.hi, single.hi)]
             if isinstance(clean, Interval) else [(vals, clean, single)])
     for got, want, alone in ends:
         assert np.isnan(got[at]) and np.isnan(alone)
         assert np.delete(got, at).tolist() == want.tolist()
-
-
-def test_the_one_point_fallback_passes_each_point_its_own_sign():
-    # a singular batch is evaluated one point at a time, each with its sign
-    seen = []
-
-    def eq(phi, beta1, sign=None):
-        if np.ndim(phi):
-            raise SingularPointError("somewhere in the batch")
-        seen.append(sign)
-        return toy_eq1(phi, beta1)
-
-    signs = np.array([1, -1, -1, 1])
-    vals, errors = rb.values_where_defined(eq, np.full(4, 0.3), np.linspace(0.1, 0.4, 4), signs)
-    assert seen == [1, -1, -1, 1] and errors == [None] * 4
-    assert vals.tolist() == [toy_eq1(0.3, b) for b in np.linspace(0.1, 0.4, 4).tolist()]
 
 
 def test_enclosures_across_zero_certify_no_sign(params, consts_iv, trace, box):

@@ -9,7 +9,7 @@ from typsat import intervals
 from typsat import ledger as lg
 from typsat import rootbox as rb
 from typsat import stationarity as st
-from typsat.errors import DomainError, SingularPointError
+from typsat.errors import DomainError
 from typsat.intervals import Interval
 from typsat.params import ModelParams
 
@@ -33,11 +33,11 @@ def test_beta_partition_identity(box):
     assert pt.beta1 + pt.beta2 + pt.beta3 == pytest.approx(1.0, abs=1e-14)
 
 
-def test_singular_point_raises(box):
-    with pytest.raises(SingularPointError):
-        st.derive_point(0.12, 0.36)  # beta1 = 3 phi: Y = 0
-    with pytest.raises(SingularPointError):
-        st.derive_point(box.phi_min, box.beta1_min)  # beta3 < 0 corner
+def test_singular_point_has_nan_u_and_v(box):
+    for phi, beta1 in ((0.12, 0.36),  # beta1 = 3 phi: Y = 0
+                       (box.phi_min, box.beta1_min)):  # beta3 < 0 corner
+        pt = st.derive_point(phi, beta1)
+        assert math.isnan(pt.U) and math.isnan(pt.V)
 
 
 def test_uv_is_generic_over_number_types():
@@ -52,10 +52,36 @@ def test_uv_is_generic_over_number_types():
         iu, iv = uv(Interval(phis[k]), Interval(b1s[k]))
         assert (u[k], v[k]) == (uk, vk)
         assert iu.contains(uk) and iv.contains(vk)
-    with pytest.raises(SingularPointError):
-        uv(np.array([0.56, 0.12]), np.array([0.44, 0.36]))
-    with pytest.raises(SingularPointError):
-        uv(Interval(0.12), Interval(0.36))
+    # Y = 0 at the second point: NaN there, the first point's bits kept
+    u2, v2 = uv(np.array([0.56, 0.12]), np.array([0.44, 0.36]))
+    assert (u2[0], v2[0]) == (u[0], v[0]) and np.isnan(u2[1]) and np.isnan(v2[1])
+    iu, iv = uv(Interval(0.12), Interval(0.36))
+    for end in (iu.lo, iu.hi, iv.lo, iv.hi):
+        assert type(end) is np.float64 and math.isnan(end)
+
+
+@pytest.mark.parametrize("mode", ["float", "interval"])
+def test_undefined_points_are_nan_in_a_mixed_batch(mode, params, consts, consts_iv):
+    # a clean point, a NaN coordinate, a point outside the polygon (Y = -0.3,
+    # beta3 = -1.1) and one on beta2 = 1e-9, where V rounds to 1 (Eq2 only).
+    # A NaN lower end compares False, so a whole-batch guard alone let the
+    # third point through with finite values
+    system = st.EqSystem.build(params, consts if mode == "float" else consts_iv)
+    phis = np.array([0.57, np.nan, 0.1, (3.0 - 2.0 * 0.45 - 1e-9) / 3.0])
+    betas = np.array([0.45, 0.45, 0.6, 0.45])
+    for fn, undefined in ((system.eq1, [1, 2]), (system.eq2, [1, 2, 3])):
+        keep = np.setdiff1d(np.arange(4), undefined)
+        for sign in (None, +1, -1):
+            signs = None if sign is None else np.full(4, sign)
+            got = fn(phis, betas, signs)
+            clean = fn(phis[keep], betas[keep], None if sign is None else signs[keep])
+            # the ends a check of `sign` reads: both without one
+            names = ("lo", "hi") if sign is None else ("lo",) if sign > 0 else ("hi",)
+            for name in names if mode == "interval" else (None,):
+                end = getattr(got, name) if name else got
+                assert np.isnan(end[undefined]).all()
+                assert (end[keep].tobytes()
+                        == (getattr(clean, name) if name else clean).tobytes())
 
 
 def test_v_at_polygon_vertex(box):
@@ -76,9 +102,8 @@ def test_v_alternate_form_agrees(box, rng):
     for _ in range(200):
         phi = rng.uniform(box.phi_min, box.phi_max)
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
-        try:
-            pt = st.derive_point(phi, b1)
-        except SingularPointError:
+        pt = st.derive_point(phi, b1)
+        if math.isnan(pt.U):  # outside the feasibility polygon
             continue
         assert abs(v_alternate_form(pt) - pt.V) / pt.V < 1e-12
 
@@ -89,9 +114,8 @@ def test_uv_bounds_on_feasible_set(box, rng):
     for _ in range(6000):
         phi = rng.uniform(box.phi_min, box.phi_max)
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
-        try:
-            pt = st.derive_point(phi, b1)
-        except SingularPointError:
+        pt = st.derive_point(phi, b1)
+        if math.isnan(pt.U):  # outside the feasibility polygon
             continue
         if not box.contains(pt.phi, pt.beta1):
             continue
@@ -539,9 +563,8 @@ def test_eq2_form_equivalence_across_grid(box, system, consts, rng):
     for _ in range(150):
         phi = rng.uniform(box.phi_min, box.phi_max)
         b1 = rng.uniform(box.beta1_min, box.beta1_max)
-        try:
-            pt = st.derive_point(phi, b1)
-        except SingularPointError:
+        pt = st.derive_point(phi, b1)
+        if math.isnan(pt.U):  # outside the feasibility polygon
             continue
         e1 = st.eq1(pt, system)
         gap = abs(eq2_eqb1(pt, system, consts)
